@@ -303,14 +303,10 @@ class PartitionSession:
     def _window_algorithm_state(self) -> dict:
         """ADWISE extras: window image + pending + controller/balancer."""
         from repro.core.adaptive import AdaptiveWindowController
-        from repro.core.window import EdgeWindow
 
         partitioner = self.partitioner
         controller = partitioner.controller
         return {
-            "window_kind": ("object" if isinstance(partitioner.window,
-                                                   EdgeWindow)
-                            else "array"),
             "window_image": partitioner.window.to_image(),
             "pending": [(e.u, e.v) for e in partitioner._pending],
             "controller": (controller.to_state()
@@ -320,7 +316,6 @@ class PartitionSession:
             "balancer_value": (partitioner.scoring.balancer.value
                                if partitioner.scoring.balancer is not None
                                else None),
-            "migrate_at": partitioner._migrate_at,
         }
 
     # ------------------------------------------------------------------
@@ -382,20 +377,15 @@ def _restore_window_state(partitioner, snapshot: SessionSnapshot) -> None:
         AdaptiveWindowController,
         FixedWindowController,
     )
-    from repro.core.array_window import ArrayEdgeWindow
-    from repro.core.window import EdgeWindow
-
     algo_state = snapshot.algorithm_state
     partitioner.scoring = partitioner._make_scoring(snapshot.expected_edges)
     if (algo_state["balancer_value"] is not None
             and partitioner.scoring.balancer is not None):
         partitioner.scoring.balancer.value = algo_state["balancer_value"]
-    window_cls = (EdgeWindow if algo_state["window_kind"] == "object"
-                  else ArrayEdgeWindow)
-    partitioner.window = window_cls.from_image(
-        partitioner.scoring, algo_state["window_image"],
-        lazy=partitioner.lazy, epsilon=partitioner.epsilon,
-        max_candidates=partitioner.max_candidates)
+    # Window images are backend-neutral: the restored session runs
+    # whichever window a fresh one would here.
+    partitioner.window = partitioner._make_window(
+        partitioner.scoring, image=algo_state["window_image"])
     if partitioner.fixed_window is not None:
         partitioner.controller = FixedWindowController(
             partitioner.fixed_window)
@@ -409,4 +399,3 @@ def _restore_window_state(partitioner, snapshot: SessionSnapshot) -> None:
         )
         partitioner.controller.restore_state(algo_state["controller"])
     partitioner._pending = [Edge(u, v) for u, v in algo_state["pending"]]
-    partitioner._migrate_at = algo_state["migrate_at"]

@@ -1,100 +1,113 @@
-/* Compiled window kernels: C mirror of repro/core/_kernels_py.py.
+/* ADWISE window kernels: Algorithm 1's inner loop as one transaction.
  *
- * Statement-for-statement port of the looped-Python kernel source (see
- * that module's docstring for the array glossary and the semantics
- * contract).  Built by repro/core/_kernels.py with
+ * Built by repro/core/_kernels.py with
  *
  *     cc -O3 -fPIC -shared -ffp-contract=off
  *
+ * and loaded through cffi's ABI mode; the declarations between the
+ * cdef markers below are what Python hands to ffi.cdef, so the struct
+ * layout and the prototypes have exactly one source.
+ *
  * -ffp-contract=off forbids fused multiply-adds so every float64
- * operation rounds exactly like the numpy/reference evaluation; nothing
- * here may reorder or fuse floating-point arithmetic.  All pointers are
- * borrowed from numpy arrays owned by the Python side, bound once via
- * kern_bind and rebound whenever an array is reallocated.
+ * operation rounds exactly like the object-window reference (numpy /
+ * Python float arithmetic); nothing here may reorder or fuse
+ * floating-point arithmetic.
+ *
+ * Ownership (DESIGN.md §14): every array is a numpy buffer owned,
+ * grown and rebound by repro/core/array_window.py — this file never
+ * allocates or frees.  When a buffer runs out the kernel returns a
+ * KERN_NEED_* status *before* mutating anything the retry would repeat;
+ * Python grows the buffer, rebinds the pointer and calls again.
  */
 
 #include <stdint.h>
-#include <stdlib.h>
+#include <string.h>
+
+/* cdef-begin */
+#define KERN_DONE 0            /* input consumed, nothing more to pop   */
+#define KERN_BLOCK_BOUNDARY 1  /* n_out reached stop_at: adapt w        */
+#define KERN_NEED_SLOTS 2      /* slot free-list empty                  */
+#define KERN_NEED_ARENA 3      /* arena cannot take `need` more entries */
+#define KERN_NEED_OUT 4        /* out_* / chg_* buffers full            */
 
 typedef struct {
-    double  *score;
-    double  *rep;        /* capacity x k, row stride k */
-    double  *cs;         /* capacity x k, row stride k */
-    int64_t *partition;
-    int64_t *entry;
-    int64_t *slot_version;
-    int64_t *rep_key;    /* capacity x 5 */
-    int64_t *nbr_key;    /* capacity x 2 */
-    int64_t *cs_sum;
-    int64_t *ui;
-    int64_t *vi;
-    int64_t *nbr_start;
+    /* Per-slot arrays (slot_cap entries unless noted). */
+    double  *score;         /* cached best score g(e, p*)              */
+    double  *rep;           /* slot_cap x k memoized R(e, .)           */
+    double  *cs;            /* slot_cap x k memoized CS(e, .)          */
+    int64_t *col;           /* cached best partition (spread column)   */
+    int64_t *entry;         /* entry id (stream order, unique)         */
+    int64_t *slot_version;  /* window version the cache was scored at  */
+    int64_t *rep_key;       /* slot_cap x 5 validity key of rep        */
+    int64_t *nbr_key;       /* slot_cap x 2 validity key of the segment */
+    int64_t *cs_sum;        /* neighbour row-version checksum of cs    */
+    int64_t *ui;            /* dense row of endpoint u                 */
+    int64_t *vi;            /* dense row of endpoint v                 */
+    int64_t *nbr_start;     /* neighbourhood segment in the arena      */
     int64_t *nbr_count;
+    int64_t *heap;          /* k-best agenda: indexed binary max-heap  */
+    int64_t *heap_pos;      /* slot -> heap position, -1 if absent     */
+    int64_t *free_slots;    /* LIFO free-list, num_free entries        */
+    int64_t *link_next;     /* 2 x slot_cap incidence nodes: node      */
+    int64_t *link_prev;     /*   2s sits in ui[s]'s list, 2s+1 in vi's */
+    int64_t *scratch;       /* 3 x slot_cap                            */
+    uint8_t *candidate;
+    uint8_t *alive;
+    /* Per-dense-vertex arrays (vertex_cap entries). */
+    int64_t *iver;          /* incidence version (window membership)   */
+    int64_t *head;          /* first incidence node, -1 if none        */
+    int64_t *stamp;         /* neighbourhood dedupe marks              */
+    uint8_t *replicas;      /* vertex_cap x k replica matrix (state)   */
+    int64_t *row_version;   /* replica-row versions (state)            */
+    int64_t *deg;           /* dense degree table (state)              */
+    /* Per-partition arrays (k entries). */
+    double  *lamb;          /* lambda * B(p)                           */
+    int64_t *sizes;         /* partition sizes (state)                 */
+    /* Neighbourhood arena and transaction outputs. */
     int64_t *pool;
-    int64_t *heap;
-    int64_t *heap_pos;
-    int64_t *hctl;       /* hctl[0] = heap size */
-    int64_t *scratch;    /* 2 * capacity */
-    int64_t *partition_ids;
-    unsigned char *replicas;   /* state capacity x k, row stride k */
-    int64_t *row_version;
-    int64_t *deg;
-    int64_t *iver;
-    double  *lamb;       /* k; synced by the adapter before calls */
-    double  *io_f;       /* io_f[0] = score_sum in/out */
-    int64_t *io_i;       /* rescore tallies + needy count */
-    int64_t  k;
+    int64_t *out_entry;     /* popped assignments, n_out entries       */
+    int64_t *out_col;
+    double  *out_score;
+    int64_t *chg_row;       /* newly set replica bits, n_changed       */
+    int64_t *chg_col;
+    /* Capacities. */
+    int64_t k, slot_cap, vertex_cap, pool_cap, out_cap;
+    /* Configuration. */
+    int64_t lazy, use_cs, max_candidates, adaptive_lambda, total_edges;
+    double  epsilon;
+    /* Window scalars. */
+    int64_t count, num_candidates, next_id, version, promotions;
+    int64_t heap_size, num_free, pool_used, stamp_clock;
+    double  score_sum;
+    /* Vertex-cache scalars (mirrors of the partition state). */
+    int64_t max_degree, max_size, min_size, assigned_edges;
+    double  lam;
+    /* Transaction cursors. */
+    int64_t consumed;       /* input edges admitted so far             */
+    int64_t n_out, n_changed;
+    int64_t charge;         /* score computations to charge the clock  */
+    int64_t need;           /* arena entries wanted on KERN_NEED_ARENA */
+    int64_t rule3_pending;  /* changed rows whose rule 3 is unfinished */
+    /* Tallies. */
+    int64_t stat_refills, stat_pops, stat_rescored_slots;
+    int64_t stat_rep_recomputed, stat_cs_recomputed;
+    int64_t stat_heap_pushes, stat_heap_removes, stat_reheaps;
 } KernCtx;
 
-KernCtx *kern_new(void)
-{
-    return (KernCtx *)calloc(1, sizeof(KernCtx));
-}
-
-void kern_free(KernCtx *c)
-{
-    free(c);
-}
-
-void kern_bind(KernCtx *c, double *score, int64_t *partition,
-               int64_t *entry, int64_t *slot_version, double *rep,
-               double *cs, int64_t *rep_key, int64_t *nbr_key,
-               int64_t *cs_sum, int64_t *ui, int64_t *vi,
-               int64_t *nbr_start, int64_t *nbr_count, int64_t *pool,
-               int64_t *heap, int64_t *heap_pos, int64_t *hctl,
-               int64_t *scratch, int64_t *partition_ids,
-               unsigned char *replicas, int64_t *row_version,
-               int64_t *deg, int64_t *iver, double *lamb, double *io_f,
-               int64_t *io_i, int64_t k)
-{
-    c->score = score;
-    c->partition = partition;
-    c->entry = entry;
-    c->slot_version = slot_version;
-    c->rep = rep;
-    c->cs = cs;
-    c->rep_key = rep_key;
-    c->nbr_key = nbr_key;
-    c->cs_sum = cs_sum;
-    c->ui = ui;
-    c->vi = vi;
-    c->nbr_start = nbr_start;
-    c->nbr_count = nbr_count;
-    c->pool = pool;
-    c->heap = heap;
-    c->heap_pos = heap_pos;
-    c->hctl = hctl;
-    c->scratch = scratch;
-    c->partition_ids = partition_ids;
-    c->replicas = replicas;
-    c->row_version = row_version;
-    c->deg = deg;
-    c->iver = iver;
-    c->lamb = lamb;
-    c->io_f = io_f;
-    c->io_i = io_i;
-    c->k = k;
-}
+int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
+                  int64_t target_w, int64_t force, int64_t stop_at,
+                  int64_t observe);
+int64_t kern_pop(KernCtx *c);
+int64_t kern_replicas_changed(KernCtx *c, const int64_t *rows, int64_t n);
+int64_t kern_restore(KernCtx *c, const int64_t *pairs,
+                     const int64_t *entry, const double *score,
+                     const int64_t *col, const int64_t *version,
+                     const uint8_t *candidate, int64_t n);
+void kern_heap_push(KernCtx *c, int64_t slot);
+void kern_heap_remove(KernCtx *c, int64_t slot);
+void kern_heap_fix(KernCtx *c, int64_t pos);
+void kern_heap_heapify(KernCtx *c);
+/* cdef-end */
 
 /* ------------------------------------------------------------------ */
 /* Indexed binary max-heap keyed (score desc, entry asc)               */
@@ -128,17 +141,16 @@ static int64_t sift_up(KernCtx *c, int64_t pos)
     return pos;
 }
 
-static int64_t sift_down(KernCtx *c, int64_t n, int64_t pos)
+static void sift_down(KernCtx *c, int64_t pos)
 {
+    int64_t n = c->heap_size;
     int64_t slot = c->heap[pos];
     for (;;) {
         int64_t child = 2 * pos + 1;
-        int64_t right;
         if (child >= n)
             break;
-        right = child + 1;
-        if (right < n && heap_better(c, c->heap[right], c->heap[child]))
-            child = right;
+        if (child + 1 < n && heap_better(c, c->heap[child + 1], c->heap[child]))
+            child++;
         if (!heap_better(c, c->heap[child], slot))
             break;
         c->heap[pos] = c->heap[child];
@@ -147,55 +159,201 @@ static int64_t sift_down(KernCtx *c, int64_t n, int64_t pos)
     }
     c->heap[pos] = slot;
     c->heap_pos[slot] = pos;
-    return pos;
 }
 
-static void heap_fix(KernCtx *c, int64_t n, int64_t pos)
+void kern_heap_fix(KernCtx *c, int64_t pos)
 {
     if (sift_up(c, pos) == pos)
-        sift_down(c, n, pos);
+        sift_down(c, pos);
 }
 
 void kern_heap_push(KernCtx *c, int64_t slot)
 {
-    int64_t n = c->hctl[0];
+    int64_t n = c->heap_size++;
     c->heap[n] = slot;
     c->heap_pos[slot] = n;
-    c->hctl[0] = n + 1;
     sift_up(c, n);
+    c->stat_heap_pushes++;
 }
 
-int64_t kern_heap_remove(KernCtx *c, int64_t slot)
+void kern_heap_remove(KernCtx *c, int64_t slot)
 {
     int64_t pos = c->heap_pos[slot];
     int64_t n;
     if (pos < 0)
-        return -1;
-    n = c->hctl[0] - 1;
-    c->hctl[0] = n;
+        return;
+    n = --c->heap_size;
     c->heap_pos[slot] = -1;
     if (pos != n) {
         int64_t moved = c->heap[n];
         c->heap[pos] = moved;
         c->heap_pos[moved] = pos;
-        heap_fix(c, n, pos);
+        kern_heap_fix(c, pos);
     }
-    return pos;
+    c->stat_heap_removes++;
 }
 
 void kern_heap_heapify(KernCtx *c)
 {
-    int64_t n = c->hctl[0];
     int64_t i;
-    for (i = n / 2 - 1; i >= 0; i--)
-        sift_down(c, n, i);
+    for (i = c->heap_size / 2 - 1; i >= 0; i--)
+        sift_down(c, i);
+}
+
+/* ------------------------------------------------------------------ */
+/* Slot lists: shell sort (gap sequence 3h+1) under a strict order     */
+/* ------------------------------------------------------------------ */
+
+typedef int (*before_fn)(const KernCtx *, int64_t, int64_t);
+
+static int by_entry(const KernCtx *c, int64_t a, int64_t b)
+{
+    return c->entry[a] < c->entry[b];
+}
+
+static int by_segment(const KernCtx *c, int64_t a, int64_t b)
+{
+    return c->nbr_start[a] < c->nbr_start[b];
+}
+
+static void sort_slots(const KernCtx *c, int64_t *slots, int64_t m,
+                       before_fn before)
+{
+    int64_t gap = 1;
+    int64_t i;
+    while (gap < m / 3)
+        gap = 3 * gap + 1;
+    for (; gap > 0; gap /= 3) {
+        for (i = gap; i < m; i++) {
+            int64_t s = slots[i];
+            int64_t j = i;
+            while (j >= gap && before(c, s, slots[j - gap])) {
+                slots[j] = slots[j - gap];
+                j -= gap;
+            }
+            slots[j] = s;
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Window -> slot incidence: intrusive per-vertex lists                */
+/* ------------------------------------------------------------------ */
+
+static void link_node(KernCtx *c, int64_t node, int64_t vertex)
+{
+    int64_t first = c->head[vertex];
+    c->link_next[node] = first;
+    c->link_prev[node] = -1;
+    if (first >= 0)
+        c->link_prev[first] = node;
+    c->head[vertex] = node;
+}
+
+static void unlink_node(KernCtx *c, int64_t node, int64_t vertex)
+{
+    int64_t prev = c->link_prev[node];
+    int64_t next = c->link_next[node];
+    if (prev >= 0)
+        c->link_next[prev] = next;
+    else
+        c->head[vertex] = next;
+    if (next >= 0)
+        c->link_prev[next] = prev;
+}
+
+/* A self-loop holds a single node: its one endpoint lists it once. */
+static void link_slot(KernCtx *c, int64_t s)
+{
+    link_node(c, 2 * s, c->ui[s]);
+    if (c->vi[s] != c->ui[s])
+        link_node(c, 2 * s + 1, c->vi[s]);
+}
+
+/* N(u) ∪ N(v) \ {u, v} over window edges, written at the arena's append
+ * cursor as far as it fits; returns the full size either way.  The
+ * endpoints are stamped first, which both excludes them and makes an
+ * edge's own incidence nodes contribute nothing. */
+static int64_t gather_neighbourhood(KernCtx *c, int64_t du, int64_t dv)
+{
+    int64_t mark = ++c->stamp_clock;
+    int64_t room = c->pool_cap - c->pool_used;
+    int64_t *out = c->pool + c->pool_used;
+    int64_t cnt = 0;
+    int64_t vertex = du;
+    c->stamp[du] = mark;
+    c->stamp[dv] = mark;
+    for (;;) {
+        int64_t node;
+        for (node = c->head[vertex]; node >= 0; node = c->link_next[node]) {
+            int64_t s = node >> 1;
+            int64_t other = (node & 1) ? c->ui[s] : c->vi[s];
+            if (c->stamp[other] != mark) {
+                c->stamp[other] = mark;
+                if (cnt < room)
+                    out[cnt] = other;
+                cnt++;
+            }
+        }
+        if (vertex == dv)
+            break;
+        vertex = dv;
+    }
+    return cnt;
+}
+
+/* Repack live segments to the front of the arena, in place (ascending
+ * start order, so a segment never moves past one not yet moved).  Fails
+ * — with `need` set — unless the arena ends at most half full counting
+ * the `cnt` entries about to be appended: Python then grows it. */
+static int arena_reserve(KernCtx *c, int64_t cnt)
+{
+    int64_t *order = c->scratch + 2 * c->slot_cap;
+    int64_t m = 0, used = 0;
+    int64_t s, t;
+    for (s = 0; s < c->slot_cap; s++)
+        if (c->alive[s] && c->nbr_count[s] > 0)
+            order[m++] = s;
+    sort_slots(c, order, m, by_segment);
+    for (t = 0; t < m; t++) {
+        s = order[t];
+        memmove(c->pool + used, c->pool + c->nbr_start[s],
+                (size_t)c->nbr_count[s] * sizeof(int64_t));
+        c->nbr_start[s] = used;
+        used += c->nbr_count[s];
+    }
+    c->pool_used = used;
+    c->need = used + cnt;
+    return 2 * c->need <= c->pool_cap;
+}
+
+/* (Re)write slot s's neighbourhood segment and restamp its keys; the CS
+ * checksum is forced invalid (the memoized CS was for another set).
+ * Returns 0, having changed nothing but garbage, when the arena is full. */
+static int write_segment(KernCtx *c, int64_t s)
+{
+    int64_t du = c->ui[s];
+    int64_t dv = c->vi[s];
+    int64_t cnt = gather_neighbourhood(c, du, dv);
+    if (c->pool_used + cnt > c->pool_cap) {
+        if (!arena_reserve(c, cnt))
+            return 0;
+        cnt = gather_neighbourhood(c, du, dv);
+    }
+    c->nbr_start[s] = cnt ? c->pool_used : 0;
+    c->nbr_count[s] = cnt;
+    c->pool_used += cnt;
+    c->nbr_key[2 * s] = c->iver[du];
+    c->nbr_key[2 * s + 1] = c->iver[dv];
+    c->cs_sum[s] = -1;
+    return 1;
 }
 
 /* ------------------------------------------------------------------ */
 /* Component memos: pull-validity checks and recomputation             */
 /* ------------------------------------------------------------------ */
 
-static int rep_fresh(const KernCtx *c, int64_t max_degree, int64_t s)
+static int rep_fresh(const KernCtx *c, int64_t s)
 {
     const int64_t *key = c->rep_key + s * 5;
     int64_t iu = c->ui[s];
@@ -204,7 +362,7 @@ static int rep_fresh(const KernCtx *c, int64_t max_degree, int64_t s)
         && key[1] == c->row_version[iv]
         && key[2] == c->deg[iu]
         && key[3] == c->deg[iv]
-        && key[4] == max_degree;
+        && key[4] == c->max_degree;
 }
 
 static int nbr_fresh(const KernCtx *c, int64_t s)
@@ -223,17 +381,17 @@ static int64_t nbr_version_sum(const KernCtx *c, int64_t s)
     return total;
 }
 
-static void recompute_rep(KernCtx *c, int64_t max_degree, int64_t s)
+static void recompute_rep(KernCtx *c, int64_t s)
 {
     int64_t iu = c->ui[s];
     int64_t iv = c->vi[s];
-    int64_t maxd = max_degree < 1 ? 1 : max_degree;
+    int64_t maxd = c->max_degree < 1 ? 1 : c->max_degree;
     double psi_u = (double)c->deg[iu] / (2.0 * (double)maxd);
     double psi_v = (double)c->deg[iv] / (2.0 * (double)maxd);
     double wu = 2.0 - psi_u;
     double wv = 2.0 - psi_v;
-    const unsigned char *ru = c->replicas + iu * c->k;
-    const unsigned char *rv = c->replicas + iv * c->k;
+    const uint8_t *ru = c->replicas + iu * c->k;
+    const uint8_t *rv = c->replicas + iv * c->k;
     double *row = c->rep + s * c->k;
     int64_t *key = c->rep_key + s * 5;
     int64_t j;
@@ -246,7 +404,7 @@ static void recompute_rep(KernCtx *c, int64_t max_degree, int64_t s)
     key[1] = c->row_version[iv];
     key[2] = c->deg[iu];
     key[3] = c->deg[iv];
-    key[4] = max_degree;
+    key[4] = c->max_degree;
 }
 
 static void recompute_cs(KernCtx *c, int64_t s)
@@ -260,7 +418,7 @@ static void recompute_cs(KernCtx *c, int64_t s)
         row[j] = 0.0;
     for (i = 0; i < cnt; i++) {
         int64_t idx = c->pool[start + i];
-        const unsigned char *r = c->replicas + idx * c->k;
+        const uint8_t *r = c->replicas + idx * c->k;
         vsum += c->row_version[idx];
         for (j = 0; j < c->k; j++)
             if (r[j])
@@ -272,182 +430,440 @@ static void recompute_cs(KernCtx *c, int64_t s)
     c->cs_sum[s] = vsum;
 }
 
-static double assemble(const KernCtx *c, const double *lamb, int use_cs,
-                       int64_t s, int64_t *col_out)
+/* Total score over the spread; first maximum wins (spread order). */
+static void assemble(KernCtx *c, int64_t s)
 {
     const double *rrow = c->rep + s * c->k;
     const double *crow = c->cs + s * c->k;
     double best = 0.0;
     int64_t best_col = 0;
-    int first = 1;
     int64_t j;
     for (j = 0; j < c->k; j++) {
-        double t = lamb[j] + rrow[j];
-        if (use_cs)
+        double t = c->lamb[j] + rrow[j];
+        if (c->use_cs)
             t = t + crow[j];
-        if (first || t > best) {
+        if (j == 0 || t > best) {
             best = t;
             best_col = j;
-            first = 0;
         }
     }
-    *col_out = best_col;
-    return best;
+    c->score[s] = best;
+    c->col[s] = best_col;
+    c->slot_version[s] = c->version;
 }
 
-/* Slots arrive in scratch[0..n); stale ones are compacted in place to
- * scratch[0..cnt) (safe: the write cursor never passes the read one). */
-int64_t kern_scan_nbr(KernCtx *c, int64_t n)
+/* lambda * B(p) over the spread (Eq. 3), as AdwiseScoring computes it. */
+static void refresh_lamb(KernCtx *c)
 {
-    int64_t cnt = 0;
-    int64_t t;
-    for (t = 0; t < n; t++) {
-        int64_t s = c->scratch[t];
-        if (!nbr_fresh(c, s))
-            c->scratch[cnt++] = s;
-    }
-    return cnt;
+    double denominator = (double)(c->max_size - c->min_size) + 1e-9;
+    int64_t j;
+    for (j = 0; j < c->k; j++)
+        c->lamb[j] = c->lam
+            * ((double)(c->max_size - c->sizes[j]) / denominator);
 }
 
 /* ------------------------------------------------------------------ */
-/* The rescore transaction (pop / rule 2 / rule 3 share it)            */
+/* Rescoring (pop / rule 2 / rule 3 share it)                          */
 /* ------------------------------------------------------------------ */
 
-static double rescore_impl(KernCtx *c, const int64_t *slots, int64_t n,
-                           int64_t version, int64_t max_degree,
-                           int64_t use_cs, double score_sum)
+/* Rebuild the stale neighbourhood segments of `slots`; idempotent, so a
+ * transaction that runs out of arena half-way simply starts over. */
+static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
 {
-    const double *lamb = c->lamb;
-    int64_t *io_i = c->io_i;
-    int64_t n_res = 0, n_rep = 0, n_cs = 0;
     int64_t t;
-    for (t = 0; t < n; t++) {
+    if (!c->use_cs)
+        return 1;
+    for (t = 0; t < m; t++)
+        if (!nbr_fresh(c, slots[t]) && !write_segment(c, slots[t]))
+            return 0;
+    return 1;
+}
+
+/* Rescore `slots` (entry order) against the current state; a
+ * version-fresh slot whose keys all match is skipped — recomputing it
+ * would bit-equal its cache.  Returns the slots actually rescored. */
+static int64_t rescore(KernCtx *c, const int64_t *slots, int64_t m)
+{
+    int64_t n_res = 0;
+    int64_t t;
+    for (t = 0; t < m; t++) {
         int64_t s = slots[t];
-        int fresh_r = rep_fresh(c, max_degree, s);
-        int fresh_c = 1;
-        int64_t col;
-        double best;
-        if (use_cs) {
-            if (nbr_fresh(c, s))
-                fresh_c = c->cs_sum[s] == nbr_version_sum(c, s);
-            else
-                fresh_c = 0;
-        }
-        if (c->slot_version[s] == version && fresh_r && fresh_c)
+        int fresh_r = rep_fresh(c, s);
+        int fresh_c = !c->use_cs || c->cs_sum[s] == nbr_version_sum(c, s);
+        double old = c->score[s];
+        if (c->slot_version[s] == c->version && fresh_r && fresh_c)
             continue;
         if (!fresh_r) {
-            recompute_rep(c, max_degree, s);
-            n_rep++;
+            recompute_rep(c, s);
+            c->stat_rep_recomputed++;
         }
-        if (use_cs && !fresh_c) {
+        if (!fresh_c) {
             recompute_cs(c, s);
-            n_cs++;
+            c->stat_cs_recomputed++;
         }
-        best = assemble(c, lamb, (int)use_cs, s, &col);
-        score_sum += best - c->score[s];
-        c->score[s] = best;
-        c->partition[s] = c->partition_ids[col];
-        c->slot_version[s] = version;
+        assemble(c, s);
+        c->score_sum += c->score[s] - old;
         n_res++;
     }
-    io_i[0] = n_res;
-    io_i[1] = n_rep;
-    io_i[2] = n_cs;
-    return score_sum;
+    c->stat_rescored_slots += n_res;
+    return n_res;
 }
 
-/* Slots arrive in scratch[0..n) (already entry-sorted by the caller). */
-double kern_rescore(KernCtx *c, int64_t n, int64_t version,
-                    int64_t max_degree, int64_t use_cs, double score_sum)
+static void promote(KernCtx *c, int64_t s)
 {
-    return rescore_impl(c, c->scratch, n, version, max_degree, use_cs,
-                        score_sum);
+    c->candidate[s] = 1;
+    c->num_candidates++;
+    kern_heap_push(c, s);
 }
 
-int64_t kern_pop(KernCtx *c, int64_t version, int64_t max_degree,
-                 int64_t use_cs)
+/* Rule 2: candidate set empty -> rescore Q, promote above-threshold
+ * edges (or, when scores are uniform, the best eighth). */
+static int rule2(KernCtx *c)
 {
-    int64_t *io_i = c->io_i;
-    int64_t n = c->hctl[0];
+    int64_t *slots = c->scratch;
+    int64_t m = 0, above = 0, take;
+    int64_t s, t;
+    double threshold;
+    for (s = 0; s < c->slot_cap; s++)
+        if (c->alive[s] && !c->candidate[s])
+            slots[m++] = s;
+    sort_slots(c, slots, m, by_entry);
+    if (!refresh_segments(c, slots, m))
+        return 0;
+    c->charge += m * c->k;
+    rescore(c, slots, m);
+    threshold = c->score_sum / (double)c->count + c->epsilon;
+    for (t = 0; t < m; t++)
+        if (c->score[slots[t]] > threshold)
+            slots[above++] = slots[t];
+    if (above == 0) {
+        sort_slots(c, slots, m, heap_better);
+        above = m / 8 > 1 ? m / 8 : 1;
+    }
+    take = above < c->max_candidates ? above : c->max_candidates;
+    for (t = 0; t < take; t++)
+        promote(c, slots[t]);
+    c->promotions += take;
+    return 1;
+}
+
+/* Rule 3: reassess secondary edges touching the changed replica rows. */
+static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
+{
+    int64_t *slots = c->scratch;
+    int64_t m = 0, unique = 0;
+    int64_t r, t, node;
+    double threshold;
+    if (!c->lazy)
+        return 1;
+    for (r = 0; r < nrows; r++)
+        for (node = c->head[rows[r]]; node >= 0; node = c->link_next[node])
+            if (!c->candidate[node >> 1])
+                slots[m++] = node >> 1;
+    if (m == 0)
+        return 1;
+    sort_slots(c, slots, m, by_entry);
+    for (t = 0; t < m; t++)  /* an edge may touch both changed rows */
+        if (t == 0 || slots[t] != slots[t - 1])
+            slots[unique++] = slots[t];
+    m = unique;
+    if (!refresh_segments(c, slots, m))
+        return 0;
+    threshold = c->score_sum / (double)c->count + c->epsilon;
+    c->charge += m * c->k;
+    rescore(c, slots, m);
+    for (t = 0; t < m; t++) {
+        int64_t s = slots[t];
+        if (c->score[s] > threshold
+                && c->num_candidates < c->max_candidates) {
+            promote(c, s);
+            c->promotions++;
+        }
+    }
+    return 1;
+}
+
+/* One agenda transaction: rescore the version-stale candidates in entry
+ * order, repair the heap, return the root (the reference's
+ * first-max-in-entry-order), or -1 when the arena ran out. */
+static int64_t agenda_pop(KernCtx *c)
+{
+    int64_t *stale = c->scratch;
+    int64_t n = c->heap_size;
     int64_t m = 0;
-    int64_t i, t;
-    if (n == 0)
-        return -2;
-    /* Collect stale candidates, then shell-sort them by entry id
-     * (gap sequence 3h+1; entries are unique, so the order is total). */
-    for (i = 0; i < n; i++) {
-        int64_t s = c->heap[i];
-        if (c->slot_version[s] != version)
-            c->scratch[m++] = s;
-    }
-    {
-        int64_t gap = 1;
-        while (gap < m / 3)
-            gap = 3 * gap + 1;
-        for (; gap > 0; gap /= 3) {
-            for (i = gap; i < m; i++) {
-                int64_t s = c->scratch[i];
-                int64_t e = c->entry[s];
-                int64_t j = i;
-                while (j >= gap && c->entry[c->scratch[j - gap]] > e) {
-                    c->scratch[j] = c->scratch[j - gap];
-                    j -= gap;
-                }
-                c->scratch[j] = s;
-            }
-        }
-    }
-    if (use_cs) {
-        int64_t need = 0;
-        for (t = 0; t < m; t++) {
-            int64_t s = c->scratch[t];
-            if (!nbr_fresh(c, s))
-                c->scratch[n + need++] = s;
-        }
-        if (need > 0) {
-            for (t = 0; t < need; t++)
-                c->scratch[t] = c->scratch[n + t];
-            io_i[3] = need;
-            return -1;
-        }
-    }
+    int64_t i;
+    for (i = 0; i < n; i++)
+        if (c->slot_version[c->heap[i]] != c->version)
+            stale[m++] = c->heap[i];
+    sort_slots(c, stale, m, by_entry);
+    if (!refresh_segments(c, stale, m))
+        return -1;
     if (m > 0) {
-        c->io_f[0] = rescore_impl(c, c->scratch, m, version, max_degree,
-                                  use_cs, c->io_f[0]);
-        /* Heap repair: a single moved key sifts in place; for several,
-         * only a full heapify is sound (sequential per-key fixes can
-         * leave violations between two moved keys). */
+        c->charge += rescore(c, stale, m) * c->k;
+        /* A single moved key sifts in place; for several only a full
+         * heapify is sound (sequential per-key fixes can leave
+         * violations between two moved keys). */
         if (m == 1)
-            heap_fix(c, n, c->heap_pos[c->scratch[0]]);
+            kern_heap_fix(c, c->heap_pos[stale[0]]);
         else
             kern_heap_heapify(c);
-    } else {
-        io_i[0] = 0;
-        io_i[1] = 0;
-        io_i[2] = 0;
+        c->stat_reheaps++;
     }
     return c->heap[0];
 }
 
-double kern_add(KernCtx *c, int64_t s, int64_t du, int64_t dv,
-                int64_t seg_start, int64_t seg_count, int64_t version,
-                int64_t max_degree, int64_t use_cs)
+/* Pop the best slot of a non-empty window into out_*[n_out] and *slot;
+ * it leaves the window (its ui/vi stay readable until the slot is reused). */
+static int64_t pop_slot(KernCtx *c, int64_t *slot)
 {
-    const double *lamb = c->lamb;
-    int64_t col;
-    double best;
+    int64_t s, vertex;
+    if (c->n_out == c->out_cap)
+        return KERN_NEED_OUT;
+    if (c->num_candidates == 0 && !rule2(c))
+        return KERN_NEED_ARENA;
+    s = agenda_pop(c);
+    if (s < 0)
+        return KERN_NEED_ARENA;
+    c->out_entry[c->n_out] = c->entry[s];
+    c->out_col[c->n_out] = c->col[s];
+    c->out_score[c->n_out] = c->score[s];
+    c->n_out++;
+    c->score_sum -= c->score[s];
+    if (c->candidate[s]) {
+        c->candidate[s] = 0;
+        c->num_candidates--;
+        kern_heap_remove(c, s);
+    }
+    c->alive[s] = 0;
+    /* Membership at the endpoints changed: neighbours' segments are now
+     * stale (pulled on their next rescore). */
+    vertex = c->ui[s];
+    unlink_node(c, 2 * s, vertex);
+    c->iver[vertex]++;
+    if (c->vi[s] != vertex) {
+        vertex = c->vi[s];
+        unlink_node(c, 2 * s + 1, vertex);
+        c->iver[vertex]++;
+    }
+    c->count--;
+    c->free_slots[c->num_free++] = s;
+    /* The caller assigns this edge next, which shifts balance scores:
+     * every remaining cache becomes version-stale. */
+    c->version++;
+    c->stat_pops++;
+    *slot = s;
+    return KERN_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Rule 1: admit one edge                                              */
+/* ------------------------------------------------------------------ */
+
+static void observe_degree(KernCtx *c, int64_t vertex)
+{
+    int64_t d = ++c->deg[vertex];
+    if (d > c->max_degree)
+        c->max_degree = d;
+}
+
+static int64_t admit(KernCtx *c, int64_t du, int64_t dv, int64_t observe)
+{
+    int64_t s;
+    if (c->num_free == 0)
+        return KERN_NEED_SLOTS;
+    s = c->free_slots[c->num_free - 1];
     c->ui[s] = du;
     c->vi[s] = dv;
-    c->nbr_start[s] = seg_start;
-    c->nbr_count[s] = seg_count;
-    recompute_rep(c, max_degree, s);
-    c->nbr_key[s * 2] = c->iver[du];
-    c->nbr_key[s * 2 + 1] = c->iver[dv];
-    if (use_cs)
+    c->nbr_start[s] = 0;
+    c->nbr_count[s] = 0;
+    /* The one step that can run out of room comes first, while the slot
+     * is still free: the neighbourhood sees only earlier entries. */
+    if (c->use_cs && !write_segment(c, s))
+        return KERN_NEED_ARENA;
+    c->num_free--;
+    if (observe) {
+        observe_degree(c, du);
+        observe_degree(c, dv);
+    }
+    c->entry[s] = c->next_id++;
+    c->candidate[s] = 0;
+    c->alive[s] = 1;
+    /* Inserting the edge changes its neighbours' neighbourhoods (they
+     * see the bumped counter as a stale key) but not its own (it
+     * excludes itself), so its key is stamped after the bump. */
+    c->iver[du]++;
+    if (dv != du)
+        c->iver[dv]++;
+    c->nbr_key[2 * s] = c->iver[du];
+    c->nbr_key[2 * s + 1] = c->iver[dv];
+    recompute_rep(c, s);
+    if (c->use_cs)
         recompute_cs(c, s);
-    best = assemble(c, lamb, (int)use_cs, s, &col);
-    c->score[s] = best;
-    c->partition[s] = c->partition_ids[col];
-    c->slot_version[s] = version;
-    return best;
+    assemble(c, s);
+    link_slot(c, s);
+    c->count++;
+    c->score_sum += c->score[s];
+    c->charge += c->k;
+    c->stat_refills++;
+    if (!c->lazy
+            || (c->score[s] > c->score_sum / (double)c->count + c->epsilon
+                && c->num_candidates < c->max_candidates))
+        promote(c, s);
+    return KERN_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Vertex-cache update for a popped edge (FastPartitionState.assign)   */
+/* ------------------------------------------------------------------ */
+
+static void set_replica(KernCtx *c, int64_t row, int64_t j)
+{
+    uint8_t *bit = c->replicas + row * c->k + j;
+    if (*bit)
+        return;
+    *bit = 1;
+    c->row_version[row]++;
+    c->chg_row[c->n_changed] = row;
+    c->chg_col[c->n_changed] = j;
+    c->n_changed++;
+    c->rule3_pending++;
+}
+
+static void assign(KernCtx *c, int64_t du, int64_t dv, int64_t j)
+{
+    int64_t old = c->sizes[j];
+    int64_t p;
+    set_replica(c, du, j);
+    set_replica(c, dv, j);
+    c->sizes[j] = old + 1;
+    if (old + 1 > c->max_size)
+        c->max_size = old + 1;
+    if (old == c->min_size) {
+        c->min_size = c->sizes[0];
+        for (p = 1; p < c->k; p++)
+            if (c->sizes[p] < c->min_size)
+                c->min_size = c->sizes[p];
+    }
+    c->assigned_edges++;
+    if (c->adaptive_lambda) {  /* Eq. 4, as AdaptiveBalancer.update */
+        double alpha = 1.0;
+        double tolerance, imbalance;
+        if (c->total_edges > 0) {
+            alpha = (double)c->assigned_edges / (double)c->total_edges;
+            if (!(alpha < 1.0))
+                alpha = 1.0;
+        }
+        tolerance = 1.0 - alpha;
+        if (!(tolerance > 0.0))
+            tolerance = 0.0;
+        imbalance = c->max_size == 0 ? 0.0
+            : (double)(c->max_size - c->min_size) / (double)c->max_size;
+        c->lam = c->lam + (imbalance - tolerance);
+        if (!(c->lam > 0.4))
+            c->lam = 0.4;
+        if (!(c->lam < 5.0))
+            c->lam = 5.0;
+    }
+    refresh_lamb(c);
+}
+
+/* ------------------------------------------------------------------ */
+/* Entry points                                                        */
+/* ------------------------------------------------------------------ */
+
+/* What follows an assignment: rule 3 over the rows it changed (the last
+ * rule3_pending of chg_row), then the block-boundary check. */
+static int64_t finish_assignment(KernCtx *c, int64_t stop_at)
+{
+    if (!rule3(c, c->chg_row + c->n_changed - c->rule3_pending,
+               c->rule3_pending))
+        return KERN_NEED_ARENA;
+    c->rule3_pending = 0;
+    return c->n_out == stop_at ? KERN_BLOCK_BOUNDARY : KERN_DONE;
+}
+
+/* Algorithm 1 over pairs[consumed..n): refill to target_w, pop while
+ * the window is full (or, with force, non-empty), assign, adapt lambda,
+ * rule 3 — until the input is consumed (KERN_DONE), n_out reaches
+ * stop_at (KERN_BLOCK_BOUNDARY: the caller adapts w and calls again) or
+ * a buffer must grow (KERN_NEED_*: the caller grows it and calls again
+ * with the same arguments). */
+int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
+                  int64_t target_w, int64_t force, int64_t stop_at,
+                  int64_t observe)
+{
+    int64_t status, need, s;
+    refresh_lamb(c);
+    if (c->rule3_pending) {  /* re-entered after rule 3 ran out of arena */
+        status = finish_assignment(c, stop_at);
+        if (status != KERN_DONE)
+            return status;
+    }
+    for (;;) {
+        need = target_w - c->count;
+        for (; need > 0 && c->consumed < n; need--, c->consumed++) {
+            status = admit(c, pairs[2 * c->consumed],
+                           pairs[2 * c->consumed + 1], observe);
+            if (status != KERN_DONE)
+                return status;
+        }
+        if (c->count == 0 || (need > 0 && !force))
+            return KERN_DONE;
+        status = pop_slot(c, &s);
+        if (status != KERN_DONE)
+            return status;
+        assign(c, c->ui[s], c->vi[s], c->col[s]);
+        status = finish_assignment(c, stop_at);
+        if (status != KERN_DONE)
+            return status;
+    }
+}
+
+/* EdgeWindow.pop_best: the best edge into out_*[0]; the caller assigns. */
+int64_t kern_pop(KernCtx *c)
+{
+    int64_t s;
+    refresh_lamb(c);
+    c->n_out = 0;
+    return pop_slot(c, &s);
+}
+
+/* EdgeWindow.on_replicas_changed for `n` dense rows. */
+int64_t kern_replicas_changed(KernCtx *c, const int64_t *rows, int64_t n)
+{
+    refresh_lamb(c);
+    return rule3(c, rows, n) ? KERN_DONE : KERN_NEED_ARENA;
+}
+
+/* Load `n` image entries (ascending entry order) into an empty window
+ * with freshly initialised arrays: memos start invalid and refill with
+ * the values a fresh computation would produce anyway. */
+int64_t kern_restore(KernCtx *c, const int64_t *pairs,
+                     const int64_t *entry, const double *score,
+                     const int64_t *col, const int64_t *version,
+                     const uint8_t *candidate, int64_t n)
+{
+    int64_t i;
+    if (n > c->num_free)
+        return KERN_NEED_SLOTS;
+    for (i = 0; i < n; i++) {
+        int64_t s = c->free_slots[--c->num_free];
+        c->ui[s] = pairs[2 * i];
+        c->vi[s] = pairs[2 * i + 1];
+        c->entry[s] = entry[i];
+        c->score[s] = score[i];
+        c->col[s] = col[i];
+        c->slot_version[s] = version[i];
+        c->candidate[s] = candidate[i];
+        c->alive[s] = 1;
+        link_slot(c, s);
+        c->count++;
+        if (candidate[i]) {
+            c->heap[c->heap_size] = s;
+            c->heap_pos[s] = c->heap_size++;
+            c->num_candidates++;
+        }
+    }
+    kern_heap_heapify(c);
+    return KERN_DONE;
 }

@@ -1,599 +1,92 @@
-"""Kernel dispatch for the ADWISE window agenda (DESIGN.md §14).
+"""Loader for the compiled ADWISE window kernels (DESIGN.md §14).
 
-The :class:`~repro.core.array_window.ArrayEdgeWindow` drives its hot
-path — the pop/rescore transaction, the indexed k-best heap, and the
-single-edge add — through one of three interchangeable backends, chosen
-at window construction:
+``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
+transaction plus the single-step primitives the array window exposes.
+It is compiled on demand with the system C compiler
+(``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded through cffi's
+ABI mode; the shared object is cached in the system temp directory keyed
+by a hash of the source, with an atomic rename so concurrent test
+workers never race.  ``-ffp-contract=off`` (and no fast-math) keeps
+every float64 operation rounding exactly like the object-window
+reference.  The declarations cffi parses are cut out of the C source
+itself (between its ``cdef-begin``/``cdef-end`` markers), so the struct
+layout has one definition.
 
-* ``cc``     — ``_kernels.c`` compiled on demand with the system C
-  compiler (``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded
-  through cffi's ABI mode.  The shared object is cached in the system
-  temp directory keyed by a hash of the source, with an atomic rename so
-  concurrent test workers never race.  ``-ffp-contract=off`` (and no
-  fast-math) keeps every float64 operation rounding exactly like the
-  numpy reference.
-* ``numba``  — the looped-Python source in :mod:`repro.core._kernels_py`
-  wrapped with ``numba.njit``.  numba stays an *optional* dependency;
-  this backend only resolves when it imports.
-* ``numpy``  — vectorised ndarray implementations of the same
-  transactions (always available; the fallback).
-
-``pyloop`` (undocumented, tests only) runs the numba source uncompiled,
-so the jitted code paths are exercised even where numba is absent.
-
-Selection: ``REPRO_KERNEL`` forces a backend by name (falling back to
-``numpy`` with a warning if it cannot be built); ``REPRO_NUMBA=0``
-forces the pure-numpy fallback under ``auto`` (the documented switch);
-``REPRO_NUMBA=1`` prefers numba over the compiled-C backend.  Default
-``auto`` order: ``cc``, ``numba``, ``numpy``.
-
-Every backend produces bit-identical scores, assignments, score-sum
-accumulation and tie-breaks — enforced by ``tests/test_kbest_agenda.py``.
+There is exactly one kernel source and no interpreted twin: where the
+kernels cannot be built (no C compiler, no cffi) :func:`load` returns
+``None`` and :class:`~repro.core.adwise.AdwisePartitioner` runs the
+object :class:`~repro.core.window.EdgeWindow` — the bit-identical
+reference, which needs neither.
 """
 
 from __future__ import annotations
 
 import hashlib
-import inspect
 import os
 import subprocess
 import tempfile
-import warnings
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-import numpy as np
+_UNSET = object()
 
-from repro.core import _kernels_py as _kp
-
-#: Backends accepted in ``REPRO_KERNEL`` (besides ``auto``).
-BACKENDS = ("cc", "numba", "numpy", "pyloop")
-
-_CDEF = """
-void *kern_new(void);
-void kern_free(void *);
-void kern_bind(void *, double *, int64_t *, int64_t *, int64_t *,
-               double *, double *, int64_t *, int64_t *, int64_t *,
-               int64_t *, int64_t *, int64_t *, int64_t *, int64_t *,
-               int64_t *, int64_t *, int64_t *, int64_t *, int64_t *,
-               unsigned char *, int64_t *, int64_t *, int64_t *,
-               double *, double *, int64_t *, int64_t);
-void kern_heap_push(void *, int64_t);
-int64_t kern_heap_remove(void *, int64_t);
-void kern_heap_heapify(void *);
-int64_t kern_scan_nbr(void *, int64_t);
-double kern_rescore(void *, int64_t, int64_t, int64_t, int64_t, double);
-int64_t kern_pop(void *, int64_t, int64_t, int64_t);
-double kern_add(void *, int64_t, int64_t, int64_t, int64_t, int64_t,
-                int64_t, int64_t, int64_t);
-"""
-
-_cc_state: Optional[Tuple] = None     # (ffi, lib) or (None, None) on failure
-_numba_ns: Optional[dict] = None      # jitted namespace, or {} on failure
+#: ``(ffi, lib)``, ``None`` after a failed build, or ``_UNSET`` before
+#: the first :func:`load`.
+_loaded: object = _UNSET
 
 
-# ----------------------------------------------------------------------
-# Backend construction
-# ----------------------------------------------------------------------
 def _source_path() -> str:
     return os.path.join(os.path.dirname(__file__), "_kernels.c")
 
 
-def _build_cc():
-    """Compile and dlopen the C kernels; memoized per process."""
-    global _cc_state
-    if _cc_state is not None:
-        return _cc_state
+def _declarations(source: str) -> str:
+    """The part of ``_kernels.c`` between its cdef markers."""
+    return source.split("/* cdef-begin */")[1].split("/* cdef-end */")[0]
+
+
+def _compile(source: bytes) -> str:
+    """Path of the cached shared object for ``source``, building it if
+    this is the first process to need it."""
+    digest = hashlib.sha256(source).hexdigest()[:16]
+    so_path = os.path.join(tempfile.gettempdir(),
+                           f"repro_kernels_{digest}.so")
+    if not os.path.exists(so_path):
+        tmp_path = f"{so_path}.{os.getpid()}.tmp"
+        subprocess.run(
+            ["cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off",
+             "-o", tmp_path, _source_path()],
+            check=True, capture_output=True)
+        os.replace(tmp_path, so_path)  # atomic: xdist workers race here
+    return so_path
+
+
+def load(so_path: Optional[str] = None) -> Optional[Tuple]:
+    """``(ffi, lib)`` for the compiled kernels, or ``None`` if they
+    cannot be built here.  Memoized per process.
+
+    ``so_path`` loads a prebuilt shared object instead of compiling one
+    (the sanitizer CI leg builds ``_kernels.c`` with
+    ``-fsanitize=address,undefined`` and hands the result in through
+    the test harness) and replaces whatever was loaded before.
+    """
+    global _loaded
+    if so_path is None and _loaded is not _UNSET:
+        return _loaded
     try:
         import cffi
 
-        with open(_source_path(), "rb") as fh:
-            source = fh.read()
-        digest = hashlib.sha256(source).hexdigest()[:16]
-        so_path = os.path.join(tempfile.gettempdir(),
-                               f"repro_kernels_{digest}.so")
-        if not os.path.exists(so_path):
-            tmp_path = f"{so_path}.{os.getpid()}.tmp"
-            subprocess.run(
-                ["cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off",
-                 "-o", tmp_path, _source_path()],
-                check=True, capture_output=True)
-            os.replace(tmp_path, so_path)  # atomic: xdist workers race here
+        with open(_source_path(), "rb") as handle:
+            source = handle.read()
         ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(so_path)
-        _cc_state = (ffi, lib)
-    except Exception:  # cffi or cc missing, compile failure, ...
-        _cc_state = (None, None)
-    return _cc_state
-
-
-def _build_numba():
-    """Jit the looped-Python kernel source; memoized per process.
-
-    The module source is re-executed into a fresh namespace and every
-    kernel function njit-wrapped there, so the jitted functions resolve
-    each other while the importable module stays plain Python (the
-    ``pyloop`` backend and the heap property tests use it directly).
-    """
-    global _numba_ns
-    if _numba_ns is not None:
-        return _numba_ns
-    try:
-        import numba
-
-        ns: dict = {}
-        exec(compile(inspect.getsource(_kp), _kp.__file__, "exec"), ns)
-        for name in _kp.KERNEL_FUNCTIONS:
-            ns[name] = numba.njit(cache=True)(ns[name])
-        _numba_ns = ns
-    except Exception:
-        _numba_ns = {}
-    return _numba_ns
+        ffi.cdef(_declarations(source.decode("utf-8")))
+        _loaded = (ffi, ffi.dlopen(so_path or _compile(source)))
+    except (ImportError, OSError, subprocess.CalledProcessError):
+        # cffi or cc missing, compile or dlopen failure.
+        _loaded = None
+    return _loaded
 
 
 def resolve_backend_name() -> str:
-    """The backend ``load_kernels`` would pick right now (env-driven)."""
-    spec = (os.environ.get("REPRO_KERNEL", "") or "auto").strip().lower()
-    numba_env = (os.environ.get("REPRO_NUMBA", "") or "").strip()
-    if spec != "auto":
-        if spec not in BACKENDS:
-            warnings.warn(f"unknown REPRO_KERNEL={spec!r}; using numpy",
-                          RuntimeWarning, stacklevel=2)
-            return "numpy"
-        if spec == "cc" and _build_cc()[1] is None:
-            warnings.warn("REPRO_KERNEL=cc but the C kernels failed to "
-                          "build; using numpy", RuntimeWarning, stacklevel=2)
-            return "numpy"
-        if spec == "numba" and not _build_numba():
-            warnings.warn("REPRO_KERNEL=numba but numba is not importable; "
-                          "using numpy", RuntimeWarning, stacklevel=2)
-            return "numpy"
-        return spec
-    if numba_env == "0":
-        return "numpy"
-    order = (("numba", "cc") if numba_env == "1" else ("cc", "numba"))
-    for name in order:
-        if name == "cc" and _build_cc()[1] is not None:
-            return "cc"
-        if name == "numba" and _build_numba():
-            return "numba"
-    return "numpy"
-
-
-def load_kernels(window):
-    """Build the kernel adapter for ``window`` per the environment."""
-    name = resolve_backend_name()
-    if name == "cc":
-        ffi, lib = _build_cc()
-        return CcKernels(ffi, lib)
-    if name == "numba":
-        return LoopKernels(_build_numba(), "numba")
-    if name == "pyloop":
-        return LoopKernels({f: getattr(_kp, f)
-                            for f in _kp.KERNEL_FUNCTIONS}, "pyloop")
-    return NumpyKernels()
-
-
-def scoring_cores():
-    """Jitted cores for the scoring batch kernels, or ``None``.
-
-    Routed through by :meth:`AdwiseScoring.replication_batch` /
-    :meth:`~AdwiseScoring.clustering_batch` when the numba backend is
-    selected — the gathered-row arithmetic compiles to the same loops
-    the window kernels use.  The cc/numpy backends keep the vectorised
-    numpy forms (the compiled window path bypasses these batch kernels
-    entirely).
-    """
-    if resolve_backend_name() != "numba":
-        return None
-    ns = _build_numba()
-    return (ns["replication_rows_core"], ns["clustering_rows_core"])
-
-
-# ----------------------------------------------------------------------
-# Adapters: one uniform interface over the three implementations
-# ----------------------------------------------------------------------
-class _KernelBase:
-    """Shared helpers; subclasses set ``name`` and ``native``.
-
-    ``native`` backends keep the candidate agenda as a real indexed
-    max-heap (root = next pop); the numpy fallback keeps the same array
-    unordered (O(1) swap-remove) and selects by vectorised lex-max.
-    """
-
-    name = "base"
-    native = False
-
-    def bind(self, win) -> None:  # noqa: ARG002 - uniform interface
-        """(Re)bind array pointers; no-op except for the cc backend."""
-
-    # Heap maintenance shared by the loop backends and overridden by
-    # the cc/numpy ones.
-    def heap_push(self, win, slot: int) -> None:
-        raise NotImplementedError
-
-    def heap_remove(self, win, slot: int) -> None:
-        raise NotImplementedError
-
-    def heap_rebuild(self, win) -> None:
-        raise NotImplementedError
-
-
-class CcKernels(_KernelBase):
-    """cffi adapter over the compiled ``_kernels.c``."""
-
-    name = "cc"
-    native = True
-
-    def __init__(self, ffi, lib) -> None:
-        self._ffi = ffi
-        self._lib = lib
-        self._ctx = ffi.gc(lib.kern_new(), lib.kern_free)
-        self._last_lamb = None
-        # Prebound entry points: the per-call attribute walk through the
-        # cffi library object is measurable on the pop/add hot path.
-        self._c_pop = lib.kern_pop
-        self._c_add = lib.kern_add
-        self._c_rescore = lib.kern_rescore
-        self._c_scan = lib.kern_scan_nbr
-        self._c_push = lib.kern_heap_push
-        self._c_remove = lib.kern_heap_remove
-
-    def _f8(self, array):
-        return self._ffi.cast("double *", array.ctypes.data)
-
-    def _i8(self, array):
-        return self._ffi.cast("int64_t *", array.ctypes.data)
-
-    def bind(self, win) -> None:
-        state = win.scoring.state
-        ffi = self._ffi
-        self._lib.kern_bind(
-            self._ctx, self._f8(win._score), self._i8(win._partition),
-            self._i8(win._entry), self._i8(win._slot_version),
-            self._f8(win._rep), self._f8(win._cs), self._i8(win._rep_key),
-            self._i8(win._nbr_key), self._i8(win._cs_sum), self._i8(win._ui),
-            self._i8(win._vi), self._i8(win._nbr_start),
-            self._i8(win._nbr_count), self._i8(win._pool),
-            self._i8(win._heap), self._i8(win._heap_pos), self._i8(win._hctl),
-            self._i8(win._scratch), self._i8(win._pids),
-            ffi.cast("unsigned char *", state.replica_matrix().ctypes.data),
-            self._i8(state.row_version_array()),
-            self._i8(state.degrees_dense()), self._i8(win._iver),
-            self._f8(win._lamb), self._f8(win._io_f), self._i8(win._io_i),
-            len(win._pids))
-
-    def _sync_lamb(self, win, lamb) -> None:
-        # The balance vector is memoized per assignment; copying it into
-        # the bound buffer only when its identity changes keeps the hot
-        # calls below free of per-call cffi pointer casts.
-        if lamb is not self._last_lamb:
-            win._lamb[:] = lamb
-            self._last_lamb = lamb
-
-    def scan_nbr(self, win, slots: np.ndarray) -> np.ndarray:
-        m = len(slots)
-        scratch = win._scratch
-        scratch[:m] = slots
-        n = self._c_scan(self._ctx, m)
-        return scratch[:n]
-
-    def rescore(self, win, slots, lamb, use_cs) -> Tuple[int, int, int]:
-        self._sync_lamb(win, lamb)
-        m = len(slots)
-        win._scratch[:m] = slots
-        win._score_sum = self._c_rescore(
-            self._ctx, m, win._version, win.scoring.state.max_degree,
-            int(use_cs), win._score_sum)
-        io_i = win._io_i
-        return int(io_i[0]), int(io_i[1]), int(io_i[2])
-
-    def pop(self, win, lamb, use_cs):
-        self._sync_lamb(win, lamb)
-        io_f, io_i = win._io_f, win._io_i
-        io_f[0] = win._score_sum
-        ret = self._c_pop(self._ctx, win._version,
-                          win.scoring.state.max_degree, int(use_cs))
-        if ret == -1:
-            return -1, win._scratch[:int(io_i[3])], (0, 0, 0)
-        win._score_sum = io_f[0]
-        return ret, None, (int(io_i[0]), int(io_i[1]), int(io_i[2]))
-
-    def add(self, win, slot, du, dv, seg_start, seg_count, lamb, use_cs):
-        self._sync_lamb(win, lamb)
-        return self._c_add(self._ctx, slot, du, dv, seg_start, seg_count,
-                           win._version, win.scoring.state.max_degree,
-                           int(use_cs))
-
-    def heap_push(self, win, slot: int) -> None:
-        self._c_push(self._ctx, slot)
-
-    def heap_remove(self, win, slot: int) -> None:
-        self._c_remove(self._ctx, slot)
-
-    def heap_rebuild(self, win) -> None:
-        self._lib.kern_heap_heapify(self._ctx)
-
-
-class LoopKernels(_KernelBase):
-    """Adapter over the looped-Python source (jitted or plain)."""
-
-    native = True
-
-    def __init__(self, ns: dict, name: str) -> None:
-        self._ns = ns
-        self.name = name
-
-    def _state_arrays(self, win):
-        state = win.scoring.state
-        return (state.replica_matrix(), state.row_version_array(),
-                state.degrees_dense(), state.max_degree)
-
-    def scan_nbr(self, win, slots: np.ndarray) -> np.ndarray:
-        out = win._scratch
-        n = self._ns["scan_nbr"](slots, win._nbr_key, win._ui, win._vi,
-                                 win._iver, out)
-        return out[:n]
-
-    def rescore(self, win, slots, lamb, use_cs) -> Tuple[int, int, int]:
-        replicas, row_version, deg, max_degree = self._state_arrays(win)
-        io_i = win._io_i
-        win._score_sum = float(self._ns["rescore"](
-            slots, win._score, win._partition, win._entry,
-            win._slot_version, win._rep, win._cs, win._rep_key,
-            win._nbr_key, win._cs_sum, win._ui, win._vi, win._nbr_start,
-            win._nbr_count, win._pool, replicas, row_version, deg,
-            win._iver, win._pids, lamb, win._version, max_degree,
-            bool(use_cs), win._score_sum, win._scratch2, io_i))
-        return int(io_i[0]), int(io_i[1]), int(io_i[2])
-
-    def pop(self, win, lamb, use_cs):
-        replicas, row_version, deg, max_degree = self._state_arrays(win)
-        io_f, io_i = win._io_f, win._io_i
-        io_f[0] = win._score_sum
-        ret = int(self._ns["pop_agenda"](
-            win._heap, win._heap_pos, win._hctl, win._scratch, win._score,
-            win._partition, win._entry, win._slot_version, win._rep,
-            win._cs, win._rep_key, win._nbr_key, win._cs_sum, win._ui,
-            win._vi, win._nbr_start, win._nbr_count, win._pool, replicas,
-            row_version, deg, win._iver, win._pids, lamb, win._version,
-            max_degree, bool(use_cs), io_f, io_i))
-        if ret == -1:
-            return -1, win._scratch[:int(io_i[3])], (0, 0, 0)
-        win._score_sum = float(io_f[0])
-        return ret, None, (int(io_i[0]), int(io_i[1]), int(io_i[2]))
-
-    def add(self, win, slot, du, dv, seg_start, seg_count, lamb, use_cs):
-        replicas, row_version, deg, max_degree = self._state_arrays(win)
-        return float(self._ns["add_score"](
-            slot, du, dv, seg_start, seg_count, win._score, win._partition,
-            win._entry, win._slot_version, win._rep, win._cs, win._rep_key,
-            win._nbr_key, win._cs_sum, win._ui, win._vi, win._nbr_start,
-            win._nbr_count, win._pool, replicas, row_version, deg,
-            win._iver, win._pids, lamb, win._version, max_degree,
-            bool(use_cs), win._scratch2))
-
-    def heap_push(self, win, slot: int) -> None:
-        self._ns["heap_push"](win._heap, win._heap_pos, win._hctl,
-                              win._score, win._entry, slot)
-
-    def heap_remove(self, win, slot: int) -> None:
-        self._ns["heap_remove"](win._heap, win._heap_pos, win._hctl,
-                                win._score, win._entry, slot)
-
-    def heap_rebuild(self, win) -> None:
-        self._ns["heap_heapify"](win._heap, win._heap_pos, win._hctl,
-                                 win._score, win._entry)
-
-
-class NumpyKernels(_KernelBase):
-    """Vectorised fallback: same transactions as whole-array operations.
-
-    The agenda array is kept *unordered* (``heap_pos`` is just a slot →
-    position index for O(1) swap-remove); pop selection is a vectorised
-    lex-max over ``(score, -entry)``, which picks the same slot as the
-    heap root: ``max`` score, ties to the lowest entry id.
-    """
-
-    name = "numpy"
-    native = False
-
-    # -- agenda ------------------------------------------------------
-    def heap_push(self, win, slot: int) -> None:
-        n = int(win._hctl[0])
-        win._heap[n] = slot
-        win._heap_pos[slot] = n
-        win._hctl[0] = n + 1
-
-    def heap_remove(self, win, slot: int) -> None:
-        pos = int(win._heap_pos[slot])
-        if pos < 0:
-            return
-        n = int(win._hctl[0]) - 1
-        win._hctl[0] = n
-        win._heap_pos[slot] = -1
-        if pos != n:
-            moved = win._heap[n]
-            win._heap[pos] = moved
-            win._heap_pos[moved] = pos
-
-    def heap_rebuild(self, win) -> None:  # order-free agenda
-        pass
-
-    # -- transactions ------------------------------------------------
-    def scan_nbr(self, win, slots: np.ndarray) -> np.ndarray:
-        iu = win._ui[slots]
-        iv = win._vi[slots]
-        keys = win._nbr_key[slots]
-        stale = ((keys[:, 0] != win._iver[iu])
-                 | (keys[:, 1] != win._iver[iv]))
-        return slots[stale]
-
-    def _segment_index(self, win, slots: np.ndarray):
-        """Concatenated pool indices of ``slots``' segments + reduceat
-        geometry (mirrors ``clustering_batch``'s zero-count handling)."""
-        counts = win._nbr_count[slots]
-        starts = win._nbr_start[slots]
-        total = int(counts.sum())
-        if total == 0:
-            return None, counts
-        ends = np.cumsum(counts)
-        inner = np.arange(total, dtype=np.int64) - np.repeat(
-            ends - counts, counts)
-        idx = win._pool[np.repeat(starts, counts) + inner]
-        return idx, counts
-
-    def _segment_sums(self, values, idx, counts):
-        """Per-slot sums of ``values`` over concatenated segments."""
-        n = len(counts)
-        out_shape = (n,) + values.shape[1:]
-        out = np.zeros(out_shape, dtype=np.int64)
-        if idx is None:
-            return out
-        gathered = values[idx]
-        if gathered.dtype == bool:
-            gathered = gathered.astype(np.int64)
-        nonzero = counts > 0
-        ends = np.cumsum(counts[nonzero])
-        starts = ends - counts[nonzero]
-        out[nonzero] = np.add.reduceat(gathered, starts, axis=0)
-        return out
-
-    def rescore(self, win, slots, lamb, use_cs) -> Tuple[int, int, int]:
-        state = win.scoring.state
-        replicas = state.replica_matrix()
-        row_version = state.row_version_array()
-        deg = state.degrees_dense()
-        max_degree = state.max_degree
-        iu = win._ui[slots]
-        iv = win._vi[slots]
-        rk = win._rep_key[slots]
-        rep_fresh = ((rk[:, 0] == row_version[iu])
-                     & (rk[:, 1] == row_version[iv])
-                     & (rk[:, 2] == deg[iu]) & (rk[:, 3] == deg[iv])
-                     & (rk[:, 4] == max_degree))
-        if use_cs:
-            nk = win._nbr_key[slots]
-            nbr_fresh = ((nk[:, 0] == win._iver[iu])
-                         & (nk[:, 1] == win._iver[iv]))
-            idx, counts = self._segment_index(win, slots)
-            vsums = self._segment_sums(row_version, idx, counts)
-            cs_fresh = nbr_fresh & (win._cs_sum[slots] == vsums)
-        else:
-            cs_fresh = np.ones(len(slots), dtype=bool)
-        skip = ((win._slot_version[slots] == win._version)
-                & rep_fresh & cs_fresh)
-        work = slots[~skip]
-        if len(work) == 0:
-            return 0, 0, 0
-        dirty_rep = slots[~skip & ~rep_fresh]
-        if len(dirty_rep):
-            du = win._ui[dirty_rep]
-            dv = win._vi[dirty_rep]
-            maxd = max_degree if max_degree > 1 else 1
-            denominator = 2.0 * maxd
-            psi_u = deg[du] / denominator
-            psi_v = deg[dv] / denominator
-            win._rep[dirty_rep] = (
-                replicas[du] * (2.0 - psi_u)[:, None]
-                + replicas[dv] * (2.0 - psi_v)[:, None])
-            key = win._rep_key
-            key[dirty_rep, 0] = row_version[du]
-            key[dirty_rep, 1] = row_version[dv]
-            key[dirty_rep, 2] = deg[du]
-            key[dirty_rep, 3] = deg[dv]
-            key[dirty_rep, 4] = max_degree
-        n_cs = 0
-        if use_cs:
-            dirty_cs = slots[~skip & ~cs_fresh]
-            n_cs = len(dirty_cs)
-            if n_cs:
-                idx, counts = self._segment_index(win, dirty_cs)
-                hits = self._segment_sums(replicas, idx, counts)
-                cs = np.zeros_like(hits, dtype=np.float64)
-                nonzero = counts > 0
-                cs[nonzero] = hits[nonzero] / counts[nonzero, None]
-                win._cs[dirty_cs] = cs
-                win._cs_sum[dirty_cs] = self._segment_sums(
-                    row_version, idx, counts)
-            totals = lamb + win._rep[work]
-            totals += win._cs[work]
-        else:
-            totals = lamb + win._rep[work]
-        best_columns = totals.argmax(axis=1)
-        best_scores = totals.max(axis=1)
-        old_scores = win._score[work].tolist()
-        # Entry-ordered scalar accumulation, like the object window.
-        score_sum = win._score_sum
-        for i, new_score in enumerate(best_scores.tolist()):
-            score_sum += new_score - old_scores[i]
-        win._score_sum = score_sum
-        win._score[work] = best_scores
-        win._partition[work] = win._pids[best_columns]
-        win._slot_version[work] = win._version
-        return len(work), len(dirty_rep), n_cs
-
-    def pop(self, win, lamb, use_cs):
-        n = int(win._hctl[0])
-        cand = win._heap[:n]
-        stale = cand[win._slot_version[cand] != win._version]
-        if len(stale) > 1:
-            stale = stale[np.argsort(win._entry[stale])]
-        stats = (0, 0, 0)
-        if len(stale):
-            if use_cs:
-                need = self.scan_nbr(win, stale)
-                if len(need):
-                    return -1, need, stats
-            stats = self.rescore(win, stale, lamb, use_cs)
-        scores = win._score[cand]
-        best = scores.max()
-        ties = cand[scores == best]
-        if len(ties) > 1:
-            best_slot = int(ties[np.argmin(win._entry[ties])])
-        else:
-            best_slot = int(ties[0])
-        return best_slot, None, stats
-
-    def add(self, win, slot, du, dv, seg_start, seg_count, lamb, use_cs):
-        state = win.scoring.state
-        replicas = state.replica_matrix()
-        row_version = state.row_version_array()
-        deg = state.degrees_dense()
-        max_degree = state.max_degree
-        win._ui[slot] = du
-        win._vi[slot] = dv
-        win._nbr_start[slot] = seg_start
-        win._nbr_count[slot] = seg_count
-        maxd = max_degree if max_degree > 1 else 1
-        denominator = 2.0 * maxd
-        psi_u = deg[du] / denominator
-        psi_v = deg[dv] / denominator
-        rep = (replicas[du] * (2.0 - psi_u)
-               + replicas[dv] * (2.0 - psi_v))
-        win._rep[slot] = rep
-        win._rep_key[slot, 0] = row_version[du]
-        win._rep_key[slot, 1] = row_version[dv]
-        win._rep_key[slot, 2] = deg[du]
-        win._rep_key[slot, 3] = deg[dv]
-        win._rep_key[slot, 4] = max_degree
-        win._nbr_key[slot, 0] = win._iver[du]
-        win._nbr_key[slot, 1] = win._iver[dv]
-        total = lamb + rep
-        if use_cs:
-            seg = win._pool[seg_start:seg_start + seg_count]
-            if seg_count > 0:
-                hits = replicas[seg].sum(axis=0, dtype=np.int64)
-                cs = hits / seg_count
-                win._cs[slot] = cs
-                total = total + cs
-                win._cs_sum[slot] = int(row_version[seg].sum())
-            else:
-                win._cs[slot] = 0.0
-                win._cs_sum[slot] = 0
-        column = int(total.argmax())
-        score = float(total[column])
-        win._score[slot] = score
-        win._partition[slot] = win._pids[column]
-        win._slot_version[slot] = win._version
-        return score
+    """What runs ADWISE's window on a fast state here: ``"cc"`` (the
+    compiled kernels under the array window) or ``"object"`` (no
+    kernels — the object window)."""
+    return "cc" if load() is not None else "object"

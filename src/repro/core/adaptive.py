@@ -115,6 +115,13 @@ class AdaptiveWindowController:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
+    @property
+    def block_remaining(self) -> Optional[int]:
+        """Assignments left until the next adaptation decision — how far
+        a batched driver may run before :meth:`record` needs an exact
+        clock reading (``None``: never)."""
+        return self.window_size - self._block_assignments
+
     def record(self, score: float, now_ms: float) -> Optional[WindowDecision]:
         """Register one edge assignment; adapt after ``w`` of them.
 
@@ -210,6 +217,9 @@ class FixedWindowController:
             raise ValueError("window_size must be >= 1")
         self.window_size = window_size
         self.events: List[AdaptationEvent] = []
+
+    #: No adaptation decisions, ever (see the adaptive controller).
+    block_remaining: Optional[int] = None
 
     def record(self, score: float, now_ms: float) -> Optional[WindowDecision]:
         return None

@@ -22,8 +22,16 @@ controller's target ``w`` and edges are popped only while it is full
 (more stream may still arrive), with :meth:`AdwisePartitioner.finalize`
 supplying the end-of-stream drain.  Any chunking of a stream through
 ``ingest`` is therefore bit-identical to :meth:`partition_stream` on the
-whole stream (both windows' ``add_block`` is equivalent to sequential
-adds, so refill-block boundaries don't matter).
+whole stream.
+
+The loop exists twice, by design.  On the object
+:class:`~repro.core.window.EdgeWindow` it is the Python below, one
+window call per step — the reference.  On the
+:class:`~repro.core.array_window.ArrayEdgeWindow` the whole loop body
+(refill, pop, vertex-cache update, λ adaptation, rule 3) is one compiled
+transaction per ingest batch (DESIGN.md §14) and Python only stages the
+batch, reads the controller's decisions at block boundaries and emits
+the assignments.  The differential suites hold the two bit-identical.
 """
 
 from __future__ import annotations
@@ -49,28 +57,6 @@ from repro.simtime import Clock
 
 #: Valid values of ``AdwisePartitioner(window_backend=...)``.
 WINDOW_BACKENDS = ("auto", "array", "object")
-
-#: Window size at which the ``auto`` backend switches from the object
-#: window to the struct-of-arrays window when the array window runs on
-#: the *numpy* kernel fallback.  Below this the per-slot array machinery
-#: costs more than it batches (measured crossover ~w=32 on the power-law
-#: workload); at and above it the batched kernels win outright.
-ARRAY_WINDOW_MIN_SIZE = 32
-
-#: The same switch point when a native kernel backend (compiled C or
-#: numba — see DESIGN.md §14) is available: the fused add/pop kernels
-#: have far lower per-edge constants than the vectorised fallback, so
-#: the array window already wins on small windows.
-ARRAY_WINDOW_MIN_SIZE_NATIVE = 8
-
-
-def _array_window_min_size() -> int:
-    """The auto-tier threshold for the resolved kernel backend."""
-    from repro.core import _kernels
-
-    if _kernels.resolve_backend_name() in ("cc", "numba"):
-        return ARRAY_WINDOW_MIN_SIZE_NATIVE
-    return ARRAY_WINDOW_MIN_SIZE
 
 
 class AdwisePartitioner(StreamingPartitioner):
@@ -102,18 +88,14 @@ class AdwisePartitioner(StreamingPartitioner):
         window scoring goes through the batched ``score_all`` kernel.
         Produces bit-identical assignments to the legacy path.
     window_backend:
-        ``"auto"`` (default) picks per window size on a fast state: the
-        struct-of-arrays :class:`~repro.core.array_window.ArrayEdgeWindow`
-        for fixed windows of at least the kernel-tiered threshold
-        (:data:`ARRAY_WINDOW_MIN_SIZE_NATIVE` with a compiled kernel
-        backend, :data:`ARRAY_WINDOW_MIN_SIZE` on the numpy fallback),
-        the dict-of-objects :class:`~repro.core.window.EdgeWindow` for
-        small windows, and — for adaptive windows — a hybrid that starts
-        on the object window and migrates (state copied verbatim) once
-        the controller grows past the threshold.  ``"array"`` and ``"object"``
-        force one implementation (the array window requires a fast
-        state).  All backends produce bit-identical results — the object
-        window is the differential reference.
+        ``"auto"`` (default) runs the compiled
+        :class:`~repro.core.array_window.ArrayEdgeWindow` whenever it
+        can — a fast state and kernels that built on this machine
+        (:func:`repro.core._kernels.load`) — and the dict-of-objects
+        :class:`~repro.core.window.EdgeWindow` otherwise, for the whole
+        stream.  ``"object"`` forces the reference (the differential
+        tests' control); ``"array"`` insists on the compiled window and
+        fails where it cannot run.  Both produce bit-identical results.
     """
 
     name = "ADWISE"
@@ -186,42 +168,31 @@ class AdwisePartitioner(StreamingPartitioner):
             clock=self.clock,
         )
 
-    def _make_window(self, scoring: AdwiseScoring):
-        """Build the window backend for this stream (see ``window_backend``).
-
-        ``auto`` on a fast state is a hybrid: a fixed window of at least
-        :data:`ARRAY_WINDOW_MIN_SIZE` starts on the array window
-        directly; an adaptive (or small fixed) window starts on the
-        object window, and the main loop migrates to the array window —
-        state copied verbatim, so assignments stay bit-identical — once
-        the controller grows ``w`` past the threshold.
-        """
+    def _make_window(self, scoring: AdwiseScoring, image=None):
+        """Build the window for this stream (see ``window_backend``),
+        empty or — restoring a session — from a
+        :class:`~repro.core.window.WindowImage`; images are
+        backend-neutral, so the choice never depends on which window
+        took the snapshot."""
         backend = self.window_backend
-        self._migrate_at: Optional[int] = None
         if backend == "auto":
-            fast = getattr(self.state, "is_fast", False)
-            min_size = _array_window_min_size()
-            if not fast:
-                backend = "object"
-            elif (self.fixed_window is not None
-                    and self.fixed_window >= min_size):
-                backend = "array"
-            else:
-                backend = "object"
-                if (self.fixed_window is None
-                        and self.max_window >= min_size):
-                    self._migrate_at = min_size
+            from repro.core import _kernels
+
+            backend = ("array" if getattr(self.state, "is_fast", False)
+                       and _kernels.load() is not None else "object")
+        knobs = dict(lazy=self.lazy, epsilon=self.epsilon,
+                     max_candidates=self.max_candidates)
         if backend == "array":
             from repro.core.array_window import ArrayEdgeWindow
 
             initial = self.fixed_window or self.min_window
-            return ArrayEdgeWindow(scoring, lazy=self.lazy,
-                                   epsilon=self.epsilon,
-                                   max_candidates=self.max_candidates,
-                                   initial_capacity=min(self.max_window,
-                                                        2 * initial))
-        return EdgeWindow(scoring, lazy=self.lazy, epsilon=self.epsilon,
-                          max_candidates=self.max_candidates)
+            knobs["initial_capacity"] = min(self.max_window, 2 * initial)
+            window_cls = ArrayEdgeWindow
+        else:
+            window_cls = EdgeWindow
+        if image is not None:
+            return window_cls.from_image(scoring, image, **knobs)
+        return window_cls(scoring, **knobs)
 
     # ------------------------------------------------------------------
     # Incremental ingestion protocol (Algorithm 1, resumable)
@@ -313,14 +284,17 @@ class AdwisePartitioner(StreamingPartitioner):
                 obs.gauge("repro_window_memo_hit_rate", component=component,
                           **labels).set(1.0 - recomputed / rescored)
         kernel = getattr(window, "kernel_backend", None)
-        if kernel is not None:  # k-best agenda tallies (array window only)
-            heap_labels = dict(labels, kernel=kernel)
-            for op, tally in (
-                    ("push", getattr(window, "stat_heap_pushes", 0)),
-                    ("remove", getattr(window, "stat_heap_removes", 0)),
-                    ("reheap", getattr(window, "stat_reheaps", 0))):
+        if kernel is not None:  # compiled-kernel tallies (array window only)
+            kernel_labels = dict(labels, kernel=kernel)
+            for op, tally in (("push", window.stat_heap_pushes),
+                              ("remove", window.stat_heap_removes),
+                              ("reheap", window.stat_reheaps)):
                 obs.counter("repro_window_agenda_ops_total", op=op,
-                            **heap_labels).inc(tally)
+                            **kernel_labels).inc(tally)
+            obs.counter("repro_window_kernel_calls_total",
+                        **kernel_labels).inc(window.kernel_calls)
+            obs.counter("repro_window_kernel_seconds_total",
+                        **kernel_labels).inc(window.kernel_ns / 1e9)
         if self.controller is not None:
             obs.gauge("repro_window_size",
                       algorithm=self.name).set(self.controller.window_size)
@@ -328,7 +302,15 @@ class AdwisePartitioner(StreamingPartitioner):
                       ).set(self.controller.max_window_reached)
 
     def _pump(self, force: bool) -> List[Assignment]:
-        """Refill → pop → adapt until input runs out (Algorithm 1).
+        """Advance Algorithm 1 over the pending buffer with whichever
+        driver the window takes."""
+        if isinstance(self.window, EdgeWindow):
+            return self._pump_reference(force)
+        return self._pump_native(force)
+
+    def _pump_reference(self, force: bool) -> List[Assignment]:
+        """Refill → pop → adapt until input runs out (Algorithm 1), one
+        window call per step — the object window's driver.
 
         With ``force`` the pending buffer is the whole rest of the stream
         (finalize / end of batch): the window drains even under-filled,
@@ -344,10 +326,8 @@ class AdwisePartitioner(StreamingPartitioner):
         assignments = self._assignments
         observe = state.observe_degrees
         while True:
-            # Refill the window up to the current target size w; the block
-            # is taken in one slice so the array window can score it
-            # through one batched kernel call (degrees are observed inside
-            # add_block, edge by edge, preserving single-add semantics).
+            # Refill the window up to the current target size w (degrees
+            # are observed inside add_block, edge by edge).
             need = controller.window_size - len(window)
             if need > 0 and pending:
                 block = pending[:need]
@@ -367,22 +347,41 @@ class AdwisePartitioner(StreamingPartitioner):
             out.append(Assignment(edge, partition))
             scoring.after_assignment()
             if changed:
-                # Rule 3 with no changed replica sets touches nothing in
-                # either window engine (no rescores, no promotions, no
-                # charges) — skip the call on the hot path.
+                # Rule 3 with no changed replica sets touches nothing
+                # (no rescores, no promotions, no charges).
                 window.on_replicas_changed(changed)
             controller.record(score, clock.now())
-            if (self._migrate_at is not None
-                    and controller.window_size >= self._migrate_at):
-                # Hybrid switch: the window grew into the regime where
-                # the batched array engine wins; adopt the object
-                # window's state verbatim (bit-identical continuation).
-                from repro.core.array_window import ArrayEdgeWindow
+        return out
 
-                window = self.window = ArrayEdgeWindow.from_object_window(
-                    window, initial_capacity=min(
-                        self.max_window, 2 * controller.window_size))
-                self._migrate_at = None
+    def _pump_native(self, force: bool) -> List[Assignment]:
+        """The same loop as one compiled transaction per batch
+        (:meth:`ArrayEdgeWindow.pump`): it returns to Python only at the
+        adaptive controller's block boundaries — with the clock charged
+        exactly as far as the reference loop would have charged it when
+        it called ``controller.record`` — and when the batch is done."""
+        window = self.window
+        controller = self.controller
+        clock = self.clock
+        record = controller.record
+        edges, self._pending = self._pending, []
+        window.begin_batch(edges)
+        done = 0
+        more = True
+        while more:
+            remaining = controller.block_remaining
+            more = window.pump(controller.window_size, force,
+                               -1 if remaining is None else done + remaining)
+            emitted = window.emitted
+            clock.charge_assignment(emitted - done)
+            now = clock.now()
+            for score in window.scores(done, emitted):
+                record(score, now)
+            done = emitted
+        out: List[Assignment] = []
+        assignments = self._assignments
+        for edge, partition in window.end_batch():
+            assignments[edge] = partition
+            out.append(Assignment(edge, partition))
         return out
 
     def partition_stream(self, stream: EdgeStream) -> PartitionResult:

@@ -1,631 +1,504 @@
-"""Array-native edge window: k-best agenda over pull-validated memos.
+"""Array-native edge window: the buffers behind the compiled pump.
 
-:class:`ArrayEdgeWindow` is the batched twin of
-:class:`~repro.core.window.EdgeWindow`.  Window slots live in parallel
-preallocated arrays (dense endpoint indices, cached best
-score/partition, cache version, candidate and alive masks) managed
-through a free-list, with an incidence index from dense vertex → slots
-for the window-local neighborhoods.  The traversal hot path runs through
-the kernel backends of :mod:`repro.core._kernels` (compiled C / numba /
-vectorised numpy, selected at window construction — DESIGN.md §14):
+:class:`ArrayEdgeWindow` is the production twin of
+:class:`~repro.core.window.EdgeWindow`.  All traversal logic — rule 1
+refill, the k-best agenda pop with pull-validated R/CS memos, rules 2
+and 3, and (in :meth:`pump`) the vertex-cache update between them —
+lives in ``_kernels.c`` (DESIGN.md §14).  This class is the thin Python
+side of that transaction:
 
-* **refill** scores each incoming edge through the fused add kernel
-  (native backends) or one vectorised block computation (numpy),
-* **pop_best** pops the k-best *agenda* — an indexed binary max-heap
-  keyed ``(score desc, entry asc)`` over the candidate set — after a
-  single kernel transaction rescored the version-stale candidates and
-  repaired the heap,
-* **rule 2** (empty candidate set) and **rule 3** (replica-set changes)
-  rescore the affected secondary slots through the same kernel.
+* it **owns every buffer** the kernels touch — per-slot arrays, the
+  intrusive vertex→slot incidence links, the neighbourhood arena, the
+  per-vertex version/stamp arrays, the output lists — as numpy arrays,
+  binds their addresses into the kernel context, and is the only party
+  that ever allocates, grows or rebinds them (the kernels return a
+  ``KERN_NEED_*`` status instead and are called again);
+* it validates what crosses the boundary (dtype, contiguity and size of
+  every bound array, every dense row below the bound capacity) before a
+  batch is pumped;
+* it maps entry ids back to :class:`~repro.graph.graph.Edge` objects and
+  spread columns back to partition ids.
 
-Staleness is **pulled, not pushed**.  Each slot carries validity keys
-next to its memoized R/CS component rows: ``rep_key`` records the
-replica-row versions, degrees and global max degree R was computed
-from; ``nbr_key`` records the endpoints' incidence versions when the
-neighborhood segment was written; ``cs_sum`` checksums the neighbor
-replica-row versions CS was computed from (versions only grow, so
-equality proves nothing moved).  A rescore compares keys against the
-live counters and recomputes only what actually moved — no invalidation
-sweeps on the mutation paths at all.  A version-fresh slot whose keys
-all match is skipped outright: its cache bit-equals what a fresh
-recomputation would produce (the rule-2 lazy saving), while the
-simulated clock is still charged for the full rescore set, keeping the
-paper's cost model.
+:meth:`pump` is the batch-grain entry the partitioner drives — one C
+call per ingest batch on a fixed window.  :meth:`add` / :meth:`pop_best`
+/ :meth:`on_replicas_changed` keep the :class:`EdgeWindow` step API as
+``n = 1`` calls into the same C primitives, so the differential tests
+can drive both windows through the same loop.
 
-The object window performs the same traversal one ``score_all`` call
-per edge; this class replays each of its scalar loops in the same
-ascending entry-id order, reproducing the reference's floating-point
-accumulation, tie-breaking, and clock charges exactly — assignments,
-latency, and score-computation counts are bit-identical (the agenda's
-strict total order makes the heap root the reference's
-first-max-in-entry-order).  Enforced by ``tests/test_array_window.py``
-and ``tests/test_kbest_agenda.py``.
+The object window performs the same traversal one ``score_all`` call per
+edge; the kernels replay each of its scalar loops in the same ascending
+entry-id order, reproducing the reference's floating-point accumulation,
+tie-breaking and clock charges exactly — assignments, latency and
+score-computation counts are bit-identical.  Enforced by
+``tests/test_array_window.py``, ``tests/test_kbest_agenda.py`` and
+``tests/test_pump_boundaries.py``.
 
-Two contracts are stricter than the object window's, both satisfied by
-Algorithm 1's main loop: every replica-set change affecting scored
-vertices must be reported via :meth:`on_replicas_changed` (the loop does
-this after every assignment; it matters also when ``lazy`` is off), and
-mid-stream degree observations must flow through the add paths'
-``observe`` hook — the validity keys are stamped against the state
-tables those paths maintain.
-
-Capacity management: slot arrays double on demand during refill and are
-compacted (slots renumbered, incidence and agenda rebuilt) when
-occupancy falls below a quarter of capacity after the adaptive
-controller shrinks the window — renumbering is safe because every
+Capacity management: slot arrays double on demand and are compacted
+(the window is re-loaded from its own image into fresh, smaller arrays)
+when occupancy falls below a quarter of capacity after the adaptive
+controller shrinks the window — renumbering slots is safe because every
 ordering contract is defined on entry ids, never slot positions.
-Neighborhood segments live in a pooled arena that is repacked when
-append space runs out.
 """
 
 from __future__ import annotations
 
+from time import perf_counter_ns
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core import _kernels
 from repro.core.scoring import AdwiseScoring
+from repro.core.window import WindowImage
 from repro.graph.graph import Edge
 
 #: Smallest slot-array capacity; also the floor below which no
 #: compaction is attempted.
 _MIN_CAPACITY = 64
 
-#: Agenda strategies: ``heap`` maintains the k-best agenda, ``scan``
-#: keeps the PR-5 sorted-scan selection (differential control path),
-#: ``auto`` resolves to ``heap``.
-AGENDAS = ("auto", "heap", "scan")
+#: Smallest neighbourhood arena (entries).
+_MIN_ARENA = 256
+
+#: Smallest output-list capacity (assignments per pump).
+_MIN_OUT = 64
+
+_CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
+           np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
+
+# Window-owned buffers by capacity group:
+# context field -> (dtype, entries per unit of capacity, initial fill).
+# ``rep`` and ``cs`` hold ``k`` entries per slot and are added per window.
+_SLOT_FIELDS = {
+    "score": (np.float64, 1, 0.0), "col": (np.int64, 1, 0),
+    "entry": (np.int64, 1, -1), "slot_version": (np.int64, 1, -1),
+    "rep_key": (np.int64, 5, -1), "nbr_key": (np.int64, 2, -1),
+    "cs_sum": (np.int64, 1, -1), "ui": (np.int64, 1, 0),
+    "vi": (np.int64, 1, 0), "nbr_start": (np.int64, 1, 0),
+    "nbr_count": (np.int64, 1, 0), "heap": (np.int64, 1, 0),
+    "heap_pos": (np.int64, 1, -1), "free_slots": (np.int64, 1, 0),
+    "link_next": (np.int64, 2, -1), "link_prev": (np.int64, 2, -1),
+    "scratch": (np.int64, 3, 0), "candidate": (np.uint8, 1, 0),
+    "alive": (np.uint8, 1, 0),
+}
+_VERTEX_FIELDS = {"iver": (np.int64, 1, 0), "head": (np.int64, 1, -1),
+                  "stamp": (np.int64, 1, 0)}
+_OUT_FIELDS = {"out_entry": (np.int64, 1, 0), "out_col": (np.int64, 1, 0),
+               "out_score": (np.float64, 1, 0.0),
+               "chg_row": (np.int64, 2, 0), "chg_col": (np.int64, 2, 0)}
+
+
+def _tally(field: str, doc: str) -> property:
+    return property(lambda self: getattr(self._ctx, field), doc=doc)
 
 
 class ArrayEdgeWindow:
-    """Fixed-capacity-free edge window over struct-of-arrays slots.
+    """Edge window over struct-of-arrays slots driven by ``_kernels.c``.
 
     API-compatible with :class:`~repro.core.window.EdgeWindow` (same
     constructor contract, same traversal methods, same counters), but
-    requires a fast (array-backed) partition state on ``scoring`` —
-    the kernels read replica rows, row versions and degrees wholesale
-    by dense vertex index.
+    requires a fast (array-backed) partition state on ``scoring`` — the
+    kernels read and, in :meth:`pump`, write its replica matrix, row
+    versions, degrees and sizes by dense vertex index — and the compiled
+    kernels themselves (:func:`repro.core._kernels.load`).
     """
 
     def __init__(self, scoring: AdwiseScoring, lazy: bool = True,
                  epsilon: float = 0.1, max_candidates: int = 64,
-                 initial_capacity: int = _MIN_CAPACITY,
-                 agenda: str = "auto") -> None:
+                 initial_capacity: int = _MIN_CAPACITY) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         if max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
-        if agenda not in AGENDAS:
-            raise ValueError(f"agenda must be one of {AGENDAS}, got {agenda!r}")
         if not getattr(scoring.state, "is_fast", False):
             raise ValueError(
                 "ArrayEdgeWindow requires an array-backed partition state "
                 "(FastPartitionState); use EdgeWindow on the legacy state")
+        kernels = _kernels.load()
+        if kernels is None:
+            raise RuntimeError(
+                "ArrayEdgeWindow requires the compiled window kernels, which "
+                "could not be built here (no C compiler or cffi); use "
+                "EdgeWindow")
+        self._ffi, self._lib = kernels
         self.scoring = scoring
         self.lazy = lazy
         self.epsilon = epsilon
         self.max_candidates = max_candidates
-        self.agenda = agenda
         state = scoring.state
-        k = state.num_partitions
-        capacity = max(_MIN_CAPACITY, int(initial_capacity))
-        self._capacity = capacity
-        self._score = np.zeros(capacity, dtype=np.float64)
-        self._partition = np.zeros(capacity, dtype=np.int64)
-        self._entry = np.full(capacity, -1, dtype=np.int64)
-        self._slot_version = np.full(capacity, -1, dtype=np.int64)
-        self._candidate = np.zeros(capacity, dtype=bool)
-        self._alive = np.zeros(capacity, dtype=bool)
-        self._edges: List[Optional[Edge]] = [None] * capacity
-        # LIFO free-list, seeded low-slots-first; compaction repacks live
-        # slots to the front when occupancy drops (ordering never depends
-        # on slot numbers, only entry ids).
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self._slot_of: Dict[int, int] = {}
-        # Dense-vertex incidence: vertex row → {slot: other endpoint's
-        # dense row}.  The values are exactly the window-local
-        # neighborhood contributions, so neighborhoods come straight off
-        # the bucket values.
-        self._incidence: Dict[int, Dict[int, int]] = {}
-        # Component memos + pull-validity keys (see module docstring).
-        self._rep = np.zeros((capacity, k), dtype=np.float64)
-        self._cs = np.zeros((capacity, k), dtype=np.float64)
-        self._rep_key = np.full((capacity, 5), -1, dtype=np.int64)
-        self._nbr_key = np.full((capacity, 2), -1, dtype=np.int64)
-        self._cs_sum = np.full(capacity, -1, dtype=np.int64)
-        self._ui = np.zeros(capacity, dtype=np.int64)
-        self._vi = np.zeros(capacity, dtype=np.int64)
-        # Pooled neighborhood segments (dense indices).  Rebuilt segments
-        # are appended; the arena is repacked when append space runs out.
-        self._nbr_start = np.zeros(capacity, dtype=np.int64)
-        self._nbr_count = np.zeros(capacity, dtype=np.int64)
-        self._pool = np.zeros(max(256, 4 * capacity), dtype=np.int64)
-        self._pool_used = 0
-        # Per-dense-vertex incidence version; grown to the state's intern
-        # capacity on binding refresh.
-        self._iver = np.zeros(0, dtype=np.int64)
-        # The k-best agenda (candidate slots; hctl[0] is the heap size).
-        self._heap = np.zeros(capacity, dtype=np.int64)
-        self._heap_pos = np.full(capacity, -1, dtype=np.int64)
-        self._hctl = np.zeros(4, dtype=np.int64)
-        self._scratch = np.zeros(2 * capacity, dtype=np.int64)
-        # Kernel I/O buffers (bound once for the cc backend).
-        self._lamb = np.zeros(k, dtype=np.float64)
-        self._io_f = np.zeros(4, dtype=np.float64)
-        self._io_i = np.zeros(8, dtype=np.int64)
-        self._scratch2 = np.zeros(2, dtype=np.float64)
-        self._pids = np.asarray(state.partitions, dtype=np.int64)
-        self._next_id = 0
-        self._count = 0
-        self._num_candidates = 0
-        self._score_sum = 0.0  # sum of cached best scores (for g_avg)
-        self._version = 0  # bumped after each pop (i.e. each assignment)
-        #: Secondary→candidate promotions performed by rules 2 and 3.
-        self.promotions = 0
-        # Observability tallies (plain ints: near-zero hot-path cost).
-        # Published to the repro.obs registry by the partitioner at
-        # finalize time; never part of results/extras, so differential
-        # parity with the object window is untouched.
-        #: Edges admitted into the window (refills).
-        self.stat_refills = 0
-        #: ``pop_best`` calls (assignments emitted).
-        self.stat_pops = 0
-        #: Slots actually rescored (version- or memo-stale at rescore).
-        self.stat_rescored_slots = 0
-        #: Replication components actually recomputed (key misses).
-        self.stat_rep_recomputed = 0
-        #: Clustering components actually recomputed (key misses).
-        self.stat_cs_recomputed = 0
-        #: Agenda insertions (adds classified candidate + promotions).
-        self.stat_heap_pushes = 0
-        #: Agenda removals (pops and evictions).
-        self.stat_heap_removes = 0
-        #: Pops that repaired the agenda after rescoring stale keys.
-        self.stat_reheaps = 0
-        self._use_heap = agenda != "scan"
-        self._kern = _kernels.load_kernels(self)
-        self._bound_replicas: Optional[np.ndarray] = None
+        self._column = {p: j for j, p in enumerate(state.partitions)}
+        #: Kernel entries made so far (pump, pop, rule 3, restore —
+        #: including re-entries after a buffer grew) and the wall time
+        #: spent inside them.
+        self.kernel_calls = 0
+        self.kernel_ns = 0
+        #: Entry id -> edge for every edge in the window (entry order).
+        self._edges: Dict[int, Edge] = {}
+        #: Context field -> (bound array, required dtype, required size).
+        #: Holding the arrays here keeps every bound buffer alive for the
+        #: context's lifetime.
+        self._bound: Dict[str, Tuple[np.ndarray, np.dtype, int]] = {}
+        #: The batch being pumped: its edges and their dense rows.
+        self._batch: Sequence[Edge] = ()
+        self._pairs = np.zeros(0, dtype=np.int64)
+        ctx = self._ctx = self._ffi.new("KernCtx *")
+        ctx.k = k = state.num_partitions
+        ctx.lazy = lazy
+        ctx.epsilon = epsilon
+        ctx.max_candidates = max_candidates
+        self._slot_fields = dict(_SLOT_FIELDS, rep=(np.float64, k, 0.0),
+                                 cs=(np.float64, k, 0.0))
+        self._bind("lamb", np.zeros(k, dtype=np.float64), k)
+        self._allocate(max(_MIN_CAPACITY, int(initial_capacity)))
+        self._resize(_OUT_FIELDS, "out_cap", _MIN_OUT)
+        pool_cap = max(_MIN_ARENA, 4 * ctx.slot_cap)
+        self._bind("pool", np.zeros(pool_cap, dtype=np.int64), pool_cap)
+        ctx.pool_cap = pool_cap
 
-    @property
-    def kernel_backend(self) -> str:
-        """Resolved kernel backend name (``cc``/``numba``/``numpy``/...)."""
-        return self._kern.name
+    #: Resolved kernel backend (the obs label of the agenda counters).
+    kernel_backend = "cc"
+
+    promotions = _tally(
+        "promotions", "Secondary→candidate promotions by rules 2 and 3.")
+    stat_refills = _tally("stat_refills", "Edges admitted into the window.")
+    stat_pops = _tally("stat_pops", "Edges popped (assignments emitted).")
+    stat_rescored_slots = _tally(
+        "stat_rescored_slots",
+        "Slots actually rescored (version- or memo-stale at rescore).")
+    stat_rep_recomputed = _tally(
+        "stat_rep_recomputed", "Replication components recomputed.")
+    stat_cs_recomputed = _tally(
+        "stat_cs_recomputed", "Clustering components recomputed.")
+    stat_heap_pushes = _tally(
+        "stat_heap_pushes", "Agenda insertions (candidate adds, promotions).")
+    stat_heap_removes = _tally(
+        "stat_heap_removes", "Agenda removals (pops).")
+    stat_reheaps = _tally(
+        "stat_reheaps", "Pops that repaired the agenda after rescoring.")
 
     # ------------------------------------------------------------------
     # Introspection (EdgeWindow API)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._count
+        return self._ctx.count
 
     @property
     def candidate_count(self) -> int:
-        return self._num_candidates
+        return self._ctx.num_candidates
 
     @property
     def secondary_count(self) -> int:
-        return self._count - self._num_candidates
+        return self._ctx.count - self._ctx.num_candidates
 
     def edges(self) -> List[Edge]:
         """Window edges in insertion (entry-id) order."""
-        return [self._edges[int(s)] for s in self._sorted_slots()]
+        return list(self._edges.values())
 
     @property
     def threshold(self) -> float:
         """Current candidate threshold Θ = g_avg + ε."""
-        if self._count == 0:
+        ctx = self._ctx
+        if ctx.count == 0:
             return self.epsilon
-        return self._score_sum / self._count + self.epsilon
+        return ctx.score_sum / ctx.count + self.epsilon
 
-    # ------------------------------------------------------------------
-    # Window-local neighborhood
-    # ------------------------------------------------------------------
     def neighborhood(self, edge: Edge,
                      exclude_entry: Optional[int] = None) -> Set[int]:
         """``N(u) ∪ N(v)`` computed from window edges only (paper §III-C).
 
-        Returned as original vertex ids (the :class:`EdgeWindow` API);
-        the kernels use the dense form below.
+        Introspection only (a scan of the window): the kernels gather
+        the same set from their incidence lists.
         """
-        exclude_slot = (self._slot_of.get(exclude_entry)
-                        if exclude_entry is not None else None)
-        vindex = self.scoring.state._vindex
-        edges = self._edges
+        ends = (edge.u, edge.v)
         nbrs: Set[int] = set()
-        for endpoint in (edge.u, edge.v):
-            dense = vindex.get(endpoint)
-            if dense is None:
+        for entry_id, other in self._edges.items():
+            if entry_id == exclude_entry:
                 continue
-            for slot in self._incidence.get(dense, ()):
-                if slot == exclude_slot:
-                    continue
-                other = edges[slot]
-                nbrs.add(other.v if other.u == endpoint else other.u)
-        nbrs.discard(edge.u)
-        nbrs.discard(edge.v)
-        return nbrs
-
-    def _dense_neighborhood(self, du: int, dv: int) -> Set[int]:
-        """``N(u) ∪ N(v)`` as dense rows.  Self-contributions need no
-        exclusion: an edge's own incidence values are its endpoints,
-        which are discarded regardless (as the reference does)."""
-        out: Set[int] = set()
-        bucket = self._incidence.get(du)
-        if bucket:
-            out.update(bucket.values())
-        if dv != du:
-            bucket = self._incidence.get(dv)
-            if bucket:
-                out.update(bucket.values())
-        out.discard(du)
-        out.discard(dv)
-        return out
+            if other.u in ends:
+                nbrs.add(other.v)
+            if other.v in ends:
+                nbrs.add(other.u)
+        return nbrs.difference(ends)
 
     # ------------------------------------------------------------------
-    # Kernel binding and buffer management
+    # Buffer ownership: allocate, grow, bind, validate
     # ------------------------------------------------------------------
-    def _refresh_bindings(self) -> None:
-        """Sync the replica matrix and rebind kernel pointers if the
-        state's arrays were reallocated (intern table growth)."""
-        state = self.scoring.state
-        replicas = state.replica_matrix()
-        if (replicas is not self._bound_replicas
-                or len(self._iver) < replicas.shape[0]):
-            if len(self._iver) < replicas.shape[0]:
-                iver = np.zeros(replicas.shape[0], dtype=np.int64)
-                iver[:len(self._iver)] = self._iver
-                self._iver = iver
-            self._kern.bind(self)
-            self._bound_replicas = replicas
+    def _bind(self, field: str, array: np.ndarray, size: int) -> None:
+        """Point context ``field`` at ``array`` (and keep it alive)."""
+        self._bound[field] = (array, array.dtype, size)
+        self._check_array(field)
+        setattr(self._ctx, field,
+                self._ffi.from_buffer(_CTYPES[array.dtype], array))
 
-    def _pool_alloc(self, count: int) -> int:
-        need = self._pool_used + count
-        if need > len(self._pool):
-            self._pool_gc(count)
-        start = self._pool_used
-        self._pool_used = start + count
-        return start
+    def _check_array(self, field: str) -> None:
+        array, dtype, size = self._bound[field]
+        if (array.dtype != dtype or dtype not in _CTYPES
+                or not array.flags.c_contiguous or array.size < size):
+            raise RuntimeError(
+                f"kernel buffer {field!r} is not a C-contiguous {dtype} "
+                f"array of at least {size} entries")
 
-    def _pool_gc(self, extra: int) -> None:
-        """Repack live segments (dropping dead slots' garbage), growing
-        the arena if the live data itself outgrew it."""
-        alive = np.flatnonzero(self._alive)
-        live = int(self._nbr_count[alive].sum())
-        capacity = len(self._pool)
-        while capacity < 2 * (live + extra):
+    def _array(self, field: str) -> np.ndarray:
+        return self._bound[field][0]
+
+    def _resize(self, fields, cap_field: str, capacity: int,
+                keep: bool = True) -> None:
+        """Reallocate one capacity group at ``capacity`` and rebind it;
+        ``keep`` carries the old contents over."""
+        for field, (dtype, width, fill) in fields.items():
+            array = np.full(capacity * width, fill, dtype=dtype)
+            if keep and field in self._bound:
+                old = self._array(field)
+                array[:old.size] = old
+            self._bind(field, array, capacity * width)
+        setattr(self._ctx, cap_field, capacity)
+
+    def _allocate(self, capacity: int) -> None:
+        """Fresh, empty slot arrays at ``capacity`` (the arena, vertex
+        arrays and tallies stay)."""
+        ctx = self._ctx
+        self._resize(self._slot_fields, "slot_cap", capacity, keep=False)
+        self._array("free_slots")[:] = np.arange(capacity - 1, -1, -1)
+        ctx.num_free = capacity
+        ctx.count = ctx.num_candidates = ctx.heap_size = ctx.pool_used = 0
+        if "head" in self._bound:
+            self._array("head")[:] = -1
+        self._edges = {}
+
+    def _grow_slots(self) -> None:
+        ctx = self._ctx
+        old = ctx.slot_cap
+        self._resize(self._slot_fields, "slot_cap", 2 * old)
+        free = ctx.num_free
+        self._array("free_slots")[free:free + old] = np.arange(
+            2 * old - 1, old - 1, -1)
+        ctx.num_free = free + old
+
+    def _grow_arena(self) -> None:
+        """The kernel repacked the arena and still wants ``need``
+        entries with the arena at most half full."""
+        ctx = self._ctx
+        capacity = ctx.pool_cap
+        while capacity < 2 * ctx.need:
             capacity *= 2
         pool = np.zeros(capacity, dtype=np.int64)
-        used = 0
-        old_pool = self._pool
-        starts = self._nbr_start
-        counts = self._nbr_count
-        for slot in alive.tolist():
-            cnt = int(counts[slot])
-            if cnt:
-                start = int(starts[slot])
-                pool[used:used + cnt] = old_pool[start:start + cnt]
-                starts[slot] = used
-                used += cnt
-        self._pool = pool
-        self._pool_used = used
-        self._kern.bind(self)
+        pool[:ctx.pool_used] = self._array("pool")[:ctx.pool_used]
+        self._bind("pool", pool, capacity)
+        ctx.pool_cap = capacity
 
-    def _rebuild_segments(self, needy) -> None:
-        """Rewrite the pooled neighborhood segments of ``needy`` slots
-        and restamp their keys (CS checksum forced invalid — the
-        segment changed, so the memoized CS is for a different set)."""
-        iver = self._iver
-        nbr_key = self._nbr_key
-        for slot in needy.tolist():
-            du = int(self._ui[slot])
-            dv = int(self._vi[slot])
-            nbrs = self._dense_neighborhood(du, dv)
-            cnt = len(nbrs)
-            if cnt:
-                start = self._pool_alloc(cnt)
-                pool = self._pool
-                i = start
-                for dense in nbrs:
-                    pool[i] = dense
-                    i += 1
-            else:
-                start = 0
-            self._nbr_start[slot] = start
-            self._nbr_count[slot] = cnt
-            nbr_key[slot, 0] = iver[du]
-            nbr_key[slot, 1] = iver[dv]
-            self._cs_sum[slot] = -1
-
-    # ------------------------------------------------------------------
-    # Slot management
-    # ------------------------------------------------------------------
-    def _alloc(self) -> int:
-        if not self._free:
-            self._resize(self._capacity * 2)
-        return self._free.pop()
-
-    def _resize(self, capacity: int) -> None:
-        """Grow the slot arrays to ``capacity`` (must exceed current)."""
-        old = self._capacity
-        k = self._rep.shape[1]
-
-        def grown(array, fill):
-            out = np.full(capacity, fill, dtype=array.dtype)
-            out[:old] = array
-            return out
-
-        def grown2(matrix, fill=0):
-            out = np.full((capacity, matrix.shape[1]), fill,
-                          dtype=matrix.dtype)
-            out[:old] = matrix
-            return out
-
-        self._score = grown(self._score, 0.0)
-        self._partition = grown(self._partition, 0)
-        self._entry = grown(self._entry, -1)
-        self._slot_version = grown(self._slot_version, -1)
-        self._candidate = grown(self._candidate, False)
-        self._alive = grown(self._alive, False)
-        self._rep = grown2(self._rep)
-        self._cs = grown2(self._cs)
-        self._rep_key = grown2(self._rep_key, -1)
-        self._nbr_key = grown2(self._nbr_key, -1)
-        self._cs_sum = grown(self._cs_sum, -1)
-        self._ui = grown(self._ui, 0)
-        self._vi = grown(self._vi, 0)
-        self._nbr_start = grown(self._nbr_start, 0)
-        self._nbr_count = grown(self._nbr_count, 0)
-        self._heap = grown(self._heap, 0)
-        self._heap_pos = grown(self._heap_pos, -1)
-        self._scratch = np.zeros(2 * capacity, dtype=np.int64)
-        extra = capacity - old
-        self._edges.extend([None] * extra)
-        self._free.extend(range(capacity - 1, old - 1, -1))
-        self._capacity = capacity
-        self._kern.bind(self)
-
-    def _compact(self) -> None:
-        """Repack live slots at the front and shrink the arrays.
-
-        Entry ids are preserved; only slot numbers change, which is
-        invisible to the traversal semantics (all ordering is by entry
-        id).  Runs after the adaptive controller shrinks the window far
-        below the grown capacity.  Memos, validity keys and pooled
-        segments are carried over — none of them involve slot numbers —
-        and the agenda is rebuilt over the renumbered candidate set.
-        """
-        live = self._sorted_slots()
-        count = len(live)
+    def _compact_if_sparse(self) -> None:
+        """Once occupancy is a quarter of capacity or less, re-load the
+        window from its own image into fresh arrays sized to it.  Entry
+        ids and cached scores are preserved; memos restart invalid,
+        which is invisible (see ``kern_restore``)."""
+        ctx = self._ctx
+        if ctx.slot_cap <= _MIN_CAPACITY or ctx.count * 4 > ctx.slot_cap:
+            return
+        image = self.to_image()
         capacity = _MIN_CAPACITY
-        while capacity < count * 2:
+        while capacity < 2 * len(image.entries):
             capacity *= 2
-        k = self._rep.shape[1]
-        score = np.zeros(capacity, dtype=np.float64)
-        partition = np.zeros(capacity, dtype=np.int64)
-        entry = np.full(capacity, -1, dtype=np.int64)
-        version = np.full(capacity, -1, dtype=np.int64)
-        candidate = np.zeros(capacity, dtype=bool)
-        alive = np.zeros(capacity, dtype=bool)
-        rep = np.zeros((capacity, k), dtype=np.float64)
-        cs = np.zeros((capacity, k), dtype=np.float64)
-        rep_key = np.full((capacity, 5), -1, dtype=np.int64)
-        nbr_key = np.full((capacity, 2), -1, dtype=np.int64)
-        cs_sum = np.full(capacity, -1, dtype=np.int64)
-        ui = np.zeros(capacity, dtype=np.int64)
-        vi = np.zeros(capacity, dtype=np.int64)
-        nbr_start = np.zeros(capacity, dtype=np.int64)
-        nbr_count = np.zeros(capacity, dtype=np.int64)
-        score[:count] = self._score[live]
-        partition[:count] = self._partition[live]
-        entry[:count] = self._entry[live]
-        version[:count] = self._slot_version[live]
-        candidate[:count] = self._candidate[live]
-        alive[:count] = True
-        rep[:count] = self._rep[live]
-        cs[:count] = self._cs[live]
-        rep_key[:count] = self._rep_key[live]
-        nbr_key[:count] = self._nbr_key[live]
-        cs_sum[:count] = self._cs_sum[live]
-        ui[:count] = self._ui[live]
-        vi[:count] = self._vi[live]
-        nbr_start[:count] = self._nbr_start[live]
-        nbr_count[:count] = self._nbr_count[live]
-        edges: List[Optional[Edge]] = [None] * capacity
-        for new_slot, old_slot in enumerate(live.tolist()):
-            edges[new_slot] = self._edges[old_slot]
-        self._score, self._partition = score, partition
-        self._entry, self._slot_version = entry, version
-        self._candidate, self._alive = candidate, alive
-        self._rep, self._cs = rep, cs
-        self._rep_key, self._nbr_key, self._cs_sum = rep_key, nbr_key, cs_sum
-        self._ui, self._vi = ui, vi
-        self._nbr_start, self._nbr_count = nbr_start, nbr_count
-        self._edges = edges
-        self._capacity = capacity
-        self._free = list(range(capacity - 1, count - 1, -1))
-        self._slot_of = {int(entry[s]): s for s in range(count)}
-        incidence: Dict[int, Dict[int, int]] = {}
-        for slot in range(count):
-            du = int(ui[slot])
-            dv = int(vi[slot])
-            incidence.setdefault(du, {})[slot] = dv
-            incidence.setdefault(dv, {})[slot] = du
-        self._incidence = incidence
-        self._heap = np.zeros(capacity, dtype=np.int64)
-        self._heap_pos = np.full(capacity, -1, dtype=np.int64)
-        self._scratch = np.zeros(2 * capacity, dtype=np.int64)
-        self._hctl[0] = 0
-        self._kern.bind(self)
-        if self._use_heap:
-            self._rebuild_heap()
+        self._allocate(capacity)
+        self._load(image)
 
-    def _rebuild_heap(self) -> None:
-        """Refill the agenda from the candidate mask and heapify."""
-        cands = np.flatnonzero(self._candidate)
-        m = len(cands)
-        self._hctl[0] = m
-        if m:
-            self._heap[:m] = cands
-            self._heap_pos[cands] = np.arange(m, dtype=np.int64)
-            self._kern.heap_rebuild(self)
+    def _sync_state(self) -> None:
+        """Bring the kernel context up to date with the partition state:
+        drain its queued replica bits and size updates, rebind (and
+        regrow the per-vertex arrays to) state tables the intern table
+        reallocated, and copy in the scalars the kernels mirror."""
+        scoring = self.scoring
+        state = scoring.state
+        ctx = self._ctx
+        replicas = state.replica_matrix()
+        sizes = state.sizes_vector()
+        bound = self._bound.get("replicas")
+        if bound is None or bound[0] is not replicas:
+            capacity = replicas.shape[0]
+            self._resize(_VERTEX_FIELDS, "vertex_cap", capacity)
+            self._bind("replicas", replicas, capacity * ctx.k)
+            self._bind("row_version", state.row_version_array(), capacity)
+            self._bind("deg", state.degrees_dense(), capacity)
+            self._bind("sizes", sizes, ctx.k)
+        balancer = scoring.balancer
+        ctx.lam = scoring.current_lambda
+        ctx.adaptive_lambda = balancer is not None
+        ctx.total_edges = balancer.total_edges if balancer is not None else 0
+        ctx.use_cs = scoring.use_clustering
+        ctx.max_degree = state.max_degree
+        ctx.max_size = state.max_size
+        ctx.min_size = state.min_size
+        ctx.assigned_edges = state.assigned_edges
 
-    def _sorted_slots(self, candidate: Optional[bool] = None) -> np.ndarray:
-        """Live slots in ascending entry-id order, optionally filtered."""
-        if candidate is True:
-            # The candidate mask is only ever set on live slots.
-            slots = np.flatnonzero(self._candidate)
-        elif candidate is False:
-            slots = np.flatnonzero(self._alive & ~self._candidate)
-        else:
-            slots = np.flatnonzero(self._alive)
-        if slots.size > 1:
-            slots = slots[np.argsort(self._entry[slots])]
-        return slots
+    def _check_rows(self, rows: np.ndarray) -> None:
+        if rows.size and not (0 <= rows.min()
+                              and rows.max() < self._ctx.vertex_cap):
+            raise RuntimeError("dense vertex row outside the bound tables")
 
-    # ------------------------------------------------------------------
-    # Rescoring through the kernel backend
-    # ------------------------------------------------------------------
-    def _rescore_batch(self, slots: np.ndarray, lamb: np.ndarray,
-                       use_cs: bool) -> None:
-        """Rescore ``slots`` (entry-id order) against the current state.
-
-        Charges ``k`` score computations per slot — the object window
-        recomputes every one of them — while the kernel reuses the
-        cache of any version-fresh slot whose validity keys all match
-        (a recomputation would bit-equal it).  Stale neighborhood
-        segments are rebuilt first, then the kernel recomputes invalid
-        R/CS components, reassembles totals, and accumulates the score
-        sum in the reference's scalar order.
-        """
+    def _call(self, function, *args) -> int:
+        """Run one kernel entry to a final status, growing whichever
+        buffer it asks for in between, then charge the clock."""
+        lib = self._lib
+        ctx = self._ctx
+        while True:
+            self.kernel_calls += 1
+            entered = perf_counter_ns()
+            status = function(ctx, *args)
+            self.kernel_ns += perf_counter_ns() - entered
+            if status == lib.KERN_NEED_SLOTS:
+                self._grow_slots()
+            elif status == lib.KERN_NEED_ARENA:
+                self._grow_arena()
+            elif status == lib.KERN_NEED_OUT:
+                self._resize(_OUT_FIELDS, "out_cap", 2 * ctx.out_cap)
+            else:
+                break
         clock = self.scoring.clock
-        if clock is not None:
-            clock.charge_score(len(slots) * self.scoring.state.num_partitions)
-        kern = self._kern
-        if use_cs:
-            needy = kern.scan_nbr(self, slots)
-            if len(needy):
-                self._rebuild_segments(needy)
-        rescored, rep_recomputed, cs_recomputed = kern.rescore(
-            self, slots, lamb, use_cs)
-        self.stat_rescored_slots += rescored
-        self.stat_rep_recomputed += rep_recomputed
-        self.stat_cs_recomputed += cs_recomputed
+        if clock is not None and ctx.charge:
+            clock.charge_score(ctx.charge)
+        ctx.charge = 0
+        return status
+
+    # ------------------------------------------------------------------
+    # The batch-grain pump (what AdwisePartitioner drives)
+    # ------------------------------------------------------------------
+    def begin_batch(self, edges: Sequence[Edge]) -> None:
+        """Stage ``edges`` (canonical, in stream order) for :meth:`pump`:
+        intern them to dense rows, register their entry ids and validate
+        everything the kernel is about to be handed."""
+        ctx = self._ctx
+        state = self.scoring.state
+        self._batch = edges
+        self._pairs = state.dense_rows(edges)
+        first = ctx.next_id
+        self._edges.update(zip(range(first, first + len(edges)), edges))
+        ctx.consumed = ctx.n_out = ctx.n_changed = 0
+        self._sync_state()
+        for field in self._bound:
+            self._check_array(field)
+        self._check_rows(self._pairs)
+
+    def pump(self, target_w: int, force: bool, stop_at: int) -> bool:
+        """Advance Algorithm 1 over the staged batch: refill to
+        ``target_w``, pop while the window is full (``force``: while it
+        is non-empty), update the vertex cache, adapt λ, rule 3.
+
+        Returns ``True`` when it stopped because :attr:`emitted` reached
+        ``stop_at`` (the adaptive controller's block boundary: decide,
+        then call again), ``False`` when the batch is consumed and
+        nothing more may pop.  Score computations are charged to the
+        scoring clock; assignments are the caller's to charge.
+        """
+        pairs = self._pairs
+        status = self._call(
+            self._lib.kern_pump,
+            self._ffi.from_buffer("int64_t[]", pairs) if pairs.size
+            else self._ffi.NULL,
+            pairs.size // 2, target_w, force, stop_at, True)
+        return status == self._lib.KERN_BLOCK_BOUNDARY
+
+    @property
+    def emitted(self) -> int:
+        """Assignments popped since :meth:`begin_batch`."""
+        return self._ctx.n_out
+
+    def scores(self, start: int, stop: int) -> List[float]:
+        """Scores of the batch's assignments ``start..stop``."""
+        return self._array("out_score")[start:stop].tolist()
+
+    def end_batch(self) -> List[Tuple[Edge, int]]:
+        """Close the batch: hand the partition state what the kernel
+        did to its tables, and return the ``(edge, partition)``
+        decisions in pop order."""
+        ctx = self._ctx
+        scoring = self.scoring
+        state = scoring.state
+        changed = ctx.n_changed
+        state.absorb_pump(
+            self._batch,
+            self._array("chg_row")[:changed].tolist(),
+            self._array("chg_col")[:changed].tolist(),
+            ctx.assigned_edges, ctx.max_degree)
+        if scoring.balancer is not None:
+            scoring.balancer.value = ctx.lam
+        popped = self._take(ctx.n_out)
+        self._compact_if_sparse()
+        return popped
+
+    def _take(self, n: int) -> List[Tuple[Edge, int]]:
+        """The first ``n`` popped assignments as ``(edge, partition)``;
+        their edges leave the entry map."""
+        take = self._edges.pop
+        partitions = self.scoring.state.partitions
+        return [(take(entry), partitions[col]) for entry, col in zip(
+            self._array("out_entry")[:n].tolist(),
+            self._array("out_col")[:n].tolist())]
 
     # ------------------------------------------------------------------
     # Serialization (session snapshot boundary)
     # ------------------------------------------------------------------
-    def to_image(self):
+    def to_image(self) -> WindowImage:
         """Capture the traversal state verbatim as a
         :class:`~repro.core.window.WindowImage` (component memos are
         rebuilt on restore — they only ever hold values a fresh
         computation would produce, so dropping them is invisible)."""
-        from repro.core.window import WindowImage
+        ctx = self._ctx
+        slots = np.flatnonzero(self._array("alive"))
+        slots = slots[np.argsort(self._array("entry")[slots])]
+        partitions = self.scoring.state.partitions
+        edges = self._edges
+        entries = [
+            (entry, edges[entry].u, edges[entry].v, score, partitions[col],
+             version, bool(candidate))
+            for entry, score, col, version, candidate in zip(
+                *(self._array(field)[slots].tolist() for field in (
+                    "entry", "score", "col", "slot_version", "candidate")))]
+        return WindowImage(entries=entries, next_id=ctx.next_id,
+                           score_sum=ctx.score_sum, version=ctx.version,
+                           promotions=ctx.promotions)
 
-        entries = []
-        for slot in self._sorted_slots().tolist():
-            edge = self._edges[slot]
-            entries.append((int(self._entry[slot]), edge.u, edge.v,
-                            float(self._score[slot]),
-                            int(self._partition[slot]),
-                            int(self._slot_version[slot]),
-                            bool(self._candidate[slot])))
-        return WindowImage(
-            entries=entries,
-            next_id=self._next_id,
-            score_sum=self._score_sum,
-            version=self._version,
-            promotions=self.promotions,
-        )
-
-    def _restore_slot(self, edge: Edge, entry_id: int, score: float,
-                      partition: int, version: int, candidate: bool) -> None:
-        """Adopt one entry verbatim (restore/migration); memos start
-        invalid and refill with values a fresh computation would
-        produce anyway."""
-        state = self.scoring.state
-        du, dv = state.dense_pair(edge.u, edge.v)
-        slot = self._alloc()
-        self._edges[slot] = edge
-        self._entry[slot] = entry_id
-        self._score[slot] = score
-        self._partition[slot] = partition
-        self._slot_version[slot] = version
-        self._candidate[slot] = candidate
-        self._alive[slot] = True
-        self._ui[slot] = du
-        self._vi[slot] = dv
-        self._slot_of[entry_id] = slot
-        self._incidence.setdefault(du, {})[slot] = dv
-        self._incidence.setdefault(dv, {})[slot] = du
-        self._count += 1
-        if candidate:
-            self._num_candidates += 1
-
-    def _finish_restore(self) -> None:
-        self._refresh_bindings()
-        if self._use_heap:
-            self._rebuild_heap()
+    def _load(self, image: WindowImage) -> None:
+        """Adopt ``image`` into this (empty) window."""
+        ctx = self._ctx
+        ffi = self._ffi
+        n = len(image.entries)
+        if n:
+            ids, us, vs, scores, partitions, versions, candidates = zip(
+                *image.entries)
+            edges = [Edge(u, v) for u, v in zip(us, vs)]
+            self._edges = dict(zip(ids, edges))
+            pairs = self.scoring.state.dense_rows(edges)
+            self._sync_state()
+            self._check_rows(pairs)
+            arrays = (
+                pairs, np.array(ids, dtype=np.int64),
+                np.array(scores, dtype=np.float64),
+                np.array([self._column[p] for p in partitions],
+                         dtype=np.int64),
+                np.array(versions, dtype=np.int64),
+                np.array(candidates, dtype=np.uint8))
+            self._call(self._lib.kern_restore,
+                       *(ffi.from_buffer(_CTYPES[a.dtype], a)
+                         for a in arrays), n)
+        ctx.next_id = image.next_id
+        ctx.score_sum = image.score_sum
+        ctx.version = image.version
+        ctx.promotions = image.promotions
 
     @classmethod
-    def from_image(cls, scoring: AdwiseScoring, image,
+    def from_image(cls, scoring: AdwiseScoring, image: WindowImage,
                    lazy: bool = True, epsilon: float = 0.1,
                    max_candidates: int = 64,
-                   initial_capacity: int = _MIN_CAPACITY,
-                   agenda: str = "auto") -> "ArrayEdgeWindow":
+                   initial_capacity: int = _MIN_CAPACITY
+                   ) -> "ArrayEdgeWindow":
         """Rebuild a window from an image; continues bit-identically."""
         new = cls(scoring, lazy=lazy, epsilon=epsilon,
                   max_candidates=max_candidates,
                   initial_capacity=max(initial_capacity,
-                                       2 * len(image.entries)),
-                  agenda=agenda)
-        for entry_id, u, v, score, partition, version, candidate in \
-                image.entries:
-            new._restore_slot(Edge(u, v), entry_id, score, partition,
-                              version, candidate)
-        new._next_id = image.next_id
-        new._score_sum = image.score_sum
-        new._version = image.version
-        new.promotions = image.promotions
-        new._finish_restore()
+                                       2 * len(image.entries)))
+        new._load(image)
         return new
 
     # ------------------------------------------------------------------
-    # Migration (hybrid window engine)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_object_window(cls, window, initial_capacity: int = _MIN_CAPACITY,
-                           agenda: str = "auto") -> "ArrayEdgeWindow":
-        """Adopt an :class:`~repro.core.window.EdgeWindow`'s exact state.
-
-        The hybrid ``auto`` backend runs the object window while ``w`` is
-        small (slot arrays have no leverage there) and migrates here once
-        the adaptive controller grows past the batching threshold.  Every
-        piece of traversal state is copied verbatim — entry ids, cached
-        (score, partition, version) triples, candidate membership, the
-        float score sum with its accumulation history, the pop version,
-        and the promotion counter — so the migrated window continues
-        bit-identically.
-        """
-        new = cls(window.scoring, lazy=window.lazy, epsilon=window.epsilon,
-                  max_candidates=window.max_candidates,
-                  initial_capacity=max(initial_capacity, 2 * len(window)),
-                  agenda=agenda)
-        for entry_id in sorted(window._entries):
-            entry = window._entries[entry_id]
-            new._restore_slot(entry.edge, entry_id, entry.best_score,
-                              entry.best_partition, entry.version,
-                              entry.candidate)
-        new._next_id = window._next_id
-        new._score_sum = window._score_sum
-        new._version = window._version
-        new.promotions = window.promotions
-        new.stat_refills = getattr(window, "stat_refills", 0)
-        new.stat_pops = getattr(window, "stat_pops", 0)
-        new._finish_restore()
-        return new
-
-    # ------------------------------------------------------------------
-    # Mutation
+    # EdgeWindow step API: n = 1 calls into the same kernels
     # ------------------------------------------------------------------
     def add(self, edge: Edge) -> int:
         """Insert ``edge``; score it once and classify it; return entry id."""
@@ -634,403 +507,61 @@ class ArrayEdgeWindow:
     def add_block(self, edges: Sequence[Edge],
                   observe: Optional[Callable[[Edge], None]] = None
                   ) -> List[int]:
-        """Rule 1 for a whole refill block.
-
-        Replays the object window's sequential semantics exactly: edge
-        ``i``'s Ψ normalisations are captured right after it is observed
-        (before later block edges touch the degree table), its
-        neighborhood sees only earlier entries, and classification walks
-        the block in order against the evolving threshold and candidate
-        cap.  Native backends run the fused add kernel per edge; the
-        numpy fallback batches the ``k``-partition scoring into one
-        vectorised computation.  The clock charge (``k`` per edge, like
-        ``score_all``) is batched up front — same total, same model.
-        """
-        n = len(edges)
-        if n == 0:
-            return []
-        if not (self._kern.native or n == 1):
-            return self._add_block_numpy(edges, observe)
-        self.stat_refills += n
-        scoring = self.scoring
-        state = scoring.state
-        if scoring.clock is not None:
-            scoring.clock.charge_score(n * state.num_partitions)
-        # λ·B is constant across the refill: no assignments happen
-        # mid-block, so the memo would hit anyway — hoist it.
-        lamb = scoring._lambda_balance()
-        use_cs = scoring.use_clustering
-        return [self._add_one(edge, observe, lamb, use_cs) for edge in edges]
-
-    def _heap_insert(self, slot: int) -> None:
-        self.stat_heap_pushes += 1
-        self._kern.heap_push(self, slot)
-
-    def _classify_new(self, slot: int, score: float) -> None:
-        """Candidate-vs-secondary decision for a just-scored slot, after
-        its score joined the running sum (rule 1's threshold test)."""
-        if (not self.lazy
-                or (score > self._score_sum / self._count + self.epsilon
-                    and self._num_candidates < self.max_candidates)):
-            self._candidate[slot] = True
-            self._num_candidates += 1
-            if self._use_heap:
-                self._heap_insert(slot)
-
-    def _add_one(self, edge: Edge, observe: Optional[Callable[[Edge], None]],
-                 lamb: np.ndarray, use_cs: bool) -> int:
-        """Steady-state refill: one edge through the fused add kernel.
-
-        Mirrors :meth:`AdwiseScoring.score_all` operation-for-operation
-        (the Ψ capture is the live degree table at this edge's insert
-        moment) and stamps the slot's memos and validity keys against
-        the tables the score was computed from.  The clock charge is
-        the caller's (batched per block).
-        """
-        if observe is not None:
-            observe(edge)
+        """Rule 1, edge by edge: ``observe`` (typically
+        ``state.observe_degrees``) runs on each edge immediately before
+        the kernel scores and classifies it."""
+        ctx = self._ctx
         state = self.scoring.state
-        du, dv = state.dense_pair(edge.u, edge.v)
-        # Inlined _refresh_bindings fast path: replica_matrix() also
-        # syncs pending replica bits, which the add kernel must see.
-        if state.replica_matrix() is not self._bound_replicas:
-            self._refresh_bindings()
-        slot = self._alloc()
-        if use_cs:
-            nbrs = self._dense_neighborhood(du, dv)
-            seg_count = len(nbrs)
-            if seg_count:
-                seg_start = self._pool_alloc(seg_count)
-                pool = self._pool
-                i = seg_start
-                for dense in nbrs:
-                    pool[i] = dense
-                    i += 1
-            else:
-                seg_start = 0
-        else:
-            seg_start = 0
-            seg_count = 0
-        entry_id = self._next_id
-        self._next_id = entry_id + 1
-        self._edges[slot] = edge
-        self._entry[slot] = entry_id
-        self._candidate[slot] = False
-        self._alive[slot] = True
-        self._slot_of[entry_id] = slot
-        # Bump the incidence versions *before* the kernel stamps the new
-        # slot's nbr_key: inserting the edge changes its neighbors'
-        # neighborhoods (they see the bumped counter as a stale key) but
-        # not its own (it excludes itself), so the stamped key is fresh.
-        iver = self._iver
-        iver[du] += 1
-        if dv != du:
-            iver[dv] += 1
-        score = self._kern.add(self, slot, du, dv, seg_start, seg_count,
-                               lamb, use_cs)
-        incidence = self._incidence
-        incidence.setdefault(du, {})[slot] = dv
-        incidence.setdefault(dv, {})[slot] = du
-        self._count += 1
-        self._score_sum += score
-        self._classify_new(slot, score)
-        return entry_id
-
-    def _add_block_numpy(self, edges: Sequence[Edge],
-                         observe: Optional[Callable[[Edge], None]]
-                         ) -> List[int]:
-        """Vectorised rule 1 for the numpy fallback: the per-edge walk
-        captures each edge's Ψ/degree/version snapshot, then one
-        broadcast computation scores the whole block (replica rows never
-        move mid-block — no assignments happen — so end-of-block rows
-        equal each edge's insertion-time rows, and the stamped keys are
-        exact)."""
-        n = len(edges)
-        self.stat_refills += n
-        scoring = self.scoring
-        state = scoring.state
-        if scoring.clock is not None:
-            scoring.clock.charge_score(n * state.num_partitions)
-        use_cs = scoring.use_clustering
-        count_before = self._count
-        ids: List[int] = []
-        slot_list: List[int] = []
-        dus = np.zeros(n, dtype=np.int64)
-        dvs = np.zeros(n, dtype=np.int64)
-        psi_u = np.zeros(n, dtype=np.float64)
-        psi_v = np.zeros(n, dtype=np.float64)
-        keys = np.zeros((n, 5), dtype=np.int64)
-        for i, edge in enumerate(edges):
+        ids = []
+        for edge in edges:
             if observe is not None:
                 observe(edge)
-            du, dv = state.dense_pair(edge.u, edge.v)
-            self._refresh_bindings()
-            deg = state.degrees_dense()
-            row_version = state.row_version_array()
-            max_degree = state.max_degree
-            deg_u = int(deg[du])
-            deg_v = int(deg[dv])
-            denominator = 2.0 * max(1, max_degree)
-            psi_u[i] = deg_u / denominator
-            psi_v[i] = deg_v / denominator
-            keys[i, 0] = row_version[du]
-            keys[i, 1] = row_version[dv]
-            keys[i, 2] = deg_u
-            keys[i, 3] = deg_v
-            keys[i, 4] = max_degree
-            dus[i] = du
-            dvs[i] = dv
-            if use_cs:
-                nbrs = self._dense_neighborhood(du, dv)
-                seg_count = len(nbrs)
-                if seg_count:
-                    seg_start = self._pool_alloc(seg_count)
-                    pool = self._pool
-                    j = seg_start
-                    for dense in nbrs:
-                        pool[j] = dense
-                        j += 1
-                else:
-                    seg_start = 0
-            else:
-                seg_start = 0
-                seg_count = 0
-            slot = self._alloc()
-            slot_list.append(slot)
-            entry_id = self._next_id
-            self._next_id += 1
-            ids.append(entry_id)
-            self._edges[slot] = edge
-            self._entry[slot] = entry_id
-            self._candidate[slot] = False
-            self._alive[slot] = True
-            self._ui[slot] = du
-            self._vi[slot] = dv
-            self._nbr_start[slot] = seg_start
-            self._nbr_count[slot] = seg_count
-            self._slot_of[entry_id] = slot
-            iver = self._iver
-            iver[du] += 1
-            if dv != du:
-                iver[dv] += 1
-            self._nbr_key[slot, 0] = iver[du]
-            self._nbr_key[slot, 1] = iver[dv]
-            self._incidence.setdefault(du, {})[slot] = dv
-            self._incidence.setdefault(dv, {})[slot] = du
-            self._count += 1
-        replicas = state.replica_matrix()
-        row_version = state.row_version_array()
-        slots = np.asarray(slot_list, dtype=np.int64)
-        rep = (replicas[dus] * (2.0 - psi_u)[:, None]
-               + replicas[dvs] * (2.0 - psi_v)[:, None])
-        self._rep[slots] = rep
-        self._rep_key[slots] = keys
-        totals = scoring._lambda_balance() + rep
-        if use_cs:
-            idx, counts = self._kern._segment_index(self, slots)
-            hits = self._kern._segment_sums(replicas, idx, counts)
-            cs = np.zeros_like(hits, dtype=np.float64)
-            nonzero = counts > 0
-            if nonzero.any():
-                cs[nonzero] = hits[nonzero] / counts[nonzero, None]
-            self._cs[slots] = cs
-            self._cs_sum[slots] = self._kern._segment_sums(
-                row_version, idx, counts)
-            totals += cs
-        best_columns = totals.argmax(axis=1)
-        best_scores = totals.max(axis=1)
-        self._score[slots] = best_scores
-        self._partition[slots] = self._pids[best_columns]
-        self._slot_version[slots] = self._version
-        score_list = best_scores.tolist()
-        for i in range(n):
-            slot = slot_list[i]
-            score = score_list[i]
-            self._score_sum += score
-            # Threshold as the object window saw it mid-block: entries
-            # i+1.. are not part of the average yet.
-            entries_so_far = count_before + i + 1
-            if (not self.lazy
-                    or (score > self._score_sum / entries_so_far + self.epsilon
-                        and self._num_candidates < self.max_candidates)):
-                self._candidate[slot] = True
-                self._num_candidates += 1
-                if self._use_heap:
-                    self._heap_insert(slot)
+            pairs = state.dense_rows((edge,))
+            self._sync_state()
+            self._check_rows(pairs)
+            ids.append(ctx.next_id)
+            self._edges[ctx.next_id] = edge
+            ctx.consumed = 0
+            # A target beyond the window's size admits without popping.
+            self._call(self._lib.kern_pump,
+                       self._ffi.from_buffer("int64_t[]", pairs), 1,
+                       ctx.count + 2, False, -1, False)
         return ids
-
-    def _remove_slot(self, slot: int) -> None:
-        self._score_sum -= float(self._score[slot])
-        if self._candidate[slot]:
-            self._candidate[slot] = False
-            self._num_candidates -= 1
-            if self._use_heap:
-                self._kern.heap_remove(self, slot)
-                self.stat_heap_removes += 1
-        self._alive[slot] = False
-        du = int(self._ui[slot])
-        dv = int(self._vi[slot])
-        incidence = self._incidence
-        iver = self._iver
-        for dense in (du, dv) if du != dv else (du,):
-            bucket = incidence.get(dense)
-            if bucket is not None:
-                bucket.pop(slot, None)
-                if not bucket:
-                    del incidence[dense]
-            # Membership at this vertex changed: neighbors' segments are
-            # now stale (pulled on their next rescore).
-            iver[dense] += 1
-        self._edges[slot] = None
-        del self._slot_of[int(self._entry[slot])]
-        # Memos, validity keys, entry id and segment stay as-is: nothing
-        # reads a dead slot (the alive/candidate masks and the agenda all
-        # exclude it, and the pool GC skips it), and reuse through the
-        # add kernel restamps every field.
-        self._count -= 1
-        self._free.append(slot)
-        if (self._capacity > _MIN_CAPACITY
-                and self._count * 4 <= self._capacity):
-            self._compact()
-
-    # ------------------------------------------------------------------
-    # Traversal rules 2 and 3
-    # ------------------------------------------------------------------
-    def _rescore_secondary(self, lamb: np.ndarray, use_cs: bool) -> None:
-        """Rule 2: candidate set empty → rescore Q, promote above-Θ edges."""
-        if self._count == self._num_candidates:
-            return
-        slots = self._sorted_slots(candidate=False)
-        self._rescore_batch(slots, lamb, use_cs)
-        scores = self._score[slots]
-        threshold = self.threshold
-        above = slots[scores > threshold]
-        if above.size == 0:
-            # Fallback (uniform scores): promote the best few; ties break
-            # toward the oldest entry, like the object window's ranking.
-            order = np.lexsort((self._entry[slots], -scores))
-            above = slots[order[:max(1, len(slots) // 8)]]
-        for slot in above[:self.max_candidates].tolist():
-            self._candidate[slot] = True
-            self._num_candidates += 1
-            self.promotions += 1
-            if self._use_heap:
-                self._heap_insert(slot)
 
     def pop_best(self) -> Tuple[Edge, int, float]:
         """Remove and return the best (edge, partition, score) assignment.
 
         Version-stale candidate caches (an assignment happened since
-        they were computed) are refreshed through the kernel; fresh
-        caches are reused — the lazy saving.  Ties break toward the
-        lowest entry id, matching the object window's ordered scan (the
-        agenda's total order makes the heap root exactly that slot).
+        they were computed) are refreshed; fresh caches are reused — the
+        lazy saving.  Ties break toward the lowest entry id, matching
+        the object window's ordered scan (the agenda's total order makes
+        the heap root exactly that slot).
         """
-        if self._count == 0:
+        if self._ctx.count == 0:
             raise IndexError("pop_best from an empty window")
-        self.stat_pops += 1
-        self._refresh_bindings()
-        scoring = self.scoring
-        lamb = scoring._lambda_balance()
-        use_cs = scoring.use_clustering
-        if self._num_candidates == 0:
-            self._rescore_secondary(lamb, use_cs)
-        if self._num_candidates == 0:  # pragma: no cover - rule-2 invariant
-            raise RuntimeError("window invariant violated: no candidates "
-                               "after rule-2 rescoring of a non-empty window")
-        if self._use_heap:
-            best_slot = self._pop_agenda(lamb, use_cs)
-        else:
-            best_slot = self._pop_scan(lamb, use_cs)
-        best_score = float(self._score[best_slot])
-        best_partition = int(self._partition[best_slot])
-        edge = self._edges[best_slot]
-        self._remove_slot(best_slot)
-        # The caller assigns this edge next, which shifts balance scores;
-        # all remaining caches become stale.
-        self._version += 1
-        return edge, best_partition, best_score
-
-    def _pop_agenda(self, lamb: np.ndarray, use_cs: bool) -> int:
-        """One agenda transaction: rescore stale candidates, repair the
-        heap, return the root.  Restarts after rebuilding any stale
-        neighborhood segments the kernel reported (the kernel is pure
-        until its commit point)."""
-        kern = self._kern
-        while True:
-            best_slot, needy, stats = kern.pop(self, lamb, use_cs)
-            if best_slot >= 0:
-                break
-            if best_slot != -1:  # pragma: no cover - guarded by caller
-                raise RuntimeError("pop from an empty agenda")
-            self._rebuild_segments(needy)
-        rescored, rep_recomputed, cs_recomputed = stats
-        if rescored:
-            clock = self.scoring.clock
-            if clock is not None:
-                clock.charge_score(
-                    rescored * self.scoring.state.num_partitions)
-            self.stat_rescored_slots += rescored
-            self.stat_rep_recomputed += rep_recomputed
-            self.stat_cs_recomputed += cs_recomputed
-            self.stat_reheaps += 1
-        return best_slot
-
-    def _pop_scan(self, lamb: np.ndarray, use_cs: bool) -> int:
-        """PR-5 selection (``agenda="scan"``): rescore stale candidates,
-        then argmax over the entry-sorted candidate list."""
-        slots = self._sorted_slots(candidate=True)
-        stale = slots[self._slot_version[slots] != self._version]
-        if stale.size:
-            self._rescore_batch(stale, lamb, use_cs)
-        scores = self._score[slots]
-        return int(slots[int(scores.argmax())])
+        self._sync_state()
+        self._call(self._lib.kern_pop)
+        (edge, partition), = self._take(1)
+        score = float(self._array("out_score")[0])
+        self._compact_if_sparse()
+        return edge, partition, score
 
     def on_replicas_changed(self, vertices: Iterable[int]) -> int:
         """Rule 3: reassess secondary edges touching changed replica sets.
 
-        Unlike the PR-5 window this performs no invalidation sweeps —
-        the changed vertices' bumped row versions make every affected
-        validity key stale, one or two hops out, and the rescore pulls
-        them.  Returns the number of secondary edges promoted to the
-        candidate set.
+        No invalidation sweeps — the changed vertices' bumped row
+        versions make every affected validity key stale, one or two hops
+        out, and the rescore pulls them.  Returns the number of
+        secondary edges promoted to the candidate set.
         """
-        if not self.lazy:
-            return 0
         vindex = self.scoring.state._vindex
-        incidence = self._incidence
-        touched: Set[int] = set()
-        for vertex in vertices:
-            dense = vindex.get(vertex)
-            if dense is None:
-                continue
-            bucket = incidence.get(dense)
-            if bucket:
-                touched.update(bucket.keys())
-        if not touched:
+        rows = np.array([vindex[v] for v in vertices if v in vindex],
+                        dtype=np.int64)
+        if not rows.size:
             return 0
-        self._refresh_bindings()
-        slots = np.fromiter(touched, dtype=np.int64, count=len(touched))
-        secondary = self._alive[slots] & ~self._candidate[slots]
-        slots = slots[secondary]
-        if slots.size == 0:
-            return 0
-        if slots.size > 1:
-            slots = slots[np.argsort(self._entry[slots])]
-        scoring = self.scoring
-        lamb = scoring._lambda_balance()
-        use_cs = scoring.use_clustering
-        threshold = self.threshold  # snapshot, like the object window
-        self._rescore_batch(slots, lamb, use_cs)
-        scores = self._score[slots]
-        promoted = 0
-        for i, slot in enumerate(slots.tolist()):
-            if (scores[i] > threshold
-                    and self._num_candidates < self.max_candidates):
-                self._candidate[slot] = True
-                self._num_candidates += 1
-                promoted += 1
-                self.promotions += 1
-                if self._use_heap:
-                    self._heap_insert(slot)
-        return promoted
+        self._sync_state()
+        self._check_rows(rows)
+        before = self._ctx.promotions
+        self._call(self._lib.kern_replicas_changed,
+                   self._ffi.from_buffer("int64_t[]", rows), rows.size)
+        return self._ctx.promotions - before

@@ -35,21 +35,6 @@ from repro.simtime import Clock
 
 _EPSILON = 1e-9
 
-
-def _scoring_cores():
-    """Jitted ``(replication, clustering)`` row cores, or ``None``.
-
-    Resolved through :func:`repro.core._kernels.scoring_cores`: non-None
-    only when the numba kernel backend is selected (``REPRO_NUMBA=1`` or
-    ``REPRO_KERNEL=numba``), in which case the gathered-row arithmetic of
-    the batch kernels below compiles to the same loops the window kernels
-    use — bit-identical output, enforced by the differential suite.
-    Imported lazily so this module stays importable without numpy.
-    """
-    from repro.core import _kernels
-
-    return _kernels.scoring_cores()
-
 #: Hard bounds on the adaptive balancing parameter (paper: "we keep
 #: λ(ι, α) in the fixed interval [0.4, 5]").
 LAMBDA_MIN = 0.4
@@ -291,10 +276,6 @@ class AdwiseScoring:
             psi = state.degrees_array(endpoints) / denominator
         else:
             psi = np.concatenate((psi_u, psi_v))
-        cores = _scoring_cores()
-        if cores is not None:
-            out = np.empty((n, rows.shape[1]))
-            return cores[0](rows, psi, n, out)
         # One fused multiply over both endpoint blocks: rows i and n+i are
         # edge i's u and v indicator rows, so the sum of the two halves is
         # R(e, p) elementwise — identical to the per-endpoint products.
@@ -315,12 +296,7 @@ class AdwiseScoring:
         counts = nbr_counts
         if not len(nbr_concat):
             return np.zeros((n, state.num_partitions))
-        bool_rows = state.replica_rows(nbr_concat)
-        cores = _scoring_cores()
-        if cores is not None:
-            out = np.empty((n, state.num_partitions))
-            return cores[1](bool_rows, counts, out)
-        rows = bool_rows.astype(np.int64)
+        rows = state.replica_rows(nbr_concat).astype(np.int64)
         nonzero = counts > 0
         if nonzero.all():
             starts = np.cumsum(counts) - counts

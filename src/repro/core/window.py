@@ -22,7 +22,7 @@ entries in ascending entry-id order (stream order), so score ties break
 toward the oldest edge and the floating-point accumulation of the score
 sum is a deterministic function of the stream — the contract the
 array-native window (:mod:`repro.core.array_window`) replicates
-batch-for-batch to stay bit-identical with this reference implementation.
+step-for-step to stay bit-identical with this reference implementation.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ class WindowImage:
     version) triples, candidate membership, the float score sum with its
     accumulation history, the pop version and the promotion counter — so
     a window rebuilt from an image continues bit-identically to the live
-    one (the same contract as the hybrid backend's
-    :meth:`~repro.core.array_window.ArrayEdgeWindow.from_object_window`
-    migration).  Both window classes produce and consume the same image,
-    so a session may be snapshot on one backend and restored on the
-    other.
+    one.  Both window classes produce and consume the same image, so a
+    session may be snapshot on one backend and restored on the other.
     """
 
     #: ``(entry_id, u, v, score, partition, version, candidate)`` rows
@@ -273,8 +270,7 @@ class EdgeWindow:
         ``observe`` (typically ``state.observe_degrees``) is invoked on each
         edge immediately before it is scored, preserving the single-edge
         refill semantics: edge ``i`` is scored with the degree table and
-        window incidence as they stood after edges ``1..i`` entered.  The
-        array window overrides this with one batched kernel call per block.
+        window incidence as they stood after edges ``1..i`` entered.
         """
         ids = []
         for edge in edges:

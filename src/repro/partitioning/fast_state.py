@@ -323,6 +323,17 @@ class FastPartitionState:
         row = self._row
         return row(u), row(v)
 
+    def dense_rows(self, edges: Sequence[Edge]) -> np.ndarray:
+        """Dense ``(u, v)`` rows of ``edges``, interleaved in one int64
+        array (interning on first sight, in stream order)."""
+        vindex = self._vindex
+        try:
+            rows = [vindex[vertex] for edge in edges for vertex in edge]
+        except KeyError:  # some vertex is new: intern as we go
+            row = self._row
+            rows = [row(vertex) for edge in edges for vertex in edge]
+        return np.array(rows, dtype=np.int64)
+
     def replica_matrix(self) -> np.ndarray:
         """The synced ``(capacity, k)`` replica indicator matrix.
 
@@ -357,7 +368,10 @@ class FastPartitionState:
         for vertex in (edge.u, edge.v):
             d = degree.get(vertex, 0) + 1
             degree[vertex] = d
-            self._deg[row(vertex)] = d
+            # Intern before touching ``_deg``: a first sighting may
+            # reallocate it.
+            idx = row(vertex)
+            self._deg[idx] = d
             if d > self.max_degree:
                 self.max_degree = d
 
@@ -396,6 +410,31 @@ class FastPartitionState:
             self._max_size, self._min_size)
         return changed
 
+    def absorb_pump(self, edges: Sequence[Edge], changed_rows: List[int],
+                    changed_cols: List[int], assigned_edges: int,
+                    max_degree: int) -> None:
+        """Reconcile the Python-side mirrors with what the compiled
+        window pump (DESIGN.md §14) did to the dense tables directly:
+        it observed ``edges`` into the dense degree table, set replica
+        bit ``(changed_rows[i], changed_cols[i])`` for every ``i``
+        (bumping that row's version), and counted each assignment into
+        the sizes vector."""
+        degree = self.degree
+        for u, v in edges:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        self.max_degree = max_degree
+        bits = self._replica_bits
+        for row, col in zip(changed_rows, changed_cols):
+            if not bits[row]:
+                self._replicated_vertices += 1
+            bits[row] |= 1 << col
+        self._total_replicas += len(changed_rows)
+        self._sizes_list[:] = self._sizes.tolist()
+        self.assigned_edges = assigned_edges
+        (self._size_histogram, self._max_size,
+         self._min_size) = rebuild_size_stats(self._sizes_list)
+
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
@@ -412,9 +451,12 @@ class FastPartitionState:
         """Adopt another state's degree table (restreaming support)."""
         self.degree = dict(other.degree)
         self.max_degree = other.max_degree
-        row = self._row
-        for vertex, d in self.degree.items():
-            self._deg[row(vertex)] = d
+        self._mirror_degrees()
+
+    def _mirror_degrees(self) -> None:
+        """Rebuild the dense degree mirror from the degree dict."""
+        rows = [self._row(vertex) for vertex in self.degree]
+        self._deg[rows] = list(self.degree.values())
 
     # ------------------------------------------------------------------
     # Serialization (process-pool boundary)
@@ -457,9 +499,7 @@ class FastPartitionState:
         state._sizes_list = list(snap.sizes)
         state._sizes_dirty = True
         state.degree = dict(snap.degree)
-        row = state._row
-        for vertex, d in snap.degree.items():
-            state._deg[row(vertex)] = d
+        state._mirror_degrees()
         state.max_degree = snap.max_degree
         state.assigned_edges = snap.assigned_edges
         (state._size_histogram, state._max_size,

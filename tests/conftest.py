@@ -14,6 +14,23 @@ from repro.graph.generators import (
 from repro.graph.stream import InMemoryEdgeStream, shuffled
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--kernel-so", default=None, metavar="PATH",
+        help="run against this prebuilt _kernels.c shared object instead "
+             "of compiling one (the sanitizer CI leg passes its "
+             "-fsanitize=address,undefined build)")
+
+
+def pytest_configure(config):
+    so_path = config.getoption("--kernel-so", default=None)
+    if so_path is not None:
+        from repro.core import _kernels
+
+        if _kernels.load(so_path) is None:
+            raise pytest.UsageError(f"cannot load kernels from {so_path}")
+
+
 @pytest.fixture
 def triangle() -> Graph:
     """The smallest clustered graph: a single triangle."""

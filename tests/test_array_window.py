@@ -1,6 +1,6 @@
 """Differential tests: the array window must equal the object window exactly.
 
-The struct-of-arrays :class:`ArrayEdgeWindow` (batched kernels, component
+The struct-of-arrays :class:`ArrayEdgeWindow` (compiled pump, component
 memos, free-list slots) is only admissible because it is *bit-identical*
 to the dict-of-objects :class:`EdgeWindow` reference — same assignments
 in the same order, same replication factor and imbalance, same simulated
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import _kernels
 from repro.core.adwise import AdwisePartitioner
 from repro.core.array_window import ArrayEdgeWindow
 from repro.core.scoring import AdaptiveBalancer, AdwiseScoring
@@ -24,6 +25,9 @@ from repro.graph.stream import InMemoryEdgeStream
 from repro.partitioning.fast_state import FastPartitionState
 from repro.partitioning.state import PartitionState
 from repro.simtime import SimulatedClock
+
+pytestmark = pytest.mark.skipif(_kernels.load() is None,
+                                reason="compiled kernels unavailable")
 
 # ---------------------------------------------------------------------------
 # Strategies: small vertex universe so duplicate edges and dense windows
@@ -125,18 +129,19 @@ def test_unbounded_preference_parity(pairs, k):
 
 @settings(deadline=None, max_examples=15)
 @given(edge_lists, partition_counts)
-def test_hybrid_auto_backend_parity(pairs, k):
-    """The hybrid auto backend (object → array migration mid-stream) must
-    stay bit-identical to the pure object window."""
+def test_auto_backend_parity_from_w1(pairs, k):
+    """``auto`` runs the array window from w=1 (no mid-stream engine
+    switch) and must stay bit-identical to the pure object window."""
     doubled = [pair for pair in pairs for _ in (0, 1, 2)] * 3
     partitioners, results = [], []
-    for fast, backend in ((True, "object"), (True, "auto")):
-        partitioner = AdwisePartitioner(range(k), fast=fast,
+    for backend in ("object", "auto"):
+        partitioner = AdwisePartitioner(range(k), fast=True,
                                         window_backend=backend,
                                         latency_preference_ms=None,
                                         max_window=64)
         partitioners.append(partitioner)
         results.append(partitioner.partition_stream(stream_of(doubled)))
+    assert isinstance(partitioners[1].window, ArrayEdgeWindow)
     assert_identical(partitioners, results)
 
 
@@ -201,7 +206,7 @@ def test_grow_then_shrink_compacts_and_stays_identical():
     # The controller shrank near the end; compaction keeps capacity at
     # most a small multiple of the final occupancy (bounded by the
     # compaction floor).
-    assert window._capacity <= max(64, 4 * max(1, len(window)))
+    assert window._ctx.slot_cap <= max(64, 4 * max(1, len(window)))
 
 
 def test_forced_growth_from_small_initial_capacity():
@@ -276,7 +281,7 @@ class TestArrayWindowBasics:
             state.observe_degrees(Edge(1, 2))
             win.add(Edge(1, 2))
         assert array_window.threshold == pytest.approx(
-            array_window._score_sum / 1 + 0.25)
+            array_window._ctx.score_sum / 1 + 0.25)
 
     def test_neighborhood_matches_object_window(self):
         array_window, astate = make_array_window()
@@ -338,37 +343,21 @@ class TestPopBestFallbackFix:
 
 
 class TestAdwiseWiring:
-    def test_auto_backend_picks_array_for_large_fixed_window(self):
-        partitioner = AdwisePartitioner(range(4), fast=True, fixed_window=64)
+    @pytest.mark.parametrize("knobs", [
+        {"fixed_window": 64}, {"fixed_window": 1}, {"fixed_window": 4},
+        {"latency_preference_ms": 0.0}, {"latency_preference_ms": None}])
+    def test_auto_backend_picks_array_on_fast_state(self, knobs):
+        """With the kernels built the array window runs at every size,
+        from the first edge."""
+        partitioner = AdwisePartitioner(range(4), fast=True, **knobs)
+        partitioner.begin()
+        assert isinstance(partitioner.window, ArrayEdgeWindow)
         partitioner.partition_stream(stream_of([(1, 2), (2, 3)]))
         assert isinstance(partitioner.window, ArrayEdgeWindow)
-
-    def test_auto_backend_keeps_object_for_small_fixed_window(self):
-        partitioner = AdwisePartitioner(range(4), fast=True, fixed_window=4)
-        partitioner.partition_stream(stream_of([(1, 2), (2, 3)]))
-        assert isinstance(partitioner.window, EdgeWindow)
 
     def test_auto_backend_picks_object_on_legacy_state(self):
         partitioner = AdwisePartitioner(range(4))
         partitioner.partition_stream(stream_of([(1, 2), (2, 3)]))
-        assert isinstance(partitioner.window, EdgeWindow)
-
-    def test_hybrid_migrates_when_window_grows(self):
-        """Unbounded latency preference grows w past the threshold; the
-        hybrid must hand over to the array window mid-stream."""
-        pairs = [(i % 31, (i * 7 + 1) % 37 + 31) for i in range(400)]
-        partitioner = AdwisePartitioner(range(4), fast=True,
-                                        latency_preference_ms=None,
-                                        max_window=128)
-        result = partitioner.partition_stream(stream_of(pairs))
-        assert result.extras["max_window"] >= 32
-        assert isinstance(partitioner.window, ArrayEdgeWindow)
-
-    def test_hybrid_stays_object_when_window_stays_small(self):
-        pairs = [(i % 13, (i * 5 + 2) % 13 + 13) for i in range(60)]
-        partitioner = AdwisePartitioner(range(4), fast=True,
-                                        latency_preference_ms=0.0)
-        partitioner.partition_stream(stream_of(pairs))
         assert isinstance(partitioner.window, EdgeWindow)
 
     def test_array_backend_requires_fast_state(self):

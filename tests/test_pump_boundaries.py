@@ -1,0 +1,278 @@
+"""Scale and boundary correctness of the compiled pump (ROADMAP items 0, 1).
+
+The pump (DESIGN.md §14) works on raw pointers into numpy buffers that
+Python grows and rebinds; a stale binding would be silent memory
+corruption, not an ``IndexError``.  So every buffer it binds is crossed
+here — from a tiny initial capacity through at least three doublings —
+and the outcome compared with the object window on the full result
+tuple.  Two more contracts ride along: ``fast=True`` must equal
+``fast=False`` beyond the intern table's first allocation (the item-0
+regression), and the Python-side state mirrors the service answers
+queries from must be exact after *every* pumped batch.
+"""
+
+import numpy as np
+import pytest
+from _window_utils import outcome
+
+from repro.api import open_session
+from repro.core import _kernels, array_window
+from repro.core.adwise import AdwisePartitioner
+from repro.core.array_window import ArrayEdgeWindow
+from repro.graph.graph import Edge
+from repro.graph.stream import InMemoryEdgeStream
+from repro.partitioning import fast_state
+from repro.partitioning.parallel import partitioner_registry
+
+pytestmark = pytest.mark.skipif(_kernels.load() is None,
+                                reason="compiled kernels unavailable")
+
+
+# ---------------------------------------------------------------------------
+# Item 0: fast=True beyond the first intern-table allocation
+# ---------------------------------------------------------------------------
+
+def wide_stream(vertices=4200, extra=2):
+    """A path over ``vertices`` distinct vertices plus a few chords per
+    vertex: every vertex is new at some point, crossing the fast state's
+    1,024-row initial capacity twice (1,024 -> 2,048 -> 4,096 -> 8,192)."""
+    pairs = []
+    for i in range(vertices - 1):
+        pairs.append((i, i + 1))
+        for j in range(1, extra):
+            pairs.append((i, (i * 7 + j * 131) % (i + 1)))
+    return [Edge(u, v) for u, v in pairs if u != v]
+
+
+@pytest.mark.parametrize("algorithm,knobs", [
+    ("adwise", {"fixed_window": 16}),
+    ("adwise", {"latency_preference_ms": 150.0}),
+    ("hdrf", {}), ("dbh", {}), ("greedy", {}),
+], ids=["adwise-fixed", "adwise-adaptive", "hdrf", "dbh", "greedy"])
+class TestBeyondInitialVertexCapacity:
+    def run(self, algorithm, knobs, fast):
+        edges = wide_stream()
+        partitioner = partitioner_registry()[algorithm](
+            list(range(8)), fast=fast, **knobs)
+        result = partitioner.partition_stream(InMemoryEdgeStream(edges))
+        return partitioner, result
+
+    def test_fast_equals_legacy(self, algorithm, knobs):
+        fast_p, fast_r = self.run(algorithm, knobs, fast=True)
+        legacy_p, legacy_r = self.run(algorithm, knobs, fast=False)
+        assert len(fast_p.state._vindex) >= 4100
+        assert fast_p.state._capacity >= 4 * fast_state._INITIAL_CAPACITY
+        assert (list(fast_r.assignments.items())
+                == list(legacy_r.assignments.items()))
+        assert fast_r.latency_ms == legacy_r.latency_ms
+        assert fast_r.score_computations == legacy_r.score_computations
+        assert fast_r.extras == legacy_r.extras
+        assert fast_r.replication_degree == legacy_r.replication_degree
+        fast_snap, legacy_snap = fast_p.state.snapshot(), legacy_p.state.snapshot()
+        assert fast_snap.degree == legacy_snap.degree
+        assert fast_snap.replica_bits == legacy_snap.replica_bits
+        assert fast_snap.sizes == legacy_snap.sizes
+
+    def test_dense_degree_mirror_is_exact(self, algorithm, knobs):
+        partitioner, _ = self.run(algorithm, knobs, fast=True)
+        state = partitioner.state
+        for vertex, row in state._vindex.items():
+            assert state._deg[row] == state.degree[vertex]
+
+
+def test_snapshot_roundtrip_beyond_initial_capacity():
+    """``from_snapshot`` / ``copy_degrees_from`` intern while filling
+    the dense degree mirror — the same evaluation-order trap."""
+    partitioner = partitioner_registry()["hdrf"](list(range(4)), fast=True)
+    partitioner.partition_stream(InMemoryEdgeStream(wide_stream(1500, 2)))
+    state = partitioner.state
+    restored = fast_state.FastPartitionState.from_snapshot(state.snapshot())
+    adopted = fast_state.FastPartitionState(range(4))
+    adopted.copy_degrees_from(state)
+    for other in (restored, adopted):
+        assert other.degree == state.degree
+        for vertex, row in other._vindex.items():
+            assert other._deg[row] == state.degree.get(vertex, 0)
+
+
+# ---------------------------------------------------------------------------
+# Item 1: every bound buffer crossed from a tiny capacity
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def growths(monkeypatch):
+    """Tiny initial capacities everywhere, and a log of every time a
+    capacity group grew: ``{capacity field: [new capacity, ...]}``."""
+    monkeypatch.setattr(array_window, "_MIN_CAPACITY", 2)
+    monkeypatch.setattr(array_window, "_MIN_ARENA", 4)
+    monkeypatch.setattr(array_window, "_MIN_OUT", 2)
+    monkeypatch.setattr(fast_state, "_INITIAL_CAPACITY", 2)
+    log = {"slot_cap": [], "vertex_cap": [], "out_cap": [], "pool_cap": []}
+    resize, grow_arena = ArrayEdgeWindow._resize, ArrayEdgeWindow._grow_arena
+
+    def logged_resize(self, fields, cap_field, capacity, keep=True):
+        if capacity > getattr(self._ctx, cap_field) > 0:
+            log[cap_field].append(capacity)
+        resize(self, fields, cap_field, capacity, keep)
+
+    def logged_grow_arena(self):
+        grow_arena(self)
+        log["pool_cap"].append(self._ctx.pool_cap)
+
+    monkeypatch.setattr(ArrayEdgeWindow, "_resize", logged_resize)
+    monkeypatch.setattr(ArrayEdgeWindow, "_grow_arena", logged_grow_arena)
+    return log
+
+
+def clustered_stream(n=2600, vertices=600):
+    """Dense enough that window-local neighbourhoods are large (arena
+    growth), over a vertex universe that widens steadily so new
+    vertices keep arriving in every batch (row growth)."""
+    pairs = []
+    for i in range(n):
+        universe = 8 + i * vertices // n
+        u = (i * 7) % universe
+        pairs.append((u, (u + 1 + (i * 13) % 9) % universe))
+    return [Edge(u, v) for u, v in pairs if u != v]
+
+
+def run_windowed(edges, batches, window_backend, tiny, **knobs):
+    """One partitioner fed ``edges`` cut into ``batches`` ingest calls.
+    ``tiny`` swaps in a window built at the smallest capacity (the
+    partitioner would otherwise presize it from the window size)."""
+    partitioner = AdwisePartitioner(range(6), fast=True,
+                                    window_backend=window_backend, **knobs)
+    partitioner.begin(total_edges=len(edges))
+    if tiny:
+        partitioner.window = ArrayEdgeWindow(
+            partitioner.scoring, lazy=partitioner.lazy,
+            epsilon=partitioner.epsilon,
+            max_candidates=partitioner.max_candidates, initial_capacity=1)
+    step = -(-len(edges) // batches)
+    for start in range(0, len(edges), step):
+        partitioner.ingest(edges[start:start + step])
+    return partitioner, partitioner.finalize()
+
+
+CONFIGS = {
+    "fixed": {"fixed_window": 96},
+    "fixed-eager": {"fixed_window": 48, "lazy": False},
+    "fixed-no-cs": {"fixed_window": 96, "use_clustering": False},
+    "adaptive-grow": {"latency_preference_ms": None, "max_window": 256},
+    "adaptive-grow-shrink": {"latency_preference_ms": 400.0,
+                             "max_window": 256},
+}
+
+
+@pytest.mark.parametrize("batches", [1, 7], ids=["one-batch", "7-batches"])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_every_buffer_crosses_three_doublings(growths, config, batches):
+    """Slot arrays (with the incidence links, heap and scratch), arena
+    and output lists double through ``KERN_NEED_*`` re-entries inside
+    one pump; with one batch all of them inside a single ingest call.
+    State rows (with the per-vertex version/head/stamp arrays) regrow
+    while the batch is interned, before its pump — so it takes several
+    batches to regrow and rebind them under a live window."""
+    knobs = CONFIGS[config]
+    edges = clustered_stream()
+    reference = outcome(*run_windowed(edges, batches, "object", False,
+                                      **knobs))
+    partitioner, result = run_windowed(edges, batches, "array", True, **knobs)
+    assert outcome(partitioner, result) == reference
+    assert partitioner.window._ctx.vertex_cap == partitioner.state._capacity
+    if not knobs.get("use_clustering", True):
+        del growths["pool_cap"]  # no neighbourhoods, no arena traffic
+    if batches == 1:
+        del growths["vertex_cap"]  # bound once, after interning
+    for field, capacities in growths.items():
+        assert len(capacities) >= 3, (field, capacities)
+
+
+def test_grow_then_shrink_really_shrinks(growths):
+    partitioner, _ = run_windowed(clustered_stream(), 1, "array", True,
+                                  **CONFIGS["adaptive-grow-shrink"])
+    sizes = [event.window_after for event in partitioner.controller.events]
+    assert max(sizes) >= 64
+    assert sizes[-1] < max(sizes)
+    # Compaction ran: the slot arrays ended below their peak.
+    assert partitioner.window._ctx.slot_cap < max(growths["slot_cap"])
+
+
+def test_bound_buffers_are_validated_before_the_pump():
+    partitioner = AdwisePartitioner(range(4), fast=True, fixed_window=8)
+    partitioner.begin()
+    partitioner.ingest([Edge(1, 2), Edge(2, 3)])
+    window = partitioner.window
+    array, dtype, size = window._bound["score"]
+    window._bound["score"] = (array[::2], dtype, size)  # short, strided
+    with pytest.raises(RuntimeError, match="kernel buffer 'score'"):
+        partitioner.ingest([Edge(3, 4)])
+    window._bound["score"] = (array, dtype, size)
+    with pytest.raises(RuntimeError, match="dense vertex row"):
+        window._check_rows(np.array([0, window._ctx.vertex_cap]))
+
+
+# ---------------------------------------------------------------------------
+# State mirrors: exact after every pumped batch
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("knobs", [{"fixed_window": 32},
+                                   {"latency_preference_ms": 100.0,
+                                    "max_window": 64}],
+                         ids=["fixed", "adaptive"])
+def test_state_mirrors_after_every_batch(knobs):
+    edges = wide_stream(1100, 2)
+    knobs = dict(knobs, partitions=6, expected_edges=len(edges))
+    pumped = open_session("adwise", fast=True, **knobs)
+    legacy = open_session("adwise", fast=False, **knobs)
+    # The same array state maintained by Python's own ``assign``.
+    stepped = open_session("adwise", fast=True, window_backend="object",
+                           **knobs)
+    assert isinstance(pumped.partitioner.window, ArrayEdgeWindow)
+    seen = set()
+    for start in range(0, len(edges), 97):
+        batch = edges[start:start + 97]
+        seen.update(v for edge in batch for v in edge)
+        emitted = pumped.ingest(batch)
+        assert emitted == legacy.ingest(batch)
+        stepped.ingest(batch)
+        state, ref = pumped.partitioner.state, legacy.partitioner.state
+        snap, ref_snap = state.snapshot(), ref.snapshot()
+        assert snap.replica_bits == ref_snap.replica_bits
+        assert snap.sizes == ref_snap.sizes
+        assert snap.degree == ref_snap.degree
+        assert snap.max_degree == ref_snap.max_degree
+        assert snap.assigned_edges == ref_snap.assigned_edges
+        assert state.imbalance() == ref.imbalance()
+        assert state.replication_degree() == ref.replication_degree()
+        assert state.max_size == ref.max_size
+        assert state.min_size == ref.min_size
+        for p in state.partitions:
+            assert state.size(p) == ref.size(p)
+        for vertex in seen:
+            assert state.replicas(vertex) == ref.replicas(vertex)
+            assert state.replica_bits(vertex) == ref_snap.replica_bits.get(
+                vertex, 0)
+            assert state.degree_of(vertex) == ref.degree_of(vertex)
+            assert pumped.query_vertex(vertex) == legacy.query_vertex(vertex)
+        for edge in batch:
+            assert (pumped.query_edge(edge.u, edge.v)
+                    == legacy.query_edge(edge.u, edge.v))
+        assert pumped.stats().to_dict() == legacy.stats().to_dict()
+        # Field for field against the Python-maintained array state.
+        twin = stepped.partitioner.state
+        assert state._vindex == twin._vindex
+        assert state._replica_bits == twin._replica_bits
+        assert state._sizes_list == twin._sizes_list
+        assert state._size_histogram == twin._size_histogram
+        assert state._total_replicas == twin._total_replicas
+        assert state._replicated_vertices == twin._replicated_vertices
+        rows = len(state._vindex)
+        assert np.array_equal(state.replica_matrix()[:rows],
+                              twin.replica_matrix()[:rows])
+        assert np.array_equal(state._row_version[:rows],
+                              twin._row_version[:rows])
+        assert np.array_equal(state._deg[:rows], twin._deg[:rows])
+        assert np.array_equal(state.sizes_vector(), twin.sizes_vector())
+    assert (list(pumped.finalize().assignments.items())
+            == list(legacy.finalize().assignments.items()))

@@ -137,9 +137,8 @@ class TestSnapshotResume:
                                                    tmp_path):
         """snapshot -> pickle -> restore -> continue == uninterrupted.
 
-        The live AdwisePartitioner has migrated to the array window
-        backend by the later cut points, so this also proves the array
-        window's image round-trip mid-traversal.
+        The fast-state session runs the array window, so this also
+        proves its image round-trip mid-traversal.
         """
         knobs = _adwise_knobs(fast)
         live = open_session(algorithm="adwise", partitions=6,
@@ -166,11 +165,10 @@ class TestSnapshotResume:
         assert resumed_result.latency_ms == reference.latency_ms
 
     def test_array_window_live_at_snapshot(self):
-        """Sanity-check the interesting case really occurs: by edge 777
-        a fast-state adwise session has migrated to the array window
-        (the hybrid backend migrates once the window grows past the
-        threshold), so the fast-state resume params above really do
-        round-trip an ArrayEdgeWindow mid-traversal."""
+        """Sanity-check the interesting case really occurs: a fast-state
+        adwise session runs the array window, so the fast-state resume
+        params above really do round-trip an ArrayEdgeWindow
+        mid-traversal."""
         from repro.core.array_window import ArrayEdgeWindow
 
         session = open_session(algorithm="adwise", partitions=6,

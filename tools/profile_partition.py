@@ -14,10 +14,12 @@ Usage::
     PYTHONPATH=src python tools/profile_partition.py \
         --algorithm hdrf --n 2000 --m 8 --partitions 16
 
-Used to verify that an optimisation actually moved the hot path (e.g.
-that ``score_batch``/``_rescore_slots`` replaced per-edge ``score_all``
-calls at the top of the ADWISE profile) rather than just the benchmark
-number.
+The stream is fed through ``begin/ingest/finalize`` in ``--batch``-edge
+batches, once plain (wall clock, edges/s and — on the compiled array
+window — the seconds spent inside the C kernels and the kernel calls
+per ingest batch: ROADMAP item 4's "kernel share") and once under
+cProfile (the tables).  Used to verify that an optimisation actually
+moved the hot path rather than just the benchmark number.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core.adwise import AdwisePartitioner          # noqa: E402
 from repro.graph.generators import barabasi_albert_graph  # noqa: E402
-from repro.graph.stream import InMemoryEdgeStream, shuffled  # noqa: E402
+from repro.graph.stream import shuffled                   # noqa: E402
 from repro.partitioning.dbh import DBHPartitioner         # noqa: E402
 from repro.partitioning.greedy import GreedyPartitioner   # noqa: E402
 from repro.partitioning.hashing import HashPartitioner    # noqa: E402
@@ -67,10 +69,8 @@ def main(argv=None) -> int:
     parser.add_argument("--window-backend", default="auto",
                         choices=["auto", "array", "object"],
                         help="ADWISE window engine (default: auto)")
-    parser.add_argument("--kernel", default=None,
-                        choices=["auto", "cc", "numba", "numpy"],
-                        help="force the array-window kernel backend "
-                             "(sets REPRO_KERNEL; default: inherit env)")
+    parser.add_argument("--batch", type=int, default=256,
+                        help="edges per ingest call")
     parser.add_argument("--window", type=int, default=64,
                         help="fixed ADWISE window size (0 = adaptive)")
     parser.add_argument("--latency-preference", type=float, default=10.0,
@@ -93,19 +93,36 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.window == 0:
         args.window = None
-    if args.kernel is not None:
-        if args.kernel == "auto":
-            os.environ.pop("REPRO_KERNEL", None)
-        else:
-            os.environ["REPRO_KERNEL"] = args.kernel
     from repro.core import _kernels
     print(f"kernel backend: {_kernels.resolve_backend_name()}")
 
     graph = barabasi_albert_graph(n=args.n, m=args.m, seed=args.seed)
     edges = list(shuffled(graph.edges(), seed=args.seed + 2))
-    partitioner = build_partitioner(args)
-    stream = InMemoryEdgeStream(edges)
+    batches = [edges[i:i + args.batch]
+               for i in range(0, len(edges), args.batch)]
 
+    def run(partitioner):
+        partitioner.begin(total_edges=len(edges))
+        for batch in batches:
+            partitioner.ingest(batch)
+        return partitioner.finalize()
+
+    partitioner = build_partitioner(args)
+    plain_wall = time.perf_counter()
+    run(partitioner)
+    plain_wall = time.perf_counter() - plain_wall
+    print(f"unprofiled: {plain_wall:.3f}s partition wall, "
+          f"{len(edges) / plain_wall:,.0f} edges/s")
+    window = getattr(partitioner, "window", None)
+    if hasattr(window, "kernel_ns"):
+        pump_s = window.kernel_ns / 1e9
+        print(f"pump: {pump_s:.3f}s inside the C kernels = "
+              f"{pump_s / plain_wall:.0%} of partition wall; "
+              f"{window.kernel_calls} kernel calls over {len(batches) + 1} "
+              f"ingest/finalize batches = "
+              f"{window.kernel_calls / (len(batches) + 1):.2f} per batch")
+
+    partitioner = build_partitioner(args)
     if args.trace:
         from repro import obs
         obs.enable()
@@ -113,7 +130,7 @@ def main(argv=None) -> int:
     profiler = cProfile.Profile()
     wall = time.perf_counter()
     profiler.enable()
-    result = partitioner.partition_stream(stream)
+    result = run(partitioner)
     profiler.disable()
     wall = time.perf_counter() - wall
 
@@ -127,8 +144,8 @@ def main(argv=None) -> int:
 
     print(f"{partitioner.name} over {len(edges)} power-law edges "
           f"(n={args.n}, m={args.m}, k={args.partitions}, "
-          f"fast={args.fast}, backend={args.window_backend}): "
-          f"{wall:.2f}s wall, {len(edges) / wall:,.0f} edges/s")
+          f"fast={args.fast}, backend={args.window_backend}) under "
+          f"cProfile: {wall:.2f}s wall, {len(edges) / wall:,.0f} edges/s")
     print(f"replication_degree={result.replication_degree:.3f} "
           f"imbalance={result.imbalance:.4f} "
           f"score_computations={result.score_computations}")
