@@ -97,6 +97,9 @@ class SuperstepTelemetry:
     payload_bytes: int
     remote_per_machine: Dict[int, int] = field(default_factory=dict)
     local_per_machine: Dict[int, int] = field(default_factory=dict)
+    #: Coordinator wall-clock of the replica exchange (gather, fold,
+    #: scatter); 0.0 on checkpoints written before the field existed.
+    sync_ms: float = 0.0
 
 
 @dataclass
@@ -512,6 +515,9 @@ class ClusterEngine:
                             obs.histogram("repro_cluster_superstep_seconds",
                                           backend=backend
                                           ).observe(wall_ms / 1000.0)
+                            obs.histogram("repro_cluster_sync_seconds",
+                                          backend=backend
+                                          ).observe(result.sync_seconds)
                         telemetry.append(SuperstepTelemetry(
                             superstep=superstep,
                             computed=computed,
@@ -524,6 +530,7 @@ class ClusterEngine:
                             payload_bytes=stats.payload_bytes,
                             remote_per_machine=dict(stats.remote_per_machine),
                             local_per_machine=dict(stats.local_per_machine),
+                            sync_ms=result.sync_seconds * 1000.0,
                         ))
                         superstep += 1
                         if (self.checkpoint_every is not None

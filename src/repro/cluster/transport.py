@@ -5,21 +5,26 @@ Each BSP superstep runs every shard's dense kernel locally, producing
 over the shard's own adjacency slots).  The transport then performs the
 PowerGraph synchronisation round that makes replicas globally consistent:
 
-* **gather** — every mirror replica sends its partial (value, received)
-  slice to the vertex's master partition, which folds the contributions
-  in ascending partition order (master's own partial first — a fixed
-  association, so the serial and process backends are bit-identical);
-* **scatter** — the master broadcasts the combined slice back to every
-  mirror, which overwrites its local arrays in place.
+* **gather** — every mirror replica's partial (value, received) reaches
+  the vertex's master, which folds the contributions in ascending
+  partition order (master's own partial first — a fixed association, so
+  the serial and process backends are bit-identical);
+* **scatter** — the master's combined element overwrites every mirror.
+
+The exchange is compiled once, not interpreted per superstep: each
+:class:`ShardGroup` turns its shards' channel tables into a
+:class:`SyncPlan` of flat index arrays, and a syncing superstep is a
+handful of numpy calls over the concatenated parked arrays whatever the
+channel count (DESIGN.md §8).
 
 Both directions move one logical message per shared vertex per channel,
-so a syncing superstep carries exactly ``2 · (span − 1)`` messages per
+so a syncing superstep carries exactly ``2 * (span - 1)`` messages per
 replicated vertex — the quantity
 :meth:`repro.engine.placement.Placement.stats` predicts.  The transports
-*measure* rather than assume it: every applied payload is recorded as
-remote (endpoint partitions on different machines) or local (same
-machine) message counts per machine, plus payload bytes, and the
-differential test layer holds the measurement equal to the prediction.
+*measure* rather than assume it: the group that applies a move charges
+the lengths of the index arrays the move used as remote (endpoint
+machines differ) or local message counts per machine, plus payload
+bytes, and the differential tests hold measurement equal to prediction.
 
 Two backends share the exchange logic through :class:`ShardGroup`:
 
@@ -29,9 +34,10 @@ Two backends share the exchange logic through :class:`ShardGroup`:
 * :class:`ProcessTransport` — shards grouped onto worker OS processes
   (one worker per partition by default), long-lived over
   ``multiprocessing`` pipes.  The pickle boundary is narrow, PR-2 style:
-  shard arrays ship once at start-up, then only channel slices and small
-  telemetry tuples cross per superstep.  Machines *are* the workers, so
-  remote messages are exactly the payloads that crossed a pipe.
+  shard arrays ship once at start-up, then per superstep one
+  ``(kind, values, recv)`` payload per ordered host pair and small
+  telemetry tuples.  Machines *are* the workers, so remote messages are
+  exactly the elements that crossed a pipe.
 
 Failure detection and fault injection
 -------------------------------------
@@ -58,6 +64,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -90,32 +97,26 @@ class SyncStats:
         endpoint machines, and counts as remote only when the endpoints'
         machines differ.
         """
-        src_machine = machine_of[src_part]
-        dst_machine = machine_of[dst_part]
+        ends = (machine_of[src_part], machine_of[dst_part])
         self.payload_bytes += nbytes
-        if src_machine == dst_machine:
+        if ends[0] == ends[1]:
             self.local_messages += messages
-            self.local_per_machine[src_machine] = (
-                self.local_per_machine.get(src_machine, 0) + messages)
-            self.local_per_machine[dst_machine] = (
-                self.local_per_machine.get(dst_machine, 0) + messages)
+            per_machine = self.local_per_machine
         else:
             self.remote_messages += messages
-            self.remote_per_machine[src_machine] = (
-                self.remote_per_machine.get(src_machine, 0) + messages)
-            self.remote_per_machine[dst_machine] = (
-                self.remote_per_machine.get(dst_machine, 0) + messages)
+            per_machine = self.remote_per_machine
+        for machine in ends:
+            per_machine[machine] = per_machine.get(machine, 0) + messages
 
     def merge(self, other: "SyncStats") -> None:
         self.remote_messages += other.remote_messages
         self.local_messages += other.local_messages
         self.payload_bytes += other.payload_bytes
-        for machine, count in other.remote_per_machine.items():
-            self.remote_per_machine[machine] = (
-                self.remote_per_machine.get(machine, 0) + count)
-        for machine, count in other.local_per_machine.items():
-            self.local_per_machine[machine] = (
-                self.local_per_machine.get(machine, 0) + count)
+        for mine, theirs in (
+                (self.remote_per_machine, other.remote_per_machine),
+                (self.local_per_machine, other.local_per_machine)):
+            for machine, count in theirs.items():
+                mine[machine] = mine.get(machine, 0) + count
 
 
 @dataclass
@@ -153,9 +154,8 @@ class ShardRunner:
         # Instance-attribute rebinding: kernels invoke the helpers via
         # ``self.scatter_*`` / ``self.sent_from``, so these shadow the
         # class methods for this kernel only.
-        kernel.scatter_sum = self._scatter_sum
-        kernel.scatter_min = self._scatter_min
-        kernel.scatter_count = self._scatter_count
+        for kind in ("sum", "min", "count"):
+            setattr(kernel, f"scatter_{kind}", partial(self._scatter, kind))
         kernel.sent_from = self._sent_from
         self.shard = shard
         self.kernel = kernel
@@ -166,36 +166,19 @@ class ShardRunner:
     def _sent_from(self, send_mask: np.ndarray) -> int:
         return int(self.shard.csr.local_degrees[send_mask].sum())
 
-    def _park(self, kind: str, values: np.ndarray,
-              recv: np.ndarray) -> None:
+    def _scatter(self, kind: str, *args: Any
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        # The base helpers already combine over this shard's local slots
+        # (the kernel's csr *is* the shard CSR); the interception only
+        # parks the result for the replica-sync barrier.
+        recv, values = getattr(DenseKernel, f"scatter_{kind}")(
+            self.kernel, *args)
         if self.pending is not None:
             raise RuntimeError(
                 "sharded kernel protocol violation: more than one scatter "
                 "per superstep (see repro.engine.dense)")
         self.pending = _PendingSync(kind, values, recv)
-
-    def _scatter_sum(self, send_mask: np.ndarray,
-                     values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # The base helpers already combine over this shard's local slots
-        # (the kernel's csr *is* the shard CSR); the interception only
-        # parks the result for the replica-sync barrier.
-        recv, sums = DenseKernel.scatter_sum(self.kernel, send_mask,
-                                             values)
-        self._park("sum", sums, recv)
-        return recv, sums
-
-    def _scatter_min(self, send_mask: np.ndarray, values: np.ndarray,
-                     sentinel: Any) -> Tuple[np.ndarray, np.ndarray]:
-        recv, mins = DenseKernel.scatter_min(self.kernel, send_mask,
-                                             values, sentinel)
-        self._park("min", mins, recv)
-        return recv, mins
-
-    def _scatter_count(self, send_mask: np.ndarray
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-        recv, counts = DenseKernel.scatter_count(self.kernel, send_mask)
-        self._park("count", counts, recv)
-        return recv, counts
+        return recv, values
 
     # -- superstep protocol --------------------------------------------
     def begin_superstep(self) -> int:
@@ -247,16 +230,22 @@ class ShardRunner:
         self._mask = None
 
 
-#: A routed sync payload: (dst_partition, src_partition, values, recv).
-_Payload = Tuple[int, int, np.ndarray, np.ndarray]
+#: What one host sends another in one direction of one superstep:
+#: ``(kind, values, recv)``, every channel between the two in plan order.
+HostPayload = Tuple[str, np.ndarray, np.ndarray]
 
 
 @dataclass
-class GroupStepResult:
+class TransportStepResult:
+    """One superstep of a group, or — summed by a transport — of all."""
+
     sent: int
     aggregate: Any
     compute_seconds: float
-    syncing: bool
+    synced: bool
+    stats: SyncStats = field(default_factory=SyncStats)
+    #: Coordinator wall-clock of the exchange (gather, fold, scatter).
+    sync_seconds: float = 0.0
 
 
 def _reduce_aggregates(parts: Iterable[Any]) -> Any:
@@ -269,137 +258,213 @@ def _reduce_aggregates(parts: Iterable[Any]) -> Any:
     return total
 
 
+def _cat(arrays: List[np.ndarray]) -> np.ndarray:
+    return (np.concatenate(arrays) if arrays
+            else np.empty(0, dtype=np.int64))
+
+
+class SyncPlan:
+    """One group's replica exchange, compiled from its shards' channel
+    tables (DESIGN.md §8 has the layout and why the fold is exact).
+
+    The shards lie end to end, ascending partition, in one flat index
+    space (``bounds``).  Index arrays and host payloads are in *plan
+    order*: master partition, then mirror partition, then the channels'
+    aligned position.  Keyed by the host at the channels' other end (this
+    one included): ``mirrors[h]`` — mirrors here whose masters are on
+    ``h``; ``masters[h]`` — the masters here, once per mirror on ``h``;
+    ``slots[h]`` — where ``h``'s gather elements go in the contribution
+    buffer.  The buffer is laid out in rank rounds (``rounds``, with the
+    masters' flat index in ``targets``): round ``r`` holds each master's
+    ``r``-th mirror by ascending partition, so no master repeats inside a
+    round and one vectorised op per round folds in the fixed association.
+    ``rows`` is one ``(src, dst, count)`` per channel this group applies
+    a move for, ``count`` the length of the index array the move uses.
+    """
+
+    def __init__(self, shards: List[Shard],
+                 host_of: Mapping[int, int]) -> None:
+        starts = np.cumsum(
+            [0] + [shard.num_vertices for shard in shards]).tolist()
+        offset = {shard.partition: start
+                  for shard, start in zip(shards, starts)}
+        self.bounds = list(zip(starts[:-1], starts[1:]))
+        self.rows: List[Tuple[int, int, int]] = []
+        targets: List[np.ndarray] = []
+        ranks: List[np.ndarray] = []
+        spans: Dict[int, List[np.ndarray]] = {}
+        cursor = 0
+        for shard in shards:
+            seen = np.zeros(shard.num_vertices, dtype=np.int64)
+            for src, idx in sorted(shard.master_channels.items()):
+                spans.setdefault(host_of[src], []).append(
+                    np.arange(cursor, cursor + len(idx)))
+                targets.append(idx + offset[shard.partition])
+                ranks.append(seen[idx])
+                seen[idx] += 1
+                self.rows.append((src, shard.partition, len(idx)))
+                cursor += len(idx)
+        mirrors: Dict[int, List[np.ndarray]] = {}
+        for dst, src, idx in sorted(
+                (dst, shard.partition, idx) for shard in shards
+                for dst, idx in shard.mirror_channels.items()):
+            mirrors.setdefault(host_of[dst], []).append(idx + offset[src])
+            self.rows.append((dst, src, len(idx)))
+        self.mirrors = {h: _cat(parts) for h, parts in mirrors.items()}
+        target, rank = _cat(targets), _cat(ranks)
+        by_round = np.argsort(rank, kind="stable")
+        slot = np.empty(len(target), dtype=np.int64)
+        slot[by_round] = np.arange(len(target))
+        self.targets = target[by_round]
+        self.masters = {h: target[_cat(p)] for h, p in spans.items()}
+        self.slots = {h: slot[_cat(p)] for h, p in spans.items()}
+        stops = np.cumsum(np.bincount(rank)).tolist()
+        self.rounds = list(zip([0] + stops[:-1], stops))
+
+
 class ShardGroup:
     """A set of shard runners co-hosted in one process ("machine").
 
     The serial backend uses a single group for all shards; the process
-    backend gives each worker one group.  Sync payloads between two
-    shards of the same group never leave the process and are counted as
-    *local* traffic; cross-group payloads are routed by the coordinator
-    and counted as *remote* — the machine map and the host map coincide.
+    backend gives each worker one group.  Channels between two shards of
+    the same group never leave the process; what the :class:`SyncPlan`
+    keys by another host is routed by the coordinator — the machine map
+    and the host map coincide there, so it is counted as *remote*.
+
+    A syncing superstep is ``step`` -> ``gather`` -> ``fold`` ->
+    ``scatter``; ``stats`` is then the superstep's measured traffic
+    (a tally shared between supersteps: read it, do not mutate it).
     """
 
     def __init__(self, shards: List[Shard], program: VertexProgram,
                  machine_of: Mapping[int, int],
                  host_of: Mapping[int, int], host: int) -> None:
+        shards = sorted(shards, key=lambda shard: shard.partition)
         self.runners = {shard.partition: ShardRunner(shard, program)
                         for shard in shards}
         self.machine_of = dict(machine_of)
-        self.host_of = dict(host_of)
         self.host = host
-        self._staged: List[_Payload] = []
+        self.plan = SyncPlan(shards, host_of)
         self.stats = SyncStats()
+        #: The rows' tally by payload bytes per element: a pure function
+        #: of the plan, so it is added up once per item size.
+        self._tallies: Dict[int, SyncStats] = {}
+        self._kind = ""
+        self._values = self._recv = np.empty(0)
 
     # -- superstep ------------------------------------------------------
     def compute_owned(self) -> int:
         return sum(runner.begin_superstep()
-                   for _, runner in sorted(self.runners.items()))
+                   for runner in self.runners.values())
 
-    def step(self, superstep: int) -> GroupStepResult:
+    def step(self, superstep: int) -> TransportStepResult:
         self.stats = SyncStats()
-        self._staged = []
         sent = 0
         aggregates = []
         compute = 0.0
-        syncing: Optional[bool] = None
-        for _, runner in sorted(self.runners.items()):
+        for runner in self.runners.values():
             shard_sent, aggregate, seconds = runner.step(superstep)
             sent += shard_sent
             aggregates.append(aggregate)
             compute = max(compute, seconds)
-            shard_syncing = runner.pending is not None
-            if syncing is None:
-                syncing = shard_syncing
-            elif syncing != shard_syncing:
+        parked = {partition: (runner.pending.kind,
+                              runner.pending.values.dtype)
+                  for partition, runner in self.runners.items()
+                  if runner.pending is not None}
+        if parked and (len(parked) < len(self.runners)
+                       or len(set(parked.values())) > 1):
+            raise RuntimeError(
+                f"shards disagree on this superstep's sync — of "
+                f"partitions {list(self.runners)}, {parked} parked a "
+                "partial — non-deterministic kernel")
+        return TransportStepResult(sent, _reduce_aggregates(aggregates),
+                                   compute, synced=bool(parked))
+
+    # -- replica sync ---------------------------------------------------
+    def _slices(self, index: Mapping[int, np.ndarray],
+                remote: bool) -> Dict[int, HostPayload]:
+        """The flat arrays at ``index``, for the other hosts (``remote``)
+        or for this one — a payload that never leaves the process."""
+        return {peer: (self._kind, self._values[idx], self._recv[idx])
+                for peer, idx in index.items()
+                if (peer != self.host) == remote}
+
+    def _check(self, inbound: Mapping[int, HostPayload],
+               index: Mapping[int, np.ndarray]) -> None:
+        """Refuse ``inbound`` unless it is exactly the payloads the plan
+        expects, each of the plan's length and this superstep's kind and
+        dtype."""
+        expected = sorted(set(index) - {self.host})
+        if sorted(inbound) != expected:
+            raise RuntimeError(
+                f"host {self.host}: sync payloads from hosts "
+                f"{sorted(inbound)}, plan expects {expected}")
+        for peer, (kind, values, recv) in inbound.items():
+            shape = index[peer].shape
+            got = (kind, values.dtype, values.shape, recv.dtype, recv.shape)
+            want = (self._kind, self._values.dtype, shape, np.bool_, shape)
+            if got != want:
                 raise RuntimeError(
-                    "shards disagree on whether this superstep syncs — "
+                    f"host {self.host}: sync payload from host {peer} is "
+                    f"{got}, plan expects {want} — truncated payload or "
                     "non-deterministic kernel")
-        return GroupStepResult(sent=sent,
-                               aggregate=_reduce_aggregates(aggregates),
-                               compute_seconds=compute,
-                               syncing=bool(syncing))
 
-    # -- gather phase ---------------------------------------------------
-    def collect_gathers(self) -> Dict[int, List[_Payload]]:
-        """Mirror -> master slices, keyed by destination host.  Payloads
-        for this host are staged internally instead of returned."""
-        outbound: Dict[int, List[_Payload]] = {}
-        for src, runner in sorted(self.runners.items()):
-            pending = runner.pending
-            if pending is None:
-                continue
-            for dst, idx in sorted(runner.shard.mirror_channels.items()):
-                payload: _Payload = (dst, src, pending.values[idx],
-                                     pending.recv[idx])
-                host = self.host_of[dst]
-                if host == self.host:
-                    self._staged.append(payload)
-                else:
-                    outbound.setdefault(host, []).append(payload)
-        return outbound
+    def gather(self) -> Dict[int, HostPayload]:
+        """Lay the parked partials into the flat space; returns the
+        mirror partials whose masters live elsewhere, by master host."""
+        parked = [runner.pending for runner in self.runners.values()]
+        self._kind = parked[0].kind
+        self._values = np.concatenate([p.values for p in parked])
+        self._recv = np.concatenate([p.recv for p in parked])
+        return self._slices(self.plan.mirrors, remote=True)
 
-    def apply_gathers(self, inbound: List[_Payload]) -> None:
-        """Fold mirror partials into the masters' pending arrays.
+    def fold(self, inbound: Mapping[int, HostPayload]
+             ) -> Dict[int, HostPayload]:
+        """Fold every mirror partial into its master (``sum``/``count``
+        add, ``min`` takes the minimum, ``recv`` ors); returns the
+        combined elements whose mirrors live elsewhere, by mirror host."""
+        plan, values, recv = self.plan, self._values, self._recv
+        self._check(inbound, plan.masters)
+        partial = np.empty(len(plan.targets), dtype=values.dtype)
+        partial_recv = np.empty(len(plan.targets), dtype=bool)
+        for peer, (_, theirs, their_recv) in {
+                **inbound, **self._slices(plan.mirrors, remote=False)
+        }.items():
+            partial[plan.slots[peer]] = theirs
+            partial_recv[plan.slots[peer]] = their_recv
+        combine = np.minimum if self._kind == "min" else np.add
+        for start, stop in plan.rounds:
+            masters = plan.targets[start:stop]
+            values[masters] = combine(values[masters], partial[start:stop])
+        recv[plan.targets[np.flatnonzero(partial_recv)]] = True
+        return self._slices(plan.masters, remote=True)
 
-        Association is fixed — the master's own partial is the base, then
-        contributions in ascending mirror-partition order — so serial and
-        process backends produce bit-identical combined values.
-        """
-        by_master: Dict[int, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
-        for dst, src, values, recv in self._staged + inbound:
-            by_master.setdefault(dst, {})[src] = (values, recv)
-        self._staged = []
-        for dst in sorted(by_master):
-            runner = self.runners[dst]
-            pending = runner.pending
-            for src in sorted(by_master[dst]):
-                values, recv = by_master[dst][src]
-                idx = runner.shard.master_channels[src]
-                if pending.kind == "min":
-                    pending.values[idx] = np.minimum(pending.values[idx],
-                                                     values)
-                else:  # "sum" / "count" combine additively
-                    pending.values[idx] = pending.values[idx] + values
-                pending.recv[idx] |= recv
-                self.stats.record(src, dst, len(idx),
-                                  values.nbytes + recv.nbytes,
-                                  self.machine_of)
-
-    # -- scatter phase --------------------------------------------------
-    def collect_scatters(self) -> Dict[int, List[_Payload]]:
-        """Master -> mirror combined slices, keyed by destination host."""
-        outbound: Dict[int, List[_Payload]] = {}
-        for src, runner in sorted(self.runners.items()):
-            pending = runner.pending
-            if pending is None:
-                continue
-            for dst, idx in sorted(runner.shard.master_channels.items()):
-                payload: _Payload = (dst, src, pending.values[idx],
-                                     pending.recv[idx])
-                host = self.host_of[dst]
-                if host == self.host:
-                    self._staged.append(payload)
-                else:
-                    outbound.setdefault(host, []).append(payload)
-        return outbound
-
-    def apply_scatters(self, inbound: List[_Payload]) -> None:
-        """Overwrite mirrors' pending arrays with the combined values."""
-        for dst, src, values, recv in self._staged + inbound:
-            runner = self.runners[dst]
-            pending = runner.pending
-            idx = runner.shard.mirror_channels[src]
-            pending.values[idx] = values
-            pending.recv[idx] = recv
-            self.stats.record(src, dst, len(idx),
-                              values.nbytes + recv.nbytes,
-                              self.machine_of)
-        self._staged = []
+    def scatter(self, inbound: Mapping[int, HostPayload]) -> None:
+        """Overwrite every mirror with its master's combined element,
+        hand the kernels their slices back and charge the traffic."""
+        plan, values, recv = self.plan, self._values, self._recv
+        self._check(inbound, plan.mirrors)
+        for peer, (_, theirs, their_recv) in {
+                **inbound, **self._slices(plan.masters, remote=False)
+        }.items():
+            values[plan.mirrors[peer]] = theirs
+            recv[plan.mirrors[peer]] = their_recv
+        for runner, (start, stop) in zip(self.runners.values(),
+                                         plan.bounds):
+            runner.pending.values[:] = values[start:stop]
+            runner.pending.recv[:] = recv[start:stop]
+        item_bytes = values.itemsize + recv.itemsize
+        if item_bytes not in self._tallies:
+            tally = self._tallies[item_bytes] = SyncStats()
+            for src, dst, count in plan.rows:
+                tally.record(src, dst, count, count * item_bytes,
+                             self.machine_of)
+        self.stats = self._tallies[item_bytes]
 
     # -- results --------------------------------------------------------
     def states(self) -> Dict[int, Any]:
         merged: Dict[int, Any] = {}
-        for _, runner in sorted(self.runners.items()):
+        for runner in self.runners.values():
             merged.update(runner.states())
         return merged
 
@@ -407,22 +472,20 @@ class ShardGroup:
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
         """Per-partition kernel states of every shard in this group."""
         return {partition: runner.snapshot()
-                for partition, runner in sorted(self.runners.items())}
+                for partition, runner in self.runners.items()}
 
     def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
-        for partition, runner in sorted(self.runners.items()):
+        for partition, runner in self.runners.items():
             runner.restore(shard_states[partition])
 
 
-@dataclass
-class TransportStepResult:
-    """One superstep as seen by the coordinator."""
-
-    sent: int
-    aggregate: Any
-    compute_seconds: float
-    synced: bool
-    stats: SyncStats
+def _fire(transport, injector: Optional[FaultInjector], point: str,
+          superstep: int) -> None:
+    """Kill the machine ``injector`` schedules for this position, if any."""
+    victim = (injector.check(point, superstep) if injector is not None
+              else None)
+    if victim is not None:
+        transport.kill_machine(victim)
 
 
 class SerialTransport:
@@ -448,7 +511,6 @@ class SerialTransport:
         host_of = {p: 0 for p in sharded.partitions}
         self.group = ShardGroup(shards, program, machine_of, host_of,
                                 host=0)
-        self.num_hosts = 1
         self._machines = set(machine_of.values())
         self._dead: set = set()
 
@@ -464,14 +526,6 @@ class SerialTransport:
         if self._dead:
             raise WorkerDied(min(self._dead), "killed by fault injection")
 
-    def _fire(self, injector: Optional[FaultInjector], point: str,
-              superstep: int) -> None:
-        if injector is None:
-            return
-        victim = injector.check(point, superstep)
-        if victim is not None:
-            self.kill_machine(victim)
-
     # -- superstep protocol --------------------------------------------
     def compute_owned(self) -> int:
         self._check_alive()
@@ -482,26 +536,25 @@ class SerialTransport:
              ) -> TransportStepResult:
         self._check_alive()
         result = self.group.step(superstep)
-        self._fire(injector, "pre-gather", superstep)
+        _fire(self, injector, "pre-gather", superstep)
         self._check_alive()
-        if result.syncing:
-            outbound = self.group.collect_gathers()
-            assert not outbound, "serial transport routed off-host"
-            self.group.apply_gathers([])
-            self._fire(injector, "mid-scatter", superstep)
+        sync_start = time.perf_counter()
+        if result.synced:
+            # One host: the plan keys nothing by another, so both
+            # directions exchange empty payload maps.
+            with obs.span("cluster.sync_gather"):
+                self.group.fold(self.group.gather())
+            _fire(self, injector, "mid-scatter", superstep)
             self._check_alive()
-            outbound = self.group.collect_scatters()
-            assert not outbound, "serial transport routed off-host"
-            self.group.apply_scatters([])
+            with obs.span("cluster.sync_scatter"):
+                self.group.scatter({})
+        result.stats = self.group.stats
+        result.sync_seconds = time.perf_counter() - sync_start
         # A post-apply kill lands after the superstep committed; like a
         # real crash it is detected at the *next* exchange (the following
         # superstep, a checkpoint snapshot, or the final states fetch).
-        self._fire(injector, "post-apply", superstep)
-        return TransportStepResult(sent=result.sent,
-                                   aggregate=result.aggregate,
-                                   compute_seconds=result.compute_seconds,
-                                   synced=result.syncing,
-                                   stats=self.group.stats)
+        _fire(self, injector, "post-apply", superstep)
+        return result
 
     def states(self) -> Dict[int, Any]:
         self._check_alive()
@@ -524,9 +577,9 @@ def _cluster_worker(conn, inherited, shards: List[Shard],
                     host_of: Dict[int, int], host: int) -> None:
     """Worker process main loop: one :class:`ShardGroup`, command-driven.
 
-    Commands are small tuples; sync payloads are numpy slices.  The
-    worker stages intra-host payloads itself and only ships cross-host
-    slices back to the coordinator for routing.
+    Commands are small tuples.  Channels inside the group never leave
+    it; what crosses the pipe is one payload per other host and
+    direction, keyed by that host, for the coordinator to route.
     """
     # The fork duplicated every pipe end that existed in the parent —
     # including this worker's *own* coordinator-side end.  Close them
@@ -563,21 +616,19 @@ def _cluster_worker(conn, inherited, shards: List[Shard],
                         obs.span("cluster.worker_step", host=host,
                                  superstep=message[1]):
                     result = group.step(message[1])
-                    outbound = (group.collect_gathers()
-                                if result.syncing else {})
+                    outbound = group.gather() if result.synced else {}
                 conn.send((result.sent, result.aggregate,
-                           result.compute_seconds, result.syncing,
+                           result.compute_seconds, result.synced,
                            outbound))
             elif op == "gather":
                 with obs.use_context(step_ctx), \
                         obs.span("cluster.worker_gather", host=host):
-                    group.apply_gathers(message[1])
-                    outbound = group.collect_scatters()
+                    outbound = group.fold(message[1])
                 conn.send(outbound)
             elif op == "scatter":
                 with obs.use_context(step_ctx), \
                         obs.span("cluster.worker_scatter", host=host):
-                    group.apply_scatters(message[1])
+                    group.scatter(message[1])
                 conn.send(group.stats)
             elif op == "states":
                 conn.send(group.states())
@@ -625,7 +676,6 @@ class ProcessTransport:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         hosts = sorted(set(self.machine_of.values()))
-        self.num_hosts = len(hosts)
         self._parts_of_host = {
             host: [p for p in partitions if self.machine_of[p] == host]
             for host in hosts}
@@ -691,10 +741,18 @@ class ProcessTransport:
                     host, f"no reply within {self.timeout:.1f}s "
                           f"(worker still alive — likely wedged)")
 
-    def _broadcast(self, message) -> Dict[int, Any]:
+    def _round(self, message_for) -> Dict[int, Any]:
+        """Send every worker ``message_for(host)``, then collect replies."""
         for host in sorted(self._conns):
-            self._send(host, message)
+            self._send(host, message_for(host))
         return {host: self._recv(host) for host in sorted(self._conns)}
+
+    def _merged(self, op: str) -> Dict[int, Any]:
+        """The workers' per-vertex / per-partition replies as one dict."""
+        merged: Dict[int, Any] = {}
+        for reply in self._round(lambda host: (op,)).values():
+            merged.update(reply)
+        return merged
 
     # -- failure primitives --------------------------------------------
     def kill_machine(self, machine: int) -> bool:
@@ -707,17 +765,9 @@ class ProcessTransport:
         process.join(timeout=5)
         return True
 
-    def _fire(self, injector: Optional[FaultInjector], point: str,
-              superstep: int) -> None:
-        if injector is None:
-            return
-        victim = injector.check(point, superstep)
-        if victim is not None:
-            self.kill_machine(victim)
-
     # -- superstep protocol --------------------------------------------
     def compute_owned(self) -> int:
-        return sum(self._broadcast(("mask",)).values())
+        return sum(self._round(lambda host: ("mask",)).values())
 
     def step(self, superstep: int,
              injector: Optional[FaultInjector] = None
@@ -729,7 +779,7 @@ class ProcessTransport:
             ctx = obs.current_context()
             if ctx is not None:
                 command = ("step", superstep, ctx)
-        replies = self._broadcast(command)
+        replies = self._round(lambda host: command)
         sent = sum(reply[0] for reply in replies.values())
         aggregate = _reduce_aggregates(
             replies[host][1] for host in sorted(replies))
@@ -739,69 +789,50 @@ class ProcessTransport:
             raise RuntimeError("workers disagree on sync — "
                                "non-deterministic kernel")
         synced = syncing.pop()
-        self._fire(injector, "pre-gather", superstep)
+        _fire(self, injector, "pre-gather", superstep)
         stats = SyncStats()
+        sync_start = time.perf_counter()
         if synced:
-            # Route gather payloads, then scatter payloads, through the
-            # coordinator hub (logical channels stay point-to-point and
-            # are counted as such by the receiving group).
-            routed = self._route(replies, payload_index=4)
-            for host in sorted(self._conns):
-                self._send(host, ("gather", routed.get(host, [])))
-            scatter_replies = {host: self._recv(host)
-                               for host in sorted(self._conns)}
-            self._fire(injector, "mid-scatter", superstep)
-            routed = self._route(scatter_replies, payload_index=None)
-            for host in sorted(self._conns):
-                self._send(host, ("scatter", routed.get(host, [])))
-            for host in sorted(self._conns):
-                stats.merge(self._recv(host))
+            # Route the host payloads through the coordinator hub: each
+            # worker is sent what the others addressed to it, keyed by
+            # sender, and the receiving group counts what it applies.
+            with obs.span("cluster.sync_gather"):
+                combined = self._exchange("gather", {
+                    host: reply[4] for host, reply in replies.items()})
+            _fire(self, injector, "mid-scatter", superstep)
+            with obs.span("cluster.sync_scatter"):
+                for tally in self._exchange("scatter", combined).values():
+                    stats.merge(tally)
+        sync_seconds = time.perf_counter() - sync_start
         # Post-apply kills commit the superstep first; detection happens
         # at the next exchange, exactly like a real crash there.
-        self._fire(injector, "post-apply", superstep)
-        return TransportStepResult(sent=sent, aggregate=aggregate,
-                                   compute_seconds=compute,
-                                   synced=synced, stats=stats)
+        _fire(self, injector, "post-apply", superstep)
+        return TransportStepResult(sent, aggregate, compute, synced,
+                                   stats, sync_seconds)
 
-    @staticmethod
-    def _route(replies: Dict[int, Any],
-               payload_index: Optional[int]) -> Dict[int, List[_Payload]]:
-        """Merge per-worker ``{dst_host: payloads}`` maps into one
-        routing table, in ascending source-host order (deterministic)."""
-        routed: Dict[int, List[_Payload]] = {}
-        for host in sorted(replies):
-            reply = replies[host]
-            outbound = reply[payload_index] if payload_index is not None \
-                else reply
-            for dst_host, payloads in sorted(outbound.items()):
-                routed.setdefault(dst_host, []).extend(payloads)
-        return routed
+    def _exchange(self, op: str,
+                  outbound: Mapping[int, Mapping[int, HostPayload]]
+                  ) -> Dict[int, Any]:
+        """Send every worker ``(op, {sender: payload})`` — what the
+        others' ``outbound`` maps address to it — and collect replies."""
+        return self._round(lambda host: (op, {
+            sender: payloads[host] for sender, payloads in outbound.items()
+            if host in payloads}))
 
     def states(self) -> Dict[int, Any]:
-        merged: Dict[int, Any] = {}
-        for host in sorted(self._conns):
-            self._send(host, ("states",))
-        for host in sorted(self._conns):
-            merged.update(self._recv(host))
-        return merged
+        return self._merged("states")
 
     # -- checkpoint protocol -------------------------------------------
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
         """Per-partition kernel states gathered from every worker."""
-        merged: Dict[int, Dict[str, Any]] = {}
-        for reply in self._broadcast(("snapshot",)).values():
-            merged.update(reply)
-        return merged
+        return self._merged("snapshot")
 
     def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
         """Ship each worker the states of exactly its own shards (keyed
         by partition, so any machine layout can receive any snapshot)."""
-        for host in sorted(self._conns):
-            subset = {partition: shard_states[partition]
-                      for partition in self._parts_of_host[host]}
-            self._send(host, ("restore", subset))
-        for host in sorted(self._conns):
-            self._recv(host)
+        self._round(lambda host: ("restore", {
+            partition: shard_states[partition]
+            for partition in self._parts_of_host[host]}))
 
     def close(self) -> None:
         for conn in self._conns.values():

@@ -121,7 +121,10 @@ class DenseKernel:
         """
         n = self.csr.num_vertices
         targets, sources = self._sending_slots(send_mask)
-        sums = np.bincount(targets, weights=values[sources], minlength=n)
+        # bincount answers an empty input with integer zeros, weights or
+        # not; sums are float64 whether or not anything was sent.
+        sums = np.bincount(targets, weights=values[sources],
+                           minlength=n).astype(np.float64, copy=False)
         recv = np.zeros(n, dtype=bool)
         recv[targets] = True
         return recv, sums
