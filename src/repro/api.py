@@ -202,7 +202,6 @@ class PartitionSession:
         self.expected_edges = expected_edges
         self.closed = False
         self.edges_ingested = 0
-        self._map: Dict[Edge, int] = {}
         if not _restored:
             partitioner.begin(total_edges=expected_edges)
 
@@ -221,10 +220,7 @@ class PartitionSession:
         batch = [edge if isinstance(edge, Edge) else Edge(*edge)
                  for edge in edges]
         self.edges_ingested += len(batch)
-        emitted = self.partitioner.ingest(batch)
-        for assignment in emitted:
-            self._map[assignment.edge] = assignment.partition
-        return emitted
+        return self.partitioner.ingest(batch)
 
     # ------------------------------------------------------------------
     # Online queries
@@ -237,7 +233,7 @@ class PartitionSession:
     def query_edge(self, u: int, v: int) -> Optional[int]:
         """Partition the edge ``(u, v)`` was assigned to, else ``None``
         (unknown edge, or still buffered in the window)."""
-        return self._map.get(Edge(u, v).canonical())
+        return self.partitioner._assignments.get(Edge(u, v).canonical())
 
     @property
     def buffered_edges(self) -> int:
@@ -256,7 +252,7 @@ class PartitionSession:
             algorithm=self.algorithm,
             num_partitions=state.num_partitions,
             edges_ingested=self.edges_ingested,
-            assignments_emitted=len(self._map),
+            assignments_emitted=len(self.partitioner._assignments),
             buffered_edges=self.buffered_edges,
             replication_degree=state.replication_degree(),
             imbalance=state.imbalance(),
@@ -284,7 +280,8 @@ class PartitionSession:
             knobs=dict(self.knobs),
             expected_edges=self.expected_edges,
             state=partitioner.state.snapshot(),
-            assignments=[(e.u, e.v, p) for e, p in self._map.items()],
+            assignments=[(e.u, e.v, p)
+                         for e, p in partitioner._assignments.items()],
             clock={
                 "score_cost_ms": clock.score_cost_ms,
                 "assignment_cost_ms": clock.assignment_cost_ms,
@@ -326,8 +323,6 @@ class PartitionSession:
         :class:`PartitionResult` a batch run would have produced."""
         self._require_open()
         result = self.partitioner.finalize()
-        for edge, partition in result.assignments.items():
-            self._map[edge] = partition
         self.closed = True
         return result
 
@@ -367,7 +362,6 @@ def restore_session(snapshot: SessionSnapshot,
                                expected_edges=snapshot.expected_edges,
                                _restored=True)
     session.edges_ingested = snapshot.edges_ingested
-    session._map = dict(partitioner._assignments)
     return session
 
 

@@ -1,4 +1,5 @@
-/* ADWISE window kernels: Algorithm 1's inner loop as one transaction.
+/* Compiled partitioning kernels: ADWISE's window loop (Algorithm 1) and
+ * the single-edge stream kernel (HDRF), each one transaction per batch.
  *
  * Built by repro/core/_kernels.py with
  *
@@ -14,8 +15,9 @@
  * floating-point arithmetic.
  *
  * Ownership (DESIGN.md §14): every array is a numpy buffer owned,
- * grown and rebound by repro/core/array_window.py — this file never
- * allocates or frees.  When a buffer runs out the kernel returns a
+ * grown and rebound in Python (repro/core/_binding.py for the state
+ * tables and output lists, repro/core/array_window.py for the window's)
+ * — this file never allocates or frees.  When a buffer runs out the kernel returns a
  * KERN_NEED_* status *before* mutating anything the retry would repeat;
  * Python grows the buffer, rebinds the pointer and calls again.
  */
@@ -97,6 +99,7 @@ typedef struct {
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
                   int64_t target_w, int64_t force, int64_t stop_at,
                   int64_t observe);
+int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam);
 int64_t kern_pop(KernCtx *c);
 int64_t kern_replicas_changed(KernCtx *c, const int64_t *rows, int64_t n);
 int64_t kern_restore(KernCtx *c, const int64_t *pairs,
@@ -713,7 +716,7 @@ static int64_t admit(KernCtx *c, int64_t du, int64_t dv, int64_t observe)
 }
 
 /* ------------------------------------------------------------------ */
-/* Vertex-cache update for a popped edge (FastPartitionState.assign)   */
+/* Vertex-cache update for an assigned edge (FastPartitionState.assign) */
 /* ------------------------------------------------------------------ */
 
 static void set_replica(KernCtx *c, int64_t row, int64_t j)
@@ -726,7 +729,6 @@ static void set_replica(KernCtx *c, int64_t row, int64_t j)
     c->chg_row[c->n_changed] = row;
     c->chg_col[c->n_changed] = j;
     c->n_changed++;
-    c->rule3_pending++;
 }
 
 static void assign(KernCtx *c, int64_t du, int64_t dv, int64_t j)
@@ -745,7 +747,13 @@ static void assign(KernCtx *c, int64_t du, int64_t dv, int64_t j)
                 c->min_size = c->sizes[p];
     }
     c->assigned_edges++;
-    if (c->adaptive_lambda) {  /* Eq. 4, as AdaptiveBalancer.update */
+}
+
+/* What the window's scoring does after an assignment: Eq. 4, as
+ * AdaptiveBalancer.update, then lambda * B(p) for the new sizes. */
+static void adapt_lambda(KernCtx *c)
+{
+    if (c->adaptive_lambda) {
         double alpha = 1.0;
         double tolerance, imbalance;
         if (c->total_edges > 0) {
@@ -792,7 +800,7 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
                   int64_t target_w, int64_t force, int64_t stop_at,
                   int64_t observe)
 {
-    int64_t status, need, s;
+    int64_t status, need, s, changed;
     refresh_lamb(c);
     if (c->rule3_pending) {  /* re-entered after rule 3 ran out of arena */
         status = finish_assignment(c, stop_at);
@@ -812,11 +820,63 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
         status = pop_slot(c, &s);
         if (status != KERN_DONE)
             return status;
+        changed = c->n_changed;
         assign(c, c->ui[s], c->vi[s], c->col[s]);
+        c->rule3_pending = c->n_changed - changed;
+        adapt_lambda(c);
         status = finish_assignment(c, stop_at);
         if (status != KERN_DONE)
             return status;
     }
+}
+
+/* HDRF (Petroni et al.) over pairs[consumed..n), one edge at a time as
+ * StreamingPartitioner.partition_edge does it: observe both degrees,
+ * score every partition with C_rep + lam * C_bal, assign to the first
+ * maximum.  Each expression keeps HDRFPartitioner.score's association —
+ * theta from the post-observe partial degrees (their sum is >= 2),
+ * 1 + (1 - theta), (max - size) / ((1e-9 + max) - min) — which is what
+ * makes the choice bit-identical.  Partitions go to out_col, newly set
+ * replica bits to chg_*; KERN_NEED_OUT comes before the edge it could
+ * not record is observed, so re-entry is "call again with the same
+ * arguments". */
+int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
+{
+    for (; c->consumed < n; c->consumed++) {
+        int64_t du = pairs[2 * c->consumed];
+        int64_t dv = pairs[2 * c->consumed + 1];
+        const uint8_t *ru = c->replicas + du * c->k;
+        const uint8_t *rv = c->replicas + dv * c->k;
+        double theta_u, theta_v, wu, wv, denominator;
+        double best = 0.0;
+        int64_t best_col = 0;
+        int64_t j;
+        if (c->n_out == c->out_cap)
+            return KERN_NEED_OUT;
+        observe_degree(c, du);
+        observe_degree(c, dv);
+        theta_u = (double)c->deg[du] / (double)(c->deg[du] + c->deg[dv]);
+        theta_v = 1.0 - theta_u;
+        wu = 1.0 + (1.0 - theta_u);
+        wv = 1.0 + (1.0 - theta_v);
+        denominator = (1e-9 + (double)c->max_size) - (double)c->min_size;
+        for (j = 0; j < c->k; j++) {
+            double score = 0.0;
+            if (ru[j])
+                score += wu;
+            if (rv[j])
+                score += wv;
+            score = score + lam
+                * ((double)(c->max_size - c->sizes[j]) / denominator);
+            if (j == 0 || score > best) {
+                best = score;
+                best_col = j;
+            }
+        }
+        c->out_col[c->n_out++] = best_col;
+        assign(c, du, dv, best_col);
+    }
+    return KERN_DONE;
 }
 
 /* EdgeWindow.pop_best: the best edge into out_*[0]; the caller assigns. */

@@ -1,8 +1,9 @@
-"""Loader for the compiled ADWISE window kernels (DESIGN.md §14).
+"""Loader for the compiled partitioning kernels (DESIGN.md §14).
 
 ``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
-transaction plus the single-step primitives the array window exposes.
-It is compiled on demand with the system C compiler
+transaction plus the single-step primitives the array window exposes,
+and the single-edge stream kernel HDRF ingests a batch through.  It is
+compiled on demand with the system C compiler
 (``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded through cffi's
 ABI mode; the shared object is cached in the system temp directory keyed
 by a hash of the source, with an atomic rename so concurrent test
@@ -15,8 +16,9 @@ layout has one definition.
 There is exactly one kernel source and no interpreted twin: where the
 kernels cannot be built (no C compiler, no cffi) :func:`load` returns
 ``None`` and :class:`~repro.core.adwise.AdwisePartitioner` runs the
-object :class:`~repro.core.window.EdgeWindow` — the bit-identical
-reference, which needs neither.
+object :class:`~repro.core.window.EdgeWindow`,
+:class:`~repro.partitioning.hdrf.HDRFPartitioner` its per-edge loop —
+the bit-identical references, which need neither.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def load(so_path: Optional[str] = None) -> Optional[Tuple]:
 
 
 def resolve_backend_name() -> str:
-    """What runs ADWISE's window on a fast state here: ``"cc"`` (the
-    compiled kernels under the array window) or ``"object"`` (no
-    kernels — the object window)."""
+    """What runs on a fast state here: ``"cc"`` (the compiled kernels —
+    ADWISE's array window, HDRF's stream kernel) or ``"object"`` (no
+    kernels — the object window, per-edge HDRF)."""
     return "cc" if load() is not None else "object"

@@ -7,15 +7,15 @@ and 3, and (in :meth:`pump`) the vertex-cache update between them —
 lives in ``_kernels.c`` (DESIGN.md §14).  This class is the thin Python
 side of that transaction:
 
-* it **owns every buffer** the kernels touch — per-slot arrays, the
-  intrusive vertex→slot incidence links, the neighbourhood arena, the
-  per-vertex version/stamp arrays, the output lists — as numpy arrays,
-  binds their addresses into the kernel context, and is the only party
-  that ever allocates, grows or rebinds them (the kernels return a
-  ``KERN_NEED_*`` status instead and are called again);
-* it validates what crosses the boundary (dtype, contiguity and size of
-  every bound array, every dense row below the bound capacity) before a
-  batch is pumped;
+* it **owns every window buffer** the kernels touch — per-slot arrays,
+  the intrusive vertex→slot incidence links, the neighbourhood arena,
+  the per-vertex version/stamp arrays — as numpy arrays, and decides
+  when they grow (the kernels return a ``KERN_NEED_*`` status instead
+  and are called again).  Binding them into the kernel context beside
+  the partition state's tables, validating what crosses the boundary
+  and the grow-and-retry loop are
+  :class:`~repro.core._binding.KernelBinding`'s, shared with the
+  single-edge stream kernel;
 * it maps entry ids back to :class:`~repro.graph.graph.Edge` objects and
   spread columns back to partition ids.
 
@@ -42,12 +42,12 @@ ordering contract is defined on entry ids, never slot positions.
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core import _kernels
+from repro.core._binding import KernelBinding
 from repro.core.scoring import AdwiseScoring
 from repro.core.window import WindowImage
 from repro.graph.graph import Edge
@@ -58,12 +58,6 @@ _MIN_CAPACITY = 64
 
 #: Smallest neighbourhood arena (entries).
 _MIN_ARENA = 256
-
-#: Smallest output-list capacity (assignments per pump).
-_MIN_OUT = 64
-
-_CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
-           np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
 
 # Window-owned buffers by capacity group:
 # context field -> (dtype, entries per unit of capacity, initial fill).
@@ -82,13 +76,11 @@ _SLOT_FIELDS = {
 }
 _VERTEX_FIELDS = {"iver": (np.int64, 1, 0), "head": (np.int64, 1, -1),
                   "stamp": (np.int64, 1, 0)}
-_OUT_FIELDS = {"out_entry": (np.int64, 1, 0), "out_col": (np.int64, 1, 0),
-               "out_score": (np.float64, 1, 0.0),
-               "chg_row": (np.int64, 2, 0), "chg_col": (np.int64, 2, 0)}
 
 
-def _tally(field: str, doc: str) -> property:
-    return property(lambda self: getattr(self._ctx, field), doc=doc)
+def _tally(field: str, doc: str, holder: str = "_ctx") -> property:
+    return property(lambda self: getattr(getattr(self, holder), field),
+                    doc=doc)
 
 
 class ArrayEdgeWindow:
@@ -119,44 +111,43 @@ class ArrayEdgeWindow:
                 "ArrayEdgeWindow requires the compiled window kernels, which "
                 "could not be built here (no C compiler or cffi); use "
                 "EdgeWindow")
-        self._ffi, self._lib = kernels
         self.scoring = scoring
         self.lazy = lazy
         self.epsilon = epsilon
         self.max_candidates = max_candidates
         state = scoring.state
         self._column = {p: j for j, p in enumerate(state.partitions)}
-        #: Kernel entries made so far (pump, pop, rule 3, restore —
-        #: including re-entries after a buffer grew) and the wall time
-        #: spent inside them.
-        self.kernel_calls = 0
-        self.kernel_ns = 0
         #: Entry id -> edge for every edge in the window (entry order).
         self._edges: Dict[int, Edge] = {}
-        #: Context field -> (bound array, required dtype, required size).
-        #: Holding the arrays here keeps every bound buffer alive for the
-        #: context's lifetime.
-        self._bound: Dict[str, Tuple[np.ndarray, np.dtype, int]] = {}
         #: The batch being pumped: its edges and their dense rows.
         self._batch: Sequence[Edge] = ()
         self._pairs = np.zeros(0, dtype=np.int64)
-        ctx = self._ctx = self._ffi.new("KernCtx *")
-        ctx.k = k = state.num_partitions
+        #: The state's tables, the output lists and this window's own
+        #: buffers, bound into one kernel context.
+        self._kern = KernelBinding(kernels, state, _VERTEX_FIELDS)
+        self._lib = self._kern.lib
+        ctx = self._ctx = self._kern.ctx
+        k = ctx.k
         ctx.lazy = lazy
         ctx.epsilon = epsilon
         ctx.max_candidates = max_candidates
         self._slot_fields = dict(_SLOT_FIELDS, rep=(np.float64, k, 0.0),
                                  cs=(np.float64, k, 0.0))
-        self._bind("lamb", np.zeros(k, dtype=np.float64), k)
+        self._kern.bind("lamb", np.zeros(k, dtype=np.float64), k)
         self._allocate(max(_MIN_CAPACITY, int(initial_capacity)))
-        self._resize(_OUT_FIELDS, "out_cap", _MIN_OUT)
         pool_cap = max(_MIN_ARENA, 4 * ctx.slot_cap)
-        self._bind("pool", np.zeros(pool_cap, dtype=np.int64), pool_cap)
+        self._kern.bind("pool", np.zeros(pool_cap, dtype=np.int64), pool_cap)
         ctx.pool_cap = pool_cap
 
     #: Resolved kernel backend (the obs label of the agenda counters).
     kernel_backend = "cc"
 
+    kernel_calls = _tally(
+        "kernel_calls", "Kernel entries made so far (pump, pop, rule 3, "
+        "restore — including re-entries after a buffer grew).", "_kern")
+    kernel_ns = _tally(
+        "kernel_ns", "Wall time spent inside the kernels, nanoseconds.",
+        "_kern")
     promotions = _tally(
         "promotions", "Secondary→candidate promotions by rules 2 and 3.")
     stat_refills = _tally("stat_refills", "Edges admitted into the window.")
@@ -220,54 +211,24 @@ class ArrayEdgeWindow:
         return nbrs.difference(ends)
 
     # ------------------------------------------------------------------
-    # Buffer ownership: allocate, grow, bind, validate
+    # Buffer ownership: allocate, grow, compact
     # ------------------------------------------------------------------
-    def _bind(self, field: str, array: np.ndarray, size: int) -> None:
-        """Point context ``field`` at ``array`` (and keep it alive)."""
-        self._bound[field] = (array, array.dtype, size)
-        self._check_array(field)
-        setattr(self._ctx, field,
-                self._ffi.from_buffer(_CTYPES[array.dtype], array))
-
-    def _check_array(self, field: str) -> None:
-        array, dtype, size = self._bound[field]
-        if (array.dtype != dtype or dtype not in _CTYPES
-                or not array.flags.c_contiguous or array.size < size):
-            raise RuntimeError(
-                f"kernel buffer {field!r} is not a C-contiguous {dtype} "
-                f"array of at least {size} entries")
-
-    def _array(self, field: str) -> np.ndarray:
-        return self._bound[field][0]
-
-    def _resize(self, fields, cap_field: str, capacity: int,
-                keep: bool = True) -> None:
-        """Reallocate one capacity group at ``capacity`` and rebind it;
-        ``keep`` carries the old contents over."""
-        for field, (dtype, width, fill) in fields.items():
-            array = np.full(capacity * width, fill, dtype=dtype)
-            if keep and field in self._bound:
-                old = self._array(field)
-                array[:old.size] = old
-            self._bind(field, array, capacity * width)
-        setattr(self._ctx, cap_field, capacity)
-
     def _allocate(self, capacity: int) -> None:
         """Fresh, empty slot arrays at ``capacity`` (the arena, vertex
         arrays and tallies stay)."""
         ctx = self._ctx
-        self._resize(self._slot_fields, "slot_cap", capacity, keep=False)
+        self._kern.resize(self._slot_fields, "slot_cap", capacity, keep=False)
         self._array("free_slots")[:] = np.arange(capacity - 1, -1, -1)
         ctx.num_free = capacity
         ctx.count = ctx.num_candidates = ctx.heap_size = ctx.pool_used = 0
-        if "head" in self._bound:
+        if ctx.vertex_cap:  # the per-vertex arrays are bound
             self._array("head")[:] = -1
         self._edges = {}
 
     def _grow_slots(self) -> None:
         ctx = self._ctx
         old = ctx.slot_cap
-        self._resize(self._slot_fields, "slot_cap", 2 * old)
+        self._kern.resize(self._slot_fields, "slot_cap", 2 * old)
         free = ctx.num_free
         self._array("free_slots")[free:free + old] = np.arange(
             2 * old - 1, old - 1, -1)
@@ -282,7 +243,7 @@ class ArrayEdgeWindow:
             capacity *= 2
         pool = np.zeros(capacity, dtype=np.int64)
         pool[:ctx.pool_used] = self._array("pool")[:ctx.pool_used]
-        self._bind("pool", pool, capacity)
+        self._kern.bind("pool", pool, capacity)
         ctx.pool_cap = capacity
 
     def _compact_if_sparse(self) -> None:
@@ -300,57 +261,33 @@ class ArrayEdgeWindow:
         self._allocate(capacity)
         self._load(image)
 
+    def _array(self, field: str) -> np.ndarray:
+        return self._kern.array(field)
+
     def _sync_state(self) -> None:
-        """Bring the kernel context up to date with the partition state:
-        drain its queued replica bits and size updates, rebind (and
-        regrow the per-vertex arrays to) state tables the intern table
-        reallocated, and copy in the scalars the kernels mirror."""
+        """Bring the kernel context up to date with the partition state
+        and the scoring function."""
+        self._kern.sync_state()
+        self._sync_scoring()
+
+    def _sync_scoring(self) -> None:
+        """Copy in the scoring function's λ and switches."""
         scoring = self.scoring
-        state = scoring.state
         ctx = self._ctx
-        replicas = state.replica_matrix()
-        sizes = state.sizes_vector()
-        bound = self._bound.get("replicas")
-        if bound is None or bound[0] is not replicas:
-            capacity = replicas.shape[0]
-            self._resize(_VERTEX_FIELDS, "vertex_cap", capacity)
-            self._bind("replicas", replicas, capacity * ctx.k)
-            self._bind("row_version", state.row_version_array(), capacity)
-            self._bind("deg", state.degrees_dense(), capacity)
-            self._bind("sizes", sizes, ctx.k)
         balancer = scoring.balancer
         ctx.lam = scoring.current_lambda
         ctx.adaptive_lambda = balancer is not None
         ctx.total_edges = balancer.total_edges if balancer is not None else 0
         ctx.use_cs = scoring.use_clustering
-        ctx.max_degree = state.max_degree
-        ctx.max_size = state.max_size
-        ctx.min_size = state.min_size
-        ctx.assigned_edges = state.assigned_edges
-
-    def _check_rows(self, rows: np.ndarray) -> None:
-        if rows.size and not (0 <= rows.min()
-                              and rows.max() < self._ctx.vertex_cap):
-            raise RuntimeError("dense vertex row outside the bound tables")
 
     def _call(self, function, *args) -> int:
         """Run one kernel entry to a final status, growing whichever
         buffer it asks for in between, then charge the clock."""
         lib = self._lib
         ctx = self._ctx
-        while True:
-            self.kernel_calls += 1
-            entered = perf_counter_ns()
-            status = function(ctx, *args)
-            self.kernel_ns += perf_counter_ns() - entered
-            if status == lib.KERN_NEED_SLOTS:
-                self._grow_slots()
-            elif status == lib.KERN_NEED_ARENA:
-                self._grow_arena()
-            elif status == lib.KERN_NEED_OUT:
-                self._resize(_OUT_FIELDS, "out_cap", 2 * ctx.out_cap)
-            else:
-                break
+        status = self._kern.call(function, *args, grow={
+            lib.KERN_NEED_SLOTS: self._grow_slots,
+            lib.KERN_NEED_ARENA: self._grow_arena})
         clock = self.scoring.clock
         if clock is not None and ctx.charge:
             clock.charge_score(ctx.charge)
@@ -364,17 +301,11 @@ class ArrayEdgeWindow:
         """Stage ``edges`` (canonical, in stream order) for :meth:`pump`:
         intern them to dense rows, register their entry ids and validate
         everything the kernel is about to be handed."""
-        ctx = self._ctx
-        state = self.scoring.state
+        first = self._ctx.next_id
         self._batch = edges
-        self._pairs = state.dense_rows(edges)
-        first = ctx.next_id
         self._edges.update(zip(range(first, first + len(edges)), edges))
-        ctx.consumed = ctx.n_out = ctx.n_changed = 0
-        self._sync_state()
-        for field in self._bound:
-            self._check_array(field)
-        self._check_rows(self._pairs)
+        self._pairs = self._kern.stage(edges)
+        self._sync_scoring()
 
     def pump(self, target_w: int, force: bool, stop_at: int) -> bool:
         """Advance Algorithm 1 over the staged batch: refill to
@@ -388,11 +319,8 @@ class ArrayEdgeWindow:
         scoring clock; assignments are the caller's to charge.
         """
         pairs = self._pairs
-        status = self._call(
-            self._lib.kern_pump,
-            self._ffi.from_buffer("int64_t[]", pairs) if pairs.size
-            else self._ffi.NULL,
-            pairs.size // 2, target_w, force, stop_at, True)
+        status = self._call(self._lib.kern_pump, self._kern.pointer(pairs),
+                            pairs.size // 2, target_w, force, stop_at, True)
         return status == self._lib.KERN_BLOCK_BOUNDARY
 
     @property
@@ -410,13 +338,7 @@ class ArrayEdgeWindow:
         decisions in pop order."""
         ctx = self._ctx
         scoring = self.scoring
-        state = scoring.state
-        changed = ctx.n_changed
-        state.absorb_pump(
-            self._batch,
-            self._array("chg_row")[:changed].tolist(),
-            self._array("chg_col")[:changed].tolist(),
-            ctx.assigned_edges, ctx.max_degree)
+        self._kern.absorb(self._batch)
         if scoring.balancer is not None:
             scoring.balancer.value = ctx.lam
         popped = self._take(ctx.n_out)
@@ -458,7 +380,6 @@ class ArrayEdgeWindow:
     def _load(self, image: WindowImage) -> None:
         """Adopt ``image`` into this (empty) window."""
         ctx = self._ctx
-        ffi = self._ffi
         n = len(image.entries)
         if n:
             ids, us, vs, scores, partitions, versions, candidates = zip(
@@ -467,7 +388,7 @@ class ArrayEdgeWindow:
             self._edges = dict(zip(ids, edges))
             pairs = self.scoring.state.dense_rows(edges)
             self._sync_state()
-            self._check_rows(pairs)
+            self._kern.check_rows(pairs)
             arrays = (
                 pairs, np.array(ids, dtype=np.int64),
                 np.array(scores, dtype=np.float64),
@@ -476,8 +397,7 @@ class ArrayEdgeWindow:
                 np.array(versions, dtype=np.int64),
                 np.array(candidates, dtype=np.uint8))
             self._call(self._lib.kern_restore,
-                       *(ffi.from_buffer(_CTYPES[a.dtype], a)
-                         for a in arrays), n)
+                       *map(self._kern.pointer, arrays), n)
         ctx.next_id = image.next_id
         ctx.score_sum = image.score_sum
         ctx.version = image.version
@@ -518,13 +438,12 @@ class ArrayEdgeWindow:
                 observe(edge)
             pairs = state.dense_rows((edge,))
             self._sync_state()
-            self._check_rows(pairs)
+            self._kern.check_rows(pairs)
             ids.append(ctx.next_id)
             self._edges[ctx.next_id] = edge
             ctx.consumed = 0
             # A target beyond the window's size admits without popping.
-            self._call(self._lib.kern_pump,
-                       self._ffi.from_buffer("int64_t[]", pairs), 1,
+            self._call(self._lib.kern_pump, self._kern.pointer(pairs), 1,
                        ctx.count + 2, False, -1, False)
         return ids
 
@@ -560,8 +479,8 @@ class ArrayEdgeWindow:
         if not rows.size:
             return 0
         self._sync_state()
-        self._check_rows(rows)
+        self._kern.check_rows(rows)
         before = self._ctx.promotions
         self._call(self._lib.kern_replicas_changed,
-                   self._ffi.from_buffer("int64_t[]", rows), rows.size)
+                   self._kern.pointer(rows), rows.size)
         return self._ctx.promotions - before

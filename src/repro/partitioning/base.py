@@ -141,6 +141,14 @@ class StreamingPartitioner:
         self.clock.charge_assignment()
         return partition
 
+    def _partition_batch(self, edges: Sequence[Edge]) -> List[int]:
+        """Assign ``edges`` (canonical) in order; return their partitions.
+
+        The batch hook of :meth:`ingest`: one :meth:`partition_edge` per
+        edge here; an algorithm with a compiled batch transaction
+        overrides it."""
+        return [self.partition_edge(edge) for edge in edges]
+
     # ------------------------------------------------------------------
     # Incremental ingestion protocol
     # ------------------------------------------------------------------
@@ -170,14 +178,11 @@ class StreamingPartitioner:
         """
         if not self._streaming:
             self.begin()
-        out: List[Assignment] = []
-        assignments = self._assignments
         with obs.span("partition.ingest", algorithm=self.name):
-            for edge in edges:
-                canon = edge.canonical()
-                partition = self.partition_edge(canon)
-                assignments[canon] = partition
-                out.append(Assignment(canon, partition))
+            batch = [edge.canonical() for edge in edges]
+            partitions = self._partition_batch(batch)
+            self._assignments.update(zip(batch, partitions))
+            out = list(map(Assignment, batch, partitions))
         obs.counter("repro_partition_edges_total",
                     algorithm=self.name).inc(len(out))
         obs.counter("repro_partition_batches_total",

@@ -13,12 +13,18 @@ lives in the representation its consumers read fastest:
   consume wholesale, and as per-vertex integer bitmasks for the scalar
   membership tests and the set algebra of the greedy baseline (Python
   int bit-ops beat NumPy on single rows of width k),
-* the partial degree table stays a plain vertex-keyed dict — no kernel
-  consumes degrees as a vector, and a dict read is the fastest scalar
-  path — while partition sizes live in a flat Python list mirrored into
-  an ``int64`` vector for the kernels,
+* the partial degree table is kept twice as well — a plain
+  vertex-keyed dict, the fastest scalar read path, and a dense ``int64``
+  mirror indexed by the intern index, which is what the compiled kernels
+  read and increment — while partition sizes live in a flat Python list
+  mirrored into an ``int64`` vector for the kernels,
 * max/min partition sizes use the same incremental histogram as the
   legacy state.
+
+The compiled kernels (``repro/core/_kernels.c``: ADWISE's window pump,
+HDRF's stream kernel) update the dense tables in place, a batch at a
+time; :meth:`FastPartitionState.absorb_pump` is the one entry that
+brings the Python-side mirrors back in step after any such transaction.
 
 The legacy dict API is preserved for reading: every query/mutation
 *method* of ``PartitionState`` behaves identically, and ``replica_sets``
@@ -316,7 +322,7 @@ class FastPartitionState:
         return self._replicas[rows].sum(axis=0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Dense accessors (compiled window kernels, DESIGN.md §14)
+    # Dense accessors (compiled kernels, DESIGN.md §14)
     # ------------------------------------------------------------------
     def dense_pair(self, u: int, v: int) -> Tuple[int, int]:
         """Dense intern indices of both endpoints (interning on first sight)."""
@@ -360,7 +366,7 @@ class FastPartitionState:
         """Update the partial degree table for an edge seen in the stream.
 
         Vertices are interned on first observation so the dense degree
-        mirror (read by the compiled window kernels) always covers every
+        mirror (read by the compiled kernels) always covers every
         observed vertex; the dict stays the scalar read path.
         """
         degree = self.degree
@@ -413,12 +419,15 @@ class FastPartitionState:
     def absorb_pump(self, edges: Sequence[Edge], changed_rows: List[int],
                     changed_cols: List[int], assigned_edges: int,
                     max_degree: int) -> None:
-        """Reconcile the Python-side mirrors with what the compiled
-        window pump (DESIGN.md §14) did to the dense tables directly:
-        it observed ``edges`` into the dense degree table, set replica
-        bit ``(changed_rows[i], changed_cols[i])`` for every ``i``
-        (bumping that row's version), and counted each assignment into
-        the sizes vector."""
+        """The one reconcile entry for any compiled transaction
+        (DESIGN.md §14: the window pump, the single-edge stream kernel).
+
+        Brings the Python-side mirrors in step with what the kernel did
+        to the dense tables directly: it observed ``edges`` into the
+        dense degree table, set replica bit
+        ``(changed_rows[i], changed_cols[i])`` for every ``i`` (bumping
+        that row's version), and counted each assignment into the sizes
+        vector."""
         degree = self.degree
         for u, v in edges:
             degree[u] = degree.get(u, 0) + 1

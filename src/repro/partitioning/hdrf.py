@@ -10,17 +10,28 @@ an endpoint, weighted so that the *lower-degree* endpoint dominates (hence
 high-degree vertices get replicated first), and the balance term pushes
 toward the least-loaded partition.  λ is a fixed, user-chosen parameter; the
 paper uses the authors' recommended λ = 1.1.
+
+On a fast state with the compiled kernels built
+(:func:`repro.core._kernels.load`) a whole ingest batch is one C
+transaction, ``kern_hdrf`` (DESIGN.md §14): observe, score, first-maximum
+argmax and vertex-cache update per edge, in :meth:`HDRFPartitioner.score`'s
+exact operation order.  Otherwise — and always as the
+:meth:`~HDRFPartitioner.select_partition` policy other drivers call — the
+per-edge Python below runs; the two are bit-identical.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised only on numpy-free installs
     np = None  # score_all needs a fast state, which requires numpy
 
+from repro import obs
 from repro.graph.graph import Edge
-from repro.partitioning.base import StreamingPartitioner
+from repro.partitioning.base import PartitionResult, StreamingPartitioner
 
 _EPSILON = 1e-9
 
@@ -36,6 +47,58 @@ class HDRFPartitioner(StreamingPartitioner):
         if lam < 0:
             raise ValueError(f"lambda must be non-negative, got {lam}")
         self.lam = lam
+        #: This stream's state tables bound into a kernel context
+        #: (:class:`~repro.core._binding.KernelBinding`), once a batch
+        #: has run natively.
+        self.kernel = None
+
+    # ------------------------------------------------------------------
+    # Batch ingestion: one compiled transaction per batch
+    # ------------------------------------------------------------------
+    def begin(self, total_edges: int = 0) -> None:
+        super().begin(total_edges)
+        self.kernel = None
+
+    def _bound_kernel(self):
+        """The current state's kernel binding, or ``None`` where batches
+        take the per-edge path: a legacy state, or no compiled kernels
+        on this machine."""
+        kernel = self.kernel
+        if kernel is None or kernel.state is not self.state:
+            from repro.core import _kernels
+
+            kernels = _kernels.load() if self.state.is_fast else None
+            if kernels is None:
+                return None
+            from repro.core._binding import KernelBinding
+
+            kernel = self.kernel = KernelBinding(kernels, self.state)
+        return kernel
+
+    def _partition_batch(self, edges: Sequence[Edge]) -> List[int]:
+        kernel = self._bound_kernel()
+        if kernel is None:
+            return super()._partition_batch(edges)
+        n = len(edges)
+        pairs = kernel.stage(edges)
+        kernel.call(kernel.lib.kern_hdrf, kernel.pointer(pairs), n, self.lam)
+        self.clock.charge_score(n * self.state.num_partitions)
+        self.clock.charge_assignment(n)
+        kernel.absorb(edges)
+        partitions = self.partitions
+        return [partitions[col]
+                for col in kernel.array("out_col")[:n].tolist()]
+
+    def _publish_observability(self, result: PartitionResult) -> None:
+        """Base series plus the stream kernel's tallies."""
+        super()._publish_observability(result)
+        kernel = self.kernel
+        if kernel is None or not obs.is_enabled():
+            return
+        obs.counter("repro_partition_kernel_calls_total",
+                    algorithm=self.name).inc(kernel.kernel_calls)
+        obs.counter("repro_partition_kernel_seconds_total",
+                    algorithm=self.name).inc(kernel.kernel_ns / 1e9)
 
     # ------------------------------------------------------------------
     # Scoring (public so tests and Fig. 1 analysis can probe it)

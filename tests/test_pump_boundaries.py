@@ -1,11 +1,11 @@
-"""Scale and boundary correctness of the compiled pump (ROADMAP items 0, 1).
+"""Scale and boundary correctness of the compiled kernels (ROADMAP items 0, 1).
 
-The pump (DESIGN.md §14) works on raw pointers into numpy buffers that
-Python grows and rebinds; a stale binding would be silent memory
-corruption, not an ``IndexError``.  So every buffer it binds is crossed
-here — from a tiny initial capacity through at least three doublings —
-and the outcome compared with the object window on the full result
-tuple.  Two more contracts ride along: ``fast=True`` must equal
+The pump and the stream kernel (DESIGN.md §14) work on raw pointers
+into numpy buffers that Python grows and rebinds; a stale binding would
+be silent memory corruption, not an ``IndexError``.  So every buffer
+they bind is crossed here — from a tiny initial capacity through at
+least three doublings — and the outcome compared with the reference
+(the object window; ``fast=False`` for HDRF) on the full result tuple.  Two more contracts ride along: ``fast=True`` must equal
 ``fast=False`` beyond the intern table's first allocation (the item-0
 regression), and the Python-side state mirrors the service answers
 queries from must be exact after *every* pumped batch.
@@ -13,10 +13,11 @@ queries from must be exact after *every* pumped batch.
 
 import numpy as np
 import pytest
-from _window_utils import outcome
+from _window_utils import outcome, result_tuple
 
 from repro.api import open_session
-from repro.core import _kernels, array_window
+from repro.core import _binding, _kernels, array_window
+from repro.core._binding import KernelBinding
 from repro.core.adwise import AdwisePartitioner
 from repro.core.array_window import ArrayEdgeWindow
 from repro.graph.graph import Edge
@@ -105,13 +106,13 @@ def growths(monkeypatch):
     capacity group grew: ``{capacity field: [new capacity, ...]}``."""
     monkeypatch.setattr(array_window, "_MIN_CAPACITY", 2)
     monkeypatch.setattr(array_window, "_MIN_ARENA", 4)
-    monkeypatch.setattr(array_window, "_MIN_OUT", 2)
+    monkeypatch.setattr(_binding, "_MIN_OUT", 2)
     monkeypatch.setattr(fast_state, "_INITIAL_CAPACITY", 2)
     log = {"slot_cap": [], "vertex_cap": [], "out_cap": [], "pool_cap": []}
-    resize, grow_arena = ArrayEdgeWindow._resize, ArrayEdgeWindow._grow_arena
+    resize, grow_arena = KernelBinding.resize, ArrayEdgeWindow._grow_arena
 
     def logged_resize(self, fields, cap_field, capacity, keep=True):
-        if capacity > getattr(self._ctx, cap_field) > 0:
+        if capacity > getattr(self.ctx, cap_field) > 0:
             log[cap_field].append(capacity)
         resize(self, fields, cap_field, capacity, keep)
 
@@ -119,7 +120,7 @@ def growths(monkeypatch):
         grow_arena(self)
         log["pool_cap"].append(self._ctx.pool_cap)
 
-    monkeypatch.setattr(ArrayEdgeWindow, "_resize", logged_resize)
+    monkeypatch.setattr(KernelBinding, "resize", logged_resize)
     monkeypatch.setattr(ArrayEdgeWindow, "_grow_arena", logged_grow_arena)
     return log
 
@@ -188,6 +189,31 @@ def test_every_buffer_crosses_three_doublings(growths, config, batches):
         assert len(capacities) >= 3, (field, capacities)
 
 
+@pytest.mark.parametrize("batches", [1, 7], ids=["one-batch", "7-batches"])
+def test_stream_kernel_buffers_cross_three_doublings(growths, batches):
+    """HDRF's batch transaction binds the same state tables and output
+    lists through the same owner: from capacity 2, the output lists
+    double through ``KERN_NEED_OUT`` re-entries and the state rows regrow
+    (and are rebound) as each batch is interned."""
+    edges = clustered_stream()
+    step = -(-len(edges) // batches)
+    results = []
+    for fast in (True, False):
+        partitioner = partitioner_registry()["hdrf"](range(6), fast=fast)
+        partitioner.begin(total_edges=len(edges))
+        for start in range(0, len(edges), step):
+            partitioner.ingest(edges[start:start + step])
+        results.append(result_tuple(partitioner.finalize()))
+        if fast:
+            kernel = partitioner.kernel
+            assert kernel.ctx.vertex_cap == partitioner.state._capacity
+    assert results[0] == results[1]
+    assert len(growths["out_cap"]) >= 3, growths
+    if batches > 1:
+        assert len(growths["vertex_cap"]) >= 3, growths
+    assert not growths["slot_cap"] and not growths["pool_cap"]
+
+
 def test_grow_then_shrink_really_shrinks(growths):
     partitioner, _ = run_windowed(clustered_stream(), 1, "array", True,
                                   **CONFIGS["adaptive-grow-shrink"])
@@ -202,14 +228,14 @@ def test_bound_buffers_are_validated_before_the_pump():
     partitioner = AdwisePartitioner(range(4), fast=True, fixed_window=8)
     partitioner.begin()
     partitioner.ingest([Edge(1, 2), Edge(2, 3)])
-    window = partitioner.window
-    array, dtype, size = window._bound["score"]
-    window._bound["score"] = (array[::2], dtype, size)  # short, strided
+    kernel = partitioner.window._kern
+    array, dtype, size = kernel._bound["score"]
+    kernel._bound["score"] = (array[::2], dtype, size)  # short, strided
     with pytest.raises(RuntimeError, match="kernel buffer 'score'"):
         partitioner.ingest([Edge(3, 4)])
-    window._bound["score"] = (array, dtype, size)
+    kernel._bound["score"] = (array, dtype, size)
     with pytest.raises(RuntimeError, match="dense vertex row"):
-        window._check_rows(np.array([0, window._ctx.vertex_cap]))
+        kernel.check_rows(np.array([0, kernel.ctx.vertex_cap]))
 
 
 # ---------------------------------------------------------------------------

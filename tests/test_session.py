@@ -101,7 +101,7 @@ class TestQueriesAndStats:
         session = open_session(algorithm="hdrf", partitions=4)
         session.ingest(EDGES[:10])
         result = session.finalize()
-        assert len(result.assignments) == len(session._map)
+        assert len(result.assignments) == session.stats().assignments_emitted
         with pytest.raises(SessionError):
             session.ingest([(0, 1)])
         with pytest.raises(SessionError):

@@ -1,16 +1,17 @@
-"""The fallback rule: no compiled kernels -> the object window.
+"""The fallback rule: no compiled kernels -> the interpreted paths.
 
 Where ``_kernels.c`` cannot be built (no C compiler, no cffi) ADWISE on
-a fast state runs the object :class:`EdgeWindow` for the whole stream —
-selected from the observable build result, not from a switch — and
-produces the same results.  The build is forced to fail by monkeypatch,
-so this module runs (and means the same) with or without a compiler.
+a fast state runs the object :class:`EdgeWindow` for the whole stream
+and HDRF its per-edge loop — selected from the observable build result,
+not from a switch — and both produce the same results.  The build is
+forced to fail by monkeypatch, so this module runs (and means the same)
+with or without a compiler.
 """
 
 import subprocess
 
 import pytest
-from _window_utils import outcome
+from _window_utils import outcome, result_tuple
 
 from repro.api import open_session, restore_session
 from repro.core import _kernels
@@ -18,6 +19,7 @@ from repro.core.adwise import AdwisePartitioner
 from repro.core.window import EdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
+from repro.partitioning.hdrf import HDRFPartitioner
 
 PAIRS = [((i * 13 + 3) % 59, (i * 7 + 1) % 61 + 59) for i in range(400)]
 
@@ -55,6 +57,30 @@ def test_results_identical_with_and_without_kernels(monkeypatch):
     with_kernels = run("auto", fixed_window=32)[1]
     monkeypatch.setattr(_kernels, "_loaded", None)
     assert run("auto", fixed_window=32)[1] == with_kernels
+
+
+def run_hdrf(fast):
+    partitioner = HDRFPartitioner(range(6), fast=fast)
+    partitioner.begin(total_edges=len(PAIRS))
+    for start in range(0, len(PAIRS), 150):
+        partitioner.ingest([Edge(u, v) for u, v in PAIRS[start:start + 150]])
+    return partitioner, result_tuple(partitioner.finalize())
+
+
+def test_hdrf_runs_per_edge_without_compiler(no_compiler):
+    assert _kernels.load() is None
+    partitioner, fallback = run_hdrf(fast=True)
+    assert partitioner.kernel is None  # no batch ran natively
+    assert partitioner.state.is_fast
+    assert fallback == run_hdrf(fast=False)[1]
+
+
+def test_hdrf_identical_with_and_without_kernels(monkeypatch):
+    partitioner, with_kernels = run_hdrf(fast=True)
+    if _kernels.load() is not None:
+        assert partitioner.kernel is not None
+    monkeypatch.setattr(_kernels, "_loaded", None)
+    assert run_hdrf(fast=True)[1] == with_kernels
 
 
 def test_forced_array_window_fails_loudly(no_compiler):
