@@ -90,8 +90,7 @@ def partition_both(graph):
     replication = {}
     for label, partitioner in (
             ("hash", HashPartitioner(partitions)),
-            ("adwise", AdwisePartitioner(partitions, fixed_window=8,
-                                         fast=True))):
+            ("adwise", AdwisePartitioner(partitions, fixed_window=8))):
         result = partitioner.partition_stream(stream())
         sharded[label] = ShardedGraph.from_assignments(
             result.assignments, partitions=partitions,

@@ -77,8 +77,7 @@ def adwise_run(edges, enabled: bool):
     if enabled:
         obs.enable()
     partitioner = AdwisePartitioner(
-        list(range(NUM_PARTITIONS)), fast=True, fixed_window=WINDOW,
-        window_backend="array")
+        list(range(NUM_PARTITIONS)), fixed_window=WINDOW)
     stream = InMemoryEdgeStream([Edge(u, v) for u, v in edges])
     begin = time.perf_counter()
     result = partitioner.partition_stream(stream)

@@ -173,8 +173,13 @@ def open_session(algorithm: str = "adwise",
         Latency accounting clock; defaults to a deterministic
         :class:`SimulatedClock` (required for snapshot support).
     knobs:
-        Forwarded to the algorithm constructor (``fast=True``,
-        ``latency_preference_ms=...``, ``fixed_window=...``, ...).
+        Forwarded to the algorithm constructor
+        (``latency_preference_ms=...``, ``fixed_window=...``, ...).
+
+    ADWISE and HDRF sessions run the compiled kernels wherever they load
+    on this machine and the bit-identical Python reference elsewhere
+    (:class:`~repro.partitioning.base.StreamingPartitioner`); there is
+    no knob to ask for either, beyond the tests' ``fast=False``.
     """
     partition_ids = _coerce_partitions(partitions)
     session_clock = clock if clock is not None else SimulatedClock()
@@ -339,8 +344,6 @@ def restore_session(snapshot: SessionSnapshot,
     snapshot: same future assignments, same adaptive decisions, same
     simulated latency accounting.
     """
-    from repro.partitioning.parallel import _state_from_snapshot
-
     clock = SimulatedClock(
         score_cost_ms=snapshot.clock["score_cost_ms"],
         assignment_cost_ms=snapshot.clock["assignment_cost_ms"])
@@ -350,7 +353,9 @@ def restore_session(snapshot: SessionSnapshot,
     partitioner = _build_partitioner(snapshot.algorithm,
                                      list(snapshot.partitions), clock,
                                      dict(snapshot.knobs))
-    partitioner.state = _state_from_snapshot(snapshot.state)
+    # State snapshots are class-neutral: restore into the class this
+    # partitioner picked here, whichever class took the snapshot.
+    partitioner.state = type(partitioner.state).from_snapshot(snapshot.state)
     partitioner._streaming = True
     partitioner._start_ms = snapshot.start_ms
     partitioner._assignments = {Edge(u, v): p

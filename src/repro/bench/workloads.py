@@ -150,21 +150,13 @@ def adwise_factory(latency_preference_ms: Optional[float],
     return build
 
 
-def baseline_factories(fast: bool = False
-                       ) -> Dict[str, Callable[[Sequence[int], Clock],
+def baseline_factories() -> Dict[str, Callable[[Sequence[int], Clock],
                                                StreamingPartitioner]]:
-    """Factories for the single-edge streaming baselines.
-
-    ``fast=True`` backs the degree-aware baselines with the array-backed
-    :class:`~repro.partitioning.fast_state.FastPartitionState`.
-    """
+    """Factories for the single-edge streaming baselines."""
     return {
         "Hash": lambda parts, clock: HashPartitioner(parts, clock=clock),
         "Grid": lambda parts, clock: GridPartitioner(parts, clock=clock),
-        "DBH": lambda parts, clock: DBHPartitioner(parts, clock=clock,
-                                                   fast=fast),
-        "HDRF": lambda parts, clock: HDRFPartitioner(parts, clock=clock,
-                                                     fast=fast),
-        "Greedy": lambda parts, clock: GreedyPartitioner(parts, clock=clock,
-                                                         fast=fast),
+        "DBH": lambda parts, clock: DBHPartitioner(parts, clock=clock),
+        "HDRF": lambda parts, clock: HDRFPartitioner(parts, clock=clock),
+        "Greedy": lambda parts, clock: GreedyPartitioner(parts, clock=clock),
     }

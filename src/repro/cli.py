@@ -20,6 +20,7 @@ from repro.graph.io import read_graph
 from repro.graph.stream import FileEdgeStream
 from repro.graph.stats import summarize
 from repro.partitioning.parallel import partitioner_registry
+from repro.partitioning.partition_io import write_assignments
 from repro.simtime import SimulatedClock, WallClock
 
 #: Single source of truth for --algorithm choices, shared with
@@ -45,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="disable ADWISE's clustering score")
     part.add_argument("--wall-clock", action="store_true",
                       help="measure wall-clock instead of simulated latency")
-    part.add_argument("--fast", action="store_true",
-                      help="array-backed partition state + batched scoring "
-                           "kernels (adwise/hdrf/dbh/greedy; identical "
-                           "output, higher throughput)")
     part.add_argument("--workers", type=int, default=1,
                       help="parallel loading with z partitioner instances "
                            "over byte-offset chunks of the input file "
@@ -93,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ADWISE latency preference L in ms")
     pipeline.add_argument("--no-clustering", action="store_true",
                           help="disable ADWISE's clustering score")
-    pipeline.add_argument("--fast", action="store_true",
-                          help="array-backed partition state (adwise/hdrf/"
-                               "dbh/greedy)")
     pipeline.add_argument("--load-workers", type=int, default=1,
                           help="parallel loading instances for the "
                                "partitioning stage (1 = serial streaming)")
@@ -244,15 +238,11 @@ def _add_processing_arguments(parser: argparse.ArgumentParser) -> None:
                              "declared dead (default 30)")
 
 
-#: Algorithms whose constructors take the ``fast`` state flag.
-_FAST_CAPABLE = {"adwise", "hdrf", "dbh", "greedy"}
-
-
 def _run_parallel_partition(args: argparse.Namespace) -> int:
     """Parallel loading: z instances over byte-offset chunks of the file."""
     from repro.partitioning.parallel import ParallelLoader, PartitionerSpec
 
-    kwargs: dict = {"fast": True} if args.fast else {}
+    kwargs: dict = {}
     if args.algorithm == "adwise":
         kwargs["latency_preference_ms"] = args.latency_preference
         kwargs["use_clustering"] = not args.no_clustering
@@ -279,9 +269,7 @@ def _run_parallel_partition(args: argparse.Namespace) -> int:
           f"({'wall' if args.wall_clock else 'simulated'}, max over "
           f"instances)")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for edge, partition in result.assignments.items():
-                handle.write(f"{edge.u} {edge.v} {partition}\n")
+        write_assignments(args.output, result.assignments)
         print(f"assignments written to {args.output}")
     return 0
 
@@ -289,11 +277,6 @@ def _run_parallel_partition(args: argparse.Namespace) -> int:
 def _run_partition(args: argparse.Namespace) -> int:
     clock = WallClock() if args.wall_clock else SimulatedClock()
     partitions = list(range(args.partitions))
-    if args.fast and args.algorithm not in _FAST_CAPABLE:
-        print(f"error: --fast is not supported for {args.algorithm} "
-              f"(supported: {', '.join(sorted(_FAST_CAPABLE))})",
-              file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
@@ -303,7 +286,7 @@ def _run_partition(args: argparse.Namespace) -> int:
         print("error: --backend/--spread only apply to parallel loading; "
               "pass --workers N (N > 1)", file=sys.stderr)
         return 2
-    extra = {"fast": True} if args.fast else {}
+    extra: dict = {}
     if args.algorithm == "adwise":
         extra.update(latency_preference_ms=args.latency_preference,
                      use_clustering=not args.no_clustering)
@@ -320,9 +303,7 @@ def _run_partition(args: argparse.Namespace) -> int:
     for key, value in sorted(result.extras.items()):
         print(f"{key}:{' ' * max(1, 19 - len(key))}{value:g}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for edge, partition in result.assignments.items():
-                handle.write(f"{edge.u} {edge.v} {partition}\n")
+        write_assignments(args.output, result.assignments)
         print(f"assignments written to {args.output}")
     return 0
 
@@ -507,23 +488,16 @@ def _run_process(args: argparse.Namespace) -> int:
 
 def _run_pipeline(args: argparse.Namespace) -> int:
     """Chain partition -> write_assignments -> (sharded) process."""
-    from repro.partitioning.partition_io import write_assignments
-
     error = _validate_processing_flags(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.fast and args.algorithm not in _FAST_CAPABLE:
-        print(f"error: --fast is not supported for {args.algorithm} "
-              f"(supported: {', '.join(sorted(_FAST_CAPABLE))})",
-              file=sys.stderr)
         return 2
     if args.load_workers < 1:
         print("error: --load-workers must be >= 1", file=sys.stderr)
         return 2
 
     partitions = list(range(args.partitions))
-    kwargs: dict = {"fast": True} if args.fast else {}
+    kwargs: dict = {}
     if args.algorithm == "adwise":
         kwargs.update(latency_preference_ms=args.latency_preference,
                       use_clustering=not args.no_clustering)

@@ -15,8 +15,8 @@ the three steps every batch takes:
 * :meth:`call` — run one entry point to a final status, growing the
   output lists (or, through the caller's handlers, the caller's own
   buffers) on a ``KERN_NEED_*`` exit and calling again;
-* :meth:`absorb` — hand the state what the kernel did to its tables
-  (:meth:`FastPartitionState.absorb_pump`).
+* :meth:`absorb` — hand the state the scalars the kernel kept while it
+  updated the tables in place (:meth:`FastPartitionState.absorb_pump`).
 
 The window binds its per-slot, per-vertex and arena buffers through the
 same :meth:`bind` / :meth:`resize`, so there is one copy of the
@@ -121,14 +121,12 @@ class KernelBinding:
         setattr(self.ctx, cap_field, capacity)
 
     def sync_state(self) -> None:
-        """Bring the context up to date with the partition state: drain
-        its queued replica bits and size updates, rebind (and regrow the
-        per-vertex arrays to) tables the intern table reallocated, and
-        copy in the scalars the kernels mirror."""
+        """Bring the context up to date with the partition state: rebind
+        (and regrow the per-vertex arrays to) tables the intern table
+        reallocated, and copy in the scalars the kernels mirror."""
         state = self.state
         ctx = self.ctx
         replicas = state.replica_matrix()
-        sizes = state.sizes_vector()
         bound = self._bound.get("replicas")
         if bound is None or bound[0] is not replicas:
             capacity = replicas.shape[0]
@@ -136,7 +134,7 @@ class KernelBinding:
             self.bind("replicas", replicas, capacity * ctx.k)
             self.bind("row_version", state.row_version_array(), capacity)
             self.bind("deg", state.degrees_dense(), capacity)
-            self.bind("sizes", sizes, ctx.k)
+            self.bind("sizes", state.sizes_vector(), ctx.k)
         ctx.max_degree = state.max_degree
         ctx.max_size = state.max_size
         ctx.min_size = state.min_size
@@ -178,12 +176,9 @@ class KernelBinding:
             else:
                 return status
 
-    def absorb(self, edges: Sequence[Edge]) -> None:
-        """Reconcile the state's Python-side mirrors with a transaction
-        that observed ``edges`` and recorded its replica changes."""
+    def absorb(self) -> None:
+        """Hand the state the scalars this transaction kept while it
+        updated the state's tables in place."""
         ctx = self.ctx
-        changed = ctx.n_changed
-        self.state.absorb_pump(
-            edges, self.array("chg_row")[:changed].tolist(),
-            self.array("chg_col")[:changed].tolist(),
-            ctx.assigned_edges, ctx.max_degree)
+        self.state.absorb_pump(ctx.assigned_edges, ctx.max_degree,
+                               ctx.max_size, ctx.min_size)

@@ -14,11 +14,15 @@ itself (between its ``cdef-begin``/``cdef-end`` markers), so the struct
 layout has one definition.
 
 There is exactly one kernel source and no interpreted twin: where the
-kernels cannot be built (no C compiler, no cffi) :func:`load` returns
-``None`` and :class:`~repro.core.adwise.AdwisePartitioner` runs the
-object :class:`~repro.core.window.EdgeWindow`,
-:class:`~repro.partitioning.hdrf.HDRFPartitioner` its per-edge loop —
-the bit-identical references, which need neither.
+kernels cannot be built (no C compiler, no cffi, no numpy) :func:`load`
+returns ``None`` and every partitioner runs on the dict-backed
+:class:`~repro.partitioning.state.PartitionState`:
+:class:`~repro.core.adwise.AdwisePartitioner` with the object
+:class:`~repro.core.window.EdgeWindow`,
+:class:`~repro.partitioning.hdrf.HDRFPartitioner` with its per-edge loop
+— the bit-identical references, which need none of the three
+(:meth:`repro.partitioning.base.StreamingPartitioner._new_state` is
+where that choice is made).
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ def load(so_path: Optional[str] = None) -> Optional[Tuple]:
         return _loaded
     try:
         import cffi
+        import numpy  # noqa: F401 - every kernel buffer is a numpy array
 
         with open(_source_path(), "rb") as handle:
             source = handle.read()
@@ -82,13 +87,14 @@ def load(so_path: Optional[str] = None) -> Optional[Tuple]:
         ffi.cdef(_declarations(source.decode("utf-8")))
         _loaded = (ffi, ffi.dlopen(so_path or _compile(source)))
     except (ImportError, OSError, subprocess.CalledProcessError):
-        # cffi or cc missing, compile or dlopen failure.
+        # cffi, numpy or cc missing, compile or dlopen failure.
         _loaded = None
     return _loaded
 
 
 def resolve_backend_name() -> str:
-    """What runs on a fast state here: ``"cc"`` (the compiled kernels —
-    ADWISE's array window, HDRF's stream kernel) or ``"object"`` (no
-    kernels — the object window, per-edge HDRF)."""
+    """What ADWISE and HDRF run here: ``"cc"`` (the compiled kernels —
+    ADWISE's array window, HDRF's stream kernel — on the array-backed
+    state) or ``"object"`` (no kernels — the object window and per-edge
+    HDRF on the dict-backed state)."""
     return "cc" if load() is not None else "object"

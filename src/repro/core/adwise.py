@@ -32,6 +32,9 @@ window call per step — the reference.  On the
 transaction per ingest batch (DESIGN.md §14) and Python only stages the
 batch, reads the controller's decisions at block boundaries and emits
 the assignments.  The differential suites hold the two bit-identical.
+Which one runs is not an option: the compiled window wherever the
+kernels load, the reference elsewhere (and under ``fast=False``, the
+suites' hook) — see :class:`~repro.partitioning.base.StreamingPartitioner`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro import obs
 from repro.graph.graph import Edge
 from repro.graph.stream import EdgeStream
+from repro.core import _kernels
 from repro.core.adaptive import (
     AdaptiveWindowController,
     FixedWindowController,
@@ -54,9 +58,6 @@ from repro.partitioning.base import (
 )
 from repro.partitioning.state import PartitionState
 from repro.simtime import Clock
-
-#: Valid values of ``AdwisePartitioner(window_backend=...)``.
-WINDOW_BACKENDS = ("auto", "array", "object")
 
 
 class AdwisePartitioner(StreamingPartitioner):
@@ -83,22 +84,14 @@ class AdwisePartitioner(StreamingPartitioner):
     max_window:
         Upper bound on ``w`` (memory guard).
     fast:
-        Back the partitioner with an array-backed
-        :class:`~repro.partitioning.fast_state.FastPartitionState` so all
-        window scoring goes through the batched ``score_all`` kernel.
-        Produces bit-identical assignments to the legacy path.
-    window_backend:
-        ``"auto"`` (default) runs the compiled
-        :class:`~repro.core.array_window.ArrayEdgeWindow` whenever it
-        can — a fast state and kernels that built on this machine
-        (:func:`repro.core._kernels.load`) — and the dict-of-objects
-        :class:`~repro.core.window.EdgeWindow` otherwise, for the whole
-        stream.  ``"object"`` forces the reference (the differential
-        tests' control); ``"array"`` insists on the compiled window and
-        fails where it cannot run.  Both produce bit-identical results.
+        ``False`` forces the reference tier (dict-backed state, object
+        window) — the differential suites' control.  ``None`` (default)
+        and ``True`` run the compiled tier wherever it loads.  Both
+        produce bit-identical results.
     """
 
     name = "ADWISE"
+    compiled = True
 
     def __init__(self, partitions: Sequence[int],
                  latency_preference_ms: Optional[float] = None,
@@ -113,12 +106,8 @@ class AdwisePartitioner(StreamingPartitioner):
                  min_window: int = 1,
                  max_window: int = 16384,
                  max_candidates: int = 64,
-                 fast: bool = False,
-                 window_backend: str = "auto") -> None:
+                 fast: Optional[bool] = None) -> None:
         super().__init__(partitions, clock=clock, state=state, fast=fast)
-        if window_backend not in WINDOW_BACKENDS:
-            raise ValueError(f"window_backend must be one of "
-                             f"{WINDOW_BACKENDS}, got {window_backend!r}")
         self.latency_preference_ms = latency_preference_ms
         self.use_clustering = use_clustering
         self.lazy = lazy
@@ -129,7 +118,6 @@ class AdwisePartitioner(StreamingPartitioner):
         self.min_window = min_window
         self.max_window = max_window
         self.max_candidates = max_candidates
-        self.window_backend = window_backend
         self.controller = None  # populated per stream
         self.window = None  # populated per stream
         self.scoring: Optional[AdwiseScoring] = None
@@ -169,20 +157,15 @@ class AdwisePartitioner(StreamingPartitioner):
         )
 
     def _make_window(self, scoring: AdwiseScoring, image=None):
-        """Build the window for this stream (see ``window_backend``),
-        empty or — restoring a session — from a
+        """Build the window for this stream — compiled over an
+        array-backed state where the kernels load, the object reference
+        otherwise — empty or, restoring a session, from a
         :class:`~repro.core.window.WindowImage`; images are
         backend-neutral, so the choice never depends on which window
         took the snapshot."""
-        backend = self.window_backend
-        if backend == "auto":
-            from repro.core import _kernels
-
-            backend = ("array" if getattr(self.state, "is_fast", False)
-                       and _kernels.load() is not None else "object")
         knobs = dict(lazy=self.lazy, epsilon=self.epsilon,
                      max_candidates=self.max_candidates)
-        if backend == "array":
+        if self.state.is_fast and _kernels.load() is not None:
             from repro.core.array_window import ArrayEdgeWindow
 
             initial = self.fixed_window or self.min_window

@@ -25,11 +25,12 @@ call per ingest batch on a fixed window.  :meth:`add` / :meth:`pop_best`
 ``n = 1`` calls into the same C primitives, so the differential tests
 can drive both windows through the same loop.
 
-The object window performs the same traversal one ``score_all`` call per
-edge; the kernels replay each of its scalar loops in the same ascending
-entry-id order, reproducing the reference's floating-point accumulation,
-tie-breaking and clock charges exactly — assignments, latency and
-score-computation counts are bit-identical.  Enforced by
+The object window performs the same traversal one ``score`` call per
+edge and partition; the kernels replay each of its scalar loops in the
+same ascending entry-id order, reproducing the reference's
+floating-point accumulation, tie-breaking and clock charges exactly —
+assignments, latency and score-computation counts are bit-identical.
+Enforced by
 ``tests/test_array_window.py``, ``tests/test_kbest_agenda.py`` and
 ``tests/test_pump_boundaries.py``.
 
@@ -88,7 +89,7 @@ class ArrayEdgeWindow:
 
     API-compatible with :class:`~repro.core.window.EdgeWindow` (same
     constructor contract, same traversal methods, same counters), but
-    requires a fast (array-backed) partition state on ``scoring`` — the
+    requires an array-backed partition state on ``scoring`` — the
     kernels read and, in :meth:`pump`, write its replica matrix, row
     versions, degrees and sizes by dense vertex index — and the compiled
     kernels themselves (:func:`repro.core._kernels.load`).
@@ -104,7 +105,7 @@ class ArrayEdgeWindow:
         if not getattr(scoring.state, "is_fast", False):
             raise ValueError(
                 "ArrayEdgeWindow requires an array-backed partition state "
-                "(FastPartitionState); use EdgeWindow on the legacy state")
+                "(FastPartitionState); use EdgeWindow on the dict state")
         kernels = _kernels.load()
         if kernels is None:
             raise RuntimeError(
@@ -119,8 +120,7 @@ class ArrayEdgeWindow:
         self._column = {p: j for j, p in enumerate(state.partitions)}
         #: Entry id -> edge for every edge in the window (entry order).
         self._edges: Dict[int, Edge] = {}
-        #: The batch being pumped: its edges and their dense rows.
-        self._batch: Sequence[Edge] = ()
+        #: Dense rows of the batch being pumped.
         self._pairs = np.zeros(0, dtype=np.int64)
         #: The state's tables, the output lists and this window's own
         #: buffers, bound into one kernel context.
@@ -302,7 +302,6 @@ class ArrayEdgeWindow:
         intern them to dense rows, register their entry ids and validate
         everything the kernel is about to be handed."""
         first = self._ctx.next_id
-        self._batch = edges
         self._edges.update(zip(range(first, first + len(edges)), edges))
         self._pairs = self._kern.stage(edges)
         self._sync_scoring()
@@ -333,12 +332,12 @@ class ArrayEdgeWindow:
         return self._array("out_score")[start:stop].tolist()
 
     def end_batch(self) -> List[Tuple[Edge, int]]:
-        """Close the batch: hand the partition state what the kernel
-        did to its tables, and return the ``(edge, partition)``
-        decisions in pop order."""
+        """Close the batch: hand the partition state and the balancer
+        the scalars the kernel kept, and return the ``(edge,
+        partition)`` decisions in pop order."""
         ctx = self._ctx
         scoring = self.scoring
-        self._kern.absorb(self._batch)
+        self._kern.absorb()
         if scoring.balancer is not None:
             scoring.balancer.value = ctx.lam
         popped = self._take(ctx.n_out)

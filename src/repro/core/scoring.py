@@ -22,12 +22,7 @@ with three components:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # the batched kernels need a fast state, which requires numpy
+from typing import Iterable, Optional, Tuple
 
 from repro.graph.graph import Edge
 from repro.partitioning.state import PartitionState
@@ -103,14 +98,6 @@ class AdwiseScoring:
         self.use_clustering = use_clustering
         self.fixed_lambda = fixed_lambda
         self.clock = clock
-        # λ·B(p) vector memo for the batched kernels: balance scores and
-        # λ only move when an edge is assigned, while the window rescoring
-        # between two assignments calls the kernels many times.  Keyed by
-        # (assigned_edges, λ); holds the exact vector the uncached path
-        # would compute, so results are bit-identical.
-        self._weighted_balance_edges: int = -1
-        self._weighted_balance_lambda: float = float("nan")
-        self._weighted_balance: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Components
@@ -168,160 +155,11 @@ class AdwiseScoring:
             total += self.clustering_score(edge, partition, neighborhood)
         return total
 
-    # ------------------------------------------------------------------
-    # Batched kernel (fast path)
-    # ------------------------------------------------------------------
-    def _lambda_balance(self) -> np.ndarray:
-        """``λ · B(p)`` over the spread, memoized between assignments.
-
-        Callers must treat the returned vector as read-only.
-        """
-        state = self.state
-        lam = self.current_lambda
-        if (state.assigned_edges != self._weighted_balance_edges
-                or lam != self._weighted_balance_lambda):
-            max_size = state.max_size
-            balance = (max_size - state.sizes_vector()) / (
-                max_size - state.min_size + _EPSILON)
-            self._weighted_balance = lam * balance
-            self._weighted_balance_edges = state.assigned_edges
-            self._weighted_balance_lambda = lam
-        return self._weighted_balance
-
-    def score_all(self, edge: Edge,
-                  neighborhood: Iterable[int] = ()) -> np.ndarray:
-        """Score ``edge`` against *all* partitions in one vectorised call.
-
-        Requires a :class:`~repro.partitioning.fast_state.FastPartitionState`.
-        Returns ``g(e, p)`` for every partition in spread order; the
-        arithmetic mirrors :meth:`score` operation-for-operation (same
-        IEEE-754 evaluation order), so argmax over the result is
-        bit-identical to the legacy per-partition loop.  Charges ``k``
-        score computations, matching the per-call accounting.
-        """
-        state = self.state
-        if self.clock is not None:
-            self.clock.charge_score(state.num_partitions)
-        row_u, row_v = state.replica_rows_pair(edge.u, edge.v)
-        replication = (row_u * (2.0 - self.psi(edge.u))
-                       + row_v * (2.0 - self.psi(edge.v)))
-        total = self._lambda_balance() + replication
-        if self.use_clustering:
-            nbrs = list(neighborhood)
-            if nbrs:
-                total += state.replica_hits(nbrs) / len(nbrs)
-        return total
-
-    def score_batch(self, us: "np.ndarray", vs: "np.ndarray",
-                    nbr_concat: Sequence[int], nbr_counts: "np.ndarray",
-                    psi_u: Optional["np.ndarray"] = None,
-                    psi_v: Optional["np.ndarray"] = None) -> np.ndarray:
-        """Score ``N`` edges against all ``k`` partitions in one kernel call.
-
-        Row ``i`` is bit-identical to ``score_all(Edge(us[i], vs[i]),
-        nbrs_i)`` evaluated against the same state: every elementwise
-        operation mirrors the single-edge kernel in the same IEEE-754
-        evaluation order, so per-row argmax matches ``N`` sequential
-        ``best`` calls exactly.  Charges ``N × k`` score computations,
-        matching ``N`` single-edge calls.
-
-        Parameters
-        ----------
-        us, vs:
-            Endpoint vertex ids, one pair per edge.
-        nbr_concat, nbr_counts:
-            The window-local neighborhoods of all edges, concatenated,
-            with ``nbr_counts[i]`` (an int64 ndarray) giving edge ``i``'s
-            neighborhood size (rows with count 0 receive no clustering
-            term, like the single-edge kernel's ``if nbrs`` guard).
-        psi_u, psi_v:
-            Optional per-edge degree normalisations Ψ.  The refill path
-            passes the values captured when each edge was observed —
-            replaying the degree table as it stood mid-block — while
-            rescoring passes ``None`` to read the current table.
-        """
-        state = self.state
-        n = len(us)
-        if self.clock is not None:
-            self.clock.charge_score(n * state.num_partitions)
-        total = (self._lambda_balance()
-                 + self.replication_batch(us, vs, psi_u=psi_u, psi_v=psi_v))
-        if self.use_clustering and len(nbr_concat):
-            # Zero rows (empty neighborhoods) add exactly 0.0 to already
-            # non-negative scores, matching the single-edge ``if nbrs``
-            # guard bit-for-bit.
-            total += self.clustering_batch(nbr_concat, nbr_counts)
-        return total
-
-    def replication_batch(self, us: Sequence[int], vs: Sequence[int],
-                          psi_u: Optional["np.ndarray"] = None,
-                          psi_v: Optional["np.ndarray"] = None) -> np.ndarray:
-        """``R(e, p)`` for ``N`` edges as one ``(N, k)`` matrix.
-
-        Row ``i`` equals the replication term of :meth:`score_all` for
-        edge ``(us[i], vs[i])`` bit-for-bit.  Component kernel: charges
-        no score computations (the composing callers account for whole
-        scores).
-        """
-        state = self.state
-        n = len(us)
-        if isinstance(us, np.ndarray):
-            us = us.tolist()
-        if isinstance(vs, np.ndarray):
-            vs = vs.tolist()
-        endpoints = us + vs
-        rows = state.replica_rows(endpoints)
-        if psi_u is None:
-            denominator = 2.0 * max(1, state.max_degree)
-            psi = state.degrees_array(endpoints) / denominator
-        else:
-            psi = np.concatenate((psi_u, psi_v))
-        # One fused multiply over both endpoint blocks: rows i and n+i are
-        # edge i's u and v indicator rows, so the sum of the two halves is
-        # R(e, p) elementwise — identical to the per-endpoint products.
-        weighted = rows * (2.0 - psi)[:, None]
-        return weighted[:n] + weighted[n:]
-
-    def clustering_batch(self, nbr_concat: Sequence[int],
-                         nbr_counts: "np.ndarray") -> np.ndarray:
-        """``CS(e, p)`` for ``N`` edges as one ``(N, k)`` matrix.
-
-        ``nbr_concat`` holds all neighborhoods back to back and
-        ``nbr_counts[i]`` (int64 ndarray) edge ``i``'s neighborhood size;
-        rows with count 0 come back all-zero.  Component kernel: charges
-        no score computations.
-        """
-        state = self.state
-        n = len(nbr_counts)
-        counts = nbr_counts
-        if not len(nbr_concat):
-            return np.zeros((n, state.num_partitions))
-        rows = state.replica_rows(nbr_concat).astype(np.int64)
-        nonzero = counts > 0
-        if nonzero.all():
-            starts = np.cumsum(counts) - counts
-            hits = np.add.reduceat(rows, starts, axis=0)
-            return hits / counts[:, None]
-        out = np.zeros((n, state.num_partitions))
-        ends = np.cumsum(counts[nonzero])
-        starts = ends - counts[nonzero]
-        hits = np.add.reduceat(rows, starts, axis=0)
-        out[nonzero] = hits / counts[nonzero, None]
-        return out
-
     def best(self, edge: Edge,
              neighborhood: Iterable[int] = ()) -> Tuple[float, int]:
-        """Best ``(score, partition)`` for ``edge`` over the spread.
-
-        Dispatches to the batched kernel on a fast state and falls back
-        to the legacy per-partition loop otherwise; ties break toward the
-        first partition in spread order on both paths.
-        """
+        """Best ``(score, partition)`` for ``edge`` over the spread; ties
+        break toward the first partition in spread order."""
         state = self.state
-        if state.is_fast:
-            scores = self.score_all(edge, neighborhood)
-            idx = int(scores.argmax())
-            return float(scores[idx]), state.partitions[idx]
         best_score = float("-inf")
         best_partition = state.partitions[0]
         for partition in state.partitions:

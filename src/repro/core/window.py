@@ -170,9 +170,8 @@ class EdgeWindow:
                          ) -> Tuple[float, int]:
         """Best (score, partition) for ``edge`` over this instance's spread.
 
-        Delegates to :meth:`AdwiseScoring.best`, which scores all ``k``
-        partitions in one batched kernel call on a fast state and falls
-        back to the per-partition loop on the legacy state.
+        Delegates to :meth:`AdwiseScoring.best` (one ``score`` call per
+        partition).
         """
         neighborhood = self.neighborhood(edge, exclude_entry=exclude_entry)
         return self.scoring.best(edge, neighborhood)

@@ -89,13 +89,23 @@ class StreamingPartitioner:
     one edge).  Window-based algorithms override :meth:`partition_stream`
     wholesale since their control flow differs.
 
-    ``fast=True`` backs the partitioner with an array-backed
-    :class:`~repro.partitioning.fast_state.FastPartitionState`, enabling
-    the batched scoring kernels in degree-aware algorithms; the default
-    keeps the legacy dict-backed state for differential testing.
+    There are two tiers and the code picks between them from what it can
+    observe (DESIGN.md §2).  An algorithm with a compiled transaction in
+    ``_kernels.c`` (:attr:`compiled`: ADWISE, HDRF) runs it on an
+    array-backed :class:`~repro.partitioning.fast_state.FastPartitionState`
+    wherever the kernels load (:func:`repro.core._kernels.load`: numpy,
+    cffi and a C compiler present); everywhere else, and for every other
+    algorithm, the dict-backed :class:`PartitionState` and the per-edge
+    Python below run — the reference, bit-identical by contract.
+    ``fast=False`` is the differential suites' hook for that reference
+    on a machine that has the kernels; ``True`` and the default ``None``
+    both mean "the rule above".
     """
 
     name = "abstract"
+
+    #: Whether ``_kernels.c`` holds a transaction for this algorithm.
+    compiled = False
 
     #: Whether this algorithm can consume a stream through the
     #: incremental ``begin/ingest/finalize`` protocol.  Offline
@@ -106,17 +116,24 @@ class StreamingPartitioner:
     def __init__(self, partitions: Sequence[int],
                  clock: Optional[Clock] = None,
                  state: Optional[PartitionState] = None,
-                 fast: bool = False) -> None:
-        if state is not None:
-            self.state = state
-        elif fast:
-            self.state = FastPartitionState(partitions)
-        else:
-            self.state = PartitionState(partitions)
+                 fast: Optional[bool] = None) -> None:
+        if state is None:
+            state = self._new_state(partitions, fast)
+        self.state = state
         self.clock = clock if clock is not None else SimulatedClock()
         self._streaming = False
         self._assignments: Dict[Edge, int] = {}
         self._start_ms = 0.0
+
+    def _new_state(self, partitions: Sequence[int], fast: Optional[bool]):
+        """The tier-selection rule (see the class docstring).  Resolved
+        here, not at import: loading the kernels may compile them."""
+        if self.compiled and fast is not False:
+            from repro.core import _kernels
+
+            if _kernels.load() is not None:
+                return FastPartitionState(partitions)
+        return PartitionState(partitions)
 
     @property
     def partitions(self) -> List[int]:

@@ -11,6 +11,8 @@ degrees are unknown in a single pass), matching the original algorithm.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.graph.graph import Edge
 from repro.partitioning.base import StreamingPartitioner
 from repro.util import stable_hash
@@ -22,14 +24,12 @@ class DBHPartitioner(StreamingPartitioner):
     name = "DBH"
 
     def __init__(self, partitions, clock=None, state=None, seed: int = 0,
-                 fast: bool = False) -> None:
+                 fast: Optional[bool] = None) -> None:
         super().__init__(partitions, clock=clock, state=state, fast=fast)
         self._seed = seed
 
     def select_partition(self, edge: Edge) -> int:
         self.clock.charge_score()
-        # Paired lookup: one call into the (possibly array-backed) degree
-        # table instead of two dict probes.
         deg_u, deg_v = self.state.degree_pair(edge.u, edge.v)
         if deg_u < deg_v:
             anchor = edge.u

@@ -32,49 +32,7 @@ class GreedyPartitioner(StreamingPartitioner):
         self.clock.charge_score(len(pool))
         return min(pool, key=lambda p: (self.state.size(p), p))
 
-    def _least_loaded_bits(self, bits: int) -> int:
-        """Least-loaded partition among bitmask ``bits`` (fast-state form).
-
-        Tie-break matches :meth:`_least_loaded`: smallest size, then
-        smallest partition id.  Charges one score per considered
-        partition, like the legacy pool scan.
-        """
-        state = self.state
-        sizes = state.sizes_list()
-        partitions = state.partitions
-        considered = 0
-        best_key = None
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            j = low.bit_length() - 1
-            considered += 1
-            key = (sizes[j], partitions[j])
-            if best_key is None or key < best_key:
-                best_key = key
-        self.clock.charge_score(considered)
-        return best_key[1]
-
-    def _select_fast(self, edge: Edge) -> int:
-        """Case rules over replica bitmasks instead of set algebra."""
-        state = self.state
-        bits_u, bits_v = state.replica_bits_pair(edge.u, edge.v)
-        shared = bits_u & bits_v
-        if shared:
-            return self._least_loaded_bits(shared)
-        if bits_u and bits_v:
-            deg_u, deg_v = state.degree_pair(edge.u, edge.v)
-            return self._least_loaded_bits(bits_u if deg_u >= deg_v
-                                           else bits_v)
-        if bits_u:
-            return self._least_loaded_bits(bits_u)
-        if bits_v:
-            return self._least_loaded_bits(bits_v)
-        return self._least_loaded(self.partitions)
-
     def select_partition(self, edge: Edge) -> int:
-        if self.state.is_fast:
-            return self._select_fast(edge)
         reps_u = self.state.replicas(edge.u) & set(self.partitions)
         reps_v = self.state.replicas(edge.v) & set(self.partitions)
         shared = reps_u & reps_v

@@ -11,23 +11,18 @@ high-degree vertices get replicated first), and the balance term pushes
 toward the least-loaded partition.  λ is a fixed, user-chosen parameter; the
 paper uses the authors' recommended λ = 1.1.
 
-On a fast state with the compiled kernels built
-(:func:`repro.core._kernels.load`) a whole ingest batch is one C
-transaction, ``kern_hdrf`` (DESIGN.md §14): observe, score, first-maximum
-argmax and vertex-cache update per edge, in :meth:`HDRFPartitioner.score`'s
-exact operation order.  Otherwise — and always as the
-:meth:`~HDRFPartitioner.select_partition` policy other drivers call — the
-per-edge Python below runs; the two are bit-identical.
+Where the compiled kernels load (:func:`repro.core._kernels.load`) the
+partitioner runs on the array-backed state and a whole ingest batch is
+one C transaction, ``kern_hdrf`` (DESIGN.md §14): observe, score,
+first-maximum argmax and vertex-cache update per edge, in
+:meth:`HDRFPartitioner.score`'s exact operation order.  Otherwise — and
+always as the :meth:`~HDRFPartitioner.select_partition` policy other
+drivers call — the per-edge Python below runs; the two are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None  # score_all needs a fast state, which requires numpy
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.graph.graph import Edge
@@ -40,9 +35,10 @@ class HDRFPartitioner(StreamingPartitioner):
     """Single-edge streaming with degree-weighted replication scoring."""
 
     name = "HDRF"
+    compiled = True
 
     def __init__(self, partitions, clock=None, state=None,
-                 lam: float = 1.1, fast: bool = False) -> None:
+                 lam: float = 1.1, fast: Optional[bool] = None) -> None:
         super().__init__(partitions, clock=clock, state=state, fast=fast)
         if lam < 0:
             raise ValueError(f"lambda must be non-negative, got {lam}")
@@ -61,8 +57,8 @@ class HDRFPartitioner(StreamingPartitioner):
 
     def _bound_kernel(self):
         """The current state's kernel binding, or ``None`` where batches
-        take the per-edge path: a legacy state, or no compiled kernels
-        on this machine."""
+        take the per-edge path: a dict-backed state, or (under an
+        injected array-backed one) no compiled kernels on this machine."""
         kernel = self.kernel
         if kernel is None or kernel.state is not self.state:
             from repro.core import _kernels
@@ -84,7 +80,7 @@ class HDRFPartitioner(StreamingPartitioner):
         kernel.call(kernel.lib.kern_hdrf, kernel.pointer(pairs), n, self.lam)
         self.clock.charge_score(n * self.state.num_partitions)
         self.clock.charge_assignment(n)
-        kernel.absorb(edges)
+        kernel.absorb()
         partitions = self.partitions
         return [partitions[col]
                 for col in kernel.array("out_col")[:n].tolist()]
@@ -128,30 +124,7 @@ class HDRFPartitioner(StreamingPartitioner):
         return (self.replication_score(edge, partition)
                 + self.lam * self.balance_score(partition))
 
-    def score_all(self, edge: Edge) -> np.ndarray:
-        """``C(p)`` for all partitions in one batched kernel call.
-
-        Requires a fast state.  Mirrors :meth:`score` operation-for-
-        operation so argmax matches the legacy loop bit-for-bit; charges
-        ``k`` score computations like the loop does.
-        """
-        state = self.state
-        self.clock.charge_score(state.num_partitions)
-        deg_u, deg_v = state.degree_pair(edge.u, edge.v)
-        total = deg_u + deg_v
-        theta_u = deg_u / total if total > 0 else 0.5
-        theta_v = 1.0 - theta_u
-        row_u, row_v = state.replica_rows_pair(edge.u, edge.v)
-        replication = (row_u * (1.0 + (1.0 - theta_u))
-                       + row_v * (1.0 + (1.0 - theta_v)))
-        max_size = state.max_size
-        balance = (max_size - state.sizes_vector()) / (
-            _EPSILON + max_size - state.min_size)
-        return replication + self.lam * balance
-
     def select_partition(self, edge: Edge) -> int:
-        if self.state.is_fast:
-            return self.partitions[int(np.argmax(self.score_all(edge)))]
         best_partition = self.partitions[0]
         best_score = float("-inf")
         for partition in self.partitions:

@@ -100,7 +100,7 @@ class PartitionerSpec:
     closures/lambdas don't pickle.  A spec names the algorithm and the
     extra constructor arguments instead::
 
-        PartitionerSpec("hdrf", {"fast": True})
+        PartitionerSpec("hdrf", {"lam": 1.1})
         PartitionerSpec("adwise", {"latency_preference_ms": 50.0})
 
     Specs are also ordinary :data:`PartitionerFactory` callables, so the

@@ -28,8 +28,9 @@ class StateSnapshot:
     on the wire and cheap to union.
 
     ``fast`` records which state class produced the snapshot so the
-    receiving side can rebuild the same flavour (falling back to the
-    dict-backed state when numpy is unavailable).
+    parallel loader's parent rebuilds the same flavour (falling back to
+    the dict-backed state when numpy is unavailable).  Either class
+    restores either flavour's snapshot.
     """
 
     partitions: List[int]
@@ -114,8 +115,8 @@ class StateSnapshot:
 def iter_bits(bits: int):
     """Yield the set bit positions of ``bits`` (low to high).
 
-    The one place the replica-bitmask decoding loop lives; used by the
-    snapshot codec and the fast state's scalar reads.
+    The one place the replica-bitmask decoding loop lives (the
+    snapshot codec).
     """
     while bits:
         low = bits & -bits
@@ -127,9 +128,7 @@ def rebuild_size_stats(sizes: Sequence[int]
                        ) -> "tuple[Dict[int, int], int, int]":
     """``(histogram, max_size, min_size)`` recomputed from scratch.
 
-    Snapshot restoration counterpart of :func:`bump_size_histogram`,
-    shared by both state flavours so the derived-stats invariant has a
-    single owner.
+    Snapshot restoration counterpart of :func:`bump_size_histogram`.
     """
     histogram: Dict[int, int] = {}
     for size in sizes:
@@ -142,9 +141,8 @@ def bump_size_histogram(histogram: Dict[int, int], old_size: int,
                         ) -> "tuple[int, int]":
     """Move one partition from ``old_size`` to ``new_size`` in ``histogram``.
 
-    Returns the updated ``(max_size, min_size)``.  Shared by the legacy and
-    fast states so the O(1) max/min invariant lives in exactly one place;
-    sizes only ever grow by 1, which is what makes the min update exact.
+    Returns the updated ``(max_size, min_size)``.  Sizes only ever grow
+    by 1, which is what makes the min update exact.
     """
     histogram[old_size] -= 1
     if histogram[old_size] == 0:
@@ -168,7 +166,7 @@ class PartitionState:
         (the instance's *spread*).
     """
 
-    #: Capability marker: the batched scoring kernels dispatch on this
+    #: Capability marker: no dense tables for a compiled kernel to bind
     #: (see :class:`repro.partitioning.fast_state.FastPartitionState`).
     is_fast = False
 

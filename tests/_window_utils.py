@@ -1,5 +1,51 @@
 """Shared helpers of the kernel differential suites."""
 
+from repro.core.window import EdgeWindow
+from repro.partitioning.state import PartitionState
+
+
+def reference(build, *args, **kwargs):
+    """The control of every "compiled ≡ reference" comparison:
+    ``build(*args, fast=False, **kwargs)`` — a partitioner class or
+    ``open_session`` — checked to really be the reference tier, a
+    dict-backed :class:`PartitionState` and, for ADWISE, the object
+    :class:`EdgeWindow` (asserted when the stream opens if it has not
+    yet).  With the compiled tier the default, a control that silently
+    became compiled too would leave a suite comparing it with itself."""
+    built = build(*args, fast=False, **kwargs)
+    partitioner = getattr(built, "partitioner", built)
+    assert type(partitioner.state) is PartitionState
+    if hasattr(partitioner, "window"):
+        if partitioner.window is None:
+            begin = partitioner.begin
+
+            def checked_begin(total_edges=0):
+                begin(total_edges)
+                assert type(partitioner.window) is EdgeWindow
+
+            partitioner.begin = checked_begin
+        else:
+            assert type(partitioner.window) is EdgeWindow
+    return built
+
+
+def assert_same_tables(state, twin):
+    """Two array-backed states, table for table over the rows in use and
+    scalar for scalar — what "the kernel left the state exactly as the
+    per-edge ``observe_degrees``/``assign`` would have" means."""
+    import numpy as np
+
+    assert state._vindex == twin._vindex
+    rows = len(state._vindex)
+    for table in ("_replicas", "_row_version", "_deg"):
+        assert np.array_equal(getattr(state, table)[:rows],
+                              getattr(twin, table)[:rows]), table
+    assert np.array_equal(state._sizes, twin._sizes)
+    assert ((state.max_degree, state.assigned_edges, state.max_size,
+             state.min_size)
+            == (twin.max_degree, twin.assigned_edges, twin.max_size,
+                twin.min_size))
+
 
 def result_tuple(result):
     """What any partitioner's bit-identity contract covers, as one

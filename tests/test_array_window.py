@@ -11,14 +11,17 @@ are distinct items), a full configuration grid, and targeted unit checks
 of the window API itself.
 """
 
+from functools import partial
+
 import pytest
+from _window_utils import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import _kernels
 from repro.core.adwise import AdwisePartitioner
 from repro.core.array_window import ArrayEdgeWindow
-from repro.core.scoring import AdaptiveBalancer, AdwiseScoring
+from repro.core.scoring import AdwiseScoring
 from repro.core.window import EdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
@@ -47,16 +50,13 @@ def stream_of(pairs):
     return InMemoryEdgeStream([Edge(u, v) for u, v in pairs])
 
 
-def run_three(pairs, k, **kwargs):
-    """(legacy dict-state, object window on fast state, array window)."""
-    results = []
-    partitioners = []
-    for fast, backend in ((False, "object"), (True, "object"),
-                          (True, "array")):
-        partitioner = AdwisePartitioner(range(k), fast=fast,
-                                        window_backend=backend, **kwargs)
-        partitioners.append(partitioner)
-        results.append(partitioner.partition_stream(stream_of(pairs)))
+def run_both(pairs, k, **kwargs):
+    """(the reference: dict state + object window, the compiled tier)."""
+    partitioners = [reference(AdwisePartitioner, range(k), **kwargs),
+                    AdwisePartitioner(range(k), **kwargs)]
+    results = [partitioner.partition_stream(stream_of(pairs))
+               for partitioner in partitioners]
+    assert isinstance(partitioners[1].window, ArrayEdgeWindow)
     return partitioners, results
 
 
@@ -68,18 +68,18 @@ def window_trace(partitioner):
 
 
 def assert_identical(partitioners, results):
-    reference = results[0]
+    control = results[0]
     ref_trace = window_trace(partitioners[0])
     for partitioner, result in zip(partitioners[1:], results[1:]):
         # Assignment order matters: dict equality alone would hide a
         # different pop order that happens to reach the same mapping.
         assert (list(result.assignments.items())
-                == list(reference.assignments.items()))
-        assert result.replication_degree == reference.replication_degree
-        assert result.imbalance == reference.imbalance
-        assert result.latency_ms == reference.latency_ms
-        assert result.score_computations == reference.score_computations
-        assert result.extras == reference.extras  # incl. promotions, windows
+                == list(control.assignments.items()))
+        assert result.replication_degree == control.replication_degree
+        assert result.imbalance == control.imbalance
+        assert result.latency_ms == control.latency_ms
+        assert result.score_computations == control.score_computations
+        assert result.extras == control.extras  # incl. promotions, windows
         assert window_trace(partitioner) == ref_trace
 
 
@@ -90,32 +90,32 @@ def assert_identical(partitioners, results):
 @settings(deadline=None, max_examples=30)
 @given(edge_lists, partition_counts)
 def test_adaptive_lazy_parity(pairs, k):
-    assert_identical(*run_three(pairs, k, latency_preference_ms=5.0))
+    assert_identical(*run_both(pairs, k, latency_preference_ms=5.0))
 
 
 @settings(deadline=None, max_examples=25)
 @given(edge_lists, partition_counts, st.integers(1, 24))
 def test_fixed_window_lazy_parity(pairs, k, window):
-    assert_identical(*run_three(pairs, k, fixed_window=window))
+    assert_identical(*run_both(pairs, k, fixed_window=window))
 
 
 @settings(deadline=None, max_examples=20)
 @given(edge_lists, partition_counts, st.integers(1, 24))
 def test_fixed_window_eager_parity(pairs, k, window):
-    assert_identical(*run_three(pairs, k, fixed_window=window, lazy=False))
+    assert_identical(*run_both(pairs, k, fixed_window=window, lazy=False))
 
 
 @settings(deadline=None, max_examples=15)
 @given(edge_lists, partition_counts)
 def test_adaptive_eager_parity(pairs, k):
-    assert_identical(*run_three(pairs, k, latency_preference_ms=5.0,
+    assert_identical(*run_both(pairs, k, latency_preference_ms=5.0,
                                 lazy=False))
 
 
 @settings(deadline=None, max_examples=15)
 @given(edge_lists, partition_counts)
 def test_no_clustering_parity(pairs, k):
-    assert_identical(*run_three(pairs, k, latency_preference_ms=5.0,
+    assert_identical(*run_both(pairs, k, latency_preference_ms=5.0,
                                 use_clustering=False))
 
 
@@ -123,26 +123,18 @@ def test_no_clustering_parity(pairs, k):
 @given(edge_lists, partition_counts)
 def test_unbounded_preference_parity(pairs, k):
     """No latency preference: the window grows as long as quality improves."""
-    assert_identical(*run_three(pairs, k, latency_preference_ms=None,
+    assert_identical(*run_both(pairs, k, latency_preference_ms=None,
                                 max_window=32))
 
 
 @settings(deadline=None, max_examples=15)
 @given(edge_lists, partition_counts)
-def test_auto_backend_parity_from_w1(pairs, k):
-    """``auto`` runs the array window from w=1 (no mid-stream engine
-    switch) and must stay bit-identical to the pure object window."""
+def test_parity_from_w1(pairs, k):
+    """The array window runs from w=1 (no mid-stream engine switch) and
+    must stay bit-identical to the pure object window as it grows."""
     doubled = [pair for pair in pairs for _ in (0, 1, 2)] * 3
-    partitioners, results = [], []
-    for backend in ("object", "auto"):
-        partitioner = AdwisePartitioner(range(k), fast=True,
-                                        window_backend=backend,
-                                        latency_preference_ms=None,
-                                        max_window=64)
-        partitioners.append(partitioner)
-        results.append(partitioner.partition_stream(stream_of(doubled)))
-    assert isinstance(partitioners[1].window, ArrayEdgeWindow)
-    assert_identical(partitioners, results)
+    assert_identical(*run_both(doubled, k, latency_preference_ms=None,
+                               max_window=64))
 
 
 @settings(deadline=None, max_examples=15)
@@ -150,44 +142,14 @@ def test_auto_backend_parity_from_w1(pairs, k):
 def test_duplicate_heavy_stream_parity(pairs, k):
     """Every edge twice back to back: duplicate window entries everywhere."""
     doubled = [pair for pair in pairs for _ in (0, 1)]
-    assert_identical(*run_three(doubled, k, fixed_window=8))
+    assert_identical(*run_both(doubled, k, fixed_window=8))
 
 
 @settings(deadline=None, max_examples=10)
 @given(edge_lists, partition_counts)
 def test_tiny_candidate_cap_parity(pairs, k):
     """A tiny candidate cap exercises rule-2 fallback promotion ordering."""
-    assert_identical(*run_three(pairs, k, fixed_window=12, max_candidates=2))
-
-
-@settings(deadline=None, max_examples=20)
-@given(edge_lists, partition_counts)
-def test_score_batch_matches_score_all(pairs, k):
-    """The batched kernel row-for-row equals the single-edge kernel."""
-    import numpy as np
-
-    state = FastPartitionState(range(k))
-    scoring = AdwiseScoring(state, balancer=AdaptiveBalancer(len(pairs)))
-    nbr_pool = sorted({v for pair in pairs for v in pair})
-    for i, (u, v) in enumerate(pairs):
-        edge = Edge(u, v).canonical()
-        state.observe_degrees(edge)
-        state.assign(edge, (u + i) % k)
-        scoring.after_assignment()
-    edges = [Edge(u, v).canonical() for u, v in pairs]
-    us = [e.u for e in edges]
-    vs = [e.v for e in edges]
-    nbr_concat = []
-    counts = []
-    for i in range(len(edges)):
-        nbrs = nbr_pool[:i % 4]
-        counts.append(len(nbrs))
-        nbr_concat.extend(nbrs)
-    batched = scoring.score_batch(us, vs, nbr_concat,
-                                  np.asarray(counts, dtype=np.int64))
-    for i, edge in enumerate(edges):
-        nbrs = nbr_pool[:i % 4]
-        assert list(batched[i]) == list(scoring.score_all(edge, nbrs))
+    assert_identical(*run_both(pairs, k, fixed_window=12, max_candidates=2))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +160,10 @@ def test_grow_then_shrink_compacts_and_stays_identical():
     """A stream long enough to grow past the initial capacity, with a
     latency preference that later forces shrinking back to w=1."""
     pairs = [(i % 37, (i * 7 + 1) % 41 + 37) for i in range(600)]
-    partitioners, results = run_three(pairs, 4, latency_preference_ms=3.0,
+    partitioners, results = run_both(pairs, 4, latency_preference_ms=3.0,
                                       max_window=256)
     assert_identical(partitioners, results)
-    window = partitioners[2].window
-    assert isinstance(window, ArrayEdgeWindow)
+    window = partitioners[1].window
     # The controller shrank near the end; compaction keeps capacity at
     # most a small multiple of the final occupancy (bounded by the
     # compaction floor).
@@ -346,28 +307,23 @@ class TestAdwiseWiring:
     @pytest.mark.parametrize("knobs", [
         {"fixed_window": 64}, {"fixed_window": 1}, {"fixed_window": 4},
         {"latency_preference_ms": 0.0}, {"latency_preference_ms": None}])
-    def test_auto_backend_picks_array_on_fast_state(self, knobs):
+    def test_default_picks_the_array_window(self, knobs):
         """With the kernels built the array window runs at every size,
-        from the first edge."""
-        partitioner = AdwisePartitioner(range(4), fast=True, **knobs)
+        from the first edge, without being asked for."""
+        partitioner = AdwisePartitioner(range(4), **knobs)
         partitioner.begin()
         assert isinstance(partitioner.window, ArrayEdgeWindow)
         partitioner.partition_stream(stream_of([(1, 2), (2, 3)]))
         assert isinstance(partitioner.window, ArrayEdgeWindow)
 
-    def test_auto_backend_picks_object_on_legacy_state(self):
-        partitioner = AdwisePartitioner(range(4))
+    def test_fast_false_picks_the_reference(self):
+        partitioner = reference(AdwisePartitioner, range(4))
         partitioner.partition_stream(stream_of([(1, 2), (2, 3)]))
         assert isinstance(partitioner.window, EdgeWindow)
 
-    def test_array_backend_requires_fast_state(self):
-        partitioner = AdwisePartitioner(range(4), window_backend="array")
-        with pytest.raises(ValueError):
-            partitioner.partition_stream(stream_of([(1, 2)]))
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            AdwisePartitioner(range(4), window_backend="simd")
+    def test_no_window_backend_knob(self):
+        with pytest.raises(TypeError):
+            AdwisePartitioner(range(4), window_backend="object")
 
     def test_promotions_surface_in_extras(self):
         pairs = [(i % 9, (i * 3 + 1) % 9 + 9) for i in range(60)]
@@ -382,11 +338,11 @@ class TestAdwiseWiring:
     def test_clock_parity_between_backends(self):
         pairs = [(i % 11, (i * 5 + 2) % 11 + 11) for i in range(80)]
         clocks = []
-        for backend in ("object", "array"):
+        for build in (partial(reference, AdwisePartitioner),
+                      AdwisePartitioner):
             clock = SimulatedClock()
-            AdwisePartitioner(range(4), fixed_window=16, fast=True,
-                              window_backend=backend,
-                              clock=clock).partition_stream(stream_of(pairs))
+            build(range(4), fixed_window=16,
+                  clock=clock).partition_stream(stream_of(pairs))
             clocks.append((clock.score_computations, clock.assignments,
                            clock.now()))
         assert clocks[0] == clocks[1]

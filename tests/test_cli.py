@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +67,23 @@ class TestPartitionCommand:
         for line in lines:
             u, v, p = line.split()
             assert 0 <= int(p) < 4
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2",
+                                              "--backend", "simulated"]],
+                             ids=["single", "workers"])
+    def test_gz_output_round_trips(self, workers, graph_file, tmp_path,
+                                   capsys):
+        """A ``.gz`` name means gzip content, which ``process`` reads."""
+        plain, packed = (str(tmp_path / name) for name in ("a.txt", "a.gz"))
+        for path in (plain, packed):
+            assert main(["partition", graph_file, "--algorithm", "hdrf",
+                         "--partitions", "4", "--output", path]
+                        + workers) == 0
+        with gzip.open(packed, "rt") as handle, open(plain) as text:
+            assert handle.read() == text.read()
+        assert main(["process", graph_file, packed, "--workload",
+                     "components", "--cluster"]) == 0
+        assert "cluster (serial" in capsys.readouterr().out
 
     def test_wall_clock_mode(self, graph_file, capsys):
         code = main(["partition", graph_file, "--wall-clock",
@@ -283,12 +302,15 @@ class TestPipelineCommand:
         assert code == 0
         assert f"{graph_file}.parts" in capsys.readouterr().out
 
-    def test_fast_unsupported_algorithm_rejected(self, graph_file,
-                                                 capsys):
-        code = main(["pipeline", graph_file, "--algorithm", "hash",
-                     "--fast", "--partitions", "4"])
-        assert code == 2
-        assert "--fast" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["partition", "pipeline"])
+    def test_no_fast_flag(self, command, graph_file, capsys):
+        """The tier is chosen by what the machine can run, not by flag."""
+        with pytest.raises(SystemExit):
+            main([command, graph_file, "--fast"])
+        assert "unrecognized arguments: --fast" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--fast" not in capsys.readouterr().out
 
     def test_spread_without_load_workers_rejected(self, graph_file,
                                                   capsys):

@@ -8,8 +8,10 @@ session facade and the service daemon reuse every algorithm unchanged.
 """
 
 import random
+from functools import partial
 
 import pytest
+from _window_utils import reference
 
 from repro.core.adwise import AdwisePartitioner
 from repro.graph.graph import Edge
@@ -48,19 +50,20 @@ def _run_incremental(factory, chunk):
     return partitioner.finalize(), emitted
 
 
-ADWISE = lambda parts, clock: AdwisePartitioner(  # noqa: E731
-    parts, clock=clock, latency_preference_ms=40.0)
-ADWISE_FAST = lambda parts, clock: AdwisePartitioner(  # noqa: E731
-    parts, clock=clock, latency_preference_ms=40.0, fast=True)
-ADWISE_FIXED = lambda parts, clock: AdwisePartitioner(  # noqa: E731
-    parts, clock=clock, fixed_window=64)
+ADWISE = partial(AdwisePartitioner, latency_preference_ms=40.0)
+ADWISE_FIXED = partial(AdwisePartitioner, fixed_window=64)
 
 
+# Both tiers of the algorithms that have two: as built by default (the
+# compiled kernels where they load) and the checked reference.
 @pytest.mark.parametrize("chunk", [1, 7, 64, 500, len(EDGES)])
 @pytest.mark.parametrize("factory", [
-    ADWISE, ADWISE_FAST, ADWISE_FIXED,
-    HDRFPartitioner, DBHPartitioner, GreedyPartitioner,
-], ids=["adwise", "adwise-fast", "adwise-fixed", "hdrf", "dbh", "greedy"])
+    ADWISE, partial(reference, ADWISE),
+    ADWISE_FIXED, partial(reference, ADWISE_FIXED),
+    HDRFPartitioner, partial(reference, HDRFPartitioner),
+    DBHPartitioner, GreedyPartitioner,
+], ids=["adwise", "adwise-reference", "adwise-fixed",
+        "adwise-fixed-reference", "hdrf", "hdrf-reference", "dbh", "greedy"])
 class TestBatchIncrementalParity:
     def test_assignments_identical(self, factory, chunk):
         batch = _run_batch(factory)

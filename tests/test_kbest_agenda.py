@@ -19,9 +19,11 @@ enforces that contract three ways:
 ``tests/test_window_fallback.py``, which runs without them.)
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
-from _window_utils import outcome
+from _window_utils import outcome, reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,7 @@ from repro.core.window import EdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
 from repro.partitioning.fast_state import FastPartitionState
+from repro.partitioning.state import PartitionState
 
 pytestmark = pytest.mark.skipif(_kernels.load() is None,
                                 reason="compiled kernels unavailable")
@@ -54,16 +57,17 @@ def stream_of(pairs):
     return InMemoryEdgeStream([Edge(u, v) for u, v in pairs])
 
 
-def run_partitioner(pairs, k, window_backend="array", **kwargs):
-    partitioner = AdwisePartitioner(range(k), fast=True,
-                                    window_backend=window_backend, **kwargs)
-    return partitioner, partitioner.partition_stream(stream_of(pairs))
+def run_partitioner(pairs, k, build=AdwisePartitioner, **kwargs):
+    partitioner = build(range(k), **kwargs)
+    result = partitioner.partition_stream(stream_of(pairs))
+    return partitioner, result
 
 
 def assert_parity(pairs, k, **kwargs):
-    assert (outcome(*run_partitioner(pairs, k, **kwargs))
-            == outcome(*run_partitioner(pairs, k, window_backend="object",
-                                        **kwargs)))
+    compiled = run_partitioner(pairs, k, **kwargs)
+    assert isinstance(compiled[0].window, ArrayEdgeWindow)
+    assert outcome(*compiled) == outcome(*run_partitioner(
+        pairs, k, build=partial(reference, AdwisePartitioner), **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +130,10 @@ def test_longer_stream_parity():
 # ---------------------------------------------------------------------------
 
 def drive(window_cls, pairs, k, window=9, lazy=True):
-    """Drive a window the way the reference loop does; pop trace."""
-    state = FastPartitionState(range(k))
+    """Drive a window the way the reference loop does, each on its own
+    tier's state; pop trace."""
+    state = (FastPartitionState if window_cls is ArrayEdgeWindow
+             else PartitionState)(range(k))
     scoring = AdwiseScoring(state, balancer=None)
     win = window_cls(scoring, lazy=lazy)
     edges = [Edge(u, v).canonical() for u, v in pairs]
@@ -286,7 +292,7 @@ def test_live_window_heap_invariants():
 def test_fixed_window_batch_is_one_kernel_call():
     pairs = [((i * 13 + 3) % 199, (i * 7 + 1) % 211 + 199)
              for i in range(256 * 12)]
-    partitioner = AdwisePartitioner(range(8), fast=True, fixed_window=256)
+    partitioner = AdwisePartitioner(range(8), fixed_window=256)
     partitioner.begin(total_edges=len(pairs))
     tallies = []
     for start in range(0, len(pairs), 256):

@@ -643,9 +643,7 @@ class TestInstrumentation:
         from repro.graph.stream import InMemoryEdgeStream
 
         obs.enable()
-        partitioner = AdwisePartitioner(
-            list(range(4)), fast=True, fixed_window=16,
-            window_backend="array")
+        partitioner = AdwisePartitioner(list(range(4)), fixed_window=16)
         edges = [Edge(u, v) for u, v in _random_edges(200, 40, seed=21)]
         partitioner.partition_stream(InMemoryEdgeStream(edges))
         snap = obs.snapshot()
@@ -661,6 +659,41 @@ class TestInstrumentation:
         assert all(0.0 <= v <= 1.0 for v in hit_rates)
         spans = {s["name"] for s in obs.tracer().spans()}
         assert {"partition.ingest", "partition.finalize"} <= spans
+
+    def test_default_daemon_tenant_runs_the_kernels(self):
+        """A tenant opened with no knobs — all ``adwise client`` can
+        ask for — runs the compiled tier where it loads, and says so in
+        the daemon's metrics."""
+        from repro.cli import _parse_prometheus
+        from repro.core import _kernels
+        from repro.service.client import ServiceClient
+        from repro.service.server import run_service
+
+        if _kernels.load() is None:
+            pytest.skip("compiled kernels unavailable")
+        obs.enable()
+        ready = threading.Event()
+        box = {}
+
+        def on_ready(service):
+            box["port"] = service.port
+            ready.set()
+
+        thread = threading.Thread(
+            target=run_service,
+            kwargs=dict(port=0, ready_callback=on_ready), daemon=True)
+        thread.start()
+        assert ready.wait(10)
+        with ServiceClient(port=box["port"]) as client:
+            client.open("t", algorithm="adwise", partitions=8)
+            client.ingest("t", _random_edges(300, 40, seed=23))
+            client.finalize("t")
+            series = _parse_prometheus(client.metrics_text())
+            client.shutdown()
+        thread.join(10)
+        calls = [value for (name, _), value in series.items()
+                 if name == "repro_window_kernel_calls_total"]
+        assert calls and calls[0] > 0
 
     def test_disabled_run_stays_silent(self):
         from repro.core.adwise import AdwisePartitioner

@@ -5,15 +5,25 @@ into numpy buffers that Python grows and rebinds; a stale binding would
 be silent memory corruption, not an ``IndexError``.  So every buffer
 they bind is crossed here — from a tiny initial capacity through at
 least three doublings — and the outcome compared with the reference
-(the object window; ``fast=False`` for HDRF) on the full result tuple.  Two more contracts ride along: ``fast=True`` must equal
-``fast=False`` beyond the intern table's first allocation (the item-0
-regression), and the Python-side state mirrors the service answers
-queries from must be exact after *every* pumped batch.
+(``fast=False``: the dict state, the object window, per-edge HDRF) on
+the full result tuple.  Two more contracts ride along: the compiled tier
+must equal the reference beyond the intern table's first allocation
+(the item-0 regression), and the state the service answers queries from
+must be exact — against the dict reference and, table for table,
+against an array state maintained edge by edge in Python — after
+*every* pumped batch.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
-from _window_utils import outcome, result_tuple
+from _window_utils import (
+    assert_same_tables,
+    outcome,
+    reference,
+    result_tuple,
+)
 
 from repro.api import open_session
 from repro.core import _binding, _kernels, array_window
@@ -23,6 +33,8 @@ from repro.core.array_window import ArrayEdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
 from repro.partitioning import fast_state
+from repro.partitioning.fast_state import FastPartitionState
+from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.parallel import partitioner_registry
 
 pytestmark = pytest.mark.skipif(_kernels.load() is None,
@@ -48,52 +60,44 @@ def wide_stream(vertices=4200, extra=2):
 @pytest.mark.parametrize("algorithm,knobs", [
     ("adwise", {"fixed_window": 16}),
     ("adwise", {"latency_preference_ms": 150.0}),
-    ("hdrf", {}), ("dbh", {}), ("greedy", {}),
-], ids=["adwise-fixed", "adwise-adaptive", "hdrf", "dbh", "greedy"])
-class TestBeyondInitialVertexCapacity:
-    def run(self, algorithm, knobs, fast):
-        edges = wide_stream()
-        partitioner = partitioner_registry()[algorithm](
-            list(range(8)), fast=fast, **knobs)
-        result = partitioner.partition_stream(InMemoryEdgeStream(edges))
-        return partitioner, result
-
-    def test_fast_equals_legacy(self, algorithm, knobs):
-        fast_p, fast_r = self.run(algorithm, knobs, fast=True)
-        legacy_p, legacy_r = self.run(algorithm, knobs, fast=False)
-        assert len(fast_p.state._vindex) >= 4100
-        assert fast_p.state._capacity >= 4 * fast_state._INITIAL_CAPACITY
-        assert (list(fast_r.assignments.items())
-                == list(legacy_r.assignments.items()))
-        assert fast_r.latency_ms == legacy_r.latency_ms
-        assert fast_r.score_computations == legacy_r.score_computations
-        assert fast_r.extras == legacy_r.extras
-        assert fast_r.replication_degree == legacy_r.replication_degree
-        fast_snap, legacy_snap = fast_p.state.snapshot(), legacy_p.state.snapshot()
-        assert fast_snap.degree == legacy_snap.degree
-        assert fast_snap.replica_bits == legacy_snap.replica_bits
-        assert fast_snap.sizes == legacy_snap.sizes
-
-    def test_dense_degree_mirror_is_exact(self, algorithm, knobs):
-        partitioner, _ = self.run(algorithm, knobs, fast=True)
-        state = partitioner.state
-        for vertex, row in state._vindex.items():
-            assert state._deg[row] == state.degree[vertex]
+    ("hdrf", {}),
+], ids=["adwise-fixed", "adwise-adaptive", "hdrf"])
+def test_compiled_equals_reference_beyond_initial_capacity(algorithm, knobs):
+    edges = wide_stream()
+    cls = partitioner_registry()[algorithm]
+    fast_p = cls(list(range(8)), **knobs)
+    legacy_p = reference(cls, list(range(8)), **knobs)
+    fast_r = fast_p.partition_stream(InMemoryEdgeStream(edges))
+    legacy_r = legacy_p.partition_stream(InMemoryEdgeStream(edges))
+    assert len(fast_p.state._vindex) >= 4100
+    assert fast_p.state._capacity >= 4 * fast_state._INITIAL_CAPACITY
+    assert (list(fast_r.assignments.items())
+            == list(legacy_r.assignments.items()))
+    assert fast_r.latency_ms == legacy_r.latency_ms
+    assert fast_r.score_computations == legacy_r.score_computations
+    assert fast_r.extras == legacy_r.extras
+    assert fast_r.replication_degree == legacy_r.replication_degree
+    fast_snap, legacy_snap = fast_p.state.snapshot(), legacy_p.state.snapshot()
+    assert fast_snap.degree == legacy_snap.degree
+    assert fast_snap.replica_bits == legacy_snap.replica_bits
+    assert fast_snap.sizes == legacy_snap.sizes
 
 
 def test_snapshot_roundtrip_beyond_initial_capacity():
     """``from_snapshot`` / ``copy_degrees_from`` intern while filling
-    the dense degree mirror — the same evaluation-order trap."""
-    partitioner = partitioner_registry()["hdrf"](list(range(4)), fast=True)
+    the dense degree table — fetching it before interning would write
+    into the array the growth just replaced."""
+    partitioner = partitioner_registry()["hdrf"](list(range(4)))
     partitioner.partition_stream(InMemoryEdgeStream(wide_stream(1500, 2)))
     state = partitioner.state
     restored = fast_state.FastPartitionState.from_snapshot(state.snapshot())
     adopted = fast_state.FastPartitionState(range(4))
     adopted.copy_degrees_from(state)
+    assert restored._capacity == adopted._capacity == 2048
     for other in (restored, adopted):
         assert other.degree == state.degree
-        for vertex, row in other._vindex.items():
-            assert other._deg[row] == state.degree.get(vertex, 0)
+        assert all(other.degree_of(vertex) == state.degree_of(vertex)
+                   for vertex in state._vindex)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +141,11 @@ def clustered_stream(n=2600, vertices=600):
     return [Edge(u, v) for u, v in pairs if u != v]
 
 
-def run_windowed(edges, batches, window_backend, tiny, **knobs):
+def run_windowed(edges, batches, build, tiny, **knobs):
     """One partitioner fed ``edges`` cut into ``batches`` ingest calls.
     ``tiny`` swaps in a window built at the smallest capacity (the
     partitioner would otherwise presize it from the window size)."""
-    partitioner = AdwisePartitioner(range(6), fast=True,
-                                    window_backend=window_backend, **knobs)
+    partitioner = build(range(6), **knobs)
     partitioner.begin(total_edges=len(edges))
     if tiny:
         partitioner.window = ArrayEdgeWindow(
@@ -176,10 +179,12 @@ def test_every_buffer_crosses_three_doublings(growths, config, batches):
     batches to regrow and rebind them under a live window."""
     knobs = CONFIGS[config]
     edges = clustered_stream()
-    reference = outcome(*run_windowed(edges, batches, "object", False,
-                                      **knobs))
-    partitioner, result = run_windowed(edges, batches, "array", True, **knobs)
-    assert outcome(partitioner, result) == reference
+    expected = outcome(*run_windowed(
+        edges, batches, partial(reference, AdwisePartitioner), False,
+        **knobs))
+    partitioner, result = run_windowed(edges, batches, AdwisePartitioner,
+                                       True, **knobs)
+    assert outcome(partitioner, result) == expected
     assert partitioner.window._ctx.vertex_cap == partitioner.state._capacity
     if not knobs.get("use_clustering", True):
         del growths["pool_cap"]  # no neighbourhoods, no arena traffic
@@ -198,13 +203,13 @@ def test_stream_kernel_buffers_cross_three_doublings(growths, batches):
     edges = clustered_stream()
     step = -(-len(edges) // batches)
     results = []
-    for fast in (True, False):
-        partitioner = partitioner_registry()["hdrf"](range(6), fast=fast)
+    for build in (HDRFPartitioner, partial(reference, HDRFPartitioner)):
+        partitioner = build(range(6))
         partitioner.begin(total_edges=len(edges))
         for start in range(0, len(edges), step):
             partitioner.ingest(edges[start:start + step])
         results.append(result_tuple(partitioner.finalize()))
-        if fast:
+        if build is HDRFPartitioner:
             kernel = partitioner.kernel
             assert kernel.ctx.vertex_cap == partitioner.state._capacity
     assert results[0] == results[1]
@@ -215,8 +220,8 @@ def test_stream_kernel_buffers_cross_three_doublings(growths, batches):
 
 
 def test_grow_then_shrink_really_shrinks(growths):
-    partitioner, _ = run_windowed(clustered_stream(), 1, "array", True,
-                                  **CONFIGS["adaptive-grow-shrink"])
+    partitioner, _ = run_windowed(clustered_stream(), 1, AdwisePartitioner,
+                                  True, **CONFIGS["adaptive-grow-shrink"])
     sizes = [event.window_after for event in partitioner.controller.events]
     assert max(sizes) >= 64
     assert sizes[-1] < max(sizes)
@@ -225,7 +230,7 @@ def test_grow_then_shrink_really_shrinks(growths):
 
 
 def test_bound_buffers_are_validated_before_the_pump():
-    partitioner = AdwisePartitioner(range(4), fast=True, fixed_window=8)
+    partitioner = AdwisePartitioner(range(4), fixed_window=8)
     partitioner.begin()
     partitioner.ingest([Edge(1, 2), Edge(2, 3)])
     kernel = partitioner.window._kern
@@ -239,21 +244,23 @@ def test_bound_buffers_are_validated_before_the_pump():
 
 
 # ---------------------------------------------------------------------------
-# State mirrors: exact after every pumped batch
+# The state: exact after every pumped batch
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("knobs", [{"fixed_window": 32},
                                    {"latency_preference_ms": 100.0,
                                     "max_window": 64}],
                          ids=["fixed", "adaptive"])
-def test_state_mirrors_after_every_batch(knobs):
+def test_state_exact_after_every_batch(knobs):
     edges = wide_stream(1100, 2)
     knobs = dict(knobs, partitions=6, expected_edges=len(edges))
-    pumped = open_session("adwise", fast=True, **knobs)
-    legacy = open_session("adwise", fast=False, **knobs)
-    # The same array state maintained by Python's own ``assign``.
-    stepped = open_session("adwise", fast=True, window_backend="object",
-                           **knobs)
+    pumped = open_session("adwise", **knobs)
+    legacy = reference(open_session, "adwise", **knobs)
+    # The same array state maintained by Python's own per-edge
+    # ``observe_degrees`` / ``assign``: the pump observes every edge of
+    # a batch (interned in stream order when it is staged) and assigns
+    # the ones it pops.
+    twin = FastPartitionState(range(6))
     assert isinstance(pumped.partitioner.window, ArrayEdgeWindow)
     seen = set()
     for start in range(0, len(edges), 97):
@@ -261,7 +268,10 @@ def test_state_mirrors_after_every_batch(knobs):
         seen.update(v for edge in batch for v in edge)
         emitted = pumped.ingest(batch)
         assert emitted == legacy.ingest(batch)
-        stepped.ingest(batch)
+        for edge in batch:
+            twin.observe_degrees(edge.canonical())
+        for assignment in emitted:
+            twin.assign(assignment.edge, assignment.partition)
         state, ref = pumped.partitioner.state, legacy.partitioner.state
         snap, ref_snap = state.snapshot(), ref.snapshot()
         assert snap.replica_bits == ref_snap.replica_bits
@@ -271,34 +281,19 @@ def test_state_mirrors_after_every_batch(knobs):
         assert snap.assigned_edges == ref_snap.assigned_edges
         assert state.imbalance() == ref.imbalance()
         assert state.replication_degree() == ref.replication_degree()
+        assert state.total_replicas() == ref.total_replicas()
         assert state.max_size == ref.max_size
         assert state.min_size == ref.min_size
         for p in state.partitions:
             assert state.size(p) == ref.size(p)
         for vertex in seen:
             assert state.replicas(vertex) == ref.replicas(vertex)
-            assert state.replica_bits(vertex) == ref_snap.replica_bits.get(
-                vertex, 0)
             assert state.degree_of(vertex) == ref.degree_of(vertex)
             assert pumped.query_vertex(vertex) == legacy.query_vertex(vertex)
         for edge in batch:
             assert (pumped.query_edge(edge.u, edge.v)
                     == legacy.query_edge(edge.u, edge.v))
         assert pumped.stats().to_dict() == legacy.stats().to_dict()
-        # Field for field against the Python-maintained array state.
-        twin = stepped.partitioner.state
-        assert state._vindex == twin._vindex
-        assert state._replica_bits == twin._replica_bits
-        assert state._sizes_list == twin._sizes_list
-        assert state._size_histogram == twin._size_histogram
-        assert state._total_replicas == twin._total_replicas
-        assert state._replicated_vertices == twin._replicated_vertices
-        rows = len(state._vindex)
-        assert np.array_equal(state.replica_matrix()[:rows],
-                              twin.replica_matrix()[:rows])
-        assert np.array_equal(state._row_version[:rows],
-                              twin._row_version[:rows])
-        assert np.array_equal(state._deg[:rows], twin._deg[:rows])
-        assert np.array_equal(state.sizes_vector(), twin.sizes_vector())
+        assert_same_tables(state, twin)
     assert (list(pumped.finalize().assignments.items())
             == list(legacy.finalize().assignments.items()))

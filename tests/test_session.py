@@ -10,6 +10,7 @@ uninterrupted session and as the batch ``partition_stream`` reference.
 import random
 
 import pytest
+from _window_utils import reference
 
 from repro.api import (
     PartitionSession,
@@ -113,34 +114,37 @@ class TestQueriesAndStats:
                                latency_preference_ms=40.0)
         _feed(session, EDGES)
         result = session.finalize()
-        reference = AdwisePartitioner(
-            list(range(6)), clock=SimulatedClock(),
+        control = reference(
+            AdwisePartitioner, list(range(6)), clock=SimulatedClock(),
             latency_preference_ms=40.0,
         ).partition_stream(InMemoryEdgeStream(EDGES))
-        assert result.assignments == reference.assignments
-        assert result.latency_ms == reference.latency_ms
-        assert result.extras == reference.extras
+        assert result.assignments == control.assignments
+        assert result.latency_ms == control.latency_ms
+        assert result.extras == control.extras
 
 
-def _adwise_knobs(fast):
+def _adwise_knobs(compiled):
+    """Session knobs for the default (compiled where the kernels load)
+    or the reference tier."""
     knobs = {"latency_preference_ms": 40.0}
-    if fast:
-        knobs["fast"] = True
+    if not compiled:
+        knobs["fast"] = False
     return knobs
 
 
 class TestSnapshotResume:
     @pytest.mark.parametrize("cut", [1, 400, 777, len(EDGES) - 1])
-    @pytest.mark.parametrize("fast", [False, True],
-                             ids=["object-state", "fast-state"])
-    def test_adwise_midstream_resume_bit_identical(self, cut, fast,
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["reference", "compiled"])
+    def test_adwise_midstream_resume_bit_identical(self, cut, compiled,
                                                    tmp_path):
-        """snapshot -> pickle -> restore -> continue == uninterrupted.
+        """snapshot -> pickle -> restore -> continue == uninterrupted
+        == the reference run in one piece.
 
-        The fast-state session runs the array window, so this also
-        proves its image round-trip mid-traversal.
+        The default session runs the array window, so this also proves
+        its image round-trip mid-traversal.
         """
-        knobs = _adwise_knobs(fast)
+        knobs = _adwise_knobs(compiled)
         live = open_session(algorithm="adwise", partitions=6,
                             expected_edges=len(EDGES), **knobs)
         _feed(live, EDGES[:cut])
@@ -158,22 +162,23 @@ class TestSnapshotResume:
         assert resumed_result.latency_ms == live_result.latency_ms
         assert resumed_result.extras == live_result.extras
 
-        reference = AdwisePartitioner(
-            list(range(6)), clock=SimulatedClock(), **knobs,
+        control = reference(
+            AdwisePartitioner, list(range(6)), clock=SimulatedClock(),
+            latency_preference_ms=40.0,
         ).partition_stream(InMemoryEdgeStream(EDGES))
-        assert resumed_result.assignments == reference.assignments
-        assert resumed_result.latency_ms == reference.latency_ms
+        assert resumed_result.assignments == control.assignments
+        assert resumed_result.latency_ms == control.latency_ms
 
     def test_array_window_live_at_snapshot(self):
-        """Sanity-check the interesting case really occurs: a fast-state
-        adwise session runs the array window, so the fast-state resume
+        """Sanity-check the interesting case really occurs: a default
+        adwise session runs the array window, so the compiled resume
         params above really do round-trip an ArrayEdgeWindow
         mid-traversal."""
         from repro.core.array_window import ArrayEdgeWindow
 
         session = open_session(algorithm="adwise", partitions=6,
                                expected_edges=len(EDGES),
-                               **_adwise_knobs(fast=True))
+                               **_adwise_knobs(compiled=True))
         _feed(session, EDGES[:777])
         assert isinstance(session.partitioner.window, ArrayEdgeWindow)
         restored = restore_session(session.snapshot())

@@ -4,7 +4,7 @@
 partition_edge`` — observe, score ``k`` partitions, first-maximum argmax,
 vertex-cache update — for a whole ingest batch.  The contract is
 bit-identity to the dict reference (``fast=False``) on the full result
-tuple, and, after *every* batch, a fast state whose every mirror equals
+tuple, and, after *every* batch, a fast state whose every table equals
 one maintained edge by edge in Python.  Each case below is there because
 a plausible wrong kernel passes the others: the chunkings move the
 batch boundaries, the wide streams reallocate the state tables while a
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from _window_utils import assert_same_tables, reference
 from _window_utils import result_tuple as outcome
 
 from repro import obs
@@ -62,33 +63,13 @@ def chunks(edges, size):
     return [edges[i:i + size] for i in range(0, len(edges), size)]
 
 
-def assert_same_fast_state(state, twin):
-    """Field for field: every mirror the fast state keeps."""
-    assert state._vindex == twin._vindex
-    assert state.degree == twin.degree
-    assert state._replica_bits == twin._replica_bits
-    assert state._sizes_list == twin._sizes_list
-    assert state._size_histogram == twin._size_histogram
-    assert state.max_degree == twin.max_degree
-    assert state.assigned_edges == twin.assigned_edges
-    assert (state.max_size, state.min_size) == (twin.max_size, twin.min_size)
-    assert state._total_replicas == twin._total_replicas
-    assert state._replicated_vertices == twin._replicated_vertices
-    rows = len(state._vindex)
-    assert np.array_equal(state.replica_matrix()[:rows],
-                          twin.replica_matrix()[:rows])
-    assert np.array_equal(state._row_version[:rows], twin._row_version[:rows])
-    assert np.array_equal(state._deg[:rows], twin._deg[:rows])
-    assert np.array_equal(state.sizes_vector(), twin.sizes_vector())
-
-
 def run_three(edges, batches, partitions=range(8), **knobs):
     """The same batches through native HDRF, the dict reference and the
-    per-edge-maintained fast state; mirrors compared after every batch.
+    per-edge-maintained fast state; tables compared after every batch.
     Returns the native partitioner and the (equal) outcome."""
-    native = HDRFPartitioner(partitions, fast=True, **knobs)
-    legacy = HDRFPartitioner(partitions, fast=False, **knobs)
-    twin = PerEdgeHDRF(partitions, fast=True, **knobs)
+    native = HDRFPartitioner(partitions, **knobs)
+    legacy = reference(HDRFPartitioner, partitions, **knobs)
+    twin = PerEdgeHDRF(partitions, **knobs)
     total = sum(len(batch) for batch in batches)
     for partitioner in (native, legacy, twin):
         partitioner.begin(total_edges=total)
@@ -96,7 +77,7 @@ def run_three(edges, batches, partitions=range(8), **knobs):
         emitted = native.ingest(batch)
         assert emitted == legacy.ingest(batch)
         assert emitted == twin.ingest(batch)
-        assert_same_fast_state(native.state, twin.state)
+        assert_same_tables(native.state, twin.state)
         assert native.clock.now() == legacy.clock.now()
     assert twin.kernel is None
     result = native.finalize()
@@ -182,32 +163,32 @@ def test_injected_state_with_a_spread_subset():
     """A partitioner used as a spotlight instance: its state arrives
     from outside, already part-filled, over non-contiguous ids."""
     seed_edges = clustered(n=100)
-    warm = HDRFPartitioner([5, 17, 2], fast=False)
+    warm = reference(HDRFPartitioner, [5, 17, 2])
     warm.begin()
     warm.ingest(seed_edges[:200])
     snapshot = warm.state.snapshot()
     fast, legacy = states_from(snapshot)
     native = HDRFPartitioner([5, 17, 2], state=fast)
-    reference = HDRFPartitioner([5, 17, 2], state=legacy)
+    control = HDRFPartitioner([5, 17, 2], state=legacy)
     for batch in chunks(seed_edges[200:], 33):
-        assert native.ingest(batch) == reference.ingest(batch)
+        assert native.ingest(batch) == control.ingest(batch)
     assert native.kernel is not None and native.kernel.state is fast
-    assert outcome(native.finalize()) == outcome(reference.finalize())
+    assert outcome(native.finalize()) == outcome(control.finalize())
 
 
 def test_swapping_the_state_rebinds():
     """Batch drivers that use partitioners as policies swap ``state``
     between batches; the binding must follow the live state."""
     edges = clustered(n=100)
-    native = HDRFPartitioner(range(4), fast=True)
-    reference = HDRFPartitioner(range(4), fast=False)
+    native = HDRFPartitioner(range(4))
+    control = reference(HDRFPartitioner, range(4))
     native.ingest(edges[:100])
-    reference.ingest(edges[:100])
+    control.ingest(edges[:100])
     first = native.kernel
     native.state = FastPartitionState.from_snapshot(native.state.snapshot())
-    assert native.ingest(edges[100:200]) == reference.ingest(edges[100:200])
+    assert native.ingest(edges[100:200]) == control.ingest(edges[100:200])
     assert native.kernel is not first and native.kernel.state is native.state
-    assert outcome(native.finalize()) == outcome(reference.finalize())
+    assert outcome(native.finalize()) == outcome(control.finalize())
 
 
 def test_epsilon_association_decides_an_assignment():
@@ -235,8 +216,8 @@ def test_epsilon_association_decides_an_assignment():
                              fast=True)
     fast, legacy = states_from(snapshot)
     native = HDRFPartitioner([0, 1], state=fast, lam=lam)
-    reference = HDRFPartitioner([0, 1], state=legacy, lam=lam)
-    expected = reference.ingest([Edge(1, 2)])
+    control = HDRFPartitioner([0, 1], state=legacy, lam=lam)
+    expected = control.ingest([Edge(1, 2)])
     assert expected[0].partition == (1 if ours == high else 0)
     assert native.ingest([Edge(1, 2)]) == expected
     assert native.kernel.kernel_calls == 1
@@ -315,7 +296,7 @@ def test_rows_are_validated_before_the_kernel():
 def test_snapshot_continues_on_the_other_path(monkeypatch, taken_native):
     edges = clustered()
     half = len(edges) // 2
-    uninterrupted = open_session("hdrf", partitions=8, fast=False)
+    uninterrupted = reference(open_session, "hdrf", partitions=8)
     uninterrupted.ingest(edges)
     expected = uninterrupted.finalize()
 

@@ -124,15 +124,26 @@ class TestBenchRegressionChecker:
         problems, _ = regression.compare(base, fresh, tolerance=0.2)
         assert problems
 
-    def test_committed_baseline_is_valid(self, regression):
-        """BENCH_seed.json must parse, carry gates, and pass vs itself."""
-        baseline = regression.load(regression.DEFAULT_BASELINE)
+    @pytest.mark.parametrize("name", ["engine", "cluster", "service", "obs"])
+    def test_committed_baselines_are_valid(self, regression, name):
+        """Every BENCH_*.json CI gates against must parse, carry gates,
+        and pass vs itself."""
+        baseline = regression.load(
+            os.path.join(ROOT, "benchmarks", f"BENCH_{name}.json"))
         assert baseline["results"], "baseline has no rows"
         assert baseline.get("gates"), "baseline must embed absolute gates"
         assert regression.compare(baseline, baseline,
                                   tolerance=0.2) == ([], [])
         for row in baseline["results"]:
             assert row["parity"], row["algorithm"]
+
+    def test_baseline_argument_is_required(self, regression, tmp_path,
+                                           capsys):
+        fresh = tmp_path / "fresh.json"
+        fresh.write_text(json.dumps(_report(HDRF=3.0)))
+        with pytest.raises(SystemExit):
+            regression.main(["--fresh", str(fresh)])
+        assert "--baseline" in capsys.readouterr().err
 
     def test_cli_pass_and_fail(self, regression, tmp_path):
         base = _report(HDRF=3.0)

@@ -1,46 +1,43 @@
-"""CI gate: fail if the fast-path benchmark regressed against the baseline.
+"""CI gate: fail if a legacy perf bench regressed against its baseline.
 
-Compares a freshly produced ``bench_fast_path.py`` JSON report against
-the committed baseline ``benchmarks/BENCH_seed.json`` and exits non-zero
-if any algorithm's fast/legacy *speedup* dropped by more than the
-tolerance (default 20%).
+Compares a freshly produced ``benchmarks/bench_*.py`` JSON report
+(``bench_engine``, ``bench_cluster``, ``bench_service``, ``bench_obs``)
+against the committed baseline of the same script
+(``benchmarks/BENCH_*.json``) and exits non-zero if any row's *speedup*
+dropped by more than the tolerance (default 20%).
 
 Speedup ratios, not raw edges/sec, are compared: absolute throughput is
 machine-dependent (the committed baseline was produced on one box, CI
-runs on another), while the fast/legacy ratio is measured on the same
-machine in the same process and is therefore portable.  Raw throughput
-deltas are reported as information only.
+runs on another), while a ratio of two runs on the same machine in the
+same process is portable.  Raw throughput deltas are reported as
+information only.
 
-This checker is CI's single perf gate, combining two floors per
-algorithm:
+Two floors per row:
 
 * the **absolute gate** embedded in the baseline report (the same
-  floors ``bench_fast_path.py --check`` enforces) — dropping below it
-  always fails;
+  floors the bench script's own ``--check`` enforces) — dropping below
+  it always fails;
 * the **relative floor** (baseline speedup minus tolerance) — because
-  even the ratio has some cross-machine spread (numpy-vs-interpreter
-  cost differs by CPU and numpy build), a drop beyond tolerance that
-  still clears the absolute gate is downgraded to a *warning*.
+  even the ratio has some cross-machine spread, a drop beyond tolerance
+  that still clears the absolute gate is downgraded to a *warning*.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_fast_path.py --smoke \
-        --out bench_smoke.json
-    python tools/check_bench_regression.py --fresh bench_smoke.json
+    PYTHONPATH=src python benchmarks/bench_engine.py --smoke \
+        --out bench_engine_smoke.json
+    python tools/check_bench_regression.py --fresh bench_engine_smoke.json \
+        --baseline benchmarks/BENCH_engine.json
 
 See DESIGN.md ("Benchmark regression workflow") for when and how to
-refresh the baseline.
+refresh a baseline.  (The repo's contract benchmark is
+``BENCHMARK.json`` / ``benchmarks/total_latency/``, not this.)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(REPO_ROOT, "benchmarks", "BENCH_seed.json")
 
 #: A fresh speedup below ``(1 - TOLERANCE) * baseline speedup`` fails.
 TOLERANCE = 0.20
@@ -73,7 +70,7 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> tuple:
             problems.append(f"{name}: missing from fresh report")
             continue
         if not fresh_row.get("parity", False):
-            problems.append(f"{name}: fast/legacy parity broken")
+            problems.append(f"{name}: parity broken")
         gate = gates.get(name)
         if gate is not None and fresh_row["speedup"] < gate:
             problems.append(
@@ -97,9 +94,10 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fresh", required=True,
-                        help="JSON report from a fresh bench_fast_path run")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"committed baseline (default: {DEFAULT_BASELINE})")
+                        help="JSON report from a fresh bench run")
+    parser.add_argument("--baseline", required=True,
+                        help="committed baseline of the same bench script "
+                             "(benchmarks/BENCH_*.json)")
     parser.add_argument("--tolerance", type=float, default=TOLERANCE,
                         help="allowed fractional speedup drop (default 0.20)")
     args = parser.parse_args(argv)

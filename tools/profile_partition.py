@@ -8,15 +8,15 @@ cProfile, print the top functions by cumulative and internal time.
 Usage::
 
     PYTHONPATH=src python tools/profile_partition.py \
-        --algorithm adwise --fast --window 64 --top 15
+        --algorithm adwise --window 64 --top 15
     PYTHONPATH=src python tools/profile_partition.py \
-        --algorithm adwise --fast --window-backend object   # PR 1-style path
+        --algorithm adwise --reference   # dict state + object window
     PYTHONPATH=src python tools/profile_partition.py \
         --algorithm hdrf --n 2000 --m 8 --partitions 16
 
 The stream is fed through ``begin/ingest/finalize`` in ``--batch``-edge
 batches, once plain (wall clock, edges/s and — where a compiled kernel
-ran: ADWISE's array window, HDRF on a fast state — the seconds spent
+ran: ADWISE's array window, HDRF's stream kernel — the seconds spent
 inside the C kernels and the kernel calls per ingest batch: ROADMAP
 item 4's "kernel share") and once under cProfile (the tables).  Used to
 verify that an optimisation actually moved the hot path rather than just
@@ -46,30 +46,30 @@ from repro.partitioning.hdrf import HDRFPartitioner       # noqa: E402
 
 def build_partitioner(args):
     partitions = range(args.partitions)
+    tier = {"fast": False} if args.reference else {}
     if args.algorithm == "adwise":
         return AdwisePartitioner(
-            partitions, fast=args.fast, fixed_window=args.window,
+            partitions, fixed_window=args.window,
             latency_preference_ms=(None if args.window else
-                                   args.latency_preference),
-            window_backend=args.window_backend)
+                                   args.latency_preference), **tier)
+    if args.algorithm == "hdrf":
+        return HDRFPartitioner(partitions, **tier)
     simple = {
-        "hdrf": HDRFPartitioner,
         "greedy": GreedyPartitioner,
         "dbh": DBHPartitioner,
         "hash": HashPartitioner,
     }
-    return simple[args.algorithm](partitions, fast=args.fast)
+    return simple[args.algorithm](partitions)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--algorithm", default="adwise",
                         choices=["adwise", "hdrf", "greedy", "dbh", "hash"])
-    parser.add_argument("--fast", action="store_true",
-                        help="array-backed state + batched kernels")
-    parser.add_argument("--window-backend", default="auto",
-                        choices=["auto", "array", "object"],
-                        help="ADWISE window engine (default: auto)")
+    parser.add_argument("--reference", action="store_true",
+                        help="profile the Python reference tier of "
+                             "adwise/hdrf (fast=False) instead of the "
+                             "compiled kernels")
     parser.add_argument("--batch", type=int, default=256,
                         help="edges per ingest call")
     parser.add_argument("--window", type=int, default=64,
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
 
     print(f"{partitioner.name} over {len(edges)} power-law edges "
           f"(n={args.n}, m={args.m}, k={args.partitions}, "
-          f"fast={args.fast}, backend={args.window_backend}) under "
+          f"state={type(partitioner.state).__name__}) under "
           f"cProfile: {wall:.2f}s wall, {len(edges) / wall:,.0f} edges/s")
     print(f"replication_degree={result.replication_degree:.3f} "
           f"imbalance={result.imbalance:.4f} "
