@@ -4,7 +4,7 @@ A checkpoint is taken at a **superstep boundary** — after a superstep's
 compute and replica sync have both completed, before the next superstep's
 masks are computed.  At that point every replica of every vertex holds
 the combined (globally consistent) value and no sync payload is in
-flight, so the per-shard kernel states alone are a consistent cut of the
+flight, so the kernel states alone are a consistent cut of the
 whole computation: restoring them and replaying from the boundary
 reproduces the unfaulted run bit-for-bit (the PR-2 ``StateSnapshot``
 idiom, applied to execution state instead of partitioner state).
@@ -12,11 +12,13 @@ idiom, applied to execution state instead of partitioner state).
 A :class:`CheckpointState` carries
 
 * ``cursor`` — the number of completed supersteps;
-* ``shard_states`` — per-partition kernel state dicts (every non-array
-  attribute plus copies of every numpy array, captured by
-  ``ShardRunner.snapshot``), keyed by **partition** rather than machine
-  so the same checkpoint restores onto any machine layout — the property
-  that makes failure redistribution and elastic re-sharding work;
+* ``shard_states`` — per-partition kernel state dicts (a host's one
+  kernel cut by ``ShardGroup.snapshot`` into each partition's slice of
+  every per-vertex array, copied, plus every other attribute), keyed by
+  **partition** rather than machine so the same checkpoint restores onto
+  any machine layout — ``ShardGroup.restore`` concatenates whichever
+  partitions a host holds — the property that makes failure
+  redistribution and elastic re-sharding work;
 * ``progress`` — the coordinator-side superstep trail (costs,
   aggregates, telemetry, message totals) so a resumed report is
   indistinguishable from an uninterrupted one;

@@ -3,12 +3,13 @@
 :class:`ClusterEngine` executes a vertex program over a
 :class:`~repro.graph.shard.ShardedGraph` the way the paper's testbed
 (and the cost model standing in for it) says a PowerGraph-style system
-does: every partition runs the program's dense kernel over its own CSR
-shard, and between supersteps the replicas of cut vertices are made
+does: every partition is computed over its own CSR shard only — a host
+steps the shards it holds as one dense kernel over their block-diagonal
+CSR — and between supersteps the replicas of cut vertices are made
 consistent by a gather-to-master / scatter-to-mirrors exchange
-(:mod:`repro.cluster.transport`).  The ``serial`` backend steps the
-shards in-process (deterministic reference); the ``process`` backend
-runs them in worker OS processes over pipes.
+(:mod:`repro.cluster.transport`).  The ``serial`` backend holds every
+shard on one in-process host (deterministic reference); the ``process``
+backend spreads them over worker OS processes talking over pipes.
 
 The result is a :class:`ClusterReport` — a drop-in
 :class:`~repro.engine.runtime.SimulationReport` (states, supersteps,
@@ -88,7 +89,8 @@ class SuperstepTelemetry:
     active_fraction: float
     #: Coordinator wall-clock of the whole superstep (compute + sync).
     wall_ms: float
-    #: Slowest shard's kernel-step wall-clock (the BSP straggler).
+    #: Slowest *host's* kernel-step wall-clock: the whole compute on the
+    #: serial backend (one host), the BSP straggler on the process one.
     compute_ms: float
     #: Whether a replica-sync exchange ran this superstep.
     synced: bool
@@ -512,12 +514,15 @@ class ClusterEngine:
                             obs.counter("repro_cluster_payload_bytes_total",
                                         backend=backend
                                         ).inc(stats.payload_bytes)
-                            obs.histogram("repro_cluster_superstep_seconds",
-                                          backend=backend
-                                          ).observe(wall_ms / 1000.0)
-                            obs.histogram("repro_cluster_sync_seconds",
-                                          backend=backend
-                                          ).observe(result.sync_seconds)
+                            for name, seconds in (
+                                    ("repro_cluster_superstep_seconds",
+                                     wall_ms / 1000.0),
+                                    ("repro_cluster_compute_seconds",
+                                     result.compute_seconds),
+                                    ("repro_cluster_sync_seconds",
+                                     result.sync_seconds)):
+                                obs.histogram(name, backend=backend
+                                              ).observe(seconds)
                         telemetry.append(SuperstepTelemetry(
                             superstep=superstep,
                             computed=computed,

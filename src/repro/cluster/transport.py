@@ -1,8 +1,10 @@
 """Replica-sync transports for the sharded cluster runtime.
 
-Each BSP superstep runs every shard's dense kernel locally, producing
+Each BSP superstep a *host* — a :class:`ShardGroup`: the shards that
+share a process — steps all its shards as **one** dense kernel over
+their block-diagonal :class:`~repro.graph.shard.ShardCSR`, producing
 *partial* per-target message combinations (partial sums / mins / counts
-over the shard's own adjacency slots).  The transport then performs the
+over each shard's own adjacency slots).  The transport then performs the
 PowerGraph synchronisation round that makes replicas globally consistent:
 
 * **gather** — every mirror replica's partial (value, received) reaches
@@ -13,9 +15,10 @@ PowerGraph synchronisation round that makes replicas globally consistent:
 
 The exchange is compiled once, not interpreted per superstep: each
 :class:`ShardGroup` turns its shards' channel tables into a
-:class:`SyncPlan` of flat index arrays, and a syncing superstep is a
-handful of numpy calls over the concatenated parked arrays whatever the
-channel count (DESIGN.md §8).
+:class:`SyncPlan` of flat index arrays into the host kernel's own index
+space, and a syncing superstep is a handful of numpy calls on the
+kernel's parked arrays, in place, whatever the channel or shard count
+(DESIGN.md §8).
 
 Both directions move one logical message per shared vertex per channel,
 so a syncing superstep carries exactly ``2 * (span - 1)`` messages per
@@ -28,9 +31,9 @@ bytes, and the differential tests hold measurement equal to prediction.
 
 Two backends share the exchange logic through :class:`ShardGroup`:
 
-* :class:`SerialTransport` — all shards in this process, stepped
-  sequentially.  Deterministic reference semantics; "machines" are the
-  logical machine map used for remote/local classification.
+* :class:`SerialTransport` — all shards in this process, one host.
+  Deterministic reference semantics; "machines" are the logical machine
+  map used for remote/local classification.
 * :class:`ProcessTransport` — shards grouped onto worker OS processes
   (one worker per partition by default), long-lived over
   ``multiprocessing`` pipes.  The pickle boundary is narrow, PR-2 style:
@@ -58,14 +61,16 @@ detection points either way.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import multiprocessing as mp
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +78,8 @@ from repro import obs
 from repro.cluster.faults import FaultInjector, WorkerDied
 from repro.engine.dense import DenseKernel
 from repro.engine.vertex_program import VertexProgram
-from repro.graph.shard import Shard, ShardedGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.shard import Shard, ShardCSR, ShardedGraph
 
 #: Transport backends understood by :class:`~repro.cluster.runtime.ClusterEngine`.
 BACKENDS = ("serial", "process")
@@ -119,117 +125,6 @@ class SyncStats:
                 mine[machine] = mine.get(machine, 0) + count
 
 
-@dataclass
-class _PendingSync:
-    """One shard's deferred scatter: local partials awaiting replica sync.
-
-    The kernel stores the exact arrays below into its message buffers
-    (``has_msg``, ``incoming``, ...), so in-place mutation after the
-    barrier updates the kernel's state for the next superstep.
-    """
-
-    kind: str  # "sum" | "min" | "count"
-    values: np.ndarray
-    recv: np.ndarray
-
-
-class ShardRunner:
-    """One shard's kernel plus the replica-sync interception layer.
-
-    The program's own :class:`~repro.engine.dense.DenseKernel` runs
-    unmodified over the shard CSR; the runner rebinds its scatter helpers
-    so each per-target combination is computed over *local* slots only
-    and parked as a :class:`_PendingSync` for the transport, and rebinds
-    ``sent_from`` to count sends from the shard-local adjacency lists
-    (``csr.degrees`` on a shard is the logical global degree).
-    """
-
-    def __init__(self, shard: Shard, program: VertexProgram) -> None:
-        kernel = program.dense_kernel(shard.csr)
-        if kernel is None:
-            raise ValueError(
-                f"{program.name}: dense_kernel returned None; sharded "
-                "execution needs a dense kernel")
-        kernel.owned = shard.owned.copy()
-        # Instance-attribute rebinding: kernels invoke the helpers via
-        # ``self.scatter_*`` / ``self.sent_from``, so these shadow the
-        # class methods for this kernel only.
-        for kind in ("sum", "min", "count"):
-            setattr(kernel, f"scatter_{kind}", partial(self._scatter, kind))
-        kernel.sent_from = self._sent_from
-        self.shard = shard
-        self.kernel = kernel
-        self.pending: Optional[_PendingSync] = None
-        self._mask: Optional[np.ndarray] = None
-
-    # -- intercepted kernel helpers ------------------------------------
-    def _sent_from(self, send_mask: np.ndarray) -> int:
-        return int(self.shard.csr.local_degrees[send_mask].sum())
-
-    def _scatter(self, kind: str, *args: Any
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        # The base helpers already combine over this shard's local slots
-        # (the kernel's csr *is* the shard CSR); the interception only
-        # parks the result for the replica-sync barrier.
-        recv, values = getattr(DenseKernel, f"scatter_{kind}")(
-            self.kernel, *args)
-        if self.pending is not None:
-            raise RuntimeError(
-                "sharded kernel protocol violation: more than one scatter "
-                "per superstep (see repro.engine.dense)")
-        self.pending = _PendingSync(kind, values, recv)
-        return recv, values
-
-    # -- superstep protocol --------------------------------------------
-    def begin_superstep(self) -> int:
-        """Compute this superstep's mask; return the owned computed count."""
-        self._mask = self.kernel.compute_mask()
-        return int((self._mask & self.shard.owned).sum())
-
-    def step(self, superstep: int) -> Tuple[int, Any, float]:
-        """Run the kernel step; return (sent, aggregate, compute_seconds)."""
-        self.pending = None
-        start = time.perf_counter()
-        sent, aggregate = self.kernel.step(superstep, self._mask)
-        return int(sent), aggregate, time.perf_counter() - start
-
-    def states(self) -> Dict[int, Any]:
-        """Final states of the vertices mastered on this shard."""
-        owned_ids = set(
-            self.shard.csr.vertex_ids[self.shard.owned].tolist())
-        return {vertex: state
-                for vertex, state in self.kernel.states().items()
-                if vertex in owned_ids}
-
-    # -- checkpoint protocol -------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """This shard's complete kernel state at a superstep boundary.
-
-        Captures every kernel attribute except the (immutable, rebuildable)
-        shard CSR and the runner-rebound helper callables: numpy arrays by
-        copy, everything else by deepcopy.  Message buffers (``has_msg``
-        and the kernel's incoming arrays) are ordinary attributes, so the
-        in-flight inbox travels with the snapshot.
-        """
-        state: Dict[str, Any] = {}
-        for key, value in self.kernel.__dict__.items():
-            if key == "csr" or callable(value):
-                continue
-            state[key] = (value.copy() if isinstance(value, np.ndarray)
-                          else copy.deepcopy(value))
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Install a :meth:`snapshot` image (copied — the checkpoint stays
-        reusable for later rollbacks)."""
-        for key, value in state.items():
-            setattr(self.kernel, key,
-                    value.copy() if isinstance(value, np.ndarray)
-                    else copy.deepcopy(value))
-        self.pending = None
-        self._mask = None
-
-
 #: What one host sends another in one direction of one superstep:
 #: ``(kind, values, recv)``, every channel between the two in plan order.
 HostPayload = Tuple[str, np.ndarray, np.ndarray]
@@ -248,14 +143,17 @@ class TransportStepResult:
     sync_seconds: float = 0.0
 
 
-def _reduce_aggregates(parts: Iterable[Any]) -> Any:
-    """Sum non-``None`` contributions; ``None`` when nothing contributed
-    (exactly the object path's aggregate folding)."""
-    total: Any = None
-    for part in parts:
-        if part is not None:
-            total = part if total is None else total + part
-    return total
+@functools.cache
+def _pin_heap() -> None:
+    """Hold glibc's mmap and trim thresholds at the ceiling their dynamic
+    adjustment stops at.  A host kernel's slot-length arrays are the size
+    those thresholds drift around, so whether the heap is handed back to
+    the OS, and faulted in again, between two jobs of one process flipped
+    with whatever the process freed last (DESIGN.md §8)."""
+    with contextlib.suppress(OSError, AttributeError):  # not glibc
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _cat(arrays: List[np.ndarray]) -> np.ndarray:
@@ -268,7 +166,8 @@ class SyncPlan:
     tables (DESIGN.md §8 has the layout and why the fold is exact).
 
     The shards lie end to end, ascending partition, in one flat index
-    space (``bounds``).  Index arrays and host payloads are in *plan
+    space — the host kernel's (``bounds``: partition -> its slice of
+    it).  Index arrays and host payloads are in *plan
     order*: master partition, then mirror partition, then the channels'
     aligned position.  Keyed by the host at the channels' other end (this
     one included): ``mirrors[h]`` — mirrors here whose masters are on
@@ -282,13 +181,8 @@ class SyncPlan:
     a move for, ``count`` the length of the index array the move uses.
     """
 
-    def __init__(self, shards: List[Shard],
+    def __init__(self, shards: List[Shard], bounds: Mapping[int, slice],
                  host_of: Mapping[int, int]) -> None:
-        starts = np.cumsum(
-            [0] + [shard.num_vertices for shard in shards]).tolist()
-        offset = {shard.partition: start
-                  for shard, start in zip(shards, starts)}
-        self.bounds = list(zip(starts[:-1], starts[1:]))
         self.rows: List[Tuple[int, int, int]] = []
         targets: List[np.ndarray] = []
         ranks: List[np.ndarray] = []
@@ -299,7 +193,7 @@ class SyncPlan:
             for src, idx in sorted(shard.master_channels.items()):
                 spans.setdefault(host_of[src], []).append(
                     np.arange(cursor, cursor + len(idx)))
-                targets.append(idx + offset[shard.partition])
+                targets.append(idx + bounds[shard.partition].start)
                 ranks.append(seen[idx])
                 seen[idx] += 1
                 self.rows.append((src, shard.partition, len(idx)))
@@ -308,7 +202,8 @@ class SyncPlan:
         for dst, src, idx in sorted(
                 (dst, shard.partition, idx) for shard in shards
                 for dst, idx in shard.mirror_channels.items()):
-            mirrors.setdefault(host_of[dst], []).append(idx + offset[src])
+            mirrors.setdefault(host_of[dst], []).append(
+                idx + bounds[src].start)
             self.rows.append((dst, src, len(idx)))
         self.mirrors = {h: _cat(parts) for h, parts in mirrors.items()}
         target, rank = _cat(targets), _cat(ranks)
@@ -323,67 +218,106 @@ class SyncPlan:
 
 
 class ShardGroup:
-    """A set of shard runners co-hosted in one process ("machine").
+    """The shards co-hosted in one process ("machine"), stepped as one
+    kernel: all of them on the serial backend, one worker's on the
+    process backend.
 
-    The serial backend uses a single group for all shards; the process
-    backend gives each worker one group.  Channels between two shards of
-    the same group never leave the process; what the :class:`SyncPlan`
-    keys by another host is routed by the coordinator — the machine map
-    and the host map coincide there, so it is counted as *remote*.
+    The group lays its shards end to end, ascending partition, in one
+    block-diagonal :class:`~repro.graph.shard.ShardCSR` and runs the
+    program's own :class:`~repro.engine.dense.DenseKernel`, unmodified,
+    over it — one ``step`` per superstep whatever the shard count.  It
+    rebinds the kernel's scatter helpers so the per-target combination
+    (over *local* slots only: no slot crosses a shard) is parked for the
+    exchange, and ``sent_from`` to count sends from the shard-local
+    adjacency lists (``csr.degrees`` on a shard is the logical global
+    degree).  The parked arrays are the kernel's own message buffers
+    (``has_msg``, ``incoming``, ...) and the :class:`SyncPlan` indexes
+    the same flat space, so the exchange combines them in place.
 
-    A syncing superstep is ``step`` -> ``gather`` -> ``fold`` ->
-    ``scatter``; ``stats`` is then the superstep's measured traffic
+    Channels between two shards of the group never leave the process;
+    what the plan keys by another host is routed by the coordinator —
+    the machine map and the host map coincide there, so it is counted as
+    *remote*.  A syncing superstep is ``step`` -> ``gather`` -> ``fold``
+    -> ``scatter``; ``stats`` is then the superstep's measured traffic
     (a tally shared between supersteps: read it, do not mutate it).
     """
 
     def __init__(self, shards: List[Shard], program: VertexProgram,
                  machine_of: Mapping[int, int],
                  host_of: Mapping[int, int], host: int) -> None:
+        _pin_heap()
         shards = sorted(shards, key=lambda shard: shard.partition)
-        self.runners = {shard.partition: ShardRunner(shard, program)
-                        for shard in shards}
+        kernel = program.dense_kernel(
+            ShardCSR.block_diagonal([shard.csr for shard in shards]))
+        if kernel is None:
+            raise ValueError(
+                f"{program.name}: dense_kernel returned None; sharded "
+                "execution needs a dense kernel")
+        kernel.owned = np.concatenate([shard.owned for shard in shards])
+        # Instance-attribute rebinding: kernels invoke the helpers via
+        # ``self.scatter_*`` / ``self.sent_from``, so these shadow the
+        # class methods for this kernel only.
+        for kind in ("sum", "min", "count"):
+            setattr(kernel, f"scatter_{kind}",
+                    functools.partial(self._scatter, kind))
+        kernel.sent_from = lambda send_mask: int(
+            kernel.csr.local_degrees[send_mask].sum())
+        self.kernel = kernel
+        stops = np.cumsum([shard.num_vertices for shard in shards]).tolist()
+        #: partition -> its slice of every per-vertex kernel array.
+        self.bounds = {shard.partition: slice(stop - shard.num_vertices, stop)
+                       for shard, stop in zip(shards, stops)}
         self.machine_of = dict(machine_of)
         self.host = host
-        self.plan = SyncPlan(shards, host_of)
+        self.plan = SyncPlan(shards, self.bounds, host_of)
         self.stats = SyncStats()
         #: The rows' tally by payload bytes per element: a pure function
         #: of the plan, so it is added up once per item size.
         self._tallies: Dict[int, SyncStats] = {}
+        self._mask: Optional[np.ndarray] = None
         self._kind = ""
         self._values = self._recv = np.empty(0)
 
+    # -- intercepted scatter --------------------------------------------
+    def _scatter(self, kind: str, *args: Any
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        # The base helpers already combine over local slots only (the
+        # kernel's csr is block-diagonal); this just parks the result.
+        recv, values = getattr(DenseKernel, f"scatter_{kind}")(
+            self.kernel, *args)
+        self.park(kind, values, recv)
+        return recv, values
+
+    def park(self, kind: str, values: np.ndarray, recv: np.ndarray) -> None:
+        """Hold this superstep's partials (``sum`` | ``min`` | ``count``
+        over the host's flat index space) for the exchange."""
+        if self._kind:
+            raise RuntimeError(
+                "sharded kernel protocol violation: more than one scatter "
+                "per superstep (see repro.engine.dense)")
+        self._kind, self._values, self._recv = kind, values, recv
+
     # -- superstep ------------------------------------------------------
     def compute_owned(self) -> int:
-        return sum(runner.begin_superstep()
-                   for runner in self.runners.values())
+        """Compute this superstep's mask; return the owned computed count."""
+        self._mask = self.kernel.compute_mask()
+        return int((self._mask & self.kernel.owned).sum())
 
     def step(self, superstep: int) -> TransportStepResult:
         self.stats = SyncStats()
-        sent = 0
-        aggregates = []
-        compute = 0.0
-        for runner in self.runners.values():
-            shard_sent, aggregate, seconds = runner.step(superstep)
-            sent += shard_sent
-            aggregates.append(aggregate)
-            compute = max(compute, seconds)
-        parked = {partition: (runner.pending.kind,
-                              runner.pending.values.dtype)
-                  for partition, runner in self.runners.items()
-                  if runner.pending is not None}
-        if parked and (len(parked) < len(self.runners)
-                       or len(set(parked.values())) > 1):
-            raise RuntimeError(
-                f"shards disagree on this superstep's sync — of "
-                f"partitions {list(self.runners)}, {parked} parked a "
-                "partial — non-deterministic kernel")
-        return TransportStepResult(sent, _reduce_aggregates(aggregates),
-                                   compute, synced=bool(parked))
+        self._kind = ""
+        start = time.perf_counter()
+        with obs.span("cluster.compute", host=self.host,
+                      superstep=superstep):
+            sent, aggregate = self.kernel.step(superstep, self._mask)
+        return TransportStepResult(int(sent), aggregate,
+                                   time.perf_counter() - start,
+                                   synced=bool(self._kind))
 
     # -- replica sync ---------------------------------------------------
     def _slices(self, index: Mapping[int, np.ndarray],
                 remote: bool) -> Dict[int, HostPayload]:
-        """The flat arrays at ``index``, for the other hosts (``remote``)
+        """The parked arrays at ``index``, for the other hosts (``remote``)
         or for this one — a payload that never leaves the process."""
         return {peer: (self._kind, self._values[idx], self._recv[idx])
                 for peer, idx in index.items()
@@ -410,12 +344,8 @@ class ShardGroup:
                     "non-deterministic kernel")
 
     def gather(self) -> Dict[int, HostPayload]:
-        """Lay the parked partials into the flat space; returns the
-        mirror partials whose masters live elsewhere, by master host."""
-        parked = [runner.pending for runner in self.runners.values()]
-        self._kind = parked[0].kind
-        self._values = np.concatenate([p.values for p in parked])
-        self._recv = np.concatenate([p.recv for p in parked])
+        """The mirror partials whose masters live elsewhere, by master
+        host."""
         return self._slices(self.plan.mirrors, remote=True)
 
     def fold(self, inbound: Mapping[int, HostPayload]
@@ -440,8 +370,8 @@ class ShardGroup:
         return self._slices(plan.masters, remote=True)
 
     def scatter(self, inbound: Mapping[int, HostPayload]) -> None:
-        """Overwrite every mirror with its master's combined element,
-        hand the kernels their slices back and charge the traffic."""
+        """Overwrite every mirror with its master's combined element and
+        charge the traffic."""
         plan, values, recv = self.plan, self._values, self._recv
         self._check(inbound, plan.mirrors)
         for peer, (_, theirs, their_recv) in {
@@ -449,10 +379,6 @@ class ShardGroup:
         }.items():
             values[plan.mirrors[peer]] = theirs
             recv[plan.mirrors[peer]] = their_recv
-        for runner, (start, stop) in zip(self.runners.values(),
-                                         plan.bounds):
-            runner.pending.values[:] = values[start:stop]
-            runner.pending.recv[:] = recv[start:stop]
         item_bytes = values.itemsize + recv.itemsize
         if item_bytes not in self._tallies:
             tally = self._tallies[item_bytes] = SyncStats()
@@ -462,21 +388,63 @@ class ShardGroup:
         self.stats = self._tallies[item_bytes]
 
     # -- results --------------------------------------------------------
+    def _per_vertex(self, value: Any) -> bool:
+        """Whether a kernel attribute holds one element per vertex."""
+        return (isinstance(value, np.ndarray)
+                and len(value) == self.kernel.csr.num_vertices)
+
+    def _image(self, index) -> Dict[str, Any]:
+        """The kernel's state at the vertices ``index``: every attribute
+        but the (rebuildable) CSR and the rebound helpers — per-vertex
+        arrays (length ``csr.num_vertices``) indexed and copied, the rest
+        deep-copied.  The message buffers are ordinary attributes, so the
+        in-flight inbox is part of the image."""
+        return {key: (value[index].copy() if self._per_vertex(value)
+                      else copy.deepcopy(value))
+                for key, value in self.kernel.__dict__.items()
+                if key != "csr" and not callable(value)}
+
     def states(self) -> Dict[int, Any]:
-        merged: Dict[int, Any] = {}
-        for runner in self.runners.values():
-            merged.update(runner.states())
-        return merged
+        """Final states of the vertices mastered on this host: the
+        kernel's own ``states()`` over its master replicas only
+        (``vertex_ids`` repeats a vertex replicated within the host)."""
+        owned = self.kernel.owned
+        masters = copy.copy(self.kernel)
+        masters.__dict__.update(self._image(owned))
+        ids = self.kernel.csr.vertex_ids[owned]
+        masters.csr = CSRGraph(np.zeros(len(ids) + 1, dtype=np.int64),
+                               np.empty(0, dtype=np.int32), ids)
+        return masters.states()
 
     # -- checkpoint protocol --------------------------------------------
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
-        """Per-partition kernel states of every shard in this group."""
-        return {partition: runner.snapshot()
-                for partition, runner in self.runners.items()}
+        """The kernel's state at a superstep boundary, one image per
+        partition (its slice of every per-vertex array — what a kernel
+        over that shard alone would hold), so any layout can restore it."""
+        return {partition: self._image(bounds)
+                for partition, bounds in self.bounds.items()}
 
     def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
-        for partition, runner in self.runners.items():
-            runner.restore(shard_states[partition])
+        """Install :meth:`snapshot` images of this host's partitions
+        (copied — the checkpoint stays reusable): per-vertex arrays
+        concatenated back, anything else required equal in every image."""
+        partitions = list(self.bounds)
+        images = [shard_states[partition] for partition in partitions]
+        for key, first in images[0].items():
+            if self._per_vertex(self.kernel.__dict__.get(key)):
+                value = np.concatenate([image[key] for image in images])
+            else:
+                for partition, image in zip(partitions, images):
+                    if not np.array_equal(image[key], first):
+                        raise ValueError(
+                            f"cannot restore {key!r}: partition "
+                            f"{partitions[0]} holds {first!r}, partition "
+                            f"{partition} {image[key]!r} — a host kernel "
+                            "holds one value for all its partitions")
+                value = copy.deepcopy(first)
+            setattr(self.kernel, key, value)
+        self._mask = None
+        self._kind = ""
 
 
 def _fire(transport, injector: Optional[FaultInjector], point: str,
@@ -489,7 +457,7 @@ def _fire(transport, injector: Optional[FaultInjector], point: str,
 
 
 class SerialTransport:
-    """All shards in this process, stepped sequentially — the
+    """All shards in this process, one host — the
     deterministic reference backend the process backend is tested
     against.  The machine map is purely logical here (default: one
     machine per partition) and only classifies traffic.
@@ -781,8 +749,13 @@ class ProcessTransport:
                 command = ("step", superstep, ctx)
         replies = self._round(lambda host: command)
         sent = sum(reply[0] for reply in replies.values())
-        aggregate = _reduce_aggregates(
-            replies[host][1] for host in sorted(replies))
+        # The object path's aggregate folding: the non-``None``
+        # contributions summed in host order, ``None`` if there are none.
+        aggregate = None
+        for host in sorted(replies):
+            part = replies[host][1]
+            if part is not None:
+                aggregate = part if aggregate is None else aggregate + part
         compute = max(reply[2] for reply in replies.values())
         syncing = {reply[3] for reply in replies.values()}
         if len(syncing) > 1:

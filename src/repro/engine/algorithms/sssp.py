@@ -28,16 +28,14 @@ class _DenseSSSP(DenseKernel):
         n = csr.num_vertices
         self.dist = np.full(n, np.inf)
         self.msg_min = np.full(n, np.inf)
-        self.source_index = csr.index_of.get(source)
-        if self.source_index is not None:
-            self.dist[self.source_index] = 0.0
+        #: Every replica of the source (a host's CSR may repeat it).
+        self.is_source = csr.vertex_ids == source
+        self.dist[self.is_source] = 0.0
 
     def step(self, superstep: int, mask: np.ndarray) -> Tuple[int, Any]:
         n = self.csr.num_vertices
         if superstep == 0:
-            senders = np.zeros(n, dtype=bool)
-            if self.source_index is not None:
-                senders[self.source_index] = True
+            senders = self.is_source
             values = np.ones(n)
         else:
             senders = mask & self.has_msg & (self.msg_min < self.dist)

@@ -29,8 +29,9 @@ or count over the selected ``indices``.
 
 Sharded execution (the cluster runtime's contract)
 --------------------------------------------------
-:mod:`repro.cluster` runs one kernel instance per partition over a
-:class:`~repro.graph.shard.ShardCSR` and keeps replicas consistent by
+:mod:`repro.cluster` runs one kernel instance per *host* over the
+block-diagonal :class:`~repro.graph.shard.ShardCSR` of the shards the
+host holds (no slot crosses a shard) and keeps replicas consistent by
 combining the scatter helpers' per-shard partial results at each vertex's
 master replica (sum/min/count are all associative) and broadcasting the
 combined value back to the mirrors.  A kernel is safe to shard — and its
@@ -44,7 +45,11 @@ shardable` — when it follows the message-buffer discipline:
 * ``csr.degrees`` is read as the vertex's *logical* (whole-graph) degree
   — true on a shard too, where :class:`~repro.graph.shard.ShardCSR`
   presents global degrees while the slot layout stays shard-local;
-* per-vertex aggregate contributions are masked with ``self.owned``.
+* per-vertex aggregate contributions are masked with ``self.owned``;
+* per-vertex state lives in arrays of length ``csr.num_vertices``
+  (what a checkpoint slices per partition), and ``csr.vertex_ids`` may
+  repeat — one entry per replica the host holds — so nothing goes
+  through ``csr.index_of``; any other attribute is one value per host.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class DenseKernel:
         #: Vertices this kernel instance *owns* for global accounting.
         #: All of them on a whole-graph run; under the sharded cluster
         #: runtime (:mod:`repro.cluster`) only master replicas, so that
-        #: per-shard aggregate contributions sum to the global aggregate
+        #: per-host aggregate contributions sum to the global aggregate
         #: without double-counting mirrors.  Kernels computing aggregates
         #: must mask their per-vertex contributions with ``self.owned``.
         self.owned = np.ones(n, dtype=bool)

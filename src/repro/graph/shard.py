@@ -2,11 +2,13 @@
 
 A vertex-cut assignment places every *edge* on exactly one partition; a
 vertex is replicated on every partition holding one of its edges.  The
-cluster runtime (:mod:`repro.cluster`) executes each partition as an
-independent worker over its own :class:`ShardCSR` — the shard-local CSR
-adjacency with a remap between global vertex ids and shard-local dense
-indices — and keeps replicas consistent through master/mirror
-synchronisation, the PowerGraph model the engine's cost layer predicts.
+cluster runtime (:mod:`repro.cluster`) computes each partition over its
+own :class:`ShardCSR` only — the shard-local CSR adjacency with a remap
+between global vertex ids and shard-local dense indices; a host steps
+the shards it holds as one kernel over their
+:meth:`ShardCSR.block_diagonal` — and keeps replicas consistent through
+master/mirror synchronisation, the PowerGraph model the engine's cost
+layer predicts.
 
 :class:`ShardedGraph` is the sharding product:
 
@@ -52,19 +54,48 @@ class ShardCSR(CSRGraph):
 
     __slots__ = ("local_degrees",)
 
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 vertex_ids: np.ndarray, degrees: np.ndarray) -> None:
+        super().__init__(indptr, indices, vertex_ids)
+        # Force the slot->row cache while ``degrees`` still reflects the
+        # physical layout, then swap in the logical view.
+        self.rows
+        self.local_degrees = self.degrees
+        self.degrees = degrees
+
     @classmethod
     def build(cls, edges: Iterable[tuple], vertices: Iterable[int],
               global_degrees: Mapping[int, int]) -> "ShardCSR":
         base = CSRGraph.from_edges(edges, vertices=vertices)
-        shard = cls(base.indptr, base.indices, base.vertex_ids)
-        # Force the slot->row cache while ``degrees`` still reflects the
-        # physical shard layout, then swap in the logical view.
-        shard.rows
-        shard.local_degrees = shard.degrees
-        shard.degrees = np.array(
-            [global_degrees.get(int(v), 0) for v in shard.vertex_ids],
-            dtype=np.int64)
-        return shard
+        return cls(base.indptr, base.indices, base.vertex_ids, np.array(
+            [global_degrees.get(int(v), 0) for v in base.vertex_ids],
+            dtype=np.int64))
+
+    @classmethod
+    def block_diagonal(cls, blocks: Sequence["ShardCSR"]) -> "ShardCSR":
+        """``blocks`` laid end to end as one CSR: block ``i`` takes the
+        dense indices ``[starts[i], starts[i + 1])`` and its slots keep
+        their order, shifted with it, so no slot's row or target leaves
+        its block and a kernel over the result combines, addend by
+        addend, what one kernel per block would (DESIGN.md §8).  Degrees
+        and ``vertex_ids`` are the blocks' concatenated: a vertex on
+        several blocks *repeats*, ids are sorted only within a block,
+        and ``index_of`` is meaningless here.  ``indices`` (hence
+        ``rows``) are widened to ``intp``, the one index type
+        ``np.bincount`` and fancy indexing do not convert on every call
+        — at a host's slot count that conversion is half a superstep.
+        """
+        starts = np.cumsum([0] + [block.num_vertices for block in blocks])
+        slots = np.cumsum([0] + [len(block.indices) for block in blocks])
+        indptr = np.concatenate(
+            [block.indptr[:-1] + first
+             for block, first in zip(blocks, slots)] + [slots[-1:]])
+        indices = np.concatenate(
+            [block.indices.astype(np.intp) + first
+             for block, first in zip(blocks, starts)])
+        return cls(indptr, indices,
+                   np.concatenate([block.vertex_ids for block in blocks]),
+                   np.concatenate([block.degrees for block in blocks]))
 
 
 @dataclass

@@ -334,6 +334,15 @@ class TestCrossProcess:
         assert supersteps
         superstep_ids = {s["span_id"] for s in supersteps}
         assert all(s["parent_id"] in superstep_ids for s in worker_steps)
+        # Each host's fused kernel step: one span per worker per
+        # superstep, inside that worker's step span, naming the host.
+        computes = [s for s in spans if s["name"] == "cluster.compute"]
+        assert len(computes) == 2 * len(supersteps)
+        step_ids = {s["span_id"] for s in worker_steps}
+        assert all(s["parent_id"] in step_ids for s in computes)
+        assert {s["attrs"]["host"] for s in computes} == {0, 1}
+        assert ({s["attrs"]["superstep"] for s in computes}
+                == set(range(len(supersteps))))
 
     def test_service_protocol_one_trace(self, tmp_path):
         """PR-6 boundary: the ndjson ``trace`` field correlates the

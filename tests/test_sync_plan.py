@@ -14,7 +14,7 @@ host payloads routed by hand.  On top: the process backend (2 and 4 real
 workers) is bit-identical to the serial one at k = 32 with measured
 traffic equal to the placement's prediction, a ``mid-scatter`` kill
 recovers to the unfaulted states, and malformed host payloads or
-disagreeing kernels are refused.
+hosts whose kernels disagree are refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterEngine, FaultInjector, Kill
 from repro.cluster.runtime import SuperstepTelemetry
-from repro.cluster.transport import ShardGroup, _PendingSync
+from repro.cluster.transport import ShardGroup
 from repro.engine.algorithms import (
     ConnectedComponents,
     KCore,
@@ -136,7 +136,8 @@ def random_partials(sharded: ShardedGraph, kind: str, seed: int):
     return partials
 
 
-def make_groups(sharded: ShardedGraph, machine_of, hosted: bool):
+def make_groups(sharded: ShardedGraph, machine_of, hosted: bool,
+                program=None):
     """One group per host (``hosted``: hosts are the machines, as on the
     process backend) or a single group for everything (serial)."""
     host_of = (dict(machine_of) if hosted
@@ -145,7 +146,7 @@ def make_groups(sharded: ShardedGraph, machine_of, hosted: bool):
     for host in sorted(set(host_of.values())):
         shards = [sharded.shards[p] for p in sharded.partitions
                   if host_of[p] == host]
-        groups[host] = ShardGroup(shards, PageRank(iterations=1),
+        groups[host] = ShardGroup(shards, program or PageRank(iterations=1),
                                   machine_of, host_of, host)
     return groups
 
@@ -160,16 +161,26 @@ def route(outbound):
     return inbound
 
 
+def park(group, kind: str, partials):
+    """Park the group's ``partials`` laid end to end — the one flat pair
+    its kernel's scatter would have parked; returns the pair."""
+    values, recv = (np.concatenate([partials[p][i] for p in group.bounds])
+                    for i in (0, 1))
+    group.park(kind, values, recv)
+    return values, recv
+
+
 def plan_exchange(groups, kind: str, partials) -> None:
     """Run the compiled exchange over ``partials`` in place, routing the
     host payloads between the groups the way the coordinator does."""
-    for group in groups.values():
-        for partition, runner in group.runners.items():
-            runner.pending = _PendingSync(kind, *partials[partition])
+    parked = {h: park(g, kind, partials) for h, g in groups.items()}
     gathered = route({h: g.gather() for h, g in groups.items()})
     folded = route({h: g.fold(gathered[h]) for h, g in groups.items()})
     for host, group in groups.items():
         group.scatter(folded[host])
+        for partition, part in group.bounds.items():
+            for mine, flat in zip(partials[partition], parked[host]):
+                mine[:] = flat[part]
 
 
 def assert_same_bits(got, expected) -> None:
@@ -327,6 +338,9 @@ class TestEngineAtK32:
             PageRank(iterations=3), max_supersteps=10)
         for telemetry in report.telemetry:
             assert 0.0 <= telemetry.sync_ms <= telemetry.wall_ms
+            assert telemetry.compute_ms > 0.0
+            assert (telemetry.compute_ms + telemetry.sync_ms
+                    <= telemetry.wall_ms)
             if telemetry.synced:
                 assert telemetry.sync_ms > 0.0
 
@@ -357,13 +371,22 @@ class TestObservability:
         obs.enable()
         ClusterEngine(SHARDINGS["hub-8"], num_machines=2).run(
             PageRank(iterations=3), max_supersteps=10)
-        histogram = [h for h in obs.snapshot()["histograms"]
-                     if h["name"] == "repro_cluster_sync_seconds"]
-        assert histogram and histogram[0]["labels"] == {"backend": "serial"}
-        assert histogram[0]["count"] == 4  # 3 syncing supersteps + halt
+        for name in ("repro_cluster_sync_seconds",
+                     "repro_cluster_compute_seconds"):
+            histogram = [h for h in obs.snapshot()["histograms"]
+                         if h["name"] == name]
+            assert histogram, name
+            assert histogram[0]["labels"] == {"backend": "serial"}
+            assert histogram[0]["count"] == 4  # 3 syncing supersteps + halt
+            assert histogram[0]["sum"] > 0.0
         spans = obs.tracer().spans()
         supersteps = {s["span_id"] for s in spans
                       if s["name"] == "cluster.superstep"}
+        computes = [s for s in spans if s["name"] == "cluster.compute"]
+        assert len(computes) == 4
+        assert all(s["parent_id"] in supersteps for s in computes)
+        assert [s["attrs"] for s in computes] == [
+            {"host": 0, "superstep": i} for i in range(4)]
         for name in ("cluster.sync_gather", "cluster.sync_scatter"):
             inside = [s for s in spans if s["name"] == name]
             assert len(inside) == 3
@@ -374,12 +397,12 @@ class TestObservability:
 # Refusals
 # ----------------------------------------------------------------------
 class _MixedKernel(DenseKernel):
-    """Parks a count on the shard holding vertex 1 and a sum elsewhere —
-    the non-determinism the pre-exchange check exists to catch."""
+    """Parks a count on the host holding vertex 900 and a sum elsewhere —
+    the non-determinism the exchange's payload check exists to catch."""
 
     def step(self, superstep, mask):
         everyone = np.ones(self.csr.num_vertices, dtype=bool)
-        if 1 in self.csr.vertex_ids.tolist():
+        if 900 in self.csr.vertex_ids.tolist():
             self.has_msg, self.msg = self.scatter_count(everyone)
         else:
             self.has_msg, self.msg = self.scatter_sum(
@@ -405,8 +428,7 @@ class TestRefusals:
         groups = make_groups(sharded, machine_of, hosted=True)
         partials = random_partials(sharded, kind, seed=3)
         for group in groups.values():
-            for partition, runner in group.runners.items():
-                runner.pending = _PendingSync(kind, *partials[partition])
+            park(group, kind, partials)
         return groups, route({h: g.gather() for h, g in groups.items()})
 
     def test_truncated_payload_is_refused(self):
@@ -442,11 +464,20 @@ class TestRefusals:
             groups[1].scatter({0: (kind, values[1:], recv[1:])})
 
     def test_disagreeing_kernels_are_refused(self):
+        """Two hosts: one kernel per host cannot disagree with itself,
+        but hosts can — the receiving host's payload check refuses."""
         sharded = SHARDINGS["hub-8"]
+        machine_of = Placement.contiguous_machine_map(sharded.partitions, 2)
+        assert sharded.vertex_partitions[900] == [0]
+        groups = make_groups(sharded, machine_of, hosted=True,
+                             program=_MixedProgram())
+        for group in groups.values():
+            group.compute_owned()
+            assert group.step(0).synced
+        gathered = route({h: g.gather() for h, g in groups.items()})
         with pytest.raises(RuntimeError,
                            match="non-deterministic kernel") as raised:
-            ClusterEngine(sharded, num_machines=2).run(_MixedProgram(),
-                                                       max_supersteps=3)
+            groups[0].fold(gathered[0])
         # The message names who parked what.
-        assert "('count', dtype('int64'))" in str(raised.value)
-        assert "('sum', dtype('float64'))" in str(raised.value)
+        assert "'count', dtype('int64')" in str(raised.value)
+        assert "'sum', dtype('float64')" in str(raised.value)
