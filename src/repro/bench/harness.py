@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.graph.graph import Graph
+from repro.graph.shard import ShardedGraph
 from repro.graph.stream import EdgeStream
 from repro.engine.cost import cost_model_for
-from repro.engine.placement import Placement
 from repro.engine.runtime import Engine
 from repro.engine.vertex_program import VertexProgram
 from repro.partitioning.base import StreamingPartitioner
@@ -109,16 +109,6 @@ def check_balance(result: ParallelResult, limit: float = BALANCE_LIMIT) -> None:
             f"(sizes {sorted(result.partition_sizes.values())})")
 
 
-def _placement(result: ParallelResult,
-               num_partitions: int,
-               num_machines: int) -> Placement:
-    return Placement(
-        result.assignments,
-        partitions=list(range(num_partitions)),
-        num_machines=num_machines,
-    )
-
-
 def stacked_latency_experiment(
         graph: Graph,
         stream_factory: Callable[[], EdgeStream],
@@ -161,16 +151,16 @@ def stacked_latency_experiment(
             spread=spread)
         if enforce_balance:
             check_balance(result, limit=balance_limit)
-        placement = _placement(result, num_partitions, num_instances)
+        # One pass over the assignments: the simulated engine's placement
+        # and the measured cluster's shards come off the same incidence.
+        sharded = ShardedGraph.from_assignments(
+            result.assignments, partitions=range(num_partitions),
+            vertices=graph.vertices())
+        placement = sharded.placement(num_machines=num_instances)
         engine = Engine(graph, placement, cost_model, mode=engine_mode)
         cluster_engine = None
         if measure_wall:
             from repro.cluster import ClusterEngine
-            from repro.graph.shard import ShardedGraph
-            sharded = ShardedGraph.from_assignments(
-                result.assignments,
-                partitions=range(num_partitions),
-                vertices=graph.vertices())
             cluster_engine = ClusterEngine(
                 sharded, cost_model, backend="serial",
                 num_machines=num_instances)

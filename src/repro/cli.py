@@ -17,6 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.graph.io import read_graph
+from repro.graph.shard import ShardedGraph
 from repro.graph.stream import FileEdgeStream
 from repro.graph.stats import summarize
 from repro.partitioning.parallel import partitioner_registry
@@ -405,9 +406,11 @@ def _run_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute_processing(graph, assignments, partitions,
+def _execute_processing(graph, sharded,
                         args: argparse.Namespace) -> int:
-    """Processing stage shared by ``process`` and ``pipeline``."""
+    """Processing stage shared by ``process`` and ``pipeline``: the
+    cluster's shards and the simulated engine's placement both come off
+    the one :class:`~repro.graph.shard.ShardedGraph` the caller built."""
     from repro.engine.algorithms import (
         ConnectedComponents,
         GreedyColoring,
@@ -415,7 +418,6 @@ def _execute_processing(graph, assignments, partitions,
         PageRank,
     )
     from repro.engine.cost import cost_model_for
-    from repro.engine.placement import Placement
     from repro.engine.runtime import Engine
 
     programs = {
@@ -433,11 +435,7 @@ def _execute_processing(graph, assignments, partitions,
 
     if args.cluster:
         from repro.cluster import ClusterEngine, ClusterError
-        from repro.graph.shard import ShardedGraph
 
-        sharded = ShardedGraph.from_assignments(
-            assignments, partitions=partitions,
-            vertices=graph.vertices())
         kwargs: dict = {"checkpoint_every": args.checkpoint_every,
                         "checkpoint_dir": args.checkpoint_dir}
         if (args.cluster_backend or "serial") == "process":
@@ -457,8 +455,7 @@ def _execute_processing(graph, assignments, partitions,
         _print_cluster_report(report, engine.placement.stats())
         return 0
 
-    placement = Placement(assignments, partitions,
-                          num_machines=machines)
+    placement = sharded.placement(num_machines=machines)
     engine = Engine(graph, placement, cost_model, mode=mode)
     report = engine.run(program, max_supersteps=max_supersteps)
     print(f"workload:            {report.algorithm}")
@@ -474,16 +471,14 @@ def _execute_processing(graph, assignments, partitions,
 
 
 def _run_process(args: argparse.Namespace) -> int:
-    from repro.partitioning.partition_io import read_assignments
-
     error = _validate_processing_flags(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
     graph = read_graph(args.graph)
-    assignments = read_assignments(args.assignments)
-    partitions = sorted(set(assignments.values()))
-    return _execute_processing(graph, assignments, partitions, args)
+    sharded = ShardedGraph.from_file(args.assignments,
+                                     vertices=graph.vertices())
+    return _execute_processing(graph, sharded, args)
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
@@ -538,7 +533,9 @@ def _run_pipeline(args: argparse.Namespace) -> int:
     print(f"assignments written: {output}")
 
     graph = read_graph(args.path)
-    return _execute_processing(graph, assignments, partitions, args)
+    sharded = ShardedGraph.from_assignments(
+        assignments, partitions=partitions, vertices=graph.vertices())
+    return _execute_processing(graph, sharded, args)
 
 
 def _run_serve(args: argparse.Namespace) -> int:

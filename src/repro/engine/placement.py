@@ -16,9 +16,13 @@ placement exposes the quantities the cost model needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.graph.graph import Edge
+from repro.graph.shard import Incidence, mapping_columns
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class PlacementStats:
 class Placement:
     """Edge-to-partition-to-machine layout of a partitioned graph."""
 
-    def __init__(self, assignments: Mapping[Edge, int],
+    def __init__(self, assignments: "Mapping[Edge, int] | Incidence",
                  partitions: Sequence[int],
                  num_machines: int,
                  machine_of_partition: Optional[Mapping[int, int]] = None
@@ -67,22 +71,42 @@ class Placement:
                    if p not in self.machine_of_partition]
         if missing:
             raise ValueError(f"partitions without a machine: {missing}")
+        # A sharding hands its incidence over (``ShardedGraph.placement``),
+        # a raw mapping is converted once; degree-0 vertices are not placed.
+        inc = self._incidence = (
+            assignments if isinstance(assignments, Incidence) else
+            Incidence(*mapping_columns(assignments), self.partitions))
+        self._sizes = dict(zip(inc.parts.tolist(), inc.sizes.tolist()))
+        unknown = [p for p, size in self._sizes.items()
+                   if size and p not in self.partitions]
+        if unknown:
+            raise ValueError(f"assignment to unknown partition {unknown[0]}")
 
-        self.partition_edges: Dict[int, List[Edge]] = {
-            p: [] for p in self.partitions}
-        self.vertex_partitions: Dict[int, Set[int]] = {}
-        for edge, partition in assignments.items():
-            if partition not in self.partition_edges:
-                raise ValueError(f"assignment to unknown partition {partition}")
-            self.partition_edges[partition].append(edge)
-            for vertex in (edge.u, edge.v):
-                self.vertex_partitions.setdefault(vertex, set()).add(partition)
+    @cached_property
+    def partition_edges(self) -> Dict[int, List[Edge]]:
+        """partition -> its edges (this and the three views below walk
+        the assignment per edge or per vertex: built on first access,
+        for the object engine's callers; ``stats`` reads none)."""
+        edges: Dict[int, List[Edge]] = {p: [] for p in self.partitions}
+        for edge, partition in self._incidence.edges():
+            edges[partition].append(edge)
+        return edges
 
-        self.vertex_machines: Dict[int, Set[int]] = {
-            v: {self.machine_of_partition[p] for p in parts}
-            for v, parts in self.vertex_partitions.items()}
-        self.master_machine: Dict[int, int] = {
-            v: min(machines) for v, machines in self.vertex_machines.items()}
+    @cached_property
+    def vertex_partitions(self) -> Dict[int, Set[int]]:
+        inc = self._incidence  # vertex_parts() is in ``ids`` order
+        return {v: set(parts) for (v, parts), degree in zip(
+            inc.vertex_parts().items(), inc.degree.tolist()) if degree}
+
+    @cached_property
+    def vertex_machines(self) -> Dict[int, Set[int]]:
+        return {v: {self.machine_of_partition[p] for p in parts}
+                for v, parts in self.vertex_partitions.items()}
+
+    @cached_property
+    def master_machine(self) -> Dict[int, int]:
+        return {v: min(machines)
+                for v, machines in self.vertex_machines.items()}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -111,8 +135,7 @@ class Placement:
     # Queries
     # ------------------------------------------------------------------
     def edges_on_machine(self, machine: int) -> int:
-        return sum(len(self.partition_edges[p])
-                   for p in self.partitions
+        return sum(self._sizes[p] for p in self.partitions
                    if self.machine_of_partition[p] == machine)
 
     def span(self, vertex: int) -> int:
@@ -129,36 +152,30 @@ class Placement:
         as *remote* when master and mirror live on different machines and
         *local* otherwise.
         """
-        edges_per_machine = {m: 0 for m in range(self.num_machines)}
-        for partition, edges in self.partition_edges.items():
-            edges_per_machine[self.machine_of_partition[partition]] += len(edges)
-        remote = {m: 0 for m in range(self.num_machines)}
-        local = {m: 0 for m in range(self.num_machines)}
-        for vertex, parts in self.vertex_partitions.items():
-            if len(parts) <= 1:
-                continue
-            master_part = min(parts)
-            master_machine = self.machine_of_partition[master_part]
-            for partition in parts:
-                if partition == master_part:
-                    continue
-                mirror_machine = self.machine_of_partition[partition]
-                if mirror_machine == master_machine:
-                    # Gather + scatter, both on one machine.
-                    local[master_machine] += 2
-                    local[mirror_machine] += 2
-                else:
-                    remote[master_machine] += 2
-                    remote[mirror_machine] += 2
-        num_vertices = max(1, len(self.vertex_partitions))
-        replication = (sum(len(p) for p in self.vertex_partitions.values())
-                       / num_vertices)
-        machine_span = (sum(len(m) for m in self.vertex_machines.values())
-                        / num_vertices)
+        inc, machines = self._incidence, self.num_machines
+        of_part = np.array([self.machine_of_partition[p]
+                            for p in inc.parts.tolist()], dtype=np.int64)
+        if ((of_part < 0) | (of_part >= machines)).any():
+            raise KeyError(f"machine outside range({machines})")
+
+        def per_machine(charge: int, *columns: np.ndarray) -> Dict[int, int]:
+            counts = np.bincount(np.concatenate(columns), minlength=machines)
+            return dict(enumerate((charge * counts).tolist()))
+
+        # One row per mirror replica: its machine and its master's.
+        machine = of_part[inc.part]
+        mirror, master = machine[~inc.first], machine[inc.master[~inc.first]]
+        same = mirror == master
+        placed = max(1, np.count_nonzero(inc.degree))
+        isolated = len(inc.ids) - np.count_nonzero(inc.degree)
+        pairs = np.sort(inc.vertex * machines + machine)
+        spans = np.count_nonzero(np.diff(pairs, prepend=-1))
         return PlacementStats(
-            edges_per_machine=edges_per_machine,
-            remote_sync_per_machine=remote,
-            local_sync_per_machine=local,
-            replication_degree=replication,
-            machine_span_degree=machine_span,
+            edges_per_machine=per_machine(1, np.repeat(of_part, inc.sizes)),
+            # A gather and a scatter charge both ends: 2 + 2 on one machine.
+            remote_sync_per_machine=per_machine(
+                2, mirror[~same], master[~same]),
+            local_sync_per_machine=per_machine(4, mirror[same]),
+            replication_degree=(len(inc.vertex) - isolated) / placed,
+            machine_span_degree=(spans - isolated) / placed,
         )

@@ -3,41 +3,34 @@
 A vertex-cut assignment places every *edge* on exactly one partition; a
 vertex is replicated on every partition holding one of its edges.  The
 cluster runtime (:mod:`repro.cluster`) computes each partition over its
-own :class:`ShardCSR` only — the shard-local CSR adjacency with a remap
-between global vertex ids and shard-local dense indices; a host steps
-the shards it holds as one kernel over their
-:meth:`ShardCSR.block_diagonal` — and keeps replicas consistent through
-master/mirror synchronisation, the PowerGraph model the engine's cost
-layer predicts.
+own :class:`ShardCSR` only — shard-local adjacency, global ids remapped
+to shard-local dense indices; a host steps its shards as one kernel over
+their :meth:`ShardCSR.block_diagonal` — and keeps replicas consistent
+through master/mirror synchronisation, the PowerGraph model the engine's
+cost layer predicts.
 
-:class:`ShardedGraph` is the sharding product:
-
-* one :class:`Shard` per partition — its :class:`ShardCSR`, an ``owned``
-  mask (True where this partition is the vertex's *master*), and the
-  master/mirror routing tables;
-* master election by the **min-partition rule**: the master replica of a
-  vertex lives on the lowest-numbered partition holding it, matching
-  :class:`~repro.engine.placement.Placement`'s ``master_machine`` choice
-  so measured sync traffic lines up with predicted traffic;
-* per-channel routing tables: for a (master ``p``, mirror ``q``) pair the
-  shared vertices appear in ``shards[p].master_channels[q]`` and
-  ``shards[q].mirror_channels[p]`` as *aligned* local-index arrays, both
-  sorted by global vertex id, so gather/scatter is pure fancy indexing.
-
-Isolated vertices (present in the graph but incident to no edge) are not
-part of any assignment; they are placed round-robin over the partitions
-so shard-local execution still covers them.
+:class:`ShardedGraph` holds one :class:`Shard` per partition: the CSR,
+the ``owned`` mask and the aligned master/mirror routing tables.  A
+vertex's master replica lives on the lowest-numbered partition holding
+it (**min-partition rule** — :class:`~repro.engine.placement.Placement`
+elects the same, so measured and predicted sync traffic agree); isolated
+vertices, part of no assignment, are placed round-robin.  All of it is
+read off one sorted (vertex, partition) :class:`Incidence` (DESIGN.md
+§8), with no Python object per edge or per vertex.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from functools import cached_property
+from itertools import chain
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro import obs
+from repro.graph.csr import _INT32_MAX, CSRGraph
 from repro.graph.graph import Edge, Graph
 
 
@@ -62,14 +55,6 @@ class ShardCSR(CSRGraph):
         self.rows
         self.local_degrees = self.degrees
         self.degrees = degrees
-
-    @classmethod
-    def build(cls, edges: Iterable[tuple], vertices: Iterable[int],
-              global_degrees: Mapping[int, int]) -> "ShardCSR":
-        base = CSRGraph.from_edges(edges, vertices=vertices)
-        return cls(base.indptr, base.indices, base.vertex_ids, np.array(
-            [global_degrees.get(int(v), 0) for v in base.vertex_ids],
-            dtype=np.int64))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["ShardCSR"]) -> "ShardCSR":
@@ -126,111 +111,207 @@ class Shard:
         return self.csr.num_edges
 
 
+def _ranked(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``values`` and each value's rank among them:
+    off a presence table indexed by value where the values' range is
+    small against their number, off a sort where it is not."""
+    base = int(values.min()) if len(values) else 0
+    span = int(values.max()) - base + 1 if len(values) else 0
+    if span <= 4 * len(values) + 4096:
+        offset, table = values - base, np.zeros(span, dtype=bool)
+        table[offset] = True
+        return np.flatnonzero(table) + base, (np.cumsum(table) - 1)[offset]
+    distinct = np.sort(values)
+    distinct = distinct[np.concatenate(
+        [[True], distinct[1:] != distinct[:-1]])]
+    return distinct, np.searchsorted(distinct, values)
+
+
+class Incidence:
+    """An edge -> partition assignment and its sorted (vertex, partition)
+    *incidence*, one row per replica, which the shards and the
+    :class:`~repro.engine.placement.Placement` are read off (DESIGN.md
+    §8).  ``vertex`` indexes the sorted ``ids``, ``part`` the sorted
+    ``parts``, so the ``first`` row of a vertex is its master (``master``:
+    that row's number); ``lo`` / ``hi`` are each edge's two rows.
+    """
+
+    def __init__(self, u, v, part, partitions=None, vertices=()) -> None:
+        u, v, part = (np.asarray(c, dtype=np.int64) for c in (u, v, part))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if (lo == hi).any():
+            loop = int(lo[lo == hi][0])
+            raise ValueError(f"self-loop ({loop}, {loop}) not supported")
+        self.ids, index = _ranked(np.concatenate(
+            [lo, hi, np.fromiter(vertices, dtype=np.int64)]))
+        lo, hi = np.split(index[:2 * len(u)], 2)
+        edge = lo * len(self.ids) + hi
+        if not np.diff(np.sort(edge)).all():
+            # Duplicates keep the first one's place and the last one's
+            # partition, as a dict keyed by the canonical edge would.
+            _, seen, group = np.unique(edge, return_index=True,
+                                       return_inverse=True)
+            final = np.empty(len(seen), dtype=np.int64)
+            final[group] = part
+            seen.sort()
+            lo, hi, part = lo[seen], hi[seen], final[group[seen]]
+        self.parts, pos = _ranked(np.concatenate([part, np.fromiter(
+            () if partitions is None else partitions, dtype=np.int64)]))
+        k, pos = len(self.parts), pos[:len(part)]
+        if not k:
+            raise ValueError("no partitions: empty assignment and no "
+                             "explicit partition list")
+        self.sizes = np.bincount(pos, minlength=k)  # edges per partition
+        self.degree = np.bincount(np.concatenate([lo, hi]),
+                                  minlength=len(self.ids))
+        # Isolated vertices: round-robin over partitions, ascending id.
+        isolated = np.flatnonzero(self.degree == 0)
+        rows, slots = _ranked(np.concatenate([
+            lo * k + pos, hi * k + pos,
+            isolated * k + np.arange(len(isolated)) % k]))
+        self.vertex, self.part = np.divmod(rows, k)
+        self.first = np.diff(self.vertex, prepend=-1) > 0
+        self.master = np.flatnonzero(self.first)[np.cumsum(self.first) - 1]
+        self.lo, self.hi = np.split(slots[:2 * len(lo)], 2)
+
+    # The two per-edge / per-vertex walks, for the lazy dict views only.
+    def vertex_parts(self) -> Dict[int, List[int]]:
+        """Every vertex id (ascending) -> the partitions holding it."""
+        cuts = np.flatnonzero(self.first).tolist() + [len(self.part)]
+        parts = self.parts[self.part].tolist()
+        return {v: parts[a:b]
+                for v, a, b in zip(self.ids.tolist(), cuts, cuts[1:])}
+
+    def edges(self) -> Iterable[Tuple[Edge, int]]:
+        """``(canonical edge, partition)`` in first-seen order."""
+        return zip(map(Edge, self.ids[self.vertex[self.lo]].tolist(),
+                       self.ids[self.vertex[self.hi]].tolist()),
+                   self.parts[self.part[self.lo]].tolist())
+
+
+def mapping_columns(assignments: Mapping[Edge, int]) -> Tuple[np.ndarray, ...]:
+    """An edge -> partition mapping as ``(u, v, part)`` int64 columns."""
+    ends = np.fromiter(chain.from_iterable(assignments), dtype=np.int64)
+    return ends[0::2], ends[1::2], np.fromiter(
+        assignments.values(), dtype=np.int64, count=len(assignments))
+
+
 class ShardedGraph:
     """A vertex-cut partitioned graph split into per-partition CSR shards."""
 
     def __init__(self, shards: Dict[int, Shard],
-                 assignments: Dict[Edge, int],
-                 vertex_partitions: Dict[int, List[int]]) -> None:
+                 incidence: Incidence) -> None:
         self.shards = shards
         self.partitions = sorted(shards)
-        self.assignments = assignments
-        self.vertex_partitions = vertex_partitions
-        self.num_vertices = len(vertex_partitions)
-        self.num_edges = len(assignments)
+        self.incidence = incidence
+        self.num_vertices = len(incidence.ids)
+        self.num_edges = len(incidence.lo)
         self._graph: Optional[Graph] = None
+
+    def __setstate__(self, state: dict) -> None:
+        """A sharding pickled before the incidence existed (an older
+        run's ``topology.pkl``) carries the two dict views instead."""
+        if "incidence" not in state:
+            state["incidence"] = Incidence(
+                *mapping_columns(state["assignments"]),
+                state["partitions"], state["vertex_partitions"])
+        self.__dict__.update(state)
+
+    @cached_property
+    def assignments(self) -> Dict[Edge, int]:
+        """Canonical edge -> partition, built on first access: the job
+        path (shards, fingerprint, placement) reads the arrays only."""
+        return dict(self.incidence.edges())
+
+    @cached_property
+    def vertex_partitions(self) -> Dict[int, List[int]]:
+        """vertex -> ascending partitions holding it (lazy, as above)."""
+        return self.incidence.vertex_parts()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def from_arrays(cls, u, v, part, partitions: Optional[Iterable[int]] = None,
+                    vertices: Iterable[int] = ()) -> "ShardedGraph":
+        """Shard the assignment ``(u[i], v[i]) -> part[i]`` (int columns;
+        a later duplicate of an edge, in either orientation, overrides).
+        ``partitions`` may name further partitions (they become empty
+        shards), ``vertices`` further, possibly isolated, vertices."""
+        with obs.span("graph.shard.build") as span:
+            inc = Incidence(u, v, part, partitions, vertices)
+            names, total = inc.parts.tolist(), len(inc.vertex)
+            # Rows by partition, ascending id within: the shards' vertices
+            # end to end (``where``: a row's place; ``index``: in its shard).
+            by_part = np.argsort(inc.part, kind="stable")
+            where = np.empty(total, dtype=np.int64)
+            where[by_part] = np.arange(total)
+            bounds = np.concatenate([[0], np.cumsum(
+                np.bincount(inc.part, minlength=len(names)))])
+            index = where - bounds[inc.part]
+            # One sort of (row, target) keys orders every shard's slots.
+            slots = np.sort(np.concatenate(
+                [where[inc.lo] * total + index[inc.hi],
+                 where[inc.hi] * total + index[inc.lo]])) % max(total, 1)
+            starts = np.concatenate([[0], np.cumsum(np.bincount(
+                where[np.concatenate([inc.lo, inc.hi])], minlength=total))])
+            vertex, owned = inc.vertex[by_part], inc.first[by_part]
+            ids, degrees = inc.ids[vertex], inc.degree[vertex]
+            shards: Dict[int, Shard] = {}
+            for name, a, b in zip(names, bounds, bounds[1:]):
+                dtype = np.int32 if b - a <= _INT32_MAX else np.int64
+                shards[name] = Shard(name, ShardCSR(
+                    starts[a:b + 1] - starts[a],
+                    slots[starts[a]:starts[b]].astype(dtype),
+                    ids[a:b], degrees[a:b]), owned[a:b])
+            # Channels: mirror rows grouped by (master, mirror) partition;
+            # the stable sort keeps ascending vertex id inside a group.
+            mirror = np.flatnonzero(~inc.first)
+            pair = inc.part[inc.master[mirror]] * len(names) + inc.part[mirror]
+            mirror = mirror[np.argsort(pair, kind="stable")]
+            pair.sort()
+            at_master, at_mirror = index[inc.master[mirror]], index[mirror]
+            cuts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+            for a, b, key in zip(cuts, cuts[1:] + [len(pair)],
+                                 pair[cuts].tolist()):
+                src, dst = names[key // len(names)], names[key % len(names)]
+                shards[src].master_channels[dst] = at_master[a:b]
+                shards[dst].mirror_channels[src] = at_mirror[a:b]
+            for key, value in (("edges", len(inc.lo)), ("replicas", total),
+                               ("vertices", len(inc.ids)),
+                               ("partitions", len(names))):
+                span.set_attr(key, value)
+            obs.counter("repro_shard_build_edges_total").inc(len(inc.lo))
+        return cls(shards, inc)
+
+    @classmethod
     def from_assignments(cls, assignments: Mapping[Edge, int],
-                         partitions: Optional[Sequence[int]] = None,
+                         partitions: Optional[Iterable[int]] = None,
                          vertices: Iterable[int] = ()) -> "ShardedGraph":
-        """Shard an edge -> partition assignment (any partitioner's output).
-
-        ``partitions`` may name partitions beyond those appearing in the
-        assignment (they become empty shards); ``vertices`` may name
-        additional, possibly isolated, vertices to place.
-        """
-        normalized: Dict[Edge, int] = {}
-        for edge, partition in assignments.items():
-            normalized[Edge(edge[0], edge[1]).canonical()] = int(partition)
-        parts = sorted(set(normalized.values()) | set(partitions or ()))
-        if not parts:
-            raise ValueError("no partitions: empty assignment and no "
-                             "explicit partition list")
-
-        per_part_edges: Dict[int, List[tuple]] = {p: [] for p in parts}
-        vertex_parts: Dict[int, Set[int]] = {}
-        global_degrees: Dict[int, int] = {}
-        for edge, partition in normalized.items():
-            per_part_edges[partition].append((edge.u, edge.v))
-            for endpoint in (edge.u, edge.v):
-                vertex_parts.setdefault(endpoint, set()).add(partition)
-                global_degrees[endpoint] = global_degrees.get(endpoint, 0) + 1
-
-        # Isolated vertices: round-robin over partitions, deterministic.
-        extra_vertices: Dict[int, List[int]] = {p: [] for p in parts}
-        isolated = sorted(set(int(v) for v in vertices) - set(vertex_parts))
-        for index, vertex in enumerate(isolated):
-            home = parts[index % len(parts)]
-            vertex_parts[vertex] = {home}
-            extra_vertices[home].append(vertex)
-
-        vertex_partitions = {v: sorted(ps) for v, ps in vertex_parts.items()}
-
-        # Master election (min-partition rule) and channel membership.
-        shared: Dict[tuple, List[int]] = {}
-        for vertex, ps in vertex_partitions.items():
-            if len(ps) <= 1:
-                continue
-            master = ps[0]
-            for mirror in ps[1:]:
-                shared.setdefault((master, mirror), []).append(vertex)
-
-        shards: Dict[int, Shard] = {}
-        for partition in parts:
-            csr = ShardCSR.build(per_part_edges[partition],
-                                 extra_vertices[partition], global_degrees)
-            shards[partition] = Shard(
-                partition=partition,
-                csr=csr,
-                owned=np.ones(csr.num_vertices, dtype=bool))
-
-        for (master, mirror), shared_vertices in shared.items():
-            ids = np.array(sorted(shared_vertices), dtype=np.int64)
-            master_idx = np.searchsorted(shards[master].csr.vertex_ids, ids)
-            mirror_idx = np.searchsorted(shards[mirror].csr.vertex_ids, ids)
-            shards[master].master_channels[mirror] = master_idx
-            shards[mirror].mirror_channels[master] = mirror_idx
-            shards[mirror].owned[mirror_idx] = False
-
-        return cls(shards, normalized, vertex_partitions)
+        """Shard an edge -> partition mapping (any partitioner's output;
+        keys may be plain tuples in either orientation)."""
+        return cls.from_arrays(*mapping_columns(assignments),
+                               partitions=partitions, vertices=vertices)
 
     @classmethod
     def from_result(cls, result,
                     vertices: Iterable[int] = ()) -> "ShardedGraph":
         """Shard a :class:`~repro.partitioning.base.PartitionResult` or
         :class:`~repro.partitioning.parallel.ParallelResult`."""
-        sizes = getattr(result, "partition_sizes", None)
-        if sizes is not None:  # ParallelResult
-            partitions: Sequence[int] = sorted(sizes)
-        else:
-            partitions = list(result.state.partitions)
-        return cls.from_assignments(result.assignments,
-                                    partitions=partitions,
-                                    vertices=vertices)
+        sizes = getattr(result, "partition_sizes", None)  # ParallelResult
+        return cls.from_assignments(
+            result.assignments, vertices=vertices,
+            partitions=result.state.partitions if sizes is None else sizes)
 
     @classmethod
     def from_file(cls, path: "str | os.PathLike",
-                  partitions: Optional[Sequence[int]] = None,
+                  partitions: Optional[Iterable[int]] = None,
                   vertices: Iterable[int] = ()) -> "ShardedGraph":
         """Shard a ``u v partition`` assignment file (``.gz`` supported —
         see :mod:`repro.partitioning.partition_io`)."""
-        from repro.partitioning.partition_io import read_assignments
-        return cls.from_assignments(read_assignments(path),
-                                    partitions=partitions, vertices=vertices)
+        from repro.partitioning.partition_io import read_columns
+        return cls.from_arrays(*read_columns(path),
+                               partitions=partitions, vertices=vertices)
 
     # ------------------------------------------------------------------
     # Queries
@@ -238,10 +319,7 @@ class ShardedGraph:
     @property
     def replication_degree(self) -> float:
         """Average replicas per vertex (isolated vertices count 1)."""
-        if not self.vertex_partitions:
-            return 0.0
-        total = sum(len(ps) for ps in self.vertex_partitions.values())
-        return total / len(self.vertex_partitions)
+        return len(self.incidence.vertex) / max(1, self.num_vertices)
 
     def master_of(self, vertex: int) -> int:
         """Partition holding ``vertex``'s master replica."""
@@ -251,10 +329,9 @@ class ShardedGraph:
         """Reassemble the logical :class:`~repro.graph.graph.Graph`
         (cached; used by the cluster engine's unsharded fallback path)."""
         if self._graph is None:
-            graph = Graph((e.u, e.v) for e in self.assignments)
-            for vertex in self.vertex_partitions:
-                graph.add_vertex(vertex)
-            self._graph = graph
+            self._graph = Graph(e for e, _ in self.incidence.edges())
+            for vertex in self.incidence.ids.tolist():  # the isolated
+                self._graph.add_vertex(vertex)
         return self._graph
 
     def fingerprint(self) -> str:
@@ -276,16 +353,13 @@ class ShardedGraph:
 
     def placement(self, num_machines: Optional[int] = None,
                   machine_of_partition: Optional[Mapping[int, int]] = None):
-        """The :class:`~repro.engine.placement.Placement` of this sharding.
-
-        Defaults to one machine per partition (the cluster runtime's
-        one-worker-per-partition deployment); pass ``num_machines`` /
-        ``machine_of_partition`` for grouped layouts.
-        """
+        """The :class:`~repro.engine.placement.Placement` of this sharding,
+        off the same incidence: one machine per partition unless
+        ``num_machines`` / ``machine_of_partition`` group them."""
         from repro.engine.placement import Placement
         if num_machines is None:
             num_machines = len(self.partitions)
-        return Placement(self.assignments, self.partitions,
+        return Placement(self.incidence, self.partitions,
                          num_machines=num_machines,
                          machine_of_partition=machine_of_partition)
 

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import gzip
 import os
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Edge
 from repro.partitioning.base import PartitionResult
@@ -58,8 +61,8 @@ def write_assignments(path: "str | os.PathLike",
 
 def iter_assignments(path: "str | os.PathLike") -> Iterator[tuple]:
     """Stream ``(u, v, partition)`` triples without materialising the
-    mapping (``.gz`` transparent) — the parser behind
-    :func:`read_assignments` and the out-of-core read path."""
+    mapping (``.gz`` transparent) — the one parser, behind
+    :func:`read_columns` and :func:`read_assignments`."""
     with _open_text(path, "r") as handle:
         for line in handle:
             stripped = line.strip()
@@ -69,6 +72,14 @@ def iter_assignments(path: "str | os.PathLike") -> Iterator[tuple]:
             if len(parts) < 3:
                 raise ValueError(f"malformed assignment line: {line!r}")
             yield int(parts[0]), int(parts[1]), int(parts[2])
+
+
+def read_columns(path: "str | os.PathLike") -> Tuple[np.ndarray, ...]:
+    """A ``u v partition`` file as three int64 columns, file order — what
+    :meth:`~repro.graph.shard.ShardedGraph.from_arrays` takes."""
+    flat = np.fromiter(chain.from_iterable(iter_assignments(path)),
+                       dtype=np.int64)
+    return flat[0::3], flat[1::3], flat[2::3]
 
 
 def read_assignments(path: "str | os.PathLike") -> Dict[Edge, int]:

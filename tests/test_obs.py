@@ -739,6 +739,27 @@ class TestInstrumentation:
         assert counters[key] == float(report.supersteps)
         assert ("repro_engine_messages_total", "dense") in counters
 
+    def test_shard_build_publishes_span_and_tally(self):
+        from repro.graph.shard import ShardedGraph
+
+        assignments = {(0, 1): 0, (1, 2): 1, (2, 3): 1, (3, 0): 2}
+        ShardedGraph.from_assignments(assignments, partitions=range(4))
+        assert obs.tracer().spans() == []  # disabled: silent
+        assert obs.snapshot()["counters"] == []
+        obs.enable()
+        ShardedGraph.from_assignments(assignments, partitions=range(4),
+                                      vertices=[9])
+        ShardedGraph.from_arrays([5, 6], [6, 7], [0, 0])
+        spans = [s for s in obs.tracer().spans()
+                 if s["name"] == "graph.shard.build"]
+        # Vertices 0, 1 and 3 on two partitions, 2 and isolated 9 on one.
+        assert [s["attrs"] for s in spans] == [
+            {"edges": 4, "vertices": 5, "partitions": 4, "replicas": 8},
+            {"edges": 2, "vertices": 3, "partitions": 1, "replicas": 3}]
+        counters = {e["name"]: e["value"]
+                    for e in obs.snapshot()["counters"]}
+        assert counters["repro_shard_build_edges_total"] == 6.0
+
     def test_wal_publishes_append_series(self, tmp_path):
         from repro.service.wal import TenantWAL
 

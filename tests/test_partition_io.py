@@ -12,6 +12,7 @@ from repro.partitioning.partition_io import (
     iter_assignments,
     load_result,
     read_assignments,
+    read_columns,
     save_result,
     write_assignments,
 )
@@ -94,6 +95,30 @@ class TestGzipAndBatching:
         path.write_text("1 2\n")
         with pytest.raises(ValueError):
             list(iter_assignments(path))
+
+    @pytest.mark.parametrize("name", ["p.txt", "p.txt.gz"])
+    def test_read_columns_same_grammar(self, tmp_path, name):
+        """File order, orientation and duplicates kept; comments, blank
+        lines and extra fields skipped — ``from_arrays`` resolves them."""
+        path = tmp_path / name
+        opener = gzip.open if name.endswith(".gz") else open
+        with opener(path, "wt", encoding="utf-8") as handle:
+            handle.write("# header\n% other comment\n\n5 2 3 extra\n"
+                         "  2 5 1\n-7 9000000000 0\n")
+        u, v, part = read_columns(path)
+        assert [c.dtype.name for c in (u, v, part)] == ["int64"] * 3
+        assert (u.tolist(), v.tolist(), part.tolist()) == (
+            [5, 2, -7], [2, 5, 9000000000], [3, 1, 0])
+        assert read_assignments(path) == {Edge(2, 5): 1,
+                                          Edge(-7, 9000000000): 0}
+
+    def test_read_columns_names_the_malformed_line(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("1 2 0\n3 4\n")
+        with pytest.raises(ValueError, match="'3 4"):
+            read_columns(path)
+        path.write_text("")
+        assert [len(c) for c in read_columns(path)] == [0, 0, 0]
 
     def test_sharded_graph_reads_gz(self, tmp_path):
         from repro.graph.shard import ShardedGraph
