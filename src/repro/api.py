@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.graph.graph import Edge
-from repro.partitioning.base import Assignment, PartitionResult
+from repro.partitioning.base import AssignmentBatch, AssignmentStore, PartitionResult
 from repro.partitioning.parallel import partitioner_registry
 from repro.partitioning.state import StateSnapshot
 from repro.simtime import Clock, SimulatedClock
@@ -49,9 +49,9 @@ class SessionStats:
     """Point-in-time observability snapshot of one session.
 
     ``edges_ingested`` counts edges accepted by :meth:`ingest`;
-    ``assignments_emitted`` counts decisions already made.  The gap
-    (``buffered_edges``) is stream the window is still holding — for
-    single-edge algorithms it is always zero.
+    ``assignments_emitted`` counts decisions already made, a repeated
+    edge's every time.  The gap (``buffered_edges``) is stream the window
+    is still holding — for single-edge algorithms it is always zero.
     """
 
     algorithm: str
@@ -213,8 +213,9 @@ class PartitionSession:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def ingest(self, edges: Iterable[EdgeLike]) -> List[Assignment]:
-        """Feed a batch of edges; return the assignments emitted.
+    def ingest(self, edges: Iterable[EdgeLike]) -> AssignmentBatch:
+        """Feed a batch of edges; return the assignments emitted (a
+        ``Sequence[Assignment]`` over their ``(u, v, part)`` columns).
 
         Accepts :class:`Edge` objects or plain ``(u, v)`` pairs.  With a
         window-based algorithm the returned decisions may cover earlier
@@ -222,10 +223,10 @@ class PartitionSession:
         admit them (or :meth:`finalize` drains it).
         """
         self._require_open()
-        batch = [edge if isinstance(edge, Edge) else Edge(*edge)
-                 for edge in edges]
+        batch = edges if isinstance(edges, (list, tuple)) else list(edges)
+        emitted = self.partitioner.ingest(batch)
         self.edges_ingested += len(batch)
-        return self.partitioner.ingest(batch)
+        return emitted
 
     # ------------------------------------------------------------------
     # Online queries
@@ -257,7 +258,7 @@ class PartitionSession:
             algorithm=self.algorithm,
             num_partitions=state.num_partitions,
             edges_ingested=self.edges_ingested,
-            assignments_emitted=len(self.partitioner._assignments),
+            assignments_emitted=self.partitioner._assignments.rows,
             buffered_edges=self.buffered_edges,
             replication_degree=state.replication_degree(),
             imbalance=state.imbalance(),
@@ -285,8 +286,7 @@ class PartitionSession:
             knobs=dict(self.knobs),
             expected_edges=self.expected_edges,
             state=partitioner.state.snapshot(),
-            assignments=[(e.u, e.v, p)
-                         for e, p in partitioner._assignments.items()],
+            assignments=partitioner._assignments.triples(),
             clock={
                 "score_cost_ms": clock.score_cost_ms,
                 "assignment_cost_ms": clock.assignment_cost_ms,
@@ -358,8 +358,8 @@ def restore_session(snapshot: SessionSnapshot,
     partitioner.state = type(partitioner.state).from_snapshot(snapshot.state)
     partitioner._streaming = True
     partitioner._start_ms = snapshot.start_ms
-    partitioner._assignments = {Edge(u, v): p
-                                for u, v, p in snapshot.assignments}
+    partitioner._assignments = AssignmentStore.from_triples(
+        snapshot.assignments)
     if snapshot.algorithm_state is not None:
         _restore_window_state(partitioner, snapshot)
     session = PartitionSession(partitioner, algorithm=snapshot.algorithm,

@@ -9,9 +9,10 @@ at the transaction's output lists, and is the only code that binds,
 validates, grows or rebinds a buffer.  Around a transaction it offers
 the three steps every batch takes:
 
-* :meth:`stage` — intern the batch to dense rows (which is where the
-  state reallocates its tables), rebind whatever moved, copy in the
-  scalars the kernels mirror, and validate everything about to cross;
+* :meth:`stage` — intern the batch's ``(lo, hi)`` id columns to dense
+  rows (which is where the state reallocates its tables), rebind
+  whatever moved, copy in the scalars the kernels mirror, and validate
+  everything about to cross;
 * :meth:`call` — run one entry point to a final status, growing the
   output lists (or, through the caller's handlers, the caller's own
   buffers) on a ``KERN_NEED_*`` exit and calling again;
@@ -28,11 +29,9 @@ context's lifetime.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
-
-from repro.graph.graph import Edge
 
 _CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
            np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
@@ -44,10 +43,11 @@ FieldSpec = Mapping[str, Tuple[type, int, object]]
 #: Smallest output-list capacity (assignments per transaction).
 _MIN_OUT = 64
 
-#: Transaction outputs: an assignment sets at most two replica bits.
+#: Transaction outputs (``out_u`` / ``out_v``: the dense rows of a popped
+#: window edge); an assignment sets at most two replica bits.
 _OUT_FIELDS: FieldSpec = {
-    "out_entry": (np.int64, 1, 0), "out_col": (np.int64, 1, 0),
-    "out_score": (np.float64, 1, 0.0),
+    "out_u": (np.int64, 1, 0), "out_v": (np.int64, 1, 0),
+    "out_col": (np.int64, 1, 0), "out_score": (np.float64, 1, 0.0),
     "chg_row": (np.int64, 2, 0), "chg_col": (np.int64, 2, 0)}
 
 
@@ -74,6 +74,7 @@ class KernelBinding:
         self._bound: Dict[str, Tuple[np.ndarray, np.dtype, int]] = {}
         self.ctx = self.ffi.new("KernCtx *")
         self.ctx.k = state.num_partitions
+        self._spread = np.array(state.partitions, dtype=np.int64)
         self.resize(_OUT_FIELDS, "out_cap", _MIN_OUT)
 
     # ------------------------------------------------------------------
@@ -143,11 +144,12 @@ class KernelBinding:
     # ------------------------------------------------------------------
     # One transaction: stage, call, absorb
     # ------------------------------------------------------------------
-    def stage(self, edges: Sequence[Edge]) -> np.ndarray:
-        """Ready the context for a transaction over ``edges`` (canonical,
-        in stream order); returns their dense rows, interleaved."""
+    def stage(self, ends: np.ndarray) -> np.ndarray:
+        """Ready the context for a transaction over the edges ``ends``
+        (an ``(n, 2)`` int64 array of canonical ``(lo, hi)`` ids, in
+        stream order); returns their dense rows, interleaved."""
         ctx = self.ctx
-        pairs = self.state.dense_rows(edges)
+        pairs = self.state.dense_rows(ends.ravel())
         ctx.consumed = ctx.n_out = ctx.n_changed = 0
         self.sync_state()
         for field in self._bound:
@@ -175,6 +177,10 @@ class KernelBinding:
                 grow[status]()
             else:
                 return status
+
+    def out_partitions(self, n: int) -> np.ndarray:
+        """The first ``n`` ``out_col`` entries as partition ids."""
+        return self._spread[self.array("out_col")[:n]]
 
     def absorb(self) -> None:
         """Hand the state the scalars this transaction kept while it

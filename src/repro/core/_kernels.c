@@ -67,8 +67,9 @@ typedef struct {
     int64_t *sizes;         /* partition sizes (state)                 */
     /* Neighbourhood arena and transaction outputs. */
     int64_t *pool;
-    int64_t *out_entry;     /* popped assignments, n_out entries       */
-    int64_t *out_col;
+    int64_t *out_u;         /* popped assignments, n_out entries: the  */
+    int64_t *out_v;         /*   edge's dense rows, its partition      */
+    int64_t *out_col;       /*   column and its score                  */
     double  *out_score;
     int64_t *chg_row;       /* newly set replica bits, n_changed       */
     int64_t *chg_col;
@@ -627,7 +628,8 @@ static int64_t pop_slot(KernCtx *c, int64_t *slot)
     s = agenda_pop(c);
     if (s < 0)
         return KERN_NEED_ARENA;
-    c->out_entry[c->n_out] = c->entry[s];
+    c->out_u[c->n_out] = c->ui[s];
+    c->out_v[c->n_out] = c->vi[s];
     c->out_col[c->n_out] = c->col[s];
     c->out_score[c->n_out] = c->score[s];
     c->n_out++;

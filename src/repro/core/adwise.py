@@ -30,8 +30,8 @@ window call per step — the reference.  On the
 :class:`~repro.core.array_window.ArrayEdgeWindow` the whole loop body
 (refill, pop, vertex-cache update, λ adaptation, rule 3) is one compiled
 transaction per ingest batch (DESIGN.md §14) and Python only stages the
-batch, reads the controller's decisions at block boundaries and emits
-the assignments.  The differential suites hold the two bit-identical.
+batch's id columns, reads the controller's decisions at block boundaries
+and takes the popped decisions back as columns.  The differential suites hold the two bit-identical.
 Which one runs is not an option: the compiled window wherever the
 kernels load, the reference elsewhere (and under ``fast=False``, the
 suites' hook) — see :class:`~repro.partitioning.base.StreamingPartitioner`.
@@ -39,11 +39,12 @@ suites' hook) — see :class:`~repro.partitioning.base.StreamingPartitioner`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.graph.graph import Edge
-from repro.graph.stream import EdgeStream
 from repro.core import _kernels
 from repro.core.adaptive import (
     AdaptiveWindowController,
@@ -52,9 +53,10 @@ from repro.core.adaptive import (
 from repro.core.scoring import AdaptiveBalancer, AdwiseScoring
 from repro.core.window import EdgeWindow
 from repro.partitioning.base import (
-    Assignment,
+    AssignmentBatch,
     PartitionResult,
     StreamingPartitioner,
+    edge_columns,
 )
 from repro.partitioning.state import PartitionState
 from repro.simtime import Clock
@@ -203,36 +205,23 @@ class AdwisePartitioner(StreamingPartitioner):
             )
         self._pending = []
 
-    def ingest(self, edges: Iterable[Edge]) -> List[Assignment]:
-        """Buffer arriving edges and advance Algorithm 1 as far as the
-        buffered prefix allows; return the assignments popped.
+    def _ingest_columns(self, ends: np.ndarray) -> AssignmentBatch:
+        """Buffer the arriving edges and advance Algorithm 1 as far as
+        the buffered prefix allows; return the assignments popped.
 
         Edges the window cannot yet admit (the refill target is the
         controller's current ``w``) stay in the pending buffer, and the
         window never pops while under-filled — a batch run would have
         refilled it from the rest of the stream first.
         """
-        if not self._streaming:
-            self.begin()
-        pending = self._pending
-        added = 0
-        for edge in edges:
-            pending.append(edge.canonical())
-            added += 1
-        with obs.span("partition.ingest", algorithm=self.name):
-            out = self._pump(force=False)
-        obs.counter("repro_partition_edges_total",
-                    algorithm=self.name).inc(added)
-        obs.counter("repro_partition_batches_total",
-                    algorithm=self.name).inc()
-        return out
+        return self._pump(ends, force=False)
 
     def finalize(self) -> PartitionResult:
         """End of stream: drain the pending buffer and the window."""
         if not self._streaming:
             self.begin()
         with obs.span("partition.finalize", algorithm=self.name):
-            self._pump(force=True)
+            self._pump(edge_columns(()), force=True)
         result = super().finalize()
         result.extras["max_window"] = float(self.controller.max_window_reached)
         result.extras["final_window"] = float(self.controller.window_size)
@@ -284,14 +273,15 @@ class AdwisePartitioner(StreamingPartitioner):
             obs.gauge("repro_window_max_size_reached", algorithm=self.name
                       ).set(self.controller.max_window_reached)
 
-    def _pump(self, force: bool) -> List[Assignment]:
-        """Advance Algorithm 1 over the pending buffer with whichever
-        driver the window takes."""
+    def _pump(self, ends: np.ndarray, force: bool) -> AssignmentBatch:
+        """Advance Algorithm 1 over the pending buffer and the arriving
+        edges ``ends`` with whichever driver the window takes."""
         if isinstance(self.window, EdgeWindow):
-            return self._pump_reference(force)
-        return self._pump_native(force)
+            return self._pump_reference(ends, force)
+        return self._pump_native(ends, force)
 
-    def _pump_reference(self, force: bool) -> List[Assignment]:
+    def _pump_reference(self, ends: np.ndarray,
+                        force: bool) -> AssignmentBatch:
         """Refill → pop → adapt until input runs out (Algorithm 1), one
         window call per step — the object window's driver.
 
@@ -299,14 +289,14 @@ class AdwisePartitioner(StreamingPartitioner):
         (finalize / end of batch): the window drains even under-filled,
         exactly the exhausted-stream behaviour of a batch run.
         """
-        out: List[Assignment] = []
+        out: List[tuple] = []
         window = self.window
         pending = self._pending
+        pending.extend(map(Edge, *ends.T.tolist()))
         controller = self.controller
         state = self.state
         clock = self.clock
         scoring = self.scoring
-        assignments = self._assignments
         observe = state.observe_degrees
         while True:
             # Refill the window up to the current target size w (degrees
@@ -326,17 +316,16 @@ class AdwisePartitioner(StreamingPartitioner):
             edge, partition, score = window.pop_best()
             changed = state.assign(edge, partition)
             clock.charge_assignment()
-            assignments[edge] = partition
-            out.append(Assignment(edge, partition))
+            out.append((edge.u, edge.v, partition))
             scoring.after_assignment()
             if changed:
                 # Rule 3 with no changed replica sets touches nothing
                 # (no rescores, no promotions, no charges).
                 window.on_replicas_changed(changed)
             controller.record(score, clock.now())
-        return out
+        return self._emit(*np.array(out, dtype=np.int64).reshape(-1, 3).T)
 
-    def _pump_native(self, force: bool) -> List[Assignment]:
+    def _pump_native(self, ends: np.ndarray, force: bool) -> AssignmentBatch:
         """The same loop as one compiled transaction per batch
         (:meth:`ArrayEdgeWindow.pump`): it returns to Python only at the
         adaptive controller's block boundaries — with the clock charged
@@ -345,9 +334,10 @@ class AdwisePartitioner(StreamingPartitioner):
         window = self.window
         controller = self.controller
         clock = self.clock
-        record = controller.record
-        edges, self._pending = self._pending, []
-        window.begin_batch(edges)
+        if self._pending:  # a restored snapshot's: they go first
+            ends = np.concatenate([edge_columns(self._pending), ends])
+            self._pending = []
+        window.begin_batch(ends)
         done = 0
         more = True
         while more:
@@ -356,20 +346,10 @@ class AdwisePartitioner(StreamingPartitioner):
                                -1 if remaining is None else done + remaining)
             emitted = window.emitted
             clock.charge_assignment(emitted - done)
-            now = clock.now()
-            for score in window.scores(done, emitted):
-                record(score, now)
+            if remaining is not None:
+                # Only a controller with block boundaries reads scores.
+                now = clock.now()
+                for score in window.scores(done, emitted):
+                    controller.record(score, now)
             done = emitted
-        out: List[Assignment] = []
-        assignments = self._assignments
-        for edge, partition in window.end_batch():
-            assignments[edge] = partition
-            out.append(Assignment(edge, partition))
-        return out
-
-    def partition_stream(self, stream: EdgeStream) -> PartitionResult:
-        """Algorithm 1 over a whole stream — batch wrapper over
-        ``begin``/``ingest``/``finalize``."""
-        self.begin(total_edges=len(stream))
-        self.ingest(stream)
-        return self.finalize()
+        return self._emit(*window.end_batch())

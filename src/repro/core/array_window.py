@@ -16,8 +16,10 @@ side of that transaction:
   and the grow-and-retry loop are
   :class:`~repro.core._binding.KernelBinding`'s, shared with the
   single-edge stream kernel;
-* it maps entry ids back to :class:`~repro.graph.graph.Edge` objects and
-  spread columns back to partition ids.
+* it maps dense vertex rows back to vertex ids and spread columns back
+  to partition ids, a column at a time — a popped edge leaves the kernel
+  as its two endpoint rows, and no per-edge object is kept for an edge
+  in the window.
 
 :meth:`pump` is the batch-grain entry the partitioner drives — one C
 call per ingest batch on a fixed window.  :meth:`add` / :meth:`pop_best`
@@ -43,7 +45,7 @@ ordering contract is defined on entry ids, never slot positions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -118,8 +120,6 @@ class ArrayEdgeWindow:
         self.max_candidates = max_candidates
         state = scoring.state
         self._column = {p: j for j, p in enumerate(state.partitions)}
-        #: Entry id -> edge for every edge in the window (entry order).
-        self._edges: Dict[int, Edge] = {}
         #: Dense rows of the batch being pumped.
         self._pairs = np.zeros(0, dtype=np.int64)
         #: The state's tables, the output lists and this window's own
@@ -180,9 +180,20 @@ class ArrayEdgeWindow:
     def secondary_count(self) -> int:
         return self._ctx.count - self._ctx.num_candidates
 
+    def _slots(self) -> np.ndarray:
+        """The occupied slots in insertion (entry-id) order."""
+        slots = np.flatnonzero(self._array("alive"))
+        return slots[np.argsort(self._array("entry")[slots])]
+
+    def _endpoints(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(u, v)`` vertex-id columns of the edges in ``slots``."""
+        ids = self.scoring.state.vertex_ids
+        return ids(self._array("ui")[slots]), ids(self._array("vi")[slots])
+
     def edges(self) -> List[Edge]:
         """Window edges in insertion (entry-id) order."""
-        return list(self._edges.values())
+        u, v = self._endpoints(self._slots())
+        return list(map(Edge, u.tolist(), v.tolist()))
 
     @property
     def threshold(self) -> float:
@@ -201,13 +212,16 @@ class ArrayEdgeWindow:
         """
         ends = (edge.u, edge.v)
         nbrs: Set[int] = set()
-        for entry_id, other in self._edges.items():
+        slots = self._slots()
+        us, vs = self._endpoints(slots)
+        for entry_id, u, v in zip(self._array("entry")[slots].tolist(),
+                                  us.tolist(), vs.tolist()):
             if entry_id == exclude_entry:
                 continue
-            if other.u in ends:
-                nbrs.add(other.v)
-            if other.v in ends:
-                nbrs.add(other.u)
+            if u in ends:
+                nbrs.add(v)
+            if v in ends:
+                nbrs.add(u)
         return nbrs.difference(ends)
 
     # ------------------------------------------------------------------
@@ -223,7 +237,6 @@ class ArrayEdgeWindow:
         ctx.count = ctx.num_candidates = ctx.heap_size = ctx.pool_used = 0
         if ctx.vertex_cap:  # the per-vertex arrays are bound
             self._array("head")[:] = -1
-        self._edges = {}
 
     def _grow_slots(self) -> None:
         ctx = self._ctx
@@ -297,13 +310,11 @@ class ArrayEdgeWindow:
     # ------------------------------------------------------------------
     # The batch-grain pump (what AdwisePartitioner drives)
     # ------------------------------------------------------------------
-    def begin_batch(self, edges: Sequence[Edge]) -> None:
-        """Stage ``edges`` (canonical, in stream order) for :meth:`pump`:
-        intern them to dense rows, register their entry ids and validate
-        everything the kernel is about to be handed."""
-        first = self._ctx.next_id
-        self._edges.update(zip(range(first, first + len(edges)), edges))
-        self._pairs = self._kern.stage(edges)
+    def begin_batch(self, ends: np.ndarray) -> None:
+        """Stage the edges ``ends`` (``(n, 2)`` canonical int64 ids, in
+        stream order) for :meth:`pump`: intern them to dense rows and
+        validate everything the kernel is about to be handed."""
+        self._pairs = self._kern.stage(ends)
         self._sync_scoring()
 
     def pump(self, target_w: int, force: bool, stop_at: int) -> bool:
@@ -331,27 +342,25 @@ class ArrayEdgeWindow:
         """Scores of the batch's assignments ``start..stop``."""
         return self._array("out_score")[start:stop].tolist()
 
-    def end_batch(self) -> List[Tuple[Edge, int]]:
+    def end_batch(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Close the batch: hand the partition state and the balancer
-        the scalars the kernel kept, and return the ``(edge,
-        partition)`` decisions in pop order."""
+        the scalars the kernel kept, and return the decisions in pop
+        order as ``(u, v, partition)`` id columns."""
         ctx = self._ctx
         scoring = self.scoring
         self._kern.absorb()
         if scoring.balancer is not None:
             scoring.balancer.value = ctx.lam
-        popped = self._take(ctx.n_out)
+        popped = self._popped(ctx.n_out)
         self._compact_if_sparse()
         return popped
 
-    def _take(self, n: int) -> List[Tuple[Edge, int]]:
-        """The first ``n`` popped assignments as ``(edge, partition)``;
-        their edges leave the entry map."""
-        take = self._edges.pop
-        partitions = self.scoring.state.partitions
-        return [(take(entry), partitions[col]) for entry, col in zip(
-            self._array("out_entry")[:n].tolist(),
-            self._array("out_col")[:n].tolist())]
+    def _popped(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``n`` popped assignments: the kernel's endpoint
+        rows and spread columns as vertex and partition ids."""
+        ids = self.scoring.state.vertex_ids
+        return (ids(self._array("out_u")[:n]), ids(self._array("out_v")[:n]),
+                self._kern.out_partitions(n))
 
     # ------------------------------------------------------------------
     # Serialization (session snapshot boundary)
@@ -362,16 +371,15 @@ class ArrayEdgeWindow:
         rebuilt on restore — they only ever hold values a fresh
         computation would produce, so dropping them is invisible)."""
         ctx = self._ctx
-        slots = np.flatnonzero(self._array("alive"))
-        slots = slots[np.argsort(self._array("entry")[slots])]
+        slots = self._slots()
         partitions = self.scoring.state.partitions
-        edges = self._edges
         entries = [
-            (entry, edges[entry].u, edges[entry].v, score, partitions[col],
-             version, bool(candidate))
-            for entry, score, col, version, candidate in zip(
+            (entry, u, v, score, partitions[col], version, bool(candidate))
+            for entry, u, v, score, col, version, candidate in zip(
+                self._array("entry")[slots].tolist(),
+                *(ends.tolist() for ends in self._endpoints(slots)),
                 *(self._array(field)[slots].tolist() for field in (
-                    "entry", "score", "col", "slot_version", "candidate")))]
+                    "score", "col", "slot_version", "candidate")))]
         return WindowImage(entries=entries, next_id=ctx.next_id,
                            score_sum=ctx.score_sum, version=ctx.version,
                            promotions=ctx.promotions)
@@ -383,9 +391,8 @@ class ArrayEdgeWindow:
         if n:
             ids, us, vs, scores, partitions, versions, candidates = zip(
                 *image.entries)
-            edges = [Edge(u, v) for u, v in zip(us, vs)]
-            self._edges = dict(zip(ids, edges))
-            pairs = self.scoring.state.dense_rows(edges)
+            pairs = self.scoring.state.dense_rows(
+                np.array((us, vs), dtype=np.int64).T.ravel())
             self._sync_state()
             self._kern.check_rows(pairs)
             arrays = (
@@ -435,11 +442,10 @@ class ArrayEdgeWindow:
         for edge in edges:
             if observe is not None:
                 observe(edge)
-            pairs = state.dense_rows((edge,))
+            pairs = state.dense_rows(np.array(edge, dtype=np.int64))
             self._sync_state()
             self._kern.check_rows(pairs)
             ids.append(ctx.next_id)
-            self._edges[ctx.next_id] = edge
             ctx.consumed = 0
             # A target beyond the window's size admits without popping.
             self._call(self._lib.kern_pump, self._kern.pointer(pairs), 1,
@@ -459,10 +465,10 @@ class ArrayEdgeWindow:
             raise IndexError("pop_best from an empty window")
         self._sync_state()
         self._call(self._lib.kern_pop)
-        (edge, partition), = self._take(1)
+        (u,), (v,), (partition,) = (ids.tolist() for ids in self._popped(1))
         score = float(self._array("out_score")[0])
         self._compact_if_sparse()
-        return edge, partition, score
+        return Edge(u, v), partition, score
 
     def on_replicas_changed(self, vertices: Iterable[int]) -> int:
         """Rule 3: reassess secondary edges touching changed replica sets.

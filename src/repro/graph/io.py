@@ -16,28 +16,31 @@ from repro.graph.graph import Edge, Graph
 _COMMENT_PREFIXES = ("#", "%")
 
 
+#: ``Edge`` without the Python frame of its generated ``__new__``.
+_new_tuple = tuple.__new__
+
+
 def parse_edge_line(line: str) -> "Edge | None":
     """Parse one edge-list line; return None for blanks/comments.
 
     Raises ``ValueError`` on malformed lines so corrupt inputs fail loudly
-    rather than silently dropping edges.
+    rather than silently dropping edges.  One pass: the line is converted
+    first and looked at only when that fails (further columns — weights —
+    are ignored).
     """
-    stripped = line.strip()
-    if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-        return None
-    parts = stripped.split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed edge line: {line!r}")
-    return Edge(int(parts[0]), int(parts[1]))
+    parts = line.split()
+    try:
+        return _new_tuple(Edge, (int(parts[0]), int(parts[1])))
+    except (ValueError, IndexError):
+        if not parts or parts[0].startswith(_COMMENT_PREFIXES):
+            return None
+        raise ValueError(f"malformed edge line: {line!r}") from None
 
 
 def iter_edge_file(path: "str | os.PathLike") -> Iterator[Edge]:
     """Stream edges from an edge-list file without materialising the graph."""
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            edge = parse_edge_line(line)
-            if edge is not None:
-                yield edge
+        yield from filter(None, map(parse_edge_line, handle))
 
 
 def read_graph(path: "str | os.PathLike") -> Graph:

@@ -127,6 +127,30 @@ def _ranked(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return distinct, np.searchsorted(distinct, values)
 
 
+def _dict_order(keys: np.ndarray, values: np.ndarray):
+    """``mapping[keys[i]] = values[i]`` applied in order, as arrays: the
+    positions where each distinct key first appears (ascending) and the
+    value each ends with — a dict's order and contents — or ``None``
+    where no key repeats."""
+    if np.diff(np.sort(keys)).all():
+        return None
+    _, seen, group = np.unique(keys, return_index=True, return_inverse=True)
+    final = np.empty(len(seen), dtype=np.int64)
+    final[group] = values
+    seen.sort()
+    return seen, final[group[seen]]
+
+
+def collapsed_columns(u, v, part) -> Tuple[np.ndarray, ...]:
+    """Canonical ``(u, v, part)`` decision columns as the mapping they
+    make: a repeated edge keeps its first row and its last partition."""
+    ids, index = _ranked(np.concatenate([u, v]))
+    kept = _dict_order(index[:len(u)] * len(ids) + index[len(u):], part)
+    if kept is None:
+        return u, v, part
+    return u[kept[0]], v[kept[0]], kept[1]
+
+
 class Incidence:
     """An edge -> partition assignment and its sorted (vertex, partition)
     *incidence*, one row per replica, which the shards and the
@@ -145,16 +169,9 @@ class Incidence:
         self.ids, index = _ranked(np.concatenate(
             [lo, hi, np.fromiter(vertices, dtype=np.int64)]))
         lo, hi = np.split(index[:2 * len(u)], 2)
-        edge = lo * len(self.ids) + hi
-        if not np.diff(np.sort(edge)).all():
-            # Duplicates keep the first one's place and the last one's
-            # partition, as a dict keyed by the canonical edge would.
-            _, seen, group = np.unique(edge, return_index=True,
-                                       return_inverse=True)
-            final = np.empty(len(seen), dtype=np.int64)
-            final[group] = part
-            seen.sort()
-            lo, hi, part = lo[seen], hi[seen], final[group[seen]]
+        kept = _dict_order(lo * len(self.ids) + hi, part)
+        if kept is not None:  # duplicates, in either orientation
+            lo, hi, part = lo[kept[0]], hi[kept[0]], kept[1]
         self.parts, pos = _ranked(np.concatenate([part, np.fromiter(
             () if partitions is None else partitions, dtype=np.int64)]))
         k, pos = len(self.parts), pos[:len(part)]
@@ -190,7 +207,11 @@ class Incidence:
 
 
 def mapping_columns(assignments: Mapping[Edge, int]) -> Tuple[np.ndarray, ...]:
-    """An edge -> partition mapping as ``(u, v, part)`` int64 columns."""
+    """An edge -> partition mapping as ``(u, v, part)`` int64 columns:
+    its own ``columns()`` where it keeps them (a partitioner's store),
+    else one pass over its keys and one over its values."""
+    if hasattr(assignments, "columns"):
+        return assignments.columns()
     ends = np.fromiter(chain.from_iterable(assignments), dtype=np.int64)
     return ends[0::2], ends[1::2], np.fromiter(
         assignments.values(), dtype=np.int64, count=len(assignments))

@@ -15,15 +15,29 @@ long-lived sessions (``repro.api`` / ``repro.service``) share the exact
 same driver — a batch run and any chunking of the same stream through
 ``ingest`` are bit-identical by construction (enforced by
 ``tests/test_ingest_api.py``).
+
+Decisions travel as columns (DESIGN.md §2): :meth:`ingest` turns its
+edge-likes into one ``(n, 2)`` int64 array of canonical endpoints, the
+algorithm answers with a partition column, and the three columns — an
+:class:`AssignmentBatch` — are what ``ingest`` returns, what the run's
+:class:`AssignmentStore` keeps and what the writer, the shards and the
+daemon read.  An :class:`Assignment` or :class:`~repro.graph.graph.Edge`
+object exists only when somebody indexes or iterates one of the two.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.graph.graph import Edge
+from repro.graph.shard import collapsed_columns
 from repro.graph.stream import EdgeStream
 from repro.partitioning.fast_state import FastPartitionState
 from repro.partitioning.state import PartitionState
@@ -44,6 +58,161 @@ class Assignment:
     partition: int
 
 
+def edge_columns(edges: Iterable[Sequence[int]]) -> np.ndarray:
+    """Edge-likes (:class:`Edge` objects, ``(u, v)`` pairs) as an
+    ``(n, 2)`` int64 array of canonical ``(lo, hi)`` rows, stream order.
+    Anything but a pair of integers that fit int64 is refused."""
+    batch = edges if isinstance(edges, (list, tuple)) else list(edges)
+    if set(map(len, batch)) - {2}:
+        bad = next(edge for edge in batch if len(edge) != 2)
+        raise ValueError(f"an edge is a (u, v) pair, got {bad!r}")
+    ends = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
+                       count=2 * len(batch)).reshape(-1, 2)
+    ends.sort(axis=1)
+    return ends
+
+
+class AssignmentBatch(SequenceABC):
+    """Decisions as ``(u, v, part)`` int64 columns in emission order
+    (``u <= v``): what a compiled transaction hands up and everything
+    downstream reads.  It *is* the ``Sequence[Assignment]`` the ingest
+    API returns — indexing, slicing, iterating and comparing with a list
+    of :class:`Assignment` build the objects on demand."""
+
+    __slots__ = ("u", "v", "part")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray,
+                 part: np.ndarray) -> None:
+        self.u, self.v, self.part = u, v, part
+
+    def __len__(self) -> int:
+        return len(self.part)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AssignmentBatch(self.u[index], self.v[index],
+                                   self.part[index])
+        return Assignment(Edge(int(self.u[index]), int(self.v[index])),
+                          int(self.part[index]))
+
+    def __iter__(self) -> Iterator[Assignment]:
+        return map(Assignment, map(Edge, self.u.tolist(), self.v.tolist()),
+                   self.part.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, AssignmentBatch)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+# The store's items()/values(): the abc views, iterating off the columns
+# (their defaults look every key up, which would build the hash index).
+class _StoreItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.columns()[2].tolist())
+
+
+class _StoreValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.columns()[2].tolist())
+
+
+class AssignmentStore(Mapping):
+    """One run's canonical edge -> partition mapping, kept as the
+    :class:`AssignmentBatch` es :meth:`append` ed to it.
+
+    Read-only, with a dict's semantics: an edge the stream repeated keeps
+    its first position and takes its last partition.  ``len()``,
+    iteration (``keys()`` / ``items()`` / ``values()`` included), ``==``
+    between stores and :meth:`columns` are answered from the arrays; a
+    keyed lookup (``[...]``, ``get``, ``in``) builds a hash index the
+    first time and brings it up to date, from the batches appended
+    since, every time after.  :attr:`rows` counts decisions, repeats
+    included.
+    """
+
+    def __init__(self, batches: Iterable[AssignmentBatch] = ()) -> None:
+        self._batches = list(batches)
+        self.rows = sum(map(len, self._batches))
+        self._columns: Optional[Tuple[np.ndarray, ...]] = None
+        self._index: Dict[Edge, int] = {}
+        self._indexed = 0  # decisions the index has seen
+
+    @classmethod
+    def from_triples(cls, triples: Sequence[Tuple[int, int, int]]):
+        """Inverse of :meth:`triples` (the session snapshot's format)."""
+        return cls([AssignmentBatch(
+            *np.array(triples, dtype=np.int64).reshape(-1, 3).T)])
+
+    def append(self, batch: AssignmentBatch) -> None:
+        self._batches.append(batch)
+        self.rows += len(batch)
+        self._columns = None
+
+    def decisions(self) -> AssignmentBatch:
+        """Every decision so far, in emission order, as one batch."""
+        if len(self._batches) != 1:
+            self._batches = [AssignmentBatch(*(
+                np.concatenate([_NO_ROWS] + [getattr(batch, column)
+                                             for batch in self._batches])
+                for column in AssignmentBatch.__slots__))]
+        return self._batches[0]
+
+    def triples(self) -> List[Tuple[int, int, int]]:
+        """Every decision as a ``(u, v, partition)`` tuple of ints."""
+        rows = self.decisions()
+        return list(zip(rows.u.tolist(), rows.v.tolist(), rows.part.tolist()))
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mapping as ``(u, v, part)`` columns in dict order — what
+        :func:`~repro.graph.shard.mapping_columns` asks a mapping for."""
+        if self._columns is None:
+            rows = self.decisions()
+            self._columns = collapsed_columns(rows.u, rows.v, rows.part)
+        return self._columns
+
+    def _lookup(self) -> Dict[Edge, int]:
+        """The hash index, brought up to date: ``dict.update`` over the
+        decisions it has not seen is the dict semantics itself."""
+        skip = self._indexed
+        for batch in self._batches:
+            if skip < len(batch):
+                self._index.update(zip(
+                    map(Edge, batch.u[skip:].tolist(),
+                        batch.v[skip:].tolist()),
+                    batch.part[skip:].tolist()))
+            skip = max(0, skip - len(batch))
+        self._indexed = self.rows
+        return self._index
+
+    def __len__(self) -> int:
+        return len(self.columns()[2])
+
+    def __iter__(self) -> Iterator[Edge]:
+        u, v, _ = self.columns()
+        return map(Edge, u.tolist(), v.tolist())
+
+    def __getitem__(self, edge: Edge) -> int:
+        return self._lookup()[edge]
+
+    def items(self) -> ItemsView:
+        return _StoreItems(self)
+
+    def values(self) -> ValuesView:
+        return _StoreValues(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AssignmentStore) and all(
+                map(np.array_equal, self.columns(), other.columns())):
+            return True  # same edges, same order: no index needed
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+
 @dataclass
 class PartitionResult:
     """Outcome of one partitioning run.
@@ -55,7 +224,8 @@ class PartitionResult:
     state:
         Final :class:`PartitionState` (vertex cache, partition sizes).
     assignments:
-        Edge → partition mapping, in assignment order.
+        Edge → partition mapping, in assignment order (a streaming
+        partitioner's :class:`AssignmentStore`, or any mapping).
     latency_ms:
         Partitioning latency charged on the clock.
     score_computations:
@@ -64,7 +234,7 @@ class PartitionResult:
 
     algorithm: str
     state: PartitionState
-    assignments: Dict[Edge, int]
+    assignments: Mapping
     latency_ms: float
     score_computations: int = 0
     extras: Dict[str, float] = field(default_factory=dict)
@@ -122,7 +292,7 @@ class StreamingPartitioner:
         self.state = state
         self.clock = clock if clock is not None else SimulatedClock()
         self._streaming = False
-        self._assignments: Dict[Edge, int] = {}
+        self._assignments = AssignmentStore()
         self._start_ms = 0.0
 
     def _new_state(self, partitions: Sequence[int], fast: Optional[bool]):
@@ -158,13 +328,24 @@ class StreamingPartitioner:
         self.clock.charge_assignment()
         return partition
 
-    def _partition_batch(self, edges: Sequence[Edge]) -> List[int]:
-        """Assign ``edges`` (canonical) in order; return their partitions.
+    def _partition_batch(self, ends: np.ndarray) -> np.ndarray:
+        """Assign the edges ``ends`` (:func:`edge_columns`) in order;
+        return their partitions as an int64 column.
 
         The batch hook of :meth:`ingest`: one :meth:`partition_edge` per
-        edge here; an algorithm with a compiled batch transaction
-        overrides it."""
-        return [self.partition_edge(edge) for edge in edges]
+        edge here — the reference; an algorithm with a compiled batch
+        transaction overrides it."""
+        return np.fromiter(
+            map(self.partition_edge, map(Edge, *ends.T.tolist())),
+            dtype=np.int64, count=len(ends))
+
+    def _emit(self, u: np.ndarray, v: np.ndarray,
+              part: np.ndarray) -> AssignmentBatch:
+        """Record the decisions ``(u[i], v[i]) -> part[i]`` in the run's
+        store; returns them as the batch :meth:`ingest` hands back."""
+        batch = AssignmentBatch(u, v, part)
+        self._assignments.append(batch)
+        return batch
 
     # ------------------------------------------------------------------
     # Incremental ingestion protocol
@@ -179,32 +360,38 @@ class StreamingPartitioner:
         their latency preference.
         """
         self._streaming = True
-        self._assignments = {}
+        self._assignments = AssignmentStore()
         self._start_ms = self.clock.now()
         obs.counter("repro_partition_streams_total",
                     algorithm=self.name).inc()
 
-    def ingest(self, edges: Iterable[Edge]) -> List[Assignment]:
-        """Consume a slice of the stream; return the decisions emitted.
+    def ingest(self, edges: Iterable[Sequence[int]]) -> AssignmentBatch:
+        """Consume a slice of the stream (:class:`Edge` objects or plain
+        ``(u, v)`` pairs); return the decisions emitted.
 
         May be called any number of times between :meth:`begin` and
         :meth:`finalize`; calling it on a closed partitioner implicitly
         opens a stream of unknown length.  Single-edge algorithms assign
-        every ingested edge immediately, so the returned list has one
-        :class:`Assignment` per input edge, in input order.
+        every ingested edge immediately, so the returned batch has one
+        :class:`Assignment` per input edge, in input order; a window may
+        hold edges back and emit earlier ones.
         """
         if not self._streaming:
             self.begin()
         with obs.span("partition.ingest", algorithm=self.name):
-            batch = [edge.canonical() for edge in edges]
-            partitions = self._partition_batch(batch)
-            self._assignments.update(zip(batch, partitions))
-            out = list(map(Assignment, batch, partitions))
+            ends = edge_columns(edges)
+            out = self._ingest_columns(ends)
         obs.counter("repro_partition_edges_total",
-                    algorithm=self.name).inc(len(out))
+                    algorithm=self.name).inc(len(ends))
         obs.counter("repro_partition_batches_total",
                     algorithm=self.name).inc()
         return out
+
+    def _ingest_columns(self, ends: np.ndarray) -> AssignmentBatch:
+        """Take the edges ``ends`` (:func:`edge_columns`) in; record and
+        return what was decided.  One decision per edge, in order, here;
+        a window-based algorithm overrides it."""
+        return self._emit(ends[:, 0], ends[:, 1], self._partition_batch(ends))
 
     def finalize(self) -> PartitionResult:
         """Close the stream: flush deferred work, return the result.

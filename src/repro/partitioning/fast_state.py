@@ -85,6 +85,9 @@ class FastPartitionState:
         # as a fresh recomputation would produce the memoized value.
         self._row_version = np.zeros(self._capacity, dtype=np.int64)
         self._deg = np.zeros(self._capacity, dtype=np.int64)
+        # Row -> vertex id, written at intern time: how a kernel's dense
+        # rows come back as the ids they stand for, without a lookup.
+        self._ids = np.zeros(self._capacity, dtype=np.int64)
         self.max_degree: int = 1
         self.assigned_edges: int = 0
         self._max_size = 0
@@ -98,9 +101,10 @@ class FastPartitionState:
         idx = self._vindex.get(vertex)
         if idx is None:
             idx = len(self._vindex)
-            self._vindex[vertex] = idx
             if idx >= self._capacity:
                 self._grow()
+            self._ids[idx] = vertex  # an id outside int64 is refused here
+            self._vindex[vertex] = idx
         return idx
 
     def _grow(self) -> None:
@@ -114,6 +118,9 @@ class FastPartitionState:
         deg = np.zeros(capacity, dtype=np.int64)
         deg[:self._capacity] = self._deg
         self._deg = deg
+        ids = np.zeros(capacity, dtype=np.int64)
+        ids[:self._capacity] = self._ids
+        self._ids = ids
         self._capacity = capacity
 
     def _seen_replicas(self) -> np.ndarray:
@@ -179,16 +186,21 @@ class FastPartitionState:
     # ------------------------------------------------------------------
     # Dense tables (compiled kernels, DESIGN.md §14)
     # ------------------------------------------------------------------
-    def dense_rows(self, edges: Sequence[Edge]) -> np.ndarray:
-        """Dense ``(u, v)`` rows of ``edges``, interleaved in one int64
-        array (interning on first sight, in stream order)."""
-        vindex = self._vindex
+    def dense_rows(self, vertices: np.ndarray) -> np.ndarray:
+        """Dense rows of the int64 vertex ids ``vertices`` (a batch's
+        endpoints, interleaved in stream order), interning each on first
+        sight, in that order."""
+        ids = vertices.tolist()
         try:
-            rows = [vindex[vertex] for edge in edges for vertex in edge]
+            return np.fromiter(map(self._vindex.__getitem__, ids),
+                               dtype=np.int64, count=len(ids))
         except KeyError:  # some vertex is new: intern as we go
-            row = self._row
-            rows = [row(vertex) for edge in edges for vertex in edge]
-        return np.array(rows, dtype=np.int64)
+            return np.fromiter(map(self._row, ids), dtype=np.int64,
+                               count=len(ids))
+
+    def vertex_ids(self, rows: np.ndarray) -> np.ndarray:
+        """The vertex ids dense ``rows`` stand for (int64)."""
+        return self._ids[rows]
 
     def replica_matrix(self) -> np.ndarray:
         """The ``(capacity, k)`` replica indicator matrix.

@@ -22,7 +22,9 @@ drivers call — the per-edge Python below runs; the two are bit-identical.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from repro import obs
 from repro.graph.graph import Edge
@@ -71,19 +73,17 @@ class HDRFPartitioner(StreamingPartitioner):
             kernel = self.kernel = KernelBinding(kernels, self.state)
         return kernel
 
-    def _partition_batch(self, edges: Sequence[Edge]) -> List[int]:
+    def _partition_batch(self, ends: np.ndarray) -> np.ndarray:
         kernel = self._bound_kernel()
         if kernel is None:
-            return super()._partition_batch(edges)
-        n = len(edges)
-        pairs = kernel.stage(edges)
+            return super()._partition_batch(ends)
+        n = len(ends)
+        pairs = kernel.stage(ends)
         kernel.call(kernel.lib.kern_hdrf, kernel.pointer(pairs), n, self.lam)
         self.clock.charge_score(n * self.state.num_partitions)
         self.clock.charge_assignment(n)
         kernel.absorb()
-        partitions = self.partitions
-        return [partitions[col]
-                for col in kernel.array("out_col")[:n].tolist()]
+        return kernel.out_partitions(n)
 
     def _publish_observability(self, result: PartitionResult) -> None:
         """Base series plus the stream kernel's tallies."""

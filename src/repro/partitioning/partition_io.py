@@ -6,10 +6,10 @@ text file of ``u v partition`` lines with ``#`` comments — trivially
 consumable by any downstream system and diffable across runs.
 
 Multi-million-edge assignment files are practical shard inputs for the
-cluster runtime: writes go through batched ``writelines`` (one syscall
-per ~16k lines instead of one per edge), and paths ending in ``.gz`` are
-read and written through :mod:`gzip` transparently, on both the write
-and the read side.
+cluster runtime: lines are formatted from the mapping's ``(u, v, part)``
+columns ~16k at a time (one format operation and one write per batch,
+no object per edge), and paths ending in ``.gz`` are read and written
+through :mod:`gzip` transparently, on both the write and the read side.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ from __future__ import annotations
 import gzip
 import os
 from itertools import chain
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Edge
+from repro.graph.shard import mapping_columns
 from repro.partitioning.base import PartitionResult
 from repro.partitioning.state import PartitionState
 
 _COMMENT_PREFIXES = ("#", "%")
 
-#: Lines buffered per ``writelines`` batch.
+#: Lines formatted per write.
 _WRITE_BATCH = 16384
 
 
@@ -42,21 +43,16 @@ def write_assignments(path: "str | os.PathLike",
                       assignments: Mapping[Edge, int],
                       header: str = "") -> int:
     """Write ``u v partition`` lines; return the number written."""
-    count = 0
+    rows = np.stack(mapping_columns(assignments), axis=1)
     with _open_text(path, "w") as handle:
         if header:
             handle.writelines(f"# {line}\n"
                               for line in header.splitlines())
-        batch: List[str] = []
-        for edge, partition in assignments.items():
-            batch.append(f"{edge.u} {edge.v} {partition}\n")
-            if len(batch) >= _WRITE_BATCH:
-                handle.writelines(batch)
-                count += len(batch)
-                batch = []
-        handle.writelines(batch)
-        count += len(batch)
-    return count
+        for start in range(0, len(rows), _WRITE_BATCH):
+            batch = rows[start:start + _WRITE_BATCH]
+            handle.write("%d %d %d\n" * len(batch)
+                         % tuple(batch.ravel().tolist()))
+    return len(rows)
 
 
 def iter_assignments(path: "str | os.PathLike") -> Iterator[tuple]:

@@ -10,8 +10,11 @@ older records the ring has already forgotten.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List
+from typing import Deque, List, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,18 +32,24 @@ class AuditRecord:
 
 
 class DecisionLog:
-    """Fixed-capacity ring buffer of :class:`AuditRecord`."""
+    """Fixed-capacity ring of recent decisions, kept as the column
+    batches the partitioner emitted: :meth:`record_batch` stores one
+    ``(first seq, u, v, partition)`` slice per ingest batch and
+    :class:`AuditRecord` objects exist only in what :meth:`tail` returns.
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._records: List[AuditRecord] = []
-        self._cursor = 0
+        #: ``(first seq, u, v, partition)`` per batch, oldest first; the
+        #: oldest may reach back past the ring (trimmed when read).
+        self._batches: Deque[Tuple[int, np.ndarray, np.ndarray,
+                                   np.ndarray]] = deque()
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return min(self._next_seq, self.capacity)
 
     @property
     def total_recorded(self) -> int:
@@ -49,21 +58,28 @@ class DecisionLog:
 
     @property
     def dropped(self) -> int:
-        return self._next_seq - len(self._records)
+        return self._next_seq - len(self)
 
-    def record(self, u: int, v: int, partition: int) -> AuditRecord:
-        entry = AuditRecord(self._next_seq, u, v, partition)
-        self._next_seq += 1
-        if len(self._records) < self.capacity:
-            self._records.append(entry)
-        else:
-            self._records[self._cursor] = entry
-            self._cursor = (self._cursor + 1) % self.capacity
-        return entry
+    def record_batch(self, u: np.ndarray, v: np.ndarray,
+                     partition: np.ndarray) -> None:
+        """Append the decisions ``(u[i], v[i]) -> partition[i]``."""
+        if not len(partition):
+            return
+        self._batches.append((self._next_seq, u, v, partition))
+        self._next_seq += len(partition)
+        # Drop batches that lie wholly before the ring's oldest record.
+        oldest = self._next_seq - self.capacity
+        while self._batches[0][0] + len(self._batches[0][3]) <= oldest:
+            self._batches.popleft()
 
     def tail(self, count: int) -> List[AuditRecord]:
         """The most recent ``count`` records, oldest-first."""
-        if count <= 0:
-            return []
-        in_order = self._records[self._cursor:] + self._records[:self._cursor]
-        return in_order[-count:]
+        first = self._next_seq - min(max(count, 0), len(self))
+        records: List[AuditRecord] = []
+        for start, u, v, partition in self._batches:
+            skip = max(0, first - start)
+            records.extend(map(
+                AuditRecord, range(start + skip, start + len(partition)),
+                u[skip:].tolist(), v[skip:].tolist(),
+                partition[skip:].tolist()))
+        return records

@@ -54,6 +54,8 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.api import (
     PartitionSession,
@@ -62,6 +64,7 @@ from repro.api import (
     open_session,
     restore_session,
 )
+from repro.graph.shard import mapping_columns
 from repro.service.audit import DecisionLog
 from repro.service.metrics import TenantMetrics
 from repro.service.wal import (
@@ -464,17 +467,14 @@ class PartitionService:
     def _apply_batch(self, tenant: Tenant, seq: int, edges) -> dict:
         """Partition one batch and cache its response (worker + replay)."""
         try:
-            assignments = tenant.session.ingest(edges)
-            for assignment in assignments:
-                tenant.audit.record(assignment.edge.u,
-                                    assignment.edge.v,
-                                    assignment.partition)
+            emitted = tenant.session.ingest(edges)
+            tenant.audit.record_batch(emitted.u, emitted.v, emitted.part)
             response = {
                 "ok": True,
                 "accepted": len(edges),
                 "seq": seq,
-                "assignments": [[a.edge.u, a.edge.v, a.partition]
-                                for a in assignments],
+                "assignments": np.stack(
+                    (emitted.u, emitted.v, emitted.part), axis=1).tolist(),
             }
         except Exception as exc:  # surface, don't kill the worker
             response = {"ok": False, "error": str(exc), "seq": seq}
@@ -801,9 +801,10 @@ class PartitionService:
         result = tenant.session.finalize()
         del self.tenants[tenant.name]
         self._remove_wal_files(tenant)
+        u, v, part = mapping_columns(result.assignments)
         return {"ok": True, "tenant": tenant.name,
-                "assignments": sorted(
-                    [e.u, e.v, p] for e, p in result.assignments.items()),
+                "assignments": np.stack((u, v, part), axis=1)[
+                    np.lexsort((v, u))].tolist(),
                 "replication_degree": result.replication_degree,
                 "imbalance": result.imbalance,
                 "latency_ms": result.latency_ms,

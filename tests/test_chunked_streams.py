@@ -26,12 +26,16 @@ from repro.graph.io import (
 )
 from repro.graph.stream import FileChunkStream, chunk_file_stream
 
-#: One logical line of an edge file: an edge, a comment, or a blank.
+#: One logical line of an edge file: an edge (tab- or space-separated,
+#: possibly with further columns), a comment, or a blank.
 line_strategy = st.one_of(
-    st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)).map(
-        lambda t: f"{t[0]} {t[1]}"),
-    st.sampled_from(["# comment", "% other comment", "", "   ",
-                     "#", "  # indented comment"]),
+    st.tuples(st.integers(-10_000, 10_000), st.integers(0, 10_000),
+              st.sampled_from([" ", "\t", "  "]),
+              st.sampled_from(["", " 0.5", "\t3 x", " "])).map(
+        lambda t: f"{t[0]}{t[2]}{t[1]}{t[3]}"),
+    st.sampled_from(["# comment", "% other comment", "", "   ", "\t",
+                     "#", "%", "#nospace 1 2", "%nospace",
+                     "  # indented comment", "# 3 4"]),
 )
 
 file_strategy = st.tuples(
@@ -59,6 +63,9 @@ def test_chunks_cover_every_edge_exactly_once(spec, num_chunks):
     with tempfile.TemporaryDirectory() as tmpdir:
         path = write_file(tmpdir, lines, crlf, trailing_newline)
         full = list(iter_edge_file(path))
+        # The whole-file reader is the line parser, line by line.
+        assert full == [Edge(*map(int, line.split()[:2])) for line in lines
+                        if line.strip() and line.strip()[0] not in "#%"]
         spans = byte_spans(path, num_chunks)
         # Spans are contiguous and cover the whole file.
         assert len(spans) == num_chunks

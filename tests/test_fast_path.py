@@ -278,15 +278,16 @@ class TestFastPartitionState:
         assert state.replicas(5999) == frozenset({3})
 
     def test_holds_one_copy_of_the_vertex_cache(self):
-        """The intern table, the four tables the kernels write and four
-        scalars — no attribute that could hold a second copy of replica
-        membership, degrees or sizes."""
+        """The intern table and its inverse (row -> id, how a kernel's
+        rows come back as ids), the four tables the kernels write and
+        four scalars — no attribute that could hold a second copy of
+        replica membership, degrees or sizes."""
         state = FastPartitionState(range(4))
         state.observe_degrees(Edge(1, 2))
         state.assign(Edge(1, 2), 3)
         state.snapshot()
         assert set(vars(state)) == {
-            "_partitions", "_pindex", "_vindex", "_capacity",
+            "_partitions", "_pindex", "_vindex", "_ids", "_capacity",
             "_replicas", "_row_version", "_deg", "_sizes",
             "max_degree", "assigned_edges", "_max_size", "_min_size"}
 

@@ -98,6 +98,35 @@ class TestQueriesAndStats:
         round_trip = stats.to_dict()
         assert round_trip["edges_ingested"] == 40
 
+    @pytest.mark.parametrize("fast", [None, False],
+                             ids=["default", "reference"])
+    @pytest.mark.parametrize("algorithm,knobs,emitted", [
+        ("hdrf", {}, 9), ("adwise", {"fixed_window": 4}, 6)])
+    def test_emitted_counts_decisions_not_distinct_edges(self, algorithm,
+                                                         knobs, emitted,
+                                                         fast):
+        """A stream that repeats an edge: every decision counts (the
+        mapping holds 7 distinct edges, the state assigned 9), so the
+        books balance after every batch."""
+        pairs = [(1, 2), (2, 3), (2, 1), (1, 2), (3, 4), (4, 5), (5, 6),
+                 (6, 7), (7, 8)]
+        for chunk in (1, 2, 4, 9):
+            session = open_session(algorithm, partitions=4, fast=fast,
+                                   **knobs)
+            for start in range(0, len(pairs), chunk):
+                session.ingest(pairs[start:start + chunk])
+                stats = session.stats()
+                assert (stats.edges_ingested
+                        == stats.assignments_emitted + stats.buffered_edges)
+                assert (stats.assignments_emitted
+                        == session.partitioner.state.assigned_edges)
+            stats = session.stats()
+            assert (stats.edges_ingested, stats.assignments_emitted,
+                    stats.buffered_edges) == (9, emitted, 9 - emitted)
+            result = session.finalize()
+            assert len(result.assignments) == 7
+            assert session.stats().assignments_emitted == 9
+
     def test_finalize_closes(self):
         session = open_session(algorithm="hdrf", partitions=4)
         session.ingest(EDGES[:10])

@@ -1,26 +1,34 @@
-"""cProfile any partitioner over a synthetic workload: top-N hot spots.
+"""Where a partitioning session's wall time goes: layers, then cProfile.
 
-The perf work on the window engine (DESIGN.md §9) lives or dies by where
-the per-edge time actually goes, so this tool makes the check a one-liner
-instead of an ad-hoc script: build a workload, run one partitioner under
-cProfile, print the top functions by cumulative and internal time.
+The perf work on the ingest path (DESIGN.md §2, §14) lives or dies by
+where the per-edge time actually goes, so this tool makes the check a
+one-liner instead of an ad-hoc script: stream an edge file through a
+``repro.api`` session in ``--batch``-edge batches, the way a job does,
+and print
+
+* the partition wall split into **parse** (reading the batch off the
+  file), **convert** (edge-likes -> id columns), **stage** (interning +
+  binding + validation), **kernel** (inside the C transaction) and
+  **store** (recording the decisions), with the rest of ``ingest`` as
+  "other" — and the kernel's share of the partition wall, ROADMAP
+  item 2's "share in C" gate;
+* the kernel calls per ingest batch;
+* a second run under cProfile, top functions by internal or cumulative
+  time.
 
 Usage::
 
+    PYTHONPATH=src python tools/profile_partition.py graph.txt \
+        --algorithm hdrf
     PYTHONPATH=src python tools/profile_partition.py \
-        --algorithm adwise --window 64 --top 15
+        --algorithm adwise --window 64 --top 15   # synthetic power-law file
     PYTHONPATH=src python tools/profile_partition.py \
         --algorithm adwise --reference   # dict state + object window
-    PYTHONPATH=src python tools/profile_partition.py \
-        --algorithm hdrf --n 2000 --m 8 --partitions 16
 
-The stream is fed through ``begin/ingest/finalize`` in ``--batch``-edge
-batches, once plain (wall clock, edges/s and — where a compiled kernel
-ran: ADWISE's array window, HDRF's stream kernel — the seconds spent
-inside the C kernels and the kernel calls per ingest batch: ROADMAP
-item 4's "kernel share") and once under cProfile (the tables).  Used to
-verify that an optimisation actually moved the hot path rather than just
-the benchmark number.
+Without a path a shuffled power-law graph (``--n``, ``--m``, ``--seed``)
+is written to a temporary edge file first.  Used to verify that an
+optimisation actually moved the hot path rather than just the benchmark
+number.
 """
 
 from __future__ import annotations
@@ -28,42 +36,79 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
+import os
 import pstats
 import sys
-import os
+import tempfile
 import time
+from itertools import islice
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro.core.adwise import AdwisePartitioner          # noqa: E402
+from repro.api import open_session                        # noqa: E402
+from repro.core._binding import KernelBinding             # noqa: E402
 from repro.graph.generators import barabasi_albert_graph  # noqa: E402
-from repro.graph.stream import shuffled                   # noqa: E402
-from repro.partitioning.dbh import DBHPartitioner         # noqa: E402
-from repro.partitioning.greedy import GreedyPartitioner   # noqa: E402
-from repro.partitioning.hashing import HashPartitioner    # noqa: E402
-from repro.partitioning.hdrf import HDRFPartitioner       # noqa: E402
+from repro.graph.io import write_edges                    # noqa: E402
+from repro.graph.stream import FileEdgeStream, shuffled   # noqa: E402
+from repro.partitioning import base                       # noqa: E402
 
 
-def build_partitioner(args):
-    partitions = range(args.partitions)
-    tier = {"fast": False} if args.reference else {}
+class Stopwatch:
+    """Seconds spent inside the callables it wraps, by label."""
+
+    def __init__(self) -> None:
+        self.seconds = {}
+
+    def wrap(self, label, function):
+        def timed(*args, **kwargs):
+            entered = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self.seconds[label] = (self.seconds.get(label, 0.0)
+                                       + time.perf_counter() - entered)
+        return timed
+
+
+def open_for(args, expected_edges):
+    knobs = {"fast": False} if args.reference else {}
     if args.algorithm == "adwise":
-        return AdwisePartitioner(
-            partitions, fixed_window=args.window,
-            latency_preference_ms=(None if args.window else
-                                   args.latency_preference), **tier)
-    if args.algorithm == "hdrf":
-        return HDRFPartitioner(partitions, **tier)
-    simple = {
-        "greedy": GreedyPartitioner,
-        "dbh": DBHPartitioner,
-        "hash": HashPartitioner,
-    }
-    return simple[args.algorithm](partitions)
+        knobs.update(fixed_window=args.window,
+                     latency_preference_ms=(None if args.window else
+                                            args.latency_preference))
+    return open_session(args.algorithm, partitions=args.partitions,
+                        expected_edges=expected_edges, **knobs)
+
+
+def run(args):
+    """One job's partition phase; returns ``(session, result, parse
+    seconds, ingest seconds, batches)``."""
+    stream = FileEdgeStream(args.path)
+    session = open_for(args, len(stream))
+    reader = iter(stream)
+    parse = ingest = 0.0
+    batches = 0
+    while True:
+        started = time.perf_counter()
+        batch = list(islice(reader, args.batch))
+        read = time.perf_counter()
+        parse += read - started
+        if not batch:
+            break
+        session.ingest(batch)
+        ingest += time.perf_counter() - read
+        batches += 1
+    started = time.perf_counter()
+    result = session.finalize()
+    ingest += time.perf_counter() - started
+    return session, result, parse, ingest, batches
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("path", nargs="?", default=None,
+                        help="edge file to stream (default: a synthetic "
+                             "power-law graph, written to a temp file)")
     parser.add_argument("--algorithm", default="adwise",
                         choices=["adwise", "hdrf", "greedy", "dbh", "hash"])
     parser.add_argument("--reference", action="store_true",
@@ -97,67 +142,84 @@ def main(argv=None) -> int:
     from repro.core import _kernels
     print(f"kernel backend: {_kernels.resolve_backend_name()}")
 
-    graph = barabasi_albert_graph(n=args.n, m=args.m, seed=args.seed)
-    edges = list(shuffled(graph.edges(), seed=args.seed + 2))
-    batches = [edges[i:i + args.batch]
-               for i in range(0, len(edges), args.batch)]
+    with tempfile.TemporaryDirectory() as workdir:
+        if args.path is None:
+            graph = barabasi_albert_graph(n=args.n, m=args.m, seed=args.seed)
+            args.path = os.path.join(workdir, "graph.txt")
+            write_edges(args.path, shuffled(graph.edges(),
+                                            seed=args.seed + 2))
+        run(args)  # warm: compile/load the kernels, fill the page cache
+        layers(args)
+        profile(args)
+    return 0
 
-    def run(partitioner):
-        partitioner.begin(total_edges=len(edges))
-        for batch in batches:
-            partitioner.ingest(batch)
-        return partitioner.finalize()
 
-    partitioner = build_partitioner(args)
-    plain_wall = time.perf_counter()
-    run(partitioner)
-    plain_wall = time.perf_counter() - plain_wall
-    print(f"unprofiled: {plain_wall:.3f}s partition wall, "
-          f"{len(edges) / plain_wall:,.0f} edges/s")
+def layers(args) -> None:
+    """The plain run, with a stopwatch on each ingest layer."""
+    watch = Stopwatch()
+    plain = (base.edge_columns, KernelBinding.stage,
+             base.StreamingPartitioner._emit)
+    base.edge_columns = watch.wrap("convert", base.edge_columns)
+    KernelBinding.stage = watch.wrap("stage", KernelBinding.stage)
+    base.StreamingPartitioner._emit = watch.wrap(
+        "store", base.StreamingPartitioner._emit)
+    try:
+        session, result, parse, ingest, batches = run(args)
+    finally:
+        (base.edge_columns, KernelBinding.stage,
+         base.StreamingPartitioner._emit) = plain
+    edges = result.assignments.rows
+    wall = parse + ingest
+    print(f"{session.partitioner.name} over {edges} edges of {args.path} "
+          f"(k={args.partitions}, "
+          f"state={type(session.partitioner.state).__name__}): "
+          f"{wall:.3f}s partition wall, {edges / wall:,.0f} edges/s")
     # Whatever ran compiled transactions keeps their tallies: ADWISE's
     # array window, or a single-edge partitioner's kernel binding.
-    for kernel in (getattr(partitioner, "window", None),
-                   getattr(partitioner, "kernel", None)):
-        if hasattr(kernel, "kernel_ns"):
-            kernel_s = kernel.kernel_ns / 1e9
-            print(f"kernel: {kernel_s:.3f}s inside the C kernels = "
-                  f"{kernel_s / plain_wall:.0%} of partition wall; "
-                  f"{kernel.kernel_calls} kernel calls over "
-                  f"{len(batches) + 1} ingest/finalize batches = "
-                  f"{kernel.kernel_calls / (len(batches) + 1):.2f} per batch")
+    kernel = next((k for k in (getattr(session.partitioner, "window", None),
+                               getattr(session.partitioner, "kernel", None))
+                   if hasattr(k, "kernel_ns")), None)
+    seconds = dict(parse=parse, **watch.seconds)
+    if kernel is not None:
+        seconds["kernel"] = kernel.kernel_ns / 1e9
+    seconds["other"] = wall - sum(seconds.values())
+    for label in ("parse", "convert", "stage", "kernel", "store", "other"):
+        if label in seconds:
+            print(f"  {label:8s}{seconds[label]:8.4f}s "
+                  f"{seconds[label] / wall:6.1%}")
+    if kernel is not None:
+        print(f"kernel: {seconds['kernel'] / wall:.0%} of partition wall "
+              f"inside the C kernels; {kernel.kernel_calls} kernel calls "
+              f"over {batches + 1} ingest/finalize batches = "
+              f"{kernel.kernel_calls / (batches + 1):.2f} per batch")
 
-    partitioner = build_partitioner(args)
+
+def profile(args) -> None:
+    """The same run under cProfile (and, with ``--trace``, obs spans)."""
     if args.trace:
         from repro import obs
         obs.enable()
-
     profiler = cProfile.Profile()
     wall = time.perf_counter()
     profiler.enable()
-    result = run(partitioner)
+    session, result, _, _, _ = run(args)
     profiler.disable()
     wall = time.perf_counter() - wall
-
     if args.trace:
-        from repro import obs
         obs.write_chrome_trace(args.trace, obs.tracer().spans())
         print(f"chrome trace written to {args.trace} "
               f"({len(obs.tracer().spans())} spans; load in Perfetto or "
               f"chrome://tracing)")
         obs.disable()
-
-    print(f"{partitioner.name} over {len(edges)} power-law edges "
-          f"(n={args.n}, m={args.m}, k={args.partitions}, "
-          f"state={type(partitioner.state).__name__}) under "
-          f"cProfile: {wall:.2f}s wall, {len(edges) / wall:,.0f} edges/s")
-    print(f"replication_degree={result.replication_degree:.3f} "
+    edges = result.assignments.rows
+    print(f"under cProfile: {wall:.2f}s wall, {edges / wall:,.0f} edges/s; "
+          f"replication_degree={result.replication_degree:.3f} "
           f"imbalance={result.imbalance:.4f} "
           f"score_computations={result.score_computations}")
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     stats.sort_stats(args.sort).print_stats(args.top)
     print(out.getvalue())
-    return 0
 
 
 if __name__ == "__main__":
