@@ -30,6 +30,8 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.graph.graph import Edge
 from repro.partitioning.base import AssignmentBatch, AssignmentStore, PartitionResult
 from repro.partitioning.parallel import partitioner_registry
@@ -93,7 +95,8 @@ class SessionSnapshot:
     knobs: Dict[str, object]
     expected_edges: int
     state: StateSnapshot
-    assignments: List[Tuple[int, int, int]]
+    #: ``(u, v, partition)`` rows, one ``(n, 3)`` int64 array.
+    assignments: np.ndarray
     clock: Dict[str, float]
     start_ms: float
     edges_ingested: int
@@ -217,13 +220,14 @@ class PartitionSession:
         """Feed a batch of edges; return the assignments emitted (a
         ``Sequence[Assignment]`` over their ``(u, v, part)`` columns).
 
-        Accepts :class:`Edge` objects or plain ``(u, v)`` pairs.  With a
+        Accepts :class:`Edge` objects, plain ``(u, v)`` pairs or an
+        ``(n, 2)`` integer array (taken as it is).  With a
         window-based algorithm the returned decisions may cover earlier
         edges, and some input edges stay buffered until the window can
         admit them (or :meth:`finalize` drains it).
         """
         self._require_open()
-        batch = edges if isinstance(edges, (list, tuple)) else list(edges)
+        batch = edges if hasattr(edges, "__len__") else list(edges)
         emitted = self.partitioner.ingest(batch)
         self.edges_ingested += len(batch)
         return emitted

@@ -662,7 +662,7 @@ def _run_top(args: argparse.Namespace) -> int:
 
 
 def _run_client(args: argparse.Namespace) -> int:
-    from repro.graph.stream import iter_edge_file
+    from repro.graph.io import iter_edge_blocks
     from repro.service.client import ServiceClient, ServiceError
 
     if args.batch_size < 1:
@@ -679,15 +679,17 @@ def _run_client(args: argparse.Namespace) -> int:
                            max_retries=args.retries) as client:
             client.open(args.tenant, algorithm=args.algorithm,
                         partitions=args.partitions, **knobs)
-            batch: list = []
+            size = args.batch_size
+            rows: list = []
             pending: list = []
-            for edge in iter_edge_file(args.path):
-                batch.append((edge.u, edge.v))
-                if len(batch) >= args.batch_size:
-                    pending.append(client.ingest_async(args.tenant, batch))
-                    batch = []
-            if batch:
-                pending.append(client.ingest_async(args.tenant, batch))
+            for block in iter_edge_blocks(args.path):
+                rows += block.tolist()
+                full = len(rows) - len(rows) % size
+                pending += [client.ingest_async(args.tenant, rows[i:i + size])
+                            for i in range(0, full, size)]
+                rows = rows[full:]
+            if rows:
+                pending.append(client.ingest_async(args.tenant, rows))
             client.drain(pending)
             stats = client.stats(args.tenant)
             session = stats["session"]

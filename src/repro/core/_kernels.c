@@ -111,6 +111,8 @@ void kern_heap_push(KernCtx *c, int64_t slot);
 void kern_heap_remove(KernCtx *c, int64_t slot);
 void kern_heap_fix(KernCtx *c, int64_t pos);
 void kern_heap_heapify(KernCtx *c);
+int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
+                        int64_t *out, int64_t cap, int64_t *consumed);
 /* cdef-end */
 
 /* ------------------------------------------------------------------ */
@@ -928,4 +930,77 @@ int64_t kern_restore(KernCtx *c, const int64_t *pairs,
     }
     kern_heap_heapify(c);
     return KERN_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Edge-list text -> integer rows (repro/graph/io.py)                  */
+/* ------------------------------------------------------------------ */
+
+/* The whole lines of buf[0, len) — not NUL-terminated; a last line may
+ * lack its terminator — as rows of their first `ncols` decimal int64
+ * tokens, written to out[row * ncols + col]; returns the row count and
+ * sets *consumed to the offset reached.  Blank lines and lines whose
+ * first token starts with '#' or '%' are skipped, columns past `ncols`
+ * ignored; "\n" and "\r" each end a line (the second half of a "\r\n"
+ * is a blank one).  `out` may be NULL to count rows only; with `out`,
+ * at most `cap` rows are written.
+ * This is a fast path, not the grammar: at the first line it is not
+ * certain about (a token that is not [+-]digits or does not fit int64,
+ * a missing column, any byte of the line >= 0x80 or a separator other
+ * than space and tab) it stops with *consumed at that line's first
+ * byte, and parse_edge_line decides what the line means. */
+int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
+                        int64_t *out, int64_t cap, int64_t *consumed)
+{
+    int64_t i = 0, n = 0;
+    while (i < len && !(out && n == cap)) {
+        int64_t line = i, col = 0;
+        while (i < len && (buf[i] == ' ' || buf[i] == '\t'))
+            i++;
+        if (i < len && (buf[i] == '#' || buf[i] == '%'))
+            col = -1;               /* comment: only the line's end matters */
+        while (col >= 0 && col < ncols && i < len
+               && buf[i] != '\n' && buf[i] != '\r') {
+            int negative = buf[i] == '-';
+            uint64_t limit = (uint64_t)INT64_MAX + (uint64_t)negative;
+            uint64_t value = 0;
+            int64_t first;
+            if (buf[i] == '-' || buf[i] == '+')
+                i++;
+            first = i;
+            while (i < len && buf[i] >= '0' && buf[i] <= '9') {
+                uint64_t digit = (uint64_t)(buf[i] - '0');
+                if (value > (limit - digit) / 10)
+                    goto decline;
+                value = value * 10 + digit;
+                i++;
+            }
+            if (i == first || (i < len && buf[i] != ' ' && buf[i] != '\t'
+                               && buf[i] != '\n' && buf[i] != '\r'))
+                goto decline;
+            if (out)
+                out[n * ncols + col] = negative
+                    ? -(int64_t)(value - (value != 0)) - (value != 0)
+                    : (int64_t)value;
+            col++;
+            while (i < len && (buf[i] == ' ' || buf[i] == '\t'))
+                i++;
+        }
+        if (col > 0 && col < ncols)
+            goto decline;           /* a row with a column missing */
+        while (i < len && buf[i] != '\n' && buf[i] != '\r') {
+            if (buf[i] & 0x80)
+                goto decline;
+            i++;
+        }
+        if (i < len)
+            i++;                    /* "\r\n": the "\n" is a blank line */
+        n += col == ncols;
+        continue;
+decline:
+        *consumed = line;
+        return n;
+    }
+    *consumed = i;
+    return n;
 }

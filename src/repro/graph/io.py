@@ -4,20 +4,43 @@ The paper's partitioners consume graphs stored "in a large file, a graph
 database, or a distributed file system" as a stream of edges.  We support the
 ubiquitous whitespace-separated edge-list format used by SNAP / KONECT
 datasets: one ``u v`` pair per line, ``#`` or ``%`` comment lines ignored.
+
+There is one reader (DESIGN.md §2): :func:`iter_int_rows` cuts the file
+into blocks of whole lines and hands each to the compiled scanner
+(``kern_parse_rows``), which returns the rows it is certain about as an
+``(n, 2)`` int64 array and *declines* at the first line it is not; that
+line goes to :func:`parse_edge_line`, the definition of what an edge
+line means.  Where the kernels do not load, every line goes there.
 """
 
 from __future__ import annotations
 
+import io
 import os
-from typing import Iterable, Iterator, List, Tuple
+import re
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Edge, Graph
 
 _COMMENT_PREFIXES = ("#", "%")
 
+#: Bytes per read of the block reader (the tests shrink it).
+_BLOCK_BYTES = 1 << 16
+
+#: What ends a line, as universal-newline text mode has it (the "\n"
+#: of a "\r\n" reads as a blank line of its own).
+_LINE_END = re.compile(rb"[\r\n]")
 
 #: ``Edge`` without the Python frame of its generated ``__new__``.
 _new_tuple = tuple.__new__
+
+
+def _malformed(line: str, what: str = "edge") -> ValueError:
+    return ValueError(f"malformed {what} line: {line!r}")
 
 
 def parse_edge_line(line: str) -> "Edge | None":
@@ -34,13 +57,130 @@ def parse_edge_line(line: str) -> "Edge | None":
     except (ValueError, IndexError):
         if not parts or parts[0].startswith(_COMMENT_PREFIXES):
             return None
-        raise ValueError(f"malformed edge line: {line!r}") from None
+        raise _malformed(line) from None
+
+
+def _parse_row(line: str, ncols: int, what: str) -> Optional[tuple]:
+    """:func:`parse_edge_line` for a file of ``ncols`` integer columns:
+    it decides about blanks, comments and the first two."""
+    try:
+        row = parse_edge_line(line)
+        if row is not None:
+            row += tuple(map(int, line.split()[2:ncols]))
+            if len(row) < ncols:
+                raise ValueError
+        return row
+    except ValueError:
+        raise _malformed(line, what) from None
+
+
+def _line_blocks(handle, limit: Optional[int]) -> Iterator[bytes]:
+    """``handle`` from its position on, in blocks of whole lines:
+    ``_BLOCK_BYTES`` reads cut after their last line ending, the rest
+    carried into the next.  With ``limit``, the lines that start within
+    the next ``limit`` bytes (as ``\\n`` ends them)."""
+    tail = b""
+    while limit is None or limit > 0:
+        data = handle.read(_BLOCK_BYTES if limit is None
+                           else min(_BLOCK_BYTES, limit))
+        if not data:
+            break
+        if limit is not None:
+            limit -= len(data)
+            if limit <= 0 and not data.endswith(b"\n"):
+                data += handle.readline()
+        data = tail + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        tail = data[cut:]
+        if cut:
+            yield data[:cut]
+    if tail:
+        yield tail
+
+
+def iter_int_rows(handle, ncols: int = 2, limit: Optional[int] = None,
+                  what: str = "edge", keep: bool = True) -> Iterator:
+    """The first ``ncols`` integer columns of a binary ``handle``'s
+    lines, in file order: an ``(n, ncols)`` int64 array per stretch of
+    lines the scanner took, a list of the per-line parser's rows (any
+    Python ints) for the lines it declined — every line, without the
+    kernels.  A malformed line raises that parser's error after
+    everything before it was yielded.  ``keep=False`` only counts: the
+    row counts are yielded instead, and no row is stored."""
+    from repro.core import _kernels  # lazy: repro.core imports this module
+
+    kernels = _kernels.load()
+    parse = (parse_edge_line if ncols == 2
+             else partial(_parse_row, ncols=ncols, what=what))
+    out = None
+    for block in _line_blocks(handle, limit):
+        if kernels is None:
+            rows: List[tuple] = []
+            try:
+                rows.extend(filter(None, map(parse, io.StringIO(
+                    block.decode("utf-8"), newline=None))))
+            finally:  # a malformed line: what came before it goes first
+                if rows:
+                    yield rows if keep else len(rows)
+            continue
+        ffi, lib = kernels
+        size = len(block)
+        cap = size // 4 + 1  # "1 2\n": no more rows than this
+        if keep and (out is None or len(out) < cap):
+            out = np.empty((cap, ncols), dtype=np.int64)
+        start = ffi.from_buffer("uint8_t[]", block)
+        rows_at = ffi.from_buffer("int64_t[]", out) if keep else ffi.NULL
+        consumed = ffi.new("int64_t *")
+        position = 0
+        while position < size:
+            n = lib.kern_parse_rows(start + position, size - position, ncols,
+                                    rows_at, cap, consumed)
+            if n:
+                yield out[:n].copy() if keep else n
+            position += consumed[0]
+            if position < size and n < cap:  # declined at this line
+                end = _LINE_END.search(block, position)
+                stop = end.start() if end else size
+                row = parse(block[position:stop].decode("utf-8")
+                            + ("\n" if end else ""))
+                if row is not None:
+                    yield [row] if keep else 1
+                position = end.end() if end else size
+
+
+def _scan_file(path: "str | os.PathLike", start: int, end: Optional[int],
+               keep: bool = True) -> Iterator:
+    """:func:`iter_int_rows` over the lines of an edge file that start
+    inside ``[start, end)`` (``end=None``: to the end of the file)."""
+    if start < 0 or (end is not None and end < start):
+        raise ValueError(f"invalid span [{start}, {end})")
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        yield from iter_int_rows(handle, keep=keep,
+                                 limit=None if end is None else end - start)
+
+
+def iter_edge_blocks(path: "str | os.PathLike", start: int = 0,
+                     end: Optional[int] = None) -> Iterator[np.ndarray]:
+    """Stream an edge file (or its span ``[start, end)``, see
+    :func:`iter_edge_file_span`) as ``(n, 2)`` int64 arrays of ``(u, v)``
+    rows — what ``ingest`` takes as it is.  An id outside int64 is an
+    ``OverflowError``."""
+    for rows in _scan_file(path, start, end):
+        yield np.asarray(rows, dtype=np.int64)
+
+
+def _iter_edges(path: "str | os.PathLike", start: int,
+                end: Optional[int]) -> Iterator[Edge]:
+    for rows in _scan_file(path, start, end):
+        if type(rows) is np.ndarray:
+            rows = map(_new_tuple, repeat(Edge), zip(*rows.T.tolist()))
+        yield from rows
 
 
 def iter_edge_file(path: "str | os.PathLike") -> Iterator[Edge]:
     """Stream edges from an edge-list file without materialising the graph."""
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from filter(None, map(parse_edge_line, handle))
+    return _iter_edges(path, 0, None)
 
 
 def read_graph(path: "str | os.PathLike") -> Graph:
@@ -112,51 +252,17 @@ def iter_edge_file_span(path: "str | os.PathLike", start: int,
     """Stream edges whose lines start inside ``[start, end)`` of the file.
 
     ``start`` must be a line boundary (0 or a position just past a
-    newline), as produced by :func:`byte_spans`.  Reading is binary with
-    explicit UTF-8 decoding so byte offsets stay exact; ``\\r`` from
-    CRLF files is stripped by the line parser.
+    newline), as produced by :func:`byte_spans`.  Reading is binary, so
+    byte offsets stay exact.
     """
-    if start < 0 or end < start:
-        raise ValueError(f"invalid span [{start}, {end})")
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        position = start
-        while position < end:
-            line = handle.readline()
-            if not line:
-                break
-            position += len(line)
-            edge = parse_edge_line(line.decode("utf-8"))
-            if edge is not None:
-                yield edge
-
-
-_COMMENT_PREFIX_BYTES = tuple(p.encode() for p in _COMMENT_PREFIXES)
+    return _iter_edges(path, start, end)
 
 
 def count_edges_span(path: "str | os.PathLike", start: int, end: int) -> int:
     """Count edge lines inside ``[start, end)`` (span analogue of
-    :func:`count_edges`).
-
-    Applies the same blank/comment filter as :func:`count_edges` without
-    parsing endpoints, so counting a slice costs a strip per line rather
-    than a full edge parse.
-    """
-    if start < 0 or end < start:
-        raise ValueError(f"invalid span [{start}, {end})")
-    total = 0
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        position = start
-        while position < end:
-            line = handle.readline()
-            if not line:
-                break
-            position += len(line)
-            stripped = line.strip()
-            if stripped and not stripped.startswith(_COMMENT_PREFIX_BYTES):
-                total += 1
-    return total
+    :func:`count_edges`): what :func:`iter_edge_file_span` would yield,
+    scanned without storing a row."""
+    return sum(_scan_file(path, start, end, keep=False))
 
 
 def count_edges(path: "str | os.PathLike") -> int:
@@ -165,10 +271,4 @@ def count_edges(path: "str | os.PathLike") -> int:
     The adaptive controller needs ``|E|`` up front to budget the latency
     preference; this mirrors how the authors obtain it.
     """
-    total = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped and not stripped.startswith(_COMMENT_PREFIXES):
-                total += 1
-    return total
+    return sum(_scan_file(path, 0, None, keep=False))

@@ -13,11 +13,14 @@ import os
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.graph.graph import Edge
 from repro.graph.io import (
     byte_spans,
     count_edges,
     count_edges_span,
+    iter_edge_blocks,
     iter_edge_file,
     iter_edge_file_span,
 )
@@ -65,6 +68,10 @@ class FileEdgeStream(EdgeStream):
     def __iter__(self) -> Iterator[Edge]:
         return iter_edge_file(self._path)
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The stream as ``(n, 2)`` int64 arrays — no object per edge."""
+        return iter_edge_blocks(self._path)
+
     def __len__(self) -> int:
         return self._length
 
@@ -96,6 +103,10 @@ class FileChunkStream(EdgeStream):
 
     def __iter__(self) -> Iterator[Edge]:
         return iter_edge_file_span(self._path, self.start, self.end)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The chunk as ``(n, 2)`` int64 arrays — no object per edge."""
+        return iter_edge_blocks(self._path, self.start, self.end)
 
     def __len__(self) -> int:
         if self._length is None:

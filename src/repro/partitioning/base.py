@@ -59,15 +59,23 @@ class Assignment:
 
 
 def edge_columns(edges: Iterable[Sequence[int]]) -> np.ndarray:
-    """Edge-likes (:class:`Edge` objects, ``(u, v)`` pairs) as an
-    ``(n, 2)`` int64 array of canonical ``(lo, hi)`` rows, stream order.
-    Anything but a pair of integers that fit int64 is refused."""
-    batch = edges if isinstance(edges, (list, tuple)) else list(edges)
-    if set(map(len, batch)) - {2}:
-        bad = next(edge for edge in batch if len(edge) != 2)
-        raise ValueError(f"an edge is a (u, v) pair, got {bad!r}")
-    ends = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
-                       count=2 * len(batch)).reshape(-1, 2)
+    """Edge-likes (:class:`Edge` objects, ``(u, v)`` pairs, or an
+    ``(n, 2)`` integer array of them, copied) as an ``(n, 2)`` int64
+    array of canonical ``(lo, hi)`` rows, stream order.  Anything but a
+    pair of integers that fit int64 is refused."""
+    if isinstance(edges, np.ndarray):
+        if (edges.ndim != 2 or edges.shape[1] != 2
+                or edges.dtype.kind not in "iu" or edges.dtype == np.uint64):
+            raise ValueError(f"an edge array is (n, 2) integers that fit "
+                             f"int64, got {edges.dtype}{list(edges.shape)}")
+        ends = edges.astype(np.int64)
+    else:
+        batch = edges if isinstance(edges, (list, tuple)) else list(edges)
+        if set(map(len, batch)) - {2}:
+            bad = next(edge for edge in batch if len(edge) != 2)
+            raise ValueError(f"an edge is a (u, v) pair, got {bad!r}")
+        ends = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
+                           count=2 * len(batch)).reshape(-1, 2)
     ends.sort(axis=1)
     return ends
 
@@ -142,8 +150,10 @@ class AssignmentStore(Mapping):
         self._indexed = 0  # decisions the index has seen
 
     @classmethod
-    def from_triples(cls, triples: Sequence[Tuple[int, int, int]]):
-        """Inverse of :meth:`triples` (the session snapshot's format)."""
+    def from_triples(cls, triples: "np.ndarray | Sequence[Tuple[int, int, int]]"):
+        """Inverse of :meth:`triples` (the session snapshot's format;
+        a list of ``(u, v, partition)`` tuples, as snapshots pickled
+        before the array held them, is taken too)."""
         return cls([AssignmentBatch(
             *np.array(triples, dtype=np.int64).reshape(-1, 3).T)])
 
@@ -161,10 +171,11 @@ class AssignmentStore(Mapping):
                 for column in AssignmentBatch.__slots__))]
         return self._batches[0]
 
-    def triples(self) -> List[Tuple[int, int, int]]:
-        """Every decision as a ``(u, v, partition)`` tuple of ints."""
+    def triples(self) -> np.ndarray:
+        """Every decision as a ``(u, v, partition)`` row of one ``(n, 3)``
+        int64 array (it pickles as raw bytes, not an object per int)."""
         rows = self.decisions()
-        return list(zip(rows.u.tolist(), rows.v.tolist(), rows.part.tolist()))
+        return np.stack((rows.u, rows.v, rows.part), axis=1)
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The mapping as ``(u, v, part)`` columns in dict order — what
@@ -366,8 +377,9 @@ class StreamingPartitioner:
                     algorithm=self.name).inc()
 
     def ingest(self, edges: Iterable[Sequence[int]]) -> AssignmentBatch:
-        """Consume a slice of the stream (:class:`Edge` objects or plain
-        ``(u, v)`` pairs); return the decisions emitted.
+        """Consume a slice of the stream (:class:`Edge` objects, plain
+        ``(u, v)`` pairs or an ``(n, 2)`` integer array); return the
+        decisions emitted.
 
         May be called any number of times between :meth:`begin` and
         :meth:`finalize`; calling it on a closed partitioner implicitly
@@ -430,7 +442,10 @@ class StreamingPartitioner:
 
     def partition_stream(self, stream: EdgeStream) -> PartitionResult:
         """Partition the whole stream — batch wrapper over the
-        incremental protocol (one ``begin``/``ingest``/``finalize``)."""
+        incremental protocol (``begin``/``ingest``/``finalize``; a file
+        stream is ingested block by block, as arrays)."""
         self.begin(total_edges=len(stream))
-        self.ingest(stream)
+        blocks = getattr(stream, "blocks", None)
+        for batch in (stream,) if blocks is None else blocks():
+            self.ingest(batch)
         return self.finalize()

@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import gzip
 import os
-from itertools import chain
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Edge
+from repro.graph.io import iter_int_rows
 from repro.graph.shard import mapping_columns
 from repro.partitioning.base import PartitionResult
 from repro.partitioning.state import PartitionState
-
-_COMMENT_PREFIXES = ("#", "%")
 
 #: Lines formatted per write.
 _WRITE_BATCH = 16384
@@ -55,27 +53,29 @@ def write_assignments(path: "str | os.PathLike",
     return len(rows)
 
 
+def _iter_row_blocks(path: "str | os.PathLike") -> Iterator:
+    """The file's ``u v partition`` rows off the edge-file reader
+    (:func:`repro.graph.io.iter_int_rows`; ``.gz`` transparent)."""
+    opener = gzip.open if os.fspath(path).endswith(".gz") else open
+    with opener(path, "rb") as handle:
+        yield from iter_int_rows(handle, ncols=3, what="assignment")
+
+
 def iter_assignments(path: "str | os.PathLike") -> Iterator[tuple]:
     """Stream ``(u, v, partition)`` triples without materialising the
-    mapping (``.gz`` transparent) — the one parser, behind
-    :func:`read_columns` and :func:`read_assignments`."""
-    with _open_text(path, "r") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped or stripped.startswith(_COMMENT_PREFIXES):
-                continue
-            parts = stripped.split()
-            if len(parts) < 3:
-                raise ValueError(f"malformed assignment line: {line!r}")
-            yield int(parts[0]), int(parts[1]), int(parts[2])
+    mapping (``.gz`` transparent)."""
+    for rows in _iter_row_blocks(path):
+        if type(rows) is np.ndarray:
+            rows = map(tuple, rows.tolist())
+        yield from rows
 
 
 def read_columns(path: "str | os.PathLike") -> Tuple[np.ndarray, ...]:
     """A ``u v partition`` file as three int64 columns, file order — what
     :meth:`~repro.graph.shard.ShardedGraph.from_arrays` takes."""
-    flat = np.fromiter(chain.from_iterable(iter_assignments(path)),
-                       dtype=np.int64)
-    return flat[0::3], flat[1::3], flat[2::3]
+    table = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
+        np.asarray(rows, dtype=np.int64) for rows in _iter_row_blocks(path)])
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def read_assignments(path: "str | os.PathLike") -> Dict[Edge, int]:

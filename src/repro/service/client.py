@@ -41,6 +41,7 @@ import json
 import random
 import socket
 import time
+from operator import index
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
@@ -293,8 +294,10 @@ class ServiceClient:
 
     def _ingest_payload(self, tenant: str,
                         edges: Iterable[Tuple[int, int]]) -> dict:
+        # index(), not int(): 1.9 and "3" are a TypeError here rather
+        # than a different vertex at the daemon.
         payload = {"op": "ingest", "tenant": tenant,
-                   "edges": [[int(u), int(v)] for u, v in edges]}
+                   "edges": [[index(u), index(v)] for u, v in edges]}
         trace_ctx = obs.current_context()
         if trace_ctx is not None:
             # Carry the caller's trace across the ndjson boundary so the

@@ -52,6 +52,7 @@ import json
 import os
 import time
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -69,6 +70,7 @@ from repro.service.audit import DecisionLog
 from repro.service.metrics import TenantMetrics
 from repro.service.wal import (
     FSYNC_MODES,
+    MAGIC,
     FaultHook,
     SimulatedCrash,
     TenantWAL,
@@ -82,6 +84,28 @@ from repro.service.wal import (
 )
 
 SNAPSHOT_SUFFIX = ".snapshot"
+
+
+def _edge_array(pairs) -> np.ndarray:
+    """An ingest request's ``edges`` as the ``(n, 2)`` int64 array the
+    WAL logs and the session ingests.  Anything but a list of ``[u, v]``
+    pairs of JSON integers that fit int64 is a bad request (no
+    ``int()``: ``1.9``, ``"3"`` and ``true`` are not vertex ids)."""
+    try:
+        if (set(map(type, chain.from_iterable(pairs))) - {int}
+                or set(map(len, pairs)) - {2}):
+            raise TypeError("not all [int, int]")
+        return np.fromiter(chain.from_iterable(pairs), np.int64,
+                           2 * len(pairs)).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        def bad(pair):
+            return not (isinstance(pair, list) and len(pair) == 2
+                        and all(type(end) is int and -2**63 <= end < 2**63
+                                for end in pair))
+        culprit = (next(filter(bad, pairs), pairs)
+                   if isinstance(pairs, list) else pairs)
+        raise ValueError(f"bad request: an edge is a [u, v] pair of int64 "
+                         f"integers, got {culprit!r}") from None
 
 
 class Tenant:
@@ -451,7 +475,7 @@ class PartitionService:
         return {"tenant": name, "algorithm": session.algorithm,
                 "partitions": [int(p) for p in
                                session.partitioner.state.partitions],
-                "format": 1}
+                "format": MAGIC[-1]}
 
     # ------------------------------------------------------------------
     # Tenant workers
@@ -708,7 +732,7 @@ class PartitionService:
         the tenant worker; the ``queue.put`` is the backpressure
         point).  Duplicate seqs answer from the replay cache."""
         tenant = self._tenant_of(request)
-        edges = [(int(u), int(v)) for u, v in request.get("edges", [])]
+        edges = _edge_array(request.get("edges", []))
         raw_seq = request.get("seq")
         if raw_seq is None:
             seq = tenant.accepted_seq + 1  # legacy client: no idempotency

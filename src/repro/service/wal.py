@@ -26,10 +26,12 @@ File layout (one pair per tenant under ``wal_dir``)::
 Record framing is ``<u32 length><u32 crc32(payload)><payload>``.  The
 header payload is a JSON dict carrying the tenant's topology (name,
 algorithm, partition ids) which recovery verifies against the snapshot;
-data payloads are JSON ``[seq, [[u, v], ...]]``.  A torn final record —
-the crash landed mid-``write`` — fails its length or checksum test and
-is discarded: its batch was never enqueued, never acked, and the client
-retries it.
+a data payload is ``<i64 seq><u32 n>`` followed by the batch itself,
+``n`` rows of ``<i64 u><i64 v>`` — the bytes of the ``(n, 2)`` array the
+daemon ingests, so logging a batch builds no object per edge.  A torn
+final record — the crash landed mid-``write`` — fails its length or
+checksum test and is discarded: its batch was never enqueued, never
+acked, and the client retries it.
 
 Fsync policy (``fsync=``):
 
@@ -62,13 +64,22 @@ import struct
 import zlib
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 
-#: File magic; bump the trailing byte when the record format changes.
-MAGIC = b"ADWISEWAL\x01"
+#: File magic; bump the trailing byte when the record format changes
+#: (1: JSON data records; 2: binary ones).
+MAGIC = b"ADWISEWAL\x02"
 
 #: ``<u32 payload length><u32 crc32(payload)>``.
 _FRAME = struct.Struct("<II")
+
+#: What a data payload starts with: ``<i64 seq><u32 edge count>``.
+_RECORD = struct.Struct("<qI")
+
+#: The batch behind it: little-endian int64 ``(u, v)`` rows.
+_ROWS = np.dtype("<i8")
 
 #: Accepted values for the daemon's ``fsync`` knob.
 FSYNC_MODES = ("always", "batch", "off")
@@ -118,29 +129,32 @@ def _frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _encode_record(seq: int, edges) -> bytes:
-    payload = json.dumps([seq, [[int(u), int(v)] for u, v in edges]],
-                         separators=(",", ":")).encode()
-    return _frame(payload)
+def _header_record(header: dict) -> bytes:
+    return MAGIC + _frame(json.dumps(header, separators=(",", ":")).encode())
 
 
-def read_wal(path: str) -> Tuple[dict, List[Tuple[int, list]], bool]:
+def read_wal(path: str) -> Tuple[dict, List[Tuple[int, np.ndarray]], bool]:
     """Parse a WAL file into ``(header, records, torn)``.
 
-    ``records`` is ``[(seq, [(u, v), ...]), ...]`` in append order.
+    ``records`` is ``[(seq, (n, 2) int64 array), ...]`` in append order
+    (the arrays are read-only views of the file's bytes).
     ``torn`` is True when the file ends in a partial or
     checksum-corrupt record — the crash-mid-write case — whose bytes
     are ignored; everything before the tear is returned.  A file whose
-    *header* is unreadable is not a WAL at all and raises
-    :class:`WALError`.
+    *header* is unreadable, or whose records an earlier format wrote,
+    is not a WAL this code can replay and raises :class:`WALError`.
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    if data.startswith(MAGIC[:-1] + b"\x01"):
+        raise WALError(f"{path} is a format-1 WAL (JSON records); this "
+                       f"daemon reads format {MAGIC[-1]} — recover it "
+                       f"with the version that wrote it")
     if not data.startswith(MAGIC):
         raise WALError(f"{path} is not a WAL file (bad magic)")
     offset = len(MAGIC)
     header: Optional[dict] = None
-    records: List[Tuple[int, list]] = []
+    records: List[Tuple[int, np.ndarray]] = []
     torn = False
     while offset < len(data):
         if offset + _FRAME.size > len(data):
@@ -156,17 +170,17 @@ def read_wal(path: str) -> Tuple[dict, List[Tuple[int, list]], bool]:
             torn = True
             break
         try:
-            obj = json.loads(payload)
-        except ValueError:
+            if header is None:
+                header = json.loads(payload)
+                if not isinstance(header, dict):
+                    raise WALError(f"{path}: first record is not a header")
+            else:
+                seq, count = _RECORD.unpack_from(payload)
+                records.append((seq, np.frombuffer(
+                    payload, _ROWS, offset=_RECORD.size).reshape(count, 2)))
+        except (ValueError, struct.error):  # checksummed, yet no record
             torn = True
             break
-        if header is None:
-            if not isinstance(obj, dict):
-                raise WALError(f"{path}: first record is not a header")
-            header = obj
-        else:
-            records.append((int(obj[0]),
-                            [(int(u), int(v)) for u, v in obj[1]]))
         offset = start + length
     if header is None:
         raise WALError(f"{path}: missing WAL header")
@@ -199,8 +213,7 @@ class TenantWAL:
         self._tail: List[Tuple[int, bytes]] = []
         self._unsynced = 0
         self._file = open(path, "wb")
-        self._file.write(MAGIC + _frame(json.dumps(
-            self.header, separators=(",", ":")).encode()))
+        self._file.write(_header_record(self.header))
         self._flush(force=self.fsync != "off")
 
     @property
@@ -225,8 +238,10 @@ class TenantWAL:
     # Append
     # ------------------------------------------------------------------
     def append(self, seq: int, edges) -> None:
-        """Durably log one accepted batch (called *before* enqueue)."""
-        record = _encode_record(seq, edges)
+        """Durably log one accepted batch, ``(n, 2)`` integer ``edges``
+        (called *before* enqueue)."""
+        rows = np.asarray(edges, dtype=_ROWS).reshape(-1, 2)
+        record = _frame(_RECORD.pack(seq, len(rows)) + rows.tobytes())
         self._hook("wal-pre-append", seq)
         try:
             self._hook("wal-torn-append", seq)
@@ -258,8 +273,7 @@ class TenantWAL:
         self._tail = [(s, record) for s, record in self._tail if s > seq]
         tmp = f"{self.path}.tmp"
         with open(tmp, "wb") as handle:
-            handle.write(MAGIC + _frame(json.dumps(
-                self.header, separators=(",", ":")).encode()))
+            handle.write(_header_record(self.header))
             for _, record in self._tail:
                 handle.write(record)
             handle.flush()

@@ -348,8 +348,8 @@ def test_snapshot_pickle_restore_continues_identically(config, stream):
     resumed_emitted = [first.ingest(batch)
                        for batch in batches(pairs[:cut], 30)]
     snapshot = first.snapshot()
-    assert all(type(value) is int
-               for row in snapshot.assignments for value in row)
+    assert snapshot.assignments.dtype == np.int64
+    assert snapshot.assignments.shape == (first.stats().assignments_emitted, 3)
     resumed = restore_session(pickle.loads(pickle.dumps(snapshot)))
     assert resumed.stats() == first.stats()
     assert resumed.partitioner._assignments == first.partitioner._assignments
@@ -427,6 +427,34 @@ def test_a_snapshot_pickled_by_the_parent_commit_restores(algorithm, knobs):
     assert (resumed.ingest(PARENT_PAIRS[30:])
             == whole.ingest(PARENT_PAIRS[30:]))
     assert result_tuple(resumed.finalize()) == result_tuple(whole.finalize())
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_a_snapshot_holds_one_array_and_restores_from_a_list_too(config):
+    """The decisions travel as one ``(n, 3)`` int64 array, which pickles
+    as its 24 bytes an edge and no object (compaction runs on the
+    daemon's event loop); a list of tuples — what the parent commit's
+    snapshots hold — still restores, to the same session."""
+    algorithm, knobs = CONFIGS[config]
+    pairs = STREAMS["far-ids"]
+    session = open_session(algorithm, partitions=PARTITIONS, **knobs)
+    session.ingest(pairs[:120])
+    snapshot = session.snapshot()
+    emitted = session.stats().assignments_emitted
+    assert type(snapshot.assignments) is np.ndarray
+    assert len(pickle.dumps(snapshot.assignments,
+                            protocol=4)) <= 24 * emitted + 200
+    listed = pickle.loads(pickle.dumps(snapshot))
+    listed.assignments = [tuple(row) for row in snapshot.assignments.tolist()]
+    assert all(type(value) is int for row in listed.assignments
+               for value in row)
+    resumed, relisted = (restore_session(pickle.loads(pickle.dumps(image)))
+                         for image in (snapshot, listed))
+    assert resumed.partitioner._assignments == relisted.partitioner._assignments
+    assert (list(resumed.partitioner._assignments.items())
+            == list(relisted.partitioner._assignments.items()))
+    assert resumed.ingest(pairs[120:]) == relisted.ingest(pairs[120:])
+    assert result_tuple(resumed.finalize()) == result_tuple(relisted.finalize())
 
 
 # ---------------------------------------------------------------------------

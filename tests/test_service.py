@@ -11,6 +11,7 @@ tenant's stream produces **bit-identical** assignments to a local
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from _async_utils import wait_until
@@ -331,6 +332,39 @@ class TestGarbageInput:
                 client.request({"op": "open", "tenant": "u",
                                 "knobs": "not-a-dict"})
             assert client.ping()["pong"] is True
+
+
+    @pytest.mark.parametrize("edges,culprit", [
+        ([[1, 2], [1.9, 2]], "[1.9, 2]"), ([["3", 4]], "['3', 4]"),
+        ([[1, 2], [True, 2]], "[True, 2]"), ([[3.0, 4.0]], "[3.0, 4.0]"),
+        ([[1, 2, 3]], "[1, 2, 3]"), ([[1, 2], [3]], "[3]"),
+        ([[1, 2], 3], "3"), ([[1, None]], "[1, None]"),
+        ([[2**63, 1]], f"[{2**63}, 1]"), ("12", "'12'"), (7, "7")])
+    def test_non_integer_endpoints_are_a_bad_request(self, daemon, edges,
+                                                     culprit):
+        """No ``int()`` at the socket: ``[1.9, 2]`` is not edge (1, 2)
+        and ``["3", 4]`` is not edge (3, 4).  The offending pair is
+        named, nothing of the batch is applied and the tenant's seq
+        does not move."""
+        port, _, _ = daemon
+        with ServiceClient(port=port) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            with pytest.raises(ServiceError) as refused:
+                client.request({"op": "ingest", "tenant": "t", "seq": 1,
+                                "edges": edges})
+            assert str(refused.value) == (
+                "bad request: an edge is a [u, v] pair of int64 integers, "
+                f"got {culprit}")
+            stats = client.stats("t")
+            assert stats["accepted_seq"] == 0
+            assert stats["session"]["edges_ingested"] == 0
+            assert client.ingest("t", [(1, 2), (-2**63, 2**63 - 1)]) != []
+            for bad in ([(1.9, 2)], [("3", 4)]):
+                with pytest.raises(TypeError):  # nor does the client int()
+                    client.ingest("t", bad)
+            assert client.ingest("t", np.array([[5, 6]])) == [
+                (5, 6, client.query_edge("t", 5, 6))]
+            assert client.stats("t")["session"]["edges_ingested"] == 3
 
 
 class _ScriptedServer:

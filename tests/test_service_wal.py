@@ -8,8 +8,12 @@ daemon's seq/replay protocol through a live (uncrashed) daemon.
 """
 
 import asyncio
+import json
 import os
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from _service_utils import SupervisedDaemon
@@ -46,8 +50,71 @@ class TestWALFormat:
         header, records, torn = read_wal(str(path))
         assert header == HEADER
         assert not torn
-        assert records == [(i, batch) for i, batch
-                           in enumerate(batches, start=1)]
+        assert [(seq, rows.tolist()) for seq, rows in records] == [
+            (i, [list(edge) for edge in batch])
+            for i, batch in enumerate(batches, start=1)]
+
+    @pytest.mark.parametrize("batch", [
+        [], [(7, 9)], [(i, 3 * i + 1) for i in range(256)],
+        [(-2**63, 2**63 - 1), (2**63 - 1, -2**63), (0, -1)]],
+        ids=["empty", "one", "256", "int64-limits"])
+    def test_record_round_trip(self, tmp_path, batch):
+        """A data record is ``<i64 seq><u32 n>`` and the batch's bytes:
+        what comes back is the ``(n, 2)`` int64 array that went in,
+        whether it went in as an array or as pairs."""
+        path = tmp_path / "t.wal"
+        array = np.array(batch, dtype=np.int64).reshape(-1, 2)
+        wal = TenantWAL(str(path), HEADER, fsync="off")
+        wal.append(2**40, array)
+        wal.append(2**40 + 1, batch)
+        wal.close()
+        _, records, torn = read_wal(str(path))
+        assert not torn and [seq for seq, _ in records] == [2**40, 2**40 + 1]
+        for _, rows in records:
+            assert rows.dtype == np.int64 and rows.shape == (len(batch), 2)
+            assert np.array_equal(rows, array)
+        header = json.dumps(HEADER, separators=(",", ":")).encode()
+        assert os.path.getsize(path) == (
+            len(MAGIC) + 8 + len(header) + 2 * (8 + 12 + 16 * len(batch)))
+
+    def test_truncation_anywhere_in_the_last_record_reads_as_torn(
+            self, tmp_path):
+        path = tmp_path / "t.wal"
+        _write_wal(path, [EDGES[:10], EDGES[10:13]])
+        whole = path.read_bytes()
+        last = 8 + 12 + 16 * 3  # frame + seq/count + rows
+        for cut in range(1, last):
+            path.write_bytes(whole[:-cut])
+            _, records, torn = read_wal(str(path))
+            assert torn, cut
+            assert [seq for seq, _ in records] == [1], cut
+        path.write_bytes(whole[:-last])
+        _, records, torn = read_wal(str(path))
+        assert not torn and [seq for seq, _ in records] == [1]
+
+    def test_any_flipped_payload_byte_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "t.wal"
+        _write_wal(path, [EDGES[:10], EDGES[10:13]])
+        whole = path.read_bytes()
+        for back in range(1, 12 + 16 * 3 + 1):  # every payload byte
+            data = bytearray(whole)
+            data[-back] ^= 0x01
+            path.write_bytes(bytes(data))
+            _, records, torn = read_wal(str(path))
+            assert torn and [seq for seq, _ in records] == [1], back
+
+    def test_a_format_1_log_is_refused_by_name(self, tmp_path):
+        """The JSON-record format of earlier versions: same magic but
+        for its last byte — never misread as binary records."""
+        path = tmp_path / "old.wal"
+        header = json.dumps(HEADER, separators=(",", ":")).encode()
+        record = json.dumps([1, [[1, 2], [3, 4]]]).encode()
+        path.write_bytes(b"ADWISEWAL\x01" + b"".join(
+            struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+            for payload in (header, record)))
+        with pytest.raises(WALError, match="format-1 WAL"):
+            read_wal(str(path))
+        assert MAGIC == b"ADWISEWAL\x02"
 
     def test_torn_final_record_discarded(self, tmp_path):
         """A crash mid-write leaves a partial record: the checksum (or

@@ -6,12 +6,14 @@ one-liner instead of an ad-hoc script: stream an edge file through a
 ``repro.api`` session in ``--batch``-edge batches, the way a job does,
 and print
 
-* the partition wall split into **parse** (reading the batch off the
-  file), **convert** (edge-likes -> id columns), **stage** (interning +
-  binding + validation), **kernel** (inside the C transaction) and
-  **store** (recording the decisions), with the rest of ``ingest`` as
-  "other" — and the kernel's share of the partition wall, ROADMAP
-  item 2's "share in C" gate;
+* the partition wall split into **scan** (the block reader: file
+  reads, the compiled line scanner, the per-line parser for what it
+  declines), **objects** (turning the scanned rows into the batch's
+  ``Edge`` list — nothing with ``--blocks``), **convert** (edge-likes ->
+  id columns), **stage** (interning + binding + validation), **kernel**
+  (inside the C transaction) and **store** (recording the decisions),
+  with the rest of ``ingest`` as "other" — and the kernel's share of the
+  partition wall, ROADMAP item 2's "share in C" gate;
 * the kernel calls per ingest batch;
 * a second run under cProfile, top functions by internal or cumulative
   time.
@@ -24,6 +26,8 @@ Usage::
         --algorithm adwise --window 64 --top 15   # synthetic power-law file
     PYTHONPATH=src python tools/profile_partition.py \
         --algorithm adwise --reference   # dict state + object window
+    PYTHONPATH=src python tools/profile_partition.py graph.txt \
+        --algorithm hdrf --blocks        # feed (n, 2) arrays: no Edge at all
 
 Without a path a shuffled power-law graph (``--n``, ``--m``, ``--seed``)
 is written to a temporary edge file first.  Used to verify that an
@@ -48,6 +52,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.api import open_session                        # noqa: E402
 from repro.core._binding import KernelBinding             # noqa: E402
 from repro.graph.generators import barabasi_albert_graph  # noqa: E402
+from repro.graph import io as graph_io                    # noqa: E402
 from repro.graph.io import write_edges                    # noqa: E402
 from repro.graph.stream import FileEdgeStream, shuffled   # noqa: E402
 from repro.partitioning import base                       # noqa: E402
@@ -69,6 +74,22 @@ class Stopwatch:
                                        + time.perf_counter() - entered)
         return timed
 
+    def wrap_generator(self, label, function):
+        """The same for a generator function: time inside its frames."""
+        def timed(*args, **kwargs):
+            inner = function(*args, **kwargs)
+            while True:
+                entered = time.perf_counter()
+                try:
+                    item = next(inner)
+                except StopIteration:
+                    return
+                finally:
+                    self.seconds[label] = (self.seconds.get(label, 0.0)
+                                           + time.perf_counter() - entered)
+                yield item
+        return timed
+
 
 def open_for(args, expected_edges):
     knobs = {"fast": False} if args.reference else {}
@@ -80,20 +101,32 @@ def open_for(args, expected_edges):
                         expected_edges=expected_edges, **knobs)
 
 
+def batches_of(stream, args):
+    """The stream in ``--batch``-edge batches: ``Edge`` lists as a job
+    reads them, or with ``--blocks`` slices of the reader's arrays."""
+    if args.blocks:
+        for block in stream.blocks():
+            for start in range(0, len(block), args.batch):
+                yield block[start:start + args.batch]
+    else:
+        reader = iter(stream)
+        yield from iter(lambda: list(islice(reader, args.batch)), [])
+
+
 def run(args):
     """One job's partition phase; returns ``(session, result, parse
     seconds, ingest seconds, batches)``."""
     stream = FileEdgeStream(args.path)
     session = open_for(args, len(stream))
-    reader = iter(stream)
+    reader = batches_of(stream, args)
     parse = ingest = 0.0
     batches = 0
     while True:
         started = time.perf_counter()
-        batch = list(islice(reader, args.batch))
+        batch = next(reader, None)
         read = time.perf_counter()
         parse += read - started
-        if not batch:
+        if batch is None:
             break
         session.ingest(batch)
         ingest += time.perf_counter() - read
@@ -115,6 +148,9 @@ def main(argv=None) -> int:
                         help="profile the Python reference tier of "
                              "adwise/hdrf (fast=False) instead of the "
                              "compiled kernels")
+    parser.add_argument("--blocks", action="store_true",
+                        help="feed the session the block reader's (n, 2) "
+                             "arrays instead of Edge lists")
     parser.add_argument("--batch", type=int, default=256,
                         help="edges per ingest call")
     parser.add_argument("--window", type=int, default=64,
@@ -158,7 +194,11 @@ def layers(args) -> None:
     """The plain run, with a stopwatch on each ingest layer."""
     watch = Stopwatch()
     plain = (base.edge_columns, KernelBinding.stage,
-             base.StreamingPartitioner._emit)
+             base.StreamingPartitioner._emit, graph_io.iter_int_rows)
+    rows, timed_rows = plain[3], watch.wrap_generator("scan", plain[3])
+    # The counting pass (keep=False) happens before the partition wall.
+    graph_io.iter_int_rows = lambda *args, keep=True, **kwargs: (
+        timed_rows if keep else rows)(*args, keep=keep, **kwargs)
     base.edge_columns = watch.wrap("convert", base.edge_columns)
     KernelBinding.stage = watch.wrap("stage", KernelBinding.stage)
     base.StreamingPartitioner._emit = watch.wrap(
@@ -167,7 +207,7 @@ def layers(args) -> None:
         session, result, parse, ingest, batches = run(args)
     finally:
         (base.edge_columns, KernelBinding.stage,
-         base.StreamingPartitioner._emit) = plain
+         base.StreamingPartitioner._emit, graph_io.iter_int_rows) = plain
     edges = result.assignments.rows
     wall = parse + ingest
     print(f"{session.partitioner.name} over {edges} edges of {args.path} "
@@ -179,11 +219,13 @@ def layers(args) -> None:
     kernel = next((k for k in (getattr(session.partitioner, "window", None),
                                getattr(session.partitioner, "kernel", None))
                    if hasattr(k, "kernel_ns")), None)
-    seconds = dict(parse=parse, **watch.seconds)
+    seconds = dict(watch.seconds)
+    seconds["objects"] = parse - seconds["scan"]
     if kernel is not None:
         seconds["kernel"] = kernel.kernel_ns / 1e9
     seconds["other"] = wall - sum(seconds.values())
-    for label in ("parse", "convert", "stage", "kernel", "store", "other"):
+    for label in ("scan", "objects", "convert", "stage", "kernel", "store",
+                  "other"):
         if label in seconds:
             print(f"  {label:8s}{seconds[label]:8.4f}s "
                   f"{seconds[label] / wall:6.1%}")
