@@ -10,9 +10,10 @@ validates, grows or rebinds a buffer.  Around a transaction it offers
 the three steps every batch takes:
 
 * :meth:`stage` — intern the batch's ``(lo, hi)`` id columns to dense
-  rows (which is where the state reallocates its tables), rebind
-  whatever moved, copy in the scalars the kernels mirror, and validate
-  everything about to cross;
+  rows (one ``kern_intern`` call on the state's own table —
+  :meth:`FastPartitionState.dense_rows`, which is where the state
+  reallocates its tables), rebind whatever moved, copy in the scalars
+  the kernels mirror, and validate everything about to cross;
 * :meth:`call` — run one entry point to a final status, growing the
   output lists (or, through the caller's handlers, the caller's own
   buffers) on a ``KERN_NEED_*`` exit and calling again;
@@ -123,8 +124,9 @@ class KernelBinding:
 
     def sync_state(self) -> None:
         """Bring the context up to date with the partition state: rebind
-        (and regrow the per-vertex arrays to) tables the intern table
-        reallocated, and copy in the scalars the kernels mirror."""
+        (and regrow the per-vertex arrays to) tables the state
+        reallocated while interning, and copy in the scalars the kernels
+        mirror."""
         state = self.state
         ctx = self.ctx
         replicas = state.replica_matrix()

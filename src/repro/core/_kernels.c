@@ -1,5 +1,6 @@
 /* Compiled partitioning kernels: ADWISE's window loop (Algorithm 1) and
- * the single-edge stream kernel (HDRF), each one transaction per batch.
+ * the single-edge stream kernel (HDRF), each one transaction per batch,
+ * and the vertex id -> dense row table both are fed through.
  *
  * Built by repro/core/_kernels.py with
  *
@@ -16,8 +17,9 @@
  *
  * Ownership (DESIGN.md §14): every array is a numpy buffer owned,
  * grown and rebound in Python (repro/core/_binding.py for the state
- * tables and output lists, repro/core/array_window.py for the window's)
- * — this file never allocates or frees.  When a buffer runs out the kernel returns a
+ * tables and output lists, repro/core/array_window.py for the window's,
+ * repro/partitioning/fast_state.py for its intern table) — this file
+ * never allocates or frees.  When a buffer runs out the kernel returns a
  * KERN_NEED_* status *before* mutating anything the retry would repeat;
  * Python grows the buffer, rebinds the pointer and calls again.
  */
@@ -31,6 +33,8 @@
 #define KERN_NEED_SLOTS 2      /* slot free-list empty                  */
 #define KERN_NEED_ARENA 3      /* arena cannot take `need` more entries */
 #define KERN_NEED_OUT 4        /* out_* / chg_* buffers full            */
+#define KERN_NEED_ROWS 5       /* every dense row taken (kern_intern)   */
+#define KERN_NEED_TABLE 6      /* intern table would pass load 1/2      */
 
 typedef struct {
     /* Per-slot arrays (slot_cap entries unless noted). */
@@ -111,6 +115,22 @@ void kern_heap_push(KernCtx *c, int64_t slot);
 void kern_heap_remove(KernCtx *c, int64_t slot);
 void kern_heap_fix(KernCtx *c, int64_t pos);
 void kern_heap_heapify(KernCtx *c);
+/* FastPartitionState's vertex intern table: open addressing over `cap`
+ * slots (a power of two >= 2, load <= 1/2), linear probing. */
+typedef struct {
+    int64_t *slots;         /* cap x 2: the id interned at a slot and   */
+                            /*   its dense row; row -1 = slot empty     */
+    int64_t *ids;           /* row -> id, row_cap entries: row order is */
+    int64_t cap, row_cap;   /*   first-sight order                      */
+    int64_t n_rows;         /* ids interned so far                      */
+    int64_t cursor;         /* input ids kern_intern has resolved       */
+} InternTable;
+
+int64_t kern_intern(InternTable *t, const int64_t *ids, int64_t n,
+                    int64_t *rows);
+void kern_lookup(const InternTable *t, const int64_t *ids, int64_t n,
+                 int64_t *rows);
+void kern_rehash(InternTable *t);
 int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
                         int64_t *out, int64_t cap, int64_t *consumed);
 /* cdef-end */
@@ -930,6 +950,66 @@ int64_t kern_restore(KernCtx *c, const int64_t *pairs,
     }
     kern_heap_heapify(c);
     return KERN_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Vertex interning: id -> dense row (FastPartitionState)              */
+/* ------------------------------------------------------------------ */
+
+/* The slot holding `id`, or the empty slot that ends its probe chain
+ * (load <= 1/2: there is one).  Multiplicative hash, keeping the
+ * product's top log2(cap) bits: the ones every bit of the id reaches. */
+static int64_t tab_slot(const InternTable *t, int64_t id)
+{
+    int shift = 64 - __builtin_ctzll((uint64_t)t->cap);
+    uint64_t slot = ((uint64_t)id * 0x9E3779B97F4A7C15ull) >> shift;
+    while (t->slots[2 * slot + 1] >= 0 && t->slots[2 * slot] != id)
+        slot = (slot + 1) & (uint64_t)(t->cap - 1);
+    return (int64_t)slot;
+}
+
+/* rows[i] = dense row of ids[i] over ids[cursor..n), a first sighting
+ * taking the next row.  KERN_NEED_ROWS / KERN_NEED_TABLE come before
+ * the id that does not fit is written anywhere: Python doubles the row
+ * tables, or the slot array (kern_rehash), and calls again. */
+int64_t kern_intern(InternTable *t, const int64_t *ids, int64_t n,
+                    int64_t *rows)
+{
+    for (; t->cursor < n; t->cursor++) {
+        int64_t id = ids[t->cursor];
+        int64_t slot = tab_slot(t, id);
+        if (t->slots[2 * slot + 1] < 0) {
+            if (t->n_rows == t->row_cap)
+                return KERN_NEED_ROWS;
+            if (2 * (t->n_rows + 1) > t->cap)
+                return KERN_NEED_TABLE;
+            t->slots[2 * slot] = id;
+            t->slots[2 * slot + 1] = t->n_rows;
+            t->ids[t->n_rows++] = id;
+        }
+        rows[t->cursor] = t->slots[2 * slot + 1];
+    }
+    return KERN_DONE;
+}
+
+/* The same without interning: -1 for an id never seen. */
+void kern_lookup(const InternTable *t, const int64_t *ids, int64_t n,
+                 int64_t *rows)
+{
+    int64_t i;
+    for (i = 0; i < n; i++)
+        rows[i] = t->slots[2 * tab_slot(t, ids[i]) + 1];
+}
+
+/* Fill a freshly emptied slot array from the row -> id column. */
+void kern_rehash(InternTable *t)
+{
+    int64_t r;
+    for (r = 0; r < t->n_rows; r++) {
+        int64_t slot = tab_slot(t, t->ids[r]);
+        t->slots[2 * slot] = t->ids[r];
+        t->slots[2 * slot + 1] = r;
+    }
 }
 
 /* ------------------------------------------------------------------ */

@@ -2,7 +2,8 @@
 
 ``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
 transaction plus the single-step primitives the array window exposes,
-and the single-edge stream kernel HDRF ingests a batch through.  It is
+the single-edge stream kernel HDRF ingests a batch through, the vertex
+intern table both are fed by and the edge-file line scanner.  It is
 compiled on demand with the system C compiler
 (``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded through cffi's
 ABI mode; the shared object is cached in the system temp directory keyed

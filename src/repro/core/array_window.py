@@ -478,9 +478,9 @@ class ArrayEdgeWindow:
         out, and the rescore pulls them.  Returns the number of
         secondary edges promoted to the candidate set.
         """
-        vindex = self.scoring.state._vindex
-        rows = np.array([vindex[v] for v in vertices if v in vindex],
-                        dtype=np.int64)
+        rows = self.scoring.state.dense_rows(
+            np.fromiter(vertices, dtype=np.int64), intern=False)
+        rows = rows[rows >= 0]
         if not rows.size:
             return 0
         self._sync_state()

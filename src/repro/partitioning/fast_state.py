@@ -3,10 +3,13 @@
 :class:`FastPartitionState` is a drop-in replacement for
 :class:`~repro.partitioning.state.PartitionState` that stores the vertex
 cache in flat arrays instead of per-vertex dicts and sets.  Vertex ids
-are interned to a dense row index on first sight (so the intern table's
-iteration order *is* row order), and every quantity is kept **once**, in
-the table the kernels (``repro/core/_kernels.c``: ADWISE's window pump,
-HDRF's stream kernel) read and write in place:
+are interned to a dense row index on first sight by an open-addressing
+id → row table the kernels probe (``kern_intern``; DESIGN.md §14), with
+the row → id column ``_ids`` written beside it — so ``_ids[:n]`` read in
+order *is* the intern table's insertion order, and row order is
+first-sight order.  Every quantity is kept **once**, in the table the
+kernels (``repro/core/_kernels.c``: ADWISE's window pump, HDRF's stream
+kernel) read and write in place:
 
 * replica membership — a ``(capacity, k)`` boolean matrix whose row
   ``i`` is the indicator vector ``1{p in R_v}`` of dense vertex ``i``,
@@ -48,6 +51,10 @@ from repro.partitioning.state import StateSnapshot
 #: Initial row capacity of the vertex tables; doubled on demand.
 _INITIAL_CAPACITY = 1024
 
+#: Initial slot count of the intern table (a power of two, at least 2);
+#: doubled before it would pass half full.
+_INITIAL_TABLE = 2048
+
 
 class FastPartitionState:
     """Vertex cache + partition sizes backed by flat arrays.
@@ -76,8 +83,8 @@ class FastPartitionState:
         k = len(ids)
         self._sizes = np.zeros(k, dtype=np.int64)
         # Vertex tables, indexed by the dense intern index.  Row i
-        # belongs to the i-th key of ``_vindex``.
-        self._vindex: Dict[int, int] = {}
+        # belongs to the i-th vertex interned, ``_ids[i]``.
+        self._interned = 0
         self._capacity = _INITIAL_CAPACITY
         self._replicas = np.zeros((self._capacity, k), dtype=bool)
         # ``_row_version[i]`` bumps whenever row ``i`` gains a bit: memo
@@ -88,6 +95,9 @@ class FastPartitionState:
         # Row -> vertex id, written at intern time: how a kernel's dense
         # rows come back as the ids they stand for, without a lookup.
         self._ids = np.zeros(self._capacity, dtype=np.int64)
+        # Id -> row: the ``(id, row)`` slots of the native intern table
+        # (``InternTable`` in ``_kernels.c``); row -1 marks a slot empty.
+        self._table = np.full((_INITIAL_TABLE, 2), -1, dtype=np.int64)
         self.max_degree: int = 1
         self.assigned_edges: int = 0
         self._max_size = 0
@@ -96,16 +106,81 @@ class FastPartitionState:
     # ------------------------------------------------------------------
     # Vertex interning
     # ------------------------------------------------------------------
-    def _row(self, vertex: int) -> int:
-        """Dense index of ``vertex``, interning it on first sight."""
-        idx = self._vindex.get(vertex)
-        if idx is None:
-            idx = len(self._vindex)
-            if idx >= self._capacity:
+    def dense_rows(self, vertices: np.ndarray,
+                   intern: bool = True) -> np.ndarray:
+        """Dense rows of the int64 vertex ids ``vertices`` (a batch's
+        endpoints, interleaved in stream order) from the native table,
+        in one kernel call: each id not seen before is interned to the
+        next row, in that order — or, with ``intern=False``, reads -1
+        and nothing is interned."""
+        from repro.core import _kernels  # lazy: repro.core imports us
+
+        kernels = _kernels.load()
+        if kernels is None:
+            raise RuntimeError(
+                "FastPartitionState interns vertex ids through the compiled "
+                "kernels, which could not be built here (no C compiler or "
+                "cffi); use the dict-backed PartitionState")
+        ffi, lib = kernels
+        ids = np.ascontiguousarray(vertices)
+        if ids.dtype != np.int64 or ids.ndim != 1:
+            raise TypeError("vertex ids must be a flat int64 array, got "
+                            f"{ids.dtype} with shape {ids.shape}")
+        rows = np.empty(ids.size, dtype=np.int64)
+        if not ids.size:
+            return rows
+        # The table handle lives for this call only: nothing of cffi's
+        # is kept on the state, which stays picklable.
+        table = ffi.new("InternTable *")
+        table.n_rows = self._interned
+        args = (ffi.from_buffer("int64_t[]", ids), ids.size,
+                ffi.from_buffer("int64_t[]", rows))
+        self._bind_table(ffi, table)
+        if not intern:
+            lib.kern_lookup(table, *args)
+            return rows
+        while True:
+            status = lib.kern_intern(table, *args)
+            self._interned = table.n_rows
+            if status == lib.KERN_DONE:
+                return rows
+            # The id at the call's cursor did not fit and was written
+            # nowhere: make room, rebind, and the call resumes there.
+            if status == lib.KERN_NEED_ROWS:
                 self._grow()
-            self._ids[idx] = vertex  # an id outside int64 is refused here
-            self._vindex[vertex] = idx
-        return idx
+                self._bind_table(ffi, table)
+            else:  # KERN_NEED_TABLE
+                self._table = np.full((2 * len(self._table), 2), -1,
+                                      dtype=np.int64)
+                self._bind_table(ffi, table)
+                lib.kern_rehash(table)
+
+    def _bind_table(self, ffi, table) -> None:
+        """Point ``table`` at the intern arrays as they are now."""
+        slots = len(self._table)
+        if (slots < 2 or slots & (slots - 1)
+                or 2 * self._interned > slots
+                or not self._interned <= self._capacity <= self._ids.size):
+            raise RuntimeError("vertex intern table is inconsistent")
+        table.slots = ffi.from_buffer("int64_t[]", self._table)
+        table.ids = ffi.from_buffer("int64_t[]", self._ids)
+        table.cap = slots
+        table.row_cap = self._capacity
+
+    def _find(self, vertex: int) -> int:
+        """Dense row of ``vertex``, -1 if it was never seen."""
+        try:
+            ids = np.array([vertex], dtype=np.int64)
+        except OverflowError:  # outside int64: never interned
+            return -1
+        return int(self.dense_rows(ids, intern=False)[0])
+
+    @property
+    def _vindex(self) -> Dict[int, int]:
+        """Id → row as a dict in row order, built on demand for
+        introspection; nothing on the ingest or query path reads it."""
+        n = self._interned
+        return dict(zip(self._ids[:n].tolist(), range(n)))
 
     def _grow(self) -> None:
         capacity = self._capacity * 2
@@ -123,9 +198,13 @@ class FastPartitionState:
         self._ids = ids
         self._capacity = capacity
 
+    def _seen_ids(self) -> List[int]:
+        """Every interned vertex id, in row order."""
+        return self._ids[:self._interned].tolist()
+
     def _seen_replicas(self) -> np.ndarray:
         """The replica rows of every interned vertex (a view)."""
-        return self._replicas[:len(self._vindex)]
+        return self._replicas[:self._interned]
 
     # ------------------------------------------------------------------
     # Queries (PartitionState API)
@@ -141,8 +220,8 @@ class FastPartitionState:
 
     def replicas(self, vertex: int) -> FrozenSet[int]:
         """Replica set ``R_v`` (empty if the vertex was never seen)."""
-        idx = self._vindex.get(vertex)
-        if idx is None:
+        idx = self._find(vertex)
+        if idx < 0:
             return frozenset()
         partitions = self._partitions
         return frozenset(partitions[j] for j in
@@ -150,16 +229,16 @@ class FastPartitionState:
 
     def is_replicated_on(self, vertex: int, partition: int) -> bool:
         """Indicator ``1{p in R_v}`` from the scoring functions."""
-        idx = self._vindex.get(vertex)
         j = self._pindex.get(partition)
-        if idx is None or j is None:
+        if j is None:
             return False
-        return bool(self._replicas[idx, j])
+        idx = self._find(vertex)
+        return idx >= 0 and bool(self._replicas[idx, j])
 
     def degree_of(self, vertex: int) -> int:
         """Observed (partial) degree of ``vertex`` so far in the stream."""
-        idx = self._vindex.get(vertex)
-        return int(self._deg[idx]) if idx is not None else 0
+        idx = self._find(vertex)
+        return int(self._deg[idx]) if idx >= 0 else 0
 
     def degree_pair(self, u: int, v: int) -> Tuple[int, int]:
         """Degrees of both endpoints in one call (single-edge hot paths)."""
@@ -186,18 +265,6 @@ class FastPartitionState:
     # ------------------------------------------------------------------
     # Dense tables (compiled kernels, DESIGN.md §14)
     # ------------------------------------------------------------------
-    def dense_rows(self, vertices: np.ndarray) -> np.ndarray:
-        """Dense rows of the int64 vertex ids ``vertices`` (a batch's
-        endpoints, interleaved in stream order), interning each on first
-        sight, in that order."""
-        ids = vertices.tolist()
-        try:
-            return np.fromiter(map(self._vindex.__getitem__, ids),
-                               dtype=np.int64, count=len(ids))
-        except KeyError:  # some vertex is new: intern as we go
-            return np.fromiter(map(self._row, ids), dtype=np.int64,
-                               count=len(ids))
-
     def vertex_ids(self, rows: np.ndarray) -> np.ndarray:
         """The vertex ids dense ``rows`` stand for (int64)."""
         return self._ids[rows]
@@ -228,10 +295,9 @@ class FastPartitionState:
     # ------------------------------------------------------------------
     def observe_degrees(self, edge: Edge) -> None:
         """Update the partial degree table for an edge seen in the stream."""
-        for vertex in (edge.u, edge.v):
-            # Intern before touching ``_deg``: a first sighting may
-            # reallocate it.
-            idx = self._row(vertex)
+        # Intern before touching ``_deg``: a first sighting may
+        # reallocate it.  An id outside int64 is refused here.
+        for idx in self.dense_rows(np.array(edge, dtype=np.int64)).tolist():
             d = int(self._deg[idx]) + 1
             self._deg[idx] = d
             if d > self.max_degree:
@@ -245,8 +311,8 @@ class FastPartitionState:
                 f"partition {partition} not in this instance's spread "
                 f"{self._partitions}")
         changed: List[int] = []
-        for vertex in (edge.u, edge.v):
-            idx = self._row(vertex)
+        rows = self.dense_rows(np.array(edge, dtype=np.int64)).tolist()
+        for vertex, idx in zip(edge, rows):
             if not self._replicas[idx, j]:
                 self._replicas[idx, j] = True
                 self._row_version[idx] += 1
@@ -280,9 +346,11 @@ class FastPartitionState:
         """Adopt the degree table (``degree`` and ``max_degree``) of
         another state — restreaming — or of a snapshot."""
         degree = other.degree
-        rows = [self._row(vertex) for vertex in degree]
+        rows = self.dense_rows(
+            np.fromiter(degree, dtype=np.int64, count=len(degree)))
         self._deg[:] = 0
-        self._deg[rows] = list(degree.values())
+        self._deg[rows] = np.fromiter(degree.values(), dtype=np.int64,
+                                      count=len(degree))
         self.max_degree = other.max_degree
 
     # ------------------------------------------------------------------
@@ -317,7 +385,7 @@ class FastPartitionState:
         return StateSnapshot(
             partitions=list(self._partitions),
             replica_bits={vertex: bits
-                          for vertex, bits in zip(self._vindex, masks)
+                          for vertex, bits in zip(self._seen_ids(), masks)
                           if bits},
             sizes=self._sizes.tolist(),
             degree=self.degree,
@@ -334,8 +402,9 @@ class FastPartitionState:
         width = (k + 7) // 8
         replicated = {vertex: bits
                       for vertex, bits in snap.replica_bits.items() if bits}
-        rows = [state._row(vertex) for vertex in replicated]
-        if rows:
+        rows = state.dense_rows(
+            np.fromiter(replicated, dtype=np.int64, count=len(replicated)))
+        if rows.size:
             packed = np.frombuffer(
                 b"".join(bits.to_bytes(width, "little")
                          for bits in replicated.values()),
@@ -355,13 +424,14 @@ class FastPartitionState:
     @property
     def degree(self) -> Dict[int, int]:
         """Partial degrees of every observed vertex as a dict *snapshot*."""
-        degrees = self._deg[:len(self._vindex)].tolist()
-        return {vertex: d for vertex, d in zip(self._vindex, degrees) if d}
+        degrees = self._deg[:self._interned].tolist()
+        return {vertex: d for vertex, d in zip(self._seen_ids(), degrees)
+                if d}
 
     @property
     def replica_sets(self) -> Dict[int, Set[int]]:
         """Replica sets as a dict *snapshot* (non-empty sets only)."""
-        vertices = list(self._vindex)
+        vertices = self._seen_ids()
         partitions = self._partitions
         out: Dict[int, Set[int]] = {}
         rows, cols = np.nonzero(self._seen_replicas())

@@ -75,13 +75,14 @@ def validate_result(result: PartitionResult,
     #    supporting edge (assignments may deduplicate stream duplicates,
     #    so extra replicas are an error but the reverse check is exact).
     derived = replica_sets_from_assignments(result.assignments)
+    stored_sets = state.replica_sets  # one read: a snapshot on the array state
     for vertex, reps in derived.items():
-        stored = set(state.replicas(vertex))
+        stored = stored_sets.get(vertex, set())
         if not reps <= stored:
             report.errors.append(
                 f"vertex {vertex}: assignments imply replicas {sorted(reps)} "
                 f"but state records {sorted(stored)}")
-    for vertex, stored in state.replica_sets.items():
+    for vertex, stored in stored_sets.items():
         if vertex not in derived and stored:
             report.warnings.append(
                 f"vertex {vertex} has replicas {sorted(stored)} with no "

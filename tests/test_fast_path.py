@@ -278,16 +278,20 @@ class TestFastPartitionState:
         assert state.replicas(5999) == frozenset({3})
 
     def test_holds_one_copy_of_the_vertex_cache(self):
-        """The intern table and its inverse (row -> id, how a kernel's
-        rows come back as ids), the four tables the kernels write and
-        four scalars — no attribute that could hold a second copy of
-        replica membership, degrees or sizes."""
+        """The native intern table (its hash array, the row -> id
+        column that is its insertion order and how a kernel's rows come
+        back as ids, the count of rows taken), the four tables the
+        kernels write and four scalars — no attribute that could hold a
+        second copy of replica membership, degrees or sizes, no id ->
+        row dict, and nothing of cffi's (the state pickles as it is)."""
         state = FastPartitionState(range(4))
         state.observe_degrees(Edge(1, 2))
         state.assign(Edge(1, 2), 3)
         state.snapshot()
+        assert state._vindex == {1: 0, 2: 1}  # a view, built on demand
         assert set(vars(state)) == {
-            "_partitions", "_pindex", "_vindex", "_ids", "_capacity",
+            "_partitions", "_pindex", "_table", "_ids", "_interned",
+            "_capacity",
             "_replicas", "_row_version", "_deg", "_sizes",
             "max_degree", "assigned_edges", "_max_size", "_min_size"}
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -159,6 +160,59 @@ class TestBenchRegressionChecker:
                                 "--baseline", str(base_path)]) == 0
         assert regression.main(["--fresh", str(bad_path),
                                 "--baseline", str(base_path)]) == 1
+
+
+class TestProfilePartition:
+    """``tools/profile_partition.py``: interning has its own row and its
+    own per-batch call count, apart from the transaction's."""
+
+    @pytest.fixture
+    def report(self, capsys):
+        def run(*argv):
+            tool = _load("profile_partition",
+                         os.path.join(ROOT, "tools", "profile_partition.py"))
+            assert tool.main(["--n", "120", "--m", "3", "--top", "3",
+                              *argv]) == 0
+            return capsys.readouterr().out
+        return run
+
+    @staticmethod
+    def layer_rows(out):
+        return set(re.findall(r"^  (\S+) +[\d.]+s +[\d.]+%$", out,
+                              flags=re.MULTILINE))
+
+    @pytest.mark.parametrize("argv", [
+        ("--algorithm", "hdrf", "--blocks"),
+        ("--algorithm", "adwise", "--window", "16"),
+    ], ids=["hdrf-blocks", "adwise-fixed"])
+    def test_stage_is_split_into_intern_and_bind_validate(self, report, argv):
+        from repro.core import _kernels
+        from repro.partitioning.fast_state import FastPartitionState
+
+        if _kernels.load() is None:
+            pytest.skip("compiled kernels unavailable")
+        plain = FastPartitionState.dense_rows
+        out = report(*argv)
+        assert FastPartitionState.dense_rows is plain  # stopwatch removed
+        rows = self.layer_rows(out)
+        assert {"intern", "bind+validate", "kernel"} <= rows
+        assert "stage" not in rows
+        # 351 edges: two 256-edge ingests, then finalize.  One intern
+        # call per ingest (ADWISE's finalize stages an empty batch too),
+        # counted apart from the transaction's entries, which include
+        # re-entries after an output list grew.
+        batches, interns, transactions = map(int, re.search(
+            r"over (\d+) ingest/finalize batches (\d+) intern calls = "
+            r"[\d.]+ per batch, (\d+) transaction kernel calls", out).groups())
+        assert batches == 3
+        assert interns == (2 if "hdrf" in argv else 3)
+        assert transactions >= interns
+
+    def test_reference_tier_has_no_intern_row(self, report):
+        out = report("--algorithm", "hdrf", "--reference")
+        assert "state=PartitionState" in out
+        assert self.layer_rows(out) == {"scan", "objects", "convert",
+                                        "store", "other"}
 
 
 class TestRepositoryLayout:

@@ -10,11 +10,14 @@ and print
   reads, the compiled line scanner, the per-line parser for what it
   declines), **objects** (turning the scanned rows into the batch's
   ``Edge`` list — nothing with ``--blocks``), **convert** (edge-likes ->
-  id columns), **stage** (interning + binding + validation), **kernel**
-  (inside the C transaction) and **store** (recording the decisions),
-  with the rest of ``ingest`` as "other" — and the kernel's share of the
-  partition wall, ROADMAP item 2's "share in C" gate;
-* the kernel calls per ingest batch;
+  id columns), **intern** (vertex ids -> dense rows: the native intern
+  table, ``kern_intern``), **bind+validate** (the rest of
+  ``KernelBinding.stage``), **kernel** (inside the C transaction) and
+  **store** (recording the decisions), with the rest of ``ingest`` as
+  "other" — and the kernel's share of the partition wall, ROADMAP item
+  2's "share in C" gate;
+* the intern calls and the transaction's kernel calls per ingest batch,
+  separately (one of each on a steady batch);
 * a second run under cProfile, top functions by internal or cumulative
   time.
 
@@ -56,16 +59,20 @@ from repro.graph import io as graph_io                    # noqa: E402
 from repro.graph.io import write_edges                    # noqa: E402
 from repro.graph.stream import FileEdgeStream, shuffled   # noqa: E402
 from repro.partitioning import base                       # noqa: E402
+from repro.partitioning.fast_state import FastPartitionState  # noqa: E402
 
 
 class Stopwatch:
-    """Seconds spent inside the callables it wraps, by label."""
+    """Seconds spent inside the callables it wraps, and calls made to
+    them, by label."""
 
     def __init__(self) -> None:
         self.seconds = {}
+        self.calls = {}
 
     def wrap(self, label, function):
         def timed(*args, **kwargs):
+            self.calls[label] = self.calls.get(label, 0) + 1
             entered = time.perf_counter()
             try:
                 return function(*args, **kwargs)
@@ -194,20 +201,24 @@ def layers(args) -> None:
     """The plain run, with a stopwatch on each ingest layer."""
     watch = Stopwatch()
     plain = (base.edge_columns, KernelBinding.stage,
-             base.StreamingPartitioner._emit, graph_io.iter_int_rows)
+             base.StreamingPartitioner._emit, graph_io.iter_int_rows,
+             FastPartitionState.dense_rows)
     rows, timed_rows = plain[3], watch.wrap_generator("scan", plain[3])
     # The counting pass (keep=False) happens before the partition wall.
     graph_io.iter_int_rows = lambda *args, keep=True, **kwargs: (
         timed_rows if keep else rows)(*args, keep=keep, **kwargs)
     base.edge_columns = watch.wrap("convert", base.edge_columns)
     KernelBinding.stage = watch.wrap("stage", KernelBinding.stage)
+    FastPartitionState.dense_rows = watch.wrap(
+        "intern", FastPartitionState.dense_rows)
     base.StreamingPartitioner._emit = watch.wrap(
         "store", base.StreamingPartitioner._emit)
     try:
         session, result, parse, ingest, batches = run(args)
     finally:
         (base.edge_columns, KernelBinding.stage,
-         base.StreamingPartitioner._emit, graph_io.iter_int_rows) = plain
+         base.StreamingPartitioner._emit, graph_io.iter_int_rows,
+         FastPartitionState.dense_rows) = plain
     edges = result.assignments.rows
     wall = parse + ingest
     print(f"{session.partitioner.name} over {edges} edges of {args.path} "
@@ -221,18 +232,24 @@ def layers(args) -> None:
                    if hasattr(k, "kernel_ns")), None)
     seconds = dict(watch.seconds)
     seconds["objects"] = parse - seconds["scan"]
+    if "stage" in seconds:  # interning happens inside stage
+        seconds["bind+validate"] = (seconds.pop("stage")
+                                    - seconds.get("intern", 0.0))
     if kernel is not None:
         seconds["kernel"] = kernel.kernel_ns / 1e9
     seconds["other"] = wall - sum(seconds.values())
-    for label in ("scan", "objects", "convert", "stage", "kernel", "store",
-                  "other"):
+    for label in ("scan", "objects", "convert", "intern", "bind+validate",
+                  "kernel", "store", "other"):
         if label in seconds:
-            print(f"  {label:8s}{seconds[label]:8.4f}s "
+            print(f"  {label:14s}{seconds[label]:8.4f}s "
                   f"{seconds[label] / wall:6.1%}")
     if kernel is not None:
+        interns = watch.calls.get("intern", 0)
         print(f"kernel: {seconds['kernel'] / wall:.0%} of partition wall "
-              f"inside the C kernels; {kernel.kernel_calls} kernel calls "
-              f"over {batches + 1} ingest/finalize batches = "
+              f"inside the C kernels; over {batches + 1} ingest/finalize "
+              f"batches {interns} intern calls = "
+              f"{interns / (batches + 1):.2f} per batch, "
+              f"{kernel.kernel_calls} transaction kernel calls = "
               f"{kernel.kernel_calls / (batches + 1):.2f} per batch")
 
 
