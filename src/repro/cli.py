@@ -366,6 +366,21 @@ def _print_cluster_report(report, stats) -> None:
               f"{report.remote_sync_messages} remote + "
               f"{report.local_sync_messages} local "
               f"({report.sync_payload_bytes} payload bytes)")
+        # Measured unit costs, to hold against engine/cost.py's simulated
+        # 0.5 us an edge : 2 us a message.  A message sent crosses one
+        # adjacency slot; compute is the slowest host's per superstep.
+        compute_ms = sum(t.compute_ms for t in report.telemetry)
+        sync_ms = sum(t.sync_ms for t in report.telemetry)
+        print(f"compute + exchange:  {compute_ms:.2f} ms + "
+              f"{sync_ms:.2f} ms")
+        for label, spent_ms, count, unit in (
+                ("compute cost:", compute_ms, report.messages_sent,
+                 "adjacency slot"),
+                ("exchange cost:", sync_ms, report.remote_sync_messages
+                 + report.local_sync_messages, "sync message")):
+            if count:
+                print(f"{label:<21}{1e6 * spent_ms / count:.1f} ns per "
+                      f"{unit}")
     if report.checkpoints_written:
         print(f"checkpoints:         {report.checkpoints_written} "
               f"({report.checkpoint_wall_ms:.2f} ms)")

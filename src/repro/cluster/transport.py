@@ -76,6 +76,8 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.faults import FaultInjector, WorkerDied
+from repro.core import _kernels
+from repro.core._binding import _CTYPES
 from repro.engine.dense import DenseKernel
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.csr import CSRGraph
@@ -161,6 +163,22 @@ def _cat(arrays: List[np.ndarray]) -> np.ndarray:
             else np.empty(0, dtype=np.int64))
 
 
+def _inside(index: np.ndarray, size: int) -> bool:
+    """Whether every element of ``index`` lies in ``[0, size)``."""
+    return not len(index) or bool(0 <= index.min() and index.max() < size)
+
+
+#: ``kern_scatter`` / ``kern_sync_fold`` op (a constant of the compiled
+#: library) by (combines with min, dtype).
+_OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
+        (True, np.dtype(np.float64)): "KERN_MIN_F64",
+        (False, np.dtype(np.int64)): "KERN_ADD_I64",
+        (True, np.dtype(np.int64)): "KERN_MIN_I64"}
+#: The ``values`` dtypes ``kern_scatter`` combines, by scatter kind; the
+#: numpy helpers take the rest.
+_ELEMENTS = {"sum": (np.float64,), "min": (np.float64, np.int64)}
+
+
 class SyncPlan:
     """One group's replica exchange, compiled from its shards' channel
     tables (DESIGN.md §8 has the layout and why the fold is exact).
@@ -240,6 +258,16 @@ class ShardGroup:
     *remote*.  A syncing superstep is ``step`` -> ``gather`` -> ``fold``
     -> ``scatter``; ``stats`` is then the superstep's measured traffic
     (a tally shared between supersteps: read it, do not mutate it).
+
+    Where the compiled kernels load (``_kernels.load()``, asked once,
+    here — no knob) the per-target combination is one ``kern_scatter``
+    pass over the host's slots and the in-process part of the exchange
+    three ``kern_sync_*`` passes over the plan; elsewhere, and for
+    element arrays that are not plain float64 / int64, they are the
+    kernel's own numpy helpers and the numpy fold below — the same
+    elements, bit for bit (DESIGN.md §8).  Every index either tier
+    follows is checked here, once; the kernel object gains no attribute
+    either way.
     """
 
     def __init__(self, shards: List[Shard], program: VertexProgram,
@@ -247,6 +275,9 @@ class ShardGroup:
                  host_of: Mapping[int, int], host: int) -> None:
         _pin_heap()
         shards = sorted(shards, key=lambda shard: shard.partition)
+        self.host = host
+        for shard in shards:
+            self._check_shard(shard)
         kernel = program.dense_kernel(
             ShardCSR.block_diagonal([shard.csr for shard in shards]))
         if kernel is None:
@@ -268,8 +299,8 @@ class ShardGroup:
         self.bounds = {shard.partition: slice(stop - shard.num_vertices, stop)
                        for shard, stop in zip(shards, stops)}
         self.machine_of = dict(machine_of)
-        self.host = host
         self.plan = SyncPlan(shards, self.bounds, host_of)
+        self._check_plan()
         self.stats = SyncStats()
         #: The rows' tally by payload bytes per element: a pure function
         #: of the plan, so it is added up once per item size.
@@ -277,16 +308,125 @@ class ShardGroup:
         self._mask: Optional[np.ndarray] = None
         self._kind = ""
         self._values = self._recv = np.empty(0)
+        #: The parked pair's ``kern_sync_fold`` op; ``None``: numpy folds.
+        self._op: Optional[int] = None
+        #: ``(ffi, lib)`` where the kernels were built, and the index
+        #: arrays they follow as int64 pointers, bound once (a pointer
+        #: keeps its array alive), with the number of this host's own
+        #: channels' elements — the plan keys them by ``host``.
+        self._native = _kernels.load()
+        self._own = len(self.plan.slots.get(host, ()))
+        if self._native is not None:
+            none = np.empty(0, dtype=np.int64)
+            self._index = {
+                name: self._native[0].from_buffer(
+                    "int64_t[]", np.ascontiguousarray(index, dtype=np.int64))
+                for name, index in (
+                    ("indices", kernel.csr.indices),
+                    ("rows", kernel.csr.rows),
+                    ("targets", self.plan.targets),
+                    ("mirrors", self.plan.mirrors.get(host, none)),
+                    ("masters", self.plan.masters.get(host, none)),
+                    ("slots", self.plan.slots.get(host, none)))}
+
+    # -- checked once, trusted every superstep --------------------------
+    def _check_shard(self, shard: Shard) -> None:
+        """Refuse a shard whose adjacency or channel tables leave its own
+        vertices, or whose channels contradict ``owned`` (a master is
+        owned, a mirror is not: what lets the scatter run in place) — at
+        construction and by name, where it used to be an ``IndexError``
+        in the middle of a superstep."""
+        csr, size = shard.csr, shard.num_vertices
+        where = f"host {self.host}, partition {shard.partition}"
+        if len(csr.rows) != len(csr.indices):
+            raise RuntimeError(
+                f"{where}: indptr spans {len(csr.rows)} slots, indices "
+                f"holds {len(csr.indices)}")
+        for name, index, owned in (
+                ("csr.indices", csr.indices, None),
+                ("master channels", _cat(
+                    list(shard.master_channels.values())), True),
+                ("mirror channels", _cat(
+                    list(shard.mirror_channels.values())), False)):
+            if not _inside(index, size):
+                raise RuntimeError(
+                    f"{where}: {name} leave the shard's {size} vertices")
+            if owned is not None and (shard.owned[index] != owned).any():
+                raise RuntimeError(
+                    f"{where}: {name} list a vertex whose master is "
+                    f"{'not ' if owned else ''}here")
+
+    def _check_plan(self) -> None:
+        """Refuse a plan that indexes outside the host's flat space or
+        whose ``slots`` do not fill the contribution buffer exactly once
+        each — a gap folds uninitialised memory into a master."""
+        plan, size = self.plan, self.kernel.csr.num_vertices
+        total = len(plan.targets)
+
+        def refuse(what: str) -> None:
+            raise RuntimeError(f"host {self.host}: sync plan {what}")
+
+        for name, index, bound in (
+                ("targets", {self.host: plan.targets}, size),
+                ("mirrors", plan.mirrors, size),
+                ("masters", plan.masters, size),
+                ("slots", plan.slots, total)):
+            for peer, array in index.items():
+                if not _inside(array, bound):
+                    refuse(f"{name}[{peer}] holds an index outside "
+                           f"[0, {bound})")
+        masters, slots, mirrors = (
+            {peer: len(array) for peer, array in index.items()}
+            for index in (plan.masters, plan.slots, plan.mirrors))
+        if masters != slots:
+            refuse(f"masters {masters} and slots {slots} per host differ")
+        if mirrors.get(self.host, 0) != masters.get(self.host, 0):
+            refuse(f"moves {mirrors.get(self.host, 0)} own mirrors for "
+                   f"{masters.get(self.host, 0)} own masters")
+        filled = np.bincount(_cat(list(plan.slots.values())),
+                             minlength=total)
+        if (filled != 1).any():
+            refuse(f"fills contribution slots "
+                   f"{np.flatnonzero(filled != 1).tolist()} of {total} "
+                   "not exactly once")
+
+    def _plain(self, array: Any, *dtypes: type) -> bool:
+        """Whether ``array`` is what C may be handed: one C-contiguous
+        element of one of ``dtypes`` per vertex of the host."""
+        return (isinstance(array, np.ndarray) and array.dtype in dtypes
+                and array.shape == (self.kernel.csr.num_vertices,)
+                and array.flags.c_contiguous)
+
+    def _pointer(self, array: np.ndarray):
+        return self._native[0].from_buffer(_CTYPES[array.dtype], array)
 
     # -- intercepted scatter --------------------------------------------
     def _scatter(self, kind: str, *args: Any
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        # The base helpers already combine over local slots only (the
-        # kernel's csr is block-diagonal); this just parks the result.
-        recv, values = getattr(DenseKernel, f"scatter_{kind}")(
-            self.kernel, *args)
-        self.park(kind, values, recv)
-        return recv, values
+        """The kernel's ``scatter_<kind>(send_mask[, values[, sentinel]])``
+        over local slots only (its csr is block-diagonal), parked."""
+        send_mask, values, sentinel = (*args, None, None)[:3]
+        if self._native is None or not self._plain(send_mask, np.bool_) or (
+                kind != "count"
+                and not self._plain(values, *_ELEMENTS[kind])):
+            recv, out = getattr(DenseKernel, f"scatter_{kind}")(
+                self.kernel, *args)
+        else:
+            ffi, lib = self._native
+            n = self.kernel.csr.num_vertices
+            out = (np.zeros(n, dtype=np.int64) if kind == "count"
+                   else np.zeros(n, dtype=np.float64) if kind == "sum"
+                   else np.full(n, sentinel, dtype=values.dtype))
+            recv = np.zeros(n, dtype=bool)
+            lib.kern_scatter(
+                getattr(lib, _OPS[kind == "min", out.dtype]),
+                self._index["indices"],
+                self._index["rows"], len(self.kernel.csr.indices),
+                self._pointer(send_mask),
+                ffi.NULL if values is None else self._pointer(values),
+                self._pointer(out), self._pointer(recv))
+        self.park(kind, out, recv)
+        return recv, out
 
     def park(self, kind: str, values: np.ndarray, recv: np.ndarray) -> None:
         """Hold this superstep's partials (``sum`` | ``min`` | ``count``
@@ -296,6 +436,10 @@ class ShardGroup:
                 "sharded kernel protocol violation: more than one scatter "
                 "per superstep (see repro.engine.dense)")
         self._kind, self._values, self._recv = kind, values, recv
+        plain = (self._native is not None and self._plain(recv, np.bool_)
+                 and self._plain(values, np.float64, np.int64))
+        self._op = (getattr(self._native[1], _OPS[kind == "min", values.dtype])
+                    if plain else None)
 
     # -- superstep ------------------------------------------------------
     def compute_owned(self) -> int:
@@ -357,16 +501,28 @@ class ShardGroup:
         self._check(inbound, plan.masters)
         partial = np.empty(len(plan.targets), dtype=values.dtype)
         partial_recv = np.empty(len(plan.targets), dtype=bool)
-        for peer, (_, theirs, their_recv) in {
-                **inbound, **self._slices(plan.mirrors, remote=False)
-        }.items():
+        # Other hosts' partials arrive as payloads; this host's own are
+        # moved by C where it then folds, as a payload where numpy does.
+        native = self._op is not None
+        local = {} if native else self._slices(plan.mirrors, remote=False)
+        for peer, (_, theirs, their_recv) in {**inbound, **local}.items():
             partial[plan.slots[peer]] = theirs
             partial_recv[plan.slots[peer]] = their_recv
-        combine = np.minimum if self._kind == "min" else np.add
-        for start, stop in plan.rounds:
-            masters = plan.targets[start:stop]
-            values[masters] = combine(values[masters], partial[start:stop])
-        recv[plan.targets[np.flatnonzero(partial_recv)]] = True
+        if native:
+            index, lib = self._index, self._native[1]
+            parked = self._pointer(values), self._pointer(recv)
+            buffer = self._pointer(partial), self._pointer(partial_recv)
+            lib.kern_sync_take(*parked, index["mirrors"], index["slots"],
+                               self._own, *buffer)
+            lib.kern_sync_fold(self._op, *parked, index["targets"],
+                               *buffer, len(plan.targets))
+        else:
+            combine = np.minimum if self._kind == "min" else np.add
+            for start, stop in plan.rounds:
+                masters = plan.targets[start:stop]
+                values[masters] = combine(values[masters],
+                                          partial[start:stop])
+            recv[plan.targets[np.flatnonzero(partial_recv)]] = True
         return self._slices(plan.masters, remote=True)
 
     def scatter(self, inbound: Mapping[int, HostPayload]) -> None:
@@ -374,11 +530,15 @@ class ShardGroup:
         charge the traffic."""
         plan, values, recv = self.plan, self._values, self._recv
         self._check(inbound, plan.mirrors)
-        for peer, (_, theirs, their_recv) in {
-                **inbound, **self._slices(plan.masters, remote=False)
-        }.items():
+        native = self._op is not None
+        local = {} if native else self._slices(plan.masters, remote=False)
+        for peer, (_, theirs, their_recv) in {**inbound, **local}.items():
             values[plan.mirrors[peer]] = theirs
             recv[plan.mirrors[peer]] = their_recv
+        if native:
+            self._native[1].kern_sync_put(
+                self._pointer(values), self._pointer(recv),
+                self._index["masters"], self._index["mirrors"], self._own)
         item_bytes = values.itemsize + recv.itemsize
         if item_bytes not in self._tallies:
             tally = self._tallies[item_bytes] = SyncStats()

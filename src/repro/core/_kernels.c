@@ -1,6 +1,8 @@
-/* Compiled partitioning kernels: ADWISE's window loop (Algorithm 1) and
- * the single-edge stream kernel (HDRF), each one transaction per batch,
- * and the vertex id -> dense row table both are fed through.
+/* Compiled kernels: ADWISE's window loop (Algorithm 1) and the
+ * single-edge stream kernel (HDRF), each one transaction per batch, the
+ * vertex id -> dense row table both are fed through, the edge-file line
+ * scanner, and the cluster's BSP host step (combine over a host's
+ * adjacency slots, fold over its sync plan).
  *
  * Built by repro/core/_kernels.py with
  *
@@ -18,8 +20,9 @@
  * Ownership (DESIGN.md §14): every array is a numpy buffer owned,
  * grown and rebound in Python (repro/core/_binding.py for the state
  * tables and output lists, repro/core/array_window.py for the window's,
- * repro/partitioning/fast_state.py for its intern table) — this file
- * never allocates or frees.  When a buffer runs out the kernel returns a
+ * repro/partitioning/fast_state.py for its intern table,
+ * repro/cluster/transport.py for the host step's) — this file never
+ * allocates or frees.  When a buffer runs out the kernel returns a
  * KERN_NEED_* status *before* mutating anything the retry would repeat;
  * Python grows the buffer, rebinds the pointer and calls again.
  */
@@ -133,6 +136,23 @@ void kern_lookup(const InternTable *t, const int64_t *ids, int64_t n,
 void kern_rehash(InternTable *t);
 int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
                         int64_t *out, int64_t cap, int64_t *consumed);
+/* The cluster's host step over 8-byte elements: what `op` combines. */
+#define KERN_ADD_F64 0
+#define KERN_MIN_F64 1
+#define KERN_ADD_I64 2         /* kern_scatter: a count, `values` unused */
+#define KERN_MIN_I64 3
+
+void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
+                  int64_t n_slots, const uint8_t *send, const void *values,
+                  void *out, uint8_t *recv);
+void kern_sync_take(const void *values, const uint8_t *recv,
+                    const int64_t *mirrors, const int64_t *slots, int64_t n,
+                    void *partial, uint8_t *partial_recv);
+void kern_sync_fold(int64_t op, void *values, uint8_t *recv,
+                    const int64_t *targets, const void *partial,
+                    const uint8_t *partial_recv, int64_t n);
+void kern_sync_put(void *values, uint8_t *recv, const int64_t *masters,
+                   const int64_t *mirrors, int64_t n);
 /* cdef-end */
 
 /* ------------------------------------------------------------------ */
@@ -1083,4 +1103,90 @@ decline:
     }
     *consumed = i;
     return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* BSP host step (repro/cluster/transport.py, DESIGN.md §8)            */
+/* ------------------------------------------------------------------ */
+
+/* Every index below was range-checked once, when the ShardGroup was
+ * built; dtype, length and contiguity of the element arrays per call. */
+
+#define COMBINE_ADD(acc, v) ((acc) + (v))
+/* np.minimum: the accumulator wins a tie, a NaN on either side stays. */
+#define COMBINE_MIN(acc, v) (((acc) <= (v) || (acc) != (acc)) ? (acc) : (v))
+
+/* for (i < n) if (WHEN) { acc[AT] = acc[AT] (+) VALUE; recv[AT] = 1 } —
+ * ascending i is np.bincount's accumulation order, and the fold's. */
+#define COMBINE_LOOP(T, COMBINE, WHEN, AT, VALUE, FLAG)               \
+    do {                                                              \
+        T *acc = acc_; const T *val = val_; int64_t i;                \
+        (void)val;                                                    \
+        for (i = 0; i < n; i++) {                                     \
+            if (WHEN)                                                 \
+                acc[AT] = COMBINE(acc[AT], VALUE);                    \
+            if (FLAG)                                                 \
+                recv[AT] = 1;                                         \
+        }                                                             \
+    } while (0)
+
+/* Compute: every slot i whose source vertex rows[i] sends combines
+ * values[rows[i]] (or 1) into out[indices[i]] and marks it received. */
+void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
+                  int64_t n, const uint8_t *send, const void *val_,
+                  void *acc_, uint8_t *recv)
+{
+#define SCATTER(T, COMBINE, VALUE) \
+    COMBINE_LOOP(T, COMBINE, send[rows[i]], indices[i], VALUE, send[rows[i]])
+    switch (op) {
+    case KERN_ADD_F64: SCATTER(double, COMBINE_ADD, val[rows[i]]); break;
+    case KERN_MIN_F64: SCATTER(double, COMBINE_MIN, val[rows[i]]); break;
+    case KERN_ADD_I64: SCATTER(int64_t, COMBINE_ADD, 1); break;
+    case KERN_MIN_I64: SCATTER(int64_t, COMBINE_MIN, val[rows[i]]); break;
+    }
+}
+
+/* Exchange, gather side: this host's own mirror partials to their
+ * places in the contribution buffer. */
+void kern_sync_take(const void *values, const uint8_t *recv,
+                    const int64_t *mirrors, const int64_t *slots, int64_t n,
+                    void *partial, uint8_t *partial_recv)
+{
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        memcpy((char *)partial + 8 * slots[i],
+               (const char *)values + 8 * mirrors[i], 8);
+        partial_recv[slots[i]] = recv[mirrors[i]];
+    }
+}
+
+/* The buffer's rank rounds lie end to end and no master repeats inside
+ * one, so one ascending pass folds each master's own partial first,
+ * then its mirrors by ascending partition: the round-by-round
+ * association. */
+void kern_sync_fold(int64_t op, void *acc_, uint8_t *recv,
+                    const int64_t *targets, const void *val_,
+                    const uint8_t *partial_recv, int64_t n)
+{
+#define FOLD(T, COMBINE) \
+    COMBINE_LOOP(T, COMBINE, 1, targets[i], val[i], partial_recv[i])
+    switch (op) {
+    case KERN_ADD_F64: FOLD(double, COMBINE_ADD); break;
+    case KERN_MIN_F64: FOLD(double, COMBINE_MIN); break;
+    case KERN_ADD_I64: FOLD(int64_t, COMBINE_ADD); break;
+    case KERN_MIN_I64: FOLD(int64_t, COMBINE_MIN); break;
+    }
+}
+
+/* Exchange, scatter side: each master's combined element over its
+ * mirrors on this host.  No index is both, so in place. */
+void kern_sync_put(void *values, uint8_t *recv, const int64_t *masters,
+                   const int64_t *mirrors, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        memcpy((char *)values + 8 * mirrors[i],
+               (const char *)values + 8 * masters[i], 8);
+        recv[mirrors[i]] = recv[masters[i]];
+    }
 }

@@ -1,9 +1,10 @@
-"""Loader for the compiled partitioning kernels (DESIGN.md §14).
+"""Loader for the compiled kernels (DESIGN.md §14).
 
 ``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
 transaction plus the single-step primitives the array window exposes,
 the single-edge stream kernel HDRF ingests a batch through, the vertex
-intern table both are fed by and the edge-file line scanner.  It is
+intern table both are fed by, the edge-file line scanner and the
+cluster runtime's host step (DESIGN.md §8).  It is
 compiled on demand with the system C compiler
 (``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded through cffi's
 ABI mode; the shared object is cached in the system temp directory keyed
@@ -23,7 +24,9 @@ returns ``None`` and every partitioner runs on the dict-backed
 :class:`~repro.partitioning.hdrf.HDRFPartitioner` with its per-edge loop
 — the bit-identical references, which need none of the three
 (:meth:`repro.partitioning.base.StreamingPartitioner._new_state` is
-where that choice is made).
+where that choice is made) — and a cluster host steps and syncs with
+the dense kernels' numpy helpers
+(:class:`repro.cluster.transport.ShardGroup` asks :func:`load` once).
 """
 
 from __future__ import annotations

@@ -41,6 +41,28 @@ class CostModel:
     Defaults are calibrated so that a ~100k-edge graph on 8 machines yields
     PageRank iterations in the tens of milliseconds of simulated time —
     scaled-down but proportionate to the paper's cluster numbers.
+
+    The 0.5 µs an edge : 2 µs a message below is the *paper's* proportion
+    (a 1-GbE testbed: a sync message costs four edge scans), not this
+    machine's.  Measured on the cluster runtime here (serial backend,
+    one core, 100 PageRank supersteps over an HDRF sharding at k = 32,
+    ``adwise process … --cluster`` prints both figures):
+
+    ==============  ===========================  ====================
+    graph           compute, ns per edge         exchange, ns per
+                    (2 adjacency slots)          sync message
+    ==============  ===========================  ====================
+    24,000 edges    11.2–12.7 numpy, 5.6–6.5 C   9.9–12.2 → 3.7–4.0
+    392,640 edges   14.6–16.0 numpy, 6.1–6.3 C   10.1–12.2 → 3.8
+    ==============  ===========================  ====================
+
+    ("numpy": the dense kernels' helpers and the numpy fold, "C": the
+    native host step of DESIGN.md §8; three runs each.)  A message costs
+    about 0.6–0.8 of an edge on either tier — in shared memory the
+    exchange is an index copy — so measured wall rewards a lower
+    replication degree far less than the simulated figures do; the
+    constants stay the paper's because the simulated trace reproduces
+    *its* Fig. 7, and a measured run is read off ``ClusterReport``.
     """
 
     edge_compute_ms: float = 0.0005

@@ -41,7 +41,15 @@ shardable` — when it follows the message-buffer discipline:
 * all inter-vertex data flows through ``scatter_sum`` / ``scatter_min`` /
   ``scatter_count``, at most one call per superstep, issued as the *last*
   data exchange of :meth:`step` (results are stored, and only read in the
-  next superstep — never consumed within the same ``step`` call);
+  next superstep — never consumed within the same ``step`` call), always
+  through ``self.scatter_*``: the host rebinds those names, and where the
+  compiled kernels are built it answers a call whose ``send_mask`` is a
+  C-contiguous bool array and whose ``values`` a C-contiguous float64
+  (sum) or float64 / int64 (min) array, one element per vertex, from one
+  C pass over the slots (``kern_scatter``) — the same elements as the
+  helpers below, bit for bit — and any other call from the helpers
+  themselves, which stay the reference, the tier without a compiler and
+  what whole-graph ``Engine(mode="dense")`` always runs;
 * ``csr.degrees`` is read as the vertex's *logical* (whole-graph) degree
   — true on a shard too, where :class:`~repro.graph.shard.ShardCSR`
   presents global degrees while the slot layout stays shard-local;
@@ -50,6 +58,8 @@ shardable` — when it follows the message-buffer discipline:
   (what a checkpoint slices per partition), and ``csr.vertex_ids`` may
   repeat — one entry per replica the host holds — so nothing goes
   through ``csr.index_of``; any other attribute is one value per host.
+  The host adds no attribute of its own to the kernel, on either tier:
+  the kernel's ``__dict__`` is the checkpoint image.
 """
 
 from __future__ import annotations

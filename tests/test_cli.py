@@ -172,6 +172,37 @@ class TestProcessCommand:
         assert "measured wall:" in out
         assert "sync messages:" in out
 
+    def test_cluster_run_prints_measured_unit_costs(
+            self, graph_file, assignments_file, capsys):
+        """The compute / exchange split and what a slot and a message
+        cost here, from the telemetry the report carries."""
+        import re
+
+        assert main(["process", graph_file, assignments_file,
+                     "--workload", "pagerank", "--iterations", "4",
+                     "--cluster"]) == 0
+        out = capsys.readouterr().out
+        split = re.search(r"^compute \+ exchange:  ([\d.]+) ms \+ "
+                          r"([\d.]+) ms$", out, re.M)
+        wall = re.search(r"^measured wall:       ([\d.]+) ms$", out, re.M)
+        assert split and wall
+        assert (0 < float(split[1]) + float(split[2])
+                <= float(wall[1]) + 0.01)
+        slot = re.search(r"^compute cost:        ([\d.]+) ns per adjacency "
+                         r"slot$", out, re.M)
+        message = re.search(r"^exchange cost:       ([\d.]+) ns per sync "
+                            r"message$", out, re.M)
+        assert slot and float(slot[1]) > 0
+        assert message and float(message[1]) > 0
+
+    def test_unsharded_fallback_prints_no_unit_costs(
+            self, graph_file, assignments_file, capsys):
+        assert main(["process", graph_file, assignments_file,
+                     "--workload", "coloring", "--iterations", "10",
+                     "--cluster"]) == 0
+        out = capsys.readouterr().out
+        assert "compute cost:" not in out and "exchange cost:" not in out
+
     def test_cluster_process_run(self, graph_file, assignments_file,
                                  capsys):
         code = main(["process", graph_file, assignments_file,
