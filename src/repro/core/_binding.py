@@ -37,6 +37,11 @@ import numpy as np
 _CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
            np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
 
+#: Fields whose dtype is fixed, not taken from the array bound first:
+#: ``recompute_cs`` sums replica bytes eight to a word, so they must be
+#: 0 or 1 — numpy ``bool``'s guarantee, not ``uint8``'s.
+_REQUIRED_DTYPE = {"replicas": np.dtype(np.bool_)}
+
 #: A capacity group: context field -> (dtype, entries per unit of
 #: capacity, initial fill).
 FieldSpec = Mapping[str, Tuple[type, int, object]]
@@ -83,7 +88,8 @@ class KernelBinding:
     # ------------------------------------------------------------------
     def bind(self, field: str, array: np.ndarray, size: int) -> None:
         """Point context ``field`` at ``array`` (and keep it alive)."""
-        self._bound[field] = (array, array.dtype, size)
+        self._bound[field] = (
+            array, _REQUIRED_DTYPE.get(field, array.dtype), size)
         self.check_array(field)
         setattr(self.ctx, field,
                 self.ffi.from_buffer(_CTYPES[array.dtype], array))

@@ -54,8 +54,8 @@ typedef struct {
     int64_t *vi;            /* dense row of endpoint v                 */
     int64_t *nbr_start;     /* neighbourhood segment in the arena      */
     int64_t *nbr_count;
-    int64_t *heap;          /* k-best agenda: indexed binary max-heap  */
-    int64_t *heap_pos;      /* slot -> heap position, -1 if absent     */
+    int64_t *agenda;        /* the num_candidates candidate slots,     */
+                            /*   ascending entry id                    */
     int64_t *free_slots;    /* LIFO free-list, num_free entries        */
     int64_t *link_next;     /* 2 x slot_cap incidence nodes: node      */
     int64_t *link_prev;     /*   2s sits in ui[s]'s list, 2s+1 in vi's */
@@ -87,7 +87,7 @@ typedef struct {
     double  epsilon;
     /* Window scalars. */
     int64_t count, num_candidates, next_id, version, promotions;
-    int64_t heap_size, num_free, pool_used, stamp_clock;
+    int64_t num_free, pool_used, stamp_clock;
     double  score_sum;
     /* Vertex-cache scalars (mirrors of the partition state). */
     int64_t max_degree, max_size, min_size, assigned_edges;
@@ -101,7 +101,8 @@ typedef struct {
     /* Tallies. */
     int64_t stat_refills, stat_pops, stat_rescored_slots;
     int64_t stat_rep_recomputed, stat_cs_recomputed;
-    int64_t stat_heap_pushes, stat_heap_removes, stat_reheaps;
+    int64_t stat_agenda_inserts, stat_agenda_removes, stat_agenda_rescores;
+    int64_t stat_agenda_scanned, stat_segments_written;
 } KernCtx;
 
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
@@ -114,10 +115,6 @@ int64_t kern_restore(KernCtx *c, const int64_t *pairs,
                      const int64_t *entry, const double *score,
                      const int64_t *col, const int64_t *version,
                      const uint8_t *candidate, int64_t n);
-void kern_heap_push(KernCtx *c, int64_t slot);
-void kern_heap_remove(KernCtx *c, int64_t slot);
-void kern_heap_fix(KernCtx *c, int64_t pos);
-void kern_heap_heapify(KernCtx *c);
 /* FastPartitionState's vertex intern table: open addressing over `cap`
  * slots (a power of two >= 2, load <= 1/2), linear probing. */
 typedef struct {
@@ -156,10 +153,13 @@ void kern_sync_put(void *values, uint8_t *recv, const int64_t *masters,
 /* cdef-end */
 
 /* ------------------------------------------------------------------ */
-/* Indexed binary max-heap keyed (score desc, entry asc)               */
+/* Slot lists: shell sort (gap sequence 3h+1) under a strict order     */
 /* ------------------------------------------------------------------ */
 
-static int heap_better(const KernCtx *c, int64_t a, int64_t b)
+typedef int (*before_fn)(const KernCtx *, int64_t, int64_t);
+
+/* Rule 2's best-eighth order: (score desc, entry asc). */
+static int by_score(const KernCtx *c, int64_t a, int64_t b)
 {
     double sa = c->score[a];
     double sb = c->score[b];
@@ -169,88 +169,6 @@ static int heap_better(const KernCtx *c, int64_t a, int64_t b)
         return 0;
     return c->entry[a] < c->entry[b];
 }
-
-static int64_t sift_up(KernCtx *c, int64_t pos)
-{
-    int64_t slot = c->heap[pos];
-    while (pos > 0) {
-        int64_t parent = (pos - 1) / 2;
-        int64_t other = c->heap[parent];
-        if (!heap_better(c, slot, other))
-            break;
-        c->heap[pos] = other;
-        c->heap_pos[other] = pos;
-        pos = parent;
-    }
-    c->heap[pos] = slot;
-    c->heap_pos[slot] = pos;
-    return pos;
-}
-
-static void sift_down(KernCtx *c, int64_t pos)
-{
-    int64_t n = c->heap_size;
-    int64_t slot = c->heap[pos];
-    for (;;) {
-        int64_t child = 2 * pos + 1;
-        if (child >= n)
-            break;
-        if (child + 1 < n && heap_better(c, c->heap[child + 1], c->heap[child]))
-            child++;
-        if (!heap_better(c, c->heap[child], slot))
-            break;
-        c->heap[pos] = c->heap[child];
-        c->heap_pos[c->heap[pos]] = pos;
-        pos = child;
-    }
-    c->heap[pos] = slot;
-    c->heap_pos[slot] = pos;
-}
-
-void kern_heap_fix(KernCtx *c, int64_t pos)
-{
-    if (sift_up(c, pos) == pos)
-        sift_down(c, pos);
-}
-
-void kern_heap_push(KernCtx *c, int64_t slot)
-{
-    int64_t n = c->heap_size++;
-    c->heap[n] = slot;
-    c->heap_pos[slot] = n;
-    sift_up(c, n);
-    c->stat_heap_pushes++;
-}
-
-void kern_heap_remove(KernCtx *c, int64_t slot)
-{
-    int64_t pos = c->heap_pos[slot];
-    int64_t n;
-    if (pos < 0)
-        return;
-    n = --c->heap_size;
-    c->heap_pos[slot] = -1;
-    if (pos != n) {
-        int64_t moved = c->heap[n];
-        c->heap[pos] = moved;
-        c->heap_pos[moved] = pos;
-        kern_heap_fix(c, pos);
-    }
-    c->stat_heap_removes++;
-}
-
-void kern_heap_heapify(KernCtx *c)
-{
-    int64_t i;
-    for (i = c->heap_size / 2 - 1; i >= 0; i--)
-        sift_down(c, i);
-}
-
-/* ------------------------------------------------------------------ */
-/* Slot lists: shell sort (gap sequence 3h+1) under a strict order     */
-/* ------------------------------------------------------------------ */
-
-typedef int (*before_fn)(const KernCtx *, int64_t, int64_t);
 
 static int by_entry(const KernCtx *c, int64_t a, int64_t b)
 {
@@ -392,6 +310,7 @@ static int write_segment(KernCtx *c, int64_t s)
     c->nbr_key[2 * s] = c->iver[du];
     c->nbr_key[2 * s + 1] = c->iver[dv];
     c->cs_sum[s] = -1;
+    c->stat_segments_written++;
     return 1;
 }
 
@@ -453,25 +372,55 @@ static void recompute_rep(KernCtx *c, int64_t s)
     key[4] = c->max_degree;
 }
 
+/* CS(e, p) = |{n in N : p in R(n)}| / |N|.  The reference adds 1.0 per
+ * hit; hits are counted in integers instead (exact in a double below
+ * 2^53, so the sum and the one division are bit-identical): replica
+ * bytes are 0 or 1 (KernelBinding requires numpy bool), so eight columns
+ * add as one 64-bit word, a byte lane each, flushed into the row before
+ * a lane could pass 255.  Words go 64 columns a pass (the lanes live in
+ * eight locals); the k mod 8 tail columns count by the byte. */
 static void recompute_cs(KernCtx *c, int64_t s)
 {
-    int64_t start = c->nbr_start[s];
+    const int64_t *nbr = c->pool + c->nbr_start[s];
     int64_t cnt = c->nbr_count[s];
+    int64_t k = c->k;
+    int64_t words = k / 8;
+    int64_t tail[7] = {0};
     int64_t vsum = 0;
-    double *row = c->cs + s * c->k;
-    int64_t i, j;
-    for (j = 0; j < c->k; j++)
-        row[j] = 0.0;
+    double *row = c->cs + s * k;
+    int64_t base, i, j, w;
     for (i = 0; i < cnt; i++) {
-        int64_t idx = c->pool[start + i];
-        const uint8_t *r = c->replicas + idx * c->k;
-        vsum += c->row_version[idx];
-        for (j = 0; j < c->k; j++)
-            if (r[j])
-                row[j] += 1.0;
+        const uint8_t *r = c->replicas + nbr[i] * k;
+        vsum += c->row_version[nbr[i]];
+        for (j = 8 * words; j < k; j++)
+            tail[j - 8 * words] += r[j];
+    }
+    for (j = 0; j < 8 * words; j++)
+        row[j] = 0.0;
+    for (; j < k; j++)
+        row[j] = (double)tail[j - 8 * words];
+    for (base = 0; base < words; base += 8) {
+        int64_t nw = words - base < 8 ? words - base : 8;
+        double *out = row + 8 * base;
+        for (i = 0; i < cnt;) {
+            int64_t stop = cnt - i < 255 ? cnt : i + 255;
+            uint64_t lanes[8] = {0};
+            uint8_t hits[64];
+            for (; i < stop; i++) {
+                const uint8_t *r = c->replicas + nbr[i] * k + 8 * base;
+                for (w = 0; w < nw; w++) {
+                    uint64_t word;  /* memcpy: rows are not 8-aligned */
+                    memcpy(&word, r + 8 * w, 8);
+                    lanes[w] += word;
+                }
+            }
+            memcpy(hits, lanes, sizeof hits);
+            for (j = 0; j < 8 * nw; j++)
+                out[j] += (double)hits[j];
+        }
     }
     if (cnt > 0)
-        for (j = 0; j < c->k; j++)
+        for (j = 0; j < k; j++)
             row[j] = row[j] / (double)cnt;
     c->cs_sum[s] = vsum;
 }
@@ -512,54 +461,68 @@ static void refresh_lamb(KernCtx *c)
 /* Rescoring (pop / rule 2 / rule 3 share it)                          */
 /* ------------------------------------------------------------------ */
 
-/* Rebuild the stale neighbourhood segments of `slots`; idempotent, so a
- * transaction that runs out of arena half-way simply starts over. */
+/* Rebuild slot s's neighbourhood segment if it is stale; idempotent, so
+ * a transaction that runs out of arena half-way simply starts over. */
+static int refresh_segment(KernCtx *c, int64_t s)
+{
+    return !c->use_cs || nbr_fresh(c, s) || write_segment(c, s);
+}
+
 static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
 {
     int64_t t;
-    if (!c->use_cs)
-        return 1;
     for (t = 0; t < m; t++)
-        if (!nbr_fresh(c, slots[t]) && !write_segment(c, slots[t]))
+        if (!refresh_segment(c, slots[t]))
             return 0;
     return 1;
 }
 
-/* Rescore `slots` (entry order) against the current state; a
- * version-fresh slot whose keys all match is skipped — recomputing it
- * would bit-equal its cache.  Returns the slots actually rescored. */
-static int64_t rescore(KernCtx *c, const int64_t *slots, int64_t m)
+/* Rescore slot s against the current state, unless it is version-fresh
+ * with every key matching — recomputing it would bit-equal its cache.
+ * Callers go in entry order: score_sum accumulates as the reference's. */
+static void rescore_slot(KernCtx *c, int64_t s)
 {
-    int64_t n_res = 0;
-    int64_t t;
-    for (t = 0; t < m; t++) {
-        int64_t s = slots[t];
-        int fresh_r = rep_fresh(c, s);
-        int fresh_c = !c->use_cs || c->cs_sum[s] == nbr_version_sum(c, s);
-        double old = c->score[s];
-        if (c->slot_version[s] == c->version && fresh_r && fresh_c)
-            continue;
-        if (!fresh_r) {
-            recompute_rep(c, s);
-            c->stat_rep_recomputed++;
-        }
-        if (!fresh_c) {
-            recompute_cs(c, s);
-            c->stat_cs_recomputed++;
-        }
-        assemble(c, s);
-        c->score_sum += c->score[s] - old;
-        n_res++;
+    int fresh_r = rep_fresh(c, s);
+    int fresh_c = !c->use_cs || c->cs_sum[s] == nbr_version_sum(c, s);
+    double old = c->score[s];
+    if (c->slot_version[s] == c->version && fresh_r && fresh_c)
+        return;
+    if (!fresh_r) {
+        recompute_rep(c, s);
+        c->stat_rep_recomputed++;
     }
-    c->stat_rescored_slots += n_res;
-    return n_res;
+    if (!fresh_c) {
+        recompute_cs(c, s);
+        c->stat_cs_recomputed++;
+    }
+    assemble(c, s);
+    c->score_sum += c->score[s] - old;
+    c->stat_rescored_slots++;
+}
+
+static void rescore(KernCtx *c, const int64_t *slots, int64_t m)
+{
+    int64_t t;
+    for (t = 0; t < m; t++)
+        rescore_slot(c, slots[t]);
+}
+
+/* Put candidate slot s at its place in the entry-ordered agenda: the
+ * end for a rule 1 admit (the largest entry id so far) and a restored
+ * image; a rule 2/3 promotion shifts the later candidates up one. */
+static void agenda_insert(KernCtx *c, int64_t s)
+{
+    int64_t pos = c->num_candidates++;
+    for (; pos > 0 && c->entry[c->agenda[pos - 1]] > c->entry[s]; pos--)
+        c->agenda[pos] = c->agenda[pos - 1];
+    c->agenda[pos] = s;
 }
 
 static void promote(KernCtx *c, int64_t s)
 {
     c->candidate[s] = 1;
-    c->num_candidates++;
-    kern_heap_push(c, s);
+    agenda_insert(c, s);
+    c->stat_agenda_inserts++;
 }
 
 /* Rule 2: candidate set empty -> rescore Q, promote above-threshold
@@ -583,7 +546,7 @@ static int rule2(KernCtx *c)
         if (c->score[slots[t]] > threshold)
             slots[above++] = slots[t];
     if (above == 0) {
-        sort_slots(c, slots, m, heap_better);
+        sort_slots(c, slots, m, by_score);
         above = m / 8 > 1 ? m / 8 : 1;
     }
     take = above < c->max_candidates ? above : c->max_candidates;
@@ -629,58 +592,59 @@ static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
     return 1;
 }
 
-/* One agenda transaction: rescore the version-stale candidates in entry
- * order, repair the heap, return the root (the reference's
- * first-max-in-entry-order), or -1 when the arena ran out. */
+/* One agenda transaction: rescore the version-stale candidates — in
+ * agenda order, which is entry order — and return the position of the
+ * first strict maximum (the reference's first-max-in-entry-order), or
+ * -1 when the arena ran out.  Segments first: the only step that can
+ * fail comes before any score moves. */
 static int64_t agenda_pop(KernCtx *c)
 {
-    int64_t *stale = c->scratch;
-    int64_t n = c->heap_size;
-    int64_t m = 0;
+    const int64_t *agenda = c->agenda;
+    int64_t n = c->num_candidates;
+    int64_t rescored = 0, best = 0;
     int64_t i;
     for (i = 0; i < n; i++)
-        if (c->slot_version[c->heap[i]] != c->version)
-            stale[m++] = c->heap[i];
-    sort_slots(c, stale, m, by_entry);
-    if (!refresh_segments(c, stale, m))
-        return -1;
-    if (m > 0) {
-        c->charge += rescore(c, stale, m) * c->k;
-        /* A single moved key sifts in place; for several only a full
-         * heapify is sound (sequential per-key fixes can leave
-         * violations between two moved keys). */
-        if (m == 1)
-            kern_heap_fix(c, c->heap_pos[stale[0]]);
-        else
-            kern_heap_heapify(c);
-        c->stat_reheaps++;
+        if (c->slot_version[agenda[i]] != c->version
+                && !refresh_segment(c, agenda[i]))
+            return -1;
+    for (i = 0; i < n; i++) {
+        if (c->slot_version[agenda[i]] != c->version) {
+            rescore_slot(c, agenda[i]);
+            rescored++;
+        }
+        if (c->score[agenda[i]] > c->score[agenda[best]])
+            best = i;
     }
-    return c->heap[0];
+    c->charge += rescored * c->k;
+    c->stat_agenda_rescores += rescored > 0;
+    c->stat_agenda_scanned += n;
+    return best;
 }
 
 /* Pop the best slot of a non-empty window into out_*[n_out] and *slot;
  * it leaves the window (its ui/vi stay readable until the slot is reused). */
 static int64_t pop_slot(KernCtx *c, int64_t *slot)
 {
-    int64_t s, vertex;
+    int64_t pos, s, vertex;
     if (c->n_out == c->out_cap)
         return KERN_NEED_OUT;
     if (c->num_candidates == 0 && !rule2(c))
         return KERN_NEED_ARENA;
-    s = agenda_pop(c);
-    if (s < 0)
+    pos = agenda_pop(c);
+    if (pos < 0)
         return KERN_NEED_ARENA;
+    s = c->agenda[pos];
     c->out_u[c->n_out] = c->ui[s];
     c->out_v[c->n_out] = c->vi[s];
     c->out_col[c->n_out] = c->col[s];
     c->out_score[c->n_out] = c->score[s];
     c->n_out++;
     c->score_sum -= c->score[s];
-    if (c->candidate[s]) {
-        c->candidate[s] = 0;
-        c->num_candidates--;
-        kern_heap_remove(c, s);
-    }
+    c->candidate[s] = 0;
+    c->num_candidates--;
+    memmove(c->agenda + pos, c->agenda + pos + 1,
+            (size_t)(c->num_candidates - pos) * sizeof(int64_t));
+    c->stat_agenda_removes++;
     c->alive[s] = 0;
     /* Membership at the endpoints changed: neighbours' segments are now
      * stale (pulled on their next rescore). */
@@ -962,13 +926,9 @@ int64_t kern_restore(KernCtx *c, const int64_t *pairs,
         c->alive[s] = 1;
         link_slot(c, s);
         c->count++;
-        if (candidate[i]) {
-            c->heap[c->heap_size] = s;
-            c->heap_pos[s] = c->heap_size++;
-            c->num_candidates++;
-        }
+        if (candidate[i])
+            agenda_insert(c, s);
     }
-    kern_heap_heapify(c);
     return KERN_DONE;
 }
 

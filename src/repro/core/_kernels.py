@@ -27,6 +27,9 @@ returns ``None`` and every partitioner runs on the dict-backed
 where that choice is made) — and a cluster host steps and syncs with
 the dense kernels' numpy helpers
 (:class:`repro.cluster.transport.ShardGroup` asks :func:`load` once).
+That tier rule is quiet; a compiler that *ran and rejected* the source
+is not the same machine — the tier still drops, but :func:`load` says so
+once, in a ``RuntimeWarning`` carrying the compiler's stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 from typing import Optional, Tuple
 
 _UNSET = object()
@@ -71,7 +75,8 @@ def _compile(source: bytes) -> str:
 
 def load(so_path: Optional[str] = None) -> Optional[Tuple]:
     """``(ffi, lib)`` for the compiled kernels, or ``None`` if they
-    cannot be built here.  Memoized per process.
+    cannot be built here.  Memoized per process (so a rejected build
+    warns once).
 
     ``so_path`` loads a prebuilt shared object instead of compiling one
     (the sanitizer CI leg builds ``_kernels.c`` with
@@ -90,9 +95,19 @@ def load(so_path: Optional[str] = None) -> Optional[Tuple]:
         ffi = cffi.FFI()
         ffi.cdef(_declarations(source.decode("utf-8")))
         _loaded = (ffi, ffi.dlopen(so_path or _compile(source)))
-    except (ImportError, OSError, subprocess.CalledProcessError):
-        # cffi, numpy or cc missing, compile or dlopen failure.
+    except (ImportError, OSError):
+        # cffi, numpy or cc missing, or the shared object does not load.
         _loaded = None
+    except subprocess.CalledProcessError as error:
+        # cc is here and refused the source: a broken _kernels.c, not a
+        # machine without a compiler — the reference tier, but loudly.
+        _loaded = None
+        stderr = (error.stderr or b"").decode("utf-8", "replace").strip()
+        warnings.warn(
+            f"cc exited {error.returncode} on {_source_path()}; ADWISE, "
+            f"HDRF and the cluster host step run their Python reference "
+            f"tier instead of the compiled kernels:\n{stderr}",
+            RuntimeWarning, stacklevel=2)
     return _loaded
 
 

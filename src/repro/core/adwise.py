@@ -258,9 +258,9 @@ class AdwisePartitioner(StreamingPartitioner):
         kernel = getattr(window, "kernel_backend", None)
         if kernel is not None:  # compiled-kernel tallies (array window only)
             kernel_labels = dict(labels, kernel=kernel)
-            for op, tally in (("push", window.stat_heap_pushes),
-                              ("remove", window.stat_heap_removes),
-                              ("reheap", window.stat_reheaps)):
+            for op, tally in (("insert", window.stat_agenda_inserts),
+                              ("remove", window.stat_agenda_removes),
+                              ("rescore", window.stat_agenda_rescores)):
                 obs.counter("repro_window_agenda_ops_total", op=op,
                             **kernel_labels).inc(tally)
             obs.counter("repro_window_kernel_calls_total",

@@ -32,6 +32,9 @@ edge and partition; the kernels replay each of its scalar loops in the
 same ascending entry-id order, reproducing the reference's
 floating-point accumulation, tie-breaking and clock charges exactly —
 assignments, latency and score-computation counts are bit-identical.
+The candidate agenda is kept *in* that order (``agenda[:num_candidates]``,
+candidate slots by ascending entry id), so a pop is one pass over it:
+rescore what the last assignment staled, keep the first strict maximum.
 Enforced by
 ``tests/test_array_window.py``, ``tests/test_kbest_agenda.py`` and
 ``tests/test_pump_boundaries.py``.
@@ -71,8 +74,8 @@ _SLOT_FIELDS = {
     "rep_key": (np.int64, 5, -1), "nbr_key": (np.int64, 2, -1),
     "cs_sum": (np.int64, 1, -1), "ui": (np.int64, 1, 0),
     "vi": (np.int64, 1, 0), "nbr_start": (np.int64, 1, 0),
-    "nbr_count": (np.int64, 1, 0), "heap": (np.int64, 1, 0),
-    "heap_pos": (np.int64, 1, -1), "free_slots": (np.int64, 1, 0),
+    "nbr_count": (np.int64, 1, 0), "agenda": (np.int64, 1, 0),
+    "free_slots": (np.int64, 1, 0),
     "link_next": (np.int64, 2, -1), "link_prev": (np.int64, 2, -1),
     "scratch": (np.int64, 3, 0), "candidate": (np.uint8, 1, 0),
     "alive": (np.uint8, 1, 0),
@@ -159,12 +162,19 @@ class ArrayEdgeWindow:
         "stat_rep_recomputed", "Replication components recomputed.")
     stat_cs_recomputed = _tally(
         "stat_cs_recomputed", "Clustering components recomputed.")
-    stat_heap_pushes = _tally(
-        "stat_heap_pushes", "Agenda insertions (candidate adds, promotions).")
-    stat_heap_removes = _tally(
-        "stat_heap_removes", "Agenda removals (pops).")
-    stat_reheaps = _tally(
-        "stat_reheaps", "Pops that repaired the agenda after rescoring.")
+    stat_agenda_inserts = _tally(
+        "stat_agenda_inserts",
+        "Agenda insertions (candidate adds, promotions).")
+    stat_agenda_removes = _tally(
+        "stat_agenda_removes", "Agenda removals (pops).")
+    stat_agenda_rescores = _tally(
+        "stat_agenda_rescores",
+        "Pops that found a version-stale candidate to rescore.")
+    stat_agenda_scanned = _tally(
+        "stat_agenda_scanned", "Agenda entries scanned, summed over pops.")
+    stat_segments_written = _tally(
+        "stat_segments_written",
+        "Neighbourhood segments (re)written into the arena.")
 
     # ------------------------------------------------------------------
     # Introspection (EdgeWindow API)
@@ -234,7 +244,7 @@ class ArrayEdgeWindow:
         self._kern.resize(self._slot_fields, "slot_cap", capacity, keep=False)
         self._array("free_slots")[:] = np.arange(capacity - 1, -1, -1)
         ctx.num_free = capacity
-        ctx.count = ctx.num_candidates = ctx.heap_size = ctx.pool_used = 0
+        ctx.count = ctx.num_candidates = ctx.pool_used = 0
         if ctx.vertex_cap:  # the per-vertex arrays are bound
             self._array("head")[:] = -1
 
@@ -458,8 +468,8 @@ class ArrayEdgeWindow:
         Version-stale candidate caches (an assignment happened since
         they were computed) are refreshed; fresh caches are reused — the
         lazy saving.  Ties break toward the lowest entry id, matching
-        the object window's ordered scan (the agenda's total order makes
-        the heap root exactly that slot).
+        the object window's ordered scan (the agenda is kept in entry
+        order and the first strict maximum of one pass over it wins).
         """
         if self._ctx.count == 0:
             raise IndexError("pop_best from an empty window")

@@ -29,6 +29,28 @@ def reference(build, *args, **kwargs):
     return built
 
 
+def load_mutant(mutation, tmp_path, monkeypatch):
+    """Compile ``_kernels.c`` with the text ``mutation = (old, new)``
+    applied and make it what :func:`_kernels.load` answers until the
+    test's ``monkeypatch`` is undone."""
+    import subprocess
+
+    from repro.core import _kernels
+
+    old, new = mutation
+    with open(_kernels._source_path(), encoding="utf-8") as handle:
+        source = handle.read()
+    assert source.count(old) == 1, "the mutation no longer applies"
+    mutated = tmp_path / "_kernels.c"
+    mutated.write_text(source.replace(old, new), encoding="utf-8")
+    so_path = tmp_path / "mutant.so"
+    subprocess.run(
+        ["cc", "-O1", "-fPIC", "-shared", "-ffp-contract=off",
+         "-o", str(so_path), str(mutated)], check=True)
+    monkeypatch.setattr(_kernels, "_loaded", _kernels._loaded)
+    assert _kernels.load(str(so_path)) is not None
+
+
 def assert_same_tables(state, twin):
     """Two array-backed states, table for table over the rows in use and
     scalar for scalar — what "the kernel left the state exactly as the

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import subprocess
 
 import numpy as np
 import pytest
+from _window_utils import load_mutant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -557,18 +557,7 @@ MUTANTS = {
 class TestMutantsFail:
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_is_caught(self, name, tmp_path, monkeypatch):
-        old, new = MUTANTS[name]
-        with open(_kernels._source_path(), encoding="utf-8") as handle:
-            source = handle.read()
-        assert source.count(old) == 1, "the mutation no longer applies"
-        mutated = tmp_path / "_kernels.c"
-        mutated.write_text(source.replace(old, new), encoding="utf-8")
-        so_path = tmp_path / "mutant.so"
-        subprocess.run(
-            ["cc", "-O1", "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", str(so_path), str(mutated)], check=True)
-        monkeypatch.setattr(_kernels, "_loaded", _kernels._loaded)
-        assert _kernels.load(str(so_path)) is not None
+        load_mutant(MUTANTS[name], tmp_path, monkeypatch)
         with pytest.raises(AssertionError):
             core_differential()
             if name.startswith("min"):

@@ -208,6 +208,36 @@ class TestProfilePartition:
         assert interns == (2 if "hdrf" in argv else 3)
         assert transactions >= interns
 
+    @pytest.mark.parametrize("order", ["shuffled", "adjacency"])
+    def test_pump_row_reads_the_windows_tallies(self, report, order):
+        """One line says what the kernel's time is spent on; the
+        synthetic file streams in either order (the same edges: the
+        admit count does not move, the per-edge work does)."""
+        from repro.core import _kernels
+
+        if _kernels.load() is None:
+            pytest.skip("compiled kernels unavailable")
+        out = report("--algorithm", "adwise", "--window", "16",
+                     "--order", order)
+        rescored, cs, segments, agenda = map(float, re.search(
+            r"^pump: ([\d.]+) rescored slots per pop, ([\d.]+) CS "
+            r"recomputations and ([\d.]+) segment rewrites per edge, "
+            r"agenda length ([\d.]+) per pop$", out,
+            flags=re.MULTILINE).groups())
+        assert "ADWISE over 351 edges" in out
+        assert 1.0 <= agenda <= 16.0      # candidates of a 16-edge window
+        assert rescored > 0.0 and cs > 0.0
+        assert segments >= 1.0            # every admit writes its own
+
+    def test_orders_stream_the_same_edges_differently(self, report):
+        degrees = [re.search(r"replication_degree=([\d.]+)", report(
+            "--algorithm", "hdrf", "--order", order)).group(1)
+            for order in ("shuffled", "adjacency")]
+        assert degrees[0] != degrees[1]
+
+    def test_single_edge_kernels_print_no_pump_row(self, report):
+        assert "pump:" not in report("--algorithm", "hdrf")
+
     def test_reference_tier_has_no_intern_row(self, report):
         out = report("--algorithm", "hdrf", "--reference")
         assert "state=PartitionState" in out

@@ -6,12 +6,16 @@ and run the object :class:`EdgeWindow` / the per-edge loop for the whole
 stream — selected from the observable build result, not from a switch —
 and produce the same results as the compiled tier.  The build is forced
 to fail by monkeypatch, so this module runs (and means the same) with or
-without a compiler.
+without a compiler.  That rule is quiet; a compiler that is there and
+*rejects* ``_kernels.c`` takes the same tier with a warning that carries
+its stderr.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from functools import partial
 
 import pytest
@@ -42,9 +46,10 @@ def run_reference(**kwargs):
 
 @pytest.fixture
 def no_compiler(monkeypatch):
-    """A machine where ``_kernels.c`` cannot be built."""
+    """A machine where ``_kernels.c`` cannot be built: no ``cc`` on the
+    path, which is what ``subprocess.run`` raises for one."""
     def fail(source):
-        raise subprocess.CalledProcessError(1, ["cc"])
+        raise FileNotFoundError(2, "No such file or directory", "cc")
 
     monkeypatch.setattr(_kernels, "_compile", fail)
     monkeypatch.setattr(_kernels, "_loaded", _kernels._UNSET)
@@ -54,12 +59,40 @@ def no_compiler(monkeypatch):
                                     {"latency_preference_ms": 20.0}],
                          ids=["fixed", "adaptive"])
 def test_reference_tier_selected_without_compiler(no_compiler, kwargs):
-    assert _kernels.load() is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a missing compiler is not news
+        assert _kernels.load() is None
     assert _kernels.resolve_backend_name() == "object"
     partitioner, fallback = run(**kwargs)
     assert type(partitioner.state) is PartitionState
     assert isinstance(partitioner.window, EdgeWindow)
     assert fallback == run_reference(**kwargs)[1]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_rejected_source_warns_once_with_the_compilers_stderr(
+        monkeypatch, tmp_path):
+    """A ``_kernels.c`` the compiler refuses is a bug, not a machine
+    without a compiler: the reference tier still runs, but ``load``
+    says what ``cc`` said, and where — once per process."""
+    with open(_kernels._source_path(), encoding="utf-8") as handle:
+        source = handle.read()
+    broken = tmp_path / "_kernels.c"
+    broken.write_text(source + "\n#error deliberately broken kernels\n",
+                      encoding="utf-8")
+    monkeypatch.setattr(_kernels, "_source_path", lambda: str(broken))
+    monkeypatch.setattr(_kernels, "_loaded", _kernels._UNSET)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert _kernels.load() is None
+    (message,) = [str(w.message) for w in caught]
+    assert "deliberately broken kernels" in message  # the stderr text
+    assert str(broken) in message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernels.load() is None  # memoised: no second warning
+    partitioner, fallback = run(fixed_window=32)
+    assert isinstance(partitioner.window, EdgeWindow)
+    assert fallback == run_reference(fixed_window=32)[1]
 
 
 def test_results_identical_with_and_without_kernels(monkeypatch):

@@ -18,6 +18,11 @@ and print
   2's "share in C" gate;
 * the intern calls and the transaction's kernel calls per ingest batch,
   separately (one of each on a steady batch);
+* for ADWISE's compiled window, one **pump** row from its tallies —
+  rescored slots and agenda length per pop, CS recomputations and
+  neighbourhood-segment rewrites per edge: what the kernel's time is
+  spent *on* (a hub streaming through in ``--order adjacency`` shows as
+  segment rewrites per edge in the tens);
 * a second run under cProfile, top functions by internal or cumulative
   time.
 
@@ -32,8 +37,10 @@ Usage::
     PYTHONPATH=src python tools/profile_partition.py graph.txt \
         --algorithm hdrf --blocks        # feed (n, 2) arrays: no Edge at all
 
-Without a path a shuffled power-law graph (``--n``, ``--m``, ``--seed``)
-is written to a temporary edge file first.  Used to verify that an
+Without a path a power-law graph (``--n``, ``--m``, ``--seed``) is
+written to a temporary edge file first, shuffled or — ``--order
+adjacency``, the paper's stream order — one vertex's edges after
+another's.  Used to verify that an
 optimisation actually moved the hot path rather than just the benchmark
 number.
 """
@@ -170,6 +177,9 @@ def main(argv=None) -> int:
     parser.add_argument("--m", type=int, default=10,
                         help="power-law attachment degree")
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--order", default="shuffled",
+                        choices=["shuffled", "adjacency"],
+                        help="stream order of the synthetic file")
     parser.add_argument("--top", type=int, default=20,
                         help="rows per profile table")
     parser.add_argument("--sort", default="tottime",
@@ -189,8 +199,9 @@ def main(argv=None) -> int:
         if args.path is None:
             graph = barabasi_albert_graph(n=args.n, m=args.m, seed=args.seed)
             args.path = os.path.join(workdir, "graph.txt")
-            write_edges(args.path, shuffled(graph.edges(),
-                                            seed=args.seed + 2))
+            write_edges(args.path, graph.edges()
+                        if args.order == "adjacency"
+                        else shuffled(graph.edges(), seed=args.seed + 2))
         run(args)  # warm: compile/load the kernels, fill the page cache
         layers(args)
         profile(args)
@@ -251,6 +262,13 @@ def layers(args) -> None:
               f"{interns / (batches + 1):.2f} per batch, "
               f"{kernel.kernel_calls} transaction kernel calls = "
               f"{kernel.kernel_calls / (batches + 1):.2f} per batch")
+    pops = getattr(kernel, "stat_pops", 0)
+    if pops:  # ADWISE's compiled window
+        print(f"pump: {kernel.stat_rescored_slots / pops:.2f} rescored "
+              f"slots per pop, {kernel.stat_cs_recomputed / edges:.2f} CS "
+              f"recomputations and {kernel.stat_segments_written / edges:.2f} "
+              f"segment rewrites per edge, agenda length "
+              f"{kernel.stat_agenda_scanned / pops:.2f} per pop")
 
 
 def profile(args) -> None:
