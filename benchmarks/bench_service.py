@@ -1,28 +1,28 @@
 """Service benchmark: multi-tenant daemon throughput vs direct sessions.
 
-Boots a real :class:`~repro.service.server.PartitionService`, opens N
+Boots a real :class:`~repro.service.server.PartitionService`, opens
 interleaved tenants (different algorithms, same stream), pipelines edge
-batches over TCP, and measures
+batches over TCP, and records
 
-* sustained aggregate throughput (edges/sec across all tenants),
-* per-tenant p99 ingest-batch latency (from the daemon's own metrics),
-* **parity**: every tenant's final assignment must be bit-identical to
-  a direct in-process ``partition_stream`` run of the same stream.
+* aggregate service throughput (edges/sec across all tenants) beside
+  the aggregate throughput of direct in-process ``partition_stream``
+  runs of the same streams, measured back-to-back on the same machine,
+  and their ratio — once, for the whole mix;
+* per tenant, what is measured per tenant: p99 ingest-batch latency
+  (from the daemon's own metrics), the simulated ``latency_ms``, the
+  replication degree and **parity** — the tenant's final assignment
+  must be bit-identical to its direct run.
 
-The gated quantity is the *service ratio* — aggregate service
-throughput over aggregate direct (in-process, sequential) throughput,
-measured back-to-back on the same machine so the ratio is portable
-while raw edges/sec are not (same philosophy as the fast-path bench;
-``tools/check_bench_regression.py`` consumes the same schema, with the
-ratio in the ``speedup`` column).  The daemon stack (JSON framing, TCP,
-asyncio scheduling, the audit/metrics layer) costs real work per batch,
-so the ratio sits below 1.0; the gate catches it collapsing.
+``--durability`` adds what the write-ahead log costs at ``fsync=batch``
+and how fast a cold recovery replays it (:func:`run_durability`).  The
+readings are recorded, not gated; a parity break is the only thing that
+exits non-zero.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_service.py               # full
     PYTHONPATH=src python benchmarks/bench_service.py --smoke \
-        --check --repeats 2 --out bench_service_smoke.json          # CI
+        --durability --repeats 1 --out bench_service_smoke.json     # CI
 """
 
 from __future__ import annotations
@@ -53,40 +53,16 @@ from repro.service.wal import (                                   # noqa: E402
 )
 from repro.simtime import SimulatedClock                          # noqa: E402
 
-#: The interleaved tenant mix: name -> (algorithm, knobs).  Four tenants
-#: spanning the cost spectrum, from the cheap hashed baseline to the
-#: windowed ADWISE configurations.
+#: The interleaved tenant mix: name -> (algorithm, knobs), from the
+#: cheap hashed baseline to windowed ADWISE.
 TENANTS = {
     "t-adwise": ("adwise", {"latency_preference_ms": 50.0}),
-    "t-adwise-fast": ("adwise", {"latency_preference_ms": 50.0,
-                                 "fast": True}),
     "t-hdrf": ("hdrf", {}),
     "t-dbh": ("dbh", {}),
 }
 
 NUM_PARTITIONS = 8
 
-#: Absolute floors on the service ratio (service / direct aggregate
-#: throughput).  The stack keeps ~0.7-0.8 of direct throughput on this
-#: workload; the floors are set far enough below to absorb CI machine
-#: noise while still catching a structural collapse.  Every row carries
-#: a gate so the regression checker treats cross-machine ratio drift as
-#: a warning, not a failure (its gated-row downgrade path).
-SMOKE_GATES = dict.fromkeys(["aggregate", *TENANTS], 0.15)
-FULL_GATES = dict.fromkeys(["aggregate", *TENANTS], 0.20)
-
-#: ``--durability`` gates.  ``wal-overhead`` is wal/no-wal daemon
-#: throughput at fsync=batch: the write-ahead log may cost at most 15%.
-#: ``cold-recovery`` is WAL-replay throughput over direct in-process
-#: ingest throughput — replay *is* re-ingestion plus snapshot/log IO,
-#: so the ratio sits well below 1.0 but not pathologically so; the
-#: floor catches recovery becoming dramatically slower than the stream
-#: it replays.  Durability rows always run the full-size stream (even
-#: under ``--smoke``): the smoke stream finishes in ~0.2 s, where a
-#: single scheduling hiccup swings the ratio by more than the gate
-#: margin, while the full stream's ~2 s runs keep the paired
-#: min-of-repeats ratio stable (~0.9 measured, ~6-9% true overhead).
-DURABILITY_GATES = {"wal-overhead": 0.85, "cold-recovery": 0.20}
 DURABILITY_TENANT = "t-wal"
 #: ~4 compactions over the full stream — compaction (snapshot pickle +
 #: log truncate) is in the measured window, at an amortized cadence.
@@ -223,20 +199,19 @@ def cold_recovery_run(edges, batch_size: int, wal_dir):
     return wall, box["replayed"], box["final"]
 
 
-def run_durability(repeats: int, batch_size: int) -> list:
-    """The ``--durability`` rows: WAL overhead + cold-recovery time.
+def run_durability(repeats: int, batch_size: int) -> dict:
+    """The ``--durability`` readings: WAL overhead and cold recovery.
 
-    Always measured on the full-size stream — see the
-    :data:`DURABILITY_GATES` note on why the smoke stream is too short
-    to gate a throughput *ratio* reliably.
+    Always measured on the full-size stream, even under ``--smoke``: the
+    smoke stream finishes in ~0.2 s, where one scheduling hiccup moves a
+    throughput ratio by more than the WAL costs.  Baseline and measured
+    runs alternate in adjacent pairs and the best pair is recorded —
+    ambient load only ever slows a run, so the cleanest pair is the
+    truest estimate.
     """
     _, edges = build_stream(smoke=False)
     reference = None
 
-    # Interleave the baseline and the measured run as adjacent pairs
-    # and gate on the *best pair's* ratio: ambient load only ever slows
-    # a run, so the cleanest pair is the truest estimate of the ratio,
-    # and a genuine regression degrades every pair.
     wal_pairs, wal_parity = [], True
     for _ in range(repeats):
         nowal_wall, _ = durability_service_run(edges, batch_size, None)
@@ -271,34 +246,27 @@ def run_durability(repeats: int, batch_size: int) -> list:
     direct_wall, recovery_wall = max(recovery_pairs,
                                      key=lambda p: p[0] / p[1])
 
-    nowal_eps = len(edges) / nowal_wall
-    wal_eps = len(edges) / wal_wall
-    direct_eps = len(edges) / direct_wall
-    recovery_eps = len(edges) / recovery_wall
-    return [
-        {
-            # wal/no-wal daemon throughput at fsync=batch; the gate
-            # says durability may cost at most 15%.
-            "algorithm": "wal-overhead",
-            "edges_per_tenant": len(edges),
-            "legacy_eps": nowal_eps,
-            "fast_eps": wal_eps,
-            "speedup": wal_eps / nowal_eps,
+    return {
+        # Durable (fsync=batch, compaction included) vs non-durable
+        # daemon throughput.
+        "wal_overhead": {
+            "edges": len(edges),
+            "nowal_eps": len(edges) / nowal_wall,
+            "wal_eps": len(edges) / wal_wall,
+            "overhead_pct": 100.0 * (1.0 - nowal_wall / wal_wall),
             "parity": wal_parity,
         },
-        {
-            # recovery replay throughput vs direct ingest; parity means
-            # the recovered tenant finalizes bit-identically.
-            "algorithm": "cold-recovery",
-            "edges_per_tenant": len(edges),
+        # WAL replay beside direct in-process ingest of the same stream;
+        # parity means the recovered tenant finalizes bit-identically.
+        "cold_recovery": {
+            "edges": len(edges),
             "replayed_batches": replayed,
             "recovery_wall_s": recovery_wall,
-            "legacy_eps": direct_eps,
-            "fast_eps": recovery_eps,
-            "speedup": recovery_eps / direct_eps,
+            "recovery_eps": len(edges) / recovery_wall,
+            "direct_eps": len(edges) / direct_wall,
             "parity": recovery_parity,
         },
-    ]
+    }
 
 
 def run_benchmark(smoke: bool, repeats: int, batch_size: int) -> dict:
@@ -330,62 +298,28 @@ def run_benchmark(smoke: bool, repeats: int, batch_size: int) -> dict:
 
     direct_eps = total_edges / direct_wall
     service_eps = total_edges / best_service_wall
-    ratio = service_eps / direct_eps
-
-    results = [{
-        "algorithm": "aggregate",
-        "tenants": len(TENANTS),
-        "edges_per_tenant": len(edges),
-        "legacy_eps": direct_eps,
-        "fast_eps": service_eps,
-        "speedup": ratio,
-        "p99_ms": max(t["p99_ms"] for t in per_tenant.values()),
-        "parity": all(
-            per_tenant[tenant]["final"]["assignments"]
-            == references[tenant]
-            for tenant in TENANTS),
-    }]
-    for tenant, (algorithm, knobs) in TENANTS.items():
-        data = per_tenant[tenant]
-        parity = data["final"]["assignments"] == references[tenant]
-        results.append({
-            "algorithm": tenant,
-            "tenant_algorithm": algorithm,
-            "legacy_eps": direct_eps,
-            "fast_eps": service_eps,
-            "speedup": ratio,
-            "p99_ms": data["p99_ms"],
-            "latency_ms": data["final"]["latency_ms"],
-            "replication_degree": data["final"]["replication_degree"],
-            "parity": parity,
+    rows = []
+    for tenant, (algorithm, _) in TENANTS.items():
+        final = per_tenant[tenant]["final"]
+        rows.append({
+            "tenant": tenant,
+            "algorithm": algorithm,
+            "p99_ms": per_tenant[tenant]["p99_ms"],
+            "latency_ms": final["latency_ms"],
+            "replication_degree": final["replication_degree"],
+            "parity": final["assignments"] == references[tenant],
         })
-
     return {
         "workload": workload,
         "smoke": smoke,
-        "tenants": len(TENANTS),
         "edges_per_tenant": len(edges),
         "batch_size": batch_size,
         "num_partitions": NUM_PARTITIONS,
-        "gates": dict(SMOKE_GATES if smoke else FULL_GATES),
-        "results": results,
+        "direct_eps": direct_eps,
+        "service_eps": service_eps,
+        "service_over_direct": service_eps / direct_eps,
+        "tenants": rows,
     }
-
-
-def check(report: dict) -> list:
-    problems = []
-    gates = report["gates"]
-    for row in report["results"]:
-        if not row["parity"]:
-            problems.append(
-                f"{row['algorithm']}: service result differs from the "
-                f"direct partition_stream reference")
-        gate = gates.get(row["algorithm"])
-        if gate is not None and row["speedup"] < gate:
-            problems.append(
-                f"{row['algorithm']}: service ratio "
-                f"{row['speedup']:.3f} below gate {gate:.3f}")
-    return problems
 
 
 def main(argv=None) -> int:
@@ -393,10 +327,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small stream for CI")
     parser.add_argument("--durability", action="store_true",
-                        help="also measure WAL overhead and cold-recovery "
-                             "time (gated rows)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on parity break or gated ratio")
+                        help="also record WAL overhead and cold-recovery "
+                             "speed (full-size stream)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats (best-of)")
     parser.add_argument("--batch-size", type=int, default=256,
@@ -408,33 +340,43 @@ def main(argv=None) -> int:
     report = run_benchmark(args.smoke, max(1, args.repeats),
                            args.batch_size)
     if args.durability:
-        report["results"].extend(
-            run_durability(max(1, args.repeats), args.batch_size))
-        report["gates"].update(DURABILITY_GATES)
+        report["durability"] = run_durability(max(1, args.repeats),
+                                              args.batch_size)
     print(f"workload: {report['workload']} "
-          f"({report['tenants']} tenants x "
+          f"({len(report['tenants'])} tenants x "
           f"{report['edges_per_tenant']} edges)")
-    for row in report["results"]:
-        p99 = (f", p99 {row['p99_ms']:.2f} ms"
-               if "p99_ms" in row else "")
-        print(f"  {row['algorithm']:<16} ratio {row['speedup']:.3f} "
-              f"({row['fast_eps']:.0f} e/s vs {row['legacy_eps']:.0f} "
-              f"e/s){p99}, parity "
+    print(f"  service {report['service_eps']:.0f} e/s vs direct "
+          f"{report['direct_eps']:.0f} e/s in-process: ratio "
+          f"{report['service_over_direct']:.3f}")
+    for row in report["tenants"]:
+        print(f"  {row['tenant']:<9} {row['algorithm']:<7} p99 "
+              f"{row['p99_ms']:.2f} ms, latency {row['latency_ms']:.1f} "
+              f"ms, replication {row['replication_degree']:.3f}, parity "
               f"{'ok' if row['parity'] else 'BROKEN'}")
+    durability = report.get("durability", {})
+    if durability:
+        wal, cold = durability["wal_overhead"], durability["cold_recovery"]
+        print(f"  WAL at fsync=batch: {wal['wal_eps']:.0f} e/s vs "
+              f"{wal['nowal_eps']:.0f} e/s without, "
+              f"{wal['overhead_pct']:+.1f}% overhead, parity "
+              f"{'ok' if wal['parity'] else 'BROKEN'}")
+        print(f"  cold recovery: {cold['replayed_batches']} batches in "
+              f"{cold['recovery_wall_s']:.2f} s = "
+              f"{cold['recovery_eps']:.0f} e/s (direct ingest "
+              f"{cold['direct_eps']:.0f} e/s), parity "
+              f"{'ok' if cold['parity'] else 'BROKEN'}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
         print(f"report written to {args.out}")
 
-    if args.check:
-        problems = check(report)
-        if problems:
-            print("\nFAILURES:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("\nall gates passed")
+    broken = [row["tenant"] for row in report["tenants"] if not row["parity"]]
+    broken += [name for name, row in durability.items() if not row["parity"]]
+    if broken:
+        print(f"\nPARITY BROKEN: {', '.join(broken)} differ from the "
+              f"direct partition_stream reference")
+        return 1
     return 0
 
 

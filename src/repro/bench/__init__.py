@@ -19,7 +19,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import format_spotlight, format_stacked_rows, format_table
 from repro.bench.charts import grouped_bar_chart, line_chart, stacked_bar_chart
-from repro.bench.archive import diff_archives, load_archive, save_archive
 
 __all__ = [
     "GraphSpec",
@@ -41,7 +40,4 @@ __all__ = [
     "grouped_bar_chart",
     "line_chart",
     "stacked_bar_chart",
-    "diff_archives",
-    "load_archive",
-    "save_archive",
 ]

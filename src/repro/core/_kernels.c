@@ -1073,8 +1073,8 @@ decline:
  * built; dtype, length and contiguity of the element arrays per call. */
 
 #define COMBINE_ADD(acc, v) ((acc) + (v))
-/* np.minimum: the accumulator wins a tie, a NaN on either side stays. */
-#define COMBINE_MIN(acc, v) (((acc) <= (v) || (acc) != (acc)) ? (acc) : (v))
+/* np.minimum: the newcomer wins a tie, a NaN on either side stays. */
+#define COMBINE_MIN(acc, v) (((acc) < (v) || (acc) != (acc)) ? (acc) : (v))
 
 /* for (i < n) if (WHEN) { acc[AT] = acc[AT] (+) VALUE; recv[AT] = 1 } —
  * ascending i is np.bincount's accumulation order, and the fold's. */

@@ -13,8 +13,8 @@ use the module-level helpers::
 
 When disabled (the default) every helper returns a shared no-op object —
 no allocation, no locking, a single attribute call of overhead — so
-instrumented hot paths stay within the ≤3% budget gated by
-``benchmarks/BENCH_obs.json``.
+instrumented hot paths cost nothing measurable until it is enabled
+(``benchmarks/bench_obs.py`` records what enabling it costs).
 
 Enablement propagates to child processes through environment variables:
 ``enable()`` sets ``REPRO_OBS=1`` (and ``REPRO_TRACE_FILE`` when a span

@@ -40,8 +40,8 @@ Fsync policy (``fsync=``):
 * ``batch``  — flush every append, fsync every ``fsync_every`` appends
   (and at every compaction): durable against process crashes
   immediately, against OS crashes within the batch window.  The
-  default; the throughput gate in ``bench_service.py --durability``
-  runs in this mode.
+  default, and the mode ``bench_service.py --durability`` records the
+  log's cost in.
 * ``off``    — flush only; durability rides on the page cache.
 
 Fault injection: the daemon threads a ``fault_hook(point, tenant, seq)``

@@ -1,7 +1,6 @@
-"""Tests for repository tooling (EXPERIMENTS.md assembly, bench gates)."""
+"""Tests for repository tooling (EXPERIMENTS.md assembly, profiling)."""
 
 import importlib.util
-import json
 import os
 import re
 
@@ -9,7 +8,6 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "build_experiments_md.py")
-REGRESSION_SCRIPT = os.path.join(ROOT, "tools", "check_bench_regression.py")
 
 
 def _load(name, path):
@@ -22,11 +20,6 @@ def _load(name, path):
 @pytest.fixture
 def builder():
     return _load("build_experiments_md", SCRIPT)
-
-
-@pytest.fixture
-def regression():
-    return _load("check_bench_regression", REGRESSION_SCRIPT)
 
 
 class TestExperimentsBuilder:
@@ -57,109 +50,138 @@ class TestExperimentsBuilder:
                 assert any(b.startswith(expected_prefix) for b in benches), stem
 
 
-def _report(gates=None, **speedups):
+def _cluster_report():
     return {
-        "workload": "powerlaw-smoke",
-        "gates": gates or {},
-        "results": [{"algorithm": name, "speedup": speedup, "parity": True,
-                     "fast_eps": 1000.0}
-                    for name, speedup in speedups.items()],
+        "workload": "canned", "num_vertices": 10, "num_edges": 20,
+        "num_partitions": 8, "replication": {"hash": 3.0, "adwise": 2.0},
+        "results": [{"algorithm": name, "hash_wall_ms": 2.0,
+                     "adwise_wall_ms": 1.0, "hash_remote_sync": 30,
+                     "adwise_remote_sync": 20, "sync_reduction": 1.5,
+                     "parity": True}
+                    for name in ("PageRank", "Components")],
+        "scaling": [{"backend": backend, "workers": workers,
+                     "wall_ms": 1.0, "eps": 1000.0, "parity": True}
+                    for backend, workers in (("serial", 1), ("process", 2))],
+        "faults": {"checkpoint_every": 8, "checkpoint_ms_each": 0.5,
+                   "checkpoints_written": 2, "checkpoint_wall_ms": 1.0,
+                   "run_wall_ms": 10.0, "checkpoint_overhead_pct": 10.0,
+                   "recovery_wall_ms": 3.0, "supersteps_lost": 1,
+                   "replay_wall_ms": 1.0, "recovery_parity": True},
     }
 
 
-class TestBenchRegressionChecker:
-    def test_identical_reports_pass(self, regression):
-        report = _report(HDRF=3.0, DBH=1.0)
-        assert regression.compare(report, report, tolerance=0.2) == ([], [])
+def _service_report():
+    return {
+        "workload": "canned", "edges_per_tenant": 100, "direct_eps": 2e5,
+        "service_eps": 1e5, "service_over_direct": 0.5,
+        "tenants": [{"tenant": tenant, "algorithm": algorithm,
+                     "p99_ms": 1.0, "latency_ms": 5.0,
+                     "replication_degree": 2.5, "parity": True}
+                    for tenant, algorithm in (("t-adwise", "adwise"),
+                                              ("t-hdrf", "hdrf"))],
+    }
 
-    def test_within_tolerance_passes(self, regression):
-        base = _report(HDRF=3.0)
-        fresh = _report(HDRF=2.5)  # -17% is inside the 20% budget
-        assert regression.compare(base, fresh, tolerance=0.2) == ([], [])
 
-    def test_regression_beyond_tolerance_fails(self, regression):
-        base = _report(HDRF=3.0)
-        fresh = _report(HDRF=2.0)
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert problems and "HDRF" in problems[0]
+def _service_durability():
+    return {
+        "wal_overhead": {"edges": 100, "nowal_eps": 2e5, "wal_eps": 1e5,
+                         "overhead_pct": 50.0, "parity": True},
+        "cold_recovery": {"edges": 100, "replayed_batches": 4,
+                          "recovery_wall_s": 0.1, "recovery_eps": 1e3,
+                          "direct_eps": 2e3, "parity": True},
+    }
 
-    def test_drop_above_absolute_gate_is_warning(self, regression):
-        """Cross-machine ratio spread: above the gate -> warn, don't fail."""
-        base = _report(gates={"HDRF": 1.3}, HDRF=3.0)
-        fresh = _report(HDRF=2.0)  # -33%, but well above the 1.3x gate
-        problems, warnings = regression.compare(base, fresh, tolerance=0.2)
-        assert problems == []
-        assert warnings and "HDRF" in warnings[0]
 
-    def test_drop_below_absolute_gate_fails(self, regression):
-        base = _report(gates={"HDRF": 1.3}, HDRF=3.0)
-        fresh = _report(HDRF=1.1)
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert problems and "HDRF" in problems[0]
+def _obs_report():
+    return {
+        "workload": "canned", "edges": 100,
+        "results": [{"path": path, "edges": 100, "disabled_eps": 1e5,
+                     "enabled_eps": 1e5, "overhead_pct": 0.0,
+                     "parity": True}
+                    for path in ("adwise-w256", "service-ingest")],
+    }
 
-    def test_below_gate_fails_even_within_relative_tolerance(self, regression):
-        """The checker is CI's only gate: the absolute floor must bind
-        even when the relative drop is small."""
-        base = _report(gates={"HDRF": 1.3}, HDRF=1.35)
-        fresh = _report(HDRF=1.2)  # -11% relative, but under the 1.3x gate
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert problems and "absolute gate" in problems[0]
 
-    def test_parity_break_fails(self, regression):
-        base = _report(HDRF=3.0)
-        fresh = _report(HDRF=3.0)
-        fresh["results"][0]["parity"] = False
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert any("parity" in p for p in problems)
+class TestRecordOnlyBenches:
+    """``bench_cluster.py``, ``bench_service.py`` and ``bench_obs.py``
+    record readings and gate nothing but parity: each exits 0 when every
+    parity flag of its report holds, whatever the numbers, and 1 when
+    any one of them is false."""
 
-    def test_missing_algorithm_fails(self, regression):
-        base = _report(HDRF=3.0, Greedy=2.0)
-        fresh = _report(HDRF=3.0)
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert any("Greedy" in p for p in problems)
+    @staticmethod
+    def script(name):
+        return _load(f"{name}_under_test",
+                     os.path.join(ROOT, "benchmarks", f"{name}.py"))
 
-    def test_workload_mismatch_fails(self, regression):
-        base = _report(HDRF=3.0)
-        fresh = _report(HDRF=3.0)
-        fresh["workload"] = "other"
-        problems, _ = regression.compare(base, fresh, tolerance=0.2)
-        assert problems
+    @staticmethod
+    def force(report, path):
+        """Set the parity flag at ``path`` (keys/indices) to False."""
+        *parents, flag = path
+        for key in parents:
+            report = report[key]
+        report[flag] = False
 
-    @pytest.mark.parametrize("name", ["engine", "cluster", "service", "obs"])
-    def test_committed_baselines_are_valid(self, regression, name):
-        """Every BENCH_*.json CI gates against must parse, carry gates,
-        and pass vs itself."""
-        baseline = regression.load(
-            os.path.join(ROOT, "benchmarks", f"BENCH_{name}.json"))
-        assert baseline["results"], "baseline has no rows"
-        assert baseline.get("gates"), "baseline must embed absolute gates"
-        assert regression.compare(baseline, baseline,
-                                  tolerance=0.2) == ([], [])
-        for row in baseline["results"]:
-            assert row["parity"], row["algorithm"]
+    @pytest.mark.parametrize("broken", [
+        None,
+        ("results", 1, "parity"),
+        ("scaling", 1, "parity"),
+        ("faults", "recovery_parity"),
+    ], ids=["all-hold", "engine", "scaling", "recovery"])
+    def test_cluster_exits_on_parity_only(self, broken, monkeypatch, capsys):
+        bench = self.script("bench_cluster")
+        report = _cluster_report()
+        if broken:
+            self.force(report, broken)
+        monkeypatch.setattr(bench, "run", lambda **_: report)
+        assert bench.main(["--smoke", "--faults"]) == (1 if broken else 0)
+        assert ("PARITY BROKEN" in capsys.readouterr().out) == bool(broken)
 
-    def test_baseline_argument_is_required(self, regression, tmp_path,
-                                           capsys):
-        fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(_report(HDRF=3.0)))
-        with pytest.raises(SystemExit):
-            regression.main(["--fresh", str(fresh)])
-        assert "--baseline" in capsys.readouterr().err
+    @pytest.mark.parametrize("broken", [
+        None,
+        ("tenants", 1, "parity"),
+        ("durability", "wal_overhead", "parity"),
+        ("durability", "cold_recovery", "parity"),
+    ], ids=["all-hold", "tenant", "wal", "recovery"])
+    def test_service_exits_on_parity_only(self, broken, monkeypatch, capsys):
+        bench = self.script("bench_service")
+        report, durability = _service_report(), _service_durability()
+        if broken:
+            self.force({**report, "durability": durability}, broken)
+        monkeypatch.setattr(bench, "run_benchmark", lambda *_: report)
+        monkeypatch.setattr(bench, "run_durability", lambda *_: durability)
+        assert bench.main(["--smoke", "--durability"]) == (1 if broken else 0)
+        out = capsys.readouterr().out
+        assert ("PARITY BROKEN" in out) == bool(broken)
+        assert out.count("ratio 0.500") == 1
 
-    def test_cli_pass_and_fail(self, regression, tmp_path):
-        base = _report(HDRF=3.0)
-        fresh_ok = _report(HDRF=2.9)
-        fresh_bad = _report(HDRF=1.0)
-        base_path = tmp_path / "base.json"
-        base_path.write_text(json.dumps(base))
-        ok_path = tmp_path / "ok.json"
-        ok_path.write_text(json.dumps(fresh_ok))
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(fresh_bad))
-        assert regression.main(["--fresh", str(ok_path),
-                                "--baseline", str(base_path)]) == 0
-        assert regression.main(["--fresh", str(bad_path),
-                                "--baseline", str(base_path)]) == 1
+    @pytest.mark.parametrize("broken", [
+        None, ("results", 0, "parity"), ("results", 1, "parity"),
+    ], ids=["all-hold", "adwise", "service"])
+    def test_obs_exits_on_parity_only(self, broken, monkeypatch, capsys):
+        bench = self.script("bench_obs")
+        report = _obs_report()
+        if broken:
+            self.force(report, broken)
+        monkeypatch.setattr(bench, "run_benchmark", lambda *_: report)
+        assert bench.main(["--smoke"]) == (1 if broken else 0)
+        assert ("PARITY BROKEN" in capsys.readouterr().out) == bool(broken)
+
+    def test_service_tenant_rows_carry_only_per_tenant_readings(self):
+        """One row per distinct tenant configuration; the service/direct
+        ratio is recorded once, beside the rows, not in them."""
+        bench = self.script("bench_service")
+        configs = [(algorithm, sorted(knobs.items()))
+                   for algorithm, knobs in bench.TENANTS.values()]
+        assert len(configs) == len(set(map(repr, configs)))
+        report = bench.run_benchmark(smoke=True, repeats=1, batch_size=256)
+        assert [row["tenant"] for row in report["tenants"]] == list(
+            bench.TENANTS)
+        for row in report["tenants"]:
+            assert set(row) == {"tenant", "algorithm", "p99_ms",
+                                "latency_ms", "replication_degree", "parity"}
+            assert row["parity"], row["tenant"]
+        assert report["service_over_direct"] == pytest.approx(
+            report["service_eps"] / report["direct_eps"])
 
 
 class TestProfilePartition:
