@@ -182,7 +182,10 @@ def open_session(algorithm: str = "adwise",
     ADWISE and HDRF sessions run the compiled kernels wherever they load
     on this machine and the bit-identical Python reference elsewhere
     (:class:`~repro.partitioning.base.StreamingPartitioner`); there is
-    no knob to ask for either, beyond the tests' ``fast=False``.
+    no knob to ask for either beyond ``fast=False``, which forces the
+    reference — the control of the differential tests, of the
+    benchmark's compiled-vs-reference parity check and of
+    ``tools/profile_partition.py --reference``.
     """
     partition_ids = _coerce_partitions(partitions)
     session_clock = clock if clock is not None else SimulatedClock()

@@ -4,12 +4,8 @@ from repro.core.scoring import AdaptiveBalancer, AdwiseScoring
 from repro.core.window import EdgeWindow
 from repro.core.adaptive import AdaptiveWindowController, WindowDecision
 from repro.core.adwise import AdwisePartitioner
+from repro.core.array_window import ArrayEdgeWindow
 from repro.core.spotlight import spotlight_spreads
-
-try:
-    from repro.core.array_window import ArrayEdgeWindow
-except ImportError:  # pragma: no cover - numpy-free installs
-    ArrayEdgeWindow = None
 
 __all__ = [
     "AdaptiveBalancer",

@@ -106,11 +106,8 @@ typedef struct {
 } KernCtx;
 
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
-                  int64_t target_w, int64_t force, int64_t stop_at,
-                  int64_t observe);
+                  int64_t target_w, int64_t force, int64_t stop_at);
 int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam);
-int64_t kern_pop(KernCtx *c);
-int64_t kern_replicas_changed(KernCtx *c, const int64_t *rows, int64_t n);
 int64_t kern_restore(KernCtx *c, const int64_t *pairs,
                      const int64_t *entry, const double *score,
                      const int64_t *col, const int64_t *version,
@@ -677,7 +674,7 @@ static void observe_degree(KernCtx *c, int64_t vertex)
         c->max_degree = d;
 }
 
-static int64_t admit(KernCtx *c, int64_t du, int64_t dv, int64_t observe)
+static int64_t admit(KernCtx *c, int64_t du, int64_t dv)
 {
     int64_t s;
     if (c->num_free == 0)
@@ -692,10 +689,8 @@ static int64_t admit(KernCtx *c, int64_t du, int64_t dv, int64_t observe)
     if (c->use_cs && !write_segment(c, s))
         return KERN_NEED_ARENA;
     c->num_free--;
-    if (observe) {
-        observe_degree(c, du);
-        observe_degree(c, dv);
-    }
+    observe_degree(c, du);
+    observe_degree(c, dv);
     c->entry[s] = c->next_id++;
     c->candidate[s] = 0;
     c->alive[s] = 1;
@@ -805,8 +800,7 @@ static int64_t finish_assignment(KernCtx *c, int64_t stop_at)
  * a buffer must grow (KERN_NEED_*: the caller grows it and calls again
  * with the same arguments). */
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
-                  int64_t target_w, int64_t force, int64_t stop_at,
-                  int64_t observe)
+                  int64_t target_w, int64_t force, int64_t stop_at)
 {
     int64_t status, need, s, changed;
     refresh_lamb(c);
@@ -819,7 +813,7 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
         need = target_w - c->count;
         for (; need > 0 && c->consumed < n; need--, c->consumed++) {
             status = admit(c, pairs[2 * c->consumed],
-                           pairs[2 * c->consumed + 1], observe);
+                           pairs[2 * c->consumed + 1]);
             if (status != KERN_DONE)
                 return status;
         }
@@ -885,22 +879,6 @@ int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
         assign(c, du, dv, best_col);
     }
     return KERN_DONE;
-}
-
-/* EdgeWindow.pop_best: the best edge into out_*[0]; the caller assigns. */
-int64_t kern_pop(KernCtx *c)
-{
-    int64_t s;
-    refresh_lamb(c);
-    c->n_out = 0;
-    return pop_slot(c, &s);
-}
-
-/* EdgeWindow.on_replicas_changed for `n` dense rows. */
-int64_t kern_replicas_changed(KernCtx *c, const int64_t *rows, int64_t n)
-{
-    refresh_lamb(c);
-    return rule3(c, rows, n) ? KERN_DONE : KERN_NEED_ARENA;
 }
 
 /* Load `n` image entries (ascending entry order) into an empty window

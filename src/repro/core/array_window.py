@@ -3,9 +3,9 @@
 :class:`ArrayEdgeWindow` is the production twin of
 :class:`~repro.core.window.EdgeWindow`.  All traversal logic — rule 1
 refill, the k-best agenda pop with pull-validated R/CS memos, rules 2
-and 3, and (in :meth:`pump`) the vertex-cache update between them —
-lives in ``_kernels.c`` (DESIGN.md §14).  This class is the thin Python
-side of that transaction:
+and 3, and the vertex-cache update between them — lives in
+``_kernels.c`` (DESIGN.md §14).  This class is the thin Python side of
+that transaction:
 
 * it **owns every window buffer** the kernels touch — per-slot arrays,
   the intrusive vertex→slot incidence links, the neighbourhood arena,
@@ -21,11 +21,12 @@ side of that transaction:
   as its two endpoint rows, and no per-edge object is kept for an edge
   in the window.
 
-:meth:`pump` is the batch-grain entry the partitioner drives — one C
-call per ingest batch on a fixed window.  :meth:`add` / :meth:`pop_best`
-/ :meth:`on_replicas_changed` keep the :class:`EdgeWindow` step API as
-``n = 1`` calls into the same C primitives, so the differential tests
-can drive both windows through the same loop.
+:meth:`pump` is the one way in: the partitioner stages a batch, pumps
+it (one C call per ingest batch on a fixed window, one per controller
+decision on an adaptive one) and takes the decisions back as columns.
+There is no per-edge step API — the differential suites drive both
+tiers through the partitioner or the session, one edge per ``ingest``
+where they need step grain.
 
 The object window performs the same traversal one ``score`` call per
 edge and partition; the kernels replay each of its scalar loops in the
@@ -36,8 +37,8 @@ The candidate agenda is kept *in* that order (``agenda[:num_candidates]``,
 candidate slots by ascending entry id), so a pop is one pass over it:
 rescore what the last assignment staled, keep the first strict maximum.
 Enforced by
-``tests/test_array_window.py``, ``tests/test_kbest_agenda.py`` and
-``tests/test_pump_boundaries.py``.
+``tests/test_array_window.py``, ``tests/test_kbest_agenda.py``,
+``tests/test_pump_boundaries.py`` and ``tests/test_session_machine.py``.
 
 Capacity management: slot arrays double on demand and are compacted
 (the window is re-loaded from its own image into fresh, smaller arrays)
@@ -48,7 +49,7 @@ ordering contract is defined on entry ids, never slot positions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -92,12 +93,14 @@ def _tally(field: str, doc: str, holder: str = "_ctx") -> property:
 class ArrayEdgeWindow:
     """Edge window over struct-of-arrays slots driven by ``_kernels.c``.
 
-    API-compatible with :class:`~repro.core.window.EdgeWindow` (same
-    constructor contract, same traversal methods, same counters), but
-    requires an array-backed partition state on ``scoring`` — the
-    kernels read and, in :meth:`pump`, write its replica matrix, row
-    versions, degrees and sizes by dense vertex index — and the compiled
-    kernels themselves (:func:`repro.core._kernels.load`).
+    Shares :class:`~repro.core.window.EdgeWindow`'s constructor
+    contract, image format (:meth:`to_image` / :meth:`from_image`) and
+    counters, but not its step API: the traversal runs only as
+    :meth:`begin_batch` → :meth:`pump` → :meth:`end_batch`.  Requires an
+    array-backed partition state on ``scoring`` — the kernels read and
+    write its replica matrix, row versions, degrees and sizes by dense
+    vertex index — and the compiled kernels themselves
+    (:func:`repro.core._kernels.load`).
     """
 
     def __init__(self, scoring: AdwiseScoring, lazy: bool = True,
@@ -146,8 +149,8 @@ class ArrayEdgeWindow:
     kernel_backend = "cc"
 
     kernel_calls = _tally(
-        "kernel_calls", "Kernel entries made so far (pump, pop, rule 3, "
-        "restore — including re-entries after a buffer grew).", "_kern")
+        "kernel_calls", "Kernel entries made so far (pump, restore — "
+        "including re-entries after a buffer grew).", "_kern")
     kernel_ns = _tally(
         "kernel_ns", "Wall time spent inside the kernels, nanoseconds.",
         "_kern")
@@ -177,7 +180,7 @@ class ArrayEdgeWindow:
         "Neighbourhood segments (re)written into the arena.")
 
     # ------------------------------------------------------------------
-    # Introspection (EdgeWindow API)
+    # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._ctx.count
@@ -185,10 +188,6 @@ class ArrayEdgeWindow:
     @property
     def candidate_count(self) -> int:
         return self._ctx.num_candidates
-
-    @property
-    def secondary_count(self) -> int:
-        return self._ctx.count - self._ctx.num_candidates
 
     def _slots(self) -> np.ndarray:
         """The occupied slots in insertion (entry-id) order."""
@@ -212,27 +211,6 @@ class ArrayEdgeWindow:
         if ctx.count == 0:
             return self.epsilon
         return ctx.score_sum / ctx.count + self.epsilon
-
-    def neighborhood(self, edge: Edge,
-                     exclude_entry: Optional[int] = None) -> Set[int]:
-        """``N(u) ∪ N(v)`` computed from window edges only (paper §III-C).
-
-        Introspection only (a scan of the window): the kernels gather
-        the same set from their incidence lists.
-        """
-        ends = (edge.u, edge.v)
-        nbrs: Set[int] = set()
-        slots = self._slots()
-        us, vs = self._endpoints(slots)
-        for entry_id, u, v in zip(self._array("entry")[slots].tolist(),
-                                  us.tolist(), vs.tolist()):
-            if entry_id == exclude_entry:
-                continue
-            if u in ends:
-                nbrs.add(v)
-            if v in ends:
-                nbrs.add(u)
-        return nbrs.difference(ends)
 
     # ------------------------------------------------------------------
     # Buffer ownership: allocate, grow, compact
@@ -287,12 +265,6 @@ class ArrayEdgeWindow:
     def _array(self, field: str) -> np.ndarray:
         return self._kern.array(field)
 
-    def _sync_state(self) -> None:
-        """Bring the kernel context up to date with the partition state
-        and the scoring function."""
-        self._kern.sync_state()
-        self._sync_scoring()
-
     def _sync_scoring(self) -> None:
         """Copy in the scoring function's λ and switches."""
         scoring = self.scoring
@@ -340,7 +312,7 @@ class ArrayEdgeWindow:
         """
         pairs = self._pairs
         status = self._call(self._lib.kern_pump, self._kern.pointer(pairs),
-                            pairs.size // 2, target_w, force, stop_at, True)
+                            pairs.size // 2, target_w, force, stop_at)
         return status == self._lib.KERN_BLOCK_BOUNDARY
 
     @property
@@ -403,7 +375,8 @@ class ArrayEdgeWindow:
                 *image.entries)
             pairs = self.scoring.state.dense_rows(
                 np.array((us, vs), dtype=np.int64).T.ravel())
-            self._sync_state()
+            self._kern.sync_state()
+            self._sync_scoring()
             self._kern.check_rows(pairs)
             arrays = (
                 pairs, np.array(ids, dtype=np.int64),
@@ -432,70 +405,3 @@ class ArrayEdgeWindow:
                                        2 * len(image.entries)))
         new._load(image)
         return new
-
-    # ------------------------------------------------------------------
-    # EdgeWindow step API: n = 1 calls into the same kernels
-    # ------------------------------------------------------------------
-    def add(self, edge: Edge) -> int:
-        """Insert ``edge``; score it once and classify it; return entry id."""
-        return self.add_block((edge,))[0]
-
-    def add_block(self, edges: Sequence[Edge],
-                  observe: Optional[Callable[[Edge], None]] = None
-                  ) -> List[int]:
-        """Rule 1, edge by edge: ``observe`` (typically
-        ``state.observe_degrees``) runs on each edge immediately before
-        the kernel scores and classifies it."""
-        ctx = self._ctx
-        state = self.scoring.state
-        ids = []
-        for edge in edges:
-            if observe is not None:
-                observe(edge)
-            pairs = state.dense_rows(np.array(edge, dtype=np.int64))
-            self._sync_state()
-            self._kern.check_rows(pairs)
-            ids.append(ctx.next_id)
-            ctx.consumed = 0
-            # A target beyond the window's size admits without popping.
-            self._call(self._lib.kern_pump, self._kern.pointer(pairs), 1,
-                       ctx.count + 2, False, -1, False)
-        return ids
-
-    def pop_best(self) -> Tuple[Edge, int, float]:
-        """Remove and return the best (edge, partition, score) assignment.
-
-        Version-stale candidate caches (an assignment happened since
-        they were computed) are refreshed; fresh caches are reused — the
-        lazy saving.  Ties break toward the lowest entry id, matching
-        the object window's ordered scan (the agenda is kept in entry
-        order and the first strict maximum of one pass over it wins).
-        """
-        if self._ctx.count == 0:
-            raise IndexError("pop_best from an empty window")
-        self._sync_state()
-        self._call(self._lib.kern_pop)
-        (u,), (v,), (partition,) = (ids.tolist() for ids in self._popped(1))
-        score = float(self._array("out_score")[0])
-        self._compact_if_sparse()
-        return Edge(u, v), partition, score
-
-    def on_replicas_changed(self, vertices: Iterable[int]) -> int:
-        """Rule 3: reassess secondary edges touching changed replica sets.
-
-        No invalidation sweeps — the changed vertices' bumped row
-        versions make every affected validity key stale, one or two hops
-        out, and the rescore pulls them.  Returns the number of
-        secondary edges promoted to the candidate set.
-        """
-        rows = self.scoring.state.dense_rows(
-            np.fromiter(vertices, dtype=np.int64), intern=False)
-        rows = rows[rows >= 0]
-        if not rows.size:
-            return 0
-        self._sync_state()
-        self._kern.check_rows(rows)
-        before = self._ctx.promotions
-        self._call(self._lib.kern_replicas_changed,
-                   self._kern.pointer(rows), rows.size)
-        return self._ctx.promotions - before

@@ -40,10 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-free installs
-    np = None
+import numpy as np
 
 from repro.graph.graph import Edge
 from repro.partitioning.state import StateSnapshot
@@ -69,10 +66,6 @@ class FastPartitionState:
     is_fast = True
 
     def __init__(self, partitions: Sequence[int]) -> None:
-        if np is None:
-            raise ImportError(
-                "FastPartitionState requires numpy; install it or use the "
-                "dict-backed PartitionState (fast=False)")
         ids = list(partitions)
         if not ids:
             raise ValueError("at least one partition required")

@@ -51,6 +51,7 @@ from repro.graph.stream import (
 )
 from repro.core.spotlight import spotlight_spreads
 from repro.partitioning.base import PartitionResult, StreamingPartitioner
+from repro.partitioning.fast_state import FastPartitionState
 from repro.partitioning.metrics import (
     imbalance as imbalance_of,
     merge_replica_sets,
@@ -164,15 +165,9 @@ class _InstancePayload:
 
 
 def _state_from_snapshot(snapshot: StateSnapshot):
-    """Rebuild the snapshot's state flavour, degrading gracefully when the
-    fast (numpy-backed) state is unavailable on the receiving side."""
-    if snapshot.fast:
-        try:
-            from repro.partitioning.fast_state import FastPartitionState
-            return FastPartitionState.from_snapshot(snapshot)
-        except ImportError:  # pragma: no cover - numpy-free installs
-            pass
-    return PartitionState.from_snapshot(snapshot)
+    """Rebuild the snapshot's state flavour."""
+    cls = FastPartitionState if snapshot.fast else PartitionState
+    return cls.from_snapshot(snapshot)
 
 
 def _execute_instance(factory: PartitionerFactory, spread_ids: Sequence[int],

@@ -17,21 +17,9 @@ Prometheus form without a second bookkeeping path.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
-from repro.obs.registry import Histogram, nearest_rank
-
-
-def percentile(samples: List[float], fraction: float) -> float:
-    """Nearest-rank percentile (``fraction`` clamped into [0, 1]).
-
-    Delegates to the shared :func:`repro.obs.registry.nearest_rank` so
-    service p50/p99 and bench percentiles cannot disagree.  Returns 0.0
-    for an empty sample set; a single sample is every percentile of
-    itself; out-of-range fractions clamp to min/max instead of indexing
-    past the ring.
-    """
-    return nearest_rank(sorted(samples), fraction)
+from repro.obs.registry import Histogram
 
 
 class TenantMetrics:

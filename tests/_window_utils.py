@@ -86,3 +86,42 @@ def outcome(partitioner, result):
                e.block_avg_score, e.at_ms)
               for e in partitioner.controller.events]
     return result_tuple(result) + (events,)
+
+
+def check_agenda(win):
+    """``agenda[:num_candidates]`` of a compiled window is exactly the
+    candidate slots, in strictly ascending entry order."""
+    import numpy as np
+
+    n = win.candidate_count
+    agenda = win._array("agenda")[:n]
+    assert np.all(np.diff(win._array("entry")[agenda]) > 0)
+    assert (sorted(agenda.tolist())
+            == np.flatnonzero(win._array("candidate")).tolist())
+    assert np.all(win._array("alive")[agenda] == 1)
+    assert 0 <= n <= len(win)
+
+
+def lockstep(build, *args, **kwargs):
+    """``(compiled, reference)``: ``build(*args, **kwargs)`` — a
+    partitioner class or ``open_session`` — on each tier."""
+    return build(*args, **kwargs), reference(build, *args, **kwargs)
+
+
+def ingest_both(pair, edges):
+    """Feed the ``(u, v)`` pairs ``edges`` to both partitioners or
+    sessions of ``pair``.  They must agree on the assignments emitted,
+    the window image, the candidate count, the promotions and the clock;
+    the compiled window's agenda must be in order.  Returns the
+    assignments."""
+    seen = []
+    for side in pair:
+        emitted = list(side.ingest(edges))
+        partitioner = getattr(side, "partitioner", side)
+        window, clock = partitioner.window, partitioner.clock
+        seen.append((emitted, window.to_image(), window.candidate_count,
+                     window.promotions, clock.score_computations,
+                     clock.assignments, clock.now()))
+    assert seen[0] == seen[1]
+    check_agenda(getattr(pair[0], "partitioner", pair[0]).window)
+    return seen[0][0]

@@ -8,13 +8,14 @@ latency and score-computation counts, same adaptive window-size trace,
 same promotion counts.  These tests enforce that contract with
 property-based random streams (duplicate edges included — window entries
 are distinct items), a full configuration grid, and targeted unit checks
-of the window API itself.
+fed one edge per ``ingest`` to both tiers (the compiled window has no
+per-edge step API of its own).
 """
 
 from functools import partial
 
 import pytest
-from _window_utils import reference
+from _window_utils import ingest_both, lockstep, outcome, reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,37 +172,39 @@ def test_grow_then_shrink_compacts_and_stays_identical():
 
 
 def test_forced_growth_from_small_initial_capacity():
-    state = FastPartitionState([0, 1, 2])
-    scoring = AdwiseScoring(state, balancer=None)
-    window = ArrayEdgeWindow(scoring, initial_capacity=1)
-    edges = [Edge(i, i + 100) for i in range(200)]
-    ids = window.add_block(edges, observe=state.observe_degrees)
-    assert len(ids) == 200
-    assert len(window) == 200
-    assert window.edges() == edges  # insertion order preserved across growth
-    popped = [window.pop_best()[0] for _ in range(200)]
-    assert sorted(e.u for e in popped) == sorted(e.u for e in edges)
-    assert len(window) == 0
+    """A window built at its smallest capacity holds 200 edges, in
+    insertion order, across two doublings, then drains them all."""
+    pair = lockstep(AdwisePartitioner, [0, 1, 2], fixed_window=201)
+    compiled = pair[0]
+    compiled.begin()
+    compiled.window = ArrayEdgeWindow(compiled.scoring, initial_capacity=1)
+    edges = [(i, i + 100) for i in range(200)]
+    assert ingest_both(pair, edges) == []
+    assert compiled.window._ctx.slot_cap == 256
+    assert compiled.window.edges() == [Edge(u, v) for u, v in edges]
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(compiled, results[0]) == outcome(pair[1], results[1])
+    assert len(results[0].assignments) == 200
+    assert len(compiled.window) == 0
 
 
 # ---------------------------------------------------------------------------
-# Window API unit tests (mirror of the object window's contract)
+# Window unit checks, one edge per ingest against the reference
 # ---------------------------------------------------------------------------
 
-def make_array_window(partitions=(0, 1), lazy=True, epsilon=0.1,
-                      max_candidates=64):
-    state = FastPartitionState(list(partitions))
-    scoring = AdwiseScoring(state, balancer=None)
-    return ArrayEdgeWindow(scoring, lazy=lazy, epsilon=epsilon,
-                           max_candidates=max_candidates), state
+def adwise_pair(partitions=(0, 1), seeds=(), **knobs):
+    """A compiled and a reference ADWISE partitioner whose states already
+    hold the ``((u, v), partition)`` assignments ``seeds``."""
+    pair = lockstep(AdwisePartitioner, list(partitions), **knobs)
+    for partitioner in pair:
+        partitioner.begin()
+        for (u, v), partition in seeds:
+            partitioner.state.observe_degrees(Edge(u, v))
+            partitioner.state.assign(Edge(u, v), partition)
+    return pair
 
 
 class TestArrayWindowBasics:
-    def test_empty_window_pop_raises(self):
-        window, _ = make_array_window()
-        with pytest.raises(IndexError):
-            window.pop_best()
-
     def test_requires_fast_state(self):
         scoring = AdwiseScoring(PartitionState([0, 1]), balancer=None)
         with pytest.raises(ValueError):
@@ -219,78 +222,52 @@ class TestArrayWindowBasics:
                             max_candidates=0)
 
     def test_duplicate_edges_kept_as_distinct_entries(self):
-        window, _ = make_array_window()
-        window.add(Edge(1, 2))
-        window.add(Edge(1, 2))
-        assert len(window) == 2
+        pair = adwise_pair(fixed_window=3)
+        ingest_both(pair, [(1, 2)])
+        ingest_both(pair, [(1, 2)])
+        assert len(pair[0].window) == 2
 
     def test_pop_removes_entry(self):
-        window, _ = make_array_window()
-        window.add(Edge(1, 2))
-        edge, partition, _ = window.pop_best()
-        assert edge == Edge(1, 2)
-        assert partition in (0, 1)
-        assert len(window) == 0
+        pair = adwise_pair(fixed_window=1)
+        [assignment] = ingest_both(pair, [(1, 2)])
+        assert assignment.edge == Edge(1, 2)
+        assert assignment.partition in (0, 1)
+        assert len(pair[0].window) == 0
 
     def test_threshold_matches_object_window(self):
-        array_window, astate = make_array_window(epsilon=0.25)
-        object_window = EdgeWindow(
-            AdwiseScoring(PartitionState([0, 1]), balancer=None),
-            epsilon=0.25)
-        assert array_window.threshold == object_window.threshold == 0.25
-        for win, state in ((array_window, astate),):
-            state.observe_degrees(Edge(1, 2))
-            win.add(Edge(1, 2))
-        assert array_window.threshold == pytest.approx(
-            array_window._ctx.score_sum / 1 + 0.25)
-
-    def test_neighborhood_matches_object_window(self):
-        array_window, astate = make_array_window()
-        legacy_state = PartitionState([0, 1])
-        object_window = EdgeWindow(AdwiseScoring(legacy_state, balancer=None))
-        for edge in (Edge(1, 2), Edge(2, 3), Edge(8, 9), Edge(1, 3)):
-            astate.observe_degrees(edge)
-            legacy_state.observe_degrees(edge)
-            array_window.add(edge)
-            object_window.add(edge)
-        for probe in (Edge(1, 2), Edge(2, 3), Edge(8, 9), Edge(4, 5)):
-            assert (array_window.neighborhood(probe)
-                    == object_window.neighborhood(probe))
+        compiled, control = pair = adwise_pair(fixed_window=3, epsilon=0.25)
+        assert compiled.window.threshold == control.window.threshold == 0.25
+        ingest_both(pair, [(1, 2)])
+        assert compiled.window.threshold == control.window.threshold
+        assert compiled.window.threshold == pytest.approx(
+            compiled.window._ctx.score_sum / 1 + 0.25)
 
     def test_max_candidates_cap(self):
-        window, state = make_array_window(lazy=True, max_candidates=2)
-        state.observe_degrees(Edge(50, 51))
-        state.assign(Edge(50, 51), 0)
+        pair = adwise_pair(seeds=[((50, 51), 0)], fixed_window=6,
+                           max_candidates=2)
         for i in range(5):
-            window.add(Edge(50, 200 + i))
-        assert window.candidate_count <= 2
+            ingest_both(pair, [(50, 200 + i)])
+            assert pair[0].window.candidate_count <= 2
 
     def test_promotions_counted(self):
-        window, state = make_array_window(lazy=True)
-        for i in range(8):
-            state.observe_degrees(Edge(i, i + 100))
-            window.add(Edge(i, i + 100))
-        assert window.candidate_count == 0
-        window.pop_best()  # rule-2 rescue must promote
-        assert window.promotions >= 1
+        pair = adwise_pair(fixed_window=8)
+        for i in range(7):
+            ingest_both(pair, [(i, i + 100)])
+        assert pair[0].window.candidate_count == 0
+        ingest_both(pair, [(7, 107)])  # full: the pop's rule-2 rescue
+        assert pair[0].window.promotions >= 1
 
 
 class TestPopBestFallbackFix:
-    """Satellite: pop_best must not default to partitions[0] silently."""
+    """The pop must not default to partitions[0] silently."""
 
     def test_best_initialised_from_first_candidate(self):
         # Partition ids deliberately not starting at 0: a sentinel
         # fallback to partitions[0] would be observable as partition 7.
-        state = FastPartitionState([7, 3])
-        state.observe_degrees(Edge(1, 2))
-        state.assign(Edge(1, 2), 3)
-        window, wstate = make_array_window(partitions=(7, 3))
-        wstate.observe_degrees(Edge(1, 2))
-        wstate.assign(Edge(1, 2), 3)
-        wstate.observe_degrees(Edge(1, 5))
-        window.add(Edge(1, 5))
-        edge, partition, score = window.pop_best()
-        assert partition == 3  # follows the replica, not the sentinel
+        pair = adwise_pair(partitions=(7, 3), seeds=[((1, 2), 3)],
+                           fixed_window=1)
+        [assignment] = ingest_both(pair, [(1, 5)])
+        assert assignment.partition == 3  # follows the replica
 
     def test_object_window_same_fix(self):
         legacy = PartitionState([7, 3])

@@ -27,8 +27,6 @@ from hypothesis import strategies as st
 
 from repro.api import open_session, restore_session
 from repro.core import _kernels
-from repro.core.array_window import ArrayEdgeWindow
-from repro.core.scoring import AdwiseScoring
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Edge
 from repro.graph.stream import shuffled
@@ -146,8 +144,6 @@ def test_lookup_of_never_seen_ids_interns_nothing(tiny):
         assert state.degree_of(vertex) == 0
         assert not state.is_replicated_on(vertex, 2)
     assert state.replicas(4) == frozenset({2}) and state.degree_of(3) == 1
-    window = ArrayEdgeWindow(AdwiseScoring(state))
-    assert window.on_replicas_changed([7, 8, 9]) == 0
     assert (state._interned, state._capacity, state._table.tobytes()) == before
 
     session = open_session("hdrf", partitions=4)

@@ -7,42 +7,49 @@ enforces that contract four ways:
 
 * differential runs — the array window vs. the object window, across
   lazy/eager, fixed/adaptive windows and duplicate-heavy streams, both
-  through the partitioner (one pump per batch) and through the step API
-  (``add_block`` / ``pop_best`` / ``on_replicas_changed``, the same C
-  primitives one call at a time);
+  one pump per batch and one edge per ``ingest`` with the two tiers
+  compared after every edge (the compiled window has no step API: the
+  partitioner and the session are its only way in);
 * cases aimed at the two things the kernel does differently from the
   reference's loops — an agenda kept in entry order (eager windows,
   rule 2's out-of-order promotions, restore) and CS hits counted in
   byte lanes of 64-bit words (hub neighbourhoods across the 255-hit
   flush, every k mod 8 and 64-column layout, the 0/1 precondition);
-* agenda invariants — on a live window, after every step of a random
-  add / pop / rule 3 / snapshot-restore / compact interleaving, the
-  agenda is exactly the candidate slots in strictly ascending entry
-  order;
+* agenda invariants — on a live session, after every step of a random
+  add / pop (+ rule 3) / snapshot-pickle-restore / compact interleaving
+  (single-edge ingests whose target size puts the pump exactly one
+  admit or one pop ahead), the agenda is exactly the candidate slots in
+  strictly ascending entry order, and both tiers agree;
 * structure — one ingest batch is O(1) kernel calls.
 
 (The fallback rule where the kernels cannot be built is in
 ``tests/test_window_fallback.py``, which runs without them.)
 """
 
+import pickle
 from functools import partial
 
 import numpy as np
 import pytest
-from _window_utils import load_mutant, outcome, reference
+from _window_utils import (
+    check_agenda,
+    ingest_both,
+    load_mutant,
+    lockstep,
+    outcome,
+    reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_session, restore_session
 from repro.core import _kernels
 from repro.core._binding import KernelBinding
 from repro.core.adwise import AdwisePartitioner
 from repro.core.array_window import ArrayEdgeWindow
-from repro.core.scoring import AdwiseScoring
-from repro.core.window import EdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
 from repro.partitioning.fast_state import FastPartitionState
-from repro.partitioning.state import PartitionState
 
 pytestmark = pytest.mark.skipif(_kernels.load() is None,
                                 reason="compiled kernels unavailable")
@@ -133,47 +140,29 @@ def test_longer_stream_parity():
 
 
 # ---------------------------------------------------------------------------
-# The step API: the same C primitives one call at a time == object window
+# Step grain: one edge per ingest, both tiers compared after every edge
 # ---------------------------------------------------------------------------
 
-def drive(window_cls, pairs, k, window=9, lazy=True):
-    """Drive a window the way the reference loop does, each on its own
-    tier's state; pop trace."""
-    state = (FastPartitionState if window_cls is ArrayEdgeWindow
-             else PartitionState)(range(k))
-    scoring = AdwiseScoring(state, balancer=None)
-    win = window_cls(scoring, lazy=lazy)
-    edges = [Edge(u, v).canonical() for u, v in pairs]
-    trace = []
-    i = 0
-    while i < len(edges) or len(win):
-        block = []
-        while i < len(edges) and len(win) + len(block) < window:
-            block.append(edges[i])
-            i += 1
-        if block:
-            win.add_block(block, observe=state.observe_degrees)
-        edge, partition, score = win.pop_best()
-        changed = state.assign(edge, partition)
-        scoring.after_assignment()
-        if changed:
-            win.on_replicas_changed(changed)
-        trace.append((edge.u, edge.v, partition, score,
-                      win.candidate_count, win.promotions))
-    return trace
+def drive(pairs, k, window=9, lazy=True):
+    """Feed ``pairs`` one edge per ``ingest`` to both tiers, comparing
+    after every edge, then drain both."""
+    pair = lockstep(AdwisePartitioner, range(k), fixed_window=window,
+                    lazy=lazy)
+    for ends in pairs:
+        ingest_both(pair, [ends])
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
 
 
 @settings(deadline=None, max_examples=10)
 @given(edge_lists, partition_counts, st.booleans())
-def test_step_api_equals_object(pairs, k, lazy):
-    assert (drive(ArrayEdgeWindow, pairs, k, lazy=lazy)
-            == drive(EdgeWindow, pairs, k, lazy=lazy))
+def test_one_edge_per_ingest_parity(pairs, k, lazy):
+    drive(pairs, k, lazy=lazy)
 
 
-def test_step_api_long_stream():
-    pairs = [(i % 23, (i * 7 + 1) % 29 + 23) for i in range(300)]
-    assert (drive(ArrayEdgeWindow, pairs, 4, window=24)
-            == drive(EdgeWindow, pairs, 4, window=24))
+def test_one_edge_per_ingest_long_stream():
+    drive([(i % 23, (i * 7 + 1) % 29 + 23) for i in range(300)], 4,
+          window=24)
 
 
 # ---------------------------------------------------------------------------
@@ -203,47 +192,23 @@ def test_uniform_scores_take_rule_twos_best_eighth():
         fixed_window=64, epsilon=1.0))
 
 
-def lockstep(k, **knobs):
-    """An array window and an object window, each with its own tier's
-    state and scoring."""
-    sides = []
-    for window_cls, state_cls in ((ArrayEdgeWindow, FastPartitionState),
-                                  (EdgeWindow, PartitionState)):
-        scoring = AdwiseScoring(state_cls(range(k)), balancer=None)
-        sides.append((window_cls(scoring, **knobs), scoring))
-    return sides
-
-
-def pop_and_assign(win, scoring):
-    edge, partition, score = win.pop_best()
-    changed = scoring.state.assign(edge, partition)
-    scoring.after_assignment()
-    if changed:
-        win.on_replicas_changed(changed)
-    return edge, partition, score, win.candidate_count, win.promotions
-
-
 def test_restore_then_pop_when_the_candidates_are_the_highest_entries():
     """An image lists entries in entry order; ``kern_restore`` must
     leave the agenda in that order whichever entries are candidates."""
     pairs = [(i % 15, (i * 3 + 1) % 17 + 15) for i in range(60)]
-    traces = []
-    for win, scoring in lockstep(4):
-        state = scoring.state
-        win.add_block([Edge(u, v).canonical() for u, v in pairs],
-                      observe=state.observe_degrees)
-        trace = [pop_and_assign(win, scoring) for _ in range(10)]
-        image = win.to_image()
+    sessions = lockstep(open_session, "adwise", partitions=4,
+                        fixed_window=51)
+    ingest_both(sessions, pairs)  # ten pops, fifty edges left
+    snapshots = [session.snapshot() for session in sessions]
+    for snapshot in snapshots:
+        image = snapshot.algorithm_state["window_image"]
         image.entries = [row[:6] + (i >= len(image.entries) - 6,)
                          for i, row in enumerate(image.entries)]
-        win = type(win).from_image(scoring, image)
-        assert win.candidate_count == 6
-        if isinstance(win, ArrayEdgeWindow):
-            check_agenda(win)
-        while len(win):
-            trace.append(pop_and_assign(win, scoring))
-        traces.append(trace)
-    assert traces[0] == traces[1]
+    sessions = [restore_session(snapshot) for snapshot in snapshots]
+    assert [session.partitioner.window.candidate_count
+            for session in sessions] == [6, 6]
+    check_agenda(sessions[0].partitioner.window)
+    drain(sessions)
 
 
 def hub_stream(spokes, fillers):
@@ -344,20 +309,8 @@ def test_replica_matrix_must_be_bool():
 
 
 # ---------------------------------------------------------------------------
-# Agenda invariants on a live window, after every step
+# Agenda invariants on a live session, after every step
 # ---------------------------------------------------------------------------
-
-def check_agenda(win):
-    """``agenda[:num_candidates]`` is exactly the candidate slots, in
-    strictly ascending entry order."""
-    n = win.candidate_count
-    agenda = win._array("agenda")[:n]
-    assert np.all(np.diff(win._array("entry")[agenda]) > 0)
-    assert (sorted(agenda.tolist())
-            == np.flatnonzero(win._array("candidate")).tolist())
-    assert np.all(win._array("alive")[agenda] == 1)
-    assert 0 <= n <= len(win)
-
 
 agenda_ops = st.lists(
     st.one_of(st.tuples(st.just("add"), st.integers(0, 14),
@@ -366,44 +319,71 @@ agenda_ops = st.lists(
     max_size=80)
 
 
-def live_window(**knobs):
-    """An array window holding 70 edges: past the 64-slot initial
-    capacity, so the slot arrays (the agenda with them) grew."""
-    scoring = AdwiseScoring(FastPartitionState(range(4)), balancer=None)
-    win = ArrayEdgeWindow(scoring, **knobs)
+def set_window(sessions, w):
+    """Pin both fixed windows' target size to ``w`` — what an adaptive
+    controller's decision does between batches."""
+    for session in sessions:
+        session.partitioner.controller.window_size = w
+
+
+def add(sessions, edge):
+    """Admit ``edge`` on both tiers without a pop (the target is past
+    the window's size)."""
+    set_window(sessions, len(sessions[0].partitioner.window) + 2)
+    ingest_both(sessions, [edge])
+
+
+def pop(sessions):
+    """Pop one edge on both tiers: an empty ingest whose target is the
+    window's own size (assign, rule 3, and compaction if it is due)."""
+    set_window(sessions, len(sessions[0].partitioner.window))
+    ingest_both(sessions, [])
+
+
+def drain(sessions):
+    """Pop both windows empty one edge at a time, then finalize both."""
+    while len(sessions[0].partitioner.window):
+        pop(sessions)
+    results = [session.finalize() for session in sessions]
+    assert (outcome(sessions[0].partitioner, results[0])
+            == outcome(sessions[1].partitioner, results[1]))
+
+
+def live_sessions(**knobs):
+    """A session per tier whose window holds 70 edges: past the 64-slot
+    initial capacity, so the slot arrays (the agenda with them) grew."""
+    sessions = lockstep(open_session, "adwise", partitions=4,
+                        fixed_window=1, **knobs)
     for i in range(70):
-        win.add_block([Edge(i % 15, (i * 3 + 1) % 17 + 15)],
-                      observe=scoring.state.observe_degrees)
-        check_agenda(win)
-    return win, scoring
+        add(sessions, (i % 15, (i * 3 + 1) % 17 + 15))
+    return sessions
 
 
 @settings(deadline=None, max_examples=60)
 @given(agenda_ops, st.booleans(), st.sampled_from([2, 64]))
 def test_live_window_agenda_invariants(ops, lazy, max_candidates):
-    """add / pop (+ rule 3) / snapshot-restore in any interleaving, then
-    a drain that takes the window through compaction."""
-    knobs = dict(lazy=lazy, max_candidates=max_candidates)
-    win, scoring = live_window(**knobs)
-    for op, *ends in ops + [("pop",)] * 160:
+    """add / pop (+ rule 3) / snapshot-pickle-restore in any
+    interleaving, then a drain that takes the window through compaction;
+    both tiers compared and the agenda checked after every step."""
+    sessions = live_sessions(lazy=lazy, max_candidates=max_candidates)
+    for op, *ends in ops:
         if op == "add":
-            win.add_block([Edge(*ends)],
-                          observe=scoring.state.observe_degrees)
+            add(sessions, ends)
         elif op == "restore":
-            win = ArrayEdgeWindow.from_image(scoring, win.to_image(), **knobs)
-        elif len(win):
-            pop_and_assign(win, scoring)
-        check_agenda(win)
-    assert len(win) == 0 and win.candidate_count == 0
+            sessions = [restore_session(pickle.loads(pickle.dumps(
+                session.snapshot()))) for session in sessions]
+            check_agenda(sessions[0].partitioner.window)
+        elif len(sessions[0].partitioner.window):
+            pop(sessions)
+    drain(sessions)
 
 
 def test_agenda_survives_growth_and_compaction():
-    win, scoring = live_window()
-    assert win._ctx.slot_cap == 128
-    while len(win):
-        pop_and_assign(win, scoring)
-        check_agenda(win)
-    assert win._ctx.slot_cap == 64  # re-loaded from its own image
+    sessions = live_sessions()
+    window = sessions[0].partitioner.window
+    assert window._ctx.slot_cap == 128
+    drain(sessions)
+    assert window._ctx.slot_cap == 64  # re-loaded from its own image
 
 
 # ---------------------------------------------------------------------------
@@ -479,24 +459,22 @@ def test_adaptive_window_calls_follow_block_boundaries():
 # Restore: snapshot/restore through the backend-neutral image
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("source", [ArrayEdgeWindow, EdgeWindow])
+@pytest.mark.parametrize("source", ["compiled", "reference"])
 def test_image_roundtrip_continues_identically(source):
+    """A snapshot taken on either tier restores into the compiled window
+    (images are backend-neutral) and continues as the uninterrupted
+    reference does, one edge per ingest."""
     pairs = [(i % 15, (i * 3 + 1) % 17 + 15) for i in range(90)]
-    state = FastPartitionState(range(4))
-    scoring = AdwiseScoring(state, balancer=None)
-    win = source(scoring, lazy=True)
-    edges = [Edge(u, v).canonical() for u, v in pairs]
-    for edge in edges[:40]:
-        win.add_block([edge], observe=state.observe_degrees)
-    for _ in range(20):
-        edge, partition, _ = win.pop_best()
-        changed = state.assign(edge, partition)
-        scoring.after_assignment()
-        if changed:
-            win.on_replicas_changed(changed)
-    restored = ArrayEdgeWindow.from_image(scoring, win.to_image())
-    assert len(restored) == len(win)
-    assert restored.edges() == win.edges()
-    assert restored.promotions == win.promotions
-    while len(win):
-        assert restored.pop_best() == win.pop_best()
+    sessions = lockstep(open_session, "adwise", partitions=4,
+                        fixed_window=21)
+    ingest_both(sessions, pairs[:40])  # twenty pops, twenty edges left
+    snapshot = sessions[source == "reference"].snapshot()
+    snapshot.knobs.pop("fast", None)  # restore on the compiled tier
+    restored = restore_session(pickle.loads(pickle.dumps(snapshot)))
+    assert type(restored.partitioner.window) is ArrayEdgeWindow
+    pair = (restored, sessions[1])
+    assert (restored.partitioner.window.edges()
+            == sessions[1].partitioner.window.edges())
+    for ends in pairs[40:]:
+        ingest_both(pair, [ends])
+    drain(pair)

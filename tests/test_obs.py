@@ -18,7 +18,8 @@ import threading
 import pytest
 
 from repro import obs
-from repro.service.metrics import TenantMetrics, percentile
+from repro.obs.registry import nearest_rank
+from repro.service.metrics import TenantMetrics
 
 pytestmark = pytest.mark.usefixtures("clean_obs")
 
@@ -477,32 +478,32 @@ class TestExporters:
 
 
 # ----------------------------------------------------------------------
-# Percentile edge cases + service.metrics parity (satellite 1)
+# Percentile edge cases + service.metrics parity
 # ----------------------------------------------------------------------
 
 class TestPercentile:
 
     def test_empty_and_single(self):
-        assert percentile([], 0.99) == 0.0
-        assert percentile([7.0], 0.0) == 7.0
-        assert percentile([7.0], 0.5) == 7.0
-        assert percentile([7.0], 0.99) == 7.0
+        assert nearest_rank(sorted([]), 0.99) == 0.0
+        assert nearest_rank(sorted([7.0]), 0.0) == 7.0
+        assert nearest_rank(sorted([7.0]), 0.5) == 7.0
+        assert nearest_rank(sorted([7.0]), 0.99) == 7.0
 
     def test_fraction_clamping(self):
         samples = [1.0, 2.0, 3.0]
-        assert percentile(samples, -0.5) == 1.0
-        assert percentile(samples, 0.0) == 1.0
-        assert percentile(samples, 1.0) == 3.0
-        assert percentile(samples, 1.5) == 3.0
+        assert nearest_rank(sorted(samples), -0.5) == 1.0
+        assert nearest_rank(sorted(samples), 0.0) == 1.0
+        assert nearest_rank(sorted(samples), 1.0) == 3.0
+        assert nearest_rank(sorted(samples), 1.5) == 3.0
 
     def test_nearest_rank_semantics(self):
         samples = [10.0, 20.0]
-        assert percentile(samples, 0.5) == 10.0   # ceil(0.5*2)=1 → idx 0
-        assert percentile(samples, 0.51) == 20.0
-        assert percentile(list(range(1, 101)), 0.99) == 99
+        assert nearest_rank(samples, 0.5) == 10.0   # ceil(0.5*2)=1 → idx 0
+        assert nearest_rank(samples, 0.51) == 20.0
+        assert nearest_rank(list(range(1, 101)), 0.99) == 99
 
     def test_unsorted_input_ok(self):
-        assert percentile([3.0, 1.0, 2.0], 0.99) == 3.0
+        assert nearest_rank(sorted([3.0, 1.0, 2.0]), 0.99) == 3.0
 
     def test_matches_obs_histogram(self):
         rng = random.Random(11)
@@ -511,7 +512,8 @@ class TestPercentile:
         for s in samples:
             h.observe(s)
         for fraction in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert percentile(samples, fraction) == h.percentile(fraction)
+            assert (nearest_rank(sorted(samples), fraction)
+                    == h.percentile(fraction))
 
     def test_tenant_metrics_delegates(self):
         clock = iter(float(i) for i in range(100))
