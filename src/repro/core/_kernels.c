@@ -71,6 +71,7 @@ typedef struct {
     int64_t *deg;           /* dense degree table (state)              */
     /* Per-partition arrays (k entries). */
     double  *lamb;          /* lambda * B(p)                           */
+    int64_t *lamb_version;  /* window version lamb[p] last moved at    */
     int64_t *sizes;         /* partition sizes (state)                 */
     /* Neighbourhood arena and transaction outputs. */
     int64_t *pool;
@@ -88,6 +89,7 @@ typedef struct {
     /* Window scalars. */
     int64_t count, num_candidates, next_id, version, promotions;
     int64_t num_free, pool_used, stamp_clock;
+    int64_t lamb_epoch;     /* window version all of lamb last moved at */
     double  score_sum;
     /* Vertex-cache scalars (mirrors of the partition state). */
     int64_t max_degree, max_size, min_size, assigned_edges;
@@ -102,7 +104,7 @@ typedef struct {
     int64_t stat_refills, stat_pops, stat_rescored_slots;
     int64_t stat_rep_recomputed, stat_cs_recomputed;
     int64_t stat_agenda_inserts, stat_agenda_removes, stat_agenda_rescores;
-    int64_t stat_agenda_scanned, stat_segments_written;
+    int64_t stat_agenda_scanned, stat_segments_written, stat_assembled;
 } KernCtx;
 
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
@@ -476,7 +478,16 @@ static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
 
 /* Rescore slot s against the current state, unless it is version-fresh
  * with every key matching — recomputing it would bit-equal its cache.
- * Callers go in entry order: score_sum accumulates as the reference's. */
+ * Callers go in entry order: score_sum accumulates as the reference's.
+ *
+ * Nor is the argmax re-assembled when both memos held and, since the
+ * slot's version, lamb moved only at columns other than its best column
+ * c, each by a one-column step (kern_pump).  A step leaves lam,
+ * max_size and min_size as they were, so every other lamb[j] is the same
+ * float computation as before, and lamb[j*] did not rise.  Rounding is
+ * monotone, so t[j*] did not rise either; t[c] is bit-unchanged, so c
+ * is still a maximum.  It is still the first: a tie at j* < c would
+ * already have made j* the first maximum.  Score and col stay. */
 static void rescore_slot(KernCtx *c, int64_t s)
 {
     int fresh_r = rep_fresh(c, s);
@@ -492,7 +503,13 @@ static void rescore_slot(KernCtx *c, int64_t s)
         recompute_cs(c, s);
         c->stat_cs_recomputed++;
     }
-    assemble(c, s);
+    if (fresh_r && fresh_c && c->slot_version[s] >= c->lamb_epoch
+            && c->lamb_version[c->col[s]] <= c->slot_version[s]) {
+        c->slot_version[s] = c->version;
+    } else {
+        assemble(c, s);
+        c->stat_assembled++;
+    }
     c->score_sum += c->score[s] - old;
     c->stat_rescored_slots++;
 }
@@ -802,8 +819,10 @@ static int64_t finish_assignment(KernCtx *c, int64_t stop_at)
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
                   int64_t target_w, int64_t force, int64_t stop_at)
 {
-    int64_t status, need, s, changed;
+    int64_t status, need, s, changed, j, max_size, min_size;
+    double lam, lamb_j;
     refresh_lamb(c);
+    c->lamb_epoch = c->version;
     if (c->rule3_pending) {  /* re-entered after rule 3 ran out of arena */
         status = finish_assignment(c, stop_at);
         if (status != KERN_DONE)
@@ -823,9 +842,20 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
         if (status != KERN_DONE)
             return status;
         changed = c->n_changed;
-        assign(c, c->ui[s], c->vi[s], c->col[s]);
+        j = c->col[s];
+        lam = c->lam;
+        max_size = c->max_size;
+        min_size = c->min_size;
+        lamb_j = c->lamb[j];
+        assign(c, c->ui[s], c->vi[s], j);
         c->rule3_pending = c->n_changed - changed;
         adapt_lambda(c);
+        /* A one-column step (see rescore_slot) or a move of all of lamb. */
+        if (c->lam == lam && c->max_size == max_size
+                && c->min_size == min_size && c->lamb[j] <= lamb_j)
+            c->lamb_version[j] = c->version;
+        else
+            c->lamb_epoch = c->version;
         status = finish_assignment(c, stop_at);
         if (status != KERN_DONE)
             return status;

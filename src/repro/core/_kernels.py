@@ -1,8 +1,8 @@
 """Loader for the compiled kernels (DESIGN.md §14).
 
 ``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
-transaction plus the single-step primitives the array window exposes,
-the single-edge stream kernel HDRF ingests a batch through, the vertex
+transaction (plus the restore that loads a window image into it), the
+single-edge stream kernel HDRF ingests a batch through, the vertex
 intern table both are fed by, the edge-file line scanner and the
 cluster runtime's host step (DESIGN.md §8).  It is
 compiled on demand with the system C compiler

@@ -39,6 +39,7 @@ suites' hook) — see :class:`~repro.partitioning.base.StreamingPartitioner`.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -82,7 +83,8 @@ class AdwisePartitioner(StreamingPartitioner):
     epsilon:
         ε of the candidate threshold ``Θ = g_avg + ε``.
     initial_lambda:
-        Starting value of the adaptive balancing weight λ.
+        Starting value of the adaptive balancing weight λ (the weight
+        itself with ``adaptive_lambda=False``); must be finite.
     max_window:
         Upper bound on ``w`` (memory guard).
     fast:
@@ -109,6 +111,9 @@ class AdwisePartitioner(StreamingPartitioner):
                  max_window: int = 16384,
                  max_candidates: int = 64,
                  fast: Optional[bool] = None) -> None:
+        if not math.isfinite(initial_lambda):
+            raise ValueError(
+                f"initial_lambda must be finite, got {initial_lambda}")
         super().__init__(partitions, clock=clock, state=state, fast=fast)
         self.latency_preference_ms = latency_preference_ms
         self.use_clustering = use_clustering
@@ -247,6 +252,8 @@ class AdwisePartitioner(StreamingPartitioner):
         rescored = getattr(window, "stat_rescored_slots", 0)
         obs.counter("repro_window_rescored_slots_total",
                     **labels).inc(rescored)
+        obs.counter("repro_window_assembled_slots_total",
+                    **labels).inc(getattr(window, "stat_assembled", rescored))
         for component, recomputed in (
                 ("replication", getattr(window, "stat_rep_recomputed", 0)),
                 ("clustering", getattr(window, "stat_cs_recomputed", 0))):

@@ -140,6 +140,7 @@ class ArrayEdgeWindow:
         self._slot_fields = dict(_SLOT_FIELDS, rep=(np.float64, k, 0.0),
                                  cs=(np.float64, k, 0.0))
         self._kern.bind("lamb", np.zeros(k, dtype=np.float64), k)
+        self._kern.bind("lamb_version", np.zeros(k, dtype=np.int64), k)
         self._allocate(max(_MIN_CAPACITY, int(initial_capacity)))
         pool_cap = max(_MIN_ARENA, 4 * ctx.slot_cap)
         self._kern.bind("pool", np.zeros(pool_cap, dtype=np.int64), pool_cap)
@@ -161,6 +162,10 @@ class ArrayEdgeWindow:
     stat_rescored_slots = _tally(
         "stat_rescored_slots",
         "Slots actually rescored (version- or memo-stale at rescore).")
+    stat_assembled = _tally(
+        "stat_assembled",
+        "Rescored slots whose best column was re-assembled (the rest "
+        "provably kept their cached score and column).")
     stat_rep_recomputed = _tally(
         "stat_rep_recomputed", "Replication components recomputed.")
     stat_cs_recomputed = _tally(

@@ -7,6 +7,7 @@ edges, and corrupt files rather than silently corrupting state.
 
 import pytest
 
+from repro.api import open_session
 from repro.graph.graph import Edge, Graph
 from repro.graph.io import read_graph
 from repro.graph.stream import InMemoryEdgeStream, shuffled
@@ -112,6 +113,31 @@ class TestAdwiseRobustness:
                                         latency_preference_ms=-5.0)
         with pytest.raises(ValueError):
             partitioner.partition_stream(InMemoryEdgeStream([Edge(0, 1)]))
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        """A non-finite λ makes λ·B NaN, which the compiled argmax and
+        the reference's seed differently: refused on both tiers, before
+        a stream opens, and through open_session."""
+        for knobs in ({}, {"adaptive_lambda": False}, {"fast": False}):
+            with pytest.raises(ValueError, match="initial_lambda"):
+                AdwisePartitioner(range(8), initial_lambda=lam, **knobs)
+        with pytest.raises(ValueError, match="initial_lambda"):
+            open_session("adwise", partitions=8, initial_lambda=lam)
+
+    @pytest.mark.parametrize("lam", [-2.5, -0.0, 0.0, 1.1, 7.0])
+    def test_finite_fixed_lambda_accepted(self, lam):
+        pairs = [(i % 13, (i * 7 + 3) % 17 + 13) for i in range(100)]
+        results = [
+            AdwisePartitioner(range(8), fixed_window=16, initial_lambda=lam,
+                              adaptive_lambda=False, fast=fast)
+            .partition_stream(InMemoryEdgeStream(
+                [Edge(u, v) for u, v in pairs]))
+            for fast in (None, False)]
+        assert results[0].state.assigned_edges == len(pairs)
+        assert (list(results[0].assignments.items())
+                == list(results[1].assignments.items()))
 
 
 class TestCorruptFiles:

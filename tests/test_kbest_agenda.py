@@ -278,6 +278,67 @@ def test_hub_neighbourhoods_cross_the_lane_flush(window, spokes, fillers,
                 == outcome(control, control.finalize()))
 
 
+def fixed_lambda_lockstep(lam, use_clustering, lazy):
+    """Both tiers at a fixed λ, 50-edge batches compared through
+    :func:`ingest_both`, then drained; returns the compiled window.
+    Every stream vertex starts with a replica on one partition, so R and
+    CS spread the edges.  From an empty state a λ of 0 or below sends
+    every edge to the first partition instead: ``max_size`` then moves
+    on every assignment, every step moves all of λ·B, and neither the
+    per-column skip nor the check that ``lamb[j*]`` did not rise (the
+    one that fails on a negative λ) is ever reached."""
+    pairs = [((i * 13 + 3) % 59, (i * 7 + 1) % 61 + 59) for i in range(400)]
+    seeds = [(x, x % 8) for x in range(120)]
+    knobs = dict(fixed_window=32, adaptive_lambda=False, initial_lambda=lam,
+                 use_clustering=use_clustering, lazy=lazy)
+    pair = [seeded(build, 8, seeds, **knobs) for build in (
+        AdwisePartitioner, partial(reference, AdwisePartitioner))]
+    for start in range(0, len(pairs), 50):
+        ingest_both(pair, pairs[start:start + 50])
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
+    return pair[0].window
+
+
+FIXED_LAMBDA_GRID = [(lam, use_clustering, lazy) for lam in (0.0, 1.1, 3.0)
+                     for use_clustering in (True, False)
+                     for lazy in (True, False)]
+
+
+@pytest.mark.parametrize("lam,use_clustering,lazy", FIXED_LAMBDA_GRID)
+def test_fixed_lambda_rescores_skip_the_argmax(lam, use_clustering, lazy):
+    """At a fixed λ most assignments move λ·B at their own column only:
+    a rescored slot whose best column is another one keeps its cached
+    score and column, without re-assembling the argmax."""
+    window = fixed_lambda_lockstep(lam, use_clustering, lazy)
+    assert 0 < window.stat_assembled < window.stat_rescored_slots
+
+
+def test_negative_fixed_lambda_rises_the_assigned_column():
+    """λ < 0: an assignment that leaves the extremes alone *raises*
+    ``lamb[j*]``, which must re-assemble every slot (no skip at all)."""
+    window = fixed_lambda_lockstep(-0.5, True, True)
+    assert window.stat_assembled == window.stat_rescored_slots
+
+
+#: A kernel whose ``stat_assembled`` counts only the re-assemblies the
+#: best-column test forced: both memos held and λ·B moved only by
+#: one-column steps, one of them at the slot's cached column.
+BEST_COLUMN_PROBE = (
+    "    } else {\n        assemble(c, s);\n        c->stat_assembled++;",
+    "    } else {\n        c->stat_assembled += fresh_r && fresh_c\n"
+    "            && c->slot_version[s] >= c->lamb_epoch;\n"
+    "        assemble(c, s);")
+
+
+def test_fixed_lambda_reassembles_the_moved_column(tmp_path, monkeypatch):
+    """Each case of the grid also re-assembles slots *because* their
+    best column was the one assigned — what a skip must not cover."""
+    load_mutant(BEST_COLUMN_PROBE, tmp_path, monkeypatch)
+    for case in FIXED_LAMBDA_GRID:
+        assert fixed_lambda_lockstep(*case).stat_assembled > 0, case
+
+
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 32, 63, 64, 65, 130])
 def test_cs_count_at_every_column_layout(k):
     """k mod 8 tail columns only (1, 7), whole words (8, 32, 64), words
@@ -405,6 +466,15 @@ MUTANTS = {
     "last tail column dropped": (
         "for (j = 8 * words; j < k; j++)\n            tail[",
         "for (j = 8 * words; j < k - 1; j++)\n            tail["),
+    "skip ignores the best column": (
+        "c->slot_version[s] >= c->lamb_epoch\n"
+        "            && c->lamb_version[c->col[s]] <= c->slot_version[s]) {",
+        "c->slot_version[s] >= c->lamb_epoch) {"),
+    "a λ-only step counted as one column": (
+        "c->max_size == max_size\n"
+        "                && c->min_size == min_size && ", ""),
+    "a rise of the assigned column counted as a step": (
+        " && c->lamb[j] <= lamb_j)", ")"),
 }
 
 
@@ -412,6 +482,7 @@ MUTANTS = {
 def test_mutant_is_caught(name, tmp_path, monkeypatch):
     load_mutant(MUTANTS[name], tmp_path, monkeypatch)
     with pytest.raises(AssertionError):
+        test_negative_fixed_lambda_rises_the_assigned_column()
         test_longer_stream_parity()
         test_uniform_scores_take_rule_twos_best_eighth()
         test_cs_count_at_every_column_layout(9)

@@ -663,6 +663,10 @@ class TestInstrumentation:
         assert "repro_partition_edges_total" in counters
         assert "repro_window_refills_total" in counters
         assert "repro_window_pops_total" in counters
+        totals = {e["name"]: e["value"] for e in snap["counters"]
+                  if e["name"].startswith("repro_window_")}
+        assert (totals["repro_window_assembled_slots_total"]
+                <= totals["repro_window_rescored_slots_total"])
         assert "repro_partition_replication_degree" in gauges
         assert "repro_window_memo_hit_rate" in gauges
         hit_rates = [e["value"] for e in snap["gauges"]

@@ -19,10 +19,11 @@ and print
 * the intern calls and the transaction's kernel calls per ingest batch,
   separately (one of each on a steady batch);
 * for ADWISE's compiled window, one **pump** row from its tallies —
-  rescored slots and agenda length per pop, CS recomputations and
-  neighbourhood-segment rewrites per edge: what the kernel's time is
-  spent *on* (a hub streaming through in ``--order adjacency`` shows as
-  segment rewrites per edge in the tens);
+  rescored slots (and how many of them re-assembled their argmax rather
+  than keep the cached best column) and agenda length per pop, CS
+  recomputations and neighbourhood-segment rewrites per edge: what the
+  kernel's time is spent *on* (a hub streaming through in ``--order
+  adjacency`` shows as segment rewrites per edge in the tens);
 * a second run under cProfile, top functions by internal or cumulative
   time.
 
@@ -265,7 +266,8 @@ def layers(args) -> None:
     pops = getattr(kernel, "stat_pops", 0)
     if pops:  # ADWISE's compiled window
         print(f"pump: {kernel.stat_rescored_slots / pops:.2f} rescored "
-              f"slots per pop, {kernel.stat_cs_recomputed / edges:.2f} CS "
+              f"slots per pop ({kernel.stat_assembled / pops:.2f} "
+              f"re-assembled), {kernel.stat_cs_recomputed / edges:.2f} CS "
               f"recomputations and {kernel.stat_segments_written / edges:.2f} "
               f"segment rewrites per edge, agenda length "
               f"{kernel.stat_agenda_scanned / pops:.2f} per pop")
