@@ -106,7 +106,7 @@ def check_balance(result: ParallelResult, limit: float = BALANCE_LIMIT) -> None:
     if observed >= limit:
         raise AssertionError(
             f"{result.algorithm}: imbalance {observed:.3f} >= {limit} "
-            f"(sizes {sorted(result.partition_sizes.values())})")
+            f"(sizes {sorted(result.state.partition_edges.values())})")
 
 
 def stacked_latency_experiment(
@@ -153,9 +153,7 @@ def stacked_latency_experiment(
             check_balance(result, limit=balance_limit)
         # One pass over the assignments: the simulated engine's placement
         # and the measured cluster's shards come off the same incidence.
-        sharded = ShardedGraph.from_assignments(
-            result.assignments, partitions=range(num_partitions),
-            vertices=graph.vertices())
+        sharded = ShardedGraph.from_result(result, vertices=graph.vertices())
         placement = sharded.placement(num_machines=num_instances)
         engine = Engine(graph, placement, cost_model, mode=engine_mode)
         cluster_engine = None

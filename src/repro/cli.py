@@ -263,7 +263,7 @@ def _run_parallel_partition(args: argparse.Namespace) -> int:
     print(f"algorithm:          {result.algorithm}")
     print(f"backend:            {result.backend} "
           f"({result.num_instances} workers, spread {result.spread})")
-    print(f"edges assigned:     {sum(result.partition_sizes.values())}")
+    print(f"edges assigned:     {result.state.assigned_edges}")
     print(f"replication degree: {result.replication_degree:.4f}")
     print(f"imbalance:          {result.imbalance:.4f}")
     print(f"latency:            {result.latency_ms:.2f} ms "

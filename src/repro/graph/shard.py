@@ -317,12 +317,10 @@ class ShardedGraph:
     @classmethod
     def from_result(cls, result,
                     vertices: Iterable[int] = ()) -> "ShardedGraph":
-        """Shard a :class:`~repro.partitioning.base.PartitionResult` or
-        :class:`~repro.partitioning.parallel.ParallelResult`."""
-        sizes = getattr(result, "partition_sizes", None)  # ParallelResult
-        return cls.from_assignments(
-            result.assignments, vertices=vertices,
-            partitions=result.state.partitions if sizes is None else sizes)
+        """Shard a :class:`~repro.partitioning.base.PartitionResult` (a
+        parallel run's included)."""
+        return cls.from_assignments(result.assignments, vertices=vertices,
+                                    partitions=result.state.partitions)
 
     @classmethod
     def from_file(cls, path: "str | os.PathLike",

@@ -6,7 +6,6 @@ from repro.partitioning.base import PartitionResult, StreamingPartitioner
 from repro.partitioning.metrics import (
     balance_ratio,
     imbalance,
-    merge_replica_sets,
     partition_sizes,
     replication_degree,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "StreamingPartitioner",
     "balance_ratio",
     "imbalance",
-    "merge_replica_sets",
     "partition_sizes",
     "replication_degree",
     "HashPartitioner",

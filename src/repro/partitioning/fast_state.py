@@ -384,7 +384,6 @@ class FastPartitionState:
             degree=self.degree,
             max_degree=self.max_degree,
             assigned_edges=self.assigned_edges,
-            fast=True,
         )
 
     @classmethod

@@ -1,8 +1,8 @@
 """Partitioning quality metrics.
 
 Implements the objective and constraint of the paper's problem statement:
-replication degree (Eq. 1) and edge balance (Eq. 2), plus helpers for the
-parallel-loading analysis where per-instance results must be merged.
+replication degree (Eq. 1) and edge balance (Eq. 2), computed from an
+edge -> partition mapping or a replica-set table.
 """
 
 from __future__ import annotations
@@ -20,16 +20,6 @@ def replica_sets_from_assignments(
         replicas.setdefault(edge.u, set()).add(partition)
         replicas.setdefault(edge.v, set()).add(partition)
     return replicas
-
-
-def merge_replica_sets(
-        parts: Iterable[Mapping[int, Set[int]]]) -> Dict[int, Set[int]]:
-    """Union replica sets from several partitioner instances."""
-    merged: Dict[int, Set[int]] = {}
-    for mapping in parts:
-        for vertex, reps in mapping.items():
-            merged.setdefault(vertex, set()).update(reps)
-    return merged
 
 
 def replication_degree(replicas: Mapping[int, Set[int]]) -> float:

@@ -11,18 +11,22 @@ implements that model twice behind one interface:
 * ``backend="process"`` runs each instance in its own OS process via
   :class:`concurrent.futures.ProcessPoolExecutor`.  The serialization
   boundary is deliberately narrow: a picklable factory (see
-  :class:`PartitionerSpec`) and a chunk go in, and a compact
-  :class:`_InstancePayload` — a :class:`~repro.partitioning.state.
-  StateSnapshot` plus assignment tuples — comes out.  Combined with
-  :class:`~repro.graph.stream.FileChunkStream` chunks, workers stream
-  byte slices of the edge file directly, so no process ever holds the
-  whole graph.
+  :class:`PartitionerSpec`) and a chunk go in, and the instance's
+  :class:`~repro.partitioning.base.PartitionResult` — its state's arrays
+  and its assignment columns, pickled as raw bytes — comes out.  Combined
+  with :class:`~repro.graph.stream.FileChunkStream` chunks, workers
+  stream byte slices of the edge file directly, so no process ever holds
+  the whole graph.
 
-Both backends share one merge step: global replica sets are unions of
-per-instance sets, global partition sizes are sums, and loading latency
-is the *maximum* instance latency (instances run concurrently on
-separate machines).  ``tests/test_parallel_backends.py`` holds the two
-backends bit-identical.
+Both backends share one merge, done once: the instance states merge
+through :meth:`~repro.partitioning.state.StateSnapshot.merge` (replica
+sets are unions, partition sizes and degrees are sums), the assignments
+are one :class:`~repro.partitioning.base.AssignmentStore` over the
+instances' columns in instance order, and loading latency is the
+*maximum* instance latency (instances run concurrently on separate
+machines).  The result, a :class:`ParallelResult`, *is* a
+:class:`~repro.partitioning.base.PartitionResult`.
+``tests/test_parallel_backends.py`` holds the two backends bit-identical.
 """
 
 from __future__ import annotations
@@ -31,18 +35,10 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.graph.graph import Edge
+from repro.graph.shard import mapping_columns
 from repro.graph.stream import (
     EdgeStream,
     FileEdgeStream,
@@ -50,14 +46,13 @@ from repro.graph.stream import (
     chunk_stream,
 )
 from repro.core.spotlight import spotlight_spreads
-from repro.partitioning.base import PartitionResult, StreamingPartitioner
-from repro.partitioning.fast_state import FastPartitionState
-from repro.partitioning.metrics import (
-    imbalance as imbalance_of,
-    merge_replica_sets,
-    replication_degree,
+from repro.partitioning.base import (
+    AssignmentBatch,
+    AssignmentStore,
+    PartitionResult,
+    StreamingPartitioner,
 )
-from repro.partitioning.state import PartitionState, StateSnapshot
+from repro.partitioning.state import StateSnapshot
 from repro.simtime import Clock, SimulatedClock
 
 #: Builds one partitioner instance given its spread and its private clock.
@@ -123,53 +118,6 @@ class PartitionerSpec:
         return cls(partitions, clock=clock, **self.kwargs)
 
 
-@dataclass
-class _InstancePayload:
-    """What one worker returns across the process boundary.
-
-    Carries everything :class:`PartitionResult` exposes, in picklable
-    form: the state as a :class:`StateSnapshot` and the assignments as
-    ``(u, v, partition)`` tuples in assignment order.
-    """
-
-    algorithm: str
-    snapshot: StateSnapshot
-    assignments: List[Tuple[int, int, int]]
-    latency_ms: float
-    score_computations: int
-    extras: Dict[str, float]
-
-    @classmethod
-    def from_result(cls, result: PartitionResult) -> "_InstancePayload":
-        return cls(
-            algorithm=result.algorithm,
-            snapshot=result.state.snapshot(),
-            assignments=[(e.u, e.v, p)
-                         for e, p in result.assignments.items()],
-            latency_ms=result.latency_ms,
-            score_computations=result.score_computations,
-            extras=dict(result.extras),
-        )
-
-    def to_result(self) -> PartitionResult:
-        """Rebuild a :class:`PartitionResult` on the parent side."""
-        state = _state_from_snapshot(self.snapshot)
-        return PartitionResult(
-            algorithm=self.algorithm,
-            state=state,
-            assignments={Edge(u, v): p for u, v, p in self.assignments},
-            latency_ms=self.latency_ms,
-            score_computations=self.score_computations,
-            extras=dict(self.extras),
-        )
-
-
-def _state_from_snapshot(snapshot: StateSnapshot):
-    """Rebuild the snapshot's state flavour."""
-    cls = FastPartitionState if snapshot.fast else PartitionState
-    return cls.from_snapshot(snapshot)
-
-
 def _execute_instance(factory: PartitionerFactory, spread_ids: Sequence[int],
                       chunk: EdgeStream,
                       clock_factory: Callable[[], Clock]) -> PartitionResult:
@@ -184,71 +132,36 @@ def _run_instance(factory: PartitionerFactory, spread_ids: Sequence[int],
                   chunk: EdgeStream,
                   clock_factory: Callable[[], Clock],
                   trace_ctx: Optional[Dict[str, str]] = None,
-                  instance: int = 0) -> _InstancePayload:
-    """Worker entry point: partition one chunk, return a compact payload.
+                  instance: int = 0) -> PartitionResult:
+    """Worker entry point: partition one chunk, return its result.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.  Only the
-    process backend pays the payload encode/decode; the simulated backend
-    consumes :func:`_execute_instance` results directly, which is what
-    makes the differential tests a real check of the serialization
-    boundary rather than a comparison of two serialized runs.
+    process backend pickles the result; the simulated backend consumes
+    :func:`_execute_instance` results directly, which is what makes the
+    differential tests a real check of the serialization boundary rather
+    than a comparison of two serialized runs.
 
     ``trace_ctx`` is the submitting process's span context: workers adopt
     it so every instance's span lands in the same trace as the caller's.
     """
     with obs.use_context(trace_ctx):
         with obs.span("partition.parallel_instance", instance=instance):
-            return _InstancePayload.from_result(
-                _execute_instance(factory, spread_ids, chunk, clock_factory))
+            return _execute_instance(factory, spread_ids, chunk,
+                                     clock_factory)
 
 
 @dataclass
-class ParallelResult:
-    """Merged outcome of a parallel loading run."""
+class ParallelResult(PartitionResult):
+    """A parallel loading run as one :class:`PartitionResult`: the state
+    is the merged global vertex cache, the assignments are every
+    instance's in instance order, and the latency is the slowest
+    instance's.  The instances' own results stay in
+    :attr:`instance_results`."""
 
-    algorithm: str
-    num_instances: int
-    spread: int
-    instance_results: List[PartitionResult]
-    replica_sets: Dict[int, Set[int]]
-    partition_sizes: Dict[int, int]
-    latency_ms: float
-    score_computations: int
+    num_instances: int = 1
+    spread: int = 0
+    instance_results: List[PartitionResult] = field(default_factory=list)
     backend: str = "simulated"
-
-    @property
-    def replication_degree(self) -> float:
-        return replication_degree(self.replica_sets)
-
-    @property
-    def imbalance(self) -> float:
-        return imbalance_of(self.partition_sizes)
-
-    @property
-    def assignments(self) -> Dict[Edge, int]:
-        merged: Dict[Edge, int] = {}
-        for result in self.instance_results:
-            merged.update(result.assignments)
-        return merged
-
-    def merged_snapshot(self) -> StateSnapshot:
-        """Deterministic merge of all instance states (see
-        :meth:`StateSnapshot.merge`)."""
-        return StateSnapshot.merge(
-            [r.state.snapshot() for r in self.instance_results],
-            partitions=sorted(self.partition_sizes))
-
-    def to_partition_result(self) -> PartitionResult:
-        """Collapse into a single :class:`PartitionResult` whose state is
-        the merged global vertex cache — the form ``partition_io`` and the
-        processing engine consume."""
-        return PartitionResult(
-            algorithm=self.algorithm,
-            state=PartitionState.from_snapshot(self.merged_snapshot()),
-            assignments=self.assignments,
-            latency_ms=self.latency_ms,
-            score_computations=self.score_computations,
-        )
 
 
 class ParallelLoader:
@@ -275,11 +188,11 @@ class ParallelLoader:
     backend:
         ``"simulated"`` runs instances sequentially in-process;
         ``"process"`` runs each in its own OS process and merges the
-        returned snapshots.  Results are identical by construction (and
+        returned results.  Results are identical by construction (and
         by differential test).
     max_workers:
-        Process-pool size cap for the process backend; defaults to
-        ``min(z, os.cpu_count())``.
+        Process-pool size cap for the process backend (at least 1);
+        defaults to ``min(z, os.cpu_count())``.
     """
 
     def __init__(self, factory: PartitionerFactory,
@@ -291,6 +204,8 @@ class ParallelLoader:
                  max_workers: Optional[int] = None) -> None:
         if num_instances < 1:
             raise ValueError("num_instances must be >= 1")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r} (choose from {BACKENDS})")
@@ -359,10 +274,9 @@ class ParallelLoader:
 
     def _run_process(self,
                      chunks: Sequence[EdgeStream]) -> List[PartitionResult]:
-        """Fan instances out to a process pool; rebuild results in order."""
-        workers = self.max_workers or min(self.num_instances,
-                                          os.cpu_count() or 1)
-        workers = max(1, min(workers, self.num_instances))
+        """Fan instances out to a process pool; collect results in order."""
+        workers = min(self.max_workers or os.cpu_count() or 1,
+                      self.num_instances)
         # Capture the submitting process's span context once; workers
         # adopt it so the fan-out shows up as one correlated trace.
         trace_ctx = obs.current_context() if obs.is_enabled() else None
@@ -375,24 +289,24 @@ class ParallelLoader:
             ]
             # Collect in submission order: merge semantics must not
             # depend on worker completion order.
-            payloads = [future.result() for future in futures]
-        return [payload.to_result() for payload in payloads]
+            return [future.result() for future in futures]
 
     def _merge(self, results: List[PartitionResult]) -> ParallelResult:
-        replica_sets = merge_replica_sets(
-            [r.state.replica_sets for r in results])
-        sizes: Dict[int, int] = {p: 0 for p in self.partitions}
-        for result in results:
-            for partition, count in result.state.partition_edges.items():
-                sizes[partition] += count
+        """The one merge: global state from the instance snapshots, one
+        assignment store over the instance columns (its first position /
+        last partition rule *is* ``dict.update`` across instances)."""
+        state = type(results[0].state).from_snapshot(StateSnapshot.merge(
+            [r.state.snapshot() for r in results], partitions=self.partitions))
         return ParallelResult(
-            algorithm=results[0].algorithm if results else "none",
+            algorithm=results[0].algorithm,
+            state=state,
+            assignments=AssignmentStore(
+                AssignmentBatch(*mapping_columns(r.assignments))
+                for r in results),
+            latency_ms=max(r.latency_ms for r in results),
+            score_computations=sum(r.score_computations for r in results),
             num_instances=self.num_instances,
             spread=self.spread,
             instance_results=results,
-            replica_sets=replica_sets,
-            partition_sizes=sizes,
-            latency_ms=max((r.latency_ms for r in results), default=0.0),
-            score_computations=sum(r.score_computations for r in results),
             backend=self.backend,
         )

@@ -12,25 +12,20 @@ consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from repro.graph.graph import Edge
 
 
 @dataclass
 class StateSnapshot:
-    """Compact, picklable image of a partition state.
-
-    This is the serialization boundary of the parallel loading backend:
-    worker processes return snapshots instead of live states, and the
-    parent merges them deterministically.  Replica sets are encoded as
-    per-vertex bitmasks over the positions of ``partitions`` — compact
-    on the wire and cheap to union.
-
-    ``fast`` records which state class produced the snapshot so the
-    parallel loader's parent rebuilds the same flavour (falling back to
-    the dict-backed state when numpy is unavailable).  Either class
-    restores either flavour's snapshot.
+    """Compact, picklable image of a partition state: what a session
+    snapshot holds and what the parallel loader merges instance states
+    through (:meth:`merge`).  Replica sets are encoded as per-vertex
+    bitmasks over the positions of ``partitions`` — cheap to union.
+    Either state class restores either class's snapshot (a snapshot
+    pickled with the old ``fast`` marker attribute restores too; nothing
+    reads it).
     """
 
     partitions: List[int]
@@ -39,7 +34,6 @@ class StateSnapshot:
     degree: Dict[int, int]
     max_degree: int
     assigned_edges: int
-    fast: bool = False
 
     def replica_sets(self) -> Dict[int, Set[int]]:
         """Materialise the replica sets as vertex -> set of partition ids."""
@@ -57,28 +51,17 @@ class StateSnapshot:
 
     @classmethod
     def merge(cls, snapshots: "Sequence[StateSnapshot]",
-              partitions: Optional[Sequence[int]] = None) -> "StateSnapshot":
+              partitions: Sequence[int]) -> "StateSnapshot":
         """Deterministically merge per-instance snapshots into a global one.
 
         Mirrors the paper's parallel-loading semantics (§III-D): global
         replica sets are unions of per-instance sets, partition sizes
         and degrees are sums (each instance observed a disjoint chunk),
-        and the merged partition order is ``partitions`` when given,
-        else first-seen order across snapshots — so merging is
+        and the merged partition order is ``partitions`` — so merging is
         independent of worker completion order as long as the snapshot
         list order is fixed.
         """
-        if partitions is None:
-            ordered: List[int] = []
-            seen: Set[int] = set()
-            for snap in snapshots:
-                for p in snap.partitions:
-                    if p not in seen:
-                        seen.add(p)
-                        ordered.append(p)
-            partitions = ordered
-        else:
-            partitions = list(partitions)
+        partitions = list(partitions)
         if not partitions:
             raise ValueError("cannot merge snapshots over zero partitions")
         pindex = {p: i for i, p in enumerate(partitions)}
@@ -86,21 +69,20 @@ class StateSnapshot:
         sizes = [0] * len(partitions)
         degree: Dict[int, int] = {}
         assigned = 0
-        fast = False
         for snap in snapshots:
-            # Remap the snapshot's local bit positions to the merged order.
+            # Remap the snapshot's local bit positions to the merged order,
+            # once per distinct local mask (a spread has few of them).
             remap = [pindex[p] for p in snap.partitions]
+            moved: Dict[int, int] = {}
             for vertex, bits in snap.replica_bits.items():
-                acc = replica_bits.get(vertex, 0)
-                for j in iter_bits(bits):
-                    acc |= 1 << remap[j]
-                replica_bits[vertex] = acc
+                if bits not in moved:
+                    moved[bits] = sum(1 << remap[j] for j in iter_bits(bits))
+                replica_bits[vertex] = replica_bits.get(vertex, 0) | moved[bits]
             for p, size in zip(snap.partitions, snap.sizes):
                 sizes[pindex[p]] += size
             for vertex, d in snap.degree.items():
                 degree[vertex] = degree.get(vertex, 0) + d
             assigned += snap.assigned_edges
-            fast = fast or snap.fast
         return cls(
             partitions=partitions,
             replica_bits=replica_bits,
@@ -108,7 +90,6 @@ class StateSnapshot:
             degree=degree,
             max_degree=max(degree.values(), default=1),
             assigned_edges=assigned,
-            fast=fast,
         )
 
 
@@ -318,7 +299,6 @@ class PartitionState:
             degree=dict(self.degree),
             max_degree=self.max_degree,
             assigned_edges=self.assigned_edges,
-            fast=False,
         )
 
     @classmethod
@@ -334,18 +314,3 @@ class PartitionState:
          state._min_size) = rebuild_size_stats(snap.sizes)
         return state
 
-
-def merged_replication_degree(states: Iterable[PartitionState]) -> float:
-    """Replication degree of the union of several instances' vertex caches.
-
-    Used by the parallel loading model: each of the ``z`` partitioners has
-    its own cache, and the *global* replica set of a vertex is the union of
-    its per-instance replica sets.
-    """
-    union: Dict[int, Set[int]] = {}
-    for state in states:
-        for vertex, reps in state.replica_sets.items():
-            union.setdefault(vertex, set()).update(reps)
-    if not union:
-        return 0.0
-    return sum(len(r) for r in union.values()) / len(union)

@@ -47,7 +47,7 @@ class TestRunPartitioning:
                                   num_partitions=8, num_instances=4,
                                   spread=2)
         assert result.num_instances == 4
-        assert sum(result.partition_sizes.values()) == len(stream_factory())
+        assert sum(result.state.partition_edges.values()) == len(stream_factory())
 
     def test_check_balance_passes_when_balanced(self, stream_factory):
         result = run_partitioning(CONFIGS[0].factory, stream_factory(),

@@ -7,7 +7,6 @@ from repro.partitioning.metrics import (
     balance_ratio,
     cut_vertices,
     imbalance,
-    merge_replica_sets,
     partition_sizes,
     replica_sets_from_assignments,
     replication_degree,
@@ -39,10 +38,6 @@ class TestReplicaSets:
 
     def test_replication_degree_empty(self):
         assert replication_degree({}) == 0.0
-
-    def test_merge(self):
-        merged = merge_replica_sets([{1: {0}}, {1: {2}, 3: {1}}])
-        assert merged == {1: {0, 2}, 3: {1}}
 
     def test_vertex_copies(self, sample_assignments):
         replicas = replica_sets_from_assignments(sample_assignments)

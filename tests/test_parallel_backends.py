@@ -4,10 +4,11 @@ simulated reference.
 The simulated backend is the semantics every experiment in the repo was
 validated against; the process backend is the same computation fanned
 out over OS processes through a snapshot-serialization boundary.  These
-tests hold the two together for every fast-capable algorithm, worker
-counts across 2-8, and both in-memory (seeded random / power-law) and
-file-backed (byte-chunked) inputs — if pickling, snapshotting, or the
-merge ever drops or reorders information, the diff shows up here.
+tests hold the two together for every fast-capable algorithm, an
+offline one (NE, whose assignments are a dict), worker counts across
+2-8, and both in-memory (seeded random / power-law) and file-backed
+(byte-chunked) inputs — if pickling or the merge ever drops or reorders
+information, the diff shows up here.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.graph import Edge
 from repro.graph.io import write_edges
 from repro.graph.stream import FileEdgeStream, InMemoryEdgeStream
+from repro.partitioning.base import PartitionResult
 from repro.partitioning.parallel import (
     BACKENDS,
     ParallelLoader,
     PartitionerSpec,
 )
+from repro.partitioning.validate import validate_result
 from repro.simtime import SimulatedClock
 
 K = 8
@@ -44,6 +47,7 @@ SPECS = {
     "hdrf-reference": PartitionerSpec("hdrf", {"fast": False}),
     "dbh": PartitionerSpec("dbh"),
     "greedy": PartitionerSpec("greedy"),
+    "ne": PartitionerSpec("ne"),
 }
 
 
@@ -97,8 +101,9 @@ def run_backend(spec, backend, stream, workers, spread=None):
 
 def assert_identical(process, simulated):
     """The full differential contract between the two backends."""
-    assert process.replica_sets == simulated.replica_sets
-    assert process.partition_sizes == simulated.partition_sizes
+    assert process.state.replica_sets == simulated.state.replica_sets
+    assert process.state.partition_edges == simulated.state.partition_edges
+    assert process.state.snapshot() == simulated.state.snapshot()
     assert process.replication_degree == simulated.replication_degree
     assert process.imbalance == simulated.imbalance
     assert process.assignments == simulated.assignments
@@ -181,6 +186,13 @@ class TestProcessBackendContract:
         assert_identical(capped.run(InMemoryEdgeStream(edges)),
                          uncapped.run(InMemoryEdgeStream(edges)))
 
+    @pytest.mark.parametrize("max_workers", [0, -2])
+    def test_max_workers_below_one_rejected(self, max_workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            ParallelLoader(SPECS["hdrf"], partitions=list(range(K)),
+                           num_instances=4, backend="process",
+                           max_workers=max_workers)
+
     def test_chunk_count_mismatch_rejected(self):
         loader = ParallelLoader(SPECS["hdrf"], partitions=list(range(K)),
                                 num_instances=4)
@@ -189,21 +201,58 @@ class TestProcessBackendContract:
 
 
 class TestMergedResult:
-    def test_merged_snapshot_consistent_with_merge_fields(self):
+    def test_merged_state_consistent_with_instances(self):
         edges = powerlaw_edges(seed=23)
         result = run_backend(SPECS["greedy"], "process",
                              InMemoryEdgeStream(edges), workers=4)
-        snap = result.merged_snapshot()
-        assert snap.replica_sets() == result.replica_sets
-        assert snap.partition_edges == result.partition_sizes
-        assert snap.assigned_edges == len(edges)
+        union = {}
+        for instance in result.instance_results:
+            for vertex, reps in instance.state.replica_sets.items():
+                union.setdefault(vertex, set()).update(reps)
+        assert result.state.replica_sets == union
+        assert result.state.partitions == list(range(K))
+        assert sum(result.state.partition_edges.values()) == len(edges)
+        assert result.state.snapshot().assigned_edges == len(edges)
 
-    def test_to_partition_result_preserves_quality_metrics(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", ["hdrf", "hdrf-reference", "ne"])
+    def test_result_is_a_valid_partition_result(self, algorithm, backend):
         edges = powerlaw_edges(seed=23)
-        result = run_backend(SPECS["hdrf"], "process",
+        result = run_backend(SPECS[algorithm], backend,
                              InMemoryEdgeStream(edges), workers=2)
-        merged = result.to_partition_result()
-        assert merged.replication_degree == result.replication_degree
-        assert merged.imbalance == result.imbalance
-        assert merged.assignments == result.assignments
-        assert merged.state.assigned_edges == len(edges)
+        assert isinstance(result, PartitionResult)
+        assert validate_result(result, expected_edges=len(edges)).ok
+        assert result.replication_degree == result.state.replication_degree()
+        assert result.imbalance == result.state.imbalance()
+        edge = next(iter(result.assignments))
+        assert result.partition_of(Edge(edge.v, edge.u)) == \
+            result.assignments[edge]
+
+    def test_assignments_built_once(self):
+        result = run_backend(SPECS["hdrf"], "simulated",
+                             InMemoryEdgeStream(random_edges()), workers=4)
+        assert result.assignments is result.assignments
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", ["hdrf", "ne"])
+    def test_repeated_edge_across_instances_merges_like_dict_update(
+            self, algorithm, backend):
+        """(1, 2) is in both halves: it keeps its first position and
+        takes the second instance's partition, exactly as ``dict.update``
+        over the instances' mappings does."""
+        stream = [Edge(1, 2), Edge(2, 3), Edge(1, 2), Edge(3, 4)]
+        result = ParallelLoader(SPECS[algorithm], partitions=[0, 1],
+                                num_instances=2,
+                                backend=backend).run(
+            InMemoryEdgeStream(stream))
+        expected = {}
+        for instance in result.instance_results:
+            expected.update(instance.assignments)
+        assert list(result.assignments.items()) == list(expected.items())
+        assert list(result.assignments) == [Edge(1, 2), Edge(2, 3),
+                                            Edge(3, 4)]
+        assert result.assignments[Edge(1, 2)] == 1
+        assert result.assignments.rows == 4
+        assert result.state.assigned_edges == 4
+        assert result.state.replica_sets[1] == {0, 1}
+        assert validate_result(result).ok

@@ -187,11 +187,10 @@ class TestMergedResultRoundTrip:
     def test_save_load_merged_result_recomputes_metrics(self, tmp_path,
                                                         small_powerlaw):
         parallel = self._parallel_result(small_powerlaw)
-        merged = parallel.to_partition_result()
         path = tmp_path / "merged.txt"
-        save_result(path, merged)
+        save_result(path, parallel)
         loaded = load_result(path, partitions=list(range(8)))
-        assert loaded.assignments == merged.assignments
+        assert loaded.assignments == parallel.assignments
         # Metrics are replayed, not trusted from the header — and must
         # equal the merged parallel run's.
         assert loaded.replication_degree == \
@@ -210,7 +209,7 @@ class TestMergedResultRoundTrip:
 
     def test_save_result_rejects_unwritable_path(self, tmp_path,
                                                  small_powerlaw):
-        merged = self._parallel_result(small_powerlaw).to_partition_result()
+        merged = self._parallel_result(small_powerlaw)
         with pytest.raises(OSError):
             save_result(tmp_path / "missing-dir" / "merged.txt", merged)
 

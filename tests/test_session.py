@@ -7,6 +7,8 @@ assignments, same simulated latency, same adaptive extras — as the
 uninterrupted session and as the batch ``partition_stream`` reference.
 """
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from repro.api import (
 from repro.core.adwise import AdwisePartitioner
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
+from repro.partitioning.state import StateSnapshot
 from repro.simtime import SimulatedClock, WallClock
 
 
@@ -197,6 +200,42 @@ class TestSnapshotResume:
         ).partition_stream(InMemoryEdgeStream(EDGES))
         assert resumed_result.assignments == control.assignments
         assert resumed_result.latency_ms == control.latency_ms
+
+    @pytest.mark.parametrize("algorithm", ["adwise", "hdrf"])
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["reference", "compiled"])
+    def test_snapshot_pickled_with_fast_marker_resumes(self, algorithm,
+                                                       compiled):
+        """State images pickled while :class:`StateSnapshot` still had a
+        ``fast`` field (a daemon's WAL snapshot files, for one) carry it
+        in their ``__dict__``: they restore, continue bit-identically on
+        either tier and merge like a current image."""
+        knobs = (_adwise_knobs(compiled) if algorithm == "adwise"
+                 else {} if compiled else {"fast": False})
+        live = open_session(algorithm=algorithm, partitions=6,
+                            expected_edges=len(EDGES), **knobs)
+        _feed(live, EDGES[:777])
+        snapshot = live.snapshot()
+        current = StateSnapshot(**dataclasses.asdict(snapshot.state))
+        snapshot.state.__dict__["fast"] = compiled
+        old = pickle.loads(pickle.dumps(snapshot))
+        assert old.state.__dict__["fast"] is compiled
+        resumed = restore_session(old)
+
+        _feed(live, EDGES[777:])
+        _feed(resumed, EDGES[777:])
+        live_result = live.finalize()
+        resumed_result = resumed.finalize()
+        assert resumed_result.assignments == live_result.assignments
+        assert resumed_result.latency_ms == live_result.latency_ms
+        assert resumed_result.extras == live_result.extras
+        assert (resumed_result.state.snapshot()
+                == live_result.state.snapshot())
+
+        partitions = list(range(6))
+        assert (StateSnapshot.merge([old.state, old.state], partitions)
+                == StateSnapshot.merge([current, current], partitions))
+        assert StateSnapshot.merge([old.state], partitions) == current
 
     def test_array_window_live_at_snapshot(self):
         """Sanity-check the interesting case really occurs: a default

@@ -90,7 +90,7 @@ class TestParallelLoader:
             lambda parts, clock: HDRFPartitioner(parts, clock=clock))
         stream = shuffled(small_powerlaw.edges(), seed=3)
         result = loader.run(stream)
-        assert sum(result.partition_sizes.values()) == len(stream)
+        assert sum(result.state.partition_edges.values()) == len(stream)
 
     def test_default_spread_is_k_over_z(self, small_powerlaw):
         loader = self._loader(
@@ -129,7 +129,7 @@ class TestParallelLoader:
                 PartitionerSpec("hdrf"), partitions=list(range(8)),
                 num_instances=8, backend=backend)
             result = loader.run(InMemoryEdgeStream(edges))
-            assert sum(result.partition_sizes.values()) == 2
+            assert sum(result.state.partition_edges.values()) == 2
             assert len(result.instance_results) == 8
             empty = [r for r in result.instance_results
                      if r.state.assigned_edges == 0]
@@ -142,8 +142,8 @@ class TestParallelLoader:
         loader = ParallelLoader(PartitionerSpec("hdrf"),
                                 partitions=list(range(4)), num_instances=4)
         result = loader.run(InMemoryEdgeStream([]))
-        assert result.replica_sets == {}
-        assert sum(result.partition_sizes.values()) == 0
+        assert result.state.replica_sets == {}
+        assert sum(result.state.partition_edges.values()) == 0
         assert result.latency_ms == 0.0
         assert result.replication_degree == 0.0
 

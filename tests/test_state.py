@@ -4,11 +4,7 @@ import pytest
 
 from repro.graph.graph import Edge
 from repro.partitioning.fast_state import FastPartitionState
-from repro.partitioning.state import (
-    PartitionState,
-    StateSnapshot,
-    merged_replication_degree,
-)
+from repro.partitioning.state import PartitionState, StateSnapshot
 
 
 class TestConstruction:
@@ -130,16 +126,20 @@ class TestReplicationDegree:
     def test_empty_state_zero(self):
         assert PartitionState([0]).replication_degree() == 0.0
 
-    def test_merged_replication_degree(self):
+    def test_union_replication_degree(self):
         a = PartitionState([0, 1])
         b = PartitionState([2, 3])
         a.assign(Edge(1, 2), 0)
         b.assign(Edge(1, 3), 2)
         # Union: R_1 = {0,2}, R_2 = {0}, R_3 = {2}
-        assert merged_replication_degree([a, b]) == pytest.approx(4 / 3)
+        merged = PartitionState.from_snapshot(StateSnapshot.merge(
+            [a.snapshot(), b.snapshot()], partitions=[0, 1, 2, 3]))
+        assert merged.replication_degree() == pytest.approx(4 / 3)
 
     def test_merged_empty(self):
-        assert merged_replication_degree([]) == 0.0
+        merged = StateSnapshot.merge([PartitionState([0]).snapshot()],
+                                     partitions=[0])
+        assert PartitionState.from_snapshot(merged).replication_degree() == 0.0
 
 
 def _populated(cls):
@@ -221,27 +221,33 @@ class TestSnapshotMerge:
         b = PartitionState([1, 2])
         a.assign(Edge(1, 2), 1)
         b.assign(Edge(1, 2), 1)
-        merged = StateSnapshot.merge([a.snapshot(), b.snapshot()])
+        merged = StateSnapshot.merge([a.snapshot(), b.snapshot()],
+                                     partitions=[0, 1, 2])
         assert merged.replica_sets() == {1: {1}, 2: {1}}
         assert merged.partition_edges[1] == 2
 
     def test_merge_order_of_partition_ids_is_deterministic(self):
         a = PartitionState([3, 1])
         b = PartitionState([2, 0])
-        merged = StateSnapshot.merge([a.snapshot(), b.snapshot()])
-        assert merged.partitions == [3, 1, 2, 0]  # first-seen order
+        a.assign(Edge(1, 2), 1)
+        b.assign(Edge(1, 3), 0)
         explicit = StateSnapshot.merge([a.snapshot(), b.snapshot()],
                                        partitions=[0, 1, 2, 3])
         assert explicit.partitions == [0, 1, 2, 3]
+        assert explicit.sizes == [1, 1, 0, 0]
+        assert explicit.replica_bits == {1: 0b11, 2: 0b10, 3: 0b01}
 
     def test_merge_requires_partitions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             StateSnapshot.merge([])
+        with pytest.raises(ValueError):
+            StateSnapshot.merge([], partitions=[])
 
-    def test_merged_snapshot_restores(self):
+    def test_merge_of_both_classes_restores(self):
         a = _populated(PartitionState)
         b = _populated(FastPartitionState)
-        merged = StateSnapshot.merge([a.snapshot(), b.snapshot()])
+        merged = StateSnapshot.merge([a.snapshot(), b.snapshot()],
+                                     partitions=[0, 1, 2])
         state = PartitionState.from_snapshot(merged)
         assert state.assigned_edges == 10
         assert state.replica_sets == merged.replica_sets()

@@ -212,8 +212,7 @@ def test_epsilon_association_decides_an_assignment():
     assert lam * low <= stay  # the two associations disagree at this λ
     snapshot = StateSnapshot(partitions=[0, 1], replica_bits={1: 0b01},
                              sizes=[big, small], degree={1: 3},
-                             max_degree=3, assigned_edges=big + small,
-                             fast=True)
+                             max_degree=3, assigned_edges=big + small)
     fast, legacy = states_from(snapshot)
     native = HDRFPartitioner([0, 1], state=fast, lam=lam)
     control = HDRFPartitioner([0, 1], state=legacy, lam=lam)
