@@ -239,70 +239,66 @@ def _add_processing_arguments(parser: argparse.ArgumentParser) -> None:
                              "declared dead (default 30)")
 
 
-def _run_parallel_partition(args: argparse.Namespace) -> int:
-    """Parallel loading: z instances over byte-offset chunks of the file."""
-    from repro.partitioning.parallel import ParallelLoader, PartitionerSpec
-
+def _partition_file(args: argparse.Namespace, workers: int,
+                    workers_flag: str):
+    """The partitioning stage of ``partition`` and ``pipeline``: parallel
+    loading with ``workers`` > 1 instances over byte-offset chunks of the
+    file (paper §III-D), else one streaming partitioner.  Returns the
+    result, or exit code 2 after printing the error."""
+    options = vars(args)
+    clock_factory = WallClock if options.get("wall_clock") else SimulatedClock
     kwargs: dict = {}
     if args.algorithm == "adwise":
-        kwargs["latency_preference_ms"] = args.latency_preference
-        kwargs["use_clustering"] = not args.no_clustering
-    spec = PartitionerSpec(args.algorithm, kwargs)
-    try:
-        loader = ParallelLoader(
-            spec, partitions=list(range(args.partitions)),
-            num_instances=args.workers, spread=args.spread,
-            clock_factory=WallClock if args.wall_clock else SimulatedClock,
-            backend=args.backend or "process")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kwargs.update(latency_preference_ms=args.latency_preference,
+                      use_clustering=not args.no_clustering)
+    partitions = list(range(args.partitions))
+    if workers > 1:
+        from repro.partitioning.parallel import ParallelLoader, PartitionerSpec
+
+        try:
+            loader = ParallelLoader(
+                PartitionerSpec(args.algorithm, kwargs),
+                partitions=partitions, num_instances=workers,
+                spread=args.spread, clock_factory=clock_factory,
+                backend=options.get("backend") or "process")
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # run_file skips the parent-side line-count pass a FileEdgeStream
+        # constructor would do; workers count their own slices lazily.
+        return loader.run_file(args.path)
+    if args.spread is not None or options.get("backend") is not None:
+        flags = ("--backend/--spread only apply" if "backend" in options
+                 else "--spread only applies")
+        print(f"error: {flags} to parallel loading; pass {workers_flag} N "
+              "(N > 1)", file=sys.stderr)
         return 2
-    # run_file skips the parent-side line-count pass a FileEdgeStream
-    # constructor would do; workers count their own slices lazily.
-    result = loader.run_file(args.path)
-    print(f"algorithm:          {result.algorithm}")
-    print(f"backend:            {result.backend} "
-          f"({result.num_instances} workers, spread {result.spread})")
-    print(f"edges assigned:     {result.state.assigned_edges}")
-    print(f"replication degree: {result.replication_degree:.4f}")
-    print(f"imbalance:          {result.imbalance:.4f}")
-    print(f"latency:            {result.latency_ms:.2f} ms "
-          f"({'wall' if args.wall_clock else 'simulated'}, max over "
-          f"instances)")
-    if args.output:
-        write_assignments(args.output, result.assignments)
-        print(f"assignments written to {args.output}")
-    return 0
+    partitioner = _ALGORITHMS[args.algorithm](
+        partitions, clock=clock_factory(), **kwargs)
+    return partitioner.partition_stream(FileEdgeStream(args.path))
 
 
 def _run_partition(args: argparse.Namespace) -> int:
-    clock = WallClock() if args.wall_clock else SimulatedClock()
-    partitions = list(range(args.partitions))
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.workers > 1:
-        return _run_parallel_partition(args)
-    if args.backend is not None or args.spread is not None:
-        print("error: --backend/--spread only apply to parallel loading; "
-              "pass --workers N (N > 1)", file=sys.stderr)
-        return 2
-    extra: dict = {}
-    if args.algorithm == "adwise":
-        extra.update(latency_preference_ms=args.latency_preference,
-                     use_clustering=not args.no_clustering)
-    partitioner = _ALGORITHMS[args.algorithm](partitions, clock=clock,
-                                              **extra)
-    stream = FileEdgeStream(args.path)
-    result = partitioner.partition_stream(stream)
+    result = _partition_file(args, args.workers, "--workers")
+    if isinstance(result, int):
+        return result
+    parallel = args.workers > 1
     print(f"algorithm:          {result.algorithm}")
+    if parallel:
+        print(f"backend:            {result.backend} "
+              f"({result.num_instances} workers, spread {result.spread})")
     print(f"edges assigned:     {result.state.assigned_edges}")
     print(f"replication degree: {result.replication_degree:.4f}")
     print(f"imbalance:          {result.imbalance:.4f}")
     print(f"latency:            {result.latency_ms:.2f} ms "
-          f"({'wall' if args.wall_clock else 'simulated'})")
-    for key, value in sorted(result.extras.items()):
-        print(f"{key}:{' ' * max(1, 19 - len(key))}{value:g}")
+          f"({'wall' if args.wall_clock else 'simulated'}"
+          f"{', max over instances' if parallel else ''})")
+    if not parallel:
+        for key, value in sorted(result.extras.items()):
+            print(f"{key}:{' ' * max(1, 19 - len(key))}{value:g}")
     if args.output:
         write_assignments(args.output, result.assignments)
         print(f"assignments written to {args.output}")
@@ -328,6 +324,8 @@ def _validate_processing_flags(args: argparse.Namespace) -> Optional[str]:
         return "--workers only applies to --cluster --cluster-backend process"
     if args.workers is not None and args.workers < 1:
         return "--workers must be >= 1"
+    if args.machines is not None and args.machines < 1:
+        return "--machines must be >= 1"
     if args.mode is not None and args.cluster:
         return ("--mode selects the simulator's backend; --cluster always "
                 "runs sharded dense kernels (with engine fallback)")
@@ -506,37 +504,10 @@ def _run_pipeline(args: argparse.Namespace) -> int:
         print("error: --load-workers must be >= 1", file=sys.stderr)
         return 2
 
-    partitions = list(range(args.partitions))
-    kwargs: dict = {}
-    if args.algorithm == "adwise":
-        kwargs.update(latency_preference_ms=args.latency_preference,
-                      use_clustering=not args.no_clustering)
-
-    if args.load_workers > 1:
-        from repro.partitioning.parallel import (
-            ParallelLoader,
-            PartitionerSpec,
-        )
-        try:
-            loader = ParallelLoader(
-                PartitionerSpec(args.algorithm, kwargs),
-                partitions=partitions,
-                num_instances=args.load_workers, spread=args.spread,
-                backend="process")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        result = loader.run_file(args.path)
-        assignments = result.assignments
-    else:
-        if args.spread is not None:
-            print("error: --spread only applies to parallel loading; "
-                  "pass --load-workers N (N > 1)", file=sys.stderr)
-            return 2
-        partitioner = _ALGORITHMS[args.algorithm](
-            partitions, clock=SimulatedClock(), **kwargs)
-        result = partitioner.partition_stream(FileEdgeStream(args.path))
-        assignments = result.assignments
+    result = _partition_file(args, args.load_workers, "--load-workers")
+    if isinstance(result, int):
+        return result
+    assignments = result.assignments
 
     output = args.output or f"{args.path}.parts"
     written = write_assignments(
@@ -549,7 +520,8 @@ def _run_pipeline(args: argparse.Namespace) -> int:
 
     graph = read_graph(args.path)
     sharded = ShardedGraph.from_assignments(
-        assignments, partitions=partitions, vertices=graph.vertices())
+        assignments, partitions=range(args.partitions),
+        vertices=graph.vertices())
     return _execute_processing(graph, sharded, args)
 
 

@@ -388,15 +388,6 @@ class ClusterEngine:
                                     timeout=self.heartbeat_timeout)
         return SerialTransport(self.sharded, program, self.machine_of)
 
-    def _capture(self, transport, cursor: int, costs, aggregates,
-                 telemetry, total_messages: int) -> CheckpointState:
-        return CheckpointState(
-            cursor=cursor,
-            shard_states=transport.snapshot(),
-            progress=capture_progress(costs, aggregates, telemetry,
-                                      total_messages),
-            fingerprint=self.sharded.fingerprint())
-
     def _topology(self, program: VertexProgram,
                   max_supersteps: int) -> Dict[str, Any]:
         return {"sharded": self.sharded,
@@ -433,47 +424,62 @@ class ClusterEngine:
         work fanned out to the shards, measured on the way through, and —
         when checkpointing is on — wrapped in rollback recovery."""
         num_vertices = self.sharded.num_vertices
-        costs: List[Any] = []
-        aggregates: List[Any] = []
-        telemetry: List[SuperstepTelemetry] = []
-        total_messages = 0
         recoveries: List[RecoveryEvent] = []
         checkpoints_written = 0
         checkpoint_wall_ms = 0.0
         pending_rebalance = dict(rebalance_at or {})
-        converged = False
-        superstep = 0
         store = (CheckpointStore(self.checkpoint_dir)
                  if self.checkpoint_dir else None)
+        if store is not None and start is None:
+            store.write_topology(self._topology(program, max_supersteps))
         last_checkpoint = start
+        rollback = None
         transport = self._make_transport(program)
-        initialized = False
         try:
             while True:
+                # One start for a fresh run, resume(start=...) and a
+                # rollback: the last checkpoint, else boundary 0.  A death
+                # while it restores is not rolled back again.
+                superstep, progress = 0, capture_progress([], [], [], 0)
+                if last_checkpoint is not None:
+                    transport.restore(last_checkpoint.shard_states)
+                    superstep = last_checkpoint.cursor
+                    progress = last_checkpoint.progress
+                costs, aggregates, telemetry = (
+                    list(progress[key])
+                    for key in ("costs", "aggregates", "telemetry"))
+                total_messages = progress["messages"]
+                if rollback is not None:
+                    death, detected_at, rollback_start = rollback
+                    recoveries.append(RecoveryEvent(
+                        death.machine, death.reason, detected_at, superstep,
+                        (time.perf_counter() - rollback_start) * 1000.0))
+                stopped = False
                 try:
-                    if not initialized:
-                        if start is not None:
-                            transport.restore(start.shard_states)
-                            superstep = start.cursor
-                            self._install_progress(start, costs,
-                                                   aggregates, telemetry)
-                            total_messages = start.progress["messages"]
-                        elif self._recovery_enabled:
-                            if store is not None:
-                                store.write_topology(
-                                    self._topology(program, max_supersteps))
+                    while True:
+                        if (self._recovery_enabled
+                                and superstep % self.checkpoint_every == 0
+                                and (last_checkpoint is None
+                                     or last_checkpoint.cursor != superstep)):
+                            # Boundary 0 and every N-th: the one capture.
                             checkpoint_start = time.perf_counter()
-                            last_checkpoint = self._capture(
-                                transport, 0, costs, aggregates, telemetry,
-                                total_messages)
+                            last_checkpoint = CheckpointState(
+                                cursor=superstep,
+                                shard_states=transport.snapshot(),
+                                progress=capture_progress(
+                                    costs, aggregates, telemetry,
+                                    total_messages),
+                                fingerprint=self.sharded.fingerprint())
                             if store is not None:
                                 store.write(last_checkpoint)
                             checkpoints_written += 1
                             checkpoint_wall_ms += (
                                 time.perf_counter() - checkpoint_start
                             ) * 1000.0
-                        initialized = True
-                    while superstep < max_supersteps:
+                        if stopped or superstep >= max_supersteps:
+                            converged = (stopped
+                                         or transport.compute_owned() == 0)
+                            break
                         if superstep in pending_rebalance:
                             transport = self._migrate(
                                 transport, program,
@@ -503,17 +509,13 @@ class ClusterEngine:
                             # measured-vs-predicted suites see identical
                             # values.
                             backend = transport.backend
-                            obs.counter("repro_cluster_supersteps_total",
-                                        backend=backend).inc()
-                            obs.counter("repro_cluster_remote_messages_total",
-                                        backend=backend
-                                        ).inc(stats.remote_messages)
-                            obs.counter("repro_cluster_local_messages_total",
-                                        backend=backend
-                                        ).inc(stats.local_messages)
-                            obs.counter("repro_cluster_payload_bytes_total",
-                                        backend=backend
-                                        ).inc(stats.payload_bytes)
+                            for name, count in (
+                                    ("supersteps", 1),
+                                    ("remote_messages", stats.remote_messages),
+                                    ("local_messages", stats.local_messages),
+                                    ("payload_bytes", stats.payload_bytes)):
+                                obs.counter(f"repro_cluster_{name}_total",
+                                            backend=backend).inc(count)
                             for name, seconds in (
                                     ("repro_cluster_superstep_seconds",
                                      wall_ms / 1000.0),
@@ -538,23 +540,8 @@ class ClusterEngine:
                             sync_ms=result.sync_seconds * 1000.0,
                         ))
                         superstep += 1
-                        if (self.checkpoint_every is not None
-                                and superstep % self.checkpoint_every == 0):
-                            checkpoint_start = time.perf_counter()
-                            last_checkpoint = self._capture(
-                                transport, superstep, costs, aggregates,
-                                telemetry, total_messages)
-                            if store is not None:
-                                store.write(last_checkpoint)
-                            checkpoints_written += 1
-                            checkpoint_wall_ms += (
-                                time.perf_counter() - checkpoint_start
-                            ) * 1000.0
-                        if program.should_stop(result.aggregate, superstep):
-                            converged = True
-                            break
-                    else:
-                        converged = transport.compute_owned() == 0
+                        stopped = program.should_stop(result.aggregate,
+                                                      superstep)
                     states = transport.states()
                     break
                 except WorkerDied as death:
@@ -565,34 +552,11 @@ class ClusterEngine:
                             f"giving up after {len(recoveries)} recoveries "
                             f"(machine {death.machine}: {death.reason})"
                         ) from death
-                    recovery_start = time.perf_counter()
+                    rollback = (death, superstep, time.perf_counter())
                     transport.close()
                     if self.on_failure == "redistribute":
                         self._evict_machine(death.machine)
                     transport = self._make_transport(program)
-                    detected_at = superstep
-                    del costs[:], aggregates[:], telemetry[:]
-                    if last_checkpoint is not None:
-                        transport.restore(last_checkpoint.shard_states)
-                        superstep = last_checkpoint.cursor
-                        self._install_progress(last_checkpoint, costs,
-                                               aggregates, telemetry)
-                        total_messages = (
-                            last_checkpoint.progress["messages"])
-                    else:
-                        # Death before the boundary-0 checkpoint finished:
-                        # nothing committed yet, start over from scratch.
-                        initialized = False
-                        superstep = 0
-                        total_messages = 0
-                    converged = False
-                    recoveries.append(RecoveryEvent(
-                        machine=death.machine,
-                        reason=death.reason,
-                        superstep_detected=detected_at,
-                        resumed_from=superstep,
-                        wall_ms=(time.perf_counter() - recovery_start)
-                        * 1000.0))
         finally:
             transport.close()
         return ClusterReport(
@@ -614,13 +578,6 @@ class ClusterEngine:
             checkpoints_written=checkpoints_written,
             checkpoint_wall_ms=checkpoint_wall_ms,
         )
-
-    @staticmethod
-    def _install_progress(checkpoint: CheckpointState, costs, aggregates,
-                          telemetry) -> None:
-        costs.extend(checkpoint.progress["costs"])
-        aggregates.extend(checkpoint.progress["aggregates"])
-        telemetry.extend(checkpoint.progress["telemetry"])
 
     def _run_fallback(self, program: VertexProgram,
                       max_supersteps: int) -> ClusterReport:

@@ -4,59 +4,54 @@ Each BSP superstep a *host* — a :class:`ShardGroup`: the shards that
 share a process — steps all its shards as **one** dense kernel over
 their block-diagonal :class:`~repro.graph.shard.ShardCSR`, producing
 *partial* per-target message combinations (partial sums / mins / counts
-over each shard's own adjacency slots).  The transport then performs the
+over each shard's own adjacency slots).  The coordinator then runs the
 PowerGraph synchronisation round that makes replicas globally consistent:
 
 * **gather** — every mirror replica's partial (value, received) reaches
   the vertex's master, which folds the contributions in ascending
   partition order (master's own partial first — a fixed association, so
-  the serial and process backends are bit-identical);
+  every host layout is bit-identical);
 * **scatter** — the master's combined element overwrites every mirror.
 
 The exchange is compiled once, not interpreted per superstep: each
 :class:`ShardGroup` turns its shards' channel tables into a
 :class:`SyncPlan` of flat index arrays into the host kernel's own index
-space, and a syncing superstep is a handful of numpy calls on the
-kernel's parked arrays, in place, whatever the channel or shard count
-(DESIGN.md §8).
+space, and a syncing superstep is a handful of numpy calls (or three
+``kern_sync_*`` passes) on the kernel's parked arrays, in place
+(DESIGN.md §8).  Both directions move one logical message per shared
+vertex per channel — ``2 * (span - 1)`` per replicated vertex, what
+:meth:`repro.engine.placement.Placement.stats` predicts; the group that
+applies a move *measures* it (remote when the endpoint machines differ,
+else local, plus payload bytes) and the differential tests hold
+measurement equal to prediction.
 
-Both directions move one logical message per shared vertex per channel,
-so a syncing superstep carries exactly ``2 * (span - 1)`` messages per
-replicated vertex — the quantity
-:meth:`repro.engine.placement.Placement.stats` predicts.  The transports
-*measure* rather than assume it: the group that applies a move charges
-the lengths of the index arrays the move used as remote (endpoint
-machines differ) or local message counts per machine, plus payload
-bytes, and the differential tests hold measurement equal to prediction.
+One coordinator, two hosts
+--------------------------
+The superstep protocol, the aggregate and traffic folding, the three
+fault-injection points and death detection exist once, in the
+coordinator both backends are.  It reaches its hosts only through
+``probe`` / ``send`` / ``recv``, and a host answers every command with
+:func:`_serve`.  The backends differ only in the host they build:
 
-Two backends share the exchange logic through :class:`ShardGroup`:
+* :class:`SerialTransport` — one in-process host holding every shard;
+  "machines" are a logical map that classifies traffic, and one dies by
+  a flag.
+* :class:`ProcessTransport` — one long-lived worker process per machine
+  over a ``multiprocessing`` pipe.  Shard arrays ship once at start-up,
+  then per superstep one ``(kind, values, recv)`` payload per ordered
+  host pair and small telemetry tuples; machines *are* the workers, so
+  remote messages are exactly the elements that crossed a pipe.  A
+  kill is a real ``SIGKILL``.
 
-* :class:`SerialTransport` — all shards in this process, one host.
-  Deterministic reference semantics; "machines" are the logical machine
-  map used for remote/local classification.
-* :class:`ProcessTransport` — shards grouped onto worker OS processes
-  (one worker per partition by default), long-lived over
-  ``multiprocessing`` pipes.  The pickle boundary is narrow, PR-2 style:
-  shard arrays ship once at start-up, then per superstep one
-  ``(kind, values, recv)`` payload per ordered host pair and small
-  telemetry tuples.  Machines *are* the workers, so remote messages are
-  exactly the elements that crossed a pipe.
-
-Failure detection and fault injection
--------------------------------------
-No wait in either transport is unbounded.  Every pipe receive polls in
-short intervals, probing the worker process's liveness between polls, so
-a SIGKILLed worker surfaces as :class:`~repro.cluster.faults.WorkerDied`
-(carrying the dead machine's id) within one poll interval — and a worker
-that is alive but wedged trips the configurable ``timeout`` instead of
-hanging the coordinator forever.  Both transports expose the recovery
-primitives the engine's checkpoint/rollback layer is built on:
-``snapshot()`` / ``restore()`` move per-partition kernel state across
-transport incarnations (and machine layouts), and ``kill_machine()``
-lets a deterministic :class:`~repro.cluster.faults.FaultInjector` kill a
-named machine at a named superstep position — a real ``SIGKILL`` on the
-process backend, a simulated death flag on the serial one, with the same
-detection points either way.
+Detection is one rule: a death surfaces, as :class:`~repro.cluster.
+faults.WorkerDied` naming the machine, at the next exchange that
+involves the dead machine — every exchange probes every host before
+sending.  No pipe wait is unbounded: a receive polls in short slices and
+probes the worker between them, so a SIGKILLed worker surfaces within
+one slice and a wedged-but-alive one trips ``timeout``.  ``snapshot()`` /
+``restore()`` move per-partition kernel state across transport
+incarnations and machine layouts — the primitives the engine's
+checkpoint/rollback layer is built on.
 """
 
 from __future__ import annotations
@@ -607,118 +602,45 @@ class ShardGroup:
         self._kind = ""
 
 
-def _fire(transport, injector: Optional[FaultInjector], point: str,
-          superstep: int) -> None:
-    """Kill the machine ``injector`` schedules for this position, if any."""
-    victim = (injector.check(point, superstep) if injector is not None
-              else None)
-    if victim is not None:
-        transport.kill_machine(victim)
-
-
-class SerialTransport:
-    """All shards in this process, one host — the
-    deterministic reference backend the process backend is tested
-    against.  The machine map is purely logical here (default: one
-    machine per partition) and only classifies traffic.
-
-    Fault injection is simulated: ``kill_machine`` marks a logical
-    machine dead and every subsequent exchange raises
-    :class:`WorkerDied` at the same superstep positions the process
-    backend would detect a real crash — so the engine's recovery path is
-    exercised identically (and fast) on both backends.
-    """
-
-    backend = "serial"
-
-    def __init__(self, sharded: ShardedGraph, program: VertexProgram,
-                 machine_of: Mapping[int, int]) -> None:
-        shards = [sharded.shards[p] for p in sharded.partitions]
-        # Single host: every partition is host 0; remote/local
-        # classification still follows the logical machine map.
-        host_of = {p: 0 for p in sharded.partitions}
-        self.group = ShardGroup(shards, program, machine_of, host_of,
-                                host=0)
-        self._machines = set(machine_of.values())
-        self._dead: set = set()
-
-    # -- failure primitives --------------------------------------------
-    def kill_machine(self, machine: int) -> bool:
-        """Simulate a crash of ``machine`` (unknown/dead ids are no-ops)."""
-        if machine not in self._machines or machine in self._dead:
-            return False
-        self._dead.add(machine)
+def _serve(group: ShardGroup, message: Tuple) -> Any:
+    """One host's reply to one coordinator command — the whole host side
+    of the protocol, run by the worker loop and the in-process host
+    alike."""
+    op = message[0]
+    if op == "mask":
+        return group.compute_owned()
+    if op == "step":
+        result = group.step(message[1])
+        return (result.sent, result.aggregate, result.compute_seconds,
+                result.synced, group.gather() if result.synced else {})
+    if op == "gather":
+        return group.fold(message[1])
+    if op == "scatter":
+        group.scatter(message[1])
+        return group.stats
+    if op == "states":
+        return group.states()
+    if op == "snapshot":
+        return group.snapshot()
+    if op == "restore":
+        group.restore(message[1])
         return True
-
-    def _check_alive(self) -> None:
-        if self._dead:
-            raise WorkerDied(min(self._dead), "killed by fault injection")
-
-    # -- superstep protocol --------------------------------------------
-    def compute_owned(self) -> int:
-        self._check_alive()
-        return self.group.compute_owned()
-
-    def step(self, superstep: int,
-             injector: Optional[FaultInjector] = None
-             ) -> TransportStepResult:
-        self._check_alive()
-        result = self.group.step(superstep)
-        _fire(self, injector, "pre-gather", superstep)
-        self._check_alive()
-        sync_start = time.perf_counter()
-        if result.synced:
-            # One host: the plan keys nothing by another, so both
-            # directions exchange empty payload maps.
-            with obs.span("cluster.sync_gather"):
-                self.group.fold(self.group.gather())
-            _fire(self, injector, "mid-scatter", superstep)
-            self._check_alive()
-            with obs.span("cluster.sync_scatter"):
-                self.group.scatter({})
-        result.stats = self.group.stats
-        result.sync_seconds = time.perf_counter() - sync_start
-        # A post-apply kill lands after the superstep committed; like a
-        # real crash it is detected at the *next* exchange (the following
-        # superstep, a checkpoint snapshot, or the final states fetch).
-        _fire(self, injector, "post-apply", superstep)
-        return result
-
-    def states(self) -> Dict[int, Any]:
-        self._check_alive()
-        return self.group.states()
-
-    # -- checkpoint protocol -------------------------------------------
-    def snapshot(self) -> Dict[int, Dict[str, Any]]:
-        self._check_alive()
-        return self.group.snapshot()
-
-    def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
-        self.group.restore(shard_states)
-
-    def close(self) -> None:
-        pass
+    raise RuntimeError(f"unknown cluster worker op {op!r}")
 
 
 def _cluster_worker(conn, inherited, shards: List[Shard],
                     program: VertexProgram, machine_of: Dict[int, int],
                     host_of: Dict[int, int], host: int) -> None:
-    """Worker process main loop: one :class:`ShardGroup`, command-driven.
-
-    Commands are small tuples.  Channels inside the group never leave
-    it; what crosses the pipe is one payload per other host and
-    direction, keyed by that host, for the coordinator to route.
-    """
+    """Worker process main loop: one :class:`ShardGroup`, serving
+    commands until ``stop`` or until the coordinator goes away."""
     # The fork duplicated every pipe end that existed in the parent —
     # including this worker's *own* coordinator-side end.  Close them
     # all: otherwise the coordinator dropping its end can never deliver
     # EOF/EPIPE here (this process itself would keep the pipe alive),
     # and a worker blocked in send() during teardown would hang forever.
     for other in inherited:
-        try:
+        with contextlib.suppress(OSError):  # already closed
             other.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
     group = ShardGroup(shards, program, machine_of, host_of, host)
     # Trace context of the most recent "step" command: gather/scatter
     # commands belong to the same coordinator superstep, so their spans
@@ -732,60 +654,274 @@ def _cluster_worker(conn, inherited, shards: List[Shard],
             # a recovery): exit quietly instead of tracebacking.
             return
         op = message[0]
+        if op == "stop":
+            conn.close()
+            return
+        span = contextlib.nullcontext()
+        if op == "step":
+            # The coordinator appends its span context to the command
+            # only while tracing — the pickled message is unchanged
+            # otherwise.
+            step_ctx = message[2] if len(message) > 2 else None
+            span = obs.span("cluster.worker_step", host=host,
+                            superstep=message[1])
+        elif op in ("gather", "scatter"):
+            span = obs.span(f"cluster.worker_{op}", host=host)
         try:
-            if op == "mask":
-                conn.send(group.compute_owned())
-            elif op == "step":
-                # The coordinator appends its span context to the command
-                # only while tracing — the pickled message is unchanged
-                # otherwise.
-                step_ctx = message[2] if len(message) > 2 else None
-                with obs.use_context(step_ctx), \
-                        obs.span("cluster.worker_step", host=host,
-                                 superstep=message[1]):
-                    result = group.step(message[1])
-                    outbound = group.gather() if result.synced else {}
-                conn.send((result.sent, result.aggregate,
-                           result.compute_seconds, result.synced,
-                           outbound))
-            elif op == "gather":
-                with obs.use_context(step_ctx), \
-                        obs.span("cluster.worker_gather", host=host):
-                    outbound = group.fold(message[1])
-                conn.send(outbound)
-            elif op == "scatter":
-                with obs.use_context(step_ctx), \
-                        obs.span("cluster.worker_scatter", host=host):
-                    group.scatter(message[1])
-                conn.send(group.stats)
-            elif op == "states":
-                conn.send(group.states())
-            elif op == "snapshot":
-                conn.send(group.snapshot())
-            elif op == "restore":
-                group.restore(message[1])
-                conn.send(True)
-            elif op == "stop":
-                conn.close()
-                return
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown cluster worker op {op!r}")
+            with obs.use_context(step_ctx), span:
+                reply = _serve(group, message)
+            conn.send(reply)
         except (BrokenPipeError, OSError):
             # Reply pipe dropped mid-send (coordinator tore the
             # transport down): exit quietly, like the recv case above.
             return
 
 
-class ProcessTransport:
-    """One long-lived worker process per host, shards grouped onto hosts.
+class _LocalHost:
+    """The serial backend's one host: a :class:`ShardGroup` in this
+    process, answering a command as it is sent.  Machines die by flag."""
 
-    The default deployment is one worker per partition (hosts ==
-    partitions); ``num_workers`` groups partitions onto fewer workers in
-    contiguous blocks, exactly like
-    :meth:`~repro.engine.placement.Placement.contiguous_machine_map` —
-    and the machine map *is* the worker map, so measured remote traffic
-    is precisely the payload volume that crossed a process boundary.
-    """
+    def __init__(self, group: ShardGroup) -> None:
+        self.group = group
+        self._dead: set = set()
+        self._reply: Any = None
+
+    def kill(self, machine: int) -> bool:
+        if machine in self._dead:
+            return False
+        self._dead.add(machine)
+        return True
+
+    def probe(self) -> None:
+        if self._dead:
+            raise WorkerDied(min(self._dead), "killed by fault injection")
+
+    def send(self, message: Tuple) -> None:
+        self._reply = _serve(self.group, message)
+
+    def recv(self) -> Any:
+        reply, self._reply = self._reply, None
+        return reply
+
+    def close(self) -> None:
+        pass
+
+
+class _PipeHost:
+    """One worker process over a pipe.  No wait is unbounded: a receive
+    polls in ``poll`` slices and probes the process between them, so a
+    SIGKILLed worker is detected within one slice and a wedged-but-alive
+    one within ``timeout`` — a :class:`WorkerDied` naming the machine
+    either way, never a silent hang."""
+
+    def __init__(self, machine: int, process, conn, timeout: float,
+                 poll: float) -> None:
+        self.machine, self.process, self.conn = machine, process, conn
+        self.timeout, self.poll = timeout, poll
+
+    def kill(self, machine: int) -> bool:
+        """SIGKILL the worker (no-op when already dead)."""
+        if not self.process.is_alive():
+            return False
+        os.kill(self.process.pid, signal.SIGKILL)
+        self.process.join(timeout=5)
+        return True
+
+    def probe(self) -> None:
+        if not self.process.is_alive():
+            raise WorkerDied(self.machine, "worker exited with code "
+                                           f"{self.process.exitcode}")
+
+    def send(self, message: Tuple) -> None:
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerDied(self.machine,
+                             f"pipe closed on send ({exc})") from None
+
+    def recv(self) -> Any:
+        deadline = time.monotonic() + self.timeout
+        while True:
+            try:
+                if self.conn.poll(self.poll):
+                    return self.conn.recv()
+            except (EOFError, OSError):
+                raise WorkerDied(self.machine, "pipe closed") from None
+            self.probe()
+            if time.monotonic() >= deadline:
+                raise WorkerDied(
+                    self.machine, f"no reply within {self.timeout:.1f}s "
+                                  f"(worker still alive — likely wedged)")
+
+    def close(self) -> None:
+        """Ask the worker to stop and close our end *before* joining: a
+        worker blocked in send() on a reply nobody will read gets EPIPE
+        (we are its pipe's only other holder).  One still alive after
+        the grace period is wedged: kill it, do not stall a recovery."""
+        with contextlib.suppress(BrokenPipeError, OSError):
+            self.conn.send(("stop",))
+        self.conn.close()
+        self.process.join(timeout=5)
+        if self.process.is_alive():  # pragma: no cover - defensive
+            self.process.kill()
+            self.process.join(timeout=5)
+
+
+class _Coordinator:
+    """The one BSP coordinator both backends run: the superstep protocol,
+    the aggregate and traffic folding, the fault-injection points and
+    death detection, over hosts it reaches only by ``send`` / ``recv``
+    (``probe`` raises :class:`WorkerDied` for a dead one)."""
+
+    backend = ""
+
+    def __init__(self, machine_of: Mapping[int, int],
+                 host_of: Mapping[int, int]) -> None:
+        self.machine_of = dict(machine_of)
+        self._hosts: Dict[int, Any] = {}  # ascending; the backend fills it
+        self._parts_of_host = {
+            host: [p for p in sorted(host_of) if host_of[p] == host]
+            for host in sorted(set(host_of.values()))}
+        self._host_of_machine = {self.machine_of[p]: host
+                                 for p, host in host_of.items()}
+
+    # -- the exchange ---------------------------------------------------
+    def _round(self, message_for) -> Dict[int, Any]:
+        """Send every host ``message_for(host)``, then collect replies.
+
+        Every host is probed first, so a death surfaces at the next
+        exchange that involves the dead machine, before any survivor is
+        left holding a command."""
+        for host in self._hosts.values():
+            host.probe()
+        for index, host in self._hosts.items():
+            host.send(message_for(index))
+        return {index: host.recv() for index, host in self._hosts.items()}
+
+    def _exchange(self, op: str,
+                  outbound: Mapping[int, Mapping[int, HostPayload]]
+                  ) -> Dict[int, Any]:
+        """Send every host ``(op, {sender: payload})`` — what the others'
+        ``outbound`` maps address to it — and collect replies."""
+        return self._round(lambda host: (op, {
+            sender: payloads[host] for sender, payloads in outbound.items()
+            if host in payloads}))
+
+    def _merged(self, op: str) -> Dict[int, Any]:
+        """The hosts' per-vertex / per-partition replies as one dict."""
+        replies = self._round(lambda host: (op,)).values()
+        return {key: value for reply in replies for key, value in reply.items()}
+
+    # -- failure primitives --------------------------------------------
+    def kill_machine(self, machine: int) -> bool:
+        """Kill ``machine`` — a real SIGKILL on the process backend, a
+        death flag on the serial one; unknown or dead ids are no-ops."""
+        host = self._hosts.get(self._host_of_machine.get(machine))
+        return host is not None and host.kill(machine)
+
+    def _fire(self, injector: Optional[FaultInjector], point: str,
+              superstep: int) -> None:
+        """Kill the machine ``injector`` schedules for this position (a
+        ``None`` from it is an unknown machine: nothing happens)."""
+        if injector is not None:
+            self.kill_machine(injector.check(point, superstep))
+
+    # -- superstep protocol --------------------------------------------
+    def compute_owned(self) -> int:
+        return sum(self._round(lambda host: ("mask",)).values())
+
+    def step(self, superstep: int,
+             injector: Optional[FaultInjector] = None
+             ) -> TransportStepResult:
+        command: Tuple = ("step", superstep)
+        if obs.is_enabled():
+            # Ship the coordinator's span context across the pickle
+            # boundary so worker spans join this trace.
+            ctx = obs.current_context()
+            if ctx is not None:
+                command = ("step", superstep, ctx)
+        replies = self._round(lambda host: command)
+        # The object path's aggregate folding: the non-``None``
+        # contributions summed in host order, ``None`` if there are none.
+        sent, aggregate, compute, syncing = 0, None, 0.0, set()
+        for host_sent, part, seconds, host_synced, _ in replies.values():
+            sent += host_sent
+            if part is not None:
+                aggregate = part if aggregate is None else aggregate + part
+            compute = max(compute, seconds)
+            syncing.add(host_synced)
+        if len(syncing) > 1:
+            raise RuntimeError("workers disagree on sync — "
+                               "non-deterministic kernel")
+        synced = syncing.pop()
+        self._fire(injector, "pre-gather", superstep)
+        stats = SyncStats()
+        sync_start = time.perf_counter()
+        if synced:
+            # Route the host payloads through the coordinator hub: each
+            # host is sent what the others addressed to it, keyed by
+            # sender, and the receiving group counts what it applies.
+            with obs.span("cluster.sync_gather"):
+                combined = self._exchange("gather", {
+                    host: reply[4] for host, reply in replies.items()})
+            self._fire(injector, "mid-scatter", superstep)
+            with obs.span("cluster.sync_scatter"):
+                for tally in self._exchange("scatter", combined).values():
+                    stats.merge(tally)
+        sync_seconds = time.perf_counter() - sync_start
+        # Post-apply kills commit the superstep first; detection happens
+        # at the next exchange, exactly like a real crash there.
+        self._fire(injector, "post-apply", superstep)
+        return TransportStepResult(sent, aggregate, compute, synced,
+                                   stats, sync_seconds)
+
+    def states(self) -> Dict[int, Any]:
+        return self._merged("states")
+
+    # -- checkpoint protocol -------------------------------------------
+    def snapshot(self) -> Dict[int, Dict[str, Any]]:
+        """Per-partition kernel states gathered from every host."""
+        return self._merged("snapshot")
+
+    def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
+        """Ship each host the states of exactly its own shards (keyed by
+        partition, so any machine layout can receive any snapshot)."""
+        self._round(lambda host: ("restore", {
+            partition: shard_states[partition]
+            for partition in self._parts_of_host[host]}))
+
+    def close(self) -> None:
+        hosts, self._hosts = self._hosts, {}
+        for host in hosts.values():
+            host.close()
+
+
+class SerialTransport(_Coordinator):
+    """All shards in this process, one host — the deterministic
+    reference backend.  The machine map is purely logical here (default:
+    one machine per partition) and only classifies traffic;
+    ``kill_machine`` marks a logical machine dead."""
+
+    backend = "serial"
+
+    def __init__(self, sharded: ShardedGraph, program: VertexProgram,
+                 machine_of: Mapping[int, int]) -> None:
+        # Single host: every partition is host 0; remote/local
+        # classification still follows the logical machine map.
+        host_of = {p: 0 for p in sharded.partitions}
+        super().__init__(machine_of, host_of)
+        self.group = ShardGroup([sharded.shards[p]
+                                 for p in sharded.partitions],
+                                program, machine_of, host_of, host=0)
+        self._hosts[0] = _LocalHost(self.group)
+
+
+class ProcessTransport(_Coordinator):
+    """One long-lived worker process per machine of ``machine_of`` (the
+    engine's default: one per partition, or ``num_workers`` contiguous
+    blocks), holding that machine's shards.  The machine map *is* the
+    worker map, so measured remote traffic is precisely the payload
+    volume that crossed a process boundary."""
 
     backend = "process"
 
@@ -798,27 +934,20 @@ class ProcessTransport:
     def __init__(self, sharded: ShardedGraph, program: VertexProgram,
                  machine_of: Mapping[int, int],
                  timeout: Optional[float] = None) -> None:
-        partitions = sharded.partitions
-        self.machine_of = dict(machine_of)
         self.timeout = self.DEFAULT_TIMEOUT if timeout is None else timeout
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        hosts = sorted(set(self.machine_of.values()))
-        self._parts_of_host = {
-            host: [p for p in partitions if self.machine_of[p] == host]
-            for host in hosts}
+        super().__init__(machine_of, {p: machine_of[p]
+                                      for p in sharded.partitions})
         context = mp.get_context()
-        self._procs: Dict[int, Any] = {}
-        self._conns = {}
         try:
             # All pipes exist before the first fork so every child can
             # enumerate (and close) the ends it inherited but does not
             # own — see _cluster_worker.  Without this, teardown via
             # closing the coordinator ends cannot unblock a worker.
-            pipes = {host: context.Pipe() for host in hosts}
-            for host in hosts:
-                parent_conn, child_conn = pipes[host]
-                inherited = [end for other, pair in pipes.items()
+            pipes = {host: context.Pipe() for host in self._parts_of_host}
+            for host, (parent_conn, child_conn) in pipes.items():
+                inherited = [end for pair in pipes.values()
                              for end in pair if end is not child_conn]
                 shards = [sharded.shards[p]
                           for p in self._parts_of_host[host]]
@@ -828,164 +957,16 @@ class ProcessTransport:
                           self.machine_of, self.machine_of, host),
                     daemon=True)
                 process.start()
-                self._procs[host] = process
-                self._conns[host] = parent_conn
+                self._hosts[host] = _PipeHost(host, process, parent_conn,
+                                              self.timeout,
+                                              self.POLL_INTERVAL)
             for _, child_conn in pipes.values():
                 child_conn.close()
         except Exception:
             self.close()
             raise
 
-    # -- bounded, liveness-probing pipe exchange ------------------------
-    def _send(self, host: int, message) -> None:
-        try:
-            self._conns[host].send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerDied(host, f"pipe closed on send ({exc})") from None
-
-    def _recv(self, host: int):
-        """Receive one reply from ``host``; never blocks unboundedly.
-
-        Polls in :data:`POLL_INTERVAL` slices, probing the worker
-        process's liveness between polls: a SIGKILLed worker is detected
-        within one interval, a wedged-but-alive worker within
-        ``timeout`` — either way a :class:`WorkerDied` with the machine
-        id, not a silent hang.
-        """
-        conn = self._conns[host]
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                if conn.poll(self.POLL_INTERVAL):
-                    return conn.recv()
-            except (EOFError, OSError):
-                raise WorkerDied(host, "pipe closed") from None
-            process = self._procs[host]
-            if not process.is_alive():
-                raise WorkerDied(
-                    host, f"worker exited with code {process.exitcode}")
-            if time.monotonic() >= deadline:
-                raise WorkerDied(
-                    host, f"no reply within {self.timeout:.1f}s "
-                          f"(worker still alive — likely wedged)")
-
-    def _round(self, message_for) -> Dict[int, Any]:
-        """Send every worker ``message_for(host)``, then collect replies."""
-        for host in sorted(self._conns):
-            self._send(host, message_for(host))
-        return {host: self._recv(host) for host in sorted(self._conns)}
-
-    def _merged(self, op: str) -> Dict[int, Any]:
-        """The workers' per-vertex / per-partition replies as one dict."""
-        merged: Dict[int, Any] = {}
-        for reply in self._round(lambda host: (op,)).values():
-            merged.update(reply)
-        return merged
-
-    # -- failure primitives --------------------------------------------
-    def kill_machine(self, machine: int) -> bool:
-        """SIGKILL the worker hosting ``machine`` (no-op when unknown or
-        already dead) — the fault injector's process-backend kill."""
-        process = self._procs.get(machine)
-        if process is None or not process.is_alive():
-            return False
-        os.kill(process.pid, signal.SIGKILL)
-        process.join(timeout=5)
-        return True
-
-    # -- superstep protocol --------------------------------------------
-    def compute_owned(self) -> int:
-        return sum(self._round(lambda host: ("mask",)).values())
-
-    def step(self, superstep: int,
-             injector: Optional[FaultInjector] = None
-             ) -> TransportStepResult:
-        command = ("step", superstep)
-        if obs.is_enabled():
-            # Ship the coordinator's span context across the pickle
-            # boundary so worker spans join this trace.
-            ctx = obs.current_context()
-            if ctx is not None:
-                command = ("step", superstep, ctx)
-        replies = self._round(lambda host: command)
-        sent = sum(reply[0] for reply in replies.values())
-        # The object path's aggregate folding: the non-``None``
-        # contributions summed in host order, ``None`` if there are none.
-        aggregate = None
-        for host in sorted(replies):
-            part = replies[host][1]
-            if part is not None:
-                aggregate = part if aggregate is None else aggregate + part
-        compute = max(reply[2] for reply in replies.values())
-        syncing = {reply[3] for reply in replies.values()}
-        if len(syncing) > 1:
-            raise RuntimeError("workers disagree on sync — "
-                               "non-deterministic kernel")
-        synced = syncing.pop()
-        _fire(self, injector, "pre-gather", superstep)
-        stats = SyncStats()
-        sync_start = time.perf_counter()
-        if synced:
-            # Route the host payloads through the coordinator hub: each
-            # worker is sent what the others addressed to it, keyed by
-            # sender, and the receiving group counts what it applies.
-            with obs.span("cluster.sync_gather"):
-                combined = self._exchange("gather", {
-                    host: reply[4] for host, reply in replies.items()})
-            _fire(self, injector, "mid-scatter", superstep)
-            with obs.span("cluster.sync_scatter"):
-                for tally in self._exchange("scatter", combined).values():
-                    stats.merge(tally)
-        sync_seconds = time.perf_counter() - sync_start
-        # Post-apply kills commit the superstep first; detection happens
-        # at the next exchange, exactly like a real crash there.
-        _fire(self, injector, "post-apply", superstep)
-        return TransportStepResult(sent, aggregate, compute, synced,
-                                   stats, sync_seconds)
-
-    def _exchange(self, op: str,
-                  outbound: Mapping[int, Mapping[int, HostPayload]]
-                  ) -> Dict[int, Any]:
-        """Send every worker ``(op, {sender: payload})`` — what the
-        others' ``outbound`` maps address to it — and collect replies."""
-        return self._round(lambda host: (op, {
-            sender: payloads[host] for sender, payloads in outbound.items()
-            if host in payloads}))
-
-    def states(self) -> Dict[int, Any]:
-        return self._merged("states")
-
-    # -- checkpoint protocol -------------------------------------------
-    def snapshot(self) -> Dict[int, Dict[str, Any]]:
-        """Per-partition kernel states gathered from every worker."""
-        return self._merged("snapshot")
-
-    def restore(self, shard_states: Mapping[int, Dict[str, Any]]) -> None:
-        """Ship each worker the states of exactly its own shards (keyed
-        by partition, so any machine layout can receive any snapshot)."""
-        self._round(lambda host: ("restore", {
-            partition: shard_states[partition]
-            for partition in self._parts_of_host[host]}))
-
-    def close(self) -> None:
-        for conn in self._conns.values():
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        # Close our pipe ends *before* joining: a worker abandoned
-        # mid-protocol may be blocked in send() on a payload nobody will
-        # read — we are the only other holder of its pipe (workers close
-        # inherited ends at startup), so this delivers EPIPE and the
-        # worker exits.  Anything still alive after the grace period is
-        # wedged and holds no state we need; kill it rather than stall
-        # the recovery path.
-        for conn in self._conns.values():
-            conn.close()
-        for process in self._procs.values():
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=5)
-        self._conns = {}
-        self._procs = {}
+    @property
+    def _procs(self) -> Dict[int, Any]:
+        """The worker processes, by machine."""
+        return {host: pipe.process for host, pipe in self._hosts.items()}

@@ -119,6 +119,8 @@ class Placement:
         Matches the paper's deployment: machine ``i`` hosts the ``k/z``
         partitions its own partitioner instance (spotlight) filled.
         """
+        if num_machines < 1:
+            raise ValueError("num_machines must be >= 1")
         k = len(partitions)
         base, extra = divmod(k, num_machines)
         mapping: Dict[int, int] = {}

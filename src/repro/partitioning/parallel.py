@@ -118,36 +118,26 @@ class PartitionerSpec:
         return cls(partitions, clock=clock, **self.kwargs)
 
 
-def _execute_instance(factory: PartitionerFactory, spread_ids: Sequence[int],
-                      chunk: EdgeStream,
-                      clock_factory: Callable[[], Clock]) -> PartitionResult:
-    """Run one partitioner instance over its chunk — the computation both
-    backends share."""
-    clock = clock_factory()
-    partitioner = factory(spread_ids, clock)
-    return partitioner.partition_stream(chunk)
-
-
 def _run_instance(factory: PartitionerFactory, spread_ids: Sequence[int],
                   chunk: EdgeStream,
                   clock_factory: Callable[[], Clock],
-                  trace_ctx: Optional[Dict[str, str]] = None,
-                  instance: int = 0) -> PartitionResult:
-    """Worker entry point: partition one chunk, return its result.
+                  trace_ctx: Optional[Dict[str, str]],
+                  instance: int) -> PartitionResult:
+    """Partition one chunk with one instance — what both backends run.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.  Only the
     process backend pickles the result; the simulated backend consumes
-    :func:`_execute_instance` results directly, which is what makes the
-    differential tests a real check of the serialization boundary rather
-    than a comparison of two serialized runs.
+    it directly, which is what makes the differential tests a real check
+    of the serialization boundary rather than a comparison of two
+    serialized runs.
 
     ``trace_ctx`` is the submitting process's span context: workers adopt
-    it so every instance's span lands in the same trace as the caller's.
+    it so every instance's span lands in the same trace as the caller's
+    (``None`` in-process, where the span parents to the caller's anyway).
     """
-    with obs.use_context(trace_ctx):
-        with obs.span("partition.parallel_instance", instance=instance):
-            return _execute_instance(factory, spread_ids, chunk,
-                                     clock_factory)
+    with obs.use_context(trace_ctx), \
+            obs.span("partition.parallel_instance", instance=instance):
+        return factory(spread_ids, clock_factory()).partition_stream(chunk)
 
 
 @dataclass
@@ -262,14 +252,11 @@ class ParallelLoader:
             if self.backend == "process":
                 results = self._run_process(chunks)
             else:
-                results = []
-                for index, (spread_ids, chunk) in enumerate(
-                        zip(self._spreads, chunks)):
-                    with obs.span("partition.parallel_instance",
-                                  instance=index):
-                        results.append(_execute_instance(
-                            self.factory, spread_ids, chunk,
-                            self.clock_factory))
+                results = [
+                    _run_instance(self.factory, spread_ids, chunk,
+                                  self.clock_factory, None, index)
+                    for index, (spread_ids, chunk) in enumerate(
+                        zip(self._spreads, chunks))]
             return self._merge(results)
 
     def _run_process(self,

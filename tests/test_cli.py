@@ -259,6 +259,18 @@ class TestProcessCommand:
         assert code == 2
         assert "--machines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cluster", [[], ["--cluster"]])
+    def test_zero_machines_rejected_before_partitioning(
+            self, graph_file, tmp_path, capsys, cluster):
+        output = tmp_path / "p.parts"
+        code = main(["pipeline", graph_file, "--partitions", "4",
+                     "--machines", "0", "--output", str(output)] + cluster)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "error: --machines must be >= 1" in err
+        assert "partitioned:" not in out
+        assert not output.exists()
+
     def test_pipeline_validates_flags_before_partitioning(
             self, graph_file, capsys):
         """Static flag errors must fire before the (expensive)

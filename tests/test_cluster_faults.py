@@ -31,6 +31,7 @@ from repro.cluster import (
     FaultInjector,
     Kill,
     ProcessTransport,
+    SerialTransport,
     WorkerDied,
 )
 from repro.engine.algorithms import (
@@ -274,6 +275,55 @@ class TestProcessFaults:
         finally:
             os.kill(transport._procs[1].pid, signal.SIGCONT)
             transport.close()
+
+
+class TestOneDetectionRule:
+    """Both backends run one coordinator: a death surfaces at the next
+    exchange that involves the dead machine, whichever backend hosts it."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_every_exchange_after_a_kill_names_the_machine(self, backend):
+        machine_of = {0: 0, 1: 0, 2: 1, 3: 1}
+        transport = (ProcessTransport(sharded(4), PageRank(iterations=9),
+                                      machine_of, timeout=30.0)
+                     if backend == "process" else
+                     SerialTransport(sharded(4), PageRank(iterations=9),
+                                     machine_of))
+        try:
+            checkpoint = transport.snapshot()
+            assert transport.kill_machine(1)
+            assert not transport.kill_machine(1)
+            for call in (transport.compute_owned,
+                         lambda: transport.step(0),
+                         transport.states,
+                         transport.snapshot,
+                         lambda: transport.restore(checkpoint)):
+                with pytest.raises(WorkerDied) as excinfo:
+                    call()
+                assert excinfo.value.machine == 1
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("superstep", [4, 9])  # 9 halts without a sync
+    @pytest.mark.parametrize("point", INJECTION_POINTS)
+    def test_backends_detect_and_recover_alike(self, point, superstep):
+        reports = []
+        for layout in ({"num_machines": 2},
+                       {"backend": "process", "num_workers": 2}):
+            injector = FaultInjector([Kill(superstep=superstep, point=point,
+                                           machine=1)])
+            engine = ClusterEngine(sharded(4), checkpoint_every=2,
+                                   fault_injector=injector, **layout)
+            reports.append(engine.run(PageRank(iterations=9),
+                                      max_supersteps=60))
+        serial, process = (
+            [(e.machine, e.superstep_detected, e.resumed_from)
+             for e in report.recoveries] for report in reports)
+        assert serial == process
+        # mid-scatter only exists on a syncing superstep.
+        fired = 0 if (point, superstep) == ("mid-scatter", 9) else 1
+        assert len(serial) == fired
+        assert_bit_identical(reports[1], reports[0])
 
 
 class TestCheckpointResume:

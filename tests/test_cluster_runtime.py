@@ -203,10 +203,14 @@ class TestProcessDifferential:
                                    max_supersteps=40)
         assert process_report.states == serial_report.states
         assert process_report.messages_sent == serial_report.messages_sent
-        assert ([(t.remote_messages, t.local_messages)
-                 for t in process_report.telemetry]
-                == [(t.remote_messages, t.local_messages)
-                    for t in serial_report.telemetry])
+        assert process_report.aggregates == serial_report.aggregates
+
+        def traffic(report):
+            return [(t.synced, t.remote_messages, t.local_messages,
+                     t.remote_per_machine, t.local_per_machine,
+                     t.payload_bytes) for t in report.telemetry]
+
+        assert traffic(process_report) == traffic(serial_report)
 
     def test_one_worker_per_partition_all_remote(self):
         """Default deployment: every partition its own worker; all sync
@@ -298,6 +302,10 @@ class TestTelemetryAndGuards:
         with pytest.raises(ValueError):
             ClusterEngine(sharded).run(PageRank(iterations=1),
                                        max_supersteps=0)
+        with pytest.raises(ValueError, match="num_machines"):
+            ClusterEngine(sharded, num_machines=0)
+        with pytest.raises(ValueError, match="num_machines"):
+            Placement.contiguous_machine_map(sharded.partitions, 0)
 
     def test_single_partition_no_sync(self):
         graph = graph_cases()["triangle"]
