@@ -1,8 +1,9 @@
 /* Compiled kernels: ADWISE's window loop (Algorithm 1) and the
  * single-edge stream kernel (HDRF), each one transaction per batch, the
  * vertex id -> dense row table both are fed through, the edge-file line
- * scanner, and the cluster's BSP host step (combine over a host's
- * adjacency slots, fold over its sync plan).
+ * scanner and its inverse (integer rows -> text), and the cluster's BSP
+ * host step (combine over a host's adjacency slots, fold over its sync
+ * plan).
  *
  * Built by repro/core/_kernels.py with
  *
@@ -132,6 +133,11 @@ void kern_lookup(const InternTable *t, const int64_t *ids, int64_t n,
 void kern_rehash(InternTable *t);
 int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
                         int64_t *out, int64_t cap, int64_t *consumed);
+int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
+                         const char *open, int64_t open_len,
+                         const char *sep, int64_t sep_len,
+                         const char *close, int64_t close_len,
+                         uint8_t *out, int64_t cap);
 /* The cluster's host step over 8-byte elements: what `op` combines. */
 #define KERN_ADD_F64 0
 #define KERN_MIN_F64 1
@@ -1001,7 +1007,7 @@ void kern_rehash(InternTable *t)
 }
 
 /* ------------------------------------------------------------------ */
-/* Edge-list text -> integer rows (repro/graph/io.py)                  */
+/* Edge-list text <-> integer rows (repro/graph/io.py)                 */
 /* ------------------------------------------------------------------ */
 
 /* The whole lines of buf[0, len) — not NUL-terminated; a last line may
@@ -1071,6 +1077,49 @@ decline:
     }
     *consumed = i;
     return n;
+}
+
+/* The inverse: the n rows of rows[n * ncols] as text — per row `open`,
+ * its ncols columns in decimal joined by `sep`, then `close` — written
+ * to out[0, cap); returns the bytes written, or -1 (having written a
+ * prefix) if they do not fit.  Python sizes `out` from the widest
+ * value.  A negative value is its magnitude as uint64 after a '-', so
+ * INT64_MIN is exact. */
+int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
+                         const char *open, int64_t open_len,
+                         const char *sep, int64_t sep_len,
+                         const char *close, int64_t close_len,
+                         uint8_t *out, int64_t cap)
+{
+    int64_t at = 0, i, col;
+    for (i = 0; i < n; i++) {
+        for (col = 0; col < ncols; col++) {
+            int64_t value = rows[i * ncols + col];
+            uint64_t magnitude = value < 0 ? 0 - (uint64_t)value
+                                           : (uint64_t)value;
+            const char *before = col ? sep : open;
+            int64_t before_len = col ? sep_len : open_len;
+            uint8_t digits[20];
+            int64_t d = 20;
+            do {
+                digits[--d] = (uint8_t)('0' + magnitude % 10);
+                magnitude /= 10;
+            } while (magnitude);
+            if (at + before_len + (value < 0) + (20 - d) > cap)
+                return -1;
+            memcpy(out + at, before, (size_t)before_len);
+            at += before_len;
+            if (value < 0)
+                out[at++] = '-';
+            memcpy(out + at, digits + d, (size_t)(20 - d));
+            at += 20 - d;
+        }
+        if (at + close_len > cap)
+            return -1;
+        memcpy(out + at, close, (size_t)close_len);
+        at += close_len;
+    }
+    return at;
 }
 
 /* ------------------------------------------------------------------ */

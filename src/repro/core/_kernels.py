@@ -3,17 +3,18 @@
 ``_kernels.c`` holds Algorithm 1's inner loop as one resumable C
 transaction (plus the restore that loads a window image into it), the
 single-edge stream kernel HDRF ingests a batch through, the vertex
-intern table both are fed by, the edge-file line scanner and the
-cluster runtime's host step (DESIGN.md §8).  It is
-compiled on demand with the system C compiler
-(``cc -O3 -fPIC -shared -ffp-contract=off``) and loaded through cffi's
-ABI mode; the shared object is cached in the system temp directory keyed
-by a hash of the source, with an atomic rename so concurrent test
-workers never race.  ``-ffp-contract=off`` (and no fast-math) keeps
-every float64 operation rounding exactly like the object-window
-reference.  The declarations cffi parses are cut out of the C source
-itself (between its ``cdef-begin``/``cdef-end`` markers), so the struct
-layout has one definition.
+intern table both are fed by, the edge-file line scanner and its
+inverse — the row formatter that writes ``.parts`` lines and the
+daemon's ``assignments`` JSON straight from int64 columns — and the
+cluster runtime's host step (DESIGN.md §8).  It is compiled on demand
+with the system C compiler (``cc -O3 -fPIC -shared -ffp-contract=off``)
+and loaded through cffi's ABI mode; the shared object is cached in the
+system temp directory keyed by a hash of the source, with an atomic
+rename so concurrent test workers never race.  ``-ffp-contract=off``
+(and no fast-math) keeps every float64 operation rounding exactly like
+the object-window reference.  The declarations cffi parses are cut out
+of the C source itself (between its ``cdef-begin``/``cdef-end``
+markers), so the struct layout has one definition.
 
 There is exactly one kernel source and no interpreted twin: where the
 kernels cannot be built (no C compiler, no cffi, no numpy) :func:`load`

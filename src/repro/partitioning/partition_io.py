@@ -7,8 +7,10 @@ consumable by any downstream system and diffable across runs.
 
 Multi-million-edge assignment files are practical shard inputs for the
 cluster runtime: lines are formatted from the mapping's ``(u, v, part)``
-columns ~16k at a time (one format operation and one write per batch,
-no object per edge), and paths ending in ``.gz`` are read and written
+columns ~16k at a time, straight to bytes
+(:func:`~repro.graph.io.format_int_rows`: one ``kern_format_rows`` call
+and one binary write per batch, no object per edge), and read back
+through the edge-file reader's scanner; paths ending in ``.gz`` go
 through :mod:`gzip` transparently, on both the write and the read side.
 """
 
@@ -21,7 +23,7 @@ from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import Edge
-from repro.graph.io import iter_int_rows
+from repro.graph.io import format_int_rows, iter_int_rows
 from repro.graph.shard import mapping_columns
 from repro.partitioning.base import PartitionResult
 from repro.partitioning.state import PartitionState
@@ -30,11 +32,10 @@ from repro.partitioning.state import PartitionState
 _WRITE_BATCH = 16384
 
 
-def _open_text(path: "str | os.PathLike", mode: str):
-    """Open ``path`` for text I/O, through gzip when it ends in ``.gz``."""
-    if os.fspath(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+def _open(path: "str | os.PathLike", mode: str):
+    """Open ``path`` for binary I/O, through gzip when it ends in ``.gz``."""
+    return (gzip.open if os.fspath(path).endswith(".gz") else open)(
+        path, mode + "b")
 
 
 def write_assignments(path: "str | os.PathLike",
@@ -42,22 +43,20 @@ def write_assignments(path: "str | os.PathLike",
                       header: str = "") -> int:
     """Write ``u v partition`` lines; return the number written."""
     rows = np.stack(mapping_columns(assignments), axis=1)
-    with _open_text(path, "w") as handle:
-        if header:
-            handle.writelines(f"# {line}\n"
-                              for line in header.splitlines())
+    with _open(path, "w") as handle:
+        handle.write("".join(f"# {line}\n"
+                             for line in header.splitlines()).encode())
         for start in range(0, len(rows), _WRITE_BATCH):
-            batch = rows[start:start + _WRITE_BATCH]
-            handle.write("%d %d %d\n" * len(batch)
-                         % tuple(batch.ravel().tolist()))
+            handle.write(format_int_rows(rows[start:start + _WRITE_BATCH],
+                                         b"", b" ", b"\n"))
+        handle.flush()  # .gz: the sync-flush block text mode's close wrote
     return len(rows)
 
 
 def _iter_row_blocks(path: "str | os.PathLike") -> Iterator:
     """The file's ``u v partition`` rows off the edge-file reader
     (:func:`repro.graph.io.iter_int_rows`; ``.gz`` transparent)."""
-    opener = gzip.open if os.fspath(path).endswith(".gz") else open
-    with opener(path, "rb") as handle:
+    with _open(path, "r") as handle:
         yield from iter_int_rows(handle, ncols=3, what="assignment")
 
 

@@ -65,6 +65,7 @@ from repro.api import (
     open_session,
     restore_session,
 )
+from repro.graph.io import format_int_rows
 from repro.graph.shard import mapping_columns
 from repro.service.audit import DecisionLog
 from repro.service.metrics import TenantMetrics
@@ -84,6 +85,29 @@ from repro.service.wal import (
 )
 
 SNAPSHOT_SUFFIX = ".snapshot"
+
+
+class _JSON(bytes):
+    """A response value already encoded as JSON (see :func:`_encode`)."""
+
+
+def _json_rows(rows: np.ndarray) -> _JSON:
+    """An ``(n, ncols)`` integer array (``[u, v, part]`` rows here) as
+    ``json.dumps`` writes the list of its rows, byte for byte, without
+    building that list."""
+    text = format_int_rows(rows, b"[", b", ", b"], ")
+    return _JSON(b"[" + text[:-2] + b"]")
+
+
+def _encode(payload: dict) -> bytes:
+    """One response line: ``json.dumps(payload).encode() + b"\\n"``, byte
+    for byte, with each :class:`_JSON` value spliced in as it is."""
+    if _JSON not in map(type, payload.values()):
+        return json.dumps(payload).encode() + b"\n"
+    return b"{" + b", ".join(
+        json.dumps(key).encode() + b": "
+        + (value if type(value) is _JSON else json.dumps(value).encode())
+        for key, value in payload.items()) + b"}\n"
 
 
 def _edge_array(pairs) -> np.ndarray:
@@ -497,8 +521,8 @@ class PartitionService:
                 "ok": True,
                 "accepted": len(edges),
                 "seq": seq,
-                "assignments": np.stack(
-                    (emitted.u, emitted.v, emitted.part), axis=1).tolist(),
+                "assignments": _json_rows(np.stack(
+                    (emitted.u, emitted.v, emitted.part), axis=1)),
             }
         except Exception as exc:  # surface, don't kill the worker
             response = {"ok": False, "error": str(exc), "seq": seq}
@@ -534,7 +558,9 @@ class PartitionService:
                 self._fire_waiters(tenant, seq, response)
                 self._hook("pre-ack", tenant.name, seq)
                 try:
-                    await reply(response)
+                    # The ack's service.reply span joins the client's trace.
+                    with obs.use_context(trace_ctx):
+                        await reply(response)
                 except (ConnectionError, OSError):
                     # The requesting connection is gone; the response
                     # stays in the replay cache for the client's retry.
@@ -584,10 +610,12 @@ class PartitionService:
         write_lock = asyncio.Lock()
         self._connections.add(writer)
 
-        async def send(payload: dict) -> None:
+        async def send(payload: dict) -> int:
+            line = _encode(payload)
             async with write_lock:
-                writer.write(json.dumps(payload).encode() + b"\n")
+                writer.write(line)
                 await writer.drain()
+            return len(line)
 
         lines = _LineReader(reader, self.max_line_bytes)
         try:
@@ -633,9 +661,13 @@ class PartitionService:
         obs.counter("repro_service_requests_total", op=str(op)).inc()
 
         async def reply(payload: dict) -> None:
+            """Send one response (tenant workers send acks through it),
+            its encode and write traced as ``service.reply``."""
             if request_id is not None:
                 payload = dict(payload, id=request_id)
-            await send(payload)
+            with obs.span("service.reply", op=str(op),
+                          tenant=request.get("tenant")) as span:
+                span.set_attr("bytes", await send(payload))
 
         try:
             if op == "ping":
@@ -773,15 +805,21 @@ class PartitionService:
                                 trace_ctx))
 
     def _op_query(self, request: dict) -> dict:
+        """A vertex's replicas or an edge's partition.  Ids are held to
+        ingest's rule (:func:`_edge_array`): int64 JSON integers, not
+        ``"2"``, ``2.7`` or ``true``."""
         tenant = self._tenant_of(request)
         if "vertex" in request:
-            vertex = int(request["vertex"])
+            vertex = request["vertex"]
+            if type(vertex) is not int or not -2**63 <= vertex < 2**63:
+                raise ValueError(f"bad request: a vertex is an int64 "
+                                 f"integer, got {vertex!r}")
             return {"ok": True, "vertex": vertex,
                     "replicas": tenant.session.query_vertex(vertex)}
         if "edge" in request:
-            u, v = request["edge"]
-            return {"ok": True, "edge": [int(u), int(v)],
-                    "partition": tenant.session.query_edge(int(u), int(v))}
+            u, v = map(int, _edge_array([request["edge"]])[0])
+            return {"ok": True, "edge": [u, v],
+                    "partition": tenant.session.query_edge(u, v)}
         raise SessionError("query requires 'vertex' or 'edge'")
 
     def _op_stats(self, request: dict) -> dict:
@@ -827,8 +865,8 @@ class PartitionService:
         self._remove_wal_files(tenant)
         u, v, part = mapping_columns(result.assignments)
         return {"ok": True, "tenant": tenant.name,
-                "assignments": np.stack((u, v, part), axis=1)[
-                    np.lexsort((v, u))].tolist(),
+                "assignments": _json_rows(np.stack((u, v, part), axis=1)[
+                    np.lexsort((v, u))]),
                 "replication_degree": result.replication_degree,
                 "imbalance": result.imbalance,
                 "latency_ms": result.latency_ms,

@@ -41,11 +41,7 @@ from repro.graph.io import (
 )
 from repro.graph.stream import FileChunkStream, FileEdgeStream
 from repro.partitioning.hdrf import HDRFPartitioner
-from repro.partitioning.partition_io import (
-    _open_text,
-    iter_assignments,
-    read_columns,
-)
+from repro.partitioning.partition_io import iter_assignments, read_columns
 
 BLOCK_SIZES = (1, 7, 64, 65536)
 
@@ -281,7 +277,8 @@ def test_blocks_are_the_callers_to_keep(tmp_path):
 # ---------------------------------------------------------------------------
 def reference_assignments(path):
     """``iter_assignments`` before the scanner, verbatim."""
-    with _open_text(path, "r") as handle:
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as handle:
         for line in handle:
             stripped = line.strip()
             if not stripped or stripped.startswith(("#", "%")):

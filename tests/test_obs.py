@@ -382,6 +382,49 @@ class TestCrossProcess:
         assert all(s["trace_id"] == ingest["trace_id"] for s in applies)
         assert all(s["parent_id"] == ingest["span_id"] for s in applies)
 
+    def test_service_reply_spans(self, tmp_path):
+        """Every response's encode + write is one ``service.reply`` span
+        carrying its op, tenant and line length; the acks the tenant
+        worker sends join the ingesting client's trace."""
+        from repro.service.client import ServiceClient
+        from repro.service.server import run_service
+
+        sink = str(tmp_path / "spans.jsonl")
+        obs.enable(trace_file=sink)
+        ready = threading.Event()
+        box = {}
+
+        def on_ready(service):
+            box["port"] = service.port
+            ready.set()
+
+        thread = threading.Thread(
+            target=run_service,
+            kwargs=dict(port=0, queue_depth=4, max_tenants=2,
+                        ready_callback=on_ready),
+            daemon=True)
+        thread.start()
+        assert ready.wait(10)
+        with ServiceClient(port=box["port"]) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            with obs.span("test.ingest"):
+                client.ingest("t", _random_edges(64, 30, seed=9))
+            client.query_vertex("t", 1)
+            final = client.request({"op": "finalize", "tenant": "t"})
+            client.shutdown()
+        thread.join(10)
+        spans = obs.load_trace_jsonl(sink)
+        replies = [s for s in spans if s["name"] == "service.reply"]
+        assert [(s["attrs"]["op"], s["attrs"]["tenant"])
+                for s in replies] == [
+            ("open", "t"), ("ingest", "t"), ("query", "t"),
+            ("finalize", "t"), ("shutdown", None)]
+        assert all(s["attrs"]["bytes"] > 10 for s in replies)
+        assert replies[3]["attrs"]["bytes"] == len(json.dumps(final)) + 1
+        ingest = [s for s in spans if s["name"] == "test.ingest"][0]
+        assert replies[1]["trace_id"] == ingest["trace_id"]
+        assert replies[1]["parent_id"] == ingest["span_id"]
+
 
 # ----------------------------------------------------------------------
 # Exporters

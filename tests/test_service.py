@@ -367,6 +367,80 @@ class TestGarbageInput:
             assert client.stats("t")["session"]["edges_ingested"] == 3
 
 
+    @pytest.mark.parametrize("query,error", [
+        ({"vertex": "2"}, "a vertex is an int64 integer, got '2'"),
+        ({"vertex": True}, "a vertex is an int64 integer, got True"),
+        ({"vertex": 2.7}, "a vertex is an int64 integer, got 2.7"),
+        ({"vertex": 2**70}, f"a vertex is an int64 integer, got {2**70}"),
+        ({"edge": [1.9, "2"]}, "an edge is a [u, v] pair of int64 "
+                               "integers, got [1.9, '2']")])
+    def test_query_ids_follow_the_ingest_rule(self, daemon, query, error):
+        """``query`` refuses what ``ingest`` refuses: no ``"2"`` -> 2,
+        ``true`` -> 1, ``2.7`` -> 2, and no ``ok`` for an id past int64;
+        the connection keeps serving."""
+        port, _, _ = daemon
+        with ServiceClient(port=port) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            client.ingest("t", [(1, 2), (2, 3)])
+            with pytest.raises(ServiceError) as refused:
+                client.request(dict(query, op="query", tenant="t"))
+            assert str(refused.value) == f"bad request: {error}"
+            assert client.query_edge("t", 1, 2) in range(4)
+            assert client.query_vertex("t", 2) != []
+
+
+class TestCanonicalLines:
+    """Every response line is byte for byte ``json.dumps`` of what it
+    decodes to, keys in the order the daemon built them — the
+    ``assignments`` the daemon formats straight from its columns
+    included, and ``replayed`` / ``id`` added after them."""
+
+    def test_daemon_lines_are_canonical(self, daemon):
+        import json
+        import socket
+
+        port, _, _ = daemon
+        ack = ["ok", "accepted", "seq", "assignments"]
+        script = [
+            ({"op": "open", "tenant": "t", "algorithm": "hdrf",
+              "partitions": 4}, None),
+            ({"op": "ingest", "tenant": "t", "seq": 1, "edges": []},
+             ack + ["id"]),
+            ({"op": "ingest", "tenant": "t", "seq": 2,
+              "edges": EDGES[:3]}, ack + ["id"]),
+            ({"op": "ingest", "tenant": "t", "seq": 3,
+              "edges": EDGES[3:259]}, ack + ["id"]),
+            ({"op": "ingest", "tenant": "t", "seq": 3,
+              "edges": EDGES[3:259]}, ack + ["replayed", "id"]),
+            ({"op": "query", "tenant": "t", "edge": list(EDGES[0])},
+             ["ok", "edge", "partition", "id"]),
+            ({"op": "query", "tenant": "t", "vertex": 2.5},
+             ["ok", "error", "id"]),
+            ({"op": "finalize", "tenant": "t"},
+             ["ok", "tenant", "assignments", "replication_degree",
+              "imbalance", "latency_ms", "extras", "id"]),
+        ]
+        answers = []
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for number, (request, keys) in enumerate(script):
+                sock.sendall(json.dumps(dict(request, id=number)).encode()
+                             + b"\n")
+                line = reader.readline()
+                response = json.loads(line)
+                assert line == json.dumps(response).encode() + b"\n"
+                assert response["id"] == number
+                if keys is not None:
+                    assert list(response) == keys
+                answers.append(response)
+        assert [len(answers[i]["assignments"]) for i in (1, 2, 3)] \
+            == [0, 3, 256]
+        assert answers[4] == dict(answers[3], replayed=True, id=4)
+        final = answers[-1]["assignments"]
+        assert final == sorted(final) and len(final) > 250
+
+
 class _ScriptedServer:
     """One-connection fake daemon replying with canned lines — for
     exercising the client's response bookkeeping."""
