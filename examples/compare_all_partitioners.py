@@ -19,9 +19,7 @@ from repro import (
     HDRFPartitioner,
     JaBeJaVCPartitioner,
     NEPartitioner,
-    OneDimPartitioner,
     PowerLyraPartitioner,
-    TwoDimPartitioner,
     community_powerlaw_graph,
     shuffled,
 )
@@ -37,8 +35,6 @@ def main() -> None:
 
     strategies = [
         ("Hash", lambda: HashPartitioner(range(NUM_PARTITIONS))),
-        ("1D", lambda: OneDimPartitioner(range(NUM_PARTITIONS))),
-        ("2D", lambda: TwoDimPartitioner(range(NUM_PARTITIONS))),
         ("Grid", lambda: GridPartitioner(range(NUM_PARTITIONS))),
         ("DBH", lambda: DBHPartitioner(range(NUM_PARTITIONS))),
         ("PowerLyra", lambda: PowerLyraPartitioner(range(NUM_PARTITIONS))),

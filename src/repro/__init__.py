@@ -69,7 +69,6 @@ from repro.partitioning import (
     HDRFPartitioner,
     JaBeJaVCPartitioner,
     NEPartitioner,
-    OneDimPartitioner,
     ParallelLoader,
     ParallelResult,
     PartitionResult,
@@ -79,7 +78,6 @@ from repro.partitioning import (
     PowerLyraPartitioner,
     RestreamingDriver,
     StreamingPartitioner,
-    TwoDimPartitioner,
     replication_degree,
 )
 from repro.engine import (
@@ -145,7 +143,6 @@ __all__ = [
     "NEPartitioner",
     "PowerLyraPartitioner",
     "RestreamingDriver",
-    "OneDimPartitioner",
     "ParallelLoader",
     "PartitionerSpec",
     "StateSnapshot",
@@ -153,7 +150,6 @@ __all__ = [
     "PartitionResult",
     "PartitionState",
     "StreamingPartitioner",
-    "TwoDimPartitioner",
     "replication_degree",
     "CostModel",
     "Engine",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -124,13 +125,22 @@ class SessionSnapshot:
 
 
 def _coerce_partitions(partitions: Union[int, Sequence[int]]) -> List[int]:
-    if isinstance(partitions, int):
+    """A count ``k`` (ids ``0..k-1``) or the ids themselves: integers,
+    numpy's included, but never a ``str`` or a ``bool``."""
+    if isinstance(partitions, (str, bool)):
+        raise SessionError(f"partitions is a count or a list of ids, "
+                           f"got {partitions!r}")
+    if isinstance(partitions, Integral):
         if partitions < 1:
             raise SessionError("partitions must be >= 1")
         return list(range(partitions))
     ids = list(partitions)
     if not ids:
         raise SessionError("at least one partition required")
+    bad = [p for p in ids
+           if isinstance(p, bool) or not isinstance(p, Integral)]
+    if bad:
+        raise SessionError(f"a partition id is an integer, got {bad[0]!r}")
     return ids
 
 

@@ -16,12 +16,14 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.graph.io import read_graph
+import numpy as np
+
+from repro.graph.io import iter_edge_blocks, read_graph
 from repro.graph.shard import ShardedGraph
 from repro.graph.stream import FileEdgeStream
 from repro.graph.stats import summarize
 from repro.partitioning.parallel import partitioner_registry
-from repro.partitioning.partition_io import write_assignments
+from repro.partitioning.partition_io import read_columns, write_assignments
 from repro.simtime import SimulatedClock, WallClock
 
 #: Single source of truth for --algorithm choices, shared with
@@ -489,9 +491,49 @@ def _run_process(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     graph = read_graph(args.graph)
-    sharded = ShardedGraph.from_file(args.assignments,
-                                     vertices=graph.vertices())
+    try:
+        u, v, part = read_columns(args.assignments)
+        error = _edge_mismatch(args.graph, u, v)
+        if error is None:
+            sharded = ShardedGraph.from_arrays(u, v, part,
+                                               vertices=graph.vertices())
+    except ValueError as exc:
+        error = str(exc)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return _execute_processing(graph, sharded, args)
+
+
+def _edge_mismatch(graph_path, u, v) -> Optional[str]:
+    """Why the assignment rows ``(u[i], v[i])`` do not cover exactly the
+    edges of the graph file (both canonical, with self-loops dropped as
+    :func:`read_graph` drops them), or ``None``: the simulated engine runs
+    the graph's edges, the cluster the rows.  Both sides stay numpy
+    columns until a mismatch has to be named."""
+    def pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Sorted, distinct canonical ``(min, max)`` rows."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((hi, lo))
+        rows = np.column_stack([lo[order], hi[order]])
+        distinct = np.ones(len(rows), dtype=bool)
+        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        return rows[distinct]
+
+    edges = np.concatenate([np.empty((0, 2), dtype=np.int64),
+                            *iter_edge_blocks(graph_path)])
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    assigned, present = pairs(u, v), pairs(edges[:, 0], edges[:, 1])
+    if np.array_equal(assigned, present):
+        return None
+    in_file, in_graph = (set(map(tuple, rows.tolist()))
+                         for rows in (assigned, present))
+    what = (f"graph edge {min(in_graph - in_file)} has no row"
+            if in_graph - in_file
+            else f"row {min(in_file - in_graph)} is not a graph edge")
+    return (f"assignment file does not match the graph: {what} "
+            f"({len(assigned)} edges in the file, {len(present)} in the "
+            f"graph)")
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
@@ -649,7 +691,6 @@ def _run_top(args: argparse.Namespace) -> int:
 
 
 def _run_client(args: argparse.Namespace) -> int:
-    from repro.graph.io import iter_edge_blocks
     from repro.service.client import ServiceClient, ServiceError
 
     if args.batch_size < 1:

@@ -141,8 +141,8 @@ class AdwisePartitioner(StreamingPartitioner):
         edge was pure allocation overhead (its balancer only ever adapts
         through ``after_assignment``, which this path never calls, so a
         cached instance scores identically to a fresh one).  The cache is
-        invalidated when ``state`` or ``clock`` is swapped out, as batch
-        drivers that use partitioners as policies do between batches.
+        invalidated when ``state`` or ``clock`` is swapped out, as
+        :func:`~repro.api.restore_session` swaps in the restored state.
         """
         scoring = self._edge_scoring
         if (scoring is None or scoring.state is not self.state

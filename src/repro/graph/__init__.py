@@ -22,7 +22,6 @@ from repro.graph.generators import (
     watts_strogatz_graph,
     web_like_graph,
 )
-from repro.graph.metis import read_metis, write_metis
 from repro.graph.stats import (
     average_clustering,
     degree_histogram,
@@ -43,8 +42,6 @@ __all__ = [
     "chunk_stream",
     "locally_shuffled",
     "shuffled",
-    "read_metis",
-    "write_metis",
     "barabasi_albert_graph",
     "brain_like_graph",
     "community_powerlaw_graph",

@@ -71,51 +71,6 @@ def average_clustering(graph: Graph, sample_size: Optional[int] = None,
     return sum(local_clustering(graph, v) for v in verts) / len(verts)
 
 
-def triangle_count(graph: Graph) -> int:
-    """Exact number of triangles (each counted once)."""
-    total = 0
-    for v in graph.vertices():
-        nbrs = graph.neighbors(v)
-        for u in nbrs:
-            if u > v:
-                # Count common neighbors w > u to count each triangle once.
-                total += sum(1 for w in (nbrs & graph.neighbors(u))
-                             if w > u)
-    return total
-
-
-def powerlaw_exponent(graph: Graph, xmin: int = 1) -> float:
-    """MLE estimate of the degree power-law exponent α.
-
-    Uses the continuous approximation α = 1 + n / Σ ln(d / (xmin − 0.5))
-    over degrees ≥ xmin (Clauset, Shalizi & Newman 2009).  Returns ``inf``
-    for degenerate inputs (no vertex at or above ``xmin``).
-    """
-    import math
-
-    if xmin < 1:
-        raise ValueError("xmin must be >= 1")
-    degs = [graph.degree(v) for v in graph.vertices()
-            if graph.degree(v) >= xmin]
-    if not degs:
-        return math.inf
-    denom = sum(math.log(d / (xmin - 0.5)) for d in degs)
-    if denom == 0:
-        return math.inf
-    return 1.0 + len(degs) / denom
-
-
-def degree_percentile(graph: Graph, fraction: float) -> int:
-    """Degree at the given percentile (0 ≤ fraction ≤ 1) of vertices."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    degs = sorted(graph.degree(v) for v in graph.vertices())
-    if not degs:
-        return 0
-    index = min(len(degs) - 1, int(fraction * len(degs)))
-    return degs[index]
-
-
 def degree_skewness(graph: Graph) -> float:
     """Sample skewness of the degree distribution (0 for < 3 vertices).
 

@@ -195,22 +195,3 @@ def chunk_stream(stream: EdgeStream, num_chunks: int) -> List[InMemoryEdgeStream
         chunks.append(InMemoryEdgeStream(edges[start:start + size]))
         start += size
     return chunks
-
-
-def interleave_chunks(chunks: Sequence[EdgeStream],
-                      seed: Optional[int] = None) -> InMemoryEdgeStream:
-    """Round-robin merge chunks back into one stream (utility for tests)."""
-    iters = [iter(c) for c in chunks]
-    rng = random.Random(seed) if seed is not None else None
-    merged: List[Edge] = []
-    active = list(range(len(iters)))
-    while active:
-        order = list(active)
-        if rng is not None:
-            rng.shuffle(order)
-        for idx in order:
-            try:
-                merged.append(next(iters[idx]))
-            except StopIteration:
-                active.remove(idx)
-    return InMemoryEdgeStream(merged)

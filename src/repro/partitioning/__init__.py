@@ -4,7 +4,6 @@ from repro.partitioning.state import PartitionState, StateSnapshot
 from repro.partitioning.fast_state import FastPartitionState
 from repro.partitioning.base import PartitionResult, StreamingPartitioner
 from repro.partitioning.metrics import (
-    balance_ratio,
     imbalance,
     partition_sizes,
     replication_degree,
@@ -14,7 +13,6 @@ from repro.partitioning.grid import GridPartitioner
 from repro.partitioning.dbh import DBHPartitioner
 from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.greedy import GreedyPartitioner
-from repro.partitioning.onedim import OneDimPartitioner, TwoDimPartitioner
 from repro.partitioning.ne import NEPartitioner
 from repro.partitioning.jabeja import JaBeJaVCPartitioner
 from repro.partitioning.powerlyra import PowerLyraPartitioner
@@ -24,14 +22,8 @@ from repro.partitioning.parallel import (
     PartitionerSpec,
 )
 from repro.partitioning.restream import RestreamingDriver
-from repro.partitioning.hovercut import HoverCutPartitioner
 from repro.partitioning.validate import ValidationReport, validate_result
-from repro.partitioning.partition_io import (
-    load_result,
-    read_assignments,
-    save_result,
-    write_assignments,
-)
+from repro.partitioning.partition_io import write_assignments
 
 __all__ = [
     "PartitionState",
@@ -39,7 +31,6 @@ __all__ = [
     "FastPartitionState",
     "PartitionResult",
     "StreamingPartitioner",
-    "balance_ratio",
     "imbalance",
     "partition_sizes",
     "replication_degree",
@@ -48,8 +39,6 @@ __all__ = [
     "DBHPartitioner",
     "HDRFPartitioner",
     "GreedyPartitioner",
-    "OneDimPartitioner",
-    "TwoDimPartitioner",
     "NEPartitioner",
     "JaBeJaVCPartitioner",
     "PowerLyraPartitioner",
@@ -57,11 +46,7 @@ __all__ = [
     "ParallelResult",
     "PartitionerSpec",
     "RestreamingDriver",
-    "HoverCutPartitioner",
     "ValidationReport",
     "validate_result",
-    "load_result",
-    "read_assignments",
-    "save_result",
     "write_assignments",
 ]

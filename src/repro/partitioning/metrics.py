@@ -38,16 +38,6 @@ def partition_sizes(assignments: Mapping[Edge, int],
     return sizes
 
 
-def balance_ratio(sizes: Mapping[int, int]) -> float:
-    """``minsize / maxsize`` — must exceed τ per the constraint in Eq. 2."""
-    if not sizes:
-        return 1.0
-    max_size = max(sizes.values())
-    if max_size == 0:
-        return 1.0
-    return min(sizes.values()) / max_size
-
-
 def imbalance(sizes: Mapping[int, int]) -> float:
     """``(maxsize − minsize) / maxsize`` — the paper's Fig. 7 balance check."""
     if not sizes:

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import gzip
 import os
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Edge
 from repro.graph.io import format_int_rows, iter_int_rows
 from repro.graph.shard import mapping_columns
-from repro.partitioning.base import PartitionResult
-from repro.partitioning.state import PartitionState
 
 #: Lines formatted per write.
 _WRITE_BATCH = 16384
@@ -53,66 +51,12 @@ def write_assignments(path: "str | os.PathLike",
     return len(rows)
 
 
-def _iter_row_blocks(path: "str | os.PathLike") -> Iterator:
-    """The file's ``u v partition`` rows off the edge-file reader
-    (:func:`repro.graph.io.iter_int_rows`; ``.gz`` transparent)."""
-    with _open(path, "r") as handle:
-        yield from iter_int_rows(handle, ncols=3, what="assignment")
-
-
-def iter_assignments(path: "str | os.PathLike") -> Iterator[tuple]:
-    """Stream ``(u, v, partition)`` triples without materialising the
-    mapping (``.gz`` transparent)."""
-    for rows in _iter_row_blocks(path):
-        if type(rows) is np.ndarray:
-            rows = map(tuple, rows.tolist())
-        yield from rows
-
-
 def read_columns(path: "str | os.PathLike") -> Tuple[np.ndarray, ...]:
     """A ``u v partition`` file as three int64 columns, file order — what
-    :meth:`~repro.graph.shard.ShardedGraph.from_arrays` takes."""
-    table = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
-        np.asarray(rows, dtype=np.int64) for rows in _iter_row_blocks(path)])
+    :meth:`~repro.graph.shard.ShardedGraph.from_arrays` takes (rows off
+    :func:`repro.graph.io.iter_int_rows`; ``.gz`` transparent)."""
+    with _open(path, "r") as handle:
+        table = np.concatenate([np.empty((0, 3), dtype=np.int64)] + [
+            np.asarray(rows, dtype=np.int64)
+            for rows in iter_int_rows(handle, ncols=3, what="assignment")])
     return table[:, 0], table[:, 1], table[:, 2]
-
-
-def read_assignments(path: "str | os.PathLike") -> Dict[Edge, int]:
-    """Read a ``u v partition`` file back into an assignment mapping."""
-    return {Edge(u, v).canonical(): partition
-            for u, v, partition in iter_assignments(path)}
-
-
-def save_result(path: "str | os.PathLike", result: PartitionResult) -> int:
-    """Persist a :class:`PartitionResult`'s assignments with provenance."""
-    header = (f"algorithm={result.algorithm} "
-              f"replication_degree={result.replication_degree:.6f} "
-              f"imbalance={result.imbalance:.6f} "
-              f"latency_ms={result.latency_ms:.3f}")
-    return write_assignments(path, result.assignments, header=header)
-
-
-def load_result(path: "str | os.PathLike",
-                partitions: Optional[Sequence[int]] = None,
-                algorithm: str = "loaded") -> PartitionResult:
-    """Rebuild a :class:`PartitionResult` from an assignment file.
-
-    The vertex cache is reconstructed by replaying assignments, so all
-    quality metrics (replication degree, imbalance) are recomputed rather
-    than trusted from the header.
-    """
-    assignments = read_assignments(path)
-    if partitions is None:
-        partitions = sorted(set(assignments.values()))
-    if not partitions:
-        raise ValueError(f"no assignments found in {os.fspath(path)!r}")
-    state = PartitionState(partitions)
-    for edge, partition in assignments.items():
-        state.observe_degrees(edge)
-        state.assign(edge, partition)
-    return PartitionResult(
-        algorithm=algorithm,
-        state=state,
-        assignments=assignments,
-        latency_ms=0.0,
-    )

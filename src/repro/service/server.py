@@ -132,6 +132,16 @@ def _edge_array(pairs) -> np.ndarray:
                          f"integers, got {culprit!r}") from None
 
 
+def _int64(value, what: str) -> int:
+    """``value`` if it is a JSON integer within int64, else a bad request
+    naming ``what`` (no ``int()``: ``2.9``, ``"3"`` and ``true`` are
+    refused, not read as 2, 3 and 1)."""
+    if type(value) is not int or not -2**63 <= value < 2**63:
+        raise ValueError(f"bad request: {what} is an int64 integer, "
+                         f"got {value!r}")
+    return value
+
+
 class Tenant:
     """Daemon-side state for one tenant: session + queue + worker."""
 
@@ -733,10 +743,15 @@ class PartitionService:
         knobs = request.get("knobs") or {}
         if not isinstance(knobs, dict):
             raise SessionError("knobs must be an object")
+        partitions = request.get("partitions", 32)  # a count or the ids
+        partitions = ([_int64(p, "a partition id") for p in partitions]
+                      if isinstance(partitions, list)
+                      else _int64(partitions, "partitions"))
         session = open_session(
             algorithm=request.get("algorithm", "adwise"),
-            partitions=request.get("partitions", 32),
-            expected_edges=int(request.get("expected_edges", 0)),
+            partitions=partitions,
+            expected_edges=_int64(request.get("expected_edges", 0),
+                                  "expected_edges"),
             **knobs)
         tenant = Tenant(name, session, self.queue_depth, self.audit_depth,
                         self.replay_depth, self.metrics_window)
@@ -769,7 +784,7 @@ class PartitionService:
         if raw_seq is None:
             seq = tenant.accepted_seq + 1  # legacy client: no idempotency
         else:
-            seq = int(raw_seq)
+            seq = _int64(raw_seq, "seq")
             if seq < 1:
                 raise SessionError("ingest seq must be >= 1")
             if seq <= tenant.applied_seq:
@@ -806,14 +821,11 @@ class PartitionService:
 
     def _op_query(self, request: dict) -> dict:
         """A vertex's replicas or an edge's partition.  Ids are held to
-        ingest's rule (:func:`_edge_array`): int64 JSON integers, not
-        ``"2"``, ``2.7`` or ``true``."""
+        ingest's rule (:func:`_edge_array`, :func:`_int64`): int64 JSON
+        integers, not ``"2"``, ``2.7`` or ``true``."""
         tenant = self._tenant_of(request)
         if "vertex" in request:
-            vertex = request["vertex"]
-            if type(vertex) is not int or not -2**63 <= vertex < 2**63:
-                raise ValueError(f"bad request: a vertex is an int64 "
-                                 f"integer, got {vertex!r}")
+            vertex = _int64(request["vertex"], "a vertex")
             return {"ok": True, "vertex": vertex,
                     "replicas": tenant.session.query_vertex(vertex)}
         if "edge" in request:
@@ -841,7 +853,7 @@ class PartitionService:
 
     def _op_audit(self, request: dict) -> dict:
         tenant = self._tenant_of(request)
-        limit = int(request.get("limit", 32))
+        limit = _int64(request.get("limit", 32), "limit")
         return {"ok": True, "tenant": tenant.name,
                 "decisions": [r.to_dict()
                               for r in tenant.audit.tail(limit)],

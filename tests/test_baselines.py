@@ -9,7 +9,7 @@ from repro.partitioning.greedy import GreedyPartitioner
 from repro.partitioning.grid import GridPartitioner
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.hdrf import HDRFPartitioner
-from repro.partitioning.onedim import OneDimPartitioner, TwoDimPartitioner
+from repro.partitioning.powerlyra import PowerLyraPartitioner
 from repro.partitioning.metrics import (
     partition_sizes,
     replica_sets_from_assignments,
@@ -21,8 +21,7 @@ ALL_BASELINES = [
     DBHPartitioner,
     HDRFPartitioner,
     GreedyPartitioner,
-    OneDimPartitioner,
-    TwoDimPartitioner,
+    PowerLyraPartitioner,
 ]
 
 
@@ -179,17 +178,3 @@ class TestGrid:
         replicas = replica_sets_from_assignments(result.assignments)
         # Grid bounds each vertex's replicas by 2*sqrt(k) - 1 = 7.
         assert all(len(r) <= 7 for r in replicas.values())
-
-
-class TestOneTwoDim:
-    def test_onedim_source_vertex_single_partition(self, small_stream):
-        result = OneDimPartitioner(range(8)).partition_stream(small_stream)
-        by_source = {}
-        for edge, p in result.assignments.items():
-            by_source.setdefault(edge.u, set()).add(p)
-        assert all(len(ps) == 1 for ps in by_source.values())
-
-    def test_twodim_bounded_by_grid(self, small_stream):
-        result = TwoDimPartitioner(range(16)).partition_stream(small_stream)
-        replicas = replica_sets_from_assignments(result.assignments)
-        assert all(len(r) <= 8 for r in replicas.values())

@@ -259,6 +259,34 @@ class TestProcessCommand:
         assert code == 2
         assert "--machines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "graph edge (0, 1) has no row (0 edges in the file, 3 in"),
+        ("# header only\n",
+         "graph edge (0, 1) has no row (0 edges in the file, 3 in"),
+        ("0 1 0\n1 2 1\n",
+         "graph edge (0, 2) has no row (2 edges in the file, 3 in"),
+        ("0 1 0\n1 2 1\n2 0 1\n7 8 2\n",
+         "row (7, 8) is not a graph edge (4 edges in the file, 3 in"),
+    ], ids=["empty", "header-only", "missing", "extra"])
+    @pytest.mark.parametrize("engine", [[], ["--cluster"]],
+                             ids=["simulated", "cluster"])
+    def test_assignment_file_must_cover_the_graph(self, tmp_path, capsys,
+                                                  rows, message, engine):
+        """The file's canonical edges must be the graph's, on either
+        engine: the simulator runs the graph's edges, the cluster the
+        file's."""
+        graph = tmp_path / "triangle.txt"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        parts = tmp_path / "triangle.parts"
+        parts.write_text(rows)
+        code = main(["process", str(graph), str(parts)] + engine)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("error: assignment file does not match "
+                              "the graph: ")
+        assert message in err
+        assert not out
+
     @pytest.mark.parametrize("cluster", [[], ["--cluster"]])
     def test_zero_machines_rejected_before_partitioning(
             self, graph_file, tmp_path, capsys, cluster):

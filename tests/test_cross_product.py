@@ -17,13 +17,9 @@ from repro.graph.generators import (
 )
 from repro.graph.stream import InMemoryEdgeStream, locally_shuffled, shuffled
 from repro.core.adwise import AdwisePartitioner
-from repro.partitioning.dbh import DBHPartitioner
-from repro.partitioning.greedy import GreedyPartitioner
-from repro.partitioning.grid import GridPartitioner
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.hdrf import HDRFPartitioner
-from repro.partitioning.onedim import OneDimPartitioner, TwoDimPartitioner
-from repro.partitioning.powerlyra import PowerLyraPartitioner
+from repro.partitioning.parallel import partitioner_registry
 from repro.partitioning.validate import validate_result
 
 GRAPHS = {
@@ -34,16 +30,9 @@ GRAPHS = {
     "web": lambda: web_like_graph(8, 8, seed=5),
 }
 
-PARTITIONERS = {
-    "hash": HashPartitioner,
-    "grid": GridPartitioner,
-    "1d": OneDimPartitioner,
-    "2d": TwoDimPartitioner,
-    "dbh": DBHPartitioner,
-    "powerlyra": PowerLyraPartitioner,
-    "greedy": GreedyPartitioner,
-    "hdrf": HDRFPartitioner,
-}
+#: Every algorithm the CLI and the daemon can run: the Fig. 7/8 streaming
+#: baselines, Fig. 1's PowerLyra, Ja-Be-Ja-VC and NE, and ADWISE itself.
+PARTITIONERS = partitioner_registry()
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))

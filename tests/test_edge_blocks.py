@@ -41,7 +41,7 @@ from repro.graph.io import (
 )
 from repro.graph.stream import FileChunkStream, FileEdgeStream
 from repro.partitioning.hdrf import HDRFPartitioner
-from repro.partitioning.partition_io import iter_assignments, read_columns
+from repro.partitioning.partition_io import read_columns
 
 BLOCK_SIZES = (1, 7, 64, 65536)
 
@@ -276,7 +276,7 @@ def test_blocks_are_the_callers_to_keep(tmp_path):
 # Assignment files (three columns, .gz)
 # ---------------------------------------------------------------------------
 def reference_assignments(path):
-    """``iter_assignments`` before the scanner, verbatim."""
+    """The per-line ``.parts`` reader that preceded the scanner, verbatim."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as handle:
         for line in handle:
@@ -311,7 +311,6 @@ def test_read_columns_is_the_per_line_reader(tmp_path, lines, malformed,
         text.encode("utf-8"))
     expected, message = drain(reference_assignments(path))
     with block_bytes(size):
-        assert drain(iter_assignments(path)) == (expected, message)
         if message is not None:
             with pytest.raises(ValueError) as refused:
                 read_columns(path)

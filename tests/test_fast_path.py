@@ -365,8 +365,8 @@ class TestTierWiring:
         assert partitioner._edge_scoring is scoring
 
     def test_adwise_scoring_cache_follows_state_swap(self):
-        """Batch drivers reassign .state/.clock between batches (hovercut
-        policy pattern); the cached scoring must track the live state."""
+        """``restore_session`` reassigns ``.state`` after construction;
+        the cached scoring must track the live state and clock."""
         partitioner = AdwisePartitioner(range(4))
         partitioner.partition_edge(Edge(1, 2))
         partitioner.state = PartitionState(range(4))

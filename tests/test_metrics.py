@@ -4,7 +4,6 @@ import pytest
 
 from repro.graph.graph import Edge
 from repro.partitioning.metrics import (
-    balance_ratio,
     cut_vertices,
     imbalance,
     partition_sizes,
@@ -52,15 +51,6 @@ class TestBalance:
     def test_partition_sizes_include_empty(self, sample_assignments):
         sizes = partition_sizes(sample_assignments, [0, 1, 2])
         assert sizes == {0: 2, 1: 2, 2: 0}
-
-    def test_balance_ratio_perfect(self):
-        assert balance_ratio({0: 5, 1: 5}) == 1.0
-
-    def test_balance_ratio_empty_partition(self):
-        assert balance_ratio({0: 5, 1: 0}) == 0.0
-
-    def test_balance_ratio_no_partitions(self):
-        assert balance_ratio({}) == 1.0
 
     def test_imbalance_zero_when_equal(self):
         assert imbalance({0: 3, 1: 3}) == 0.0

@@ -1,21 +1,51 @@
-"""Tests for persisting and reloading partitionings."""
+"""Tests for persisting and reloading partitionings.
+
+A ``.parts`` file has one writer, :func:`write_assignments`, and one
+reader, :func:`read_columns` — what :meth:`ShardedGraph.from_file`
+shards.  Quality recomputed from the file (replication degree, edges
+per partition) must equal the partitioner's own.
+"""
 
 import gzip
 
 import pytest
 
 from repro.graph.graph import Edge
+from repro.graph.shard import ShardedGraph, mapping_columns
 from repro.graph.stream import shuffled
 from repro.partitioning.hdrf import HDRFPartitioner
+from repro.partitioning.metrics import imbalance
 from repro.partitioning.partition_io import (
     _WRITE_BATCH,
-    iter_assignments,
-    load_result,
-    read_assignments,
     read_columns,
-    save_result,
     write_assignments,
 )
+
+
+def _rows(path):
+    """The file's ``(u, v, part)`` columns as lists, file order."""
+    return [column.tolist() for column in read_columns(path)]
+
+
+def _written(assignments):
+    """The rows :func:`write_assignments` is given for ``assignments``."""
+    return [column.tolist() for column in mapping_columns(assignments)]
+
+
+def _sizes(sharded):
+    """Edges per partition of a sharding, empty partitions included."""
+    return {p: sharded.shards[p].num_edges for p in sharded.partitions}
+
+
+def _assert_file_matches(path, result):
+    """The file at ``path`` holds ``result``'s rows and shards back to
+    its quality, recomputed from the rows rather than trusted."""
+    assert _rows(path) == _written(result.assignments)
+    loaded = ShardedGraph.from_file(path, partitions=result.state.partitions)
+    assert loaded.replication_degree == pytest.approx(
+        result.replication_degree)
+    assert _sizes(loaded) == dict(result.state.partition_edges)
+    assert imbalance(_sizes(loaded)) == pytest.approx(result.imbalance)
 
 
 class TestRoundTrip:
@@ -24,34 +54,37 @@ class TestRoundTrip:
         path = tmp_path / "p.txt"
         written = write_assignments(path, assignments, header="test")
         assert written == 2
-        assert read_assignments(path) == assignments
+        assert _rows(path) == [[1, 2], [2, 3], [0, 1]]
+        assert _sizes(ShardedGraph.from_file(path)) == {0: 1, 1: 1}
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# header\n1 2 0\n% other\n2 3 1\n")
-        assert read_assignments(path) == {Edge(1, 2): 0, Edge(2, 3): 1}
+        assert _rows(path) == [[1, 2], [2, 3], [0, 1]]
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("1 2\n")
         with pytest.raises(ValueError):
-            read_assignments(path)
+            read_columns(path)
 
     def test_non_canonical_edges_canonicalised(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("5 2 3\n")
-        assert read_assignments(path) == {Edge(2, 5): 3}
+        assert _rows(path) == [[5], [2], [3]]
+        sharded = ShardedGraph.from_file(path)
+        assert (sharded.num_vertices, _sizes(sharded)) == (2, {3: 1})
 
 
 class TestGzipAndBatching:
-    """Transparent ``.gz`` support and batched ``writelines`` writes."""
+    """Transparent ``.gz`` support and batched writes."""
 
     def test_gz_write_then_read(self, tmp_path):
         assignments = {Edge(1, 2): 0, Edge(2, 3): 1, Edge(3, 4): 0}
         path = tmp_path / "p.txt.gz"
         written = write_assignments(path, assignments, header="compressed")
         assert written == 3
-        assert read_assignments(path) == assignments
+        assert _rows(path) == [[1, 2, 3], [2, 3, 4], [0, 1, 0]]
         # The file really is gzip: raw bytes start with the magic and
         # decompress to the plain-text format.
         raw = path.read_bytes()
@@ -69,32 +102,29 @@ class TestGzipAndBatching:
         assert gzip.decompress(compressed.read_bytes()).decode("utf-8") \
             == plain.read_text()
 
-    def test_gz_save_load_result(self, tmp_path, small_powerlaw):
+    def test_gz_result_round_trip(self, tmp_path, small_powerlaw):
         stream = shuffled(small_powerlaw.edges(), seed=3)
         result = HDRFPartitioner(range(4)).partition_stream(stream)
         path = tmp_path / "result.txt.gz"
-        save_result(path, result)
-        loaded = load_result(path, partitions=range(4))
-        assert loaded.assignments == result.assignments
+        write_assignments(path, result.assignments, header="hdrf")
+        _assert_file_matches(path, result)
 
     def test_write_larger_than_one_batch(self, tmp_path):
         count = _WRITE_BATCH + 7
         assignments = {Edge(i, i + count): i % 8 for i in range(count)}
         path = tmp_path / "big.txt"
         assert write_assignments(path, assignments) == count
-        assert len(read_assignments(path)) == count
+        u, v, part = read_columns(path)
+        assert len(u) == count
+        assert (u[-1], v[-1], part[-1]) == (count - 1, 2 * count - 1,
+                                            (count - 1) % 8)
+        assert _rows(path) == _written(assignments)
 
-    def test_iter_assignments_streams_triples(self, tmp_path):
+    def test_gz_rows_in_file_order(self, tmp_path):
         path = tmp_path / "p.txt.gz"
         write_assignments(path, {Edge(1, 2): 0, Edge(2, 3): 1},
                           header="h")
-        assert list(iter_assignments(path)) == [(1, 2, 0), (2, 3, 1)]
-
-    def test_iter_assignments_malformed_raises(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("1 2\n")
-        with pytest.raises(ValueError):
-            list(iter_assignments(path))
+        assert _rows(path) == [[1, 2], [2, 3], [0, 1]]
 
     @pytest.mark.parametrize("name", ["p.txt", "p.txt.gz"])
     def test_read_columns_same_grammar(self, tmp_path, name):
@@ -109,8 +139,9 @@ class TestGzipAndBatching:
         assert [c.dtype.name for c in (u, v, part)] == ["int64"] * 3
         assert (u.tolist(), v.tolist(), part.tolist()) == (
             [5, 2, -7], [2, 5, 9000000000], [3, 1, 0])
-        assert read_assignments(path) == {Edge(2, 5): 1,
-                                          Edge(-7, 9000000000): 0}
+        sharded = ShardedGraph.from_file(path)
+        assert (sharded.num_vertices, _sizes(sharded)) == (
+            4, {0: 1, 1: 1})
 
     def test_read_columns_names_the_malformed_line(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -121,46 +152,31 @@ class TestGzipAndBatching:
         assert [len(c) for c in read_columns(path)] == [0, 0, 0]
 
     def test_sharded_graph_reads_gz(self, tmp_path):
-        from repro.graph.shard import ShardedGraph
         assignments = {Edge(0, 1): 0, Edge(1, 2): 1}
         path = tmp_path / "p.txt.gz"
         write_assignments(path, assignments)
         sharded = ShardedGraph.from_file(path)
-        assert sharded.assignments == assignments
+        assert (sharded.num_vertices, _sizes(sharded)) == (3, {0: 1, 1: 1})
 
 
 class TestResultRoundTrip:
-    def test_save_and_load_preserves_metrics(self, tmp_path, small_powerlaw):
+    def test_file_preserves_metrics(self, tmp_path, small_powerlaw):
         stream = shuffled(small_powerlaw.edges(), seed=3)
         result = HDRFPartitioner(range(4)).partition_stream(stream)
         path = tmp_path / "result.txt"
-        save_result(path, result)
-        loaded = load_result(path, partitions=range(4))
-        assert loaded.assignments == result.assignments
-        assert loaded.replication_degree == pytest.approx(
-            result.replication_degree)
-        assert loaded.imbalance == pytest.approx(result.imbalance)
+        write_assignments(path, result.assignments)
+        _assert_file_matches(path, result)
 
-    def test_load_infers_partitions(self, tmp_path):
+    def test_file_names_its_partitions(self, tmp_path):
         path = tmp_path / "p.txt"
         write_assignments(path, {Edge(1, 2): 3, Edge(2, 4): 7})
-        loaded = load_result(path)
-        assert set(loaded.state.partitions) == {3, 7}
+        assert ShardedGraph.from_file(path).partitions == [3, 7]
 
-    def test_load_empty_file_raises(self, tmp_path):
+    def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
-            load_result(path)
-
-    def test_header_contains_provenance(self, tmp_path, small_powerlaw):
-        stream = shuffled(small_powerlaw.edges(), seed=3)
-        result = HDRFPartitioner(range(4)).partition_stream(stream)
-        path = tmp_path / "result.txt"
-        save_result(path, result)
-        first_line = path.read_text().splitlines()[0]
-        assert "algorithm=HDRF" in first_line
-        assert "replication_degree=" in first_line
+            ShardedGraph.from_file(path)
 
 
 class TestMergedResultRoundTrip:
@@ -182,20 +198,15 @@ class TestMergedResultRoundTrip:
         path = tmp_path / "merged.txt"
         written = write_assignments(path, parallel.assignments)
         assert written == len(parallel.assignments)
-        assert read_assignments(path) == parallel.assignments
+        assert _rows(path) == _written(parallel.assignments)
 
-    def test_save_load_merged_result_recomputes_metrics(self, tmp_path,
-                                                        small_powerlaw):
+    def test_merged_file_recomputes_metrics(self, tmp_path, small_powerlaw):
         parallel = self._parallel_result(small_powerlaw)
         path = tmp_path / "merged.txt"
-        save_result(path, parallel)
-        loaded = load_result(path, partitions=list(range(8)))
-        assert loaded.assignments == parallel.assignments
-        # Metrics are replayed, not trusted from the header — and must
-        # equal the merged parallel run's.
-        assert loaded.replication_degree == \
-            pytest.approx(parallel.replication_degree)
-        assert loaded.imbalance == pytest.approx(parallel.imbalance)
+        write_assignments(path, parallel.assignments)
+        # Metrics are recomputed from the rows — and must equal the
+        # merged parallel run's.
+        _assert_file_matches(path, parallel)
 
     def test_process_backend_result_round_trips_identically(
             self, tmp_path, small_powerlaw):
@@ -206,16 +217,16 @@ class TestMergedResultRoundTrip:
         write_assignments(sim_path, simulated.assignments)
         write_assignments(proc_path, process.assignments)
         assert sim_path.read_text() == proc_path.read_text()
+        _assert_file_matches(proc_path, process)
 
-    def test_save_result_rejects_unwritable_path(self, tmp_path,
-                                                 small_powerlaw):
+    def test_write_rejects_unwritable_path(self, tmp_path, small_powerlaw):
         merged = self._parallel_result(small_powerlaw)
         with pytest.raises(OSError):
-            save_result(tmp_path / "missing-dir" / "merged.txt", merged)
+            write_assignments(tmp_path / "missing-dir" / "merged.txt",
+                              merged.assignments)
 
-    def test_load_result_with_explicit_partitions_keeps_empty_ones(
-            self, tmp_path):
+    def test_explicit_partitions_keep_empty_ones(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("1 2 0\n")
-        loaded = load_result(path, partitions=[0, 1, 2, 3])
-        assert loaded.state.partition_edges == {0: 1, 1: 0, 2: 0, 3: 0}
+        loaded = ShardedGraph.from_file(path, partitions=[0, 1, 2, 3])
+        assert _sizes(loaded) == {0: 1, 1: 0, 2: 0, 3: 0}

@@ -21,8 +21,7 @@ class TestTopLevelExports:
 
         for cls_name in ("HashPartitioner", "GridPartitioner",
                          "DBHPartitioner", "HDRFPartitioner",
-                         "GreedyPartitioner", "OneDimPartitioner",
-                         "TwoDimPartitioner", "NEPartitioner",
+                         "GreedyPartitioner", "NEPartitioner",
                          "JaBeJaVCPartitioner", "PowerLyraPartitioner",
                          "AdwisePartitioner"):
             cls = getattr(repro, cls_name)
@@ -68,13 +67,12 @@ class TestTopLevelExports:
 @pytest.mark.parametrize("module", [
     "repro.graph", "repro.graph.graph", "repro.graph.io",
     "repro.graph.stream", "repro.graph.generators", "repro.graph.stats",
-    "repro.graph.metis",
     "repro.core", "repro.core.adwise", "repro.core.window",
     "repro.core.adaptive", "repro.core.scoring", "repro.core.spotlight",
     "repro.partitioning", "repro.partitioning.state",
     "repro.partitioning.base", "repro.partitioning.metrics",
     "repro.partitioning.parallel", "repro.partitioning.restream",
-    "repro.partitioning.hovercut", "repro.partitioning.validate",
+    "repro.partitioning.validate",
     "repro.partitioning.partition_io",
     "repro.engine", "repro.engine.placement", "repro.engine.cost",
     "repro.engine.runtime", "repro.engine.vertex_program",
@@ -93,7 +91,7 @@ def test_module_imports_cleanly(module):
 @pytest.mark.parametrize("module", [
     "repro.core.adwise", "repro.core.window", "repro.core.adaptive",
     "repro.core.scoring", "repro.partitioning.hdrf",
-    "repro.partitioning.hovercut", "repro.engine.runtime",
+    "repro.engine.runtime",
 ])
 def test_module_has_docstring(module):
     mod = importlib.import_module(module)

@@ -388,6 +388,78 @@ class TestGarbageInput:
             assert client.query_edge("t", 1, 2) in range(4)
             assert client.query_vertex("t", 2) != []
 
+    @pytest.mark.parametrize("request_,error", [
+        ({"op": "ingest", "seq": True}, "seq is an int64 integer, got True"),
+        ({"op": "ingest", "seq": 2.9}, "seq is an int64 integer, got 2.9"),
+        ({"op": "ingest", "seq": "3"}, "seq is an int64 integer, got '3'"),
+        ({"op": "open", "expected_edges": 7.9},
+         "expected_edges is an int64 integer, got 7.9"),
+        ({"op": "open", "expected_edges": True},
+         "expected_edges is an int64 integer, got True"),
+        ({"op": "open", "partitions": "4"},
+         "partitions is an int64 integer, got '4'"),
+        ({"op": "open", "partitions": True},
+         "partitions is an int64 integer, got True"),
+        ({"op": "open", "partitions": [True, 2]},
+         "a partition id is an int64 integer, got True"),
+        ({"op": "audit", "limit": True},
+         "limit is an int64 integer, got True"),
+        ({"op": "audit", "limit": "1"}, "limit is an int64 integer, got '1'"),
+        ({"op": "ingest", "seq": 2**63},
+         f"seq is an int64 integer, got {2**63}"),
+        ({"op": "open", "expected_edges": 2**63},
+         f"expected_edges is an int64 integer, got {2**63}"),
+        ({"op": "open", "partitions": 2**63},
+         f"partitions is an int64 integer, got {2**63}"),
+        ({"op": "open", "partitions": [1, -2**63 - 1]},
+         f"a partition id is an int64 integer, got {-2**63 - 1}"),
+        ({"op": "audit", "limit": -2**63 - 1},
+         f"limit is an int64 integer, got {-2**63 - 1}"),
+    ], ids=["seq-true", "seq-float", "seq-str", "expected-float",
+            "expected-true", "partitions-str", "partitions-true",
+            "partition-id-true", "limit-true", "limit-str",
+            "seq-over-int64", "expected-over-int64", "partitions-over-int64",
+            "partition-id-under-int64", "limit-under-int64"])
+    def test_integer_fields_follow_the_query_rule(self, daemon, request_,
+                                                  error):
+        """``seq``, ``expected_edges``, ``partitions`` and ``limit`` are
+        JSON integers within int64, as ``query``'s ids are: ``true``,
+        ``2.9`` and ``"3"`` are refused, not read as 1, 2 and 3.  Nothing
+        is applied or opened and the connection keeps serving."""
+        port, _, _ = daemon
+        with ServiceClient(port=port) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            client.ingest("t", [(1, 2)])
+            tenant = "t" if request_["op"] != "open" else "u"
+            with pytest.raises(ServiceError) as refused:
+                client.request(dict(request_, tenant=tenant,
+                                    algorithm="hdrf", edges=[[2, 3]]))
+            assert str(refused.value) == f"bad request: {error}"
+            assert [t["tenant"] for t in client.tenants()] == ["t"]
+            stats = client.stats("t")
+            assert stats["accepted_seq"] == 1
+            assert stats["session"]["edges_ingested"] == 1
+            assert len(client.audit("t", limit=5)["decisions"]) == 1
+            assert client.ping()["pong"] is True
+
+    @pytest.mark.parametrize("partitions,ids", [
+        (3, [0, 1, 2]), (np.int64(2), [0, 1]), (range(1, 3), [1, 2]),
+        (np.arange(2), [0, 1]), ([np.int64(4), 7], [4, 7])])
+    def test_session_partitions_accept_integers(self, partitions, ids):
+        from repro.api import open_session
+
+        session = open_session(algorithm="hdrf", partitions=partitions)
+        assert list(session.partitioner.state.partitions) == ids
+
+    @pytest.mark.parametrize("partitions", ["4", True, [True, 2], [1.5]])
+    def test_session_partitions_refuse_str_and_bool(self, partitions):
+        """In process, as over the wire: ``"4"`` is not four partitions
+        and ``True`` is not partition 1."""
+        from repro.api import SessionError, open_session
+
+        with pytest.raises(SessionError):
+            open_session(algorithm="hdrf", partitions=partitions)
+
 
 class TestCanonicalLines:
     """Every response line is byte for byte ``json.dumps`` of what it

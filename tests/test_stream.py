@@ -8,7 +8,6 @@ from repro.graph.stream import (
     FileEdgeStream,
     InMemoryEdgeStream,
     chunk_stream,
-    interleave_chunks,
     shuffled,
 )
 
@@ -73,9 +72,3 @@ class TestChunkStream:
     def test_invalid_chunk_count(self):
         with pytest.raises(ValueError):
             chunk_stream(InMemoryEdgeStream([]), 0)
-
-    def test_interleave_restores_edge_multiset(self):
-        stream = InMemoryEdgeStream([Edge(i, i + 1) for i in range(9)])
-        chunks = chunk_stream(stream, 3)
-        merged = interleave_chunks(chunks)
-        assert sorted(merged) == sorted(stream)
