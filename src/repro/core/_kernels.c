@@ -1,7 +1,8 @@
 /* Compiled kernels: ADWISE's window loop (Algorithm 1) and the
  * single-edge stream kernel (HDRF), each one transaction per batch, the
  * vertex id -> dense row table both are fed through, the edge-file line
- * scanner and its inverse (integer rows -> text), and the cluster's BSP
+ * scanner and its inverse (integer rows -> text), the scanner of the
+ * daemon's request line's "edges" member, and the cluster's BSP
  * host step (combine over a host's adjacency slots, fold over its sync
  * plan).
  *
@@ -138,6 +139,8 @@ int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
                          const char *sep, int64_t sep_len,
                          const char *close, int64_t close_len,
                          uint8_t *out, int64_t cap);
+int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
+                        int64_t cap, int64_t *span);
 /* The cluster's host step over 8-byte elements: what `op` combines. */
 #define KERN_ADD_F64 0
 #define KERN_MIN_F64 1
@@ -1120,6 +1123,178 @@ int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
         at += close_len;
     }
     return at;
+}
+
+/* ------------------------------------------------------------------ */
+/* The daemon's request line (repro/service/server.py)                 */
+/* ------------------------------------------------------------------ */
+
+static int json_space(uint8_t b)
+{
+    return b == ' ' || b == '\t' || b == '\n' || b == '\r';
+}
+
+static int64_t skip_space(const uint8_t *s, int64_t i, int64_t len)
+{
+    while (i < len && json_space(s[i]))
+        i++;
+    return i;
+}
+
+/* Past the string opening at s[i] == '"', or -1 if it is unterminated;
+ * sets *escaped if it holds a backslash. */
+static int64_t skip_string(const uint8_t *s, int64_t i, int64_t len,
+                           int *escaped)
+{
+    for (i++; i < len; i++) {
+        if (s[i] == '\\') {
+            *escaped = 1;
+            i++;
+        } else if (s[i] == '"') {
+            return i + 1;
+        }
+    }
+    return -1;
+}
+
+/* Past the member value starting at s[i], or -1 if it is unterminated:
+ * strings and bracket nesting are followed, nothing is validated. */
+static int64_t skip_value(const uint8_t *s, int64_t i, int64_t len)
+{
+    int64_t depth = 0;
+    int escaped;
+    while (i < len) {
+        if (s[i] == '"') {
+            i = skip_string(s, i, len, &escaped);
+            if (i < 0 || !depth)
+                return i;
+            continue;
+        }
+        if (s[i] == '{' || s[i] == '[') {
+            depth++;
+        } else if (s[i] == '}' || s[i] == ']') {
+            if (!depth)
+                return i;
+            if (!--depth)
+                return i + 1;
+        } else if (!depth && (s[i] == ',' || json_space(s[i]))) {
+            return i;
+        }
+        i++;
+    }
+    return -1;
+}
+
+/* Past the JSON integer at s[i], stored to *value, or -1 if it is not
+ * one that fits int64 (no digits, a leading zero, '+'). */
+static int64_t scan_int(const uint8_t *s, int64_t i, int64_t len,
+                        int64_t *value)
+{
+    int negative = i < len && s[i] == '-';
+    uint64_t limit = (uint64_t)INT64_MAX + (uint64_t)negative;
+    uint64_t magnitude = 0;
+    int64_t first;
+    i += negative;
+    first = i;
+    while (i < len && s[i] >= '0' && s[i] <= '9') {
+        uint64_t digit = (uint64_t)(s[i] - '0');
+        if (magnitude > (limit - digit) / 10)
+            return -1;
+        magnitude = magnitude * 10 + digit;
+        i++;
+    }
+    if (i == first || (s[first] == '0' && i - first > 1))
+        return -1;
+    *value = negative ? -(int64_t)(magnitude - (magnitude != 0))
+                        - (magnitude != 0)
+                      : (int64_t)magnitude;
+    return i;
+}
+
+/* Past the `[[u, v], ...]` array at s[i], its pairs written to out (at
+ * most cap of them) and counted in *n, or -1 if it is anything else. */
+static int64_t scan_pairs(const uint8_t *s, int64_t i, int64_t len,
+                          int64_t *out, int64_t cap, int64_t *n)
+{
+    int64_t col;
+    *n = 0;
+    if (i == len || s[i] != '[')
+        return -1;
+    i = skip_space(s, i + 1, len);
+    if (i < len && s[i] == ']')
+        return i + 1;
+    for (;;) {
+        if (*n == cap || i == len || s[i] != '[')
+            return -1;
+        i++;
+        for (col = 0; col < 2; col++) {
+            i = scan_int(s, skip_space(s, i, len), len, out + 2 * *n + col);
+            if (i < 0)
+                return -1;
+            i = skip_space(s, i, len);
+            if (i == len || s[i] != (col ? ']' : ','))
+                return -1;
+            i++;
+        }
+        ++*n;
+        i = skip_space(s, i, len);
+        if (i < len && s[i] == ']')
+            return i + 1;
+        if (i == len || s[i] != ',')
+            return -1;
+        i = skip_space(s, i + 1, len);
+    }
+}
+
+/* The "edges" member of the request object on line[0, len) — not
+ * NUL-terminated — as (u, v) int64 rows written to out (at most cap
+ * pairs); returns the pair count and sets span[0], span[1] to the byte
+ * range of the member's value, so that Python can decode the rest of
+ * the line with the value cut out.
+ * This is a fast path, not the grammar: it returns -1, and json.loads
+ * decides the line, unless the first non-whitespace byte is '{', no
+ * top-level key holds a backslash, the key "edges" occurs exactly once
+ * at the top level, and its value is exactly '[' then "[int, int]"
+ * items separated by commas then ']', each int a JSON integer (no
+ * leading zero, '+', fraction or exponent) within int64.  The other
+ * members are skipped, not validated: json.loads does that on the rest
+ * of the line. */
+int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
+                        int64_t cap, int64_t *span)
+{
+    int64_t i = skip_space(line, 0, len), n = -1;
+    if (i == len || line[i] != '{')
+        return -1;
+    i = skip_space(line, i + 1, len);
+    while (i < len && line[i] == '"') {
+        int escaped = 0, edges;
+        int64_t key = i;
+        i = skip_string(line, i, len, &escaped);
+        if (i < 0 || escaped)
+            return -1;
+        edges = i - key == 7 && !memcmp(line + key, "\"edges\"", 7);
+        if (edges && n >= 0)
+            return -1;
+        i = skip_space(line, i, len);
+        if (i == len || line[i] != ':')
+            return -1;
+        i = skip_space(line, i + 1, len);
+        if (edges) {
+            span[0] = i;
+            i = span[1] = scan_pairs(line, i, len, out, cap, &n);
+        } else {
+            i = skip_value(line, i, len);
+        }
+        if (i < 0)
+            return -1;
+        i = skip_space(line, i, len);
+        if (i < len && line[i] == '}')
+            return n;
+        if (i == len || line[i] != ',')
+            return -1;
+        i = skip_space(line, i + 1, len);
+    }
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */

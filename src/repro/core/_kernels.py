@@ -5,8 +5,10 @@ transaction (plus the restore that loads a window image into it), the
 single-edge stream kernel HDRF ingests a batch through, the vertex
 intern table both are fed by, the edge-file line scanner and its
 inverse — the row formatter that writes ``.parts`` lines and the
-daemon's ``assignments`` JSON straight from int64 columns — and the
-cluster runtime's host step (DESIGN.md §8).  It is compiled on demand
+daemon's ``assignments`` JSON straight from int64 columns — the
+request-line scanner that reads the ``edges`` of a daemon request
+straight into int64 rows, and the cluster runtime's host step
+(DESIGN.md §8).  It is compiled on demand
 with the system C compiler (``cc -O3 -fPIC -shared -ffp-contract=off``)
 and loaded through cffi's ABI mode; the shared object is cached in the
 system temp directory keyed by a hash of the source, with an atomic

@@ -7,7 +7,7 @@ edge -> partition mapping or a replica-set table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set
+from typing import Dict, Iterable, Mapping, Set
 
 from repro.graph.graph import Edge
 
@@ -46,13 +46,3 @@ def imbalance(sizes: Mapping[int, int]) -> float:
     if max_size == 0:
         return 0.0
     return (max_size - min(sizes.values())) / max_size
-
-
-def vertex_copies(replicas: Mapping[int, Set[int]]) -> int:
-    """Total number of vertex copies across all partitions."""
-    return sum(len(r) for r in replicas.values())
-
-
-def cut_vertices(replicas: Mapping[int, Set[int]]) -> List[int]:
-    """Vertices replicated on more than one partition (the vertex cut)."""
-    return [v for v, reps in replicas.items() if len(reps) > 1]

@@ -65,6 +65,7 @@ from repro.api import (
     open_session,
     restore_session,
 )
+from repro.core import _kernels
 from repro.graph.io import format_int_rows
 from repro.graph.shard import mapping_columns
 from repro.service.audit import DecisionLog
@@ -110,11 +111,54 @@ def _encode(payload: dict) -> bytes:
         for key, value in payload.items()) + b"}\n"
 
 
+def _decode_request(line: bytes) -> dict:
+    """One request line as ``json.loads`` reads it, except that its
+    ``edges`` may already be the array :func:`_edge_array` makes of
+    them.  ``kern_scan_edges`` writes a top-level ``edges`` value that
+    is plainly ``[[int, int], ...]`` straight into ``(u, v)`` rows, and
+    ``json.loads`` reads the rest of the line with that value cut out
+    (``[]`` in its place).  A line the scanner declines, a rest that
+    does not parse, and every line without the kernels is
+    ``json.loads(line)`` whole: the definition, its errors and their
+    offsets included.  Traced as ``service.decode`` (``op``, ``bytes``,
+    and ``native``: whether the scanner took the line)."""
+    with obs.span("service.decode", op=None, bytes=len(line),
+                  native=False) as span:
+        request = None
+        kernels = _kernels.load()
+        if kernels is not None:
+            ffi, lib = kernels
+            rows = np.empty((len(line) // 5 + 1, 2), dtype=np.int64)
+            bounds = ffi.new("int64_t[2]")
+            n = lib.kern_scan_edges(
+                ffi.from_buffer("uint8_t[]", line), len(line),
+                ffi.from_buffer("int64_t[]", rows), len(rows), bounds)
+            if n >= 0:
+                try:
+                    request = json.loads(
+                        line[:bounds[0]] + b"[]" + line[bounds[1]:])
+                except ValueError:
+                    pass  # re-read whole: the error names its offsets
+                else:
+                    request["edges"] = rows[:n].copy()
+                    span.set_attr("native", True)
+        if request is None:
+            request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+        span.set_attr("op", str(request.get("op")))
+    return request
+
+
 def _edge_array(pairs) -> np.ndarray:
     """An ingest request's ``edges`` as the ``(n, 2)`` int64 array the
-    WAL logs and the session ingests.  Anything but a list of ``[u, v]``
-    pairs of JSON integers that fit int64 is a bad request (no
-    ``int()``: ``1.9``, ``"3"`` and ``true`` are not vertex ids)."""
+    WAL logs and the session ingests (an array is what
+    :func:`_decode_request` already made of them: no JSON value decodes
+    to one).  Anything but a list of ``[u, v]`` pairs of JSON integers
+    that fit int64 is a bad request (no ``int()``: ``1.9``, ``"3"`` and
+    ``true`` are not vertex ids)."""
+    if type(pairs) is np.ndarray:
+        return pairs
     try:
         if (set(map(type, chain.from_iterable(pairs))) - {int}
                 or set(map(len, pairs)) - {2}):
@@ -191,6 +235,9 @@ class _LineReader:
         """Next line as ``(line, overflowed)``; ``(None, False)`` on EOF."""
         while True:
             newline = self._buffer.find(b"\n")
+            if newline >= self._max:  # the bound counts the newline
+                del self._buffer[:newline + 1]
+                return None, True
             if newline >= 0:
                 line = bytes(self._buffer[:newline + 1])
                 del self._buffer[:newline + 1]
@@ -245,8 +292,9 @@ class PartitionService:
     fsync:
         WAL fsync policy: ``always`` / ``batch`` / ``off``.
     max_line_bytes:
-        Request-line bound; longer lines are discarded and answered
-        with a diagnostic instead of buffered unboundedly.
+        Request-line bound, newline included; longer lines are
+        discarded and answered with a diagnostic instead of buffered
+        unboundedly or served.
     replay_depth:
         Per-tenant bound on cached ingest responses for duplicate
         (retried) seqs.
@@ -641,9 +689,7 @@ class PartitionService:
                 if not line.strip():
                     continue
                 try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request must be a JSON object")
+                    request = _decode_request(line)
                 except ValueError as exc:
                     await send({"ok": False, "error": f"bad request: {exc}"})
                     continue

@@ -17,10 +17,3 @@ def stable_hash(value: int, seed: int = 0) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def hash_to_range(value: int, k: int, seed: int = 0) -> int:
-    """Map ``value`` uniformly into ``range(k)``."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    return stable_hash(value, seed) % k

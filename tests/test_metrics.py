@@ -4,12 +4,10 @@ import pytest
 
 from repro.graph.graph import Edge
 from repro.partitioning.metrics import (
-    cut_vertices,
     imbalance,
     partition_sizes,
     replica_sets_from_assignments,
     replication_degree,
-    vertex_copies,
 )
 
 
@@ -37,14 +35,6 @@ class TestReplicaSets:
 
     def test_replication_degree_empty(self):
         assert replication_degree({}) == 0.0
-
-    def test_vertex_copies(self, sample_assignments):
-        replicas = replica_sets_from_assignments(sample_assignments)
-        assert vertex_copies(replicas) == 6
-
-    def test_cut_vertices(self, sample_assignments):
-        replicas = replica_sets_from_assignments(sample_assignments)
-        assert set(cut_vertices(replicas)) == {0, 2}
 
 
 class TestBalance:

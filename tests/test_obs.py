@@ -425,6 +425,46 @@ class TestCrossProcess:
         assert replies[1]["trace_id"] == ingest["trace_id"]
         assert replies[1]["parent_id"] == ingest["span_id"]
 
+    def test_service_decode_spans(self, tmp_path):
+        """Every request line's decode is one ``service.decode`` span
+        carrying its op, its length and whether the compiled scanner
+        took its edges: an ingest's are taken, a malformed one's are
+        left to ``json.loads``."""
+        from repro.core import _kernels
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.server import run_service
+
+        sink = str(tmp_path / "spans.jsonl")
+        obs.enable(trace_file=sink)
+        ready = threading.Event()
+        box = {}
+
+        def on_ready(service):
+            box["port"] = service.port
+            ready.set()
+
+        thread = threading.Thread(
+            target=run_service,
+            kwargs=dict(port=0, queue_depth=4, max_tenants=2,
+                        ready_callback=on_ready),
+            daemon=True)
+        thread.start()
+        assert ready.wait(10)
+        with ServiceClient(port=box["port"]) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            client.ingest("t", _random_edges(64, 30, seed=9))
+            with pytest.raises(ServiceError, match="bad request"):
+                client.request({"op": "ingest", "tenant": "t",
+                                "edges": [[1, 2.5]]})
+            client.shutdown()
+        thread.join(10)
+        decodes = [s["attrs"] for s in obs.load_trace_jsonl(sink)
+                   if s["name"] == "service.decode"]
+        assert [(d["op"], d["native"]) for d in decodes] == [
+            ("open", False), ("ingest", _kernels.load() is not None),
+            ("ingest", False), ("shutdown", False)]
+        assert all(d["bytes"] > 10 for d in decodes)
+
 
 # ----------------------------------------------------------------------
 # Exporters

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from _async_utils import wait_until
+from _service_utils import SupervisedDaemon
 from repro.core.adwise import AdwisePartitioner
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
@@ -314,6 +315,37 @@ class TestGarbageInput:
         assert responses[0]["ok"] is False
         assert "exceeds" in responses[0]["error"]
         assert responses[-1]["pong"] is True
+
+    @pytest.fixture
+    def bounded(self):
+        """A daemon serving lines of at most 1,024 bytes."""
+        daemon = SupervisedDaemon(max_line_bytes=1024)
+        yield daemon.start()
+        daemon.shutdown()
+
+    @staticmethod
+    def _ping(length):
+        """A ``ping`` line of ``length`` bytes, newline included."""
+        head, tail = b'{"op": "ping", "pad": "', b'"}\n'
+        return head + b"x" * (length - len(head) - len(tail)) + tail
+
+    def test_line_past_the_bound_in_one_write(self, bounded):
+        """The bound holds when the whole line, newline and all, arrives
+        in the read that crosses it: a 1,500-byte line is refused, not
+        served, and the next line is answered."""
+        responses = self._exchange(bounded, self._ping(1500))
+        assert responses[0] == {"ok": False, "error":
+                                "bad request: line exceeds 1024 bytes"}
+        assert responses[1]["pong"] is True and len(responses) == 2
+
+    @pytest.mark.parametrize("length,served", [(1024, True), (1025, False)])
+    def test_bound_counts_the_newline(self, bounded, length, served):
+        line = self._ping(length)
+        assert len(line) == length
+        responses = self._exchange(bounded, line)
+        assert responses[0].get("pong", False) is served
+        assert ("exceeds" in responses[0].get("error", "")) is not served
+        assert responses[-1]["pong"] is True and len(responses) == 2
 
     def test_malformed_edges_and_seq(self, daemon):
         port, _, _ = daemon

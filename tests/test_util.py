@@ -1,8 +1,6 @@
 """Unit tests for hashing utilities."""
 
-import pytest
-
-from repro.util import hash_to_range, stable_hash
+from repro.util import stable_hash
 
 
 class TestStableHash:
@@ -21,19 +19,3 @@ class TestStableHash:
     def test_64_bit_range(self):
         for v in (0, 1, 2**40, 2**63):
             assert 0 <= stable_hash(v) < 2**64
-
-
-class TestHashToRange:
-    def test_within_range(self):
-        for i in range(100):
-            assert 0 <= hash_to_range(i, 7) < 7
-
-    def test_roughly_uniform(self):
-        counts = [0] * 8
-        for i in range(8000):
-            counts[hash_to_range(i, 8)] += 1
-        assert all(800 < c < 1200 for c in counts)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            hash_to_range(1, 0)
