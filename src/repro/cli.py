@@ -116,15 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum concurrently open sessions")
     serve.add_argument("--queue-depth", type=int, default=16,
                        help="per-tenant ingest queue bound (backpressure)")
-    serve.add_argument("--snapshot-dir", default=None,
-                       help="directory for graceful-shutdown snapshots; "
-                            "restored on the next start")
     serve.add_argument("--wal-dir", default=None,
                        help="directory for per-tenant write-ahead logs: "
                             "every ingest batch is logged before it is "
                             "applied, so a killed daemon restarted over "
                             "the same directory resumes every tenant "
-                            "bit-identically")
+                            "bit-identically (without it, tenants live "
+                            "in memory only)")
     serve.add_argument("--wal-compact-every", type=int, default=64,
                        help="applied batches between WAL compactions "
                             "(snapshot + truncate; bounds recovery cost)")
@@ -132,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="batch",
                        help="WAL fsync policy: every append (always), "
                             "batched (default), or page-cache only (off)")
-    serve.add_argument("--audit-depth", type=int, default=4096,
-                       help="per-tenant decision-log capacity (oldest "
-                            "entries drop beyond it; see the audit op)")
-    serve.add_argument("--metrics-window", type=int, default=1024,
-                       help="per-tenant latency histogram window: batch "
-                            "latencies retained for percentile queries")
 
     resume = sub.add_parser(
         "resume",
@@ -577,15 +569,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.wal_compact_every < 1:
         print("error: --wal-compact-every must be >= 1", file=sys.stderr)
         return 2
-    if args.audit_depth < 1 or args.metrics_window < 1:
-        print("error: --audit-depth and --metrics-window must be >= 1",
-              file=sys.stderr)
-        return 2
 
     def announce(service) -> None:
-        durability = ("wal" if service.wal_dir is not None else
-                      "snapshots" if service.snapshot_dir is not None
-                      else "none")
+        durability = "wal" if service.wal_dir is not None else "none"
         print(f"listening on {service.host}:{service.port} "
               f"(max {service.max_tenants} tenants, queue depth "
               f"{service.queue_depth}, durability {durability})",
@@ -595,12 +581,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         run_service(host=args.host, port=args.port,
                     max_tenants=args.max_tenants,
                     queue_depth=args.queue_depth,
-                    snapshot_dir=args.snapshot_dir,
                     wal_dir=args.wal_dir,
                     wal_compact_every=args.wal_compact_every,
                     fsync=args.fsync,
-                    audit_depth=args.audit_depth,
-                    metrics_window=args.metrics_window,
                     ready_callback=announce)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass

@@ -11,13 +11,12 @@ between supersteps — in-process (``serial``) or across worker OS
 processes (``process``) — while measuring wall-clock and the actual
 remote/local sync traffic next to the simulated latency.
 
-The runtime is fault-tolerant and elastic: ``checkpoint_every`` enables
-shard-level checkpoints (:mod:`repro.cluster.checkpoint`) and rollback
-recovery from worker deaths — detected by bounded waits or injected
-deterministically by a :class:`FaultInjector`
-(:mod:`repro.cluster.faults`) — and ``ClusterEngine.rebalance`` /
-``run(..., rebalance_at=...)`` migrate live shard state onto a new
-machine layout.
+The runtime is fault-tolerant: ``checkpoint_every`` enables shard-level
+checkpoints (:mod:`repro.cluster.checkpoint`) and rollback recovery from
+worker deaths — detected by bounded waits or injected deterministically
+by a :class:`FaultInjector` (:mod:`repro.cluster.faults`) — and
+``ClusterEngine.resume`` restarts a run from its on-disk checkpoints, on
+its recorded machine layout or on another one.
 """
 
 from repro.cluster.checkpoint import (
@@ -33,7 +32,6 @@ from repro.cluster.faults import (
     WorkerDied,
 )
 from repro.cluster.runtime import (
-    ON_FAILURE,
     ClusterEngine,
     ClusterReport,
     SuperstepTelemetry,
@@ -49,7 +47,6 @@ from repro.graph.shard import Shard, ShardCSR, ShardedGraph
 __all__ = [
     "BACKENDS",
     "INJECTION_POINTS",
-    "ON_FAILURE",
     "CheckpointState",
     "CheckpointStore",
     "ClusterEngine",

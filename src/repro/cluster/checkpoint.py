@@ -17,8 +17,9 @@ A :class:`CheckpointState` carries
   every per-vertex array, copied, plus every other attribute), keyed by
   **partition** rather than machine so the same checkpoint restores onto
   any machine layout — ``ShardGroup.restore`` concatenates whichever
-  partitions a host holds — the property that makes failure
-  redistribution and elastic re-sharding work;
+  partitions a host holds — the property that lets
+  :meth:`~repro.cluster.runtime.ClusterEngine.resume` restart a run on
+  another backend or worker count;
 * ``progress`` — the coordinator-side superstep trail (costs,
   aggregates, telemetry, message totals) so a resumed report is
   indistinguishable from an uninterrupted one;

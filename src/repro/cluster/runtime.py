@@ -28,25 +28,23 @@ Engine` over the reassembled graph, still wrapped in a
 :class:`ClusterReport` (with ``sharded=False`` and simulated-only
 traffic), so every workload runs through one entry point.
 
-Fault tolerance and elasticity
-------------------------------
+Fault tolerance
+---------------
 ``ClusterEngine(checkpoint_every=N)`` turns the engine fault-tolerant:
 every N completed supersteps it captures a shard-level checkpoint (see
 :mod:`repro.cluster.checkpoint`) — per-partition kernel state plus the
 coordinator's superstep trail — and when a machine dies mid-superstep
 (detected by the transports' bounded waits, or killed deliberately by a
 :class:`~repro.cluster.faults.FaultInjector`) the engine rolls back:
-teardown, respawn (``on_failure="respawn"``) or redistribution of the
-dead machine's shards over the survivors (``"redistribute"``), state
-restore, and deterministic replay from the checkpoint boundary.  The
-invariant the differential test layer holds: a faulted-and-recovered run
-produces **bit-identical** states and aggregates to the unfaulted run.
-With ``checkpoint_dir`` set, checkpoints also persist to disk and
+teardown, respawn of the same layout, state restore, and deterministic
+replay from the checkpoint boundary.  The invariant the differential
+test layer holds: a faulted-and-recovered run produces
+**bit-identical** states and aggregates to the unfaulted run.  With
+``checkpoint_dir`` set, checkpoints also persist to disk and
 :meth:`ClusterEngine.resume` restarts an interrupted run from the last
-consistent boundary.  :meth:`ClusterEngine.rebalance` (idle) and
-``run(..., rebalance_at=...)`` (live, at a superstep boundary) migrate
-shard state verbatim onto a new machine layout — the elastic join/leave
-path, built on the same snapshot/restore primitives.
+consistent boundary — on the recorded layout, or on another backend or
+worker count: a checkpoint is keyed by partition, so resuming is also
+how a run changes layout.
 """
 
 from __future__ import annotations
@@ -74,11 +72,6 @@ from repro.engine.cost import CostModel
 from repro.engine.runtime import Engine, SimulationReport
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.shard import ShardedGraph
-
-#: Recovery policies for a dead machine: respawn the same layout, or
-#: redistribute its shards over the surviving machines.
-ON_FAILURE = ("respawn", "redistribute")
-
 
 @dataclass
 class SuperstepTelemetry:
@@ -172,10 +165,6 @@ class ClusterEngine:
     fault_injector:
         Deterministic kill schedule for tests/benchmarks (see
         :mod:`repro.cluster.faults`).
-    on_failure:
-        ``"respawn"`` (default) rebuilds the same machine layout;
-        ``"redistribute"`` reassigns the dead machine's partitions over
-        the survivors (elastic shrink) before replaying.
     heartbeat_timeout:
         Process backend: per-reply bound in seconds (liveness is probed
         every poll interval regardless, so crash detection is fast; the
@@ -193,7 +182,6 @@ class ClusterEngine:
                  checkpoint_every: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 on_failure: str = "respawn",
                  heartbeat_timeout: float = ProcessTransport.DEFAULT_TIMEOUT,
                  max_recoveries: int = 8) -> None:
         if backend not in BACKENDS:
@@ -203,10 +191,6 @@ class ClusterEngine:
             raise ValueError("checkpoint_every must be >= 1 (or None)")
         if checkpoint_dir is not None and checkpoint_every is None:
             raise ValueError("checkpoint_dir requires checkpoint_every")
-        if on_failure not in ON_FAILURE:
-            raise ValueError(
-                f"unknown on_failure {on_failure!r} "
-                f"(choose from {ON_FAILURE})")
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
         if max_recoveries < 0:
@@ -217,7 +201,6 @@ class ClusterEngine:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
         self.fault_injector = fault_injector
-        self.on_failure = on_failure
         self.heartbeat_timeout = heartbeat_timeout
         self.max_recoveries = max_recoveries
         partitions = sharded.partitions
@@ -239,11 +222,6 @@ class ClusterEngine:
                                  "process backend")
             if machine_of_partition is not None:
                 self.machine_of = dict(machine_of_partition)
-                missing = [p for p in partitions
-                           if p not in self.machine_of]
-                if missing:
-                    raise ValueError(
-                        f"partitions without a machine: {missing}")
                 self.num_machines = (num_machines if num_machines is not None
                                      else len(set(self.machine_of.values())))
             else:
@@ -251,88 +229,31 @@ class ClusterEngine:
                             else len(partitions))
                 self.machine_of = self._contiguous_map(partitions, machines)
                 self.num_machines = machines
-        self._refresh_placement()
+        self.placement = sharded.placement(
+            num_machines=self.num_machines,
+            machine_of_partition=self.machine_of)
+        self._stats = self.placement.stats()
 
     @staticmethod
     def _contiguous_map(partitions, num_machines) -> Dict[int, int]:
         from repro.engine.placement import Placement
         return Placement.contiguous_machine_map(partitions, num_machines)
 
-    def _refresh_placement(self) -> None:
-        self.placement = self.sharded.placement(
-            num_machines=self.num_machines,
-            machine_of_partition=self.machine_of)
-        self._stats = self.placement.stats()
-
     @property
     def _recovery_enabled(self) -> bool:
         return self.checkpoint_every is not None
 
     # ------------------------------------------------------------------
-    # Elastic re-sharding
-    # ------------------------------------------------------------------
-    def _set_machine_map(self, machine_of_partition: Mapping[int, int]
-                         ) -> None:
-        machine_of = {int(p): int(m)
-                      for p, m in machine_of_partition.items()}
-        missing = [p for p in self.sharded.partitions
-                   if p not in machine_of]
-        if missing:
-            raise ValueError(f"partitions without a machine: {missing}")
-        # Densify machine ids to 0..n-1 (the placement/cost layer indexes
-        # machines contiguously).  Order-preserving, so the grouping — the
-        # only thing that matters for traffic classification — survives,
-        # and master election is by partition id, so states are untouched.
-        dense = {m: i for i, m in enumerate(sorted(set(machine_of.values())))}
-        self.machine_of = {p: dense[m] for p, m in machine_of.items()}
-        self.num_machines = len(dense)
-        self._refresh_placement()
-
-    def rebalance(self, machine_of_partition: Mapping[int, int]) -> None:
-        """Adopt a new partition -> machine layout (machines joined or
-        left).  Takes effect on the next :meth:`run`; for a migration at
-        a live superstep boundary pass ``rebalance_at`` to :meth:`run`.
-        """
-        self._set_machine_map(machine_of_partition)
-
-    def _evict_machine(self, dead: int) -> None:
-        """Redistribute the dead machine's partitions over the survivors
-        (round-robin in partition order — deterministic)."""
-        survivors = sorted(set(self.machine_of.values()) - {dead})
-        if not survivors:
-            raise ClusterError(
-                f"machine {dead} died and no machines survive")
-        orphaned = sorted(p for p, m in self.machine_of.items()
-                          if m == dead)
-        remapped = dict(self.machine_of)
-        for index, partition in enumerate(orphaned):
-            remapped[partition] = survivors[index % len(survivors)]
-        self._set_machine_map(remapped)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, program: VertexProgram,
-            max_supersteps: int = 100,
-            rebalance_at: Optional[Mapping[int, Mapping[int, int]]] = None
-            ) -> ClusterReport:
-        """Execute ``program`` until convergence or ``max_supersteps``.
-
-        ``rebalance_at`` maps superstep -> machine layout: when the loop
-        reaches that superstep boundary, live shard state is migrated
-        verbatim onto the new layout and execution continues (states are
-        unaffected; cost classification follows the new layout).
-        """
+            max_supersteps: int = 100) -> ClusterReport:
+        """Execute ``program`` until convergence or ``max_supersteps``."""
         if max_supersteps < 1:
             raise ValueError("max_supersteps must be >= 1")
         if not self._can_shard(program):
-            if rebalance_at:
-                raise ValueError(
-                    "rebalance_at requires sharded execution; "
-                    f"{program.name} runs on the unsharded fallback path")
             return self._run_fallback(program, max_supersteps)
-        return self._run_sharded(program, max_supersteps,
-                                 rebalance_at=rebalance_at)
+        return self._run_sharded(program, max_supersteps)
 
     @classmethod
     def resume(cls, checkpoint_dir: str,
@@ -343,30 +264,36 @@ class ClusterEngine:
 
         Rebuilds the engine from ``topology.pkl`` (written by a run with
         ``checkpoint_dir`` set), restores the latest consistent superstep
-        boundary, and runs to completion.  ``backend``/``num_workers``
-        override the original deployment — the checkpoint is keyed by
-        partition, so any layout can resume it.
+        boundary, and runs to completion.  With neither override the
+        recorded layout is rebuilt; ``backend``/``num_workers`` replace
+        the original deployment with that backend's default layout (or
+        ``num_workers`` workers) — the checkpoint is keyed by partition,
+        so any layout can resume it.
         """
         store = CheckpointStore(checkpoint_dir, create=False)
         topology = store.read_topology()
-        resolved_backend = topology["backend"] if backend is None else backend
-        engine = cls(topology["sharded"],
-                     cost_model=topology["cost_model"],
-                     backend=resolved_backend,
-                     num_workers=(num_workers
-                                  if resolved_backend == "process" else None),
-                     checkpoint_every=topology["checkpoint_every"],
-                     checkpoint_dir=checkpoint_dir,
-                     heartbeat_timeout=topology["heartbeat_timeout"])
         checkpoint = store.latest()
         if checkpoint is None:
             raise ClusterError(f"no checkpoint found in {checkpoint_dir}")
-        if checkpoint.fingerprint != engine.sharded.fingerprint():
+        if checkpoint.fingerprint != topology["sharded"].fingerprint():
             raise ClusterError(
                 "checkpoint does not match the sharded graph in "
                 f"{checkpoint_dir}")
-        if backend is None and num_workers is None:
-            engine._set_machine_map(topology["machine_of"])
+        layout: Dict[str, Any] = {}
+        if backend is None and num_workers is None:  # the recorded one
+            layout = ({"num_workers": topology["num_machines"]}
+                      if topology["backend"] == "process" else
+                      {"machine_of_partition": topology["machine_of"],
+                       "num_machines": topology["num_machines"]})
+        backend = topology["backend"] if backend is None else backend
+        if backend == "process" and num_workers is not None:
+            layout = {"num_workers": num_workers}
+        engine = cls(topology["sharded"],
+                     cost_model=topology["cost_model"],
+                     backend=backend, **layout,
+                     checkpoint_every=topology["checkpoint_every"],
+                     checkpoint_dir=checkpoint_dir,
+                     heartbeat_timeout=topology["heartbeat_timeout"])
         return engine._run_sharded(
             topology["program"],
             max_supersteps if max_supersteps is not None
@@ -401,24 +328,8 @@ class ClusterEngine:
                 "heartbeat_timeout": self.heartbeat_timeout,
                 "fingerprint": self.sharded.fingerprint()}
 
-    def _migrate(self, transport, program: VertexProgram,
-                 machine_map: Mapping[int, int]):
-        """Verbatim live-state migration onto a new machine layout."""
-        live = transport.snapshot()
-        transport.close()
-        self._set_machine_map(machine_map)
-        replacement = self._make_transport(program)
-        try:
-            replacement.restore(live)
-        except WorkerDied:
-            replacement.close()
-            raise
-        return replacement
-
     def _run_sharded(self, program: VertexProgram, max_supersteps: int,
-                     start: Optional[CheckpointState] = None,
-                     rebalance_at: Optional[
-                         Mapping[int, Mapping[int, int]]] = None
+                     start: Optional[CheckpointState] = None
                      ) -> ClusterReport:
         """Mirror of ``Engine._run_dense``'s loop, with the per-superstep
         work fanned out to the shards, measured on the way through, and —
@@ -427,7 +338,6 @@ class ClusterEngine:
         recoveries: List[RecoveryEvent] = []
         checkpoints_written = 0
         checkpoint_wall_ms = 0.0
-        pending_rebalance = dict(rebalance_at or {})
         store = (CheckpointStore(self.checkpoint_dir)
                  if self.checkpoint_dir else None)
         if store is not None and start is None:
@@ -480,10 +390,6 @@ class ClusterEngine:
                             converged = (stopped
                                          or transport.compute_owned() == 0)
                             break
-                        if superstep in pending_rebalance:
-                            transport = self._migrate(
-                                transport, program,
-                                pending_rebalance.pop(superstep))
                         computed = transport.compute_owned()
                         if computed == 0:
                             converged = True
@@ -554,8 +460,6 @@ class ClusterEngine:
                         ) from death
                     rollback = (death, superstep, time.perf_counter())
                     transport.close()
-                    if self.on_failure == "redistribute":
-                        self._evict_machine(death.machine)
                     transport = self._make_transport(program)
         finally:
             transport.close()

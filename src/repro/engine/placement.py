@@ -71,6 +71,14 @@ class Placement:
                    if p not in self.machine_of_partition]
         if missing:
             raise ValueError(f"partitions without a machine: {missing}")
+        outside = next((p for p in self.partitions
+                        if not 0 <= self.machine_of_partition[p]
+                        < num_machines), None)
+        if outside is not None:
+            raise ValueError(
+                f"partition {outside} is on machine "
+                f"{self.machine_of_partition[outside]}, outside "
+                f"0..{num_machines - 1}")
         # A sharding hands its incidence over (``ShardedGraph.placement``),
         # a raw mapping is converted once; degree-0 vertices are not placed.
         inc = self._incidence = (
@@ -157,8 +165,6 @@ class Placement:
         inc, machines = self._incidence, self.num_machines
         of_part = np.array([self.machine_of_partition[p]
                             for p in inc.parts.tolist()], dtype=np.int64)
-        if ((of_part < 0) | (of_part >= machines)).any():
-            raise KeyError(f"machine outside range({machines})")
 
         def per_machine(charge: int, *columns: np.ndarray) -> Dict[int, int]:
             counts = np.bincount(np.concatenate(columns), minlength=machines)

@@ -21,7 +21,6 @@ read off one sorted (vertex, partition) :class:`Incidence` (DESIGN.md
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -321,16 +320,6 @@ class ShardedGraph:
         parallel run's included)."""
         return cls.from_assignments(result.assignments, vertices=vertices,
                                     partitions=result.state.partitions)
-
-    @classmethod
-    def from_file(cls, path: "str | os.PathLike",
-                  partitions: Optional[Iterable[int]] = None,
-                  vertices: Iterable[int] = ()) -> "ShardedGraph":
-        """Shard a ``u v partition`` assignment file (``.gz`` supported —
-        see :mod:`repro.partitioning.partition_io`)."""
-        from repro.partitioning.partition_io import read_columns
-        return cls.from_arrays(*read_columns(path),
-                               partitions=partitions, vertices=vertices)
 
     # ------------------------------------------------------------------
     # Queries

@@ -116,6 +116,14 @@ class AssignmentBatch(SequenceABC):
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
+def _joined(batches: Sequence[AssignmentBatch]) -> AssignmentBatch:
+    """``batches`` as one batch, in order (empty columns for none)."""
+    return AssignmentBatch(*(
+        np.concatenate([_NO_ROWS] + [getattr(batch, column)
+                                     for batch in batches])
+        for column in AssignmentBatch.__slots__))
+
+
 # The store's items()/values(): the abc views, iterating off the columns
 # (their defaults look every key up, which would build the hash index).
 class _StoreItems(ItemsView):
@@ -165,11 +173,20 @@ class AssignmentStore(Mapping):
     def decisions(self) -> AssignmentBatch:
         """Every decision so far, in emission order, as one batch."""
         if len(self._batches) != 1:
-            self._batches = [AssignmentBatch(*(
-                np.concatenate([_NO_ROWS] + [getattr(batch, column)
-                                             for batch in self._batches])
-                for column in AssignmentBatch.__slots__))]
+            self._batches = [_joined(self._batches)]
         return self._batches[0]
+
+    def tail(self, count: int) -> AssignmentBatch:
+        """The last ``count`` decisions (all of them when there are
+        fewer, none when ``count <= 0``), in emission order, as one
+        batch built from the batches that hold them only."""
+        need, held = min(max(count, 0), self.rows), []
+        for batch in reversed(self._batches):
+            if need <= 0:
+                break
+            held.append(batch[max(0, len(batch) - need):])
+            need -= len(batch)
+        return _joined(held[::-1])
 
     def triples(self) -> np.ndarray:
         """Every decision as a ``(u, v, partition)`` row of one ``(n, 3)``

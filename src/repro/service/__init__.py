@@ -6,18 +6,17 @@ process multiplexes many tenants, each bound to a live
 :class:`~repro.api.PartitionSession`, over a line-delimited-JSON TCP
 protocol.  Per-tenant bounded ingest queues provide backpressure, a
 metrics/audit layer exposes throughput, replication degree, imbalance
-and a decision log, and two durability tiers persist state: graceful
-shutdown snapshots (``snapshot_dir``), and a per-tenant write-ahead log
-(``wal_dir``, :mod:`repro.service.wal`) that makes a SIGKILL'd daemon
-resume every tenant bit-identically after restart, with exactly-once
-ingest keyed by ``(tenant, seq)``.
+and each session's latest decisions, and one durability path persists
+state: a per-tenant write-ahead log (``wal_dir``,
+:mod:`repro.service.wal`) that makes a SIGKILL'd daemon resume every
+tenant bit-identically after restart, with exactly-once ingest keyed by
+``(tenant, seq)``.
 
 Entry points: ``repro-cli serve`` starts a daemon,
 :class:`~repro.service.client.ServiceClient` talks to one (and
 transparently reconnects + resends across connection drops).
 """
 
-from repro.service.audit import AuditRecord, DecisionLog
 from repro.service.client import (
     ServiceClient,
     ServiceConnectionError,
@@ -36,8 +35,6 @@ from repro.service.wal import (
 )
 
 __all__ = [
-    "AuditRecord",
-    "DecisionLog",
     "FSYNC_MODES",
     "PartitionService",
     "SERVICE_INJECTION_POINTS",

@@ -23,16 +23,15 @@ proves parity against :meth:`partition_stream`).
 
 Durability
 ----------
-Two tiers (see :mod:`repro.service.wal` for the crash-safety design):
-
-* ``wal_dir`` — **crash safe**: every accepted ingest batch is appended
-  to a per-tenant write-ahead log *before* it is enqueued, compacted
-  into a snapshot every ``wal_compact_every`` batches; a SIGKILL'd
-  daemon restarted over the same directory replays the log and resumes
-  every tenant bit-identically (``tests/test_service_chaos.py``).
-* ``snapshot_dir`` — graceful only: ``shutdown`` (or :meth:`stop`)
-  snapshots live tenants; a hard kill loses everything since start.
-  Kept for installs that do not need the WAL's write amplification.
+One path, ``wal_dir`` (see :mod:`repro.service.wal` for the crash-safety
+design): every accepted ingest batch is appended to a per-tenant
+write-ahead log *before* it is enqueued, compacted into a snapshot
+every ``wal_compact_every`` batches and at a graceful ``shutdown``; a
+SIGKILL'd daemon restarted over the same directory replays the log and
+resumes every tenant bit-identically (``tests/test_service_chaos.py``).
+Without ``wal_dir`` tenants live in memory only.  A directory of bare
+``<tenant>.snapshot`` files, with no log beside them, restores as
+tenants that have applied nothing since.
 
 Exactly-once ingest
 -------------------
@@ -68,7 +67,7 @@ from repro.api import (
 from repro.core import _kernels
 from repro.graph.io import format_int_rows
 from repro.graph.shard import mapping_columns
-from repro.service.audit import DecisionLog
+from repro.partitioning.base import AssignmentStore
 from repro.service.metrics import TenantMetrics
 from repro.service.wal import (
     FSYNC_MODES,
@@ -85,7 +84,8 @@ from repro.service.wal import (
     write_snapshot_atomic,
 )
 
-SNAPSHOT_SUFFIX = ".snapshot"
+#: Most decisions an ``audit`` reply carries: the tenant's newest.
+AUDIT_WINDOW = 4096
 
 
 class _JSON(bytes):
@@ -190,14 +190,11 @@ class Tenant:
     """Daemon-side state for one tenant: session + queue + worker."""
 
     def __init__(self, name: str, session: PartitionSession,
-                 queue_depth: int, audit_depth: int,
-                 replay_depth: int = 256,
-                 metrics_window: int = 1024) -> None:
+                 queue_depth: int, replay_depth: int = 256) -> None:
         self.name = name
         self.session = session
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
-        self.metrics = TenantMetrics(capacity=metrics_window)
-        self.audit = DecisionLog(capacity=audit_depth)
+        self.metrics = TenantMetrics()
         self.worker: Optional[asyncio.Task] = None
         self.closed = False
         #: Write-ahead log handle; ``None`` without ``wal_dir``.
@@ -214,6 +211,20 @@ class Tenant:
         #: Futures of duplicate requests waiting on an in-flight seq.
         self.waiters: Dict[int, List[asyncio.Future]] = {}
         self.last_compact_error: Optional[str] = None
+
+    @property
+    def decisions(self) -> AssignmentStore:
+        """Every decision the session has made, in order: what ``audit``
+        reads (a restored session's store holds its past ones too)."""
+        return self.session.partitioner._assignments
+
+    def audit_counts(self) -> dict:
+        """``stats``' ``audit`` block: decisions made, how many of the
+        newest an ``audit`` reply can carry, and how many it cannot."""
+        recorded = self.decisions.rows
+        retained = min(recorded, AUDIT_WINDOW)
+        return {"recorded": recorded, "retained": retained,
+                "capacity": AUDIT_WINDOW, "dropped": recorded - retained}
 
 
 class _LineReader:
@@ -280,13 +291,10 @@ class PartitionService:
         is refused.
     queue_depth:
         Per-tenant ingest queue bound — the backpressure knob.
-    snapshot_dir:
-        Directory for graceful-shutdown snapshots (restored on start).
     wal_dir:
         Directory for per-tenant write-ahead logs + compaction
         snapshots — crash-safe durability (see module docstring).
-        ``None`` disables the WAL; may be combined with
-        ``snapshot_dir`` (WAL-covered tenants take precedence).
+        ``None`` keeps tenants in memory only.
     wal_compact_every:
         Applied batches between WAL compactions (snapshot + truncate).
     fsync:
@@ -298,11 +306,6 @@ class PartitionService:
     replay_depth:
         Per-tenant bound on cached ingest responses for duplicate
         (retried) seqs.
-    audit_depth:
-        Per-tenant decision-log ring capacity.
-    metrics_window:
-        Per-tenant latency-sample window for the p50/p99 quantiles
-        reported by ``stats`` and ``metrics_text``.
     fault_hook:
         Test-only crash injection: called at every WAL/snapshot/ack
         boundary (see ``wal.SERVICE_INJECTION_POINTS``); raising
@@ -312,14 +315,11 @@ class PartitionService:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  max_tenants: int = 64, queue_depth: int = 16,
-                 snapshot_dir: Optional[str] = None,
                  wal_dir: Optional[str] = None,
                  wal_compact_every: int = 64,
                  fsync: str = "batch",
                  max_line_bytes: int = 1_048_576,
                  replay_depth: int = 256,
-                 audit_depth: int = 4096,
-                 metrics_window: int = 1024,
                  fault_hook: Optional[FaultHook] = None) -> None:
         if max_tenants < 1:
             raise ValueError("max_tenants must be >= 1")
@@ -333,22 +333,15 @@ class PartitionService:
             raise ValueError("max_line_bytes must be >= 1024")
         if replay_depth < 1:
             raise ValueError("replay_depth must be >= 1")
-        if audit_depth < 1:
-            raise ValueError("audit_depth must be >= 1")
-        if metrics_window < 1:
-            raise ValueError("metrics_window must be >= 1")
         self.host = host
         self.port = port
         self.max_tenants = max_tenants
         self.queue_depth = queue_depth
-        self.snapshot_dir = snapshot_dir
         self.wal_dir = wal_dir
         self.wal_compact_every = wal_compact_every
         self.fsync = fsync
         self.max_line_bytes = max_line_bytes
         self.replay_depth = replay_depth
-        self.audit_depth = audit_depth
-        self.metrics_window = metrics_window
         self.fault_hook = fault_hook
         self.tenants: Dict[str, Tenant] = {}
         self.started_at = 0.0
@@ -364,9 +357,8 @@ class PartitionService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind, recover WAL/snapshot tenants, begin accepting clients."""
+        """Bind, recover the WAL's tenants, begin accepting clients."""
         restored = self._restore_wal_tenants()
-        restored += self._restore_tenants()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -381,7 +373,8 @@ class PartitionService:
         await self._stopping.wait()
 
     async def stop(self) -> dict:
-        """Graceful shutdown: quiesce workers, persist live tenants."""
+        """Graceful shutdown: quiesce workers, compact live tenants'
+        WALs (a tenant without one is reported ``dropped``)."""
         report = {"snapshots": [], "dropped": []}
         if self._server is not None:
             self._server.close()
@@ -391,24 +384,14 @@ class PartitionService:
             await self._quiesce(tenant)
             if tenant.session.closed:
                 continue
-            if tenant.wal is not None:
-                # Final compaction: the WAL directory alone resumes the
-                # tenant on the next start.
-                try:
-                    self._compact(tenant)
-                    tenant.wal.close()
-                    report["snapshots"].append(tenant.name)
-                except SessionError:
-                    report["dropped"].append(tenant.name)
-                continue
-            if self.snapshot_dir is None:
+            if tenant.wal is None:
                 report["dropped"].append(tenant.name)
                 continue
+            # Final compaction: the WAL directory alone resumes the
+            # tenant on the next start.
             try:
-                path = self._snapshot_path(tenant.name)
-                snapshot = tenant.session.snapshot()
-                snapshot.seq = tenant.applied_seq
-                snapshot.save(path)
+                self._compact(tenant)
+                tenant.wal.close()
                 report["snapshots"].append(tenant.name)
             except SessionError:
                 # Wall-clock session: not resumable, nothing to persist.
@@ -445,38 +428,9 @@ class PartitionService:
         self._connections.clear()
         self._stopping.set()
 
-    def _snapshot_path(self, name: str) -> str:
-        os.makedirs(self.snapshot_dir, exist_ok=True)
-        return os.path.join(self.snapshot_dir, name + SNAPSHOT_SUFFIX)
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _restore_tenants(self) -> list:
-        """Legacy graceful-shutdown snapshots (``snapshot_dir``)."""
-        restored = []
-        if self.snapshot_dir is None or not os.path.isdir(self.snapshot_dir):
-            return restored
-        for filename in sorted(os.listdir(self.snapshot_dir)):
-            if not filename.endswith(SNAPSHOT_SUFFIX):
-                continue
-            name = filename[:-len(SNAPSHOT_SUFFIX)]
-            if name in self.tenants:  # WAL recovery already owns it
-                continue
-            path = os.path.join(self.snapshot_dir, filename)
-            snapshot = SessionSnapshot.load(path)
-            session = restore_session(snapshot)
-            tenant = Tenant(name, session, self.queue_depth,
-                            self.audit_depth, self.replay_depth,
-                            self.metrics_window)
-            seq = int(getattr(snapshot, "seq", 0))
-            tenant.accepted_seq = tenant.applied_seq = seq
-            tenant.compacted_seq = seq
-            self.tenants[name] = tenant
-            restored.append(tenant)
-            os.remove(path)
-        return restored
-
     def _restore_wal_tenants(self) -> list:
         """Crash recovery: snapshot + WAL replay per tenant (tentpole)."""
         self.recovered = {}
@@ -506,9 +460,7 @@ class PartitionService:
         snapshot = SessionSnapshot.load(snap_path)
         applied = int(getattr(snapshot, "seq", 0))
         session = restore_session(snapshot)
-        tenant = Tenant(name, session, self.queue_depth,
-                        self.audit_depth, self.replay_depth,
-                        self.metrics_window)
+        tenant = Tenant(name, session, self.queue_depth, self.replay_depth)
         log_path = wal_path(self.wal_dir, name)
         replayed = 0
         if os.path.exists(log_path):
@@ -574,7 +526,6 @@ class PartitionService:
         """Partition one batch and cache its response (worker + replay)."""
         try:
             emitted = tenant.session.ingest(edges)
-            tenant.audit.record_batch(emitted.u, emitted.v, emitted.part)
             response = {
                 "ok": True,
                 "accepted": len(edges),
@@ -799,8 +750,7 @@ class PartitionService:
             expected_edges=_int64(request.get("expected_edges", 0),
                                   "expected_edges"),
             **knobs)
-        tenant = Tenant(name, session, self.queue_depth, self.audit_depth,
-                        self.replay_depth, self.metrics_window)
+        tenant = Tenant(name, session, self.queue_depth, self.replay_depth)
         if self.wal_dir is not None:
             # Snapshot first so a crash between the two writes leaves a
             # resumable tenant (a WAL alone is unrecoverable state).
@@ -892,18 +842,23 @@ class PartitionService:
                     "wal": tenant.wal is not None,
                     "compacted_seq": tenant.compacted_seq,
                     "last_compact_error": tenant.last_compact_error},
-                "audit": {"recorded": tenant.audit.total_recorded,
-                          "retained": len(tenant.audit),
-                          "capacity": tenant.audit.capacity,
-                          "dropped": tenant.audit.dropped}}
+                "audit": tenant.audit_counts()}
 
     def _op_audit(self, request: dict) -> dict:
+        """The tenant's newest ``min(limit, AUDIT_WINDOW)`` decisions,
+        each numbered by its place in the whole decision stream."""
         tenant = self._tenant_of(request)
         limit = _int64(request.get("limit", 32), "limit")
+        store = tenant.decisions
+        tail = store.tail(min(limit, AUDIT_WINDOW))
         return {"ok": True, "tenant": tenant.name,
-                "decisions": [r.to_dict()
-                              for r in tenant.audit.tail(limit)],
-                "dropped": tenant.audit.dropped}
+                "decisions": [
+                    {"seq": seq, "u": u, "v": v, "partition": partition}
+                    for seq, u, v, partition in zip(
+                        range(store.rows - len(tail), store.rows),
+                        tail.u.tolist(), tail.v.tolist(),
+                        tail.part.tolist())],
+                "dropped": tenant.audit_counts()["dropped"]}
 
     def _remove_wal_files(self, tenant: Tenant) -> None:
         if tenant.wal is None:
@@ -931,21 +886,15 @@ class PartitionService:
                 "extras": result.extras}
 
     async def _op_snapshot(self, request: dict) -> dict:
-        """On-demand snapshot of one live tenant (tenant stays live)."""
-        if self.snapshot_dir is None and self.wal_dir is None:
-            raise SessionError(
-                "daemon started without --snapshot-dir or --wal-dir")
+        """On-demand WAL compaction of one live tenant (tenant stays
+        live)."""
+        if self.wal_dir is None:
+            raise SessionError("daemon started without --wal-dir")
         tenant = self._tenant_of(request)
         await tenant.queue.join()  # settle in-flight batches first
-        if tenant.wal is not None:
-            self._compact(tenant)
-            path = wal_snapshot_path(self.wal_dir, tenant.name)
-        else:
-            path = self._snapshot_path(tenant.name)
-            snapshot = tenant.session.snapshot()
-            snapshot.seq = tenant.applied_seq
-            snapshot.save(path)
-        return {"ok": True, "tenant": tenant.name, "path": path}
+        self._compact(tenant)
+        return {"ok": True, "tenant": tenant.name,
+                "path": wal_snapshot_path(self.wal_dir, tenant.name)}
 
     async def _op_close(self, request: dict) -> dict:
         """Drop a tenant without finalizing (abandon its stream)."""
@@ -990,7 +939,7 @@ class PartitionService:
                  "labels": labels, "value": float(metrics.batches)},
                 {"name": "repro_tenant_audit_recorded_total",
                  "labels": labels,
-                 "value": float(tenant.audit.total_recorded)},
+                 "value": float(tenant.decisions.rows)},
             ])
             snap["gauges"].extend([
                 {"name": "repro_tenant_queue_depth",
@@ -1015,13 +964,10 @@ class PartitionService:
 
 def run_service(host: str = "127.0.0.1", port: int = 0,
                 max_tenants: int = 64, queue_depth: int = 16,
-                snapshot_dir: Optional[str] = None,
                 wal_dir: Optional[str] = None,
                 wal_compact_every: int = 64,
                 fsync: str = "batch",
                 max_line_bytes: int = 1_048_576,
-                audit_depth: int = 4096,
-                metrics_window: int = 1024,
                 fault_hook: Optional[FaultHook] = None,
                 ready_callback=None) -> None:
     """Blocking entry point used by ``repro-cli serve``.
@@ -1035,13 +981,10 @@ def run_service(host: str = "127.0.0.1", port: int = 0,
         service = PartitionService(host=host, port=port,
                                    max_tenants=max_tenants,
                                    queue_depth=queue_depth,
-                                   snapshot_dir=snapshot_dir,
                                    wal_dir=wal_dir,
                                    wal_compact_every=wal_compact_every,
                                    fsync=fsync,
                                    max_line_bytes=max_line_bytes,
-                                   audit_depth=audit_depth,
-                                   metrics_window=metrics_window,
                                    fault_hook=fault_hook)
         await service.start()
         if ready_callback is not None:
@@ -1051,4 +994,4 @@ def run_service(host: str = "127.0.0.1", port: int = 0,
     asyncio.run(main())
 
 
-__all__ = ["PartitionService", "Tenant", "run_service", "SNAPSHOT_SUFFIX"]
+__all__ = ["AUDIT_WINDOW", "PartitionService", "Tenant", "run_service"]

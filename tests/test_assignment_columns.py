@@ -32,10 +32,14 @@ from repro.api import open_session, restore_session
 from repro.core import _kernels
 from repro.graph.graph import Edge
 from repro.graph.shard import ShardedGraph
-from repro.partitioning.base import Assignment, AssignmentStore
+from repro.partitioning.base import (
+    Assignment,
+    AssignmentBatch,
+    AssignmentStore,
+)
 from repro.partitioning.partition_io import write_assignments
-from repro.service.audit import AuditRecord, DecisionLog
 from repro.service.client import ServiceClient
+from repro.service.server import AUDIT_WINDOW
 
 pytestmark = pytest.mark.skipif(_kernels.load() is None,
                                 reason="compiled kernels unavailable")
@@ -458,53 +462,60 @@ def test_a_snapshot_holds_one_array_and_restores_from_a_list_too(config):
 
 
 # ---------------------------------------------------------------------------
-# The daemon: ack JSON and the audit ring
+# The daemon: ack JSON and the audit tail
 # ---------------------------------------------------------------------------
 
-def test_audit_ring_is_the_last_decisions():
-    """The ring against a list of every decision, for batches smaller
-    than it, as large, larger, empty, and straddling its edge."""
+def test_store_tail_is_the_last_decisions():
+    """``AssignmentStore.tail`` (what the daemon's ``audit`` reads)
+    against a list of every decision, for batches smaller than the
+    tail, as large, larger, empty and straddling its edge; it joins no
+    batches, and reads the same after :meth:`decisions` joined them."""
     rng = random.Random(3)
-    for capacity in (1, 8, 300, 4096):
-        log, model = DecisionLog(capacity), []
-        for size in [3, 0, 5, 8, 256, 1, 0, 7, 256, 300, 2, 9] * 2:
-            rows = [(rng.randrange(99), rng.randrange(99), rng.randrange(4))
-                    for _ in range(size)]
-            log.record_batch(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
-            model += [AuditRecord(len(model) + i, *row)
-                      for i, row in enumerate(rows)]
-            kept = model[-capacity:]
-            assert len(log) == len(kept)
-            assert log.total_recorded == len(model)
-            assert log.dropped == len(model) - len(kept)
-            for count in (0, -1, 1, 3, capacity - 1, capacity, capacity + 5):
-                assert log.tail(count) == (kept[-count:] if count > 0 else [])
-            assert all(type(value) is int for record in log.tail(4)
-                       for value in record.to_dict().values())
-            assert len(log._batches) <= capacity + 1
+    store, model, appended = AssignmentStore(), [], 0
+    assert store.tail(5) == []
+    for size in [3, 0, 5, 8, 256, 1, 0, 7, 256, 300, 2, 9] * 2:
+        rows = [(rng.randrange(99), rng.randrange(99), rng.randrange(4))
+                for _ in range(size)]
+        store.append(AssignmentBatch(
+            *np.array(rows, dtype=np.int64).reshape(-1, 3).T))
+        appended += 1
+        model += [Assignment(Edge(u, v), p) for u, v, p in rows]
+        for count in (0, -1, 1, 3, 8, 300, len(model) - 1, len(model),
+                      len(model) + 5):
+            tail = store.tail(count)
+            assert tail == (model[-count:] if count > 0 else [])
+            assert all(column.dtype == np.int64
+                       for column in (tail.u, tail.v, tail.part))
+        assert len(store._batches) == appended
+    store.decisions()
+    assert len(store._batches) == 1
+    assert store.tail(300) == model[-300:]
 
 
 @pytest.fixture
-def small_ring_daemon():
-    daemon = SupervisedDaemon(audit_depth=8, queue_depth=4, max_tenants=4)
+def audit_daemon():
+    daemon = SupervisedDaemon(queue_depth=4, max_tenants=4)
     daemon.start()
     yield daemon
     daemon.shutdown()
 
 
 @pytest.mark.parametrize("config", ["hdrf", "adwise-adaptive"])
-def test_daemon_acks_and_audit_are_the_per_edge_ones(small_ring_daemon,
-                                                     config):
+def test_daemon_acks_and_audit_are_the_per_edge_ones(audit_daemon, config):
     """Each ack's JSON and, after it, the audit tail: exactly what a
-    direct ``fast=False`` session's decisions make them, edge by edge —
-    the ring (8 records) wraps inside, across and around 256-edge
-    batches."""
+    direct ``fast=False`` session's decisions make them, edge by edge.
+    HDRF runs past the audit window (4,096 decisions), so the window's
+    edge falls inside, across and around 256-edge batches."""
     algorithm, knobs = CONFIGS[config]
-    pairs = STREAMS["repeats"] * 4
+    window = AUDIT_WINDOW
+    sizes = [3, 4, 256, 0, 5, 256, 256, 2]
+    if config == "hdrf":
+        sizes += [256] * 14 + [1, 250, 9]
+    pairs = STREAMS["repeats"] * 25
+    assert len(pairs) >= sum(sizes)
     control = reference(open_session, algorithm, partitions=4, **knobs)
     decisions = []
-    sizes = [3, 4, 256, 0, 5, 256, 256, 2]
-    with ServiceClient(port=small_ring_daemon.port) as client:
+    with ServiceClient(port=audit_daemon.port) as client:
         client.open("t", algorithm=algorithm, partitions=4, **knobs)
         start = 0
         for seq, size in enumerate(sizes, start=1):
@@ -519,17 +530,18 @@ def test_daemon_acks_and_audit_are_the_per_edge_ones(small_ring_daemon,
                            "assignments": emitted}
             decisions += emitted
             kept = [{"seq": seq_no, "u": u, "v": v, "partition": p}
-                    for seq_no, (u, v, p) in enumerate(decisions)][-8:]
-            for limit in (12, 8, 3):
+                    for seq_no, (u, v, p) in enumerate(decisions)][-window:]
+            for limit in (window + 5, window, 3):
                 audit = client.audit("t", limit=limit)
                 assert audit["decisions"] == kept[-limit:]
                 assert audit["dropped"] == len(decisions) - len(kept)
             stats = client.stats("t")
             assert stats["audit"] == {
                 "recorded": len(decisions), "retained": len(kept),
-                "capacity": 8, "dropped": len(decisions) - len(kept)}
+                "capacity": window, "dropped": len(decisions) - len(kept)}
             assert (stats["session"]["assignments_emitted"]
                     == len(decisions))
+        assert (stats["audit"]["dropped"] > 0) == (config == "hdrf")
         final = client.request({"op": "finalize", "tenant": "t"})
     result = control.finalize()
     assert final["assignments"] == sorted(

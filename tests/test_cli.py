@@ -428,7 +428,7 @@ class TestServeAndClient:
         assert args.port == 7733
         assert args.max_tenants == 64
         assert args.queue_depth == 16
-        assert args.snapshot_dir is None
+        assert args.wal_dir is None
 
     def test_serve_rejects_bad_limits(self, capsys):
         assert main(["serve", "--max-tenants", "0"]) == 2

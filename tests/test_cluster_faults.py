@@ -7,9 +7,9 @@ that loses a machine mid-superstep — killed deterministically by a
 and produces **bit-identical** states, aggregates and message counts to
 the unfaulted run (which the existing differential layer already pins to
 ``Engine(mode="dense")``).  On top of that: checkpoint→resume round
-trips, elastic rebalancing (idle and live), and failure redistribution
-all preserve the same equivalence, and a Hypothesis sweep holds it for
-random fault schedules.
+trips — on the recorded machine layout and onto another one — preserve
+the same equivalence, and a Hypothesis sweep holds it for random fault
+schedules.
 """
 
 from __future__ import annotations
@@ -366,6 +366,59 @@ class TestCheckpointResume:
         assert resumed.aggregates == full.aggregates
         assert resumed.messages_sent == full.messages_sent
 
+    def test_recovered_run_resumes_onto_a_different_layout(self, tmp_path):
+        """A layout change composes with recovery through the one path:
+        a run that lost a machine rolls back, keeps checkpointing, and
+        its checkpoints resume on the process backend with a different
+        machine count to the unfaulted result."""
+        graph = sharded(4)
+        factory = lambda: PageRank(iterations=9)  # noqa: E731
+        full = ClusterEngine(graph).run(factory(), max_supersteps=60)
+        directory = str(tmp_path / "ckpt")
+        injector = FaultInjector([Kill(superstep=3, point="pre-gather",
+                                       machine=1)])
+        partial = ClusterEngine(
+            graph, checkpoint_every=2, checkpoint_dir=directory,
+            fault_injector=injector).run(factory(), max_supersteps=5)
+        assert partial.supersteps == 5
+        assert len(partial.recoveries) == 1
+        resumed = ClusterEngine.resume(directory, backend="process",
+                                       num_workers=2, max_supersteps=60)
+        assert resumed.backend == "process"
+        assert resumed.num_machines == 2
+        assert resumed.states == full.states
+        assert resumed.aggregates == full.aggregates
+        assert resumed.messages_sent == full.messages_sent
+
+    @pytest.mark.parametrize("backend,layout", [
+        ("serial", {"machine_of_partition": {0: 1, 1: 0, 2: 1, 3: 0}}),
+        ("process", {"num_workers": 2})])
+    def test_resume_without_overrides_rebuilds_the_recorded_layout(
+            self, tmp_path, backend, layout):
+        """No backend and no worker count: the resumed run is placed as
+        the interrupted one was, so every superstep's traffic lands on
+        the same machines as in an uninterrupted run."""
+        graph = sharded(4)
+        factory = lambda: PageRank(iterations=9)  # noqa: E731
+        engine = ClusterEngine(graph, backend=backend, **layout)
+        full = engine.run(factory(), max_supersteps=60)
+        directory = str(tmp_path / "ckpt")
+        ClusterEngine(graph, backend=backend, **layout, checkpoint_every=2,
+                      checkpoint_dir=directory).run(factory(),
+                                                    max_supersteps=3)
+        resumed = ClusterEngine.resume(directory, max_supersteps=60)
+        assert resumed.backend == backend
+        assert resumed.num_machines == full.num_machines == 2
+        assert_bit_identical(resumed, full)
+        assert resumed.latency_ms == pytest.approx(full.latency_ms)
+        assert ([(t.remote_per_machine, t.local_per_machine)
+                 for t in resumed.telemetry]
+                == [(t.remote_per_machine, t.local_per_machine)
+                    for t in full.telemetry])
+        assert {machine for t in resumed.telemetry
+                for machine in t.remote_per_machine} == {0, 1}
+        assert_sync_matches_prediction(resumed, engine.placement)
+
     def test_completed_run_resumes_to_the_same_report(self, tmp_path):
         graph = sharded(2)
         directory = str(tmp_path / "ckpt")
@@ -406,72 +459,6 @@ class TestCheckpointResume:
     def test_checkpoint_dir_requires_checkpoint_every(self, tmp_path):
         with pytest.raises(ValueError):
             ClusterEngine(sharded(2), checkpoint_dir=str(tmp_path))
-
-
-class TestElasticity:
-    """Rebalance (idle + live migration) and failure redistribution."""
-
-    def test_idle_rebalance_parity_and_prediction(self):
-        graph = sharded(4)
-        engine = ClusterEngine(graph)
-        before = engine.run(PageRank(iterations=9), max_supersteps=60)
-        engine.rebalance({0: 0, 1: 0, 2: 1, 3: 1})
-        assert engine.num_machines == 2
-        after = engine.run(PageRank(iterations=9), max_supersteps=60)
-        assert after.states == before.states
-        assert after.aggregates == before.aggregates
-        assert after.messages_sent == before.messages_sent
-        assert_sync_matches_prediction(after, engine.placement)
-
-    @pytest.mark.parametrize("backend,workers", [("serial", None),
-                                                 ("process", 4)])
-    def test_live_rebalance_preserves_states(self, backend, workers):
-        graph = sharded(4)
-        factory = lambda: PageRank(iterations=9)  # noqa: E731
-        baseline = ClusterEngine(graph).run(factory(), max_supersteps=60)
-        engine = ClusterEngine(graph, backend=backend, num_workers=workers)
-        report = engine.run(factory(), max_supersteps=60,
-                            rebalance_at={2: {0: 0, 1: 0, 2: 1, 3: 1}})
-        assert engine.num_machines == 2
-        assert report.states == baseline.states
-        assert report.aggregates == baseline.aggregates
-        assert report.messages_sent == baseline.messages_sent
-
-    def test_live_rebalance_composes_with_recovery(self):
-        graph = sharded(4)
-        factory = lambda: PageRank(iterations=9)  # noqa: E731
-        baseline = ClusterEngine(graph).run(factory(), max_supersteps=60)
-        injector = FaultInjector([Kill(superstep=4, point="pre-gather",
-                                       machine=1)])
-        engine = ClusterEngine(graph, checkpoint_every=2,
-                               fault_injector=injector)
-        report = engine.run(factory(), max_supersteps=60,
-                            rebalance_at={2: {0: 0, 1: 0, 2: 1, 3: 1}})
-        assert report.states == baseline.states
-        assert report.aggregates == baseline.aggregates
-        assert len(report.recoveries) == 1
-
-    def test_rebalance_rejects_incomplete_map(self):
-        engine = ClusterEngine(sharded(4))
-        with pytest.raises(ValueError, match="without a machine"):
-            engine.rebalance({0: 0, 1: 0})
-
-    def test_redistribute_shrinks_the_cluster(self):
-        graph = sharded(4)
-        factory = lambda: PageRank(iterations=9)  # noqa: E731
-        baseline = ClusterEngine(graph).run(factory(), max_supersteps=60)
-        injector = FaultInjector([Kill(superstep=2, point="mid-scatter",
-                                       machine=2)])
-        engine = ClusterEngine(graph, backend="process", num_workers=4,
-                               checkpoint_every=2, fault_injector=injector,
-                               on_failure="redistribute",
-                               heartbeat_timeout=30.0)
-        report = engine.run(factory(), max_supersteps=60)
-        assert report.states == baseline.states
-        assert report.aggregates == baseline.aggregates
-        assert report.messages_sent == baseline.messages_sent
-        assert engine.num_machines == 3
-        assert report.recoveries[0].machine == 2
 
 
 # -- Hypothesis: random fault schedules never lose or duplicate state --

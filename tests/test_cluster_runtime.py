@@ -296,7 +296,7 @@ class TestTelemetryAndGuards:
             ClusterEngine(sharded, backend="process", num_workers=0)
         with pytest.raises(ValueError):
             ClusterEngine(sharded, backend="process", num_machines=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="without a machine"):
             ClusterEngine(sharded, backend="serial",
                           machine_of_partition={0: 0})  # partition 1 missing
         with pytest.raises(ValueError):
@@ -306,6 +306,17 @@ class TestTelemetryAndGuards:
             ClusterEngine(sharded, num_machines=0)
         with pytest.raises(ValueError, match="num_machines"):
             Placement.contiguous_machine_map(sharded.partitions, 0)
+
+    def test_machine_outside_the_layout_refused(self):
+        """A machine id past ``num_machines`` is refused by name at
+        construction, not left to fail inside the placement's stats."""
+        _, sharded = shard_graph(graph_cases()["powerlaw"], "hash", 4)
+        with pytest.raises(ValueError, match="partition 0 is on machine 5"):
+            ClusterEngine(sharded,
+                          machine_of_partition={0: 5, 1: 5, 2: 7, 3: 7})
+        with pytest.raises(ValueError, match="partition 3 is on machine 2"):
+            ClusterEngine(sharded, num_machines=2,
+                          machine_of_partition={0: 0, 1: 1, 2: 1, 3: 2})
 
     def test_single_partition_no_sync(self):
         graph = graph_cases()["triangle"]

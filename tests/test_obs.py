@@ -611,62 +611,78 @@ class TestPercentile:
 
 
 # ----------------------------------------------------------------------
-# Serve knobs: audit depth + metrics window (satellite 2)
+# Serve knobs: validated where they enter; the windows are constants
 # ----------------------------------------------------------------------
 
 class TestServeKnobs:
 
     def test_flags_reach_tenant_state(self):
-        from repro.service.client import ServiceClient
-        from repro.service.server import run_service
+        """``run_service``'s queue depth bounds each tenant's queue and
+        its tenant cap refuses one tenant too many; the audit and
+        metrics windows are the constants whatever the knobs."""
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.server import AUDIT_WINDOW, run_service
 
         ready = threading.Event()
         box = {}
 
         def on_ready(service):
-            box["port"] = service.port
+            box["service"] = service
             ready.set()
 
         thread = threading.Thread(
             target=run_service,
-            kwargs=dict(port=0, queue_depth=4, max_tenants=2,
-                        audit_depth=5, metrics_window=3,
+            kwargs=dict(port=0, queue_depth=3, max_tenants=2,
                         ready_callback=on_ready),
             daemon=True)
         thread.start()
         assert ready.wait(10)
-        with ServiceClient(port=box["port"]) as client:
-            client.open("t", algorithm="hdrf", partitions=4)
-            for start in range(0, 80, 10):
-                client.ingest("t", [(i, i + 1)
-                                    for i in range(start, start + 9)])
-            stats = client.stats("t")
-            assert stats["audit"]["capacity"] == 5
-            assert stats["audit"]["retained"] <= 5
-            assert stats["audit"]["recorded"] > 5
-            assert stats["audit"]["dropped"] == (
-                stats["audit"]["recorded"] - stats["audit"]["retained"])
-            assert stats["metrics"]["metrics_window"] == 3
-            text = client.metrics_text()
+        service = box["service"]
+        assert (service.queue_depth, service.max_tenants) == (3, 2)
+        with ServiceClient(port=service.port) as client:
+            client.open("a", algorithm="hdrf", partitions=4)
+            client.open("b", algorithm="hdrf", partitions=4)
+            with pytest.raises(ServiceError, match=r"tenant limit .*\(2\)"):
+                client.open("c", algorithm="hdrf", partitions=4)
+            assert sorted(service.tenants) == ["a", "b"]
+            assert all(tenant.queue.maxsize == 3
+                       for tenant in service.tenants.values())
+            client.ingest("a", [(i, i + 1) for i in range(9)])
+            stats = client.stats("a")
             client.shutdown()
         thread.join(10)
-        assert "# TYPE repro_tenant_ingest_latency_seconds histogram" in text
-        assert 'repro_tenant_edges_ingested_total{tenant="t"} 72' in text
+        assert stats["audit"] == {"recorded": 9, "retained": 9,
+                                  "capacity": AUDIT_WINDOW, "dropped": 0}
+        assert stats["metrics"]["metrics_window"] == 1024
 
     def test_cli_flag_validation(self, capsys):
+        """Out-of-range values exit 2 naming the flag; the deleted
+        ``--audit-depth``, ``--metrics-window`` and ``--snapshot-dir``
+        are refused, not silently ignored."""
         from repro.cli import main
 
-        assert main(["serve", "--audit-depth", "0"]) == 2
-        assert "audit-depth" in capsys.readouterr().err
-        assert main(["serve", "--metrics-window", "0"]) == 2
+        for flag in ("--queue-depth", "--max-tenants",
+                     "--wal-compact-every"):
+            assert main(["serve", flag, "0"]) == 2
+            assert flag in capsys.readouterr().err
+        for flag in ("--audit-depth", "--metrics-window", "--snapshot-dir"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", flag, "5"])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments" in err and flag in err
 
     def test_service_rejects_bad_knobs(self):
         from repro.service.server import PartitionService
 
-        with pytest.raises(ValueError):
-            PartitionService(audit_depth=0)
-        with pytest.raises(ValueError):
-            PartitionService(metrics_window=0)
+        for knobs in (dict(max_tenants=0), dict(queue_depth=0),
+                      dict(wal_compact_every=0), dict(fsync="sometimes"),
+                      dict(max_line_bytes=1023), dict(replay_depth=0)):
+            with pytest.raises(ValueError, match=next(iter(knobs))):
+                PartitionService(**knobs)
+        for knob in ("audit_depth", "metrics_window", "snapshot_dir"):
+            with pytest.raises(TypeError, match=knob):
+                PartitionService(**{knob: 5})
 
 
 # ----------------------------------------------------------------------
@@ -712,17 +728,27 @@ class TestTopView:
         thread.start()
         assert ready.wait(10)
         port = str(box["port"])
+        edges = _random_edges(50, 20, seed=3)
         with ServiceClient(port=box["port"]) as client:
             client.open("cli-t", algorithm="hdrf", partitions=4)
-            client.ingest("cli-t", _random_edges(50, 20, seed=3))
+            client.ingest("cli-t", edges)
             assert main(["top", "--port", port]) == 0
             table = capsys.readouterr().out
             assert "cli-t" in table and "hdrf" in table
             assert main(["top", "--port", port, "--raw"]) == 0
             raw = capsys.readouterr().out
             assert "# TYPE repro_service_tenants gauge" in raw
+            stats = client.stats("cli-t")
             client.shutdown()
         thread.join(10)
+        # The per-tenant series and the two fixed windows stats reports.
+        assert ("# TYPE repro_tenant_ingest_latency_seconds histogram"
+                in raw)
+        for name in ("edges_ingested", "audit_recorded"):
+            assert (f'repro_tenant_{name}_total{{tenant="cli-t"}} '
+                    f'{len(edges)}\n' in raw)
+        assert stats["metrics"]["metrics_window"] == 1024
+        assert stats["audit"]["capacity"] == 4096
 
 
 # ----------------------------------------------------------------------

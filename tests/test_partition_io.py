@@ -1,8 +1,8 @@
 """Tests for persisting and reloading partitionings.
 
 A ``.parts`` file has one writer, :func:`write_assignments`, and one
-reader, :func:`read_columns` — what :meth:`ShardedGraph.from_file`
-shards.  Quality recomputed from the file (replication degree, edges
+reader, :func:`read_columns` — whose columns
+:meth:`ShardedGraph.from_arrays` shards.  Quality recomputed from the file (replication degree, edges
 per partition) must equal the partitioner's own.
 """
 
@@ -41,7 +41,8 @@ def _assert_file_matches(path, result):
     """The file at ``path`` holds ``result``'s rows and shards back to
     its quality, recomputed from the rows rather than trusted."""
     assert _rows(path) == _written(result.assignments)
-    loaded = ShardedGraph.from_file(path, partitions=result.state.partitions)
+    loaded = ShardedGraph.from_arrays(*read_columns(path),
+                                      partitions=result.state.partitions)
     assert loaded.replication_degree == pytest.approx(
         result.replication_degree)
     assert _sizes(loaded) == dict(result.state.partition_edges)
@@ -55,7 +56,8 @@ class TestRoundTrip:
         written = write_assignments(path, assignments, header="test")
         assert written == 2
         assert _rows(path) == [[1, 2], [2, 3], [0, 1]]
-        assert _sizes(ShardedGraph.from_file(path)) == {0: 1, 1: 1}
+        assert _sizes(ShardedGraph.from_arrays(*read_columns(path))) == {
+            0: 1, 1: 1}
 
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -72,7 +74,7 @@ class TestRoundTrip:
         path = tmp_path / "p.txt"
         path.write_text("5 2 3\n")
         assert _rows(path) == [[5], [2], [3]]
-        sharded = ShardedGraph.from_file(path)
+        sharded = ShardedGraph.from_arrays(*read_columns(path))
         assert (sharded.num_vertices, _sizes(sharded)) == (2, {3: 1})
 
 
@@ -139,7 +141,7 @@ class TestGzipAndBatching:
         assert [c.dtype.name for c in (u, v, part)] == ["int64"] * 3
         assert (u.tolist(), v.tolist(), part.tolist()) == (
             [5, 2, -7], [2, 5, 9000000000], [3, 1, 0])
-        sharded = ShardedGraph.from_file(path)
+        sharded = ShardedGraph.from_arrays(*read_columns(path))
         assert (sharded.num_vertices, _sizes(sharded)) == (
             4, {0: 1, 1: 1})
 
@@ -155,7 +157,7 @@ class TestGzipAndBatching:
         assignments = {Edge(0, 1): 0, Edge(1, 2): 1}
         path = tmp_path / "p.txt.gz"
         write_assignments(path, assignments)
-        sharded = ShardedGraph.from_file(path)
+        sharded = ShardedGraph.from_arrays(*read_columns(path))
         assert (sharded.num_vertices, _sizes(sharded)) == (3, {0: 1, 1: 1})
 
 
@@ -170,13 +172,14 @@ class TestResultRoundTrip:
     def test_file_names_its_partitions(self, tmp_path):
         path = tmp_path / "p.txt"
         write_assignments(path, {Edge(1, 2): 3, Edge(2, 4): 7})
-        assert ShardedGraph.from_file(path).partitions == [3, 7]
+        sharded = ShardedGraph.from_arrays(*read_columns(path))
+        assert sharded.partitions == [3, 7]
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
-            ShardedGraph.from_file(path)
+            ShardedGraph.from_arrays(*read_columns(path))
 
 
 class TestMergedResultRoundTrip:
@@ -228,5 +231,6 @@ class TestMergedResultRoundTrip:
     def test_explicit_partitions_keep_empty_ones(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("1 2 0\n")
-        loaded = ShardedGraph.from_file(path, partitions=[0, 1, 2, 3])
+        loaded = ShardedGraph.from_arrays(*read_columns(path),
+                                          partitions=[0, 1, 2, 3])
         assert _sizes(loaded) == {0: 1, 1: 0, 2: 0, 3: 0}

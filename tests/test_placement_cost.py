@@ -69,6 +69,14 @@ class TestCustomMachineMaps:
             Placement(chain_assignments(3), partitions=range(3),
                       num_machines=2, machine_of_partition={0: 0, 1: 1})
 
+    @pytest.mark.parametrize("machine_of,culprit", [
+        ({0: 0, 1: 2, 2: 1}, "partition 1 is on machine 2"),
+        ({0: -1, 1: 0, 2: 1}, "partition 0 is on machine -1")])
+    def test_machine_outside_range_rejected(self, machine_of, culprit):
+        with pytest.raises(ValueError, match=culprit):
+            Placement(chain_assignments(3), partitions=range(3),
+                      num_machines=2, machine_of_partition=machine_of)
+
     def test_assignment_to_unknown_partition_rejected(self):
         with pytest.raises(ValueError, match="unknown partition"):
             Placement({Edge(0, 1): 5}, partitions=range(2),

@@ -82,7 +82,6 @@ class TestTopLevelExports:
     "repro.simtime", "repro.util", "repro.cli",
     "repro.api", "repro.service", "repro.service.server",
     "repro.service.client", "repro.service.metrics",
-    "repro.service.audit",
 ])
 def test_module_imports_cleanly(module):
     importlib.import_module(module)

@@ -5,7 +5,8 @@ in a background thread and talks to it over TCP with the blocking
 :class:`ServiceClient` — the same stack production traffic would use.
 The headline contract: interleaved tenants are fully isolated, and a
 tenant's stream produces **bit-identical** assignments to a local
-``partition_stream`` run, even across a snapshot shutdown + restart.
+``partition_stream`` run, even across a shutdown + restart over the
+daemon's write-ahead-log directory.
 """
 
 import random
@@ -37,8 +38,8 @@ EDGES = _edges(1200, 200, seed=17)
 
 @pytest.fixture
 def daemon(tmp_path):
-    """A live daemon; yields (port, snapshot_dir, restart)."""
-    snapshot_dir = str(tmp_path / "snapshots")
+    """A live daemon; yields (port, wal_dir, restart)."""
+    wal_dir = str(tmp_path / "wal")
     threads = []
 
     def boot():
@@ -52,17 +53,16 @@ def daemon(tmp_path):
         thread = threading.Thread(
             target=run_service,
             kwargs=dict(port=0, queue_depth=4, max_tenants=4,
-                        snapshot_dir=snapshot_dir,
+                        wal_dir=wal_dir,
                         ready_callback=on_ready),
             daemon=True)
         thread.start()
         assert ready.wait(10), "daemon did not come up"
-        threads.append(thread)
+        threads.append((thread, box["port"]))
         return box["port"]
 
-    port = boot()
-    yield port, snapshot_dir, boot
-    for thread in threads:
+    yield boot(), wal_dir, boot
+    for thread, port in threads:
         if thread.is_alive():
             try:
                 with ServiceClient(port=port) as client:
@@ -212,10 +212,11 @@ class TestMultiTenantParity:
 
 class TestDurability:
     def test_shutdown_snapshot_restart_bit_identical(self, daemon):
-        """Feed half a stream, shutdown (snapshots to disk), boot a new
-        daemon over the same directory, feed the rest: the final result
-        is bit-identical to an uninterrupted local batch run."""
-        port, snapshot_dir, boot = daemon
+        """Feed half a stream, shutdown (compacts the WAL to a snapshot),
+        boot a new daemon over the same directory, feed the rest: the
+        final result is bit-identical to an uninterrupted local batch
+        run."""
+        port, _, boot = daemon
         cut = 600
         with ServiceClient(port=port) as client:
             client.open("t", algorithm="adwise", partitions=8,
@@ -242,14 +243,44 @@ class TestDurability:
         assert final["latency_ms"] == reference.latency_ms
         assert final["extras"] == reference.extras
 
+    def test_audit_numbering_continues_across_a_restart(self, daemon):
+        """The audit reads the session's own decisions: after a graceful
+        stop and a restart over the same directory, ``recorded``,
+        ``retained`` and each decision's ``seq`` go on from 200."""
+        port, _, boot = daemon
+        with ServiceClient(port=port) as client:
+            client.open("t", algorithm="hdrf", partitions=4)
+            before = []
+            for start in range(0, 200, 50):
+                before += client.ingest("t", EDGES[start:start + 50])
+            last = client.audit("t", limit=3)["decisions"]
+            client.shutdown()
+
+        port2 = boot()
+        with ServiceClient(port=port2) as client:
+            stats = client.stats("t")
+            assert stats["session"]["assignments_emitted"] == 200
+            assert stats["audit"] == {"recorded": 200, "retained": 200,
+                                      "capacity": 4096, "dropped": 0}
+            assert client.audit("t", limit=3)["decisions"] == last
+            after = client.ingest("t", EDGES[200:210])
+            audit = client.audit("t", limit=12)
+            assert audit["decisions"] == [
+                {"seq": seq, "u": u, "v": v, "partition": p}
+                for seq, (u, v, p) in enumerate(
+                    before[-2:] + after, start=198)]
+            assert client.stats("t")["audit"]["recorded"] == 210
+            client.shutdown()
+
     def test_snapshot_op_keeps_tenant_live(self, daemon):
-        port, snapshot_dir, _ = daemon
+        port, wal_dir, _ = daemon
         import os
         with ServiceClient(port=port) as client:
             client.open("t", algorithm="hdrf", partitions=4)
             client.ingest("t", EDGES[:100])
             response = client.snapshot("t")
             assert os.path.isfile(response["path"])
+            assert os.path.dirname(response["path"]) == wal_dir
             client.ingest("t", EDGES[100:200])  # still live
             assert (client.stats("t")["session"]["edges_ingested"]
                     == 200)

@@ -234,17 +234,19 @@ class TestRecoveryEdges:
             asyncio.run(boot())
 
     def test_pre_seq_snapshot_still_loads(self, tmp_path):
-        """A snapshot pickled before the ``seq`` field existed restores
-        with a high-water mark of 0 (snapshot_dir compatibility)."""
-        snapshot_dir = tmp_path / "snapshots"
-        os.makedirs(snapshot_dir)
+        """A snapshot pickled before the ``seq`` field existed, alone in
+        a ``--wal-dir`` (as an old graceful-shutdown snapshot directory
+        passed as one), restores with a high-water mark of 0 and is
+        durable from then on."""
+        wal_dir = tmp_path / "wal"
+        os.makedirs(wal_dir)
         session = open_session(algorithm="hdrf", partitions=4)
         session.ingest(EDGES[:50])
         snapshot = session.snapshot()
         delattr(snapshot, "seq")  # simulate an old pickle
-        snapshot.save(str(snapshot_dir / "legacy.snapshot"))
+        snapshot.save(str(wal_dir / "legacy.snapshot"))
 
-        daemon = SupervisedDaemon(snapshot_dir=str(snapshot_dir))
+        daemon = SupervisedDaemon(wal_dir=str(wal_dir))
         port = daemon.start()
         try:
             with ServiceClient(port=port) as client:
@@ -253,7 +255,30 @@ class TestRecoveryEdges:
                 assert tenants[0]["edges_ingested"] == 50
                 stats = client.stats("legacy")
                 assert stats["accepted_seq"] == 0
-                assert stats["durability"]["wal"] is False
+                assert stats["applied_seq"] == 0
+                assert stats["durability"]["wal"] is True
+                assert stats["audit"]["recorded"] == 50
+            assert daemon.last_recovered() == {"legacy": 0}
+            assert os.path.exists(wal_path(str(wal_dir), "legacy"))
+        finally:
+            daemon.shutdown()
+
+    def test_without_wal_dir_tenants_live_in_memory_only(self):
+        """No ``--wal-dir``: ``snapshot`` is refused by name and a
+        graceful stop reports every live tenant as dropped."""
+        daemon = SupervisedDaemon()
+        port = daemon.start()
+        try:
+            with ServiceClient(port=port) as client:
+                client.open("t", algorithm="hdrf", partitions=4)
+                client.ingest("t", EDGES[:20])
+                assert client.tenants()[0]["durable"] is False
+                with pytest.raises(ServiceError,
+                                   match="started without --wal-dir"):
+                    client.snapshot("t")
+                report = client.shutdown()
+            assert report["snapshots"] == []
+            assert report["dropped"] == ["t"]
         finally:
             daemon.shutdown()
 
@@ -326,7 +351,7 @@ class TestExactlyOnce:
     def test_graceful_stop_then_restart_resumes_from_wal_dir(
             self, tmp_path):
         """shutdown over a wal_dir compacts; a new daemon over the same
-        directory resumes (snapshot_dir not needed at all)."""
+        directory resumes."""
         wal_dir = str(tmp_path / "wal")
         daemon = SupervisedDaemon(wal_dir=wal_dir)
         port = daemon.start()

@@ -16,6 +16,7 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.graph import Edge, Graph
 from repro.graph.shard import ShardedGraph
 from repro.partitioning.hashing import HashPartitioner
+from repro.partitioning.partition_io import read_columns
 from repro.graph.stream import shuffled
 
 
@@ -184,12 +185,13 @@ class TestIngestion:
         assert sharded.assignments == {
             e.canonical(): p for e, p in result.assignments.items()}
 
-    def test_from_file_roundtrip(self, tmp_path, sharded_powerlaw):
+    def test_parts_file_roundtrip(self, tmp_path, sharded_powerlaw):
         from repro.partitioning.partition_io import write_assignments
         graph, assignments, sharded = sharded_powerlaw
         path = tmp_path / "assignments.txt"
         write_assignments(path, assignments)
-        reloaded = ShardedGraph.from_file(path, vertices=graph.vertices())
+        reloaded = ShardedGraph.from_arrays(*read_columns(path),
+                                            vertices=graph.vertices())
         assert reloaded.assignments == sharded.assignments
         assert reloaded.vertex_partitions == sharded.vertex_partitions
 

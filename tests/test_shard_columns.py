@@ -28,7 +28,7 @@ from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.graph import Edge
 from repro.graph.shard import ShardedGraph
 from repro.graph.stream import shuffled
-from repro.partitioning.partition_io import write_assignments
+from repro.partitioning.partition_io import read_columns, write_assignments
 
 
 def same_array(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -251,7 +251,7 @@ class TestBoundaries:
             sharded = ShardedGraph.from_assignments(assignments, partitions)
             assert sharded.fingerprint() == wanted.fingerprint()
 
-    def test_partitions_array_through_from_file_and_from_result(
+    def test_partitions_array_through_read_columns_and_from_result(
             self, tmp_path):
         from repro.partitioning.hashing import HashPartitioner
         from repro.graph.stream import InMemoryEdgeStream
@@ -260,7 +260,8 @@ class TestBoundaries:
         path = tmp_path / "parts.txt.gz"
         write_assignments(path, {Edge(*e): p
                                  for e, p in assignments.items()})
-        sharded = ShardedGraph.from_file(path, partitions=np.arange(6))
+        sharded = ShardedGraph.from_arrays(*read_columns(path),
+                                           partitions=np.arange(6))
         assert_same_sharding(
             sharded, ReferenceSharding(assignments, range(6)))
         result = HashPartitioner(np.arange(5).tolist()).partition_stream(
