@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.adaptive import check_latency_preference
 from repro.graph.io import iter_edge_blocks, read_graph
 from repro.graph.shard import ShardedGraph
 from repro.graph.stream import FileEdgeStream
@@ -243,6 +244,13 @@ def _partition_file(args: argparse.Namespace, workers: int,
     clock_factory = WallClock if options.get("wall_clock") else SimulatedClock
     kwargs: dict = {}
     if args.algorithm == "adwise":
+        # The window controller refuses these only when the stream
+        # begins (in a worker, with parallel loading): refuse them here.
+        try:
+            check_latency_preference(args.latency_preference)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         kwargs.update(latency_preference_ms=args.latency_preference,
                       use_clustering=not args.no_clustering)
     partitions = list(range(args.partitions))
@@ -267,8 +275,12 @@ def _partition_file(args: argparse.Namespace, workers: int,
         print(f"error: {flags} to parallel loading; pass {workers_flag} N "
               "(N > 1)", file=sys.stderr)
         return 2
-    partitioner = _ALGORITHMS[args.algorithm](
-        partitions, clock=clock_factory(), **kwargs)
+    try:
+        partitioner = _ALGORITHMS[args.algorithm](
+            partitions, clock=clock_factory(), **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return partitioner.partition_stream(FileEdgeStream(args.path))
 
 

@@ -21,10 +21,11 @@ the three steps every batch takes:
   updated the tables in place (:meth:`FastPartitionState.absorb_pump`).
 
 The window binds its per-slot, per-vertex and arena buffers through the
-same :meth:`bind` / :meth:`resize`, so there is one copy of the
-bind/validate code.  C never allocates, and holds no pointer across a
-Python-side reallocation; every bound array is referenced here for the
-context's lifetime.
+same :meth:`bind` / :meth:`resize`, and HDRF its two k-entry rows
+(``lamb``: the cached ``λ · C_bal`` column, ``krow``: one edge's
+scores), so there is one copy of the bind/validate code.  C never
+allocates, and holds no pointer across a Python-side reallocation;
+every bound array is referenced here for the context's lifetime.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 /* Compiled kernels: ADWISE's window loop (Algorithm 1) and the
- * single-edge stream kernel (HDRF), each one transaction per batch, the
+ * single-edge stream kernel (HDRF: straight-line passes over k bound
+ * rows per edge), each one transaction per batch, the
  * vertex id -> dense row table both are fed through, the edge-file line
  * scanner and its inverse (integer rows -> text), the scanner of the
  * daemon's request line's "edges" member, and the cluster's BSP
@@ -72,9 +73,10 @@ typedef struct {
     int64_t *row_version;   /* replica-row versions (state)            */
     int64_t *deg;           /* dense degree table (state)              */
     /* Per-partition arrays (k entries). */
-    double  *lamb;          /* lambda * B(p)                           */
+    double  *lamb;          /* lambda * B(p); kern_hdrf: lam * C_bal(p) */
     int64_t *lamb_version;  /* window version lamb[p] last moved at    */
     int64_t *sizes;         /* partition sizes (state)                 */
+    double  *krow;          /* kern_hdrf: one edge's score row         */
     /* Neighbourhood arena and transaction outputs. */
     int64_t *pool;
     int64_t *out_u;         /* popped assignments, n_out entries: the  */
@@ -877,19 +879,33 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
  * maximum.  Each expression keeps HDRFPartitioner.score's association —
  * theta from the post-observe partial degrees (their sum is >= 2),
  * 1 + (1 - theta), (max - size) / ((1e-9 + max) - min) — which is what
- * makes the choice bit-identical.  Partitions go to out_col, newly set
- * replica bits to chg_*; KERN_NEED_OUT comes before the edge it could
- * not record is observed, so re-entry is "call again with the same
- * arguments". */
+ * makes the choice bit-identical.  Per edge, straight-line passes over
+ * k: the score row krow = (ru * wu + rv * wv) + lamb (a replica byte is
+ * 0 or 1, so 1 * w = w and +0.0 + x = x: the reference's conditional
+ * adds), then the first maximum.  lamb holds lam * C_bal, built whole
+ * at entry and whenever max_size or min_size moves; otherwise an
+ * assignment changes one size, so only that column is recomputed —
+ * the same expression, the same double.  Partitions go
+ * to out_col, newly set replica bits to chg_*; KERN_NEED_OUT comes
+ * before the edge it could not record is observed, so re-entry is
+ * "call again with the same arguments". */
+static double hdrf_balance(const KernCtx *c, double lam, double denominator,
+                           int64_t j)
+{
+    return lam * ((double)(c->max_size - c->sizes[j]) / denominator);
+}
+
 int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
 {
+    double *bal = c->lamb, *sc = c->krow;
+    double denominator = 1.0;
+    int64_t max_size = -1, min_size = -1;  /* bal not built yet */
     for (; c->consumed < n; c->consumed++) {
         int64_t du = pairs[2 * c->consumed];
         int64_t dv = pairs[2 * c->consumed + 1];
         const uint8_t *ru = c->replicas + du * c->k;
         const uint8_t *rv = c->replicas + dv * c->k;
-        double theta_u, theta_v, wu, wv, denominator;
-        double best = 0.0;
+        double theta_u, theta_v, wu, wv, best;
         int64_t best_col = 0;
         int64_t j;
         if (c->n_out == c->out_cap)
@@ -900,22 +916,24 @@ int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
         theta_v = 1.0 - theta_u;
         wu = 1.0 + (1.0 - theta_u);
         wv = 1.0 + (1.0 - theta_v);
-        denominator = (1e-9 + (double)c->max_size) - (double)c->min_size;
-        for (j = 0; j < c->k; j++) {
-            double score = 0.0;
-            if (ru[j])
-                score += wu;
-            if (rv[j])
-                score += wv;
-            score = score + lam
-                * ((double)(c->max_size - c->sizes[j]) / denominator);
-            if (j == 0 || score > best) {
-                best = score;
+        if (c->max_size != max_size || c->min_size != min_size) {
+            max_size = c->max_size;
+            min_size = c->min_size;
+            denominator = (1e-9 + (double)max_size) - (double)min_size;
+            for (j = 0; j < c->k; j++)
+                bal[j] = hdrf_balance(c, lam, denominator, j);
+        }
+        for (j = 0; j < c->k; j++)
+            sc[j] = ((double)ru[j] * wu + (double)rv[j] * wv) + bal[j];
+        best = sc[0];
+        for (j = 1; j < c->k; j++)
+            if (sc[j] > best) {
+                best = sc[j];
                 best_col = j;
             }
-        }
         c->out_col[c->n_out++] = best_col;
         assign(c, du, dv, best_col);
+        bal[best_col] = hdrf_balance(c, lam, denominator, best_col);
     }
     return KERN_DONE;
 }

@@ -47,6 +47,15 @@ class AdaptationEvent:
     avg_latency_ms: float
 
 
+def check_latency_preference(latency_preference_ms: Optional[float]) -> None:
+    """Refuse a latency preference C2 cannot read: NaN (every C2 comparison
+    would be false, pinning ``w`` at 1) or a negative value.  ``None``
+    and ``inf`` both mean "no preference"."""
+    if latency_preference_ms is not None and not latency_preference_ms >= 0:
+        raise ValueError("latency preference must be non-negative (inf: "
+                         f"no preference), got {latency_preference_ms}")
+
+
 class AdaptiveWindowController:
     """Implements the grow/keep/shrink policy of Algorithm 1.
 
@@ -55,7 +64,8 @@ class AdaptiveWindowController:
     latency_preference_ms:
         The user's latency preference ``L`` in milliseconds.  ``None`` means
         "no preference": C2 is always satisfied and the window grows as long
-        as quality improves (capped at ``max_window``).
+        as quality improves (capped at ``max_window``); ``inf`` acts the
+        same.  NaN and negative values are refused.
     total_edges:
         ``|E|``, known up front (e.g. via line count on the graph file).
     start_ms:
@@ -69,8 +79,7 @@ class AdaptiveWindowController:
                  total_edges: int, start_ms: float = 0.0,
                  initial_window: int = 1,
                  min_window: int = 1, max_window: int = 16384) -> None:
-        if latency_preference_ms is not None and latency_preference_ms < 0:
-            raise ValueError("latency preference must be non-negative")
+        check_latency_preference(latency_preference_ms)
         if total_edges < 0:
             raise ValueError("total_edges must be non-negative")
         if not 1 <= min_window <= max_window:

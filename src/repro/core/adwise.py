@@ -71,8 +71,10 @@ class AdwisePartitioner(StreamingPartitioner):
     partitions:
         Partition ids this instance fills (its spotlight spread).
     latency_preference_ms:
-        The latency preference ``L``.  ``None`` lets the window grow while
-        quality improves; ``0`` forces single-edge behaviour.
+        The latency preference ``L``.  ``None`` (or ``inf``) lets the
+        window grow while quality improves; ``0`` forces single-edge
+        behaviour; the stream refuses NaN and negative values as it
+        begins.
     use_clustering:
         Enable the clustering score CS (disable on weakly clustered graphs,
         as the paper does for Orkut).

@@ -76,7 +76,9 @@ def edge_columns(edges: Iterable[Sequence[int]]) -> np.ndarray:
             raise ValueError(f"an edge is a (u, v) pair, got {bad!r}")
         ends = np.fromiter(chain.from_iterable(batch), dtype=np.int64,
                            count=2 * len(batch)).reshape(-1, 2)
-    ends.sort(axis=1)
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    np.maximum(ends[:, 0], ends[:, 1], out=ends[:, 1])
+    ends[:, 0] = lo
     return ends
 
 

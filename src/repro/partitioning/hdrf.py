@@ -13,15 +13,20 @@ paper uses the authors' recommended λ = 1.1.
 
 Where the compiled kernels load (:func:`repro.core._kernels.load`) the
 partitioner runs on the array-backed state and a whole ingest batch is
-one C transaction, ``kern_hdrf`` (DESIGN.md §14): observe, score,
-first-maximum argmax and vertex-cache update per edge, in
-:meth:`HDRFPartitioner.score`'s exact operation order.  Otherwise — and
+one C transaction, ``kern_hdrf`` (DESIGN.md §14).  Per edge it observes
+both degrees, fills a k-entry score row (``C_rep`` from the replica
+bytes plus a cached ``λ · C_bal`` column, rebuilt only when the max or
+min size moves), takes the first maximum in a pass of its own and
+updates the vertex cache — every double as :meth:`HDRFPartitioner.score`
+computes it.  The two rows are numpy buffers bound here; C allocates
+nothing.  λ must be finite and non-negative.  Otherwise — and
 always as the :meth:`~HDRFPartitioner.select_partition` policy other
 drivers call — the per-edge Python below runs; the two are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -42,8 +47,9 @@ class HDRFPartitioner(StreamingPartitioner):
     def __init__(self, partitions, clock=None, state=None,
                  lam: float = 1.1, fast: Optional[bool] = None) -> None:
         super().__init__(partitions, clock=clock, state=state, fast=fast)
-        if lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {lam}")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(
+                f"lambda must be finite and non-negative, got {lam}")
         self.lam = lam
         #: This stream's state tables bound into a kernel context
         #: (:class:`~repro.core._binding.KernelBinding`), once a batch
@@ -71,6 +77,11 @@ class HDRFPartitioner(StreamingPartitioner):
             from repro.core._binding import KernelBinding
 
             kernel = self.kernel = KernelBinding(kernels, self.state)
+            # kern_hdrf's two k-entry rows: lam * C_bal per partition
+            # and one edge's scores (C never allocates).
+            k = self.state.num_partitions
+            kernel.bind("lamb", np.zeros(k, dtype=np.float64), k)
+            kernel.bind("krow", np.zeros(k, dtype=np.float64), k)
         return kernel
 
     def _partition_batch(self, ends: np.ndarray) -> np.ndarray:

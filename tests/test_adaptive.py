@@ -18,6 +18,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             AdaptiveWindowController(-1.0, 100)
 
+    @pytest.mark.parametrize("latency", [float("nan"), -1e-300,
+                                         float("-inf")])
+    def test_nan_and_negative_latency_refused_by_name(self, latency):
+        """NaN made every C2 comparison false: the window stayed at 1."""
+        with pytest.raises(ValueError, match=f"got {latency}"):
+            AdaptiveWindowController(latency, 100)
+
     def test_negative_edges_rejected(self):
         with pytest.raises(ValueError):
             AdaptiveWindowController(10.0, -5)

@@ -1,6 +1,8 @@
 """Integration-level tests for the assembled ADWISE partitioner."""
 
+import pytest
 
+from repro.api import open_session
 from repro.graph.graph import Edge, Graph
 from repro.graph.stream import InMemoryEdgeStream, shuffled
 from repro.core.adwise import AdwisePartitioner
@@ -45,6 +47,31 @@ class TestContract:
         result = AdwisePartitioner(range(4)).partition_stream(
             InMemoryEdgeStream([Edge(1, 2)]))
         assert len(result.assignments) == 1
+
+
+class TestLatencyPreferenceKnob:
+    @pytest.mark.parametrize("fast", [None, False],
+                             ids=["default", "reference"])
+    @pytest.mark.parametrize("latency", [float("nan"), -1.0])
+    def test_nan_and_negative_refused_as_the_stream_begins(self, latency,
+                                                            fast):
+        """NaN used to run with the window pinned at 1 (C2 false at every
+        decision)."""
+        partitioner = AdwisePartitioner(range(4), fast=fast,
+                                        latency_preference_ms=latency)
+        with pytest.raises(ValueError, match=f"got {latency}"):
+            partitioner.partition_stream(InMemoryEdgeStream([Edge(0, 1)]))
+        with pytest.raises(ValueError, match=f"got {latency}"):
+            open_session("adwise", partitions=4, fast=fast,
+                         latency_preference_ms=latency)
+
+    def test_infinite_preference_is_no_preference(self, small_stream):
+        runs = [AdwisePartitioner(range(4), latency_preference_ms=latency)
+                .partition_stream(small_stream)
+                for latency in (None, float("inf"))]
+        assert runs[0].extras == runs[1].extras
+        assert runs[0].extras["max_window"] > 1
+        assert dict(runs[0].assignments) == dict(runs[1].assignments)
 
 
 class TestWindowBehaviour:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import open_session
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream, shuffled
 from repro.partitioning.dbh import DBHPartitioner
@@ -106,6 +107,22 @@ class TestHDRF:
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
             HDRFPartitioner(range(2), lam=-1.0)
+
+    @pytest.mark.parametrize("fast", [None, False],
+                             ids=["default", "reference"])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     float("-inf"), -1e-300])
+    def test_non_finite_lambda_refused_by_name(self, lam, fast):
+        """A NaN λ scores every partition NaN and an infinite one makes
+        the balance term inf or NaN (inf · 0): every edge went to the
+        first partition.  Both tiers refuse them, and a negative λ,
+        naming the value."""
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            HDRFPartitioner(range(4), lam=lam, fast=fast)
+
+    def test_non_finite_lambda_refused_by_a_session(self):
+        with pytest.raises(ValueError, match="got nan"):
+            open_session("hdrf", partitions=4, fast=True, lam=float("nan"))
 
     def test_replication_score_prefers_existing_replicas(self):
         p = HDRFPartitioner(range(2))

@@ -91,6 +91,44 @@ class TestPartitionCommand:
         assert code == 0
         assert "(wall)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["partition", "pipeline"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("latency", ["nan", "-1"])
+    def test_refused_latency_preference_is_an_error_line(
+            self, graph_file, tmp_path, capsys, command, latency, workers):
+        """NaN used to exit 0 with the window pinned at 1, and -1 to
+        exit 1 with a traceback; both are refused before any edge is
+        read, with or without parallel loading."""
+        output = tmp_path / "out.parts"
+        flag = "--workers" if command == "partition" else "--load-workers"
+        code = main([command, graph_file, "--partitions", "4",
+                     "--latency-preference", latency, flag, workers,
+                     "--output", str(output)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: latency preference must be")
+        assert f"got {float(latency)}" in err
+        assert "Traceback" not in err and out == ""
+        assert not output.exists()
+
+    @pytest.mark.parametrize("command", ["partition", "pipeline"])
+    def test_zero_partitions_is_an_error_line(self, graph_file, capsys,
+                                              command):
+        """The partitioner's own refusal, which used to surface as a
+        traceback."""
+        code = main([command, graph_file, "--algorithm", "hdrf",
+                     "--partitions", "0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == "error: at least one partition required\n"
+        assert out == ""
+
+    def test_infinite_latency_preference_is_accepted(self, graph_file,
+                                                     capsys):
+        assert main(["partition", graph_file, "--partitions", "4",
+                     "--latency-preference", "inf"]) == 0
+        assert "max_window" in capsys.readouterr().out
+
 
 class TestParallelPartition:
     def test_workers_backends_identical_output(self, graph_file, tmp_path,

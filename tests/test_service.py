@@ -122,6 +122,23 @@ class TestProtocol:
                             bogus_knob=1)
             assert client.ping()["pong"] is True  # daemon survived
 
+    @pytest.mark.parametrize("algorithm,knob", [
+        ("hdrf", "lam"), ("adwise", "latency_preference_ms")])
+    def test_nan_knob_refused_not_fatal(self, daemon, algorithm, knob):
+        """The client sends ``{"knobs": {knob: NaN}}``, which
+        ``json.loads`` reads: the open is answered with the
+        partitioner's refusal, no tenant is left behind, and the daemon
+        keeps serving the same name."""
+        port, _, _ = daemon
+        with ServiceClient(port=port) as client:
+            with pytest.raises(ServiceError, match="got nan"):
+                client.open("t", algorithm=algorithm, partitions=4,
+                            **{knob: float("nan")})
+            assert client.tenants() == []
+            client.open("t", algorithm=algorithm, partitions=4)
+            client.ingest("t", [(1, 2), (2, 3)])
+            assert client.ping()["pong"] is True
+
 
 class TestMultiTenantParity:
     def test_interleaved_tenants_bit_identical(self, daemon):

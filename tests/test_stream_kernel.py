@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from _window_utils import assert_same_tables, reference
+from _window_utils import assert_same_tables, load_mutant, reference
 from _window_utils import result_tuple as outcome
 
 from repro import obs
@@ -147,6 +147,52 @@ def test_exact_ties_take_the_first_partition():
     # Two partitions that both hold u, equally loaded: first again.
     edges = [Edge(1, 2), Edge(1, 3), Edge(4, 5), Edge(1, 6)]
     run_three(edges, [edges], partitions=range(3), lam=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The cached λ·C_bal column
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [1, 7, 256])
+@pytest.mark.parametrize("lam", [0.0, 1.1, 1e6])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 33, 130])
+def test_balance_column_sweep(k, lam, size):
+    """``kern_hdrf`` keeps ``λ·C_bal`` as a k-entry column: built at
+    entry, rebuilt whenever the max or min size moves (inside a batch
+    too, at 7 and 256 edges), and otherwise refreshed at the assigned
+    column only.  k runs past every vector width and off its multiples;
+    λ makes balance nothing, a tie-breaker, or everything.  The max
+    moves at every k; at λ = 1e6 the 684 edges fill even 130 partitions
+    five deep, so the min moves too."""
+    edges = clustered(n=120)
+    native = HDRFPartitioner(range(k), lam=lam)
+    legacy = reference(HDRFPartitioner, range(k), lam=lam)
+    for batch in chunks(edges, size):
+        assert native.ingest(batch) == legacy.ingest(batch)
+    if lam == 1e6:
+        assert native.state.min_size >= 5
+    assert outcome(native.finalize()) == outcome(legacy.finalize())
+
+
+HDRF_MUTANTS = {
+    "column not rebuilt when max or min moves": (
+        "if (c->max_size != max_size || c->min_size != min_size) {",
+        "if (max_size < 0) {"),
+    "assigned column not refreshed": (
+        "        bal[best_col] = hdrf_balance(c, lam, denominator, "
+        "best_col);\n", ""),
+    "argmax takes the last maximum": (
+        "if (sc[j] > best) {", "if (sc[j] >= best) {"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HDRF_MUTANTS))
+def test_mutant_is_caught(name, tmp_path, monkeypatch):
+    load_mutant(HDRF_MUTANTS[name], tmp_path, monkeypatch)
+    with pytest.raises(AssertionError):
+        test_exact_ties_take_the_first_partition()
+        for k in (3, 33):
+            test_balance_column_sweep(k, 1.1, 256)
 
 
 # ---------------------------------------------------------------------------
