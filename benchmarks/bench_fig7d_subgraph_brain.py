@@ -79,11 +79,10 @@ def run_experiment():
         graph, stream_factory(BRAIN), configs,
         workload="subgraph_isomorphism",
         block_iterations=total_steps, num_blocks=BLOCKS,
+        # Cycle search ships no dense kernel: the harness's dense engine
+        # falls back to the object path (the kernel-or-fallback contract).
         program_factory=make_program,
-        enforce_balance=False,
-        # Cycle search ships no dense kernel; dense mode falls back to the
-        # object path, exercising the kernel-or-fallback contract.
-        engine_mode="dense")
+        enforce_balance=False)
 
 
 def test_fig7d_subgraph_isomorphism_brain(benchmark):

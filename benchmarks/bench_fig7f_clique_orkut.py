@@ -69,11 +69,10 @@ def run_experiment():
     return stacked_latency_experiment(
         graph, stream_factory(ORKUT), configs,
         workload="clique", block_iterations=total_steps, num_blocks=BLOCKS,
+        # Clique search ships no dense kernel: the harness's dense engine
+        # falls back to the object path (the kernel-or-fallback contract).
         program_factory=make_program,
-        enforce_balance=False,
-        # Clique search ships no dense kernel; dense mode falls back to
-        # the object path, exercising the kernel-or-fallback contract.
-        engine_mode="dense")
+        enforce_balance=False)
 
 
 def test_fig7f_clique_orkut(benchmark):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Three ways to parallelise / amortise streaming partitioning.
+"""Two ways to parallelise streaming partitioning.
 
 Compares, on the same graph and stream:
 
@@ -8,8 +8,6 @@ Compares, on the same graph and stream:
    exclusive partitions.
 2. **Independent instances, maximal spread**: the same z instances, each
    free to use all k partitions — the parallel loading of prior systems.
-3. **Restreaming**: one instance, two passes — the second pass scores
-   with exact degrees, paying double latency.
 
 Run:  python examples/parallel_modes.py
 """
@@ -17,7 +15,6 @@ Run:  python examples/parallel_modes.py
 from repro import (
     HDRFPartitioner,
     ParallelLoader,
-    RestreamingDriver,
     community_powerlaw_graph,
     locally_shuffled,
 )
@@ -53,11 +50,6 @@ def main() -> None:
     print(f"{'independent, maximal spread':<34} "
           f"{max_spread.replication_degree:>11.3f} "
           f"{max_spread.latency_ms:>8.1f}ms")
-
-    restream = RestreamingDriver(hdrf, list(range(K)), passes=2).run(stream)
-    print(f"{'restreaming (1 instance, 2 pass)':<34} "
-          f"{restream.replication_degree:>11.3f} "
-          f"{restream.latency_ms:>8.1f}ms")
 
     print("\nSpotlight keeps each instance's vertex cache on a few "
           "partitions;\nmaximal spread shows why prior systems' parallel "

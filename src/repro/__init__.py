@@ -76,7 +76,6 @@ from repro.partitioning import (
     PartitionerSpec,
     StateSnapshot,
     PowerLyraPartitioner,
-    RestreamingDriver,
     StreamingPartitioner,
     replication_degree,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "JaBeJaVCPartitioner",
     "NEPartitioner",
     "PowerLyraPartitioner",
-    "RestreamingDriver",
     "ParallelLoader",
     "PartitionerSpec",
     "StateSnapshot",

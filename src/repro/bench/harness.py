@@ -122,7 +122,6 @@ def stacked_latency_experiment(
         spread: int = DEFAULT_SPREAD,
         enforce_balance: bool = True,
         balance_limit: float = BALANCE_LIMIT,
-        engine_mode: str = "dense",
         measure_wall: bool = False) -> List[LatencyRow]:
     """Fig. 7a–f experiment: partition, then simulate processing blocks.
 
@@ -131,9 +130,8 @@ def stacked_latency_experiment(
     message-driven workloads pass ``program_factory``; each block then runs
     the program on the engine and its simulated latency is measured.
 
-    ``engine_mode`` selects the execution backend; the default runs dense
-    (vectorized CSR) kernels where the program ships one and falls back to
-    the object path otherwise, producing identical rows either way.
+    The engine runs dense (vectorized CSR) kernels where the program
+    ships one and falls back to the object path otherwise.
 
     With ``measure_wall=True`` each block is *also* executed on the
     sharded cluster runtime (serial backend, same machine count as the
@@ -155,7 +153,7 @@ def stacked_latency_experiment(
         # and the measured cluster's shards come off the same incidence.
         sharded = ShardedGraph.from_result(result, vertices=graph.vertices())
         placement = sharded.placement(num_machines=num_instances)
-        engine = Engine(graph, placement, cost_model, mode=engine_mode)
+        engine = Engine(graph, placement, cost_model, mode="dense")
         cluster_engine = None
         if measure_wall:
             from repro.cluster import ClusterEngine

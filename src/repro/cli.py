@@ -190,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_processing_arguments(parser: argparse.ArgumentParser) -> None:
     """Processing-stage flags shared by ``process`` and ``pipeline``."""
     parser.add_argument("--workload",
-                        choices=["pagerank", "components", "coloring",
-                                 "labelprop"],
+                        choices=["pagerank", "components", "coloring"],
                         default="pagerank")
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument("--machines", type=int, default=None,
@@ -433,7 +432,6 @@ def _execute_processing(graph, sharded,
     from repro.engine.algorithms import (
         ConnectedComponents,
         GreedyColoring,
-        LabelPropagation,
         PageRank,
     )
     from repro.engine.cost import cost_model_for
@@ -443,7 +441,6 @@ def _execute_processing(graph, sharded,
         "pagerank": lambda: PageRank(iterations=args.iterations),
         "components": lambda: ConnectedComponents(),
         "coloring": lambda: GreedyColoring(max_iterations=args.iterations),
-        "labelprop": lambda: LabelPropagation(max_iterations=args.iterations),
     }
     workload = "pagerank" if args.workload != "coloring" else "coloring"
     cost_model = cost_model_for(workload)

@@ -364,7 +364,10 @@ class ClusterEngine:
                     recoveries.append(RecoveryEvent(
                         death.machine, death.reason, detected_at, superstep,
                         (time.perf_counter() - rollback_start) * 1000.0))
-                stopped = False
+                # A checkpoint taken where should_stop ended the run
+                # resumes stopped, not one superstep further.
+                stopped = bool(aggregates) and program.should_stop(
+                    aggregates[-1], superstep)
                 try:
                     while True:
                         if (self._recovery_enabled

@@ -3,8 +3,8 @@
 Each BSP superstep a *host* — a :class:`ShardGroup`: the shards that
 share a process — steps all its shards as **one** dense kernel over
 their block-diagonal :class:`~repro.graph.shard.ShardCSR`, producing
-*partial* per-target message combinations (partial sums / mins / counts
-over each shard's own adjacency slots).  The coordinator then runs the
+*partial* per-target message combinations (partial sums / mins over
+each shard's own adjacency slots).  The coordinator then runs the
 PowerGraph synchronisation round that makes replicas globally consistent:
 
 * **gather** — every mirror replica's partial (value, received) reaches
@@ -167,7 +167,6 @@ def _inside(index: np.ndarray, size: int) -> bool:
 #: library) by (combines with min, dtype).
 _OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
         (True, np.dtype(np.float64)): "KERN_MIN_F64",
-        (False, np.dtype(np.int64)): "KERN_ADD_I64",
         (True, np.dtype(np.int64)): "KERN_MIN_I64"}
 #: The ``values`` dtypes ``kern_scatter`` combines, by scatter kind; the
 #: numpy helpers take the rest.
@@ -283,7 +282,7 @@ class ShardGroup:
         # Instance-attribute rebinding: kernels invoke the helpers via
         # ``self.scatter_*`` / ``self.sent_from``, so these shadow the
         # class methods for this kernel only.
-        for kind in ("sum", "min", "count"):
+        for kind in ("sum", "min"):
             setattr(kernel, f"scatter_{kind}",
                     functools.partial(self._scatter, kind))
         kernel.sent_from = lambda send_mask: int(
@@ -401,38 +400,35 @@ class ShardGroup:
         """The kernel's ``scatter_<kind>(send_mask[, values[, sentinel]])``
         over local slots only (its csr is block-diagonal), parked."""
         send_mask, values, sentinel = (*args, None, None)[:3]
-        if self._native is None or not self._plain(send_mask, np.bool_) or (
-                kind != "count"
-                and not self._plain(values, *_ELEMENTS[kind])):
+        if (self._native is None or not self._plain(send_mask, np.bool_)
+                or not self._plain(values, *_ELEMENTS[kind])):
             recv, out = getattr(DenseKernel, f"scatter_{kind}")(
                 self.kernel, *args)
         else:
-            ffi, lib = self._native
+            lib = self._native[1]
             n = self.kernel.csr.num_vertices
-            out = (np.zeros(n, dtype=np.int64) if kind == "count"
-                   else np.zeros(n, dtype=np.float64) if kind == "sum"
+            out = (np.zeros(n, dtype=np.float64) if kind == "sum"
                    else np.full(n, sentinel, dtype=values.dtype))
             recv = np.zeros(n, dtype=bool)
             lib.kern_scatter(
                 getattr(lib, _OPS[kind == "min", out.dtype]),
                 self._index["indices"],
                 self._index["rows"], len(self.kernel.csr.indices),
-                self._pointer(send_mask),
-                ffi.NULL if values is None else self._pointer(values),
+                self._pointer(send_mask), self._pointer(values),
                 self._pointer(out), self._pointer(recv))
         self.park(kind, out, recv)
         return recv, out
 
     def park(self, kind: str, values: np.ndarray, recv: np.ndarray) -> None:
-        """Hold this superstep's partials (``sum`` | ``min`` | ``count``
-        over the host's flat index space) for the exchange."""
+        """Hold this superstep's partials (``sum`` | ``min`` over the
+        host's flat index space) for the exchange."""
         if self._kind:
             raise RuntimeError(
                 "sharded kernel protocol violation: more than one scatter "
                 "per superstep (see repro.engine.dense)")
         self._kind, self._values, self._recv = kind, values, recv
         plain = (self._native is not None and self._plain(recv, np.bool_)
-                 and self._plain(values, np.float64, np.int64))
+                 and self._plain(values, *_ELEMENTS[kind]))
         self._op = (getattr(self._native[1], _OPS[kind == "min", values.dtype])
                     if plain else None)
 
@@ -489,8 +485,8 @@ class ShardGroup:
 
     def fold(self, inbound: Mapping[int, HostPayload]
              ) -> Dict[int, HostPayload]:
-        """Fold every mirror partial into its master (``sum``/``count``
-        add, ``min`` takes the minimum, ``recv`` ors); returns the
+        """Fold every mirror partial into its master (``sum`` adds,
+        ``min`` takes the minimum, ``recv`` ors); returns the
         combined elements whose mirrors live elsewhere, by mirror host."""
         plan, values, recv = self.plan, self._values, self._recv
         self._check(inbound, plan.masters)

@@ -146,8 +146,7 @@ int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
 /* The cluster's host step over 8-byte elements: what `op` combines. */
 #define KERN_ADD_F64 0
 #define KERN_MIN_F64 1
-#define KERN_ADD_I64 2         /* kern_scatter: a count, `values` unused */
-#define KERN_MIN_I64 3
+#define KERN_MIN_I64 2
 
 void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
                   int64_t n_slots, const uint8_t *send, const void *values,
@@ -885,7 +884,11 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
  * adds), then the first maximum.  lamb holds lam * C_bal, built whole
  * at entry and whenever max_size or min_size moves; otherwise an
  * assignment changes one size, so only that column is recomputed —
- * the same expression, the same double.  Partitions go
+ * the same expression, the same double.  Past 2^24 edges 1e-9 vanishes
+ * from the denominator: at 0.0 every size is max_size and every C_bal
+ * is 0.0 (the reference's answer too); the assignment then moves
+ * max_size, so the next edge rebuilds before the 0/0 column it leaves
+ * is read.  Partitions go
  * to out_col, newly set replica bits to chg_*; KERN_NEED_OUT comes
  * before the edge it could not record is observed, so re-entry is
  * "call again with the same arguments". */
@@ -921,7 +924,8 @@ int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
             min_size = c->min_size;
             denominator = (1e-9 + (double)max_size) - (double)min_size;
             for (j = 0; j < c->k; j++)
-                bal[j] = hdrf_balance(c, lam, denominator, j);
+                bal[j] = denominator != 0.0
+                    ? hdrf_balance(c, lam, denominator, j) : 0.0;
         }
         for (j = 0; j < c->k; j++)
             sc[j] = ((double)ru[j] * wu + (double)rv[j] * wv) + bal[j];
@@ -1331,7 +1335,6 @@ int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
 #define COMBINE_LOOP(T, COMBINE, WHEN, AT, VALUE, FLAG)               \
     do {                                                              \
         T *acc = acc_; const T *val = val_; int64_t i;                \
-        (void)val;                                                    \
         for (i = 0; i < n; i++) {                                     \
             if (WHEN)                                                 \
                 acc[AT] = COMBINE(acc[AT], VALUE);                    \
@@ -1341,7 +1344,7 @@ int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
     } while (0)
 
 /* Compute: every slot i whose source vertex rows[i] sends combines
- * values[rows[i]] (or 1) into out[indices[i]] and marks it received. */
+ * values[rows[i]] into out[indices[i]] and marks it received. */
 void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
                   int64_t n, const uint8_t *send, const void *val_,
                   void *acc_, uint8_t *recv)
@@ -1351,7 +1354,6 @@ void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
     switch (op) {
     case KERN_ADD_F64: SCATTER(double, COMBINE_ADD, val[rows[i]]); break;
     case KERN_MIN_F64: SCATTER(double, COMBINE_MIN, val[rows[i]]); break;
-    case KERN_ADD_I64: SCATTER(int64_t, COMBINE_ADD, 1); break;
     case KERN_MIN_I64: SCATTER(int64_t, COMBINE_MIN, val[rows[i]]); break;
     }
 }
@@ -1383,7 +1385,6 @@ void kern_sync_fold(int64_t op, void *acc_, uint8_t *recv,
     switch (op) {
     case KERN_ADD_F64: FOLD(double, COMBINE_ADD); break;
     case KERN_MIN_F64: FOLD(double, COMBINE_MIN); break;
-    case KERN_ADD_I64: FOLD(int64_t, COMBINE_ADD); break;
     case KERN_MIN_I64: FOLD(int64_t, COMBINE_MIN); break;
     }
 }

@@ -3,23 +3,13 @@
 from repro.engine.algorithms.pagerank import PageRank
 from repro.engine.algorithms.coloring import GreedyColoring
 from repro.engine.algorithms.components import ConnectedComponents
-from repro.engine.algorithms.sssp import SingleSourceShortestPaths
 from repro.engine.algorithms.subgraph_iso import CycleSearch
 from repro.engine.algorithms.clique import CliqueSearch
-from repro.engine.algorithms.label_propagation import LabelPropagation
-from repro.engine.algorithms.kcore import KCore
-from repro.engine.algorithms.triangles import TriangleCount
-from repro.engine.algorithms.bfs import BreadthFirstSearch
 
 __all__ = [
     "PageRank",
     "GreedyColoring",
     "ConnectedComponents",
-    "SingleSourceShortestPaths",
     "CycleSearch",
     "CliqueSearch",
-    "LabelPropagation",
-    "KCore",
-    "TriangleCount",
-    "BreadthFirstSearch",
 ]

@@ -24,8 +24,8 @@ runs produce identical cost traces.
 
 Message exchange is expressed with the scatter helpers below: a send mask
 selects adjacency slots via the CSR ``rows`` array, and per-target
-combination is a segment sum (``np.bincount``), min (``np.minimum.at``)
-or count over the selected ``indices``.
+combination is a segment sum (``np.bincount``) or min
+(``np.minimum.at``) over the selected ``indices``.
 
 Sharded execution (the cluster runtime's contract)
 --------------------------------------------------
@@ -33,15 +33,15 @@ Sharded execution (the cluster runtime's contract)
 block-diagonal :class:`~repro.graph.shard.ShardCSR` of the shards the
 host holds (no slot crosses a shard) and keeps replicas consistent by
 combining the scatter helpers' per-shard partial results at each vertex's
-master replica (sum/min/count are all associative) and broadcasting the
+master replica (sum and min are both associative) and broadcasting the
 combined value back to the mirrors.  A kernel is safe to shard — and its
 program may declare :attr:`~repro.engine.vertex_program.VertexProgram.
 shardable` — when it follows the message-buffer discipline:
 
-* all inter-vertex data flows through ``scatter_sum`` / ``scatter_min`` /
-  ``scatter_count``, at most one call per superstep, issued as the *last*
-  data exchange of :meth:`step` (results are stored, and only read in the
-  next superstep — never consumed within the same ``step`` call), always
+* all inter-vertex data flows through ``scatter_sum`` / ``scatter_min``,
+  at most one call per superstep, issued as the *last* data exchange of
+  :meth:`step` (results are stored, and only read in the next superstep
+  — never consumed within the same ``step`` call), always
   through ``self.scatter_*``: the host rebinds those names, and where the
   compiled kernels are built it answers a call whose ``send_mask`` is a
   C-contiguous bool array and whose ``values`` a C-contiguous float64
@@ -155,17 +155,6 @@ class DenseKernel:
         recv = np.zeros(n, dtype=bool)
         recv[targets] = True
         return recv, mins
-
-    def scatter_count(self, send_mask: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each sender sends one unit message to all neighbors; messages
-        are counted per target.  Returns ``(recv_mask, counts)``."""
-        n = self.csr.num_vertices
-        targets, _ = self._sending_slots(send_mask)
-        counts = np.bincount(targets, minlength=n)
-        recv = np.zeros(n, dtype=bool)
-        recv[targets] = True
-        return recv, counts
 
     def sent_from(self, send_mask: np.ndarray) -> int:
         """Message count of a ``send_all`` from every vertex in the mask."""

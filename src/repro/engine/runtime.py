@@ -51,13 +51,6 @@ class SimulationReport:
     #: One entry per superstep (``None`` where the program has no aggregate).
     aggregates: List[Any] = field(default_factory=list)
 
-    @property
-    def average_superstep_ms(self) -> float:
-        if not self.superstep_costs:
-            return 0.0
-        return sum(c.total_ms for c in self.superstep_costs) / len(
-            self.superstep_costs)
-
 
 class Engine:
     """Deterministic BSP executor with placement-driven latency."""

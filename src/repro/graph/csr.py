@@ -36,9 +36,8 @@ _INT32_MAX = np.iinfo(np.int32).max
 class CSRGraph:
     """Immutable CSR adjacency over dense vertex indices.
 
-    Build via :meth:`from_graph`, :meth:`from_edges` or :meth:`from_stream`;
-    the constructor takes pre-validated arrays and is not meant to be
-    called directly.
+    Build via :meth:`from_graph` or :meth:`from_edges`; the constructor
+    takes pre-validated arrays and is not meant to be called directly.
     """
 
     __slots__ = ("indptr", "indices", "degrees", "vertex_ids",
@@ -94,11 +93,6 @@ class CSRGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         return cls(indptr, indices, vertex_ids)
-
-    @classmethod
-    def from_stream(cls, stream: Iterable[Tuple[int, int]]) -> "CSRGraph":
-        """Build directly from an edge stream (single pass)."""
-        return cls.from_edges(stream)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":

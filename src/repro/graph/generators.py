@@ -277,11 +277,3 @@ def brain_like_graph(n: int = 3000, m: int = 10, p: float = 0.92,
                      seed: int = 0) -> Graph:
     """Scaled Brain analogue: skewed degrees with moderate clustering."""
     return powerlaw_cluster_graph(n, m, p, seed=seed)
-
-
-def web_like_graph_default(num_communities: int = 220,
-                           community_size: int = 14,
-                           seed: int = 0) -> Graph:
-    """Scaled Web analogue with default sizing used by the benchmarks."""
-    return web_like_graph(num_communities, community_size,
-                          intra_p=0.92, inter_edges=2, seed=seed)

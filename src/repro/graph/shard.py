@@ -37,8 +37,8 @@ class ShardCSR(CSRGraph):
     """Shard-local CSR whose ``degrees`` are the *logical* global degrees.
 
     Dense kernels read ``csr.degrees`` as the algorithmic degree of a
-    vertex (PageRank divides by it, k-core thresholds on it), which for a
-    replica must be the degree in the *whole* graph, not the shard.  The
+    vertex (PageRank divides by it), which for a replica must be the
+    degree in the *whole* graph, not the shard.  The
     physical layout (``indptr``/``indices``/``rows``) stays shard-local;
     ``local_degrees`` keeps the per-shard adjacency-list lengths the
     runtime needs for exact message counting.

@@ -21,7 +21,6 @@ from repro.partitioning.parallel import (
     ParallelResult,
     PartitionerSpec,
 )
-from repro.partitioning.restream import RestreamingDriver
 from repro.partitioning.validate import ValidationReport, validate_result
 from repro.partitioning.partition_io import write_assignments
 
@@ -45,7 +44,6 @@ __all__ = [
     "ParallelLoader",
     "ParallelResult",
     "PartitionerSpec",
-    "RestreamingDriver",
     "ValidationReport",
     "validate_result",
     "write_assignments",

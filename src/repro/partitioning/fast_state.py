@@ -336,8 +336,8 @@ class FastPartitionState:
         self._min_size = min_size
 
     def copy_degrees_from(self, other) -> None:
-        """Adopt the degree table (``degree`` and ``max_degree``) of
-        another state — restreaming — or of a snapshot."""
+        """Adopt the degree table (``degree`` and ``max_degree``) of a
+        snapshot or of another state."""
         degree = other.degree
         rows = self.dense_rows(
             np.fromiter(degree, dtype=np.int64, count=len(degree)))

@@ -125,11 +125,14 @@ class HDRFPartitioner(StreamingPartitioner):
         return score
 
     def balance_score(self, partition: int) -> float:
-        """Normalised headroom of ``partition`` (``C_bal``)."""
+        """Normalised headroom of ``partition`` (``C_bal``).  Past 2**24
+        edges ``ε`` vanishes from ``(ε + max) − min``: a zero denominator
+        means every size is ``max``, so every headroom is exactly 0."""
         max_size = self.state.max_size
-        min_size = self.state.min_size
-        return ((max_size - self.state.size(partition))
-                / (_EPSILON + max_size - min_size))
+        denominator = _EPSILON + max_size - self.state.min_size
+        if not denominator:
+            return 0.0
+        return (max_size - self.state.size(partition)) / denominator
 
     def score(self, edge: Edge, partition: int) -> float:
         return (self.replication_score(edge, partition)

@@ -274,11 +274,6 @@ class PartitionState:
             return 0.0
         return self.total_replicas() / len(self.replica_sets)
 
-    def copy_degrees_from(self, other: "PartitionState") -> None:
-        """Adopt another state's degree table (restreaming support)."""
-        self.degree = dict(other.degree)
-        self.max_degree = other.max_degree
-
     # ------------------------------------------------------------------
     # Serialization (process-pool boundary)
     # ------------------------------------------------------------------

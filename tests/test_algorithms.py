@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from _hops import QUORUM, HopDistance
 
+from repro.cluster import ClusterEngine
 from repro.graph.graph import Graph
+from repro.graph.shard import ShardedGraph
 from repro.engine.placement import Placement
 from repro.engine.runtime import Engine
 from repro.engine.algorithms import (
@@ -13,7 +16,6 @@ from repro.engine.algorithms import (
     CycleSearch,
     GreedyColoring,
     PageRank,
-    SingleSourceShortestPaths,
 )
 
 
@@ -108,27 +110,62 @@ class TestComponents:
         assert set(report.states.values()) == {0}
 
 
-class TestSSSP:
-    def test_path_distances(self, path_graph):
-        engine = engine_for(path_graph)
-        report = engine.run(SingleSourceShortestPaths(source=0),
-                            max_supersteps=20)
+def run_hops(graph: Graph, engine: str, source: int = 0, quorum: int = 0):
+    """The test-only hop program on ``engine``: the object or dense
+    interpreter, or a cluster run (serial, or two worker processes)."""
+    k = 4
+    assignments = {e: hash((e.u, e.v)) % k for e in graph.edges()}
+    program = HopDistance(source, quorum)
+    if engine in ("object", "dense"):
+        placement = Placement(assignments, partitions=list(range(k)),
+                              num_machines=2)
+        return Engine(graph, placement, mode=engine).run(
+            program, max_supersteps=20)
+    sharded = ShardedGraph.from_assignments(assignments, partitions=range(k))
+    layout = {"num_workers": 2} if engine == "process" else {}
+    return ClusterEngine(sharded, backend=engine, **layout).run(
+        program, max_supersteps=20)
+
+
+@pytest.mark.parametrize("engine", ["object", "dense", "serial", "process"])
+class TestHopDistance:
+    """Answers known by hand on every engine: the differential suites
+    only hold the engines equal to each other."""
+
+    def test_path_distances(self, path_graph, engine):
+        report = run_hops(path_graph, engine)
         assert [report.states[i] for i in range(5)] == [0, 1, 2, 3, 4]
+        # Seeding, one improvement per hop, then the far end's relay.
+        assert report.aggregates == [0, 1, 1, 1, 1, 0]
+        assert report.supersteps == 6 and report.converged
+        assert report.messages_sent == 8
 
-    def test_unreachable_infinite(self):
-        graph = Graph([(0, 1), (5, 6)])
-        engine = engine_for(graph)
-        report = engine.run(SingleSourceShortestPaths(source=0),
-                            max_supersteps=10)
-        assert math.isinf(report.states[5])
+    def test_quorum_ends_the_run_before_the_frontier_dies(self, path_graph,
+                                                          engine):
+        report = run_hops(path_graph, engine, quorum=QUORUM)
+        assert [report.states[i] for i in range(2)] == [0, 1]
+        assert all(math.isinf(report.states[i]) for i in range(2, 5))
+        assert report.aggregates == [0, 1]
+        assert report.supersteps == 2
 
-    def test_triangle_distances(self, triangle):
-        engine = engine_for(triangle)
-        report = engine.run(SingleSourceShortestPaths(source=0),
-                            max_supersteps=10)
-        assert report.states[0] == 0
-        assert report.states[1] == 1
-        assert report.states[2] == 1
+    def test_triangle_distances(self, triangle, engine):
+        assert run_hops(triangle, engine).states == {0: 0, 1: 1, 2: 1}
+
+    def test_unreachable_infinite(self, engine):
+        states = run_hops(Graph([(0, 1), (5, 6)]), engine).states
+        assert states[1] == 1
+        assert math.isinf(states[5]) and math.isinf(states[6])
+
+    def test_shortest_over_alternative_routes(self, engine):
+        # Square plus a chord: 0-1-2 vs 0-3-2; the chord 0-2 is direct.
+        graph = Graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        assert run_hops(graph, engine).states == {0: 0, 1: 1, 2: 1, 3: 1}
+
+    def test_absent_source_reaches_nothing(self, path_graph, engine):
+        report = run_hops(path_graph, engine, source=99)
+        assert all(math.isinf(d) for d in report.states.values())
+        assert report.supersteps == 1
+        assert report.messages_sent == 0
 
 
 class TestCycleSearch:

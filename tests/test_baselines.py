@@ -11,6 +11,7 @@ from repro.partitioning.grid import GridPartitioner
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.powerlyra import PowerLyraPartitioner
+from repro.partitioning.state import PartitionState, StateSnapshot
 from repro.partitioning.metrics import (
     partition_sizes,
     replica_sets_from_assignments,
@@ -150,6 +151,16 @@ class TestHDRF:
         p = HDRFPartitioner(range(2))
         p.state.assign(Edge(5, 6), 0)
         assert p.balance_score(1) > p.balance_score(0)
+
+    def test_balance_score_at_equal_sizes_past_two_to_the_24(self):
+        """``(ε + max) − min`` rounds to 0.0 there: no division, and
+        every partition's headroom is exactly 0."""
+        size = 2 ** 24
+        state = PartitionState.from_snapshot(StateSnapshot(
+            partitions=[0, 1], sizes=[size, size], replica_bits={},
+            degree={}, max_degree=0, assigned_edges=2 * size))
+        p = HDRFPartitioner(range(2), state=state, fast=False)
+        assert p.balance_score(0) == p.balance_score(1) == 0.0
 
     def test_beats_hash_on_replication(self, small_powerlaw):
         stream = shuffled(small_powerlaw.edges(), seed=5)

@@ -32,6 +32,16 @@ class TestParser:
             build_parser().parse_args(
                 ["partition", "g.txt", "--algorithm", "magic"])
 
+    @pytest.mark.parametrize("args", [["process", "g.txt", "a.txt"],
+                                      ["pipeline", "g.txt"]],
+                             ids=["process", "pipeline"])
+    def test_workloads_are_the_shipped_programs(self, args, capsys):
+        """``labelprop`` went with its program: argparse refuses it."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(args + ["--workload", "labelprop"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'labelprop'" in capsys.readouterr().err
+
 
 class TestPartitionCommand:
     @pytest.mark.parametrize("algorithm",

@@ -20,6 +20,7 @@ import threading
 import time
 
 import pytest
+from _hops import HopDistance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,12 +35,7 @@ from repro.cluster import (
     SerialTransport,
     WorkerDied,
 )
-from repro.engine.algorithms import (
-    ConnectedComponents,
-    KCore,
-    PageRank,
-    SingleSourceShortestPaths,
-)
+from repro.engine.algorithms import ConnectedComponents, PageRank
 from repro.engine.runtime import Engine
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.shard import ShardedGraph
@@ -57,8 +53,8 @@ def program_cases():
     return {
         "pagerank": (lambda: PageRank(iterations=9), True),
         "components": (lambda: ConnectedComponents(), False),
-        "sssp": (lambda: SingleSourceShortestPaths(source=0), True),
-        "kcore": (lambda: KCore(k=3), False),
+        "hops": (lambda: HopDistance(source=0), True),
+        "hops-settled": (lambda: HopDistance(source=0, quorum=0), True),
     }
 
 
@@ -96,7 +92,7 @@ class TestFaultInjectionDifferential:
         factory, float_state = program_cases()[program_name]
         graph = sharded(k)
         unfaulted = ClusterEngine(graph).run(factory(), max_supersteps=60)
-        # Superstep 0 exists for every program (kcore converges in one).
+        # Superstep 0 exists for every program.
         injector = FaultInjector([Kill(superstep=0, point=point,
                                        machine=1)])
         engine = ClusterEngine(graph, checkpoint_every=2,
@@ -168,7 +164,8 @@ class TestFaultInjectionDifferential:
 class TestProcessFaults:
     """Real worker OS processes: injected and external SIGKILLs."""
 
-    @pytest.mark.parametrize("program_name", ["pagerank", "components"])
+    @pytest.mark.parametrize("program_name",
+                             ["pagerank", "components", "hops"])
     def test_injected_sigkill_recovers(self, program_name):
         factory, _ = program_cases()[program_name]
         graph = sharded(4)
@@ -427,6 +424,18 @@ class TestCheckpointResume:
             ConnectedComponents(), max_supersteps=60)
         resumed = ClusterEngine.resume(directory)
         assert_bit_identical(resumed, first)
+
+    def test_run_ended_by_should_stop_resumes_stopped(self, tmp_path):
+        """The last checkpoint sits where ``should_stop`` ended the run:
+        resuming from it runs no further superstep."""
+        graph = ShardedGraph.from_assignments(
+            {(i, i + 1): i % 2 for i in range(8)}, partitions=range(2))
+        directory = str(tmp_path / "ckpt")
+        first = ClusterEngine(graph, checkpoint_every=1,
+                              checkpoint_dir=directory).run(
+            HopDistance(source=0), max_supersteps=60)
+        assert first.supersteps == 2  # the path's frontier never grows
+        assert_bit_identical(ClusterEngine.resume(directory), first)
 
     def test_resume_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -25,15 +25,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from _hops import HopDistance
 
 from repro.cluster import ClusterEngine
 from repro.engine.algorithms import (
     ConnectedComponents,
     GreedyColoring,
-    KCore,
-    LabelPropagation,
     PageRank,
-    SingleSourceShortestPaths,
 )
 from repro.engine.placement import Placement
 from repro.engine.runtime import Engine
@@ -65,8 +63,8 @@ def program_cases():
     return {
         "pagerank": (lambda: PageRank(iterations=9), True),
         "components": (lambda: ConnectedComponents(), False),
-        "sssp": (lambda: SingleSourceShortestPaths(source=0), True),
-        "kcore": (lambda: KCore(k=3), False),
+        "hops": (lambda: HopDistance(source=0), True),
+        "hops-settled": (lambda: HopDistance(source=0, quorum=0), True),
     }
 
 
@@ -172,7 +170,8 @@ class TestSerialDifferential:
 class TestProcessDifferential:
     """Process backend: real workers, pipes, and measured remote traffic."""
 
-    @pytest.mark.parametrize("program_name", ["pagerank", "components"])
+    @pytest.mark.parametrize("program_name", ["pagerank", "components",
+                                              "hops", "hops-settled"])
     @pytest.mark.parametrize("k,workers", [(2, 2), (4, 4), (8, 2), (8, 4)])
     def test_matches_dense_engine(self, program_name, k, workers):
         graph = graph_cases()["powerlaw"]
@@ -224,11 +223,17 @@ class TestProcessDifferential:
         assert_sync_matches_prediction(report, cluster.placement)
 
 
+def unsharded(program):
+    """``program`` with its dense kernel, outside the sharding contract."""
+    program.shardable = False
+    return program
+
+
 class TestFallback:
     """Programs outside the sharding contract run unsharded, same result."""
 
     @pytest.mark.parametrize("factory", [
-        lambda: LabelPropagation(max_iterations=10),
+        lambda: unsharded(HopDistance(source=0)),
         lambda: GreedyColoring(max_iterations=20),
     ])
     def test_fallback_matches_engine(self, factory):

@@ -71,8 +71,8 @@ class TestConstruction:
         assert list(csr.indptr) == [0]
         assert len(csr.rows) == 0
 
-    def test_from_stream(self):
-        csr = CSRGraph.from_stream(InMemoryEdgeStream([(4, 2), (2, 9)]))
+    def test_from_edges_reads_a_stream(self):
+        csr = CSRGraph.from_edges(InMemoryEdgeStream([(4, 2), (2, 9)]))
         assert csr.num_edges == 2
         assert list(csr.vertex_ids) == [2, 4, 9]
 

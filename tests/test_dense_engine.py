@@ -3,10 +3,11 @@
 Every dense kernel must reproduce the object path's observable behaviour
 on the same graph and placement: identical superstep counts, message
 counts, convergence flags, per-superstep aggregates and cost traces, and
-identical states — bit-exact for integer-state programs (components,
-label propagation, k-core), ``allclose`` for float-state programs
-(PageRank, SSSP) whose message sums may be reassociated.  Programs
-without a kernel must transparently fall back to the object path.
+identical states — bit-exact for integer-state programs (components),
+``allclose`` for float-state programs (PageRank, the test-only
+:class:`~_hops.HopDistance`) whose message sums may be reassociated.
+Programs without a kernel must transparently fall back to the object
+path.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from _hops import HopDistance
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine_extensions import TriangleCount
 
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.graph import Graph
@@ -26,11 +29,7 @@ from repro.engine.algorithms import (
     CliqueSearch,
     ConnectedComponents,
     GreedyColoring,
-    KCore,
-    LabelPropagation,
     PageRank,
-    SingleSourceShortestPaths,
-    TriangleCount,
 )
 
 edge_list_strategy = st.lists(
@@ -95,9 +94,8 @@ def program_cases():
     return {
         "pagerank": (lambda: PageRank(iterations=12), True),
         "components": (lambda: ConnectedComponents(), False),
-        "sssp": (lambda: SingleSourceShortestPaths(source=0), True),
-        "labelprop": (lambda: LabelPropagation(max_iterations=15), False),
-        "kcore": (lambda: KCore(k=2), False),
+        "hops": (lambda: HopDistance(source=0), True),
+        "hops-settled": (lambda: HopDistance(source=0, quorum=0), True),
     }
 
 
@@ -129,25 +127,12 @@ class TestDifferentialProperties:
         assert_equivalent(obj, dense)
 
     @settings(max_examples=40, deadline=None)
-    @given(edges=edge_list_strategy, source=st.integers(0, 30))
-    def test_sssp(self, edges, source):
-        obj, dense = run_both(
-            Graph(edges), lambda: SingleSourceShortestPaths(source))
+    @given(edges=edge_list_strategy, source=st.integers(0, 30),
+           quorum=st.integers(0, 4))
+    def test_hops(self, edges, source, quorum):
+        obj, dense = run_both(Graph(edges),
+                              lambda: HopDistance(source, quorum))
         assert_equivalent(obj, dense, float_state=True)
-
-    @settings(max_examples=40, deadline=None)
-    @given(edges=edge_list_strategy, max_iterations=st.integers(1, 10))
-    def test_label_propagation(self, edges, max_iterations):
-        obj, dense = run_both(
-            Graph(edges),
-            lambda: LabelPropagation(max_iterations=max_iterations))
-        assert_equivalent(obj, dense)
-
-    @settings(max_examples=40, deadline=None)
-    @given(edges=edge_list_strategy, k=st.integers(1, 5))
-    def test_kcore(self, edges, k):
-        obj, dense = run_both(Graph(edges), lambda: KCore(k=k))
-        assert_equivalent(obj, dense)
 
     @settings(max_examples=25, deadline=None)
     @given(edges=edge_list_strategy, cap=st.integers(1, 6))

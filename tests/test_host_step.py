@@ -7,16 +7,16 @@ keeps the algorithm it replaced as the reference — :class:`PerShard`
 below: one kernel per shard stepped in partition order, then
 ``test_sync_plan.reference_exchange`` over the parked partials — and
 holds the fused group **bit-for-bit** equal to it every superstep: every
-per-vertex state array (``tobytes()``), the send count and the measured
-sync traffic, for PageRank / components / k-core / SSSP over the
-boundary shardings of ``test_sync_plan`` (hub replicated everywhere,
-empty shards, isolated vertices, single partition, plus a shard with
-vertices but no slots) at k in {2, 8, 32}, on one host and on 2 / 4 with
-the host payloads routed by hand.  On top: the block-diagonal CSR's
-layout invariants, the checkpoint format (a partition's image is what a
+per-vertex state array (``tobytes()``), the send count, the aggregate
+and the measured sync traffic, for PageRank / components / hop distance
+over the boundary shardings of ``test_sync_plan`` (hub replicated
+everywhere, empty shards, isolated vertices, single partition, plus a
+shard with vertices but no slots) at k in {2, 8, 32}, on one host and on
+2 / 4 with the host payloads routed by hand.  On top: the block-diagonal
+CSR's layout invariants, the checkpoint format (a partition's image is what a
 kernel over that shard alone holds; snapshots cross host layouts and
 backends; a restore whose partitions disagree on a scalar is refused) and
-SSSP from a source replicated several times within one host.
+hop distance from a source replicated several times within one host.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from _hops import HopDistance
 
 from repro.cluster import ClusterEngine
 from repro.cluster.transport import (
@@ -33,12 +34,7 @@ from repro.cluster.transport import (
     SerialTransport,
     SyncStats,
 )
-from repro.engine.algorithms import (
-    ConnectedComponents,
-    KCore,
-    PageRank,
-    SingleSourceShortestPaths,
-)
+from repro.engine.algorithms import ConnectedComponents, PageRank
 from repro.engine.dense import DenseKernel
 from repro.engine.placement import Placement
 from repro.engine.runtime import Engine
@@ -60,11 +56,12 @@ CASES["slotless"] = ShardedGraph.from_assignments(
 PROGRAMS = {
     "pagerank": lambda sharded: PageRank(iterations=5),
     "components": lambda sharded: ConnectedComponents(),
-    "kcore": lambda sharded: KCore(k=5),
     # The lowest vertex id: the hub (on every partition) where there is
     # one, a vertex shared by the two non-empty shards otherwise.
-    "sssp": lambda sharded: SingleSourceShortestPaths(
+    "hops": lambda sharded: HopDistance(
         source=min(sharded.vertex_partitions)),
+    "hops-settled": lambda sharded: HopDistance(
+        source=min(sharded.vertex_partitions), quorum=0),
 }
 MAX_SUPERSTEPS = 16
 
@@ -129,7 +126,7 @@ class PerShard:
 
     def superstep(self, superstep: int):
         """``None`` once nothing is left to compute, else ``(computed,
-        sent, synced, stats)`` of the superstep just run."""
+        sent, aggregate, synced, stats)`` of the superstep just run."""
         masks = {p: kernel.compute_mask()
                  for p, kernel in self.kernels.items()}
         computed = sum(int((masks[p] & kernel.owned).sum())
@@ -137,8 +134,9 @@ class PerShard:
         if computed == 0:
             return None
         self.parked = {}
-        sent = sum(int(kernel.step(superstep, masks[p])[0])
-                   for p, kernel in self.kernels.items())
+        results = [kernel.step(superstep, masks[p])
+                   for p, kernel in self.kernels.items()]
+        sent = sum(int(result[0]) for result in results)
         stats = SyncStats()
         if self.parked:
             assert sorted(self.parked) == self.sharded.partitions
@@ -154,7 +152,14 @@ class PerShard:
                                  self.machine_of)
                     stats.record(master, mirror, len(idx), nbytes,
                                  self.machine_of)
-        return computed, sent, bool(self.parked), stats_tuple(stats)
+        return (computed, sent, total(result[1] for result in results),
+                bool(self.parked), stats_tuple(stats))
+
+
+def total(aggregates):
+    """The coordinator's fold of per-host aggregates: ``None`` skipped."""
+    parts = [part for part in aggregates if part is not None]
+    return sum(parts) if parts else None
 
 
 def fused_superstep(groups, superstep: int):
@@ -172,8 +177,8 @@ def fused_superstep(groups, superstep: int):
         for host, group in groups.items():
             group.scatter(folded[host])
             stats.merge(group.stats)
-    assert all(result.aggregate is None for result in results.values())
     return (computed, sum(result.sent for result in results.values()),
+            total(result.aggregate for result in results.values()),
             synced, stats_tuple(stats))
 
 
@@ -234,8 +239,8 @@ class TestFusedMatchesPerShard:
     def test_two_scatters_in_one_superstep_are_refused(self):
         class Twice(DenseKernel):
             def step(self, superstep, mask):
-                self.scatter_count(mask)
-                self.scatter_count(mask)
+                self.scatter_sum(mask, np.ones(len(mask)))
+                self.scatter_sum(mask, np.ones(len(mask)))
                 return 0, None
 
         class TwiceProgram(PageRank):
@@ -383,29 +388,28 @@ class TestCheckpointFormat:
 
 
 # ----------------------------------------------------------------------
-# SSSP from a source a host holds several replicas of
+# Hop distance from a source a host holds several replicas of
 # ----------------------------------------------------------------------
 class TestReplicatedSource:
     @pytest.mark.parametrize("layout", [
         {"backend": "serial"},
         {"backend": "process", "num_workers": 2},
     ], ids=["serial", "process-2"])
-    def test_sssp_source_on_many_partitions_of_one_host(self, layout):
+    def test_hops_source_on_many_partitions_of_one_host(self, layout):
         sharded = CASES["hub-8"]
         # Vertex 0 has an edge on every partition: eight replicas on the
         # serial host, four on each of two workers.
         assert sharded.vertex_partitions[0] == list(range(8))
         cluster = ClusterEngine(sharded, **layout)
-        report = cluster.run(SingleSourceShortestPaths(source=0),
-                             max_supersteps=40)
+        report = cluster.run(HopDistance(source=0), max_supersteps=40)
         dense = Engine(sharded.to_graph(), cluster.placement,
-                       mode="dense").run(
-                           SingleSourceShortestPaths(source=0),
-                           max_supersteps=40)
+                       mode="dense").run(HopDistance(source=0),
+                                         max_supersteps=40)
         assert report.sharded and report.converged
         assert report.states == dense.states
         assert report.supersteps == dense.supersteps
         assert report.messages_sent == dense.messages_sent
+        assert report.aggregates == dense.aggregates
         reached = [d for d in report.states.values() if d == 1.0]
         assert len(reached) >= 8  # one neighbour per partition at least
 

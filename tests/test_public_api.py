@@ -71,8 +71,7 @@ class TestTopLevelExports:
     "repro.core.adaptive", "repro.core.scoring", "repro.core.spotlight",
     "repro.partitioning", "repro.partitioning.state",
     "repro.partitioning.base", "repro.partitioning.metrics",
-    "repro.partitioning.parallel", "repro.partitioning.restream",
-    "repro.partitioning.validate",
+    "repro.partitioning.parallel", "repro.partitioning.validate",
     "repro.partitioning.partition_io",
     "repro.engine", "repro.engine.placement", "repro.engine.cost",
     "repro.engine.runtime", "repro.engine.vertex_program",

@@ -100,14 +100,6 @@ class TestDegrees:
             state.observe_degrees(Edge(1, other))
         assert state.max_degree == 5
 
-    def test_copy_degrees(self):
-        src = PartitionState([0])
-        src.observe_degrees(Edge(1, 2))
-        dst = PartitionState([0, 1])
-        dst.copy_degrees_from(src)
-        assert dst.degree_of(1) == 1
-        assert dst.max_degree == src.max_degree
-
 
 class TestReplicationDegree:
     def test_single_partition_degree_one(self):

@@ -268,6 +268,26 @@ def test_epsilon_association_decides_an_assignment():
     assert native.kernel.kernel_calls == 1
 
 
+def test_equal_sizes_past_two_to_the_24_have_no_balance_term():
+    """At 2**24 edges each, ``(ε + max) − min`` rounds to 0.0: every
+    ``C_bal`` is 0 and vertex 1's replica decides, on both tiers — then
+    a stream continued from there stays identical."""
+    size = 2 ** 24
+    assert (1e-9 + size) - size == 0.0
+    snapshot = StateSnapshot(partitions=[0, 1], sizes=[size, size],
+                             replica_bits={1: 0b10}, degree={1: 1},
+                             max_degree=1, assigned_edges=2 * size)
+    fast, legacy = states_from(snapshot)
+    native = HDRFPartitioner([0, 1], state=fast)
+    control = HDRFPartitioner([0, 1], state=legacy, fast=False)
+    expected = control.ingest([Edge(1, 2)])
+    assert [a.partition for a in expected] == [1]
+    assert native.ingest([Edge(1, 2)]) == expected
+    edges = clustered(n=60)
+    assert native.ingest(edges) == control.ingest(edges)
+    assert native.state.snapshot() == control.state.snapshot()
+
+
 # ---------------------------------------------------------------------------
 # Capacity boundaries
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The cluster runtime compiles a group's master/mirror channel tables into
 one flat gather/fold/scatter (:class:`repro.cluster.transport.SyncPlan`).
 This suite holds that exchange **bit-for-bit** equal — ``values`` and
-``recv``, for sum / min / count — to :func:`reference_exchange` below,
+``recv``, for sum and min — to :func:`reference_exchange` below,
 the per-channel algorithm the plan replaced (walk every channel, fold
 each mirror slice into its master in ascending partition order,
 broadcast each combined slice back), over shardings that cross the
@@ -23,17 +23,13 @@ import pickle
 
 import numpy as np
 import pytest
+from _hops import HopDistance
 
 from repro import obs
 from repro.cluster import ClusterEngine, FaultInjector, Kill
 from repro.cluster.runtime import SuperstepTelemetry
 from repro.cluster.transport import ShardGroup
-from repro.engine.algorithms import (
-    ConnectedComponents,
-    KCore,
-    PageRank,
-    SingleSourceShortestPaths,
-)
+from repro.engine.algorithms import ConnectedComponents, PageRank
 from repro.engine.dense import DenseKernel
 from repro.engine.placement import Placement
 from repro.engine.runtime import Engine
@@ -41,7 +37,12 @@ from repro.engine.vertex_program import VertexProgram
 from repro.graph.shard import ShardedGraph
 from test_cluster_runtime import assert_sync_matches_prediction
 
-KINDS = ("sum", "min", "count")
+KINDS = ("sum", "min")
+#: What a kernel parks, each fold kind at the element types it takes:
+#: float64 sums, and ``min`` over int64 labels (components) and float64
+#: hop distances.
+PARKED = [("sum", np.float64), ("min", np.int64), ("min", np.float64)]
+PARKED_IDS = ["sum", "min", "min-float64"]
 
 
 # ----------------------------------------------------------------------
@@ -118,21 +119,24 @@ def shardings():
 SHARDINGS = shardings()
 
 
-def random_partials(sharded: ShardedGraph, kind: str, seed: int):
+def random_partials(sharded: ShardedGraph, kind: str, seed: int,
+                    dtype=np.int64):
     """Per-partition ``(values, recv)`` a kernel could have parked: sums
     of wildly different magnitudes (so a changed association shows in the
-    last bits), labels for ``min``, small counts."""
+    last bits), labels for ``min`` — at float64, distances that hold the
+    ``inf`` sentinel wherever no message arrived."""
     rng = np.random.default_rng(seed)
     partials = {}
     for partition in sharded.partitions:
         n = sharded.shards[partition].num_vertices
         if kind == "sum":
             values = rng.random(n) * 10.0 ** rng.integers(-8, 8, size=n)
-        elif kind == "min":
-            values = rng.integers(0, 1000, size=n).astype(np.int64)
         else:
-            values = rng.integers(0, 50, size=n).astype(np.int64)
-        partials[partition] = (values, rng.random(n) < 0.5)
+            values = rng.integers(0, 1000, size=n).astype(dtype)
+        recv = rng.random(n) < 0.5
+        if values.dtype == np.float64 and kind == "min":
+            values[~recv] = np.inf
+        partials[partition] = (values, recv)
     return partials
 
 
@@ -199,28 +203,28 @@ def copy_partials(partials):
 # Plan exchange ≡ reference, bit for bit
 # ----------------------------------------------------------------------
 class TestPlanMatchesReference:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind,dtype", PARKED, ids=PARKED_IDS)
     @pytest.mark.parametrize("name", sorted(SHARDINGS))
     @pytest.mark.parametrize("hosts", [1, 2, 4])
-    def test_bit_identical(self, name, kind, hosts):
+    def test_bit_identical(self, name, kind, dtype, hosts):
         sharded = SHARDINGS[name]
         hosts = min(hosts, len(sharded.partitions))
         machine_of = Placement.contiguous_machine_map(sharded.partitions,
                                                       hosts)
         for seed in range(3):
-            expected = random_partials(sharded, kind, seed)
+            expected = random_partials(sharded, kind, seed, dtype)
             got = copy_partials(expected)
             reference_exchange(sharded, kind, expected)
             plan_exchange(make_groups(sharded, machine_of, hosted=True),
                           kind, got)
             assert_same_bits(got, expected)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_one_group_logical_machines(self, kind):
+    @pytest.mark.parametrize("kind,dtype", PARKED, ids=PARKED_IDS)
+    def test_one_group_logical_machines(self, kind, dtype):
         """The serial layout: one host, eight logical machines."""
         sharded = SHARDINGS["hub-32"]
         machine_of = Placement.contiguous_machine_map(sharded.partitions, 8)
-        expected = random_partials(sharded, kind, seed=7)
+        expected = random_partials(sharded, kind, seed=7, dtype=dtype)
         got = copy_partials(expected)
         reference_exchange(sharded, kind, expected)
         groups = make_groups(sharded, machine_of, hosted=False)
@@ -278,9 +282,9 @@ class TestEngineAtK32:
     @pytest.mark.parametrize("factory", [
         lambda: PageRank(iterations=6),
         lambda: ConnectedComponents(),
-        lambda: SingleSourceShortestPaths(source=0),
-        lambda: KCore(k=3),
-    ], ids=["pagerank", "components", "sssp", "kcore"])
+        lambda: HopDistance(source=0),
+        lambda: HopDistance(source=0, quorum=0),
+    ], ids=["pagerank", "components", "hops", "hops-settled"])
     def test_process_bit_identical_to_serial(self, factory, workers):
         sharded = SHARDINGS["hub-32"]
         process = ClusterEngine(sharded, backend="process",
@@ -397,13 +401,15 @@ class TestObservability:
 # Refusals
 # ----------------------------------------------------------------------
 class _MixedKernel(DenseKernel):
-    """Parks a count on the host holding vertex 900 and a sum elsewhere —
-    the non-determinism the exchange's payload check exists to catch."""
+    """Parks an int64 min on the host holding vertex 900 and a sum
+    elsewhere — the non-determinism the exchange's payload check exists
+    to catch."""
 
     def step(self, superstep, mask):
         everyone = np.ones(self.csr.num_vertices, dtype=bool)
         if 900 in self.csr.vertex_ids.tolist():
-            self.has_msg, self.msg = self.scatter_count(everyone)
+            self.has_msg, self.msg = self.scatter_min(
+                everyone, np.zeros(self.csr.num_vertices, dtype=np.int64), 0)
         else:
             self.has_msg, self.msg = self.scatter_sum(
                 everyone, np.ones(self.csr.num_vertices))
@@ -479,5 +485,5 @@ class TestRefusals:
                            match="non-deterministic kernel") as raised:
             groups[0].fold(gathered[0])
         # The message names who parked what.
-        assert "'count', dtype('int64')" in str(raised.value)
+        assert "'min', dtype('int64')" in str(raised.value)
         assert "'sum', dtype('float64')" in str(raised.value)

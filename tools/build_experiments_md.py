@@ -211,12 +211,6 @@ At a fixed window of 32, lazy traversal cuts score computations by >30%
 replication degree — the paper's §III-B promise ("same decisions, fewer
 computations") quantified.
 """),
-    ("ablation_restream", "Ablation — restreaming (2-pass, exact degrees)", """
-A second pass with the full degree table preloaded never hurts and
-usually helps both HDRF and ADWISE slightly, at exactly 2x the
-partitioning latency — the related-work restreaming idea ([27]) measured
-in this codebase.
-"""),
     ("window_evolution", "Supplementary — adaptive window evolution trace", """
 The §III-A mechanism made visible: with a generous latency preference the
 controller doubles the window repeatedly (every observed size is a power
