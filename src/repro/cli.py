@@ -327,6 +327,8 @@ def _validate_processing_flags(args: argparse.Namespace) -> Optional[str]:
     if args.workers is not None and not (
             args.cluster and cluster_backend == "process"):
         return "--workers only applies to --cluster --cluster-backend process"
+    if args.iterations < 1:
+        return "--iterations must be >= 1"
     if args.workers is not None and args.workers < 1:
         return "--workers must be >= 1"
     if args.machines is not None and args.machines < 1:

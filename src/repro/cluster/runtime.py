@@ -68,7 +68,7 @@ from repro.cluster.transport import (
     SerialTransport,
     SyncStats,
 )
-from repro.engine.cost import CostModel
+from repro.engine.cost import CostModel, SuperstepCost
 from repro.engine.runtime import Engine, SimulationReport
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.shard import ShardedGraph
@@ -335,6 +335,7 @@ class ClusterEngine:
         work fanned out to the shards, measured on the way through, and —
         when checkpointing is on — wrapped in rollback recovery."""
         num_vertices = self.sharded.num_vertices
+        step_costs: Dict[float, SuperstepCost] = {}
         recoveries: List[RecoveryEvent] = []
         checkpoints_written = 0
         checkpoint_wall_ms = 0.0
@@ -407,8 +408,13 @@ class ClusterEngine:
                         wall_ms = (time.perf_counter() - step_start) * 1000.0
                         active_fraction = (computed / num_vertices
                                            if num_vertices else 0.0)
-                        costs.append(self.cost_model.superstep_cost(
-                            self._stats, active_fraction))
+                        if active_fraction not in step_costs:
+                            # A pure function of the fraction, which a
+                            # run repeats: priced once per run.
+                            step_costs[active_fraction] = (
+                                self.cost_model.superstep_cost(
+                                    self._stats, active_fraction))
+                        costs.append(step_costs[active_fraction])
                         aggregates.append(result.aggregate)
                         total_messages += result.sent
                         stats: SyncStats = result.stats

@@ -76,7 +76,7 @@ from repro.core._binding import _CTYPES
 from repro.engine.dense import DenseKernel
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.graph.shard import Shard, ShardCSR, ShardedGraph
+from repro.graph.shard import Shard, ShardCSR, ShardedGraph, stable_order
 
 #: Transport backends understood by :class:`~repro.cluster.runtime.ClusterEngine`.
 BACKENDS = ("serial", "process")
@@ -173,13 +173,66 @@ _OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
 _ELEMENTS = {"sum": (np.float64,), "min": (np.float64, np.int64)}
 
 
+class _Side:
+    """One side of a group's channel tables — every master table
+    (``side`` 0) or every mirror table (1) of ``shards``, ascending
+    partition, end to end, read off the shards' columns.  Per element:
+    its index in the group's flat space (``flat``).  Per shard: its
+    first element (``offsets``) and element count (``lengths``).  Per
+    channel, a run of one shard and one peer: its ``first`` element,
+    ``count``, the ``peer`` partition and the shard's ``partition``."""
+
+    def __init__(self, shards: List[Shard], columns: List[Tuple],
+                 starts: np.ndarray, side: int) -> None:
+        peers = _cat([table[2 * side] for table in columns])
+        self.lengths = np.array([len(table[2 * side]) for table in columns],
+                                dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.flat = (_cat([table[2 * side + 1] for table in columns])
+                     + np.repeat(starts, self.lengths))
+        fresh = np.ones(len(peers), dtype=bool)
+        fresh[1:] = peers[1:] != peers[:-1]
+        fresh[self.offsets[self.lengths > 0]] = True
+        self.first = np.flatnonzero(fresh)
+        self.count = np.diff(np.append(self.first, len(peers)))
+        self.peer = peers[self.first]
+        owner = np.searchsorted(self.offsets, self.first, side="right") - 1
+        self.partition = np.array([shard.partition for shard in shards],
+                                  dtype=np.int64)[owner]
+
+
+def _by_host(host_of: Mapping[int, int], side: _Side, order: np.ndarray,
+             *arrays: np.ndarray) -> List[Dict[int, np.ndarray]]:
+    """Per host at the channels' other end, ``arrays`` (one element per
+    element of ``side``) at its channels' elements, the channels taken
+    in ``order``: one gather per array, each host's a slice of it."""
+    parts = np.array(sorted(host_of), dtype=np.int64)
+    hosts = np.array([host_of[p] for p in parts.tolist()], dtype=np.int64)[
+        np.searchsorted(parts, side.peer[order])]
+    by_host = np.argsort(hosts, kind="stable")
+    hosts, count = hosts[by_host], side.count[order][by_host]
+    starts = np.cumsum(count) - count
+    take = (np.repeat(side.first[order][by_host] - starts, count)
+            + np.arange(len(side.flat), dtype=np.int64))
+    fresh = np.ones(len(hosts), dtype=bool)
+    fresh[1:] = hosts[1:] != hosts[:-1]
+    cuts = np.flatnonzero(fresh)
+    bounds = starts[cuts].tolist() + [len(take)]
+    tables = []
+    for array in arrays:
+        gathered = array[take]
+        tables.append({host: gathered[a:b] for host, a, b in zip(
+            hosts[cuts].tolist(), bounds, bounds[1:])})
+    return tables
+
+
 class SyncPlan:
     """One group's replica exchange, compiled from its shards' channel
     tables (DESIGN.md §8 has the layout and why the fold is exact).
 
     The shards lie end to end, ascending partition, in one flat index
-    space — the host kernel's (``bounds``: partition -> its slice of
-    it).  Index arrays and host payloads are in *plan
+    space — the host kernel's (``ShardGroup.bounds``: partition -> its
+    slice of it).  Index arrays and host payloads are in *plan
     order*: master partition, then mirror partition, then the channels'
     aligned position.  Keyed by the host at the channels' other end (this
     one included): ``mirrors[h]`` — mirrors here whose masters are on
@@ -191,42 +244,42 @@ class SyncPlan:
     round and one vectorised op per round folds in the fixed association.
     ``rows`` is one ``(src, dst, count)`` per channel this group applies
     a move for, ``count`` the length of the index array the move uses.
+
+    Built from the two sides' columns (:class:`_Side`) in a fixed number
+    of numpy calls, whatever the channel count: the master side is
+    already in plan order; a master's rank is its occurrence number in
+    it (one stable sort of the targets); the mirror side takes plan
+    order channel by channel.
     """
 
-    def __init__(self, shards: List[Shard], bounds: Mapping[int, slice],
+    def __init__(self, sides: Tuple[_Side, _Side],
                  host_of: Mapping[int, int]) -> None:
-        self.rows: List[Tuple[int, int, int]] = []
-        targets: List[np.ndarray] = []
-        ranks: List[np.ndarray] = []
-        spans: Dict[int, List[np.ndarray]] = {}
-        cursor = 0
-        for shard in shards:
-            seen = np.zeros(shard.num_vertices, dtype=np.int64)
-            for src, idx in sorted(shard.master_channels.items()):
-                spans.setdefault(host_of[src], []).append(
-                    np.arange(cursor, cursor + len(idx)))
-                targets.append(idx + bounds[shard.partition].start)
-                ranks.append(seen[idx])
-                seen[idx] += 1
-                self.rows.append((src, shard.partition, len(idx)))
-                cursor += len(idx)
-        mirrors: Dict[int, List[np.ndarray]] = {}
-        for dst, src, idx in sorted(
-                (dst, shard.partition, idx) for shard in shards
-                for dst, idx in shard.mirror_channels.items()):
-            mirrors.setdefault(host_of[dst], []).append(
-                idx + bounds[src].start)
-            self.rows.append((dst, src, len(idx)))
-        self.mirrors = {h: _cat(parts) for h, parts in mirrors.items()}
-        target, rank = _cat(targets), _cat(ranks)
-        by_round = np.argsort(rank, kind="stable")
+        gather, scatter = sides
+        target = gather.flat
+        at = np.arange(len(target), dtype=np.int64)
+        by_target = stable_order(target)
+        ordered = target[by_target]
+        fresh = np.ones(len(target), dtype=bool)
+        fresh[1:] = ordered[1:] != ordered[:-1]
+        rank = np.empty(len(target), dtype=np.int64)
+        rank[by_target] = at - np.maximum.accumulate(np.where(fresh, at, 0))
+        by_round = stable_order(rank)
         slot = np.empty(len(target), dtype=np.int64)
-        slot[by_round] = np.arange(len(target))
+        slot[by_round] = at
         self.targets = target[by_round]
-        self.masters = {h: target[_cat(p)] for h, p in spans.items()}
-        self.slots = {h: slot[_cat(p)] for h, p in spans.items()}
         stops = np.cumsum(np.bincount(rank)).tolist()
         self.rounds = list(zip([0] + stops[:-1], stops))
+        in_order = np.arange(len(gather.first))
+        self.masters, self.slots = _by_host(host_of, gather, in_order,
+                                            target, slot)
+        by_master = np.lexsort((scatter.partition, scatter.peer))
+        (self.mirrors,) = _by_host(host_of, scatter, by_master,
+                                   scatter.flat)
+        self.rows: List[Tuple[int, int, int]] = list(zip(
+            *(np.concatenate([a, b]).tolist() for a, b in (
+                (gather.peer, scatter.peer[by_master]),
+                (gather.partition, scatter.partition[by_master]),
+                (gather.count, scatter.count[by_master])))))
 
 
 class ShardGroup:
@@ -270,15 +323,31 @@ class ShardGroup:
         _pin_heap()
         shards = sorted(shards, key=lambda shard: shard.partition)
         self.host = host
+        # Before the block-diagonal CSR, which spans each block by its
+        # indices: the rest is checked in its flat space (_check_shards).
         for shard in shards:
-            self._check_shard(shard)
-        kernel = program.dense_kernel(
-            ShardCSR.block_diagonal([shard.csr for shard in shards]))
+            csr = shard.csr
+            if len(csr.rows) != len(csr.indices):
+                raise RuntimeError(
+                    f"host {host}, partition {shard.partition}: indptr "
+                    f"spans {len(csr.rows)} slots, indices holds "
+                    f"{len(csr.indices)}")
+        csr = ShardCSR.block_diagonal([shard.csr for shard in shards])
+        sizes = np.array([shard.num_vertices for shard in shards],
+                         dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        columns = [shard.channel_columns() for shard in shards]
+        sides = (_Side(shards, columns, starts, 0),
+                 _Side(shards, columns, starts, 1))
+        owned = _cat([shard.owned for shard in shards]).astype(
+            bool, copy=False)
+        self._check_shards(shards, csr, starts, sizes, sides, owned)
+        kernel = program.dense_kernel(csr)
         if kernel is None:
             raise ValueError(
                 f"{program.name}: dense_kernel returned None; sharded "
                 "execution needs a dense kernel")
-        kernel.owned = np.concatenate([shard.owned for shard in shards])
+        kernel.owned = owned
         # Instance-attribute rebinding: kernels invoke the helpers via
         # ``self.scatter_*`` / ``self.sent_from``, so these shadow the
         # class methods for this kernel only.
@@ -286,14 +355,14 @@ class ShardGroup:
             setattr(kernel, f"scatter_{kind}",
                     functools.partial(self._scatter, kind))
         kernel.sent_from = lambda send_mask: int(
-            kernel.csr.local_degrees[send_mask].sum())
+            kernel.csr.local_degrees.sum(where=send_mask))
         self.kernel = kernel
-        stops = np.cumsum([shard.num_vertices for shard in shards]).tolist()
         #: partition -> its slice of every per-vertex kernel array.
-        self.bounds = {shard.partition: slice(stop - shard.num_vertices, stop)
-                       for shard, stop in zip(shards, stops)}
+        self.bounds = {shard.partition: slice(start, start + size)
+                       for shard, start, size in zip(
+                           shards, starts.tolist(), sizes.tolist())}
         self.machine_of = dict(machine_of)
-        self.plan = SyncPlan(shards, self.bounds, host_of)
+        self.plan = SyncPlan(sides, host_of)
         self._check_plan()
         self.stats = SyncStats()
         #: The rows' tally by payload bytes per element: a pure function
@@ -304,6 +373,8 @@ class ShardGroup:
         self._values = self._recv = np.empty(0)
         #: The parked pair's ``kern_sync_fold`` op; ``None``: numpy folds.
         self._op: Optional[int] = None
+        #: The parked pair as C pointers, where ``_op`` is set.
+        self._parked: Tuple = ()
         #: ``(ffi, lib)`` where the kernels were built, and the index
         #: arrays they follow as int64 pointers, bound once (a pointer
         #: keeps its array alive), with the number of this host's own
@@ -324,31 +395,51 @@ class ShardGroup:
                     ("slots", self.plan.slots.get(host, none)))}
 
     # -- checked once, trusted every superstep --------------------------
-    def _check_shard(self, shard: Shard) -> None:
+    def _check_shards(self, shards: List[Shard], csr: ShardCSR,
+                      starts: np.ndarray, sizes: np.ndarray,
+                      sides: Tuple[_Side, _Side],
+                      owned: np.ndarray) -> None:
         """Refuse a shard whose adjacency or channel tables leave its own
         vertices, or whose channels contradict ``owned`` (a master is
         owned, a mirror is not: what lets the scatter run in place) — at
         construction and by name, where it used to be an ``IndexError``
-        in the middle of a superstep."""
-        csr, size = shard.csr, shard.num_vertices
-        where = f"host {self.host}, partition {shard.partition}"
-        if len(csr.rows) != len(csr.indices):
+        in the middle of a superstep.  Each column is checked in the
+        group's flat space, one reduction per column over the shards'
+        runs whatever the shard count; the first faulty shard is named,
+        with its first fault in the order below."""
+        slots = np.array([len(shard.csr.indices) for shard in shards],
+                         dtype=np.int64)
+        padded = np.append(owned, False)  # where a leaving index clips
+        faults = []
+        for name, flat, offsets, lengths, master in (
+                ("csr.indices", csr.indices, np.cumsum(slots) - slots,
+                 slots, None),
+                ("master channels", sides[0].flat, sides[0].offsets,
+                 sides[0].lengths, True),
+                ("mirror channels", sides[1].flat, sides[1].offsets,
+                 sides[1].lengths, False)):
+            busy = np.flatnonzero(lengths)
+            leave, wrong = np.zeros((2, len(shards)), dtype=bool)
+            if len(busy):
+                at = offsets[busy]
+                leave[busy] = (
+                    (np.minimum.reduceat(flat, at) < starts[busy])
+                    | (np.maximum.reduceat(flat, at)
+                       >= starts[busy] + sizes[busy]))
+                if master is not None:
+                    wrong[busy] = np.logical_or.reduceat(
+                        padded.take(flat, mode="clip") != master, at)
+            faults += [
+                (leave, f"{name} leave the shard's {{}} vertices"),
+                (wrong, f"{name} list a vertex whose master is "
+                        f"{'not ' if master else ''}here")]
+        found = np.flatnonzero(np.stack([fault for fault, _ in faults],
+                                        axis=1))
+        if len(found):
+            at, fault = divmod(int(found[0]), len(faults))
             raise RuntimeError(
-                f"{where}: indptr spans {len(csr.rows)} slots, indices "
-                f"holds {len(csr.indices)}")
-        for name, index, owned in (
-                ("csr.indices", csr.indices, None),
-                ("master channels", _cat(
-                    list(shard.master_channels.values())), True),
-                ("mirror channels", _cat(
-                    list(shard.mirror_channels.values())), False)):
-            if not _inside(index, size):
-                raise RuntimeError(
-                    f"{where}: {name} leave the shard's {size} vertices")
-            if owned is not None and (shard.owned[index] != owned).any():
-                raise RuntimeError(
-                    f"{where}: {name} list a vertex whose master is "
-                    f"{'not ' if owned else ''}here")
+                f"host {self.host}, partition {shards[at].partition}: "
+                + faults[fault][1].format(int(sizes[at])))
 
     def _check_plan(self) -> None:
         """Refuse a plan that indexes outside the host's flat space or
@@ -404,19 +495,19 @@ class ShardGroup:
                 or not self._plain(values, *_ELEMENTS[kind])):
             recv, out = getattr(DenseKernel, f"scatter_{kind}")(
                 self.kernel, *args)
+            self.park(kind, out, recv)
         else:
             lib = self._native[1]
             n = self.kernel.csr.num_vertices
             out = (np.zeros(n, dtype=np.float64) if kind == "sum"
                    else np.full(n, sentinel, dtype=values.dtype))
             recv = np.zeros(n, dtype=bool)
+            self.park(kind, out, recv)
             lib.kern_scatter(
-                getattr(lib, _OPS[kind == "min", out.dtype]),
-                self._index["indices"],
+                self._op, self._index["indices"],
                 self._index["rows"], len(self.kernel.csr.indices),
                 self._pointer(send_mask), self._pointer(values),
-                self._pointer(out), self._pointer(recv))
-        self.park(kind, out, recv)
+                *self._parked)
         return recv, out
 
     def park(self, kind: str, values: np.ndarray, recv: np.ndarray) -> None:
@@ -431,12 +522,14 @@ class ShardGroup:
                  and self._plain(values, *_ELEMENTS[kind]))
         self._op = (getattr(self._native[1], _OPS[kind == "min", values.dtype])
                     if plain else None)
+        if plain:  # C's view of the pair, for every pass of the superstep
+            self._parked = self._pointer(values), self._pointer(recv)
 
     # -- superstep ------------------------------------------------------
     def compute_owned(self) -> int:
         """Compute this superstep's mask; return the owned computed count."""
         self._mask = self.kernel.compute_mask()
-        return int((self._mask & self.kernel.owned).sum())
+        return np.count_nonzero(self._mask & self.kernel.owned)
 
     def step(self, superstep: int) -> TransportStepResult:
         self.stats = SyncStats()
@@ -501,11 +594,10 @@ class ShardGroup:
             partial_recv[plan.slots[peer]] = their_recv
         if native:
             index, lib = self._index, self._native[1]
-            parked = self._pointer(values), self._pointer(recv)
             buffer = self._pointer(partial), self._pointer(partial_recv)
-            lib.kern_sync_take(*parked, index["mirrors"], index["slots"],
-                               self._own, *buffer)
-            lib.kern_sync_fold(self._op, *parked, index["targets"],
+            lib.kern_sync_take(*self._parked, index["mirrors"],
+                               index["slots"], self._own, *buffer)
+            lib.kern_sync_fold(self._op, *self._parked, index["targets"],
                                *buffer, len(plan.targets))
         else:
             combine = np.minimum if self._kind == "min" else np.add
@@ -528,8 +620,8 @@ class ShardGroup:
             recv[plan.mirrors[peer]] = their_recv
         if native:
             self._native[1].kern_sync_put(
-                self._pointer(values), self._pointer(recv),
-                self._index["masters"], self._index["mirrors"], self._own)
+                *self._parked, self._index["masters"],
+                self._index["mirrors"], self._own)
         item_bytes = values.itemsize + recv.itemsize
         if item_bytes not in self._tallies:
             tally = self._tallies[item_bytes] = SyncStats()

@@ -40,14 +40,17 @@ class _DensePageRank(DenseKernel):
         self.incoming = np.zeros(n, dtype=np.float64)
 
     def step(self, superstep: int, mask: np.ndarray) -> Tuple[int, Any]:
+        # Masked ufuncs, not boolean gathers: each element is the same
+        # double the gathered form computes, and the rest stay untouched.
         if superstep > 0:
             # sum(messages) is 0.0 for computed vertices with no inbox,
             # which self.incoming already encodes.
-            self.rank[mask] = (1.0 - DAMPING) + DAMPING * self.incoming[mask]
+            np.add(1.0 - DAMPING, DAMPING * self.incoming, out=self.rank,
+                   where=mask)
         if superstep < self.iterations:
             senders = mask & (self.csr.degrees > 0)
-            share = np.zeros_like(self.rank)
-            share[senders] = self.rank[senders] / self.csr.degrees[senders]
+            share = np.zeros(len(self.rank), dtype=np.float64)
+            np.divide(self.rank, self.csr.degrees, out=share, where=senders)
             self.has_msg, self.incoming = self.scatter_sum(senders, share)
             self.active = mask.copy()
             return self.sent_from(senders), None

@@ -2,11 +2,14 @@
 PR 17, kept verbatim as the reference ``tests/test_shard_columns.py``
 holds :meth:`ShardedGraph.from_arrays` and the columnar ``Placement``
 equal to, array for array.  One ``Dict[int, Set[int]]``/``setdefault``
-walk per edge endpoint; nothing in ``src/`` may import this.
+walk per edge endpoint.  Beside them, :func:`reference_plan`: the
+per-channel ``SyncPlan`` construction ``tests/test_sync_plan.py`` holds
+the columnar plan equal to.  Nothing in ``src/`` may import this.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
@@ -168,3 +171,49 @@ class ReferencePlacement:
             replication_degree=replication,
             machine_span_degree=machine_span,
         )
+
+
+def _cat(arrays: List[np.ndarray]) -> np.ndarray:
+    return (np.concatenate(arrays) if arrays
+            else np.empty(0, dtype=np.int64))
+
+
+def reference_plan(shards: Sequence[Shard], bounds: Mapping[int, slice],
+                   host_of: Mapping[int, int]) -> SimpleNamespace:
+    """What ``SyncPlan.__init__`` built through PR 38, one channel at a
+    time: ``rows``, ``targets``, ``rounds`` and the per-host ``mirrors``
+    / ``masters`` / ``slots`` of the group holding ``shards`` (ascending
+    partition; ``bounds``: partition -> its slice of the flat space)."""
+    plan = SimpleNamespace(rows=[])
+    targets: List[np.ndarray] = []
+    ranks: List[np.ndarray] = []
+    spans: Dict[int, List[np.ndarray]] = {}
+    cursor = 0
+    for shard in shards:
+        seen = np.zeros(shard.num_vertices, dtype=np.int64)
+        for src, idx in sorted(shard.master_channels.items()):
+            spans.setdefault(host_of[src], []).append(
+                np.arange(cursor, cursor + len(idx)))
+            targets.append(idx + bounds[shard.partition].start)
+            ranks.append(seen[idx])
+            seen[idx] += 1
+            plan.rows.append((src, shard.partition, len(idx)))
+            cursor += len(idx)
+    mirrors: Dict[int, List[np.ndarray]] = {}
+    for dst, src, idx in sorted(
+            (dst, shard.partition, idx) for shard in shards
+            for dst, idx in shard.mirror_channels.items()):
+        mirrors.setdefault(host_of[dst], []).append(
+            idx + bounds[src].start)
+        plan.rows.append((dst, src, len(idx)))
+    plan.mirrors = {h: _cat(parts) for h, parts in mirrors.items()}
+    target, rank = _cat(targets), _cat(ranks)
+    by_round = np.argsort(rank, kind="stable")
+    slot = np.empty(len(target), dtype=np.int64)
+    slot[by_round] = np.arange(len(target))
+    plan.targets = target[by_round]
+    plan.masters = {h: target[_cat(p)] for h, p in spans.items()}
+    plan.slots = {h: slot[_cat(p)] for h, p in spans.items()}
+    stops = np.cumsum(np.bincount(rank)).tolist()
+    plan.rounds = list(zip([0] + stops[:-1], stops))
+    return plan

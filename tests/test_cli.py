@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import gzip
+import os
 
 import pytest
 
@@ -347,6 +348,19 @@ class TestProcessCommand:
         assert "partitioned:" not in out
         assert not output.exists()
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    @pytest.mark.parametrize("workload",
+                             ["pagerank", "components", "coloring"])
+    def test_iterations_below_one_rejected_before_partitioning(
+            self, graph_file, capsys, workload, iterations):
+        code = main(["pipeline", graph_file, "--partitions", "4",
+                     "--workload", workload, "--iterations", iterations])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --iterations must be >= 1\n"
+        assert "partitioned:" not in out
+        assert not os.path.exists(graph_file + ".parts")
+
     def test_pipeline_validates_flags_before_partitioning(
             self, graph_file, capsys):
         """Static flag errors must fire before the (expensive)
@@ -378,6 +392,22 @@ class TestProcessCommand:
 
         for name in ("supersteps", "messages sent", "simulated latency"):
             assert metric(simulated, name) == metric(cluster, name)
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    @pytest.mark.parametrize("workload",
+                             ["pagerank", "components", "coloring"])
+    def test_iterations_below_one_rejected(self, graph_file,
+                                           assignments_file, capsys,
+                                           workload, iterations):
+        """Refused by name, exit 2, before the graph is read — not a
+        traceback from the program's constructor, and not a silent run
+        of two supersteps."""
+        code = main(["process", graph_file, assignments_file,
+                     "--workload", workload, "--iterations", iterations])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --iterations must be >= 1\n"
+        assert not out
 
 
 class TestPipelineCommand:

@@ -19,14 +19,16 @@ hosts whose kernels disagree are refused.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 from _hops import HopDistance
+from _shard_reference import ReferenceSharding, reference_plan
 
 from repro import obs
-from repro.cluster import ClusterEngine, FaultInjector, Kill
+from repro.cluster import ClusterEngine, FaultInjector, Kill, transport
 from repro.cluster.runtime import SuperstepTelemetry
 from repro.cluster.transport import ShardGroup
 from repro.engine.algorithms import ConnectedComponents, PageRank
@@ -199,6 +201,43 @@ def copy_partials(partials):
     return {p: (v.copy(), r.copy()) for p, (v, r) in partials.items()}
 
 
+def host_map(partitions, layout: str):
+    """``one`` host, ``contiguous-<n>`` blocks, or ``mod-3``."""
+    if layout == "one":
+        return {p: 0 for p in partitions}
+    if layout == "mod-3":
+        return {p: p % 3 for p in partitions}
+    hosts = min(int(layout.split("-")[1]), len(partitions))
+    return Placement.contiguous_machine_map(partitions, hosts)
+
+
+def assert_columns_are_the_tables(shard) -> None:
+    """The builder's columns are the shard's dicts concatenated, and every
+    dict entry a view into them."""
+    by_hand = dataclasses.replace(shard)
+    assert by_hand.columns is None
+    for got, want in zip(shard.channel_columns(), by_hand.channel_columns()):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    for tables, column in ((shard.master_channels, shard.columns[1]),
+                           (shard.mirror_channels, shard.columns[3])):
+        assert all(np.shares_memory(table, column)
+                   for table in tables.values())
+
+
+def assert_same_plan(plan, expected) -> None:
+    assert plan.rows == expected.rows
+    assert plan.rounds == expected.rounds
+    for name in ("targets", "mirrors", "masters", "slots"):
+        got, want = getattr(plan, name), getattr(expected, name)
+        if name == "targets":
+            got, want = {None: got}, {None: want}
+        assert sorted(got) == sorted(want), name
+        for host, array in want.items():
+            assert got[host].dtype == array.dtype, (name, host)
+            assert np.array_equal(got[host], array), (name, host)
+
+
 # ----------------------------------------------------------------------
 # Plan exchange ≡ reference, bit for bit
 # ----------------------------------------------------------------------
@@ -256,6 +295,62 @@ class TestPlanMatchesReference:
         last = make_groups(sparse, Placement.contiguous_machine_map(
             sparse.partitions, 4), hosted=True)[3]
         assert not last.plan.rounds and set(last.plan.mirrors) == {0}
+
+    @pytest.mark.parametrize("layout", ["one", "contiguous-2",
+                                        "contiguous-4", "contiguous-8",
+                                        "mod-3"])
+    @pytest.mark.parametrize("built", ["builder", "by-hand"])
+    @pytest.mark.parametrize("name", sorted(SHARDINGS))
+    def test_plan_fields(self, name, built, layout):
+        """Every field of every host's plan equals the per-channel
+        construction's (``_shard_reference.reference_plan``), on the
+        builder's shards (columns supplied) and on the per-edge
+        reference builder's (tables filled by hand)."""
+        sharded = SHARDINGS[name]
+        if built == "by-hand":
+            sharded = ReferenceSharding(
+                sharded.assignments, partitions=sharded.partitions,
+                vertices=sharded.incidence.ids.tolist())
+        groups = make_groups(sharded, host_map(sharded.partitions, layout),
+                             hosted=True)
+        for host, group in groups.items():
+            shards = [sharded.shards[p] for p in group.bounds]
+            assert_same_plan(group.plan, reference_plan(
+                shards, group.bounds, host_map(sharded.partitions, layout)))
+        if built == "builder":
+            for shard in sharded.shards.values():
+                assert_columns_are_the_tables(shard)
+
+    def test_a_copy_drops_the_columns(self):
+        """``dataclasses.replace`` (how the refusal tests rewrite a
+        shard's tables) leaves a shard that reads its dicts, and so does
+        unpickling (the tables are pickled once, as the dicts)."""
+        shard = SHARDINGS["hub-8"].shards[3]
+        copy = dataclasses.replace(shard, master_channels={})
+        assert shard.columns is not None and copy.columns is None
+        assert [len(column) for column in copy.channel_columns()[:2]] == [
+            0, 0]
+        loaded = pickle.loads(pickle.dumps(shard))
+        assert loaded.columns is None
+        for got, want in zip(loaded.channel_columns(),
+                             shard.channel_columns()):
+            assert np.array_equal(got, want)
+
+    def test_rank_sort_must_be_stable(self, monkeypatch):
+        """A plan whose ranks come from a sort that reverses ties folds
+        mirrors out of partition order: the field comparison sees it."""
+        sharded = SHARDINGS["hub-32"]
+        machine_of = host_map(sharded.partitions, "one")
+        expected = reference_plan([sharded.shards[p]
+                                   for p in sharded.partitions],
+                                  make_groups(sharded, machine_of,
+                                              hosted=True)[0].bounds,
+                                  machine_of)
+        monkeypatch.setattr(transport, "stable_order", lambda keys: (
+            len(keys) - 1 - np.argsort(keys[::-1], kind="stable")))
+        group = make_groups(sharded, machine_of, hosted=True)[0]
+        with pytest.raises(AssertionError):
+            assert_same_plan(group.plan, expected)
 
     def test_empty_plan(self):
         group = make_groups(single_partition(), {0: 0}, hosted=True)[0]
