@@ -336,39 +336,36 @@ class ShardedGraph:
             # mirror: the shard's columns are those runs.
             k = len(names)
             mirror = np.flatnonzero(~inc.first)
-            mirror = mirror[stable_order(inc.part[inc.master[mirror]] * k
-                                         + inc.part[mirror])]
-            src, dst = inc.part[inc.master[mirror]], inc.part[mirror]
+            key = inc.part[inc.master[mirror]] * k + inc.part[mirror]
+            order = stable_order(key)
+            mirror, key = mirror[order], key[order]
+            src, dst = np.divmod(key, k)
             by_mirror = stable_order(dst)
             at_master = index[inc.master[mirror]]
             at_mirror = index[mirror[by_mirror]]
-            sides = ((src, inc.parts[dst], at_master),
-                     (dst[by_mirror], inc.parts[src[by_mirror]], at_mirror))
-            runs = [np.concatenate([[0], np.cumsum(
-                np.bincount(owner, minlength=k))]).tolist()
-                for owner, _, _ in sides]
-            for at, shard in enumerate(shards.values()):
-                shard.columns = tuple(
-                    column[cuts[at]:cuts[at + 1]]
-                    for (_, peers, local), cuts in zip(sides, runs)
-                    for column in (peers, local))
+            to_mirror, from_master = inc.parts[dst], inc.parts[src[by_mirror]]
+            runs = [np.concatenate([[0], np.cumsum(np.bincount(
+                owner, minlength=k))]).tolist() for owner in (src, dst)]
+            for shard, a, b, c, d in zip(shards.values(), runs[0],
+                                         runs[0][1:], runs[1], runs[1][1:]):
+                shard.columns = (to_mirror[a:b], at_master[a:b],
+                                 from_master[c:d], at_mirror[c:d])
             # The tables are views of the same runs: channel (s, d) starts
-            # at ``cuts`` in the first order, and after d's channels from
+            # at ``first`` in the first order, and after d's channels from
             # masters below s in the second.
-            key = src * k + dst
-            cuts = np.flatnonzero(np.diff(key, prepend=-1))
-            count = np.diff(np.append(cuts, len(key)))
-            on_mirror = np.lexsort((src[cuts], dst[cuts]))
-            second = np.empty(len(cuts), dtype=np.int64)
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            count = np.diff(np.append(first, len(key)))
+            on_mirror = np.lexsort((src[first], dst[first]))
+            second = np.empty(len(first), dtype=np.int64)
             second[on_mirror] = (np.cumsum(count[on_mirror])
                                  - count[on_mirror])
-            for s_at, d_at, a, b, n in zip(
-                    src[cuts].tolist(), dst[cuts].tolist(), cuts.tolist(),
-                    second.tolist(), count.tolist()):
-                shards[names[s_at]].master_channels[names[d_at]] = (
-                    at_master[a:a + n])
-                shards[names[d_at]].mirror_channels[names[s_at]] = (
-                    at_mirror[b:b + n])
+            for s_id, d_id, a, b, c, d in zip(
+                    inc.parts[src[first]].tolist(),
+                    inc.parts[dst[first]].tolist(), first.tolist(),
+                    (first + count).tolist(), second.tolist(),
+                    (second + count).tolist()):
+                shards[s_id].master_channels[d_id] = at_master[a:b]
+                shards[d_id].mirror_channels[s_id] = at_mirror[c:d]
             for key, value in (("edges", len(inc.lo)), ("replicas", total),
                                ("vertices", len(inc.ids)),
                                ("partitions", len(names))):
