@@ -76,7 +76,7 @@ from repro.core._binding import _CTYPES
 from repro.engine.dense import DenseKernel
 from repro.engine.vertex_program import VertexProgram
 from repro.graph.csr import CSRGraph
-from repro.graph.shard import Shard, ShardCSR, ShardedGraph, stable_order
+from repro.graph.shard import Shard, ShardCSR, ShardedGraph, channel_runs
 
 #: Transport backends understood by :class:`~repro.cluster.runtime.ClusterEngine`.
 BACKENDS = ("serial", "process")
@@ -163,6 +163,16 @@ def _inside(index: np.ndarray, size: int) -> bool:
     return not len(index) or bool(0 <= index.min() and index.max() < size)
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer
+    ``keys``, sorted in the narrowest unsigned type that holds them:
+    numpy radix-sorts keys of 16 bits or fewer."""
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    narrow = np.min_scalar_type(int(keys.max()))
+    return np.argsort(keys.astype(narrow, copy=False), kind="stable")
+
+
 #: ``kern_scatter`` / ``kern_sync_fold`` op (a constant of the compiled
 #: library) by (combines with min, dtype).
 _OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
@@ -176,29 +186,23 @@ _ELEMENTS = {"sum": (np.float64,), "min": (np.float64, np.int64)}
 class _Side:
     """One side of a group's channel tables — every master table
     (``side`` 0) or every mirror table (1) of ``shards``, ascending
-    partition, end to end, read off the shards' columns.  Per element:
-    its index in the group's flat space (``flat``).  Per shard: its
-    first element (``offsets``) and element count (``lengths``).  Per
-    channel, a run of one shard and one peer: its ``first`` element,
-    ``count``, the ``peer`` partition and the shard's ``partition``."""
+    partition, end to end (:func:`~repro.graph.shard.channel_runs`).
+    Per element: its index in the group's flat space (``flat``).  Per
+    shard: its first element (``offsets``) and element count
+    (``lengths``).  Per channel, a run of one shard and one peer: its
+    ``first`` element, ``count``, the ``peer`` partition and the shard's
+    ``partition``."""
 
-    def __init__(self, shards: List[Shard], columns: List[Tuple],
-                 starts: np.ndarray, side: int) -> None:
-        peers = _cat([table[2 * side] for table in columns])
-        self.lengths = np.array([len(table[2 * side]) for table in columns],
-                                dtype=np.int64)
-        self.offsets = np.cumsum(self.lengths) - self.lengths
-        self.flat = (_cat([table[2 * side + 1] for table in columns])
-                     + np.repeat(starts, self.lengths))
-        fresh = np.ones(len(peers), dtype=bool)
-        fresh[1:] = peers[1:] != peers[:-1]
-        fresh[self.offsets[self.lengths > 0]] = True
-        self.first = np.flatnonzero(fresh)
-        self.count = np.diff(np.append(self.first, len(peers)))
-        self.peer = peers[self.first]
-        owner = np.searchsorted(self.offsets, self.first, side="right") - 1
+    def __init__(self, shards: List[Shard], starts: np.ndarray,
+                 side: int) -> None:
+        self.peer, self.count, owner, indices = channel_runs(shards, side)
+        self.first = np.cumsum(self.count) - self.count
         self.partition = np.array([shard.partition for shard in shards],
                                   dtype=np.int64)[owner]
+        self.lengths = np.bincount(owner, self.count,
+                                   minlength=len(shards)).astype(np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.flat = indices + np.repeat(starts[owner], self.count)
 
 
 def _by_host(host_of: Mapping[int, int], side: _Side, order: np.ndarray,
@@ -206,9 +210,8 @@ def _by_host(host_of: Mapping[int, int], side: _Side, order: np.ndarray,
     """Per host at the channels' other end, ``arrays`` (one element per
     element of ``side``) at its channels' elements, the channels taken
     in ``order``: one gather per array, each host's a slice of it."""
-    parts = np.array(sorted(host_of), dtype=np.int64)
-    hosts = np.array([host_of[p] for p in parts.tolist()], dtype=np.int64)[
-        np.searchsorted(parts, side.peer[order])]
+    hosts = np.array([host_of[peer] for peer in side.peer[order].tolist()],
+                     dtype=np.int64)
     by_host = np.argsort(hosts, kind="stable")
     hosts, count = hosts[by_host], side.count[order][by_host]
     starts = np.cumsum(count) - count
@@ -336,9 +339,7 @@ class ShardGroup:
         sizes = np.array([shard.num_vertices for shard in shards],
                          dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
-        columns = [shard.channel_columns() for shard in shards]
-        sides = (_Side(shards, columns, starts, 0),
-                 _Side(shards, columns, starts, 1))
+        sides = (_Side(shards, starts, 0), _Side(shards, starts, 1))
         owned = _cat([shard.owned for shard in shards]).astype(
             bool, copy=False)
         self._check_shards(shards, csr, starts, sizes, sides, owned)

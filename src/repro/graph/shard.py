@@ -96,28 +96,6 @@ class Shard:
     #: master partition -> local indices of vertices mirrored *here*
     #: (sorted by global vertex id, aligned with the master's table).
     mirror_channels: Dict[int, np.ndarray] = field(default_factory=dict)
-    #: The two tables as the builder laid them out: ``(peers, indices)``
-    #: of the master side, then of the mirror side, each table end to end
-    #: by ascending peer, and each table's arrays views into them.
-    #: ``None`` where the tables were filled by hand; a copy made with
-    #: ``dataclasses.replace`` (which may change its tables) or by
-    #: unpickling drops them.
-    columns: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def channel_columns(self) -> Tuple[np.ndarray, ...]:
-        """``(master peers, master indices, mirror peers, mirror
-        indices)``: one row per channel element, in the tables' order —
-        the builder's :attr:`columns`, else the tables concatenated."""
-        if self.columns is not None:
-            return self.columns
-        return (*_table_columns(self.master_channels),
-                *_table_columns(self.mirror_channels))
-
-    def __getstate__(self) -> dict:
-        """Pickle the tables once: the dicts' views of the columns would
-        be written a second time, as copies (a checkpoint's topology)."""
-        return {**self.__dict__, "columns": None}
 
     @property
     def num_vertices(self) -> int:
@@ -132,27 +110,26 @@ class Shard:
         return self.csr.num_edges
 
 
-def _table_columns(table: Mapping[int, np.ndarray]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """A channel table as ``(peers, indices)`` int64 columns, ascending
-    peer."""
-    peers = sorted(table)
-    if not peers:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return (np.repeat(np.array(peers, dtype=np.int64),
-                      [len(table[peer]) for peer in peers]),
-            np.concatenate([table[peer] for peer in peers]).astype(
-                np.int64, copy=False))
-
-
-def stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of non-negative integer
-    ``keys``, sorted in the narrowest unsigned type that holds them:
-    numpy radix-sorts keys of 16 bits or fewer."""
-    if not len(keys):
-        return np.empty(0, dtype=np.intp)
-    narrow = np.min_scalar_type(int(keys.max()))
-    return np.argsort(keys.astype(narrow, copy=False), kind="stable")
+def channel_runs(shards: Sequence[Shard], side: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every channel of ``shards``' master tables (``side`` 0) or mirror
+    tables (1), shard by shard, ascending peer within a shard, as
+    ``(peer, count, owner, indices)``: per channel its peer partition,
+    its length and its shard's position in ``shards``; then all the
+    channels' local indices end to end, int64 — one concatenation
+    whatever the channel count."""
+    tables = [shard.mirror_channels if side else shard.master_channels
+              for shard in shards]
+    peers = [sorted(table) for table in tables]
+    runs = [table[peer] for table, keys in zip(tables, peers)
+            for peer in keys]
+    peer = np.fromiter(chain.from_iterable(peers), np.int64, len(runs))
+    count = np.fromiter(map(len, runs), np.int64, len(runs))
+    owner = np.repeat(np.arange(len(shards), dtype=np.int64),
+                      list(map(len, peers)))
+    indices = (np.concatenate(runs).astype(np.int64, copy=False) if runs
+               else np.empty(0, dtype=np.int64))
+    return peer, count, owner, indices
 
 
 def _ranked(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -331,41 +308,17 @@ class ShardedGraph:
                     ids[a:b], degrees[a:b]), owned[a:b])
             # Channels: mirror rows grouped by (master, mirror) partition;
             # the stable sort keeps ascending vertex id inside a group.
-            # Each shard's master side is one run of that order, and its
-            # mirror side one run of the same rows stably re-sorted by
-            # mirror: the shard's columns are those runs.
-            k = len(names)
             mirror = np.flatnonzero(~inc.first)
-            key = inc.part[inc.master[mirror]] * k + inc.part[mirror]
-            order = stable_order(key)
-            mirror, key = mirror[order], key[order]
-            src, dst = np.divmod(key, k)
-            by_mirror = stable_order(dst)
-            at_master = index[inc.master[mirror]]
-            at_mirror = index[mirror[by_mirror]]
-            to_mirror, from_master = inc.parts[dst], inc.parts[src[by_mirror]]
-            runs = [np.concatenate([[0], np.cumsum(np.bincount(
-                owner, minlength=k))]).tolist() for owner in (src, dst)]
-            for shard, a, b, c, d in zip(shards.values(), runs[0],
-                                         runs[0][1:], runs[1], runs[1][1:]):
-                shard.columns = (to_mirror[a:b], at_master[a:b],
-                                 from_master[c:d], at_mirror[c:d])
-            # The tables are views of the same runs: channel (s, d) starts
-            # at ``first`` in the first order, and after d's channels from
-            # masters below s in the second.
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            count = np.diff(np.append(first, len(key)))
-            on_mirror = np.lexsort((src[first], dst[first]))
-            second = np.empty(len(first), dtype=np.int64)
-            second[on_mirror] = (np.cumsum(count[on_mirror])
-                                 - count[on_mirror])
-            for s_id, d_id, a, b, c, d in zip(
-                    inc.parts[src[first]].tolist(),
-                    inc.parts[dst[first]].tolist(), first.tolist(),
-                    (first + count).tolist(), second.tolist(),
-                    (second + count).tolist()):
-                shards[s_id].master_channels[d_id] = at_master[a:b]
-                shards[d_id].mirror_channels[s_id] = at_mirror[c:d]
+            pair = inc.part[inc.master[mirror]] * len(names) + inc.part[mirror]
+            mirror = mirror[np.argsort(pair, kind="stable")]
+            pair.sort()
+            at_master, at_mirror = index[inc.master[mirror]], index[mirror]
+            cuts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+            for a, b, key in zip(cuts, cuts[1:] + [len(pair)],
+                                 pair[cuts].tolist()):
+                src, dst = names[key // len(names)], names[key % len(names)]
+                shards[src].master_channels[dst] = at_master[a:b]
+                shards[dst].mirror_channels[src] = at_mirror[a:b]
             for key, value in (("edges", len(inc.lo)), ("replicas", total),
                                ("vertices", len(inc.ids)),
                                ("partitions", len(names))):

@@ -211,20 +211,6 @@ def host_map(partitions, layout: str):
     return Placement.contiguous_machine_map(partitions, hosts)
 
 
-def assert_columns_are_the_tables(shard) -> None:
-    """The builder's columns are the shard's dicts concatenated, and every
-    dict entry a view into them."""
-    by_hand = dataclasses.replace(shard)
-    assert by_hand.columns is None
-    for got, want in zip(shard.channel_columns(), by_hand.channel_columns()):
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
-    for tables, column in ((shard.master_channels, shard.columns[1]),
-                           (shard.mirror_channels, shard.columns[3])):
-        assert all(np.shares_memory(table, column)
-                   for table in tables.values())
-
-
 def assert_same_plan(plan, expected) -> None:
     assert plan.rows == expected.rows
     assert plan.rounds == expected.rounds
@@ -317,24 +303,47 @@ class TestPlanMatchesReference:
             shards = [sharded.shards[p] for p in group.bounds]
             assert_same_plan(group.plan, reference_plan(
                 shards, group.bounds, host_map(sharded.partitions, layout)))
-        if built == "builder":
-            for shard in sharded.shards.values():
-                assert_columns_are_the_tables(shard)
 
-    def test_a_copy_drops_the_columns(self):
-        """``dataclasses.replace`` (how the refusal tests rewrite a
-        shard's tables) leaves a shard that reads its dicts, and so does
-        unpickling (the tables are pickled once, as the dicts)."""
-        shard = SHARDINGS["hub-8"].shards[3]
-        copy = dataclasses.replace(shard, master_channels={})
-        assert shard.columns is not None and copy.columns is None
-        assert [len(column) for column in copy.channel_columns()[:2]] == [
-            0, 0]
-        loaded = pickle.loads(pickle.dumps(shard))
-        assert loaded.columns is None
-        for got, want in zip(loaded.channel_columns(),
-                             shard.channel_columns()):
-            assert np.array_equal(got, want)
+    def test_tables_filled_out_of_order(self):
+        """Tables whose dicts list their peers in descending order and
+        hold an empty channel (7 -> 2, against the min-partition rule)
+        give the per-channel construction's plan, the empty channel's
+        ``(src, dst, 0)`` rows included."""
+        sharded = SHARDINGS["hub-8"]
+        shards = []
+        for p in sharded.partitions:
+            shard = sharded.shards[p]
+            masters = dict(sorted(shard.master_channels.items(),
+                                  reverse=True))
+            mirrors = dict(sorted(shard.mirror_channels.items(),
+                                  reverse=True))
+            if p == 7:  # masters sit on the lowest partition: never 7 -> 2
+                masters[2] = np.empty(0, dtype=np.int64)
+            if p == 2:
+                mirrors[7] = np.empty(0, dtype=np.int64)
+            shards.append(dataclasses.replace(
+                shard, master_channels=masters, mirror_channels=mirrors))
+        for layout in ("one", "mod-3"):
+            host_of = host_map(sharded.partitions, layout)
+            for host in sorted(set(host_of.values())):
+                mine = [shard for shard in shards
+                        if host_of[shard.partition] == host]
+                group = ShardGroup(mine, PageRank(iterations=1), host_of,
+                                   host_of, host)
+                expected = reference_plan(mine, group.bounds, host_of)
+                assert_same_plan(group.plan, expected)
+                if layout == "one":
+                    assert (7, 2, 0) in expected.rows
+                    assert (2, 7, 0) in expected.rows
+
+    def test_peer_missing_from_the_host_map(self):
+        """A channel naming a partition the host map lacks is refused
+        with that partition's ``KeyError``, not routed to a neighbour."""
+        sharded = SHARDINGS["hub-8"]
+        host_of = {p: 0 for p in sharded.partitions if p != 5}
+        shards = [sharded.shards[p] for p in sorted(host_of)]
+        with pytest.raises(KeyError, match="5"):
+            ShardGroup(shards, PageRank(iterations=1), host_of, host_of, 0)
 
     def test_rank_sort_must_be_stable(self, monkeypatch):
         """A plan whose ranks come from a sort that reverses ties folds
