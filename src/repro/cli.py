@@ -5,9 +5,9 @@ Examples::
     adwise partition graph.txt --algorithm adwise --partitions 32 \
         --latency-preference 500
     adwise stats graph.txt
-    adwise process graph.txt graph.parts --cluster --backend process
+    adwise process graph.txt graph.parts --cluster-backend process
     adwise pipeline graph.txt --algorithm adwise --partitions 8 \
-        --workload pagerank --cluster
+        --workload pagerank
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.adaptive import check_latency_preference
 from repro.graph.io import iter_edge_blocks, read_graph
-from repro.graph.shard import ShardedGraph
+from repro.graph.shard import ShardedGraph, mapping_columns
 from repro.graph.stream import FileEdgeStream
 from repro.graph.stats import summarize
 from repro.partitioning.parallel import partitioner_registry
@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     process = sub.add_parser(
         "process",
-        help="run a graph algorithm on a partitioned graph "
-             "(simulated, or sharded with --cluster)")
+        help="run a graph algorithm on a partitioned graph: "
+             "per-partition shards with master/mirror replica sync")
     process.add_argument("graph", help="edge-list file")
     process.add_argument("assignments",
                          help="'u v partition' file (see partition "
@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     resume = sub.add_parser(
         "resume",
-        help="restart an interrupted --cluster run from its "
-             "--checkpoint-dir (last consistent superstep boundary)")
+        help="restart an interrupted process or pipeline run from "
+             "its --checkpoint-dir (last consistent superstep boundary)")
     resume.add_argument("checkpoint_dir",
                         help="directory a previous run checkpointed into")
     resume.add_argument("--cluster-backend", choices=["serial", "process"],
@@ -194,34 +194,22 @@ def _add_processing_arguments(parser: argparse.ArgumentParser) -> None:
                         default="pagerank")
     parser.add_argument("--iterations", type=int, default=100)
     parser.add_argument("--machines", type=int, default=None,
-                        help="simulated machine count (default 8; with "
-                             "--cluster, also the serial backend's "
-                             "machine layout — the process backend "
+                        help="machines the serial backend lays the shards "
+                             "over, and the simulated latency's machine "
+                             "count (default 8; the process backend "
                              "derives machines from --workers instead)")
-    parser.add_argument("--mode", choices=["object", "dense"],
-                        default=None,
-                        help="execution backend (default dense): "
-                             "vectorized CSR kernels (dense; falls back "
-                             "per program) or the per-vertex reference "
-                             "interpreter (object); not applicable with "
-                             "--cluster")
-    parser.add_argument("--cluster", action="store_true",
-                        help="execute sharded: per-partition CSR shards "
-                             "with master/mirror replica sync, measured "
-                             "wall-clock and sync traffic next to the "
-                             "simulated latency")
     parser.add_argument("--cluster-backend", choices=["serial", "process"],
                         default=None,
-                        help="--cluster execution (default serial): "
-                             "in-process shards (serial) or one worker "
-                             "OS process per machine (process)")
+                        help="where the shards run (default serial): "
+                             "in-process (serial) or one worker OS "
+                             "process per machine (process)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --cluster-backend "
                              "process (default: one per partition, "
                              "capped at the CPU count)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
-                        help="with --cluster: checkpoint shard state every "
-                             "N supersteps, enabling rollback recovery "
+                        help="checkpoint shard state every N "
+                             "supersteps, enabling rollback recovery "
                              "from worker deaths")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="with --checkpoint-every: persist checkpoints "
@@ -311,6 +299,9 @@ def _run_partition(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
+    if args.sample < 1:
+        print("error: --sample must be >= 1", file=sys.stderr)
+        return 2
     graph = read_graph(args.path)
     summary = summarize(args.path, graph, clustering_sample=args.sample)
     print("name         |V|        |E|          c-hat    maxdeg   skew")
@@ -321,35 +312,25 @@ def _run_stats(args: argparse.Namespace) -> int:
 def _validate_processing_flags(args: argparse.Namespace) -> Optional[str]:
     """Static flag-combination errors, checked *before* any work runs
     (a pipeline may spend minutes partitioning first)."""
-    if args.cluster_backend is not None and not args.cluster:
-        return "--cluster-backend only applies with --cluster"
-    cluster_backend = args.cluster_backend or "serial"
-    if args.workers is not None and not (
-            args.cluster and cluster_backend == "process"):
-        return "--workers only applies to --cluster --cluster-backend process"
+    process_backend = args.cluster_backend == "process"
+    if args.workers is not None and not process_backend:
+        return "--workers only applies to --cluster-backend process"
     if args.iterations < 1:
         return "--iterations must be >= 1"
     if args.workers is not None and args.workers < 1:
         return "--workers must be >= 1"
     if args.machines is not None and args.machines < 1:
         return "--machines must be >= 1"
-    if args.mode is not None and args.cluster:
-        return ("--mode selects the simulator's backend; --cluster always "
-                "runs sharded dense kernels (with engine fallback)")
-    if (args.machines is not None and args.cluster
-            and cluster_backend == "process"):
+    if args.machines is not None and process_backend:
         return ("--machines does not apply to --cluster-backend process "
                 "(machines are the workers; pass --workers)")
-    if args.checkpoint_every is not None:
-        if not args.cluster:
-            return "--checkpoint-every only applies with --cluster"
-        if args.checkpoint_every < 1:
-            return "--checkpoint-every must be >= 1"
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        return "--checkpoint-every must be >= 1"
     if args.checkpoint_dir is not None and args.checkpoint_every is None:
         return "--checkpoint-dir requires --checkpoint-every"
     if args.heartbeat_timeout is not None:
-        if not (args.cluster and cluster_backend == "process"):
-            return ("--heartbeat-timeout only applies to --cluster "
+        if not process_backend:
+            return ("--heartbeat-timeout only applies to "
                     "--cluster-backend process")
         if args.heartbeat_timeout <= 0:
             return "--heartbeat-timeout must be positive"
@@ -426,18 +407,17 @@ def _run_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute_processing(graph, sharded,
+def _execute_processing(sharded: ShardedGraph,
                         args: argparse.Namespace) -> int:
     """Processing stage shared by ``process`` and ``pipeline``: the
-    cluster's shards and the simulated engine's placement both come off
-    the one :class:`~repro.graph.shard.ShardedGraph` the caller built."""
+    cluster engine over the shards the caller built."""
+    from repro.cluster import ClusterEngine, ClusterError
     from repro.engine.algorithms import (
         ConnectedComponents,
         GreedyColoring,
         PageRank,
     )
     from repro.engine.cost import cost_model_for
-    from repro.engine.runtime import Engine
 
     programs = {
         "pagerank": lambda: PageRank(iterations=args.iterations),
@@ -445,47 +425,33 @@ def _execute_processing(graph, sharded,
         "coloring": lambda: GreedyColoring(max_iterations=args.iterations),
     }
     workload = "pagerank" if args.workload != "coloring" else "coloring"
-    cost_model = cost_model_for(workload)
-    program = programs[args.workload]()
-    max_supersteps = args.iterations + 2
-    machines = args.machines if args.machines is not None else 8
-    mode = args.mode if args.mode is not None else "dense"
-
-    if args.cluster:
-        from repro.cluster import ClusterEngine, ClusterError
-
-        kwargs: dict = {"checkpoint_every": args.checkpoint_every,
-                        "checkpoint_dir": args.checkpoint_dir}
-        if (args.cluster_backend or "serial") == "process":
-            if args.heartbeat_timeout is not None:
-                kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-            engine = ClusterEngine(sharded, cost_model,
-                                   backend="process",
-                                   num_workers=args.workers, **kwargs)
-        else:
-            engine = ClusterEngine(sharded, cost_model, backend="serial",
-                                   num_machines=machines, **kwargs)
-        try:
-            report = engine.run(program, max_supersteps=max_supersteps)
-        except ClusterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _print_cluster_report(report, engine.placement.stats())
-        return 0
-
-    placement = sharded.placement(num_machines=machines)
-    engine = Engine(graph, placement, cost_model, mode=mode)
-    report = engine.run(program, max_supersteps=max_supersteps)
-    print(f"workload:            {report.algorithm}")
-    print(f"mode:                {mode}")
-    print(f"supersteps:          {report.supersteps}")
-    print(f"converged:           {report.converged}")
-    print(f"messages sent:       {report.messages_sent}")
-    print(f"simulated latency:   {report.latency_ms:.2f} ms "
-          f"({machines} machines)")
-    stats = placement.stats()
-    print(f"replication degree:  {stats.replication_degree:.4f}")
+    kwargs: dict = {"checkpoint_every": args.checkpoint_every,
+                    "checkpoint_dir": args.checkpoint_dir}
+    if args.cluster_backend == "process":
+        kwargs.update(backend="process", num_workers=args.workers)
+        if args.heartbeat_timeout is not None:
+            kwargs["heartbeat_timeout"] = args.heartbeat_timeout
+    else:
+        kwargs["num_machines"] = (args.machines if args.machines is not None
+                                  else 8)
+    engine = ClusterEngine(sharded, cost_model_for(workload), **kwargs)
+    try:
+        report = engine.run(programs[args.workload](),
+                            max_supersteps=args.iterations + 2)
+    except ClusterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _print_cluster_report(report, engine.placement.stats())
     return 0
+
+
+def _graph_rows(u: np.ndarray, v: np.ndarray, part: np.ndarray):
+    """The assignment rows that are graph edges.  A partitioner assigns
+    a self-loop line like any other; :func:`read_graph` and the shards
+    have no such edge, so its row is dropped here (the ``.parts`` file
+    keeps it)."""
+    edge = u != v
+    return u[edge], v[edge], part[edge]
 
 
 def _run_process(args: argparse.Namespace) -> int:
@@ -493,27 +459,25 @@ def _run_process(args: argparse.Namespace) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    graph = read_graph(args.graph)
     try:
-        u, v, part = read_columns(args.assignments)
+        u, v, part = _graph_rows(*read_columns(args.assignments))
         error = _edge_mismatch(args.graph, u, v)
         if error is None:
-            sharded = ShardedGraph.from_arrays(u, v, part,
-                                               vertices=graph.vertices())
+            sharded = ShardedGraph.from_arrays(u, v, part)
     except ValueError as exc:
         error = str(exc)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    return _execute_processing(graph, sharded, args)
+    return _execute_processing(sharded, args)
 
 
 def _edge_mismatch(graph_path, u, v) -> Optional[str]:
     """Why the assignment rows ``(u[i], v[i])`` do not cover exactly the
-    edges of the graph file (both canonical, with self-loops dropped as
-    :func:`read_graph` drops them), or ``None``: the simulated engine runs
-    the graph's edges, the cluster the rows.  Both sides stay numpy
-    columns until a mismatch has to be named."""
+    edges of the graph file (both canonical, the file's self-loops
+    dropped as :func:`read_graph` drops them), or ``None``: the cluster
+    runs the rows, so they must be the graph's edges.  Both sides stay
+    numpy columns until a mismatch has to be named."""
     def pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Sorted, distinct canonical ``(min, max)`` rows."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -540,7 +504,7 @@ def _edge_mismatch(graph_path, u, v) -> Optional[str]:
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
-    """Chain partition -> write_assignments -> (sharded) process."""
+    """Chain partition -> write_assignments -> process."""
     error = _validate_processing_flags(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
@@ -563,11 +527,10 @@ def _run_pipeline(args: argparse.Namespace) -> int:
           f"replication {result.replication_degree:.4f})")
     print(f"assignments written: {output}")
 
-    graph = read_graph(args.path)
-    sharded = ShardedGraph.from_assignments(
-        assignments, partitions=range(args.partitions),
-        vertices=graph.vertices())
-    return _execute_processing(graph, sharded, args)
+    sharded = ShardedGraph.from_arrays(
+        *_graph_rows(*mapping_columns(assignments)),
+        partitions=range(args.partitions))
+    return _execute_processing(sharded, args)
 
 
 def _run_serve(args: argparse.Namespace) -> int:

@@ -46,7 +46,7 @@ class CostModel:
     (a 1-GbE testbed: a sync message costs four edge scans), not this
     machine's.  Measured on the cluster runtime here (serial backend,
     one core, 100 PageRank supersteps over an HDRF sharding at k = 32,
-    ``adwise process … --cluster`` prints both figures):
+    ``adwise process`` prints both figures):
 
     ==============  ===========================  ====================
     graph           compute, ns per edge         exchange, ns per

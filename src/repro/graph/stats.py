@@ -62,6 +62,8 @@ def average_clustering(graph: Graph, sample_size: Optional[int] = None,
     With ``sample_size`` set, estimates ĉ from a uniform vertex sample — the
     approach the paper uses for the billion-edge Web graph.
     """
+    if sample_size is not None and sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     verts: List[int] = list(graph.vertices())
     if not verts:
         return 0.0

@@ -93,7 +93,7 @@ class TestPartitionCommand:
         with gzip.open(packed, "rt") as handle, open(plain) as text:
             assert handle.read() == text.read()
         assert main(["process", graph_file, packed, "--workload",
-                     "components", "--cluster"]) == 0
+                     "components"]) == 0
         assert "cluster (serial" in capsys.readouterr().out
 
     def test_wall_clock_mode(self, graph_file, capsys):
@@ -192,6 +192,16 @@ class TestStatsCommand:
         assert "c-hat" in out
         assert "120" in out
 
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_rejected(self, graph_file, capsys, sample):
+        """Refused by name, exit 2 — not a ZeroDivisionError (0) or
+        random.sample's ValueError (-1) from the clustering estimate."""
+        code = main(["stats", graph_file, "--sample", sample])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: --sample must be >= 1\n"
+        assert not out
+
 
 @pytest.fixture
 def assignments_file(graph_file, tmp_path, capsys):
@@ -209,12 +219,11 @@ class TestProcessCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "simulated latency:" in out
-        assert "mode:                dense" in out
 
     def test_cluster_serial_run(self, graph_file, assignments_file,
                                 capsys):
         code = main(["process", graph_file, assignments_file,
-                     "--workload", "components", "--cluster"])
+                     "--workload", "components"])
         assert code == 0
         out = capsys.readouterr().out
         assert "cluster (serial" in out
@@ -228,8 +237,7 @@ class TestProcessCommand:
         import re
 
         assert main(["process", graph_file, assignments_file,
-                     "--workload", "pagerank", "--iterations", "4",
-                     "--cluster"]) == 0
+                     "--workload", "pagerank", "--iterations", "4"]) == 0
         out = capsys.readouterr().out
         split = re.search(r"^compute \+ exchange:  ([\d.]+) ms \+ "
                           r"([\d.]+) ms$", out, re.M)
@@ -247,8 +255,7 @@ class TestProcessCommand:
     def test_unsharded_fallback_prints_no_unit_costs(
             self, graph_file, assignments_file, capsys):
         assert main(["process", graph_file, assignments_file,
-                     "--workload", "coloring", "--iterations", "10",
-                     "--cluster"]) == 0
+                     "--workload", "coloring", "--iterations", "10"]) == 0
         out = capsys.readouterr().out
         assert "compute cost:" not in out and "exchange cost:" not in out
 
@@ -256,7 +263,7 @@ class TestProcessCommand:
                                  capsys):
         code = main(["process", graph_file, assignments_file,
                      "--workload", "pagerank", "--iterations", "4",
-                     "--cluster", "--cluster-backend", "process",
+                     "--cluster-backend", "process",
                      "--workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -266,44 +273,107 @@ class TestProcessCommand:
     def test_cluster_fallback_noted(self, graph_file, assignments_file,
                                     capsys):
         code = main(["process", graph_file, assignments_file,
-                     "--workload", "coloring", "--iterations", "10",
-                     "--cluster"])
+                     "--workload", "coloring", "--iterations", "10"])
         assert code == 0
         assert "unsharded fallback" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workload",
+                             ["pagerank", "components", "coloring"])
+    def test_matches_a_direct_cluster_run(self, graph_file,
+                                          assignments_file, capsys,
+                                          workload):
+        """What ``process`` prints is a serial ``ClusterEngine`` on 8
+        machines over the file's rows, run for ``--iterations`` + 2
+        supersteps at most."""
+        from repro.cluster import ClusterEngine
+        from repro.engine.algorithms import (
+            ConnectedComponents,
+            GreedyColoring,
+            PageRank,
+        )
+        from repro.engine.cost import cost_model_for
+        from repro.graph.shard import ShardedGraph
+        from repro.partitioning.partition_io import read_columns
+
+        assert main(["process", graph_file, assignments_file,
+                     "--workload", workload, "--iterations", "6"]) == 0
+        printed = dict(line.split(":", 1) for line in
+                       capsys.readouterr().out.splitlines())
+        program = {"pagerank": PageRank(iterations=6),
+                   "components": ConnectedComponents(),
+                   "coloring": GreedyColoring(max_iterations=6)}[workload]
+        engine = ClusterEngine(
+            ShardedGraph.from_arrays(*read_columns(assignments_file)),
+            cost_model_for("coloring" if workload == "coloring"
+                           else "pagerank"), num_machines=8)
+        report = engine.run(program, max_supersteps=8)
+        expected = {
+            "supersteps": str(report.supersteps),
+            "messages sent": str(report.messages_sent),
+            "simulated latency": f"{report.latency_ms:.2f} ms",
+            "replication degree":
+                f"{engine.placement.stats().replication_degree:.4f}"}
+        assert {name: printed[name].strip()
+                for name in expected} == expected
+
+    def test_self_loop_rows_round_trip(self, tmp_path, capsys):
+        """``partition`` writes a row for each self-loop line; ``process``
+        of that file against the graph it came from runs the graph's
+        edges, as ``read_graph`` sees them."""
+        graph = tmp_path / "loops.txt"
+        write_graph(graph, barabasi_albert_graph(60, 3, seed=2))
+        with open(graph, "a") as handle:
+            handle.write("5 5\n9999 9999\n")
+        parts = str(tmp_path / "loops.parts")
+        assert main(["partition", str(graph), "--algorithm", "hdrf",
+                     "--partitions", "4", "--output", parts]) == 0
+        with open(parts) as handle:
+            assert any(line.startswith("9999 9999 ") for line in handle)
+        capsys.readouterr()
+        assert main(["process", str(graph), parts,
+                     "--workload", "components"]) == 0
+        out, err = capsys.readouterr()
+        assert "converged:           True" in out and not err
+
+    def test_checkpointed_run_resumes(self, graph_file, assignments_file,
+                                      tmp_path, capsys):
+        """``--checkpoint-every`` needs no other flag; ``resume`` of the
+        directory replays from the last checkpoint to the same end."""
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["process", graph_file, assignments_file,
+                     "--iterations", "5", "--checkpoint-every", "2",
+                     "--checkpoint-dir", ckpt]) == 0
+        first = capsys.readouterr().out
+        assert "checkpoints:" in first
+        assert main(["resume", ckpt]) == 0
+        resumed = capsys.readouterr().out
+
+        def lines(out):
+            return [line for line in out.splitlines() if line.startswith(
+                ("supersteps:", "messages sent:", "simulated latency:"))]
+
+        assert len(lines(first)) == 3
+        assert lines(resumed) == lines(first)
 
     def test_workers_without_process_backend_rejected(
             self, graph_file, assignments_file, capsys):
         code = main(["process", graph_file, assignments_file,
-                     "--cluster", "--workers", "2"])
+                     "--workers", "2"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
-
-    def test_cluster_backend_without_cluster_rejected(
-            self, graph_file, assignments_file, capsys):
-        code = main(["process", graph_file, assignments_file,
-                     "--cluster-backend", "process"])
-        assert code == 2
-        assert "--cluster-backend" in capsys.readouterr().err
 
     def test_zero_workers_rejected(self, graph_file, assignments_file,
                                    capsys):
         code = main(["process", graph_file, assignments_file,
-                     "--cluster", "--cluster-backend", "process",
+                     "--cluster-backend", "process",
                      "--workers", "0"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_mode_with_cluster_rejected(self, graph_file,
-                                        assignments_file, capsys):
-        code = main(["process", graph_file, assignments_file,
-                     "--cluster", "--mode", "object"])
-        assert code == 2
-        assert "--mode" in capsys.readouterr().err
-
     def test_machines_with_process_cluster_rejected(
             self, graph_file, assignments_file, capsys):
         code = main(["process", graph_file, assignments_file,
-                     "--cluster", "--cluster-backend", "process",
+                     "--cluster-backend", "process",
                      "--machines", "4"])
         assert code == 2
         assert "--machines" in capsys.readouterr().err
@@ -317,18 +387,15 @@ class TestProcessCommand:
         ("0 1 0\n1 2 1\n2 0 1\n7 8 2\n",
          "row (7, 8) is not a graph edge (4 edges in the file, 3 in"),
     ], ids=["empty", "header-only", "missing", "extra"])
-    @pytest.mark.parametrize("engine", [[], ["--cluster"]],
-                             ids=["simulated", "cluster"])
     def test_assignment_file_must_cover_the_graph(self, tmp_path, capsys,
-                                                  rows, message, engine):
-        """The file's canonical edges must be the graph's, on either
-        engine: the simulator runs the graph's edges, the cluster the
-        file's."""
+                                                  rows, message):
+        """The file's canonical edges must be the graph's: the cluster
+        runs the file's rows."""
         graph = tmp_path / "triangle.txt"
         graph.write_text("0 1\n1 2\n2 0\n")
         parts = tmp_path / "triangle.parts"
         parts.write_text(rows)
-        code = main(["process", str(graph), str(parts)] + engine)
+        code = main(["process", str(graph), str(parts)])
         out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: assignment file does not match "
@@ -336,12 +403,11 @@ class TestProcessCommand:
         assert message in err
         assert not out
 
-    @pytest.mark.parametrize("cluster", [[], ["--cluster"]])
     def test_zero_machines_rejected_before_partitioning(
-            self, graph_file, tmp_path, capsys, cluster):
+            self, graph_file, tmp_path, capsys):
         output = tmp_path / "p.parts"
         code = main(["pipeline", graph_file, "--partitions", "4",
-                     "--machines", "0", "--output", str(output)] + cluster)
+                     "--machines", "0", "--output", str(output)])
         assert code == 2
         out, err = capsys.readouterr()
         assert "error: --machines must be >= 1" in err
@@ -371,27 +437,6 @@ class TestProcessCommand:
         out, err = capsys.readouterr()
         assert "--workers" in err
         assert "partitioned:" not in out
-
-    def test_cluster_matches_simulated_metrics(
-            self, graph_file, assignments_file, capsys):
-        """Same workload: supersteps/messages/simulated latency agree
-        between the simulator and the sharded runtime."""
-        assert main(["process", graph_file, assignments_file,
-                     "--workload", "components"]) == 0
-        simulated = capsys.readouterr().out
-        assert main(["process", graph_file, assignments_file,
-                     "--workload", "components", "--cluster"]) == 0
-        cluster = capsys.readouterr().out
-
-        def metric(text, name):
-            for line in text.splitlines():
-                if line.startswith(name):
-                    # Value only ("15.66 ms (8 machines)" -> "15.66").
-                    return line.split(":", 1)[1].strip().split(" ")[0]
-            raise AssertionError(f"{name} not in output")
-
-        for name in ("supersteps", "messages sent", "simulated latency"):
-            assert metric(simulated, name) == metric(cluster, name)
 
     @pytest.mark.parametrize("iterations", ["0", "-3"])
     @pytest.mark.parametrize("workload",
@@ -429,7 +474,7 @@ class TestPipelineCommand:
         out_path = str(tmp_path / "pipeline.parts.gz")
         code = main(["pipeline", graph_file, "--algorithm", "adwise",
                      "--partitions", "4", "--workload", "components",
-                     "--cluster", "--output", out_path])
+                     "--output", out_path])
         assert code == 0
         out = capsys.readouterr().out
         assert "cluster (serial" in out
@@ -441,9 +486,56 @@ class TestPipelineCommand:
         code = main(["pipeline", graph_file, "--algorithm", "hdrf",
                      "--partitions", "4", "--load-workers", "2",
                      "--output", str(tmp_path / "p.parts"),
-                     "--workload", "components", "--cluster"])
+                     "--workload", "components"])
         assert code == 0
         assert "cluster (serial" in capsys.readouterr().out
+
+    def test_self_loop_lines(self, tmp_path, capsys):
+        """A self-loop line is partitioned and written like any other,
+        then left out of processing: supersteps and messages are the
+        loop-free file's."""
+        graph = barabasi_albert_graph(70, 3, seed=3)
+        plain, looped = tmp_path / "plain.txt", tmp_path / "looped.txt"
+        write_graph(plain, graph)
+        write_graph(looped, graph)
+        with open(looped, "a") as handle:
+            handle.write("5 5\n9999 9999\n")
+
+        def run(path):
+            parts = f"{path}.parts"
+            assert main(["pipeline", str(path), "--algorithm", "hdrf",
+                         "--partitions", "4", "--iterations", "5",
+                         "--output", parts]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines()
+                    if line.startswith(("supersteps:", "messages sent:"))]
+
+        expected = run(plain)
+        assert len(expected) == 2
+        assert run(looped) == expected
+        with open(f"{looped}.parts") as handle:
+            rows = handle.read().splitlines()
+        assert any(row.startswith("5 5 ") for row in rows)
+        assert any(row.startswith("9999 9999 ") for row in rows)
+
+    @pytest.mark.parametrize("flag", [["--mode", "dense"], ["--cluster"]],
+                             ids=["mode", "cluster"])
+    @pytest.mark.parametrize("command", ["process", "pipeline"])
+    def test_no_engine_selection_flags(self, command, flag, graph_file,
+                                       capsys):
+        """Processing has one engine, the cluster: argparse refuses the
+        flags that chose another, and --help does not offer them."""
+        import re
+
+        files = [graph_file] * (2 if command == "process" else 1)
+        with pytest.raises(SystemExit) as refused:
+            main([command, *files, *flag])
+        assert refused.value.code == 2
+        assert "error: " in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert not re.search(r"--(mode|cluster)\b(?!-)",
+                             capsys.readouterr().out)
 
     def test_default_output_next_to_input(self, graph_file, capsys):
         code = main(["pipeline", graph_file, "--algorithm", "hash",

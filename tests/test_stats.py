@@ -60,6 +60,11 @@ class TestClustering:
     def test_sample_larger_than_graph_is_exact(self, triangle):
         assert average_clustering(triangle, sample_size=100) == 1.0
 
+    @pytest.mark.parametrize("sample_size", [0, -1])
+    def test_sample_below_one_rejected(self, triangle, sample_size):
+        with pytest.raises(ValueError, match="sample_size"):
+            average_clustering(triangle, sample_size=sample_size)
+
     def test_empty_graph(self):
         assert average_clustering(Graph()) == 0.0
 
