@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.core.adaptive import check_latency_preference
 from repro.graph.io import iter_edge_blocks, read_graph
-from repro.graph.shard import ShardedGraph, mapping_columns
+from repro.graph.shard import (ShardedGraph, mapping_columns, ranked,
+                               ranked_edges)
 from repro.graph.stream import FileEdgeStream
 from repro.graph.stats import summarize
 from repro.partitioning.parallel import partitioner_registry
@@ -34,11 +35,12 @@ _ALGORITHMS = partitioner_registry()
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="adwise",
+        prog="adwise", allow_abbrev=False,
         description="Streaming vertex-cut graph partitioning (ADWISE repro)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    part = sub.add_parser("partition", help="partition an edge-list file")
+    part = sub.add_parser("partition", allow_abbrev=False,
+                          help="partition an edge-list file")
     part.add_argument("path", help="edge-list file (u v per line)")
     part.add_argument("--algorithm", choices=sorted(_ALGORITHMS),
                       default="adwise")
@@ -66,13 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--output", default=None,
                       help="write 'u v partition' lines to this file")
 
-    stats = sub.add_parser("stats", help="Table II-style graph summary")
+    stats = sub.add_parser("stats", allow_abbrev=False,
+                           help="Table II-style graph summary")
     stats.add_argument("path", help="edge-list file")
     stats.add_argument("--sample", type=int, default=2000,
                        help="vertex sample size for clustering estimate")
 
     process = sub.add_parser(
-        "process",
+        "process", allow_abbrev=False,
         help="run a graph algorithm on a partitioned graph: "
              "per-partition shards with master/mirror replica sync")
     process.add_argument("graph", help="edge-list file")
@@ -82,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_processing_arguments(process)
 
     pipeline = sub.add_parser(
-        "pipeline",
+        "pipeline", allow_abbrev=False,
         help="partition, persist the assignment, then process — the "
              "whole paper pipeline in one invocation")
     pipeline.add_argument("path", help="edge-list file (u v per line)")
@@ -107,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_processing_arguments(pipeline)
 
     serve = sub.add_parser(
-        "serve",
+        "serve", allow_abbrev=False,
         help="run the multi-tenant partitioning daemon "
              "(ndjson over TCP; see repro.service)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "batched (default), or page-cache only (off)")
 
     resume = sub.add_parser(
-        "resume",
+        "resume", allow_abbrev=False,
         help="restart an interrupted process or pipeline run from "
              "its --checkpoint-dir (last consistent superstep boundary)")
     resume.add_argument("checkpoint_dir",
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the original superstep budget")
 
     top = sub.add_parser(
-        "top",
+        "top", allow_abbrev=False,
         help="metrics view of a running daemon: service totals plus a "
              "per-tenant table (Prometheus scrape under the hood)")
     top.add_argument("--host", default="127.0.0.1")
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="refresh every N seconds until interrupted")
 
     client = sub.add_parser(
-        "client",
+        "client", allow_abbrev=False,
         help="stream an edge-list file into a running daemon "
              "and print the tenant's stats")
     client.add_argument("path", help="edge-list file (u v per line)")
@@ -478,23 +481,18 @@ def _edge_mismatch(graph_path, u, v) -> Optional[str]:
     dropped as :func:`read_graph` drops them), or ``None``: the cluster
     runs the rows, so they must be the graph's edges.  Both sides stay
     numpy columns until a mismatch has to be named."""
-    def pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Sorted, distinct canonical ``(min, max)`` rows."""
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((hi, lo))
-        rows = np.column_stack([lo[order], hi[order]])
-        distinct = np.ones(len(rows), dtype=bool)
-        distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        return rows[distinct]
-
     edges = np.concatenate([np.empty((0, 2), dtype=np.int64),
                             *iter_edge_blocks(graph_path)])
     edges = edges[edges[:, 0] != edges[:, 1]]
-    assigned, present = pairs(u, v), pairs(edges[:, 0], edges[:, 1])
+    ids, _, _, key = ranked_edges(np.concatenate([u, edges[:, 0]]),
+                                  np.concatenate([v, edges[:, 1]]))
+    assigned, present = (ranked(keys, ranks=False)[0]
+                         for keys in (key[:len(u)], key[len(u):]))
     if np.array_equal(assigned, present):
         return None
-    in_file, in_graph = (set(map(tuple, rows.tolist()))
-                         for rows in (assigned, present))
+    in_file, in_graph = (set(zip(ids[keys // len(ids)].tolist(),
+                                 ids[keys % len(ids)].tolist()))
+                         for keys in (assigned, present))
     what = (f"graph edge {min(in_graph - in_file)} has no row"
             if in_graph - in_file
             else f"row {min(in_file - in_graph)} is not a graph edge")

@@ -65,7 +65,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,24 +92,30 @@ class SyncStats:
     remote_per_machine: Dict[int, int] = field(default_factory=dict)
     local_per_machine: Dict[int, int] = field(default_factory=dict)
 
-    def record(self, src_part: int, dst_part: int, messages: int,
-               nbytes: int, machine_of: Mapping[int, int]) -> None:
-        """Record ``messages`` flowing ``src_part -> dst_part``.
-
-        Mirrors the prediction's accounting: every message charges *both*
-        endpoint machines, and counts as remote only when the endpoints'
-        machines differ.
-        """
-        ends = (machine_of[src_part], machine_of[dst_part])
-        self.payload_bytes += nbytes
-        if ends[0] == ends[1]:
-            self.local_messages += messages
-            per_machine = self.local_per_machine
-        else:
-            self.remote_messages += messages
-            per_machine = self.remote_per_machine
-        for machine in ends:
-            per_machine[machine] = per_machine.get(machine, 0) + messages
+    @classmethod
+    def of_rows(cls, rows: Sequence[Tuple[int, int, int]],
+                machine_of: Mapping[int, int], item_bytes: int
+                ) -> "SyncStats":
+        """The traffic of ``(src_part, dst_part, messages)`` rows at
+        ``item_bytes`` a message, counted as the prediction counts it: a
+        message charges *both* endpoint machines and is remote only when
+        they differ; a machine a row names is a key even where the row
+        moves nothing."""
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        ends = np.fromiter(map(machine_of.__getitem__,
+                               rows[:, :2].ravel().tolist()),
+                           np.int64, 2 * len(rows)).reshape(-1, 2)
+        count, remote = rows[:, 2], ends[:, 0] != ends[:, 1]
+        stats = cls(int(count[remote].sum()), int(count[~remote].sum()),
+                    int(count.sum()) * item_bytes)
+        for per_machine, chosen in ((stats.remote_per_machine, remote),
+                                    (stats.local_per_machine, ~remote)):
+            machines = ends[chosen].ravel()
+            sums = np.bincount(machines, np.repeat(count[chosen], 2))
+            touched = np.flatnonzero(np.bincount(machines))
+            per_machine.update(zip(touched.tolist(),
+                                   sums[touched].astype(np.int64).tolist()))
+        return stats
 
     def merge(self, other: "SyncStats") -> None:
         self.remote_messages += other.remote_messages
@@ -625,10 +631,8 @@ class ShardGroup:
                 self._index["mirrors"], self._own)
         item_bytes = values.itemsize + recv.itemsize
         if item_bytes not in self._tallies:
-            tally = self._tallies[item_bytes] = SyncStats()
-            for src, dst, count in plan.rows:
-                tally.record(src, dst, count, count * item_bytes,
-                             self.machine_of)
+            self._tallies[item_bytes] = SyncStats.of_rows(
+                plan.rows, self.machine_of, item_bytes)
         self.stats = self._tallies[item_bytes]
 
     # -- results --------------------------------------------------------

@@ -4,7 +4,7 @@ Translates a :class:`~repro.engine.placement.Placement` into per-superstep
 latency.  The model mirrors the paper's testbed mechanics:
 
 * **compute** — each machine scans the edges of its partitions for every
-  active vertex: ``edge_compute_ms × active_fraction × edges_on_machine``.
+  active vertex: ``edge_compute_ms × active_fraction × machine_edges``.
 * **communication** — replica synchronisation messages cross the (shared,
   1-GbE-like) network: ``message_ms × active_fraction × sync_messages``.
 * a superstep finishes when the *slowest* machine finishes (BSP barrier),

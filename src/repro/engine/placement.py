@@ -16,8 +16,7 @@ placement exposes the quantities the cost model needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +41,6 @@ class PlacementStats:
     local_sync_per_machine: Dict[int, int]
     replication_degree: float
     machine_span_degree: float
-
-    @property
-    def sync_messages_per_machine(self) -> Dict[int, int]:
-        """Total (remote + local) sync messages per machine."""
-        return {m: self.remote_sync_per_machine.get(m, 0)
-                + self.local_sync_per_machine.get(m, 0)
-                for m in self.edges_per_machine}
 
 
 class Placement:
@@ -84,37 +76,11 @@ class Placement:
         inc = self._incidence = (
             assignments if isinstance(assignments, Incidence) else
             Incidence(*mapping_columns(assignments), self.partitions))
-        self._sizes = dict(zip(inc.parts.tolist(), inc.sizes.tolist()))
-        unknown = [p for p, size in self._sizes.items()
+        unknown = [p for p, size in zip(inc.parts.tolist(),
+                                        inc.sizes.tolist())
                    if size and p not in self.partitions]
         if unknown:
             raise ValueError(f"assignment to unknown partition {unknown[0]}")
-
-    @cached_property
-    def partition_edges(self) -> Dict[int, List[Edge]]:
-        """partition -> its edges (this and the three views below walk
-        the assignment per edge or per vertex: built on first access,
-        for the object engine's callers; ``stats`` reads none)."""
-        edges: Dict[int, List[Edge]] = {p: [] for p in self.partitions}
-        for edge, partition in self._incidence.edges():
-            edges[partition].append(edge)
-        return edges
-
-    @cached_property
-    def vertex_partitions(self) -> Dict[int, Set[int]]:
-        inc = self._incidence  # vertex_parts() is in ``ids`` order
-        return {v: set(parts) for (v, parts), degree in zip(
-            inc.vertex_parts().items(), inc.degree.tolist()) if degree}
-
-    @cached_property
-    def vertex_machines(self) -> Dict[int, Set[int]]:
-        return {v: {self.machine_of_partition[p] for p in parts}
-                for v, parts in self.vertex_partitions.items()}
-
-    @cached_property
-    def master_machine(self) -> Dict[int, int]:
-        return {v: min(machines)
-                for v, machines in self.vertex_machines.items()}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -144,14 +110,6 @@ class Placement:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def edges_on_machine(self, machine: int) -> int:
-        return sum(self._sizes[p] for p in self.partitions
-                   if self.machine_of_partition[p] == machine)
-
-    def span(self, vertex: int) -> int:
-        """Number of machines holding a replica of ``vertex``."""
-        return len(self.vertex_machines.get(vertex, ()))
-
     def stats(self) -> PlacementStats:
         """Precompute the per-machine aggregates for the cost model.
 

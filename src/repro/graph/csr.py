@@ -23,6 +23,7 @@ Layout invariants:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -67,39 +68,28 @@ class CSRGraph:
         :class:`~repro.graph.graph.Graph`.  ``vertices`` optionally names
         additional (possibly isolated) vertices to include.
         """
-        pairs = np.array([(u, v) for u, v in edges],
-                         dtype=np.int64).reshape(-1, 2)
-        extra = np.fromiter(vertices, dtype=np.int64)
-        if len(pairs) and (pairs[:, 0] == pairs[:, 1]).any():
-            loop = pairs[pairs[:, 0] == pairs[:, 1]][0]
-            raise ValueError(
-                f"self-loop ({loop[0]}, {loop[1]}) not supported")
-        vertex_ids = np.unique(np.concatenate([pairs.ravel(), extra]))
-        n = len(vertex_ids)
-        # Remap endpoints onto dense indices and canonicalise (lo, hi).
-        lo = np.searchsorted(vertex_ids, pairs.min(axis=1))
-        hi = np.searchsorted(vertex_ids, pairs.max(axis=1))
-        if len(lo):
-            # Collapse parallel edges: unique (lo, hi) pairs via a single
-            # scalar key — n < 2**31 keeps lo * n + hi inside int64.
-            key = np.unique(lo * np.int64(max(n, 1)) + hi)
-            lo, hi = key // max(n, 1), key % max(n, 1)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        dtype = np.int32 if n <= _INT32_MAX else np.int64
-        indices = dst[order].astype(dtype, copy=False)
-        degrees = np.bincount(src, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
+        from repro.graph.shard import ranked, ranked_edges
+
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        vertex_ids, _, _, key = ranked_edges(ends[0::2], ends[1::2],
+                                             vertices, loops=False)
+        n = max(len(vertex_ids), 1)
+        # Distinct canonical (lo, hi) keys, then both directions of each
+        # in one sort: row-major, ascending neighbour within a row.
+        key = ranked(key, ranks=False)[0]
+        src, dst = np.divmod(np.sort(np.concatenate(
+            [key, key % n * n + key // n])), n)
+        indices = dst.astype(np.int32 if n <= _INT32_MAX else np.int64)
+        indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(vertex_ids)),
+                  out=indptr[1:])
         return cls(indptr, indices, vertex_ids)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
         """Snapshot a :class:`~repro.graph.graph.Graph` (keeps isolated
         vertices)."""
-        return cls.from_edges(
-            ((e.u, e.v) for e in graph.edges()), vertices=graph.vertices())
+        return cls.from_edges(graph.edges(), vertices=graph.vertices())
 
     # ------------------------------------------------------------------
     # Queries

@@ -132,20 +132,41 @@ def channel_runs(shards: Sequence[Shard], side: int
     return peer, count, owner, indices
 
 
-def _ranked(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct ``values`` and each value's rank among them:
-    off a presence table indexed by value where the values' range is
-    small against their number, off a sort where it is not."""
+def ranked(values: np.ndarray, ranks: bool = True):
+    """The sorted distinct ``values`` and (``ranks``; else ``None``) each
+    value's rank among them: off a presence table indexed by value where
+    the values' range is small against their number, off a sort where it
+    is not."""
     base = int(values.min()) if len(values) else 0
     span = int(values.max()) - base + 1 if len(values) else 0
     if span <= 4 * len(values) + 4096:
-        offset, table = values - base, np.zeros(span, dtype=bool)
+        offset = values - base if base else values  # ids from 0: no copy
+        table = np.zeros(span, dtype=bool)
         table[offset] = True
-        return np.flatnonzero(table) + base, (np.cumsum(table) - 1)[offset]
+        return np.flatnonzero(table) + base, (
+            (np.cumsum(table) - 1)[offset] if ranks else None)
     distinct = np.sort(values)
     distinct = distinct[np.concatenate(
         [[True], distinct[1:] != distinct[:-1]])]
-    return distinct, np.searchsorted(distinct, values)
+    return distinct, np.searchsorted(distinct, values) if ranks else None
+
+
+def ranked_edges(u, v, vertices=(), loops: bool = True
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An edge list ranked — the one place an edge list is made
+    canonical: the sorted distinct ``ids`` of its endpoints and
+    ``vertices``, each row's two endpoint ranks among them (as given),
+    and its ``key``, ``min * len(ids) + max`` of the two (int64 below
+    3·10⁹ ids): one per undirected edge, ordered as the canonical
+    ``(min, max)`` pairs are.  ``loops=False`` refuses a self-loop row."""
+    u, v = (np.asarray(c, dtype=np.int64) for c in (u, v))
+    if not loops and (u == v).any():
+        loop = int(u[u == v][0])
+        raise ValueError(f"self-loop ({loop}, {loop}) not supported")
+    ids, index = ranked(np.concatenate(
+        [u, v, np.fromiter(vertices, dtype=np.int64)]))
+    ru, rv = index[:len(u)], index[len(u):2 * len(u)]
+    return ids, ru, rv, np.minimum(ru, rv) * len(ids) + np.maximum(ru, rv)
 
 
 def _dict_order(keys: np.ndarray, values: np.ndarray):
@@ -165,8 +186,7 @@ def _dict_order(keys: np.ndarray, values: np.ndarray):
 def collapsed_columns(u, v, part) -> Tuple[np.ndarray, ...]:
     """Canonical ``(u, v, part)`` decision columns as the mapping they
     make: a repeated edge keeps its first row and its last partition."""
-    ids, index = _ranked(np.concatenate([u, v]))
-    kept = _dict_order(index[:len(u)] * len(ids) + index[len(u):], part)
+    kept = _dict_order(ranked_edges(u, v)[3], part)
     if kept is None:
         return u, v, part
     return u[kept[0]], v[kept[0]], kept[1]
@@ -182,18 +202,13 @@ class Incidence:
     """
 
     def __init__(self, u, v, part, partitions=None, vertices=()) -> None:
-        u, v, part = (np.asarray(c, dtype=np.int64) for c in (u, v, part))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if (lo == hi).any():
-            loop = int(lo[lo == hi][0])
-            raise ValueError(f"self-loop ({loop}, {loop}) not supported")
-        self.ids, index = _ranked(np.concatenate(
-            [lo, hi, np.fromiter(vertices, dtype=np.int64)]))
-        lo, hi = np.split(index[:2 * len(u)], 2)
-        kept = _dict_order(lo * len(self.ids) + hi, part)
+        part = np.asarray(part, dtype=np.int64)
+        self.ids, _, _, key = ranked_edges(u, v, vertices, loops=False)
+        kept = _dict_order(key, part)
         if kept is not None:  # duplicates, in either orientation
-            lo, hi, part = lo[kept[0]], hi[kept[0]], kept[1]
-        self.parts, pos = _ranked(np.concatenate([part, np.fromiter(
+            key, part = key[kept[0]], kept[1]
+        lo, hi = np.divmod(key, max(len(self.ids), 1))
+        self.parts, pos = ranked(np.concatenate([part, np.fromiter(
             () if partitions is None else partitions, dtype=np.int64)]))
         k, pos = len(self.parts), pos[:len(part)]
         if not k:
@@ -204,7 +219,7 @@ class Incidence:
                                   minlength=len(self.ids))
         # Isolated vertices: round-robin over partitions, ascending id.
         isolated = np.flatnonzero(self.degree == 0)
-        rows, slots = _ranked(np.concatenate([
+        rows, slots = ranked(np.concatenate([
             lo * k + pos, hi * k + pos,
             isolated * k + np.arange(len(isolated)) % k]))
         self.vertex, self.part = np.divmod(rows, k)
@@ -212,7 +227,8 @@ class Incidence:
         self.master = np.flatnonzero(self.first)[np.cumsum(self.first) - 1]
         self.lo, self.hi = np.split(slots[:2 * len(lo)], 2)
 
-    # The two per-edge / per-vertex walks, for the lazy dict views only.
+    # The two walks per vertex / per edge: ``ShardedGraph.vertex_partitions``
+    # and ``to_graph`` (the object-engine fallback) read them.
     def vertex_parts(self) -> Dict[int, List[int]]:
         """Every vertex id (ascending) -> the partitions holding it."""
         cuts = np.flatnonzero(self.first).tolist() + [len(self.part)]
@@ -260,14 +276,10 @@ class ShardedGraph:
         self.__dict__.update(state)
 
     @cached_property
-    def assignments(self) -> Dict[Edge, int]:
-        """Canonical edge -> partition, built on first access: the job
-        path (shards, fingerprint, placement) reads the arrays only."""
-        return dict(self.incidence.edges())
-
-    @cached_property
     def vertex_partitions(self) -> Dict[int, List[int]]:
-        """vertex -> ascending partitions holding it (lazy, as above)."""
+        """vertex -> ascending partitions holding it, built on first
+        access: the job path (shards, fingerprint, placement) reads the
+        arrays only."""
         return self.incidence.vertex_parts()
 
     # ------------------------------------------------------------------
@@ -350,10 +362,6 @@ class ShardedGraph:
     def replication_degree(self) -> float:
         """Average replicas per vertex (isolated vertices count 1)."""
         return len(self.incidence.vertex) / max(1, self.num_vertices)
-
-    def master_of(self, vertex: int) -> int:
-        """Partition holding ``vertex``'s master replica."""
-        return self.vertex_partitions[vertex][0]
 
     def to_graph(self) -> Graph:
         """Reassemble the logical :class:`~repro.graph.graph.Graph`

@@ -12,16 +12,6 @@ from typing import Dict, Iterable, Mapping, Set
 from repro.graph.graph import Edge
 
 
-def replica_sets_from_assignments(
-        assignments: Mapping[Edge, int]) -> Dict[int, Set[int]]:
-    """Reconstruct replica sets ``R_v`` from an edge → partition mapping."""
-    replicas: Dict[int, Set[int]] = {}
-    for edge, partition in assignments.items():
-        replicas.setdefault(edge.u, set()).add(partition)
-        replicas.setdefault(edge.v, set()).add(partition)
-    return replicas
-
-
 def replication_degree(replicas: Mapping[int, Set[int]]) -> float:
     """Average replica-set size ``(1/|V|) Σ |R_v|`` (Eq. 1)."""
     if not replicas:

@@ -11,10 +11,13 @@ partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional
 
+import numpy as np
+
+from repro.graph.shard import mapping_columns, ranked, ranked_edges
 from repro.partitioning.base import PartitionResult
-from repro.partitioning.metrics import replica_sets_from_assignments
 
 
 @dataclass
@@ -50,14 +53,13 @@ def validate_result(result: PartitionResult,
     """
     report = ValidationReport()
     state = result.state
-    valid_partitions = set(state.partitions)
+    u, v, part = mapping_columns(result.assignments)
 
     # 1. Every assignment targets a configured partition.
-    for edge, partition in result.assignments.items():
-        if partition not in valid_partitions:
-            report.errors.append(
-                f"edge {tuple(edge)} assigned to unknown partition "
-                f"{partition}")
+    for row in np.flatnonzero(~np.isin(part, list(state.partitions))):
+        report.errors.append(
+            f"edge {(int(u[row]), int(v[row]))} assigned to unknown "
+            f"partition {int(part[row])}")
 
     # 2. Edge accounting.
     size_total = sum(state.partition_edges.values())
@@ -74,19 +76,35 @@ def validate_result(result: PartitionResult,
     #    contains the edge's partition, and no replica exists without a
     #    supporting edge (assignments may deduplicate stream duplicates,
     #    so extra replicas are an error but the reverse check is exact).
-    derived = replica_sets_from_assignments(result.assignments)
-    stored_sets = state.replica_sets  # one read: a snapshot on the array state
-    for vertex, reps in derived.items():
-        stored = stored_sets.get(vertex, set())
-        if not reps <= stored:
-            report.errors.append(
-                f"vertex {vertex}: assignments imply replicas {sorted(reps)} "
-                f"but state records {sorted(stored)}")
-    for vertex, stored in stored_sets.items():
-        if vertex not in derived and stored:
-            report.warnings.append(
-                f"vertex {vertex} has replicas {sorted(stored)} with no "
-                f"assignment in the result (duplicate stream edges?)")
+    #    Both sides as ranked (vertex, partition) rows; a vertex is
+    #    reported in the order the assignments first name it.
+    stored = state.replica_sets  # one read: a snapshot on the array state
+    names = np.fromiter(stored, np.int64, len(stored))
+    held = np.fromiter(map(len, stored.values()), np.int64, len(stored))
+    ids, ru, rv, _ = ranked_edges(u, v, names)
+    ends = np.stack([ru, rv], axis=1).ravel()  # in the order rows name them
+    del ru, rv, _  # frees their edge-sized rank array: ``ends`` is read
+    parts, pos = ranked(np.concatenate([part, np.fromiter(
+        chain.from_iterable(stored.values()), np.int64, held.sum())]))
+    k, mine = max(len(parts), 1), np.searchsorted(ids, names)
+    implied = ranked((ends.reshape(-1, 2) * k + pos[:len(part), None]).ravel(),
+                     ranks=False)[0]  # sorted: R_v, vertex by vertex
+    recorded = np.repeat(mine, held) * k + pos[len(part):]
+    lacking = np.zeros(len(ids), dtype=bool)
+    lacking[implied[~np.isin(implied, recorded)] // k] = True
+    for at in dict.fromkeys(ends[lacking[ends]].tolist()):
+        a, b = np.searchsorted(implied, [at * k, at * k + k])
+        name = int(ids[at])
+        report.errors.append(
+            f"vertex {name}: assignments imply replicas "
+            f"{parts[implied[a:b] % k].tolist()} but state records "
+            f"{sorted(stored.get(name, set()))}")
+    named = np.zeros(len(ids), dtype=bool)
+    named[ends] = True
+    for name in names[~named[mine] & (held > 0)].tolist():
+        report.warnings.append(
+            f"vertex {name} has replicas {sorted(stored[name])} "
+            f"with no assignment in the result (duplicate stream edges?)")
 
     # 4. Balance constraint (Eq. 2), if requested.
     if tau is not None:

@@ -331,8 +331,9 @@ def test_shards_from_the_store_are_the_dicts(config):
                                                partitions=range(PARTITIONS))]
     assert len({sharded.fingerprint() for sharded in shardings}) == 1
     for sharded in shardings:
-        assert sharded.assignments == plain
-        assert list(sharded.assignments.items()) == list(plain.items())
+        edges = dict(sharded.incidence.edges())
+        assert edges == plain
+        assert list(edges.items()) == list(plain.items())
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,7 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.powerlyra import PowerLyraPartitioner
 from repro.partitioning.state import PartitionState, StateSnapshot
-from repro.partitioning.metrics import (
-    partition_sizes,
-    replica_sets_from_assignments,
-)
+from repro.graph.shard import ShardedGraph
 
 ALL_BASELINES = [
     HashPartitioner,
@@ -98,7 +95,7 @@ class TestDBH:
         """All star edges hash the spoke (degree-1), not the hub."""
         p = DBHPartitioner(range(4))
         result = p.partition_stream(InMemoryEdgeStream(star.edge_list()))
-        replicas = replica_sets_from_assignments(result.assignments)
+        replicas = ShardedGraph.from_result(result).vertex_partitions
         # Each spoke has exactly one replica.
         for spoke in range(1, 6):
             assert len(replicas[spoke]) == 1
@@ -203,6 +200,6 @@ class TestGrid:
 
     def test_bounded_replication_per_vertex(self, small_stream):
         result = GridPartitioner(range(16)).partition_stream(small_stream)
-        replicas = replica_sets_from_assignments(result.assignments)
+        replicas = ShardedGraph.from_result(result).vertex_partitions
         # Grid bounds each vertex's replicas by 2*sqrt(k) - 1 = 7.
         assert all(len(r) <= 7 for r in replicas.values())

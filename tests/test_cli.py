@@ -10,6 +10,12 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.io import write_graph
 
 
+#: Small graphs for ``process``'s edge check: dense ids, and ids far
+#: apart, negative and past 2**31.
+TRIANGLE = "0 1\n1 2\n2 0\n"
+SPARSE = "1000000000000 7\n7 -5\n-5 1000000000000\n"
+
+
 @pytest.fixture
 def graph_file(tmp_path):
     path = tmp_path / "graph.txt"
@@ -378,30 +384,51 @@ class TestProcessCommand:
         assert code == 2
         assert "--machines" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("rows, message", [
-        ("", "graph edge (0, 1) has no row (0 edges in the file, 3 in"),
-        ("# header only\n",
+    @pytest.mark.parametrize("graph, rows, message", [
+        (TRIANGLE, "", "graph edge (0, 1) has no row (0 edges in the file, "
+         "3 in"),
+        (TRIANGLE, "# header only\n",
          "graph edge (0, 1) has no row (0 edges in the file, 3 in"),
-        ("0 1 0\n1 2 1\n",
+        (TRIANGLE, "0 1 0\n1 2 1\n",
          "graph edge (0, 2) has no row (2 edges in the file, 3 in"),
-        ("0 1 0\n1 2 1\n2 0 1\n7 8 2\n",
+        (TRIANGLE, "0 1 0\n1 2 1\n2 0 1\n7 8 2\n",
          "row (7, 8) is not a graph edge (4 edges in the file, 3 in"),
-    ], ids=["empty", "header-only", "missing", "extra"])
+        (SPARSE, "7 1000000000000 0\n-5 7 1\n",
+         "graph edge (-5, 1000000000000) has no row (2 edges in the file, "
+         "3 in"),
+        (SPARSE, "1000000000000 7 0\n7 -5 1\n-5 1000000000000 1\n"
+         "1099511627776 3 2\n",
+         "row (3, 1099511627776) is not a graph edge (4 edges in the file, "
+         "3 in"),
+    ], ids=["empty", "header-only", "missing", "extra", "sparse-missing",
+            "sparse-extra"])
     def test_assignment_file_must_cover_the_graph(self, tmp_path, capsys,
-                                                  rows, message):
+                                                  graph, rows, message):
         """The file's canonical edges must be the graph's: the cluster
-        runs the file's rows."""
-        graph = tmp_path / "triangle.txt"
-        graph.write_text("0 1\n1 2\n2 0\n")
-        parts = tmp_path / "triangle.parts"
+        runs the file's rows.  Ids far apart, negative and past 2**31
+        are named as they are, the rows in either orientation."""
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text(graph)
+        parts = tmp_path / "graph.parts"
         parts.write_text(rows)
-        code = main(["process", str(graph), str(parts)])
+        code = main(["process", str(graph_path), str(parts)])
         out, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error: assignment file does not match "
                               "the graph: ")
         assert message in err
         assert not out
+
+    def test_sparse_ids_cover_the_graph(self, tmp_path, capsys):
+        """Reversed and repeated rows over sparse ids still cover it."""
+        graph = tmp_path / "sparse.txt"
+        graph.write_text(SPARSE)
+        parts = tmp_path / "sparse.parts"
+        parts.write_text("7 1000000000000 0\n-5 7 1\n"
+                         "1000000000000 -5 1\n7 -5 0\n")
+        assert main(["process", str(graph), str(parts),
+                     "--iterations", "2"]) == 0
+        assert "supersteps" in capsys.readouterr().out
 
     def test_zero_machines_rejected_before_partitioning(
             self, graph_file, tmp_path, capsys):
@@ -536,6 +563,23 @@ class TestPipelineCommand:
             main([command, "--help"])
         assert not re.search(r"--(mode|cluster)\b(?!-)",
                              capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flag", ["--cluster", "--cluster-b",
+                                      "--cluster-backen"])
+    @pytest.mark.parametrize("command", ["process", "pipeline"])
+    def test_option_prefixes_refused(self, command, flag, graph_file,
+                                     capsys):
+        """Options are matched whole: a prefix of --cluster-backend is
+        an unrecognised argument (exit 2 before anything runs), not the
+        option itself."""
+        files = [graph_file] * (2 if command == "process" else 1)
+        with pytest.raises(SystemExit) as refused:
+            main([command, *files, flag, "serial"])
+        assert refused.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} serial" in err
+        assert not out
+        assert not os.path.exists(graph_file + ".parts")
 
     def test_default_output_next_to_input(self, graph_file, capsys):
         code = main(["pipeline", graph_file, "--algorithm", "hash",

@@ -9,7 +9,7 @@ from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.jabeja import JaBeJaVCPartitioner
 from repro.partitioning.ne import NEPartitioner
 from repro.partitioning.powerlyra import PowerLyraPartitioner
-from repro.partitioning.metrics import replica_sets_from_assignments
+from repro.graph.shard import ShardedGraph
 
 
 class TestNE:
@@ -119,7 +119,7 @@ class TestPowerLyra:
         """Spokes are low-degree destinations: each keeps one replica."""
         result = PowerLyraPartitioner(range(4)).partition_stream(
             InMemoryEdgeStream(star.edge_list()))
-        replicas = replica_sets_from_assignments(result.assignments)
+        replicas = ShardedGraph.from_result(result).vertex_partitions
         for spoke in range(1, 6):
             assert len(replicas[spoke]) == 1
 

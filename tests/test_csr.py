@@ -118,3 +118,64 @@ class TestLayoutInvariants:
         assert (via_graph.vertex_ids == via_edges.vertex_ids).all()
         assert (via_graph.indptr == via_edges.indptr).all()
         assert (via_graph.indices == via_edges.indices).all()
+
+
+# Id lists the edges are drawn from: (name, ids(n), dense?) — a dense list
+# spans at most a few times its length, so ``ranked`` takes its
+# presence-table branch on the endpoints; a sparse one takes the sort.
+ID_KINDS = [
+    ("dense", lambda n: np.arange(n), True),
+    ("sparse", lambda n: np.arange(n) * 1_000_003, False),
+    ("negative", lambda n: np.arange(n) - n // 2, True),
+    ("negative-sparse", lambda n: -np.arange(n) * 10**12, False),
+    ("above-2**31", lambda n: 2**31 + 7 + np.arange(n), True),
+    ("above-2**31-sparse", lambda n: 2**31 + np.arange(n) * 2**33, False),
+]
+
+
+def takes_table(values: np.ndarray) -> bool:
+    """Whether ``graph/shard.py::ranked`` ranks ``values`` off its
+    presence table (else off a sort)."""
+    return int(np.ptp(values)) + 1 <= 4 * len(values) + 4096
+
+
+def parallel_edges(ids: np.ndarray, seed: int):
+    """300 random edges over the first ``len(ids) - 6`` ids, every fifth
+    repeated reversed and every seventh repeated as is, shuffled; and
+    the vertex list: six ids no edge names, and two that an edge does."""
+    rng = np.random.default_rng(seed)
+    pool = ids[:-6]
+    u, v = rng.choice(pool, 300), rng.choice(pool, 300)
+    edges = [(int(a), int(b)) for a, b in zip(u, v) if a != b]
+    edges += [(b, a) for a, b in edges[::5]] + edges[::7]
+    order = rng.permutation(len(edges))
+    vertices = ids[-6:].tolist() + [edges[0][0], edges[1][1]]
+    return [edges[i] for i in order], vertices
+
+
+@pytest.mark.parametrize("n", [40, 500])
+@pytest.mark.parametrize("name, make_ids, dense",
+                         ID_KINDS, ids=[kind[0] for kind in ID_KINDS])
+def test_ranked_builder_equals_the_sorting_one(name, make_ids, dense, n):
+    """``from_edges`` ranks through ``graph/shard.py``; every array it
+    builds equals the old ``np.unique`` / ``lexsort`` builder's, dtype
+    included, on both branches of the ranking — the endpoints' (dense
+    or sparse ids) and the packed keys' (few or many vertices)."""
+    from _csr_reference import reference_from_edges
+
+    edges, vertices = parallel_edges(make_ids(n), seed=n)
+    ends = np.array(edges, dtype=np.int64).ravel()
+    assert takes_table(np.concatenate([ends, vertices])) == dense
+    wanted = reference_from_edges(edges, vertices)
+    lo, hi = np.sort(np.searchsorted(wanted.vertex_ids, np.array(edges)),
+                     axis=1).T
+    assert takes_table(lo * wanted.num_vertices + hi) == (n == 40)
+    for got in (CSRGraph.from_edges(edges, vertices),
+                CSRGraph.from_graph(graph_of(edges, vertices))):
+        for attr in ("indptr", "indices", "vertex_ids", "degrees"):
+            mine, theirs = getattr(got, attr), getattr(wanted, attr)
+            assert mine.dtype == theirs.dtype, attr
+            assert np.array_equal(mine, theirs), attr
+        assert (got.num_vertices, got.num_edges) == (
+            wanted.num_vertices, wanted.num_edges)
+    assert wanted.degrees[wanted.index_of[vertices[0]]] == 0  # isolated

@@ -35,17 +35,19 @@ class TestPlacement:
         assert list(mapping.values()).count(1) == 2
 
     def test_edges_per_machine(self, simple_placement):
-        assert simple_placement.edges_on_machine(0) == 2
-        assert simple_placement.edges_on_machine(1) == 2
+        assert simple_placement.stats().edges_per_machine == {0: 2, 1: 2}
 
     def test_vertex_span(self, simple_placement):
-        assert simple_placement.span(2) == 2  # on partitions 0 and 1
-        assert simple_placement.span(0) == 1
+        # Vertex 2 is on partitions 0 and 1, so on both machines; the
+        # other four are on one: spans 1, 1, 2, 1, 1.
+        stats = simple_placement.stats()
+        assert stats.machine_span_degree == pytest.approx(6 / 5)
 
     def test_sync_messages(self, simple_placement):
         stats = simple_placement.stats()
         # Only vertex 2 spans two machines: 2 messages on each side.
-        assert stats.sync_messages_per_machine == {0: 2, 1: 2}
+        assert stats.remote_sync_per_machine == {0: 2, 1: 2}
+        assert stats.local_sync_per_machine == {0: 0, 1: 0}
 
     def test_replication_degree_stat(self, simple_placement):
         stats = simple_placement.stats()

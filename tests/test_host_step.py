@@ -83,6 +83,23 @@ def assert_same_image(got, expected, where) -> None:
             assert got[key] == value, (where, key)
 
 
+def record(stats: SyncStats, src_part: int, dst_part: int, messages: int,
+           nbytes: int, machine_of) -> None:
+    """Charge one channel's ``messages`` to ``stats`` the way the
+    per-channel loop did before :meth:`SyncStats.of_rows`: both endpoint
+    machines, remote only when they differ."""
+    ends = (machine_of[src_part], machine_of[dst_part])
+    stats.payload_bytes += nbytes
+    if ends[0] == ends[1]:
+        stats.local_messages += messages
+        per_machine = stats.local_per_machine
+    else:
+        stats.remote_messages += messages
+        per_machine = stats.remote_per_machine
+    for machine in ends:
+        per_machine[machine] = per_machine.get(machine, 0) + messages
+
+
 def stats_tuple(stats: SyncStats):
     return (stats.remote_messages, stats.local_messages,
             stats.payload_bytes, stats.remote_per_machine,
@@ -148,10 +165,10 @@ class PerShard:
                 for mirror, idx in shard.master_channels.items():
                     nbytes = len(idx) * (
                         partials[master][0].itemsize + 1)
-                    stats.record(mirror, master, len(idx), nbytes,
-                                 self.machine_of)
-                    stats.record(master, mirror, len(idx), nbytes,
-                                 self.machine_of)
+                    record(stats, mirror, master, len(idx), nbytes,
+                           self.machine_of)
+                    record(stats, master, mirror, len(idx), nbytes,
+                           self.machine_of)
         return (computed, sent, total(result[1] for result in results),
                 bool(self.parked), stats_tuple(stats))
 
@@ -257,6 +274,31 @@ class TestFusedMatchesPerShard:
 # ----------------------------------------------------------------------
 # The block-diagonal CSR
 # ----------------------------------------------------------------------
+class TestSyncTally:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_tally_as_the_per_channel_record(self, seed):
+        """:meth:`SyncStats.of_rows` equals one ``record`` per row, every
+        field and dict, on random rows over non-contiguous partition
+        names — empty channels (which still name their machines) and
+        same-machine pairs included."""
+        rng = np.random.default_rng(seed)
+        names = [3, 2**33, 7, 0, 11, 5]
+        machine_of = {p: int(rng.integers(0, 3)) for p in names}
+        rows = [(int(a), int(b), int(c)) for a, b, c in zip(
+            rng.choice(names, 40), rng.choice(names, 40),
+            rng.integers(0, 4, 40))]
+        expected = SyncStats()
+        for src, dst, count in rows:
+            record(expected, src, dst, count, count * 9, machine_of)
+        got = SyncStats.of_rows(rows, machine_of, 9)
+        assert got == expected
+        assert all(type(value) is int
+                   for table in (got.remote_per_machine,
+                                 got.local_per_machine)
+                   for value in table.values())
+        assert SyncStats.of_rows([], machine_of, 9) == SyncStats()
+
+
 class TestBlockDiagonal:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_layout(self, name):

@@ -6,7 +6,6 @@ from repro.graph.graph import Edge
 from repro.partitioning.metrics import (
     imbalance,
     partition_sizes,
-    replica_sets_from_assignments,
     replication_degree,
 )
 
@@ -22,15 +21,9 @@ def sample_assignments():
 
 
 class TestReplicaSets:
-    def test_from_assignments(self, sample_assignments):
-        replicas = replica_sets_from_assignments(sample_assignments)
-        assert replicas[0] == {0, 1}
-        assert replicas[1] == {0}
-        assert replicas[2] == {0, 1}
-        assert replicas[3] == {1}
-
-    def test_replication_degree(self, sample_assignments):
-        replicas = replica_sets_from_assignments(sample_assignments)
+    def test_replication_degree(self):
+        # The replica sets ``sample_assignments`` implies.
+        replicas = {0: {0, 1}, 1: {0}, 2: {0, 1}, 3: {1}}
         assert replication_degree(replicas) == pytest.approx(6 / 4)
 
     def test_replication_degree_empty(self):

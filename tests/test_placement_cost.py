@@ -51,18 +51,20 @@ class TestCustomMachineMaps:
         # Partition span is 2 for interior vertices, machine span is 1.
         assert placement.stats().replication_degree > \
             placement.stats().machine_span_degree
-        assert all(placement.span(v) == 1
-                   for v in placement.vertex_machines)
+        assert placement.stats().machine_span_degree == 1.0
 
-    def test_master_machine_is_min_over_replica_machines(self):
+    def test_master_is_on_the_min_partitions_machine(self):
         machine_of = {0: 2, 1: 1, 2: 0}
         placement = Placement({Edge(0, 1): 0, Edge(1, 2): 1,
                                Edge(1, 3): 2},
                               partitions=range(3), num_machines=3,
                               machine_of_partition=machine_of)
-        # Vertex 1 is on partitions {0, 1, 2} -> machines {2, 1, 0}.
-        assert placement.vertex_machines[1] == {0, 1, 2}
-        assert placement.master_machine[1] == 0
+        # Vertex 1 is on partitions {0, 1, 2} -> machines {2, 1, 0}: its
+        # master, on partition 0, is on machine 2 and pairs with each
+        # mirror, so machine 2 is charged twice.
+        stats = placement.stats()
+        assert stats.remote_sync_per_machine == {0: 2, 1: 2, 2: 4}
+        assert stats.local_sync_per_machine == {0: 0, 1: 0, 2: 0}
 
     def test_partition_without_machine_rejected(self):
         with pytest.raises(ValueError, match="without a machine"):
@@ -177,15 +179,6 @@ class TestLocalMessageFactor:
                  for f in (0.25, 0.5, 1.0)]
         assert costs[1] == pytest.approx(2 * costs[0])
         assert costs[2] == pytest.approx(4 * costs[0])
-
-    def test_sync_messages_per_machine_property(self):
-        placement = Placement(chain_assignments(4), partitions=range(4),
-                              num_machines=2)
-        stats = placement.stats()
-        assert stats.sync_messages_per_machine == {
-            machine: stats.remote_sync_per_machine[machine]
-            + stats.local_sync_per_machine[machine]
-            for machine in stats.edges_per_machine}
 
     def test_workload_presets_keep_factor_overridable(self):
         model = cost_model_for("pagerank", local_message_factor=0.0)

@@ -11,12 +11,8 @@ from repro.core.scoring import LAMBDA_MAX, LAMBDA_MIN, AdaptiveBalancer
 from repro.core.spotlight import spotlight_spreads
 from repro.partitioning.hdrf import HDRFPartitioner
 from repro.partitioning.hashing import HashPartitioner
-from repro.partitioning.metrics import (
-    imbalance,
-    partition_sizes,
-    replica_sets_from_assignments,
-    replication_degree,
-)
+from repro.graph.shard import ShardedGraph
+from repro.partitioning.metrics import imbalance, partition_sizes
 from repro.partitioning.state import PartitionState
 from repro.util import stable_hash
 
@@ -141,9 +137,9 @@ def test_replication_degree_from_assignments_matches_state(pairs, k):
     edges = list(dict.fromkeys(to_edges(pairs)))
     result = HDRFPartitioner(range(k)).partition_stream(
         InMemoryEdgeStream(edges))
-    replicas = replica_sets_from_assignments(result.assignments)
+    replicas = ShardedGraph.from_result(result).vertex_partitions
     for vertex, reps in replicas.items():
-        assert reps == set(result.state.replicas(vertex))
+        assert set(reps) == set(result.state.replicas(vertex))
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,9 @@ class TestConstruction:
     def test_master_is_min_partition(self, sharded_powerlaw):
         _, _, sharded = sharded_powerlaw
         for vertex, parts in sharded.vertex_partitions.items():
-            assert sharded.master_of(vertex) == min(parts)
-            master_shard = sharded.shards[parts[0]]
-            index = master_shard.csr.index_of[vertex]
-            assert master_shard.owned[index]
+            owners = [p for p in parts if sharded.shards[p].owned[
+                sharded.shards[p].csr.index_of[vertex]]]
+            assert owners == [min(parts)]
 
     def test_isolated_vertices_placed_once(self, sharded_powerlaw):
         graph, _, sharded = sharded_powerlaw
@@ -106,7 +105,7 @@ class TestConstruction:
 
     def test_tuple_keys_are_canonicalised(self):
         sharded = ShardedGraph.from_assignments({(5, 2): 0, (2, 3): 1})
-        assert Edge(2, 5) in sharded.assignments
+        assert Edge(2, 5) in dict(sharded.incidence.edges())
         assert sharded.vertex_partitions[2] == [0, 1]
 
 
@@ -182,7 +181,7 @@ class TestIngestion:
             result, vertices=small_powerlaw.vertices())
         assert sharded.partitions == [0, 1, 2, 3]
         assert sharded.num_edges == small_powerlaw.num_edges
-        assert sharded.assignments == {
+        assert dict(sharded.incidence.edges()) == {
             e.canonical(): p for e, p in result.assignments.items()}
 
     def test_parts_file_roundtrip(self, tmp_path, sharded_powerlaw):
@@ -192,7 +191,8 @@ class TestIngestion:
         write_assignments(path, assignments)
         reloaded = ShardedGraph.from_arrays(*read_columns(path),
                                             vertices=graph.vertices())
-        assert reloaded.assignments == sharded.assignments
+        assert (dict(reloaded.incidence.edges())
+                == dict(sharded.incidence.edges()))
         assert reloaded.vertex_partitions == sharded.vertex_partitions
 
     def test_to_graph_roundtrip(self, sharded_powerlaw):
@@ -208,10 +208,15 @@ class TestIngestion:
         assert sharded.replication_degree == pytest.approx(5 / 4)
 
     def test_placement_uses_same_master_rule(self, sharded_powerlaw):
+        """One machine per partition: the placement charges each
+        (master, mirror) pair of the shards' channels 2 at both ends."""
         _, _, sharded = sharded_powerlaw
         placement = sharded.placement()
-        for vertex, parts in sharded.vertex_partitions.items():
-            if vertex in placement.vertex_partitions:
-                machines = {placement.machine_of_partition[p]
-                            for p in parts}
-                assert placement.master_machine[vertex] == min(machines)
+        expected = dict.fromkeys(sharded.partitions, 0)
+        for partition, shard in sharded.shards.items():
+            for mirror, table in shard.master_channels.items():
+                expected[placement.machine_of_partition[partition]] += (
+                    2 * len(table))
+                expected[placement.machine_of_partition[mirror]] += (
+                    2 * len(table))
+        assert placement.stats().remote_sync_per_machine == expected

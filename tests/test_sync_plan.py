@@ -295,7 +295,8 @@ class TestPlanMatchesReference:
         sharded = SHARDINGS[name]
         if built == "by-hand":
             sharded = ReferenceSharding(
-                sharded.assignments, partitions=sharded.partitions,
+                dict(sharded.incidence.edges()),
+                partitions=sharded.partitions,
                 vertices=sharded.incidence.ids.tolist())
         groups = make_groups(sharded, host_map(sharded.partitions, layout),
                              hosted=True)

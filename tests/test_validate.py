@@ -91,3 +91,47 @@ class TestCorruptedResults:
         result = PartitionResult("x", state, assignments, latency_ms=0.0)
         report = validate_result(result)
         assert any("empty partitions" in w for w in report.warnings)
+
+
+class TestRowsOffTheGraph:
+    """Rows no graph holds — a self-loop line, partitions outside the
+    spread, an edge named high end first — are reported, not raised
+    on, with the lists the per-edge dict-of-sets walk produced: the
+    same text, vertices in the order the assignments first name them."""
+
+    def result(self):
+        state = PartitionState([0, 1])
+        for edge, partition in ((Edge(1, 2), 0), (Edge(2, 3), 1),
+                                (Edge(5, 5), 1), (Edge(6, 6), 0)):
+            state.observe_degrees(edge)
+            state.assign(edge, partition)
+        state.replica_sets[9] = {1}
+        state.replica_sets[10] = set()
+        assignments = {Edge(1, 2): 0, Edge(2, 3): 1, Edge(5, 5): 1,
+                       Edge(6, 6): 1, Edge(8, 4): 7, Edge(4, 2): -3}
+        return PartitionResult("x", state, assignments, latency_ms=0.0)
+
+    def test_errors_and_warnings(self):
+        report = validate_result(self.result())
+        assert report.errors == [
+            "edge (8, 4) assigned to unknown partition 7",
+            "edge (4, 2) assigned to unknown partition -3",
+            "vertex 2: assignments imply replicas [-3, 0, 1] but state "
+            "records [0, 1]",
+            "vertex 6: assignments imply replicas [1] but state records [0]",
+            "vertex 8: assignments imply replicas [7] but state records []",
+            "vertex 4: assignments imply replicas [-3, 7] but state "
+            "records []"]
+        assert report.warnings == [
+            "vertex 9 has replicas [1] with no assignment in the result "
+            "(duplicate stream edges?)"]
+
+    def test_consistent_self_loop_is_valid(self):
+        state = PartitionState([0, 1])
+        for edge, partition in ((Edge(1, 2), 0), (Edge(5, 5), 1)):
+            state.observe_degrees(edge)
+            state.assign(edge, partition)
+        result = PartitionResult("x", state, {Edge(1, 2): 0, Edge(5, 5): 1},
+                                 latency_ms=0.0)
+        report = validate_result(result)
+        assert report.ok and report.warnings == []
