@@ -65,6 +65,7 @@ typedef struct {
     int64_t *scratch;       /* 3 x slot_cap                            */
     uint8_t *candidate;
     uint8_t *alive;
+    uint8_t *dirty;         /* a key may have moved since the rescore  */
     /* Per-dense-vertex arrays (vertex_cap entries). */
     int64_t *iver;          /* incidence version (window membership)   */
     int64_t *head;          /* first incidence node, -1 if none        */
@@ -324,8 +325,37 @@ static int write_segment(KernCtx *c, int64_t s)
 }
 
 /* ------------------------------------------------------------------ */
-/* Component memos: pull-validity checks and recomputation             */
+/* Component memos: marked validity, key checks and recomputation      */
 /* ------------------------------------------------------------------ */
+
+/* A clean slot's keys all hold: whatever can move a key marks the slots
+ * that hold it, and only rescore_slot clears a mark.  This marks the
+ * slots at `vertex`, unless it is already stamped `mark`. */
+static void mark_at(KernCtx *c, int64_t vertex, int64_t mark)
+{
+    int64_t node;
+    if (c->stamp[vertex] == mark)
+        return;
+    c->stamp[vertex] = mark;
+    for (node = c->head[vertex]; node >= 0; node = c->link_next[node])
+        c->dirty[node >> 1] = 1;
+}
+
+/* Replica versions moved at `rows`: the R key of every slot there, and
+ * the CS checksum of every slot at a window neighbour of one (its
+ * segment holds the row). */
+static void mark_rows(KernCtx *c, const int64_t *rows, int64_t nrows)
+{
+    int64_t mark = ++c->stamp_clock;
+    int64_t r, node;
+    for (r = 0; r < nrows; r++) {
+        mark_at(c, rows[r], mark);
+        for (node = c->head[rows[r]]; c->use_cs && node >= 0;
+                node = c->link_next[node])
+            mark_at(c, (node & 1) ? c->ui[node >> 1] : c->vi[node >> 1],
+                    mark);
+    }
+}
 
 static int rep_fresh(const KernCtx *c, int64_t s)
 {
@@ -470,11 +500,13 @@ static void refresh_lamb(KernCtx *c)
 /* Rescoring (pop / rule 2 / rule 3 share it)                          */
 /* ------------------------------------------------------------------ */
 
-/* Rebuild slot s's neighbourhood segment if it is stale; idempotent, so
- * a transaction that runs out of arena half-way simply starts over. */
+/* Rebuild slot s's neighbourhood segment if it is stale (only a marked
+ * slot's can be); idempotent, so a transaction that runs out of arena
+ * half-way simply starts over. */
 static int refresh_segment(KernCtx *c, int64_t s)
 {
-    return !c->use_cs || nbr_fresh(c, s) || write_segment(c, s);
+    return !c->use_cs || !c->dirty[s] || nbr_fresh(c, s)
+        || write_segment(c, s);
 }
 
 static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
@@ -486,9 +518,18 @@ static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
     return 1;
 }
 
+/* lamb moved since version v only by one-column steps at columns other
+ * than j (see rescore_slot). */
+static inline int lamb_kept(int64_t epoch, const int64_t *lamb_version,
+                            int64_t v, int64_t j)
+{
+    return v >= epoch && lamb_version[j] <= v;
+}
+
 /* Rescore slot s against the current state, unless it is version-fresh
  * with every key matching — recomputing it would bit-equal its cache.
- * Callers go in entry order: score_sum accumulates as the reference's.
+ * Only a marked slot's keys are read: a clean one's all hold.  Callers
+ * go in entry order: score_sum accumulates as the reference's.
  *
  * Nor is the argmax re-assembled when both memos held and, since the
  * slot's version, lamb moved only at columns other than its best column
@@ -500,9 +541,11 @@ static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
  * already have made j* the first maximum.  Score and col stay. */
 static void rescore_slot(KernCtx *c, int64_t s)
 {
-    int fresh_r = rep_fresh(c, s);
-    int fresh_c = !c->use_cs || c->cs_sum[s] == nbr_version_sum(c, s);
+    int fresh_r = !c->dirty[s] || rep_fresh(c, s);
+    int fresh_c = !c->dirty[s] || !c->use_cs
+        || c->cs_sum[s] == nbr_version_sum(c, s);
     double old = c->score[s];
+    c->dirty[s] = 0;
     if (c->slot_version[s] == c->version && fresh_r && fresh_c)
         return;
     if (!fresh_r) {
@@ -513,8 +556,8 @@ static void rescore_slot(KernCtx *c, int64_t s)
         recompute_cs(c, s);
         c->stat_cs_recomputed++;
     }
-    if (fresh_r && fresh_c && c->slot_version[s] >= c->lamb_epoch
-            && c->lamb_version[c->col[s]] <= c->slot_version[s]) {
+    if (fresh_r && fresh_c && lamb_kept(c->lamb_epoch, c->lamb_version,
+                                        c->slot_version[s], c->col[s])) {
         c->slot_version[s] = c->version;
     } else {
         assemble(c, s);
@@ -522,13 +565,6 @@ static void rescore_slot(KernCtx *c, int64_t s)
     }
     c->score_sum += c->score[s] - old;
     c->stat_rescored_slots++;
-}
-
-static void rescore(KernCtx *c, const int64_t *slots, int64_t m)
-{
-    int64_t t;
-    for (t = 0; t < m; t++)
-        rescore_slot(c, slots[t]);
 }
 
 /* Put candidate slot s at its place in the entry-ordered agenda: the
@@ -564,7 +600,8 @@ static int rule2(KernCtx *c)
     if (!refresh_segments(c, slots, m))
         return 0;
     c->charge += m * c->k;
-    rescore(c, slots, m);
+    for (t = 0; t < m; t++)
+        rescore_slot(c, slots[t]);
     threshold = c->score_sum / (double)c->count + c->epsilon;
     for (t = 0; t < m; t++)
         if (c->score[slots[t]] > threshold)
@@ -604,7 +641,8 @@ static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
         return 0;
     threshold = c->score_sum / (double)c->count + c->epsilon;
     c->charge += m * c->k;
-    rescore(c, slots, m);
+    for (t = 0; t < m; t++)
+        rescore_slot(c, slots[t]);
     for (t = 0; t < m; t++) {
         int64_t s = slots[t];
         if (c->score[s] > threshold
@@ -620,25 +658,37 @@ static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
  * agenda order, which is entry order — and return the position of the
  * first strict maximum (the reference's first-max-in-entry-order), or
  * -1 when the arena ran out.  Segments first: the only step that can
- * fail comes before any score moves. */
+ * fail comes before any score moves.  rescore_slot's skip is inline for
+ * a clean slot: its version advances, score_sum adds 0.0. */
 static int64_t agenda_pop(KernCtx *c)
 {
-    const int64_t *agenda = c->agenda;
-    int64_t n = c->num_candidates;
-    int64_t rescored = 0, best = 0;
-    int64_t i;
+    const int64_t *agenda = c->agenda, *col = c->col;
+    const int64_t *lamb_version = c->lamb_version;
+    const uint8_t *dirty = c->dirty;
+    const double *score = c->score;
+    int64_t *slot_version = c->slot_version;
+    int64_t n = c->num_candidates, version = c->version;
+    int64_t epoch = c->lamb_epoch, rescored = 0, kept = 0, best = 0, i;
     for (i = 0; i < n; i++)
-        if (c->slot_version[agenda[i]] != c->version
+        if (slot_version[agenda[i]] != version
                 && !refresh_segment(c, agenda[i]))
             return -1;
     for (i = 0; i < n; i++) {
-        if (c->slot_version[agenda[i]] != c->version) {
-            rescore_slot(c, agenda[i]);
+        int64_t s = agenda[i], v = slot_version[s];
+        if (v != version) {
             rescored++;
+            if (dirty[s] || !lamb_kept(epoch, lamb_version, v, col[s])) {
+                rescore_slot(c, s);
+            } else {
+                slot_version[s] = version;
+                c->score_sum += 0.0;
+                kept++;
+            }
         }
-        if (c->score[agenda[i]] > c->score[agenda[best]])
+        if (score[s] > score[agenda[best]])
             best = i;
     }
+    c->stat_rescored_slots += kept;
     c->charge += rescored * c->k;
     c->stat_agenda_rescores += rescored > 0;
     c->stat_agenda_scanned += n;
@@ -670,15 +720,16 @@ static int64_t pop_slot(KernCtx *c, int64_t *slot)
             (size_t)(c->num_candidates - pos) * sizeof(int64_t));
     c->stat_agenda_removes++;
     c->alive[s] = 0;
-    /* Membership at the endpoints changed: neighbours' segments are now
-     * stale (pulled on their next rescore). */
+    /* Membership moved at both endpoints: so did their slots' keys. */
     vertex = c->ui[s];
     unlink_node(c, 2 * s, vertex);
     c->iver[vertex]++;
+    mark_at(c, vertex, ++c->stamp_clock);
     if (c->vi[s] != vertex) {
         vertex = c->vi[s];
         unlink_node(c, 2 * s + 1, vertex);
         c->iver[vertex]++;
+        mark_at(c, vertex, c->stamp_clock);
     }
     c->count--;
     c->free_slots[c->num_free++] = s;
@@ -703,7 +754,7 @@ static void observe_degree(KernCtx *c, int64_t vertex)
 
 static int64_t admit(KernCtx *c, int64_t du, int64_t dv)
 {
-    int64_t s;
+    int64_t s, max_degree = c->max_degree;
     if (c->num_free == 0)
         return KERN_NEED_SLOTS;
     s = c->free_slots[c->num_free - 1];
@@ -718,6 +769,11 @@ static int64_t admit(KernCtx *c, int64_t du, int64_t dv)
     c->num_free--;
     observe_degree(c, du);
     observe_degree(c, dv);
+    if (c->max_degree > max_degree)  /* every R key holds it */
+        memset(c->dirty, 1, (size_t)c->slot_cap);
+    mark_at(c, du, ++c->stamp_clock);  /* degree and iver move there */
+    mark_at(c, dv, c->stamp_clock);
+    c->dirty[s] = 0;  /* linked below, every key set */
     c->entry[s] = c->next_id++;
     c->candidate[s] = 0;
     c->alive[s] = 1;
@@ -831,8 +887,10 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
 {
     int64_t status, need, s, changed, j, max_size, min_size;
     double lam, lamb_j;
+    /* What Python did between calls is not trusted: lamb, nor any key. */
     refresh_lamb(c);
     c->lamb_epoch = c->version;
+    memset(c->dirty, 1, (size_t)c->slot_cap);
     if (c->rule3_pending) {  /* re-entered after rule 3 ran out of arena */
         status = finish_assignment(c, stop_at);
         if (status != KERN_DONE)
@@ -859,6 +917,7 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
         lamb_j = c->lamb[j];
         assign(c, c->ui[s], c->vi[s], j);
         c->rule3_pending = c->n_changed - changed;
+        mark_rows(c, c->chg_row + changed, c->rule3_pending);
         adapt_lambda(c);
         /* A one-column step (see rescore_slot) or a move of all of lamb. */
         if (c->lam == lam && c->max_size == max_size

@@ -2,7 +2,8 @@
 
 :class:`ArrayEdgeWindow` is the production twin of
 :class:`~repro.core.window.EdgeWindow`.  All traversal logic — rule 1
-refill, the k-best agenda pop with pull-validated R/CS memos, rules 2
+refill, the k-best agenda pop over R/CS memos whose validity is marked
+(a per-slot ``dirty`` byte, set wherever a key can move), rules 2
 and 3, and the vertex-cache update between them — lives in
 ``_kernels.c`` (DESIGN.md §14).  This class is the thin Python side of
 that transaction:
@@ -79,7 +80,7 @@ _SLOT_FIELDS = {
     "free_slots": (np.int64, 1, 0),
     "link_next": (np.int64, 2, -1), "link_prev": (np.int64, 2, -1),
     "scratch": (np.int64, 3, 0), "candidate": (np.uint8, 1, 0),
-    "alive": (np.uint8, 1, 0),
+    "alive": (np.uint8, 1, 0), "dirty": (np.uint8, 1, 1),
 }
 _VERTEX_FIELDS = {"iver": (np.int64, 1, 0), "head": (np.int64, 1, -1),
                   "stamp": (np.int64, 1, 0)}

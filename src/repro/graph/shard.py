@@ -145,10 +145,14 @@ def ranked(values: np.ndarray, ranks: bool = True):
         table[offset] = True
         return np.flatnonzero(table) + base, (
             (np.cumsum(table) - 1)[offset] if ranks else None)
-    distinct = np.sort(values)
-    distinct = distinct[np.concatenate(
-        [[True], distinct[1:] != distinct[:-1]])]
-    return distinct, np.searchsorted(distinct, values) if ranks else None
+    order = np.argsort(values, kind="stable") if ranks else None
+    ordered = np.sort(values) if order is None else values[order]
+    starts = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    if order is None:
+        return ordered[starts], None
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(starts) - 1  # the number of each sorted run
+    return ordered[starts], rank
 
 
 def ranked_edges(u, v, vertices=(), loops: bool = True

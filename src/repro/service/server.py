@@ -66,7 +66,7 @@ from repro.api import (
 )
 from repro.core import _kernels
 from repro.graph.io import format_int_rows
-from repro.graph.shard import mapping_columns
+from repro.graph.shard import mapping_columns, ranked_edges
 from repro.partitioning.base import AssignmentStore
 from repro.service.metrics import TenantMetrics
 from repro.service.wal import (
@@ -877,9 +877,10 @@ class PartitionService:
         del self.tenants[tenant.name]
         self._remove_wal_files(tenant)
         u, v, part = mapping_columns(result.assignments)
+        order = np.argsort(ranked_edges(u, v)[3])  # (u, v) order
         return {"ok": True, "tenant": tenant.name,
-                "assignments": _json_rows(np.stack((u, v, part), axis=1)[
-                    np.lexsort((v, u))]),
+                "assignments": _json_rows(
+                    np.stack((u, v, part), axis=1)[order]),
                 "replication_degree": result.replication_degree,
                 "imbalance": result.imbalance,
                 "latency_ms": result.latency_ms,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
 from repro.graph.graph import Graph
+from repro.graph.shard import ranked
 from repro.graph.stream import InMemoryEdgeStream
 
 edge_list_strategy = st.lists(
@@ -151,6 +152,26 @@ def parallel_edges(ids: np.ndarray, seed: int):
     order = rng.permutation(len(edges))
     vertices = ids[-6:].tolist() + [edges[0][0], edges[1][1]]
     return [edges[i] for i in order], vertices
+
+
+@pytest.mark.parametrize("n", [40, 500])
+@pytest.mark.parametrize("name, make_ids, dense",
+                         ID_KINDS, ids=[kind[0] for kind in ID_KINDS])
+def test_ranked_equals_unique(name, make_ids, dense, n):
+    """``ranked`` on either branch — a presence table for dense ids, one
+    stable sort whose run numbers are scattered back for sparse ones —
+    is ``np.unique(..., return_inverse=True)``, dtype included."""
+    ids = make_ids(n)
+    rng = np.random.default_rng(n)
+    values = rng.permutation(np.concatenate([ids, rng.choice(ids, 3 * n)]))
+    assert takes_table(values) == dense
+    distinct, rank = ranked(values)
+    wanted, inverse = np.unique(values, return_inverse=True)
+    for mine, theirs in ((distinct, wanted), (rank, inverse)):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
+    alone, none = ranked(values, ranks=False)
+    assert none is None and np.array_equal(alone, wanted)
 
 
 @pytest.mark.parametrize("n", [40, 500])

@@ -339,6 +339,39 @@ def test_fixed_lambda_reassembles_the_moved_column(tmp_path, monkeypatch):
         assert fixed_lambda_lockstep(*case).stat_assembled > 0, case
 
 
+def test_a_rise_of_max_degree_stales_every_slot():
+    """Every R key holds ``max_degree``: a star's hub raises it on every
+    spoke admit, and the window's other edges, which share no vertex with
+    the hub, must still see their R recomputed when next rescored."""
+    pairs = []
+    for x in range(1, 401):
+        pairs.append((0, x))
+        if x % 2 == 0:
+            pairs.append((1000 + x, 1001 + x))
+    seeds = [(x, x % 8) for x in range(1, 1402)]
+    pair = [seeded(build, 8, seeds, fixed_window=48) for build in (
+        AdwisePartitioner, partial(reference, AdwisePartitioner))]
+    for start in range(0, len(pairs), 40):
+        ingest_both(pair, pairs[start:start + 40])
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
+
+
+def test_state_moved_between_pumps():
+    """``partition_edge`` between two ingests moves degrees, replica rows
+    and ``max_degree`` behind the window's back: the next pump must not
+    trust a key of any slot it holds."""
+    pairs = [((i * 13 + 3) % 59, (i * 7 + 1) % 61 + 59) for i in range(400)]
+    pair = lockstep(AdwisePartitioner, range(6), fixed_window=40)
+    for start in range(0, len(pairs), 25):
+        ingest_both(pair, pairs[start:start + 25])
+        for partitioner in pair:
+            for x in pairs[start][0], pairs[start + 3][1]:
+                partitioner.partition_edge(Edge(x, 500 + start))
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
+
+
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 32, 63, 64, 65, 130])
 def test_cs_count_at_every_column_layout(k):
     """k mod 8 tail columns only (1, 7), whole words (8, 32, 64), words
@@ -453,8 +486,8 @@ def test_agenda_survives_growth_and_compaction():
 
 MUTANTS = {
     "argmax takes the last maximum": (
-        "if (c->score[agenda[i]] > c->score[agenda[best]])",
-        "if (c->score[agenda[i]] >= c->score[agenda[best]])"),
+        "if (score[s] > score[agenda[best]])",
+        "if (score[s] >= score[agenda[best]])"),
     "lanes flushed a neighbour late": (
         "int64_t stop = cnt - i < 255 ? cnt : i + 255;",
         "int64_t stop = cnt - i < 256 ? cnt : i + 256;"),
@@ -467,14 +500,21 @@ MUTANTS = {
         "for (j = 8 * words; j < k; j++)\n            tail[",
         "for (j = 8 * words; j < k - 1; j++)\n            tail["),
     "skip ignores the best column": (
-        "c->slot_version[s] >= c->lamb_epoch\n"
-        "            && c->lamb_version[c->col[s]] <= c->slot_version[s]) {",
-        "c->slot_version[s] >= c->lamb_epoch) {"),
+        "return v >= epoch && lamb_version[j] <= v;", "return v >= epoch;"),
     "a λ-only step counted as one column": (
         "c->max_size == max_size\n"
         "                && c->min_size == min_size && ", ""),
     "a rise of the assigned column counted as a step": (
         " && c->lamb[j] <= lamb_j)", ")"),
+    "no two-hop walk": (
+        "for (node = c->head[rows[r]]; c->use_cs && node >= 0;",
+        "for (node = c->head[rows[r]]; 0 && node >= 0;"),
+    "no mark-all on max_degree": (
+        "    if (c->max_degree > max_degree)  /* every R key holds it */\n"
+        "        memset(c->dirty, 1, (size_t)c->slot_cap);\n", ""),
+    "no re-mark at pump entry": (
+        "    memset(c->dirty, 1, (size_t)c->slot_cap);\n"
+        "    if (c->rule3_pending) {", "    if (c->rule3_pending) {"),
 }
 
 
@@ -484,6 +524,8 @@ def test_mutant_is_caught(name, tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         test_negative_fixed_lambda_rises_the_assigned_column()
         test_longer_stream_parity()
+        test_a_rise_of_max_degree_stales_every_slot()
+        test_state_moved_between_pumps()
         test_uniform_scores_take_rule_twos_best_eighth()
         test_cs_count_at_every_column_layout(9)
         test_cs_count_at_every_column_layout(130)

@@ -35,6 +35,12 @@ def _edges(n, vertices, seed):
 
 EDGES = _edges(1200, 200, seed=17)
 
+#: ``TestCanonicalLines.test_finalize_reply_bytes``'s reply, as the daemon
+#: wrote it when it sorted the rows with ``np.lexsort``.
+PINNED_FINALIZE = (
+    b'"assignments": [[-9, -3, 2], [-3, 8, 2], [1, 9, 1], [2, 7, 0], '
+    b'[3, 5, 0], [4, 1099511627776, 2], [1099511627776, 1099511627777, 2]]')
+
 
 @pytest.fixture
 def daemon(tmp_path):
@@ -591,6 +597,34 @@ class TestCanonicalLines:
         assert answers[4] == dict(answers[3], replayed=True, id=4)
         final = answers[-1]["assignments"]
         assert final == sorted(final) and len(final) > 250
+
+    def test_finalize_reply_bytes(self, daemon):
+        """The finalize reply lists each distinct edge once, in ``(u, v)``
+        order, with its last partition — pinned byte for byte on a
+        stream that repeats edges in both orientations, with negative
+        ids and ids past 2**32."""
+        import json
+        import socket
+
+        port, _, _ = daemon
+        big = 2**40
+        edges = [(5, 3), (3, 5), (1, 9), (big, 4), (9, 1), (-3, 8),
+                 (2, 7), (4, big), (5, 3), (8, -3), (7, 2), (-3, -9),
+                 (big + 1, big), (1, 9), (-9, -3)]
+        script = [{"op": "open", "tenant": "t", "algorithm": "hdrf",
+                   "partitions": 3},
+                  {"op": "ingest", "tenant": "t", "seq": 1,
+                   "edges": edges},
+                  {"op": "finalize", "tenant": "t"}]
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for request in script:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                line = reader.readline()
+        start = line.index(b'"assignments": ')
+        assert line[start:line.index(b', "replication_degree"')] == (
+            PINNED_FINALIZE)
 
 
 class _ScriptedServer:
