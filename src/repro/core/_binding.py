@@ -12,8 +12,9 @@ the three steps every batch takes:
 * :meth:`stage` — intern the batch's ``(lo, hi)`` id columns to dense
   rows (one ``kern_intern`` call on the state's own table —
   :meth:`FastPartitionState.dense_rows`, which is where the state
-  reallocates its tables), rebind whatever moved, copy in the scalars
-  the kernels mirror, and validate everything about to cross;
+  reallocates its tables), rebind (and so validate) whichever of them
+  moved, copy in the scalars the kernels mirror, and check that every
+  row about to cross lies inside the bound tables;
 * :meth:`call` — run one entry point to a final status, growing the
   output lists (or, through the caller's handlers, the caller's own
   buffers) on a ``KERN_NEED_*`` exit and calling again;
@@ -38,9 +39,9 @@ import numpy as np
 _CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
            np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
 
-#: Fields whose dtype is fixed, not taken from the array bound first:
-#: ``recompute_cs`` sums replica bytes eight to a word, so they must be
-#: 0 or 1 — numpy ``bool``'s guarantee, not ``uint8``'s.
+#: Fields whose dtype is fixed, not left to the field's C type (which
+#: cffi checks): ``recompute_cs`` sums replica bytes eight to a word, so
+#: they must be 0 or 1 — numpy ``bool``'s guarantee, not ``uint8``'s.
 _REQUIRED_DTYPE = {"replicas": np.dtype(np.bool_)}
 
 #: A capacity group: context field -> (dtype, entries per unit of
@@ -75,10 +76,9 @@ class KernelBinding:
         #: buffer grew) and the wall time spent inside them.
         self.kernel_calls = 0
         self.kernel_ns = 0
-        #: Context field -> (bound array, required dtype, required size).
-        #: Holding the arrays here keeps every bound buffer alive for the
-        #: context's lifetime.
-        self._bound: Dict[str, Tuple[np.ndarray, np.dtype, int]] = {}
+        #: Context field -> the array bound there.  Holding the arrays
+        #: here keeps every bound buffer alive for the context's lifetime.
+        self._bound: Dict[str, np.ndarray] = {}
         self.ctx = self.ffi.new("KernCtx *")
         self.ctx.k = state.num_partitions
         self._spread = np.array(state.partitions, dtype=np.int64)
@@ -88,20 +88,18 @@ class KernelBinding:
     # Buffers: bind, validate, grow
     # ------------------------------------------------------------------
     def bind(self, field: str, array: np.ndarray, size: int) -> None:
-        """Point context ``field`` at ``array`` (and keep it alive)."""
-        self._bound[field] = (
-            array, _REQUIRED_DTYPE.get(field, array.dtype), size)
-        self.check_array(field)
-        setattr(self.ctx, field,
-                self.ffi.from_buffer(_CTYPES[array.dtype], array))
-
-    def check_array(self, field: str) -> None:
-        array, dtype, size = self._bound[field]
+        """Point context ``field`` at ``array`` (and keep it alive).  It
+        must be a C-contiguous array of at least ``size`` entries whose
+        dtype the field's C type takes (cffi refuses another pointer
+        type with a ``TypeError``); a refused array binds nothing."""
+        dtype = _REQUIRED_DTYPE.get(field, array.dtype)
         if (array.dtype != dtype or dtype not in _CTYPES
                 or not array.flags.c_contiguous or array.size < size):
             raise RuntimeError(
                 f"kernel buffer {field!r} is not a C-contiguous {dtype} "
                 f"array of at least {size} entries")
+        setattr(self.ctx, field, self.ffi.from_buffer(_CTYPES[dtype], array))
+        self._bound[field] = array
 
     def check_rows(self, rows: np.ndarray) -> None:
         if rows.size and not (0 <= rows.min()
@@ -109,7 +107,7 @@ class KernelBinding:
             raise RuntimeError("dense vertex row outside the bound tables")
 
     def array(self, field: str) -> np.ndarray:
-        return self._bound[field][0]
+        return self._bound[field]
 
     def pointer(self, array: np.ndarray):
         """``array`` as a kernel argument (``NULL`` when empty)."""
@@ -131,20 +129,23 @@ class KernelBinding:
 
     def sync_state(self) -> None:
         """Bring the context up to date with the partition state: rebind
-        (and regrow the per-vertex arrays to) tables the state
-        reallocated while interning, and copy in the scalars the kernels
-        mirror."""
+        each of its four tables that is not the array bound (the state
+        reallocated it while interning; :meth:`bind` validates it),
+        regrow the per-vertex arrays to the row capacity, and copy in
+        the scalars the kernels mirror."""
         state = self.state
         ctx = self.ctx
         replicas = state.replica_matrix()
-        bound = self._bound.get("replicas")
-        if bound is None or bound[0] is not replicas:
-            capacity = replicas.shape[0]
+        capacity = replicas.shape[0]
+        if capacity != ctx.vertex_cap:
             self.resize(self.vertex_fields, "vertex_cap", capacity)
-            self.bind("replicas", replicas, capacity * ctx.k)
-            self.bind("row_version", state.row_version_array(), capacity)
-            self.bind("deg", state.degrees_dense(), capacity)
-            self.bind("sizes", state.sizes_vector(), ctx.k)
+        for field, array, size in (
+                ("replicas", replicas, capacity * ctx.k),
+                ("row_version", state.row_version_array(), capacity),
+                ("deg", state.degrees_dense(), capacity),
+                ("sizes", state.sizes_vector(), ctx.k)):
+            if self._bound.get(field) is not array:
+                self.bind(field, array, size)
         ctx.max_degree = state.max_degree
         ctx.max_size = state.max_size
         ctx.min_size = state.min_size
@@ -161,8 +162,6 @@ class KernelBinding:
         pairs = self.state.dense_rows(ends.ravel())
         ctx.consumed = ctx.n_out = ctx.n_changed = 0
         self.sync_state()
-        for field in self._bound:
-            self.check_array(field)
         self.check_rows(pairs)
         return pairs
 

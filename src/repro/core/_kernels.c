@@ -138,8 +138,7 @@ void kern_rehash(InternTable *t);
 int64_t kern_parse_rows(const uint8_t *buf, int64_t len, int64_t ncols,
                         int64_t *out, int64_t cap, int64_t *consumed);
 int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
-                         const char *open, int64_t open_len,
-                         const char *sep, int64_t sep_len,
+                         const char *lead, const int64_t *lead_end,
                          const char *close, int64_t close_len,
                          uint8_t *out, int64_t cap);
 int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
@@ -1163,15 +1162,16 @@ decline:
     return n;
 }
 
-/* The inverse: the n rows of rows[n * ncols] as text — per row `open`,
- * its ncols columns in decimal joined by `sep`, then `close` — written
- * to out[0, cap); returns the bytes written, or -1 (having written a
- * prefix) if they do not fit.  Python sizes `out` from the widest
- * value.  A negative value is its magnitude as uint64 after a '-', so
- * INT64_MIN is exact. */
+/* The inverse: the n rows of rows[n * ncols] as text — per row each
+ * column in decimal after its own lead text, then `close` — written to
+ * out[0, cap); returns the bytes written, or -1 (having written a
+ * prefix) if they do not fit.  Column col's lead is
+ * lead[lead_end[col - 1], lead_end[col]) (from 0 for column 0): a
+ * row's opening text, then the separators before every later column.
+ * Python sizes `out` from the widest value.  A negative value is its
+ * magnitude as uint64 after a '-', so INT64_MIN is exact. */
 int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
-                         const char *open, int64_t open_len,
-                         const char *sep, int64_t sep_len,
+                         const char *lead, const int64_t *lead_end,
                          const char *close, int64_t close_len,
                          uint8_t *out, int64_t cap)
 {
@@ -1181,8 +1181,9 @@ int64_t kern_format_rows(const int64_t *rows, int64_t n, int64_t ncols,
             int64_t value = rows[i * ncols + col];
             uint64_t magnitude = value < 0 ? 0 - (uint64_t)value
                                            : (uint64_t)value;
-            const char *before = col ? sep : open;
-            int64_t before_len = col ? sep_len : open_len;
+            int64_t lead_start = col ? lead_end[col - 1] : 0;
+            const char *before = lead + lead_start;
+            int64_t before_len = lead_end[col] - lead_start;
             uint8_t digits[20];
             int64_t d = 20;
             do {

@@ -16,7 +16,14 @@ rename so concurrent test workers never race.  ``-ffp-contract=off``
 (and no fast-math) keeps every float64 operation rounding exactly like
 the object-window reference.  The declarations cffi parses are cut out
 of the C source itself (between its ``cdef-begin``/``cdef-end``
-markers), so the struct layout has one definition.
+markers), so the struct layout has one definition.  They are parsed
+once per source: the process that first needs them writes cffi's
+out-of-line ABI module (``repro_kernels_<hash>.py``, the parsed types
+as tables) next to the shared object, with the same atomic rename, and
+every process — that one included — executes that module and opens
+the library through its ``ffi``.  A warm cache therefore costs a hash
+of the source, a module of tables and a ``dlopen`` (milliseconds), not
+pycparser over the declarations (about 55 ms).
 
 There is exactly one kernel source and no interpreted twin: where the
 kernels cannot be built (no C compiler, no cffi, no numpy) :func:`load`
@@ -60,12 +67,17 @@ def _declarations(source: str) -> str:
     return source.split("/* cdef-begin */")[1].split("/* cdef-end */")[0]
 
 
+def _cache_path(source: bytes, suffix: str) -> str:
+    """Where the build of ``source`` ending in ``suffix`` is cached."""
+    digest = hashlib.sha256(source).hexdigest()[:16]
+    return os.path.join(tempfile.gettempdir(),
+                        f"repro_kernels_{digest}{suffix}")
+
+
 def _compile(source: bytes) -> str:
     """Path of the cached shared object for ``source``, building it if
     this is the first process to need it."""
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    so_path = os.path.join(tempfile.gettempdir(),
-                           f"repro_kernels_{digest}.so")
+    so_path = _cache_path(source, ".so")
     if not os.path.exists(so_path):
         tmp_path = f"{so_path}.{os.getpid()}.tmp"
         subprocess.run(
@@ -74,6 +86,41 @@ def _compile(source: bytes) -> str:
             check=True, capture_output=True)
         os.replace(tmp_path, so_path)  # atomic: xdist workers race here
     return so_path
+
+
+def _ffi(source: bytes):
+    """The ``ffi`` of ``source``'s declarations, from the cached
+    out-of-line module, writing that module first if this is the first
+    process to need it (or if the cached one does not run under this
+    cffi)."""
+    py_path = _cache_path(source, ".py")
+    try:
+        return _run_module(py_path)
+    except (FileNotFoundError, ImportError):
+        pass  # not written yet, or written for another cffi version
+    from cffi import FFI
+    from cffi.recompiler import make_py_source
+
+    ffi = FFI()
+    ffi.cdef(_declarations(source.decode("utf-8")))
+    tmp_path = f"{py_path}.{os.getpid()}.tmp"
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        # A file object, not a path: with a path cffi renames on its own,
+        # and with verbose=True it prints to stdout (the daemon's first
+        # line there is its address).
+        make_py_source(ffi, os.path.basename(py_path)[:-3], handle,
+                       verbose=False)
+    os.replace(tmp_path, py_path)  # atomic, like the shared object's
+    return _run_module(py_path)
+
+
+def _run_module(py_path: str):
+    """Execute a module written by :func:`_ffi` and return its ``ffi``."""
+    with open(py_path, encoding="utf-8") as handle:
+        code = compile(handle.read(), py_path, "exec")
+    namespace: dict = {}
+    exec(code, namespace)
+    return namespace["ffi"]
 
 
 def load(so_path: Optional[str] = None) -> Optional[Tuple]:
@@ -90,14 +137,14 @@ def load(so_path: Optional[str] = None) -> Optional[Tuple]:
     if so_path is None and _loaded is not _UNSET:
         return _loaded
     try:
-        import cffi
+        import cffi  # noqa: F401 - without it, build nothing
         import numpy  # noqa: F401 - every kernel buffer is a numpy array
 
         with open(_source_path(), "rb") as handle:
             source = handle.read()
-        ffi = cffi.FFI()
-        ffi.cdef(_declarations(source.decode("utf-8")))
-        _loaded = (ffi, ffi.dlopen(so_path or _compile(source)))
+        library = so_path or _compile(source)
+        ffi = _ffi(source)
+        _loaded = (ffi, ffi.dlopen(library))
     except (ImportError, OSError):
         # cffi, numpy or cc missing, or the shared object does not load.
         _loaded = None

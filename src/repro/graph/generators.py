@@ -22,7 +22,8 @@ All generators take an explicit seed and return :class:`repro.graph.Graph`.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from itertools import filterfalse, islice
+from typing import List, Optional, Set
 
 from repro.graph.graph import Graph
 
@@ -77,30 +78,57 @@ def powerlaw_cluster_graph(n: int, m: int, p: float, seed: int = 0) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = random.Random(seed)
+    choice, uniform = rng.choice, rng.random
     graph = Graph()
     repeated: List[int] = []
     for v in range(m):
         graph.add_edge(v, m)
         repeated.extend((v, m))
+    adj = graph._adj  # every edge below is new, between known vertices
     for source in range(m + 1, n):
+        mine = adj[source] = set()
         count = 0
-        last_target: Optional[int] = None
+        last: Optional[Set[int]] = None  # the last target's neighbours
         while count < m:
-            if (last_target is not None and rng.random() < p):
-                # Triad step: close a triangle through last_target.
-                candidates = [w for w in graph.neighbors(last_target)
-                              if w != source and not graph.has_edge(source, w)]
-                if candidates:
-                    target = rng.choice(candidates)
-                else:
-                    target = rng.choice(repeated)
-            else:
-                target = rng.choice(repeated)
-            if target != source and graph.add_edge(source, target):
+            target = None
+            if last is not None and uniform() < p:
+                # Triad step: close a triangle through the last target.
+                size = len(last) - 1 - len(mine & last)
+                if size:
+                    target = choice(_TriadCandidates(last, mine, source, size))
+            if target is None:
+                target = choice(repeated)
+            if target != source and target not in mine:
+                mine.add(target)
+                adj[target].add(source)
                 repeated.extend((source, target))
                 count += 1
-                last_target = target
+                last = adj[target]
+    graph._num_edges = m * (n - m)
     return graph
+
+
+class _TriadCandidates:
+    """The neighbours of the last target that are neither ``source`` nor
+    already its neighbours, in the hub's set order, as the sequence
+    ``rng.choice`` reads: ``size`` of them (``len(hub) - 1 - |mine ∩
+    hub|``, the one being ``source``) and the ``i``-th found by skipping
+    in C — no list over the hub, the same draw, the same vertex."""
+
+    __slots__ = ("hub", "skip", "size")
+
+    def __init__(self, hub: Set[int], mine: Set[int], source: int,
+                 size: int) -> None:
+        self.hub = hub
+        self.skip = mine | {source}
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> int:
+        return next(islice(filterfalse(self.skip.__contains__, self.hub),
+                           i, None))
 
 
 def watts_strogatz_graph(n: int, k: int, p: float, seed: int = 0) -> Graph:

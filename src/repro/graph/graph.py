@@ -92,10 +92,9 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Yield each edge exactly once, in canonical orientation."""
+        new = tuple.__new__  # an Edge without its Python ``__new__``
         for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if u < v:
-                    yield Edge(u, v)
+            yield from [new(Edge, (u, v)) for v in nbrs if u < v]
 
     def edge_list(self) -> List[Edge]:
         """Return all edges as a list (deterministic insertion-ish order)."""

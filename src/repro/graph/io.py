@@ -20,7 +20,7 @@ import os
 import re
 from functools import partial
 from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,34 +148,40 @@ def iter_int_rows(handle, ncols: int = 2, limit: Optional[int] = None,
                 position = end.end() if end else size
 
 
-def format_int_rows(rows: np.ndarray, open: bytes, sep: bytes,
-                    close: bytes) -> bytes:
+def format_int_rows(rows: np.ndarray, open: bytes,
+                    sep: "bytes | Sequence[bytes]", close: bytes) -> bytes:
     """The inverse of :func:`iter_int_rows`: every row of an ``(n,
     ncols)`` integer array as ``open`` + its columns in decimal joined
     by ``sep`` + ``close`` (``b"", b" ", b"\\n"`` is a ``u v part`` file's
-    lines).  One ``kern_format_rows`` call into a buffer sized from the
-    widest value; without the kernels, ``%d`` formatting over
-    ``tolist()`` — the same bytes."""
+    lines).  ``sep`` may also be ``ncols - 1`` separators, one before
+    each column after the first (what frames a row as a JSON object).
+    One ``kern_format_rows`` call into a buffer sized from the widest
+    value; without the kernels, ``%d`` formatting over ``tolist()`` —
+    the same bytes."""
     from repro.core import _kernels  # lazy: repro.core imports this module
 
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.ndim != 2 or not rows.shape[1]:
         raise ValueError(f"rows must be (n, ncols >= 1), got {rows.shape}")
     n, ncols = rows.shape
+    seps = [sep] * (ncols - 1) if isinstance(sep, bytes) else list(sep)
+    if len(seps) != ncols - 1:
+        raise ValueError(f"{len(seps)} separators for {ncols} columns")
+    leads = [open, *seps]
     kernels = _kernels.load()
     if kernels is None:
-        open, sep, close = (part.replace(b"%", b"%%")
-                            for part in (open, sep, close))
-        line = open + sep.join([b"%d"] * ncols) + close
-        return line * n % tuple(rows.ravel().tolist())
+        line = b"".join(part.replace(b"%", b"%%") + b"%d" for part in leads)
+        return (line + close.replace(b"%", b"%%")) * n % tuple(
+            rows.ravel().tolist())
     ffi, lib = kernels
     width = n and max(len(str(rows.min())), len(str(rows.max())))
-    out = bytearray(n * (len(open) + len(close) + (ncols - 1) * len(sep)
-                         + ncols * width))
+    lead = b"".join(leads)
+    out = bytearray(n * (len(lead) + len(close) + ncols * width))
+    lead_end = np.cumsum([len(part) for part in leads], dtype=np.int64)
     written = lib.kern_format_rows(
-        ffi.from_buffer("int64_t[]", rows), n, ncols, open, len(open),
-        sep, len(sep), close, len(close), ffi.from_buffer("uint8_t[]", out),
-        len(out))
+        ffi.from_buffer("int64_t[]", rows), n, ncols, lead,
+        ffi.from_buffer("int64_t[]", lead_end), close, len(close),
+        ffi.from_buffer("uint8_t[]", out), len(out))
     if written < 0:
         raise RuntimeError("kern_format_rows ran past its buffer")
     del out[written:]

@@ -41,7 +41,8 @@ class InMemoryEdgeStream(EdgeStream):
     """Stream over an in-memory edge sequence (tests, generators)."""
 
     def __init__(self, edges: Sequence[Edge]) -> None:
-        self._edges = [Edge(u, v) for u, v in edges]
+        new = tuple.__new__  # an Edge without its Python ``__new__``
+        self._edges = [new(Edge, (u, v)) for u, v in edges]
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._edges)

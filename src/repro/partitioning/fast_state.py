@@ -431,6 +431,14 @@ class FastPartitionState:
             out.setdefault(vertices[idx], set()).add(partitions[j])
         return out
 
+    def replica_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every replica as a ``(vertex, partition)`` row, in two int64
+        columns: vertex by vertex in row (``replica_sets``) order, a
+        vertex's rows adjacent — read off the replica matrix, no dict."""
+        rows, cols = np.nonzero(self._seen_replicas())
+        return self._ids[rows], np.asarray(self._partitions,
+                                           dtype=np.int64)[cols]
+
     @property
     def partition_edges(self) -> Dict[int, int]:
         """Partition sizes as a dict *snapshot*."""

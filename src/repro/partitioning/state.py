@@ -12,7 +12,10 @@ consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set
+from itertools import chain
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Edge
 
@@ -265,6 +268,16 @@ class PartitionState:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def replica_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every replica as a ``(vertex, partition)`` row, in two int64
+        columns: vertex by vertex in ``replica_sets`` order, a vertex's
+        rows adjacent (what the validator reads)."""
+        sets = self.replica_sets
+        held = np.fromiter(map(len, sets.values()), np.int64, len(sets))
+        return (np.repeat(np.fromiter(sets, np.int64, len(sets)), held),
+                np.fromiter(chain.from_iterable(sets.values()), np.int64,
+                            int(held.sum())))
+
     def total_replicas(self) -> int:
         return sum(len(reps) for reps in self.replica_sets.values())
 

@@ -11,7 +11,6 @@ partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -78,32 +77,39 @@ def validate_result(result: PartitionResult,
     #    so extra replicas are an error but the reverse check is exact).
     #    Both sides as ranked (vertex, partition) rows; a vertex is
     #    reported in the order the assignments first name it.
-    stored = state.replica_sets  # one read: a snapshot on the array state
-    names = np.fromiter(stored, np.int64, len(stored))
-    held = np.fromiter(map(len, stored.values()), np.int64, len(stored))
+    vertices, stored = state.replica_rows()  # a vertex's rows adjacent
+    starts = np.ones(len(vertices), dtype=bool)
+    starts[1:] = vertices[1:] != vertices[:-1]
+    bounds = np.append(np.flatnonzero(starts), len(vertices))
+    names = vertices[bounds[:-1]]  # one per vertex, in replica_sets order
+
+    def recorded_for(group: int) -> List[int]:
+        return sorted(stored[bounds[group]:bounds[group + 1]].tolist())
+
     ids, ru, rv, _ = ranked_edges(u, v, names)
     ends = np.stack([ru, rv], axis=1).ravel()  # in the order rows name them
     del ru, rv, _  # frees their edge-sized rank array: ``ends`` is read
-    parts, pos = ranked(np.concatenate([part, np.fromiter(
-        chain.from_iterable(stored.values()), np.int64, held.sum())]))
+    parts, pos = ranked(np.concatenate([part, stored]))
     k, mine = max(len(parts), 1), np.searchsorted(ids, names)
     implied = ranked((ends.reshape(-1, 2) * k + pos[:len(part), None]).ravel(),
                      ranks=False)[0]  # sorted: R_v, vertex by vertex
-    recorded = np.repeat(mine, held) * k + pos[len(part):]
+    recorded = np.searchsorted(ids, vertices) * k + pos[len(part):]
     lacking = np.zeros(len(ids), dtype=bool)
     lacking[implied[~np.isin(implied, recorded)] // k] = True
+    group_of = np.full(len(ids), -1)
+    group_of[mine] = np.arange(len(names))
     for at in dict.fromkeys(ends[lacking[ends]].tolist()):
         a, b = np.searchsorted(implied, [at * k, at * k + k])
-        name = int(ids[at])
+        group = int(group_of[at])
         report.errors.append(
-            f"vertex {name}: assignments imply replicas "
+            f"vertex {int(ids[at])}: assignments imply replicas "
             f"{parts[implied[a:b] % k].tolist()} but state records "
-            f"{sorted(stored.get(name, set()))}")
+            f"{recorded_for(group) if group >= 0 else []}")
     named = np.zeros(len(ids), dtype=bool)
     named[ends] = True
-    for name in names[~named[mine] & (held > 0)].tolist():
+    for group in np.flatnonzero(~named[mine]).tolist():
         report.warnings.append(
-            f"vertex {name} has replicas {sorted(stored[name])} "
+            f"vertex {int(names[group])} has replicas {recorded_for(group)} "
             f"with no assignment in the result (duplicate stream edges?)")
 
     # 4. Balance constraint (Eq. 2), if requested.

@@ -52,7 +52,7 @@ import os
 import time
 from collections import OrderedDict
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -92,11 +92,14 @@ class _JSON(bytes):
     """A response value already encoded as JSON (see :func:`_encode`)."""
 
 
-def _json_rows(rows: np.ndarray) -> _JSON:
+def _json_rows(rows: np.ndarray, open: bytes = b"[",
+               sep: "bytes | Sequence[bytes]" = b", ",
+               close: bytes = b"]") -> _JSON:
     """An ``(n, ncols)`` integer array (``[u, v, part]`` rows here) as
     ``json.dumps`` writes the list of its rows, byte for byte, without
-    building that list."""
-    text = format_int_rows(rows, b"[", b", ", b"], ")
+    building that list; ``open``, ``sep`` and ``close`` frame one row
+    (see :func:`~repro.graph.io.format_int_rows`)."""
+    text = format_int_rows(rows, open, sep, close + b", ")
     return _JSON(b"[" + text[:-2] + b"]")
 
 
@@ -851,13 +854,12 @@ class PartitionService:
         limit = _int64(request.get("limit", 32), "limit")
         store = tenant.decisions
         tail = store.tail(min(limit, AUDIT_WINDOW))
+        seq = np.arange(store.rows - len(tail), store.rows, dtype=np.int64)
         return {"ok": True, "tenant": tenant.name,
-                "decisions": [
-                    {"seq": seq, "u": u, "v": v, "partition": partition}
-                    for seq, u, v, partition in zip(
-                        range(store.rows - len(tail), store.rows),
-                        tail.u.tolist(), tail.v.tolist(),
-                        tail.part.tolist())],
+                "decisions": _json_rows(
+                    np.stack((seq, tail.u, tail.v, tail.part), axis=1),
+                    b'{"seq": ', (b', "u": ', b', "v": ', b', "partition": '),
+                    b"}"),
                 "dropped": tenant.audit_counts()["dropped"]}
 
     def _remove_wal_files(self, tenant: Tenant) -> None:

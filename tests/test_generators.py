@@ -5,7 +5,12 @@ DESIGN.md relies on: edge counts, degree skew, and the clustering
 coefficient bands of the three Table II analogues.
 """
 
+import re
+
 import pytest
+from _generator_reference import (
+    powerlaw_cluster_graph as reference_powerlaw_cluster_graph,
+)
 
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -16,7 +21,9 @@ from repro.graph.generators import (
     watts_strogatz_graph,
     web_like_graph,
 )
+from repro.graph.graph import Edge
 from repro.graph.stats import average_clustering, degree_skewness, max_degree
+from repro.graph.stream import InMemoryEdgeStream, shuffled
 
 
 class TestBarabasiAlbert:
@@ -73,6 +80,65 @@ class TestPowerlawCluster:
         a = powerlaw_cluster_graph(60, 2, 0.7, seed=3)
         b = powerlaw_cluster_graph(60, 2, 0.7, seed=3)
         assert set(a.edges()) == set(b.edges())
+
+
+def same_graph(graph, control):
+    """Edge for edge in ``edges()`` order, vertex for vertex in insertion
+    order, and every adjacency set in its iteration order (what the next
+    triad step, and every later stream, reads)."""
+    assert list(graph.edges()) == list(control.edges())
+    assert graph.num_edges == control.num_edges
+    assert list(graph.vertices()) == list(control.vertices())
+    assert ([list(graph.neighbors(v)) for v in graph.vertices()]
+            == [list(control.neighbors(v)) for v in control.vertices()])
+
+
+class TestPowerlawClusterIdentity:
+    """The triad step draws from a sequence over the hub's neighbours
+    instead of a list built from them: the same random numbers, the
+    same targets, so the same graph as the list-building generator kept
+    in ``tests/_generator_reference.py`` — at p = 0 (no triad step),
+    1 (a triad step after every attachment) and in between, at m = 1
+    (a hub's candidates are all but one of its neighbours) and
+    m = n - 1 (the seed star alone)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n, m", [(60, 1), (60, 4), (60, 59), (2, 1),
+                                      (400, 12)])
+    def test_same_graph_as_the_list_building_generator(self, n, m, p, seed):
+        same_graph(powerlaw_cluster_graph(n, m, p, seed=seed),
+                   reference_powerlaw_cluster_graph(n, m, p, seed=seed))
+
+    def test_edges_are_the_per_edge_walk(self):
+        """``Graph.edges()`` builds each ``Edge`` without its Python
+        ``__new__``: still ``Edge`` instances, in the nested walk's order."""
+        graph = powerlaw_cluster_graph(200, 5, 0.6, seed=4)
+        walked = [Edge(u, v) for u in graph.vertices()
+                  for v in graph.neighbors(u) if u < v]
+        edges = list(graph.edges())
+        assert edges == walked
+        assert {type(edge) for edge in edges} == {Edge}
+        assert [edge.canonical() for edge in edges] == edges
+
+
+class TestInMemoryStreams:
+    def test_pairs_become_edges(self):
+        pairs = [(3, 1), [4, 5], Edge(6, 2), (7, 7)]
+        for stream in (InMemoryEdgeStream(pairs), shuffled(pairs, seed=0)):
+            assert {type(edge) for edge in stream} == {Edge}
+            assert sorted(stream) == sorted(Edge(u, v) for u, v in pairs)
+
+    @pytest.mark.parametrize("pair", [(1, 2, 3), (1,), (), 5, None])
+    @pytest.mark.parametrize("build", [InMemoryEdgeStream, shuffled])
+    def test_a_malformed_pair_raises_what_unpacking_raises(self, build,
+                                                          pair):
+        try:
+            u, v = pair
+        except (TypeError, ValueError) as error:
+            expected = error
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            build([(1, 2), pair])
 
 
 class TestWattsStrogatz:

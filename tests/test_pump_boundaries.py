@@ -234,11 +234,11 @@ def test_bound_buffers_are_validated_before_the_pump():
     partitioner.begin()
     partitioner.ingest([Edge(1, 2), Edge(2, 3)])
     kernel = partitioner.window._kern
-    array, dtype, size = kernel._bound["score"]
-    kernel._bound["score"] = (array[::2], dtype, size)  # short, strided
+    array = kernel.array("score")
     with pytest.raises(RuntimeError, match="kernel buffer 'score'"):
-        partitioner.ingest([Edge(3, 4)])
-    kernel._bound["score"] = (array, dtype, size)
+        kernel.bind("score", array[::2], array.size)  # short, strided
+    assert kernel.array("score") is array  # a refused buffer binds nothing
+    partitioner.ingest([Edge(3, 4)])
     with pytest.raises(RuntimeError, match="dense vertex row"):
         kernel.check_rows(np.array([0, kernel.ctx.vertex_cap]))
 

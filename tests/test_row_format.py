@@ -112,6 +112,35 @@ def test_any_framing(rows):
             == lines(rows, "%d(", "%%", ")%\n"))
 
 
+@PROPERTY
+@given(rows=int_rows(), texts=st.lists(st.binary(max_size=6), min_size=5,
+                                       max_size=5))
+def test_a_separator_per_column(rows, texts):
+    """One separator before each column after the first, each copied as
+    it is (``%`` included)."""
+    ncols = rows.shape[1]
+    open, close, seps = texts[0], texts[1], texts[2:2 + ncols - 1]
+    seps += [b"%,"] * (ncols - 1 - len(seps))
+    expected = b"".join(
+        open + b"".join(lead + str(value).encode()
+                        for lead, value in zip([b""] + seps, row)) + close
+        for row in rows.tolist())
+    assert format_int_rows(rows, open, seps, close) == expected
+
+
+@PROPERTY
+@given(rows=int_rows(min_cols=4))
+def test_audit_shape(rows):
+    """The daemon's ``audit`` value: ``json.dumps`` of one object per
+    ``(seq, u, v, partition)`` row, byte for byte."""
+    rows = rows[:, :4]
+    keys = ("seq", "u", "v", "partition")
+    assert _json_rows(rows, b'{"seq": ',
+                      (b', "u": ', b', "v": ', b', "partition": '),
+                      b"}") == json.dumps(
+        [dict(zip(keys, row)) for row in rows.tolist()]).encode()
+
+
 def test_layout_and_dtype_do_not_matter():
     rows = np.arange(-12, 12).reshape(8, 3) * 10**17
     expected = lines(rows, "", " ", "\n")
@@ -126,3 +155,9 @@ def test_layout_and_dtype_do_not_matter():
 def test_refuses_what_is_not_rows(shape):
     with pytest.raises(ValueError, match="rows must be"):
         format_int_rows(np.zeros(shape, dtype=np.int64), b"", b" ", b"\n")
+
+
+@pytest.mark.parametrize("seps", [(), (b" ",), (b" ", b" ", b" ")])
+def test_refuses_a_separator_count_that_is_not_ncols_minus_one(seps):
+    with pytest.raises(ValueError, match="separators for 3 columns"):
+        format_int_rows(np.zeros((2, 3), dtype=np.int64), b"", seps, b"\n")

@@ -41,6 +41,32 @@ PINNED_FINALIZE = (
     b'"assignments": [[-9, -3, 2], [-3, 8, 2], [1, 9, 1], [2, 7, 0], '
     b'[3, 5, 0], [4, 1099511627776, 2], [1099511627776, 1099511627777, 2]]')
 
+#: ``TestCanonicalLines.test_audit_reply_bytes``'s replies (limits 0, 1, 4
+#: and 100), as the daemon wrote them when it built each decision as a
+#: dict and ``json.dumps``-ed the list.
+PINNED_AUDIT = [
+    b'{"ok": true, "tenant": "t", "decisions": [], "dropped": 0}\n',
+    b'{"ok": true, "tenant": "t", "decisions": [{"seq": 14, "u": -9, '
+    b'"v": -3, "partition": 2}], "dropped": 0}\n',
+    b'{"ok": true, "tenant": "t", "decisions": [{"seq": 11, "u": -9, '
+    b'"v": -3, "partition": 2}, {"seq": 12, "u": 1099511627776, '
+    b'"v": 1099511627777, "partition": 2}, {"seq": 13, "u": 1, "v": 9, '
+    b'"partition": 1}, {"seq": 14, "u": -9, "v": -3, "partition": 2}], '
+    b'"dropped": 0}\n',
+    b'{"ok": true, "tenant": "t", "decisions": [{"seq": 0, "u": 3, "v": 5, '
+    b'"partition": 0}, {"seq": 1, "u": 3, "v": 5, "partition": 0}, '
+    b'{"seq": 2, "u": 1, "v": 9, "partition": 1}, {"seq": 3, "u": 4, '
+    b'"v": 1099511627776, "partition": 2}, {"seq": 4, "u": 1, "v": 9, '
+    b'"partition": 1}, {"seq": 5, "u": -3, "v": 8, "partition": 2}, '
+    b'{"seq": 6, "u": 2, "v": 7, "partition": 0}, {"seq": 7, "u": 4, '
+    b'"v": 1099511627776, "partition": 2}, {"seq": 8, "u": 3, "v": 5, '
+    b'"partition": 0}, {"seq": 9, "u": -3, "v": 8, "partition": 2}, '
+    b'{"seq": 10, "u": 2, "v": 7, "partition": 0}, {"seq": 11, "u": -9, '
+    b'"v": -3, "partition": 2}, {"seq": 12, "u": 1099511627776, '
+    b'"v": 1099511627777, "partition": 2}, {"seq": 13, "u": 1, "v": 9, '
+    b'"partition": 1}, {"seq": 14, "u": -9, "v": -3, "partition": 2}], '
+    b'"dropped": 0}\n']
+
 
 @pytest.fixture
 def daemon(tmp_path):
@@ -625,6 +651,38 @@ class TestCanonicalLines:
         start = line.index(b'"assignments": ')
         assert line[start:line.index(b', "replication_degree"')] == (
             PINNED_FINALIZE)
+
+    def test_audit_reply_bytes(self, daemon):
+        """The audit reply, formatted from the store's columns, pinned
+        byte for byte: an empty tenant, tails inside the last batch and
+        across both, negative ids and ids past 2**32."""
+        import json
+        import socket
+
+        port, _, _ = daemon
+        big = 2**40
+        edges = [(5, 3), (3, 5), (1, 9), (big, 4), (9, 1), (-3, 8),
+                 (2, 7), (4, big), (5, 3), (8, -3), (7, 2), (-3, -9),
+                 (big + 1, big), (1, 9), (-9, -3)]
+        script = [{"op": "open", "tenant": "t", "algorithm": "hdrf",
+                   "partitions": 3},
+                  {"op": "audit", "tenant": "t", "limit": 5},
+                  {"op": "ingest", "tenant": "t", "seq": 1,
+                   "edges": edges[:4]},
+                  {"op": "ingest", "tenant": "t", "seq": 2,
+                   "edges": edges[4:]}]
+        script += [{"op": "audit", "tenant": "t", "limit": limit}
+                   for limit in (0, 1, 4, 100)]
+        audits = []
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            reader = sock.makefile("rb")
+            for request in script:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                line = reader.readline()
+                if request["op"] == "audit":
+                    audits.append(line)
+        assert audits == [PINNED_AUDIT[0]] + PINNED_AUDIT
 
 
 class _ScriptedServer:

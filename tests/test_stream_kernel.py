@@ -343,11 +343,11 @@ def test_rows_are_validated_before_the_kernel():
     native = HDRFPartitioner(range(4), fast=True)
     native.ingest([Edge(1, 2)])
     kernel = native.kernel
-    array, dtype, size = kernel._bound["out_col"]
-    kernel._bound["out_col"] = (array.astype(np.int32), dtype, size)
+    array = kernel.array("out_col")
     with pytest.raises(RuntimeError, match="kernel buffer 'out_col'"):
-        native.ingest([Edge(2, 3)])
-    kernel._bound["out_col"] = (array, dtype, size)
+        kernel.bind("out_col", array.astype(np.int32), array.size)
+    assert kernel.array("out_col") is array  # a refused buffer binds nothing
+    native.ingest([Edge(2, 3)])
     with pytest.raises(RuntimeError, match="dense vertex row"):
         kernel.check_rows(np.array([-1, 0]))
 

@@ -135,3 +135,38 @@ class TestRowsOffTheGraph:
                                  latency_ms=0.0)
         report = validate_result(result)
         assert report.ok and report.warnings == []
+
+
+def test_both_state_tiers_report_alike():
+    """The replica rows read off the array state's matrix and off the
+    dict state's sets give one report: the same errors and warnings, in
+    the same order (a vertex whose recorded replicas differ from the
+    implied ones, one the state never saw, two no assignment names, a
+    spread out of order and a negative id)."""
+    from repro.core import _kernels
+    from repro.partitioning.fast_state import FastPartitionState
+
+    if _kernels.load() is None:
+        pytest.skip("the array state interns through the compiled kernels")
+    reports = []
+    for build in (PartitionState, FastPartitionState):
+        state = build([3, 1, 2])
+        for edge, partition in ((Edge(7, -2), 3), (Edge(-2, 5), 1),
+                                (Edge(9, 11), 2), (Edge(5, 7), 2),
+                                (Edge(11, 4), 1)):
+            state.observe_degrees(edge)
+            state.assign(edge, partition)
+        assignments = {Edge(7, -2): 3, Edge(-2, 5): 2, Edge(5, 7): 2,
+                       Edge(4, 6): 1}
+        reports.append(validate_result(
+            PartitionResult("x", state, assignments, latency_ms=0.0)))
+    dict_report, array_report = reports
+    assert dict_report.errors == array_report.errors == [
+        "vertex -2: assignments imply replicas [2, 3] but state records "
+        "[1, 3]",
+        "vertex 6: assignments imply replicas [1] but state records []"]
+    assert dict_report.warnings == array_report.warnings == [
+        "vertex 9 has replicas [2] with no assignment in the result "
+        "(duplicate stream edges?)",
+        "vertex 11 has replicas [1, 2] with no assignment in the result "
+        "(duplicate stream edges?)"]
