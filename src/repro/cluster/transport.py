@@ -187,6 +187,8 @@ _OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
 #: The ``values`` dtypes ``kern_scatter`` combines, by scatter kind; the
 #: numpy helpers take the rest.
 _ELEMENTS = {"sum": (np.float64,), "min": (np.float64, np.int64)}
+#: ``kern_pagerank_step``'s mask, rank, active, incoming and has_msg.
+_PAGERANK = (np.bool_, np.float64, np.bool_, np.float64, np.bool_)
 
 
 class _Side:
@@ -317,10 +319,11 @@ class ShardGroup:
 
     Where the compiled kernels load (``_kernels.load()``, asked once,
     here — no knob) the per-target combination is one ``kern_scatter``
-    pass over the host's slots and the in-process part of the exchange
-    three ``kern_sync_*`` passes over the plan; elsewhere, and for
-    element arrays that are not plain float64 / int64, they are the
-    kernel's own numpy helpers and the numpy fold below — the same
+    pass over the host's slots (a PageRank host's whole superstep one
+    ``kern_pagerank_step`` call) and the in-process part of the exchange
+    two ``kern_sync_*`` passes over the plan; elsewhere, and for element
+    arrays that are not plain float64 / int64, they are the kernel's own
+    ``step``, numpy helpers and the numpy fold below — the same
     elements, bit for bit (DESIGN.md §8).  Every index either tier
     follows is checked here, once; the kernel object gains no attribute
     either way.
@@ -388,8 +391,16 @@ class ShardGroup:
         #: channels' elements — the plan keys them by ``host``.
         self._native = _kernels.load()
         self._own = len(self.plan.slots.get(host, ()))
+        #: (dtype, C folds) -> the contribution buffer, made once.
+        self._buffers: Dict[Tuple, Tuple] = {}
+        #: Where C steps PageRank: its damping, senders and shares.
+        self._fused: Tuple = ()
         if self._native is not None:
             none = np.empty(0, dtype=np.int64)
+            # Element i of the buffer is own mirror own[i], or -1: remote.
+            own = np.full(len(self.plan.targets), -1, dtype=np.int64)
+            own[self.plan.slots.get(host, none)] = self.plan.mirrors.get(
+                host, none)
             self._index = {
                 name: self._native[0].from_buffer(
                     "int64_t[]", np.ascontiguousarray(index, dtype=np.int64))
@@ -397,9 +408,16 @@ class ShardGroup:
                     ("indices", kernel.csr.indices),
                     ("rows", kernel.csr.rows),
                     ("targets", self.plan.targets),
+                    ("own", own),
                     ("mirrors", self.plan.mirrors.get(host, none)),
                     ("masters", self.plan.masters.get(host, none)),
-                    ("slots", self.plan.slots.get(host, none)))}
+                    ("degrees", kernel.csr.degrees),
+                    ("local_degrees", kernel.csr.local_degrees))}
+            from repro.engine.algorithms import pagerank  # not in `import repro`
+            if type(kernel) is pagerank._DensePageRank:
+                n = csr.num_vertices
+                self._fused = (pagerank.DAMPING, np.zeros(n, dtype=bool),
+                               np.zeros(n))
 
     # -- checked once, trusted every superstep --------------------------
     def _check_shards(self, shards: List[Shard], csr: ShardCSR,
@@ -544,10 +562,31 @@ class ShardGroup:
         start = time.perf_counter()
         with obs.span("cluster.compute", host=self.host,
                       superstep=superstep):
-            sent, aggregate = self.kernel.step(superstep, self._mask)
+            sent, aggregate = self._step(superstep, self._mask)
         return TransportStepResult(int(sent), aggregate,
                                    time.perf_counter() - start,
                                    synced=bool(self._kind))
+
+    def _step(self, superstep: int, mask: np.ndarray) -> Tuple[int, Any]:
+        """The kernel's ``step``, or — PageRank's below ``iterations``,
+        over plain arrays — ``kern_pagerank_step``: the same elements in
+        one C pass, message buffers refilled in place (DESIGN.md §8)."""
+        kernel = self.kernel
+        arrays = (mask, kernel.rank, kernel.active, kernel.incoming,
+                  kernel.has_msg) if self._fused else ()
+        if (not arrays or superstep >= kernel.iterations
+                or not all(map(self._plain, arrays, _PAGERANK))):
+            return kernel.step(superstep, mask)
+        index, lib = self._index, self._native[1]
+        views = tuple(map(self._pointer, arrays + self._fused[1:]))
+        sent = lib.kern_pagerank_step(
+            self._fused[0], superstep > 0, views[0], index["degrees"],
+            index["local_degrees"], len(mask), *views[1:], index["indices"],
+            index["rows"], len(kernel.csr.indices))
+        # Parked as park() would, from the views just checked and bound.
+        self._kind, self._values, self._recv = "sum", arrays[3], arrays[4]
+        self._op, self._parked = lib.KERN_ADD_F64, views[3:5]
+        return sent, None
 
     # -- replica sync ---------------------------------------------------
     def _slices(self, index: Mapping[int, np.ndarray],
@@ -590,22 +629,24 @@ class ShardGroup:
         combined elements whose mirrors live elsewhere, by mirror host."""
         plan, values, recv = self.plan, self._values, self._recv
         self._check(inbound, plan.masters)
-        partial = np.empty(len(plan.targets), dtype=values.dtype)
-        partial_recv = np.empty(len(plan.targets), dtype=bool)
-        # Other hosts' partials arrive as payloads; this host's own are
-        # moved by C where it then folds, as a payload where numpy does.
         native = self._op is not None
+        key = values.dtype, native
+        if key not in self._buffers:  # with C's view of it, where C folds
+            pair = (np.empty(len(plan.targets), dtype=values.dtype),
+                    np.empty(len(plan.targets), dtype=bool))
+            self._buffers[key] = pair + (
+                tuple(map(self._pointer, pair)) if native else ())
+        partial, partial_recv, *view = self._buffers[key]
+        # Other hosts' partials arrive as payloads; C reads this host's
+        # own where they lie, numpy takes them as one more payload.
         local = {} if native else self._slices(plan.mirrors, remote=False)
         for peer, (_, theirs, their_recv) in {**inbound, **local}.items():
             partial[plan.slots[peer]] = theirs
             partial_recv[plan.slots[peer]] = their_recv
         if native:
-            index, lib = self._index, self._native[1]
-            buffer = self._pointer(partial), self._pointer(partial_recv)
-            lib.kern_sync_take(*self._parked, index["mirrors"],
-                               index["slots"], self._own, *buffer)
-            lib.kern_sync_fold(self._op, *self._parked, index["targets"],
-                               *buffer, len(plan.targets))
+            self._native[1].kern_sync_fold(
+                self._op, *self._parked, self._index["targets"],
+                self._index["own"], *view, len(plan.targets))
         else:
             combine = np.minimum if self._kind == "min" else np.add
             for start, stop in plan.rounds:
@@ -877,6 +918,9 @@ class _Coordinator:
             for host in sorted(set(host_of.values()))}
         self._host_of_machine = {self.machine_of[p]: host
                                  for p, host in host_of.items()}
+        #: The hosts' tallies merged, by their payload bytes (a host's
+        #: tally is a function of its plan and the item size).
+        self._tallies: Dict[Tuple[int, ...], SyncStats] = {}
 
     # -- the exchange ---------------------------------------------------
     def _round(self, message_for) -> Dict[int, Any]:
@@ -959,8 +1003,14 @@ class _Coordinator:
                     host: reply[4] for host, reply in replies.items()})
             self._fire(injector, "mid-scatter", superstep)
             with obs.span("cluster.sync_scatter"):
-                for tally in self._exchange("scatter", combined).values():
-                    stats.merge(tally)
+                tallies = self._exchange("scatter", combined).values()
+            # Added up once per item size: payload bytes tell them apart.
+            key = tuple(tally.payload_bytes for tally in tallies)
+            if key not in self._tallies:
+                self._tallies[key] = SyncStats()
+                for tally in tallies:
+                    self._tallies[key].merge(tally)
+            stats = self._tallies[key]
         sync_seconds = time.perf_counter() - sync_start
         # Post-apply kills commit the superstep first; detection happens
         # at the next exchange, exactly like a real crash there.

@@ -4,8 +4,8 @@
  * vertex id -> dense row table both are fed through, the edge-file line
  * scanner and its inverse (integer rows -> text), the scanner of the
  * daemon's request line's "edges" member, and the cluster's BSP
- * host step (combine over a host's adjacency slots, fold over its sync
- * plan).
+ * host step (combine over a host's adjacency slots — PageRank's whole
+ * superstep fused with it — and fold over its sync plan).
  *
  * Built by repro/core/_kernels.py with
  *
@@ -151,14 +151,19 @@ int64_t kern_scan_edges(const uint8_t *line, int64_t len, int64_t *out,
 void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
                   int64_t n_slots, const uint8_t *send, const void *values,
                   void *out, uint8_t *recv);
-void kern_sync_take(const void *values, const uint8_t *recv,
-                    const int64_t *mirrors, const int64_t *slots, int64_t n,
-                    void *partial, uint8_t *partial_recv);
 void kern_sync_fold(int64_t op, void *values, uint8_t *recv,
-                    const int64_t *targets, const void *partial,
-                    const uint8_t *partial_recv, int64_t n);
+                    const int64_t *targets, const int64_t *own,
+                    const void *partial, const uint8_t *partial_recv,
+                    int64_t n);
 void kern_sync_put(void *values, uint8_t *recv, const int64_t *masters,
                    const int64_t *mirrors, int64_t n);
+int64_t kern_pagerank_step(double damping, int64_t update,
+                           const uint8_t *mask, const int64_t *degrees,
+                           const int64_t *local_degrees, int64_t n,
+                           double *rank, uint8_t *active, double *incoming,
+                           uint8_t *has_msg, uint8_t *senders, double *share,
+                           const int64_t *indices, const int64_t *rows,
+                           int64_t n_slots);
 /* cdef-end */
 
 /* ------------------------------------------------------------------ */
@@ -1418,30 +1423,19 @@ void kern_scatter(int64_t op, const int64_t *indices, const int64_t *rows,
     }
 }
 
-/* Exchange, gather side: this host's own mirror partials to their
- * places in the contribution buffer. */
-void kern_sync_take(const void *values, const uint8_t *recv,
-                    const int64_t *mirrors, const int64_t *slots, int64_t n,
-                    void *partial, uint8_t *partial_recv)
-{
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        memcpy((char *)partial + 8 * slots[i],
-               (const char *)values + 8 * mirrors[i], 8);
-        partial_recv[slots[i]] = recv[mirrors[i]];
-    }
-}
-
-/* The buffer's rank rounds lie end to end and no master repeats inside
- * one, so one ascending pass folds each master's own partial first,
- * then its mirrors by ascending partition: the round-by-round
- * association. */
+/* Exchange, gather side.  The buffer's rank rounds lie end to end and
+ * no master repeats inside one, so one ascending pass folds each
+ * master's own partial first, then its mirrors by ascending partition:
+ * the round-by-round association.  Element i with own[i] >= 0 is this
+ * host's mirror own[i], read where it lies (a mirror is never a
+ * target); the rest came from other hosts through the buffer. */
 void kern_sync_fold(int64_t op, void *acc_, uint8_t *recv,
-                    const int64_t *targets, const void *val_,
-                    const uint8_t *partial_recv, int64_t n)
+                    const int64_t *targets, const int64_t *own,
+                    const void *val_, const uint8_t *partial_recv, int64_t n)
 {
-#define FOLD(T, COMBINE) \
-    COMBINE_LOOP(T, COMBINE, 1, targets[i], val[i], partial_recv[i])
+#define FROM(here, buffer, i) (own[i] >= 0 ? here[own[i]] : buffer[i])
+#define FOLD(T, COMBINE) COMBINE_LOOP(T, COMBINE, 1, targets[i], \
+    FROM(acc, val, i), FROM(recv, partial_recv, i))
     switch (op) {
     case KERN_ADD_F64: FOLD(double, COMBINE_ADD); break;
     case KERN_MIN_F64: FOLD(double, COMBINE_MIN); break;
@@ -1460,4 +1454,37 @@ void kern_sync_put(void *values, uint8_t *recv, const int64_t *masters,
                (const char *)values + 8 * masters[i], 8);
         recv[mirrors[i]] = recv[masters[i]];
     }
+}
+
+/* PageRank's superstep below `iterations` (_DensePageRank.step, the
+ * reference) in one pass: where mask, rank = (1 - d) + d * incoming in
+ * numpy's association (`update`: past superstep 0); senders are masked
+ * vertices of logical degree > 0, each sharing rank / degree; the count
+ * is their local degrees; then the message buffers, zeroed, take
+ * kern_scatter's pass — np.bincount's order. */
+int64_t kern_pagerank_step(double damping, int64_t update,
+                           const uint8_t *mask, const int64_t *degrees,
+                           const int64_t *local_degrees, int64_t n,
+                           double *rank, uint8_t *active, double *incoming,
+                           uint8_t *has_msg, uint8_t *senders, double *share,
+                           const int64_t *indices, const int64_t *rows,
+                           int64_t n_slots)
+{
+    const double base = 1.0 - damping;
+    int64_t i, sent = 0;
+    for (i = 0; i < n; i++) {
+        if (update && mask[i])
+            rank[i] = base + damping * incoming[i];
+        senders[i] = mask[i] && degrees[i] > 0;
+        if (senders[i]) {
+            share[i] = rank[i] / (double)degrees[i];
+            sent += local_degrees[i];
+        }
+        active[i] = mask[i];
+        incoming[i] = 0.0;
+        has_msg[i] = 0;
+    }
+    kern_scatter(KERN_ADD_F64, indices, rows, n_slots, senders, share,
+                 incoming, has_msg);
+    return sent;
 }

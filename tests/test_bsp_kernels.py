@@ -3,8 +3,8 @@
 Where the compiled kernels load, a
 :class:`~repro.cluster.transport.ShardGroup` combines per target in one
 ``kern_scatter`` pass over its host's adjacency slots and runs the
-in-process part of the replica exchange as ``kern_sync_take`` /
-``kern_sync_fold`` / ``kern_sync_put`` over its plan; elsewhere (and for
+in-process part of the replica exchange as ``kern_sync_fold`` /
+``kern_sync_put`` over its plan; elsewhere (and for
 element arrays C is never handed) it runs the dense kernel's numpy
 helpers and the numpy fold.  The tier is chosen at construction from what
 ``_kernels.load()`` returns, so this suite builds the numpy tier the way
@@ -281,8 +281,9 @@ def assert_min_is_numpys(entry: str, held: float, arriving: float) -> None:
         want = np.array([held])
         np.minimum.at(want, [0], [arriving])
     else:
+        remote = np.full(1, -1, dtype=np.int64)  # read from the buffer
         lib.kern_sync_fold(lib.KERN_MIN_F64, ptr(got), ptr(recv), ptr(index),
-                           ptr(value), ptr(flag), 1)
+                           ptr(remote), ptr(value), ptr(flag), 1)
         want = np.minimum(np.array([held]), np.array([arriving]))
     assert got.tobytes() == want.tobytes(), (entry, held, arriving, got)
 
@@ -590,17 +591,17 @@ class TestMalformedIsRefusedAtConstruction:
 # ----------------------------------------------------------------------
 MUTANTS = {
     "fold walks targets backwards": (
-        "COMBINE_LOOP(T, COMBINE, 1, targets[i], val[i], partial_recv[i])",
-        "COMBINE_LOOP(T, COMBINE, 1, targets[n - 1 - i], val[n - 1 - i], "
-        "partial_recv[n - 1 - i])"),
+        "targets[i], \\\n    FROM(acc, val, i), FROM(recv, partial_recv, i))",
+        "targets[n - 1 - i], \\\n    FROM(acc, val, n - 1 - i), "
+        "FROM(recv, partial_recv, n - 1 - i))"),
     "put runs mirror to master": (
         "memcpy((char *)values + 8 * mirrors[i],\n"
         "               (const char *)values + 8 * masters[i], 8);",
         "memcpy((char *)values + 8 * masters[i],\n"
         "               (const char *)values + 8 * mirrors[i], 8);"),
-    "take forgets the received flag": (
-        "partial_recv[slots[i]] = recv[mirrors[i]];",
-        "partial_recv[slots[i]] = 0;"),
+    "own fold forgets the received flag": (
+        "FROM(recv, partial_recv, i))",
+        "(own[i] >= 0 ? 0 : partial_recv[i]))"),
     "scatter ignores the send mask": (
         "send[rows[i]], indices[i], VALUE, send[rows[i]])",
         "1, indices[i], VALUE, 1)"),
