@@ -31,78 +31,48 @@ For a long-lived multi-tenant daemon speaking this API over TCP, see
 ``repro.service`` and the ``serve`` CLI subcommand.
 """
 
-from repro.graph import (
-    Edge,
-    Graph,
-    EdgeStream,
-    FileChunkStream,
-    FileEdgeStream,
-    InMemoryEdgeStream,
-    chunk_file_stream,
-    chunk_stream,
-    locally_shuffled,
-    shuffled,
-    barabasi_albert_graph,
-    brain_like_graph,
-    community_powerlaw_graph,
-    orkut_like_graph,
-    powerlaw_cluster_graph,
-    rmat_graph,
-    watts_strogatz_graph,
-    web_like_graph,
-    average_clustering,
-    summarize,
-)
-from repro.core import (
-    AdaptiveBalancer,
-    AdaptiveWindowController,
-    AdwisePartitioner,
-    AdwiseScoring,
-    EdgeWindow,
-    spotlight_spreads,
-)
-from repro.partitioning import (
-    DBHPartitioner,
-    GreedyPartitioner,
-    GridPartitioner,
-    HashPartitioner,
-    HDRFPartitioner,
-    JaBeJaVCPartitioner,
-    NEPartitioner,
-    ParallelLoader,
-    ParallelResult,
-    PartitionResult,
-    PartitionState,
-    PartitionerSpec,
-    StateSnapshot,
-    PowerLyraPartitioner,
-    StreamingPartitioner,
-    replication_degree,
-)
-from repro.engine import (
-    CostModel,
-    Engine,
-    Placement,
-    SimulationReport,
-    VertexProgram,
-)
-from repro.cluster import (
-    ClusterEngine,
-    ClusterError,
-    ClusterReport,
-    FaultInjector,
-    ShardedGraph,
-)
-from repro.simtime import SimulatedClock, WallClock
-from repro.api import (
-    PartitionSession,
-    SessionError,
-    SessionSnapshot,
-    SessionStats,
-    open_session,
-    restore_session,
-)
-from repro.partitioning.base import Assignment
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".graph.graph": ("Edge", "Graph"),
+    ".graph.stream": ("EdgeStream", "FileChunkStream", "FileEdgeStream",
+                      "InMemoryEdgeStream", "chunk_file_stream",
+                      "chunk_stream", "locally_shuffled", "shuffled"),
+    ".graph.generators": ("barabasi_albert_graph", "brain_like_graph",
+                          "community_powerlaw_graph", "orkut_like_graph",
+                          "powerlaw_cluster_graph", "rmat_graph",
+                          "watts_strogatz_graph", "web_like_graph"),
+    ".graph.stats": ("average_clustering", "summarize"),
+    ".core.scoring": ("AdaptiveBalancer", "AdwiseScoring"),
+    ".core.adaptive": ("AdaptiveWindowController",),
+    ".core.adwise": ("AdwisePartitioner",),
+    ".core.window": ("EdgeWindow",),
+    ".core.spotlight": ("spotlight_spreads",),
+    ".partitioning.dbh": ("DBHPartitioner",),
+    ".partitioning.greedy": ("GreedyPartitioner",),
+    ".partitioning.grid": ("GridPartitioner",),
+    ".partitioning.hashing": ("HashPartitioner",),
+    ".partitioning.hdrf": ("HDRFPartitioner",),
+    ".partitioning.jabeja": ("JaBeJaVCPartitioner",),
+    ".partitioning.ne": ("NEPartitioner",),
+    ".partitioning.parallel": ("ParallelLoader", "ParallelResult",
+                               "PartitionerSpec"),
+    ".partitioning.base": ("Assignment", "PartitionResult",
+                           "StreamingPartitioner"),
+    ".partitioning.state": ("PartitionState", "StateSnapshot"),
+    ".partitioning.powerlyra": ("PowerLyraPartitioner",),
+    ".partitioning.metrics": ("replication_degree",),
+    ".engine.cost": ("CostModel",),
+    ".engine.runtime": ("Engine", "SimulationReport"),
+    ".engine.placement": ("Placement",),
+    ".engine.vertex_program": ("VertexProgram",),
+    ".cluster.runtime": ("ClusterEngine", "ClusterReport"),
+    ".cluster.faults": ("ClusterError", "FaultInjector"),
+    ".graph.shard": ("ShardedGraph",),
+    ".simtime": ("SimulatedClock", "WallClock"),
+    ".api": ("PartitionSession", "SessionError", "SessionSnapshot",
+             "SessionStats", "open_session", "restore_session"),
+})
 
 __version__ = "1.1.0"
 

@@ -19,30 +19,17 @@ by a :class:`FaultInjector` (:mod:`repro.cluster.faults`) — and
 its recorded machine layout or on another one.
 """
 
-from repro.cluster.checkpoint import (
-    CheckpointState,
-    CheckpointStore,
-    RecoveryEvent,
-)
-from repro.cluster.faults import (
-    INJECTION_POINTS,
-    ClusterError,
-    FaultInjector,
-    Kill,
-    WorkerDied,
-)
-from repro.cluster.runtime import (
-    ClusterEngine,
-    ClusterReport,
-    SuperstepTelemetry,
-)
-from repro.cluster.transport import (
-    BACKENDS,
-    ProcessTransport,
-    SerialTransport,
-    SyncStats,
-)
-from repro.graph.shard import Shard, ShardCSR, ShardedGraph
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".checkpoint": ("CheckpointState", "CheckpointStore", "RecoveryEvent"),
+    ".faults": ("INJECTION_POINTS", "ClusterError", "FaultInjector", "Kill",
+                "WorkerDied"),
+    ".runtime": ("ClusterEngine", "ClusterReport", "SuperstepTelemetry"),
+    ".transport": ("BACKENDS", "ProcessTransport", "SerialTransport",
+                   "SyncStats"),
+    "repro.graph.shard": ("Shard", "ShardCSR", "ShardedGraph"),
+})
 
 __all__ = [
     "BACKENDS",

@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.cluster.checkpoint import (
@@ -67,6 +67,7 @@ from repro.cluster.transport import (
     ProcessTransport,
     SerialTransport,
     SyncStats,
+    TransportStepResult,
 )
 from repro.engine.cost import CostModel, SuperstepCost
 from repro.engine.runtime import Engine, SimulationReport
@@ -95,6 +96,35 @@ class SuperstepTelemetry:
     #: Coordinator wall-clock of the replica exchange (gather, fold,
     #: scatter); 0.0 on checkpoints written before the field existed.
     sync_ms: float = 0.0
+
+    @classmethod
+    def of(cls, superstep: int, result: TransportStepResult,
+           active_fraction: float) -> "SuperstepTelemetry":
+        stats: SyncStats = result.stats
+        return cls(superstep, result.computed, active_fraction,
+                   result.wall_seconds * 1000.0,
+                   result.compute_seconds * 1000.0, result.synced,
+                   stats.remote_messages, stats.local_messages,
+                   stats.payload_bytes, dict(stats.remote_per_machine),
+                   dict(stats.local_per_machine),
+                   result.sync_seconds * 1000.0)
+
+
+def _observe(backend: str, result: TransportStepResult) -> None:
+    """A superstep's SyncStats and timings re-expressed as registry
+    series — the dataclass itself stays untouched, so the
+    measured-vs-predicted suites see identical values."""
+    stats = result.stats
+    for name, count in (("supersteps", 1),
+                        ("remote_messages", stats.remote_messages),
+                        ("local_messages", stats.local_messages),
+                        ("payload_bytes", stats.payload_bytes)):
+        obs.counter(f"repro_cluster_{name}_total", backend=backend).inc(count)
+    for name, seconds in (("superstep", result.wall_seconds),
+                          ("compute", result.compute_seconds),
+                          ("sync", result.sync_seconds)):
+        obs.histogram(f"repro_cluster_{name}_seconds",
+                      backend=backend).observe(seconds)
 
 
 @dataclass
@@ -328,13 +358,29 @@ class ClusterEngine:
                 "heartbeat_timeout": self.heartbeat_timeout,
                 "fingerprint": self.sharded.fingerprint()}
 
+    def _segment(self, superstep: int, max_supersteps: int
+                 ) -> Tuple[int, Optional[FaultInjector]]:
+        """Where the segment from ``superstep`` ends — next checkpoint,
+        ``max_supersteps`` or pending kill — and its injector: a kill's
+        superstep is a segment of its own (DESIGN.md §8 "Segments")."""
+        kills = [kill.superstep for kill in (
+            self.fault_injector.pending if self.fault_injector else ())]
+        if superstep in kills:
+            return superstep + 1, self.fault_injector
+        every = self.checkpoint_every or max_supersteps
+        return min([max_supersteps, superstep - superstep % every + every]
+                   + [kill for kill in kills if kill > superstep]), None
+
     def _run_sharded(self, program: VertexProgram, max_supersteps: int,
                      start: Optional[CheckpointState] = None
                      ) -> ClusterReport:
-        """Mirror of ``Engine._run_dense``'s loop, with the per-superstep
-        work fanned out to the shards, measured on the way through, and —
-        when checkpointing is on — wrapped in rollback recovery."""
+        """Mirror of ``Engine._run_dense``'s loop, with the work fanned out
+        to the shards a segment at a time, measured on the way through,
+        and — when checkpointing is on — wrapped in rollback recovery."""
         num_vertices = self.sharded.num_vertices
+        # Only should_stop reads between two supersteps of a segment: a
+        # host may run ahead where the program keeps the default, never.
+        ahead = type(program).should_stop is VertexProgram.should_stop
         step_costs: Dict[float, SuperstepCost] = {}
         recoveries: List[RecoveryEvent] = []
         checkpoints_written = 0
@@ -394,69 +440,33 @@ class ClusterEngine:
                             converged = (stopped
                                          or transport.compute_owned() == 0)
                             break
-                        computed = transport.compute_owned()
-                        if computed == 0:
-                            converged = True
+                        stop, injector = self._segment(superstep,
+                                                       max_supersteps)
+                        for result in transport.segment(superstep, stop,
+                                                        injector, ahead):
+                            active_fraction = (result.computed / num_vertices
+                                               if num_vertices else 0.0)
+                            if active_fraction not in step_costs:
+                                # A pure function of the fraction, which a
+                                # run repeats: priced once per run.
+                                step_costs[active_fraction] = (
+                                    self.cost_model.superstep_cost(
+                                        self._stats, active_fraction))
+                            costs.append(step_costs[active_fraction])
+                            aggregates.append(result.aggregate)
+                            total_messages += result.sent
+                            if obs.is_enabled():
+                                _observe(transport.backend, result)
+                            telemetry.append(SuperstepTelemetry.of(
+                                superstep, result, active_fraction))
+                            superstep += 1
+                            stopped = program.should_stop(result.aggregate,
+                                                          superstep)
+                            if stopped:
+                                break
+                        if not stopped and superstep < stop:
+                            converged = True  # a mask came up empty
                             break
-                        step_start = time.perf_counter()
-                        with obs.span("cluster.superstep",
-                                      backend=transport.backend,
-                                      superstep=superstep,
-                                      active=computed):
-                            result = transport.step(superstep,
-                                                    self.fault_injector)
-                        wall_ms = (time.perf_counter() - step_start) * 1000.0
-                        active_fraction = (computed / num_vertices
-                                           if num_vertices else 0.0)
-                        if active_fraction not in step_costs:
-                            # A pure function of the fraction, which a
-                            # run repeats: priced once per run.
-                            step_costs[active_fraction] = (
-                                self.cost_model.superstep_cost(
-                                    self._stats, active_fraction))
-                        costs.append(step_costs[active_fraction])
-                        aggregates.append(result.aggregate)
-                        total_messages += result.sent
-                        stats: SyncStats = result.stats
-                        if obs.is_enabled():
-                            # SyncStats re-expressed as registry series —
-                            # the dataclass itself stays untouched, so the
-                            # measured-vs-predicted suites see identical
-                            # values.
-                            backend = transport.backend
-                            for name, count in (
-                                    ("supersteps", 1),
-                                    ("remote_messages", stats.remote_messages),
-                                    ("local_messages", stats.local_messages),
-                                    ("payload_bytes", stats.payload_bytes)):
-                                obs.counter(f"repro_cluster_{name}_total",
-                                            backend=backend).inc(count)
-                            for name, seconds in (
-                                    ("repro_cluster_superstep_seconds",
-                                     wall_ms / 1000.0),
-                                    ("repro_cluster_compute_seconds",
-                                     result.compute_seconds),
-                                    ("repro_cluster_sync_seconds",
-                                     result.sync_seconds)):
-                                obs.histogram(name, backend=backend
-                                              ).observe(seconds)
-                        telemetry.append(SuperstepTelemetry(
-                            superstep=superstep,
-                            computed=computed,
-                            active_fraction=active_fraction,
-                            wall_ms=wall_ms,
-                            compute_ms=result.compute_seconds * 1000.0,
-                            synced=result.synced,
-                            remote_messages=stats.remote_messages,
-                            local_messages=stats.local_messages,
-                            payload_bytes=stats.payload_bytes,
-                            remote_per_machine=dict(stats.remote_per_machine),
-                            local_per_machine=dict(stats.local_per_machine),
-                            sync_ms=result.sync_seconds * 1000.0,
-                        ))
-                        superstep += 1
-                        stopped = program.should_stop(result.aggregate,
-                                                      superstep)
                     states = transport.states()
                     break
                 except WorkerDied as death:

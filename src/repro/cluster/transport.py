@@ -65,7 +65,8 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -144,6 +145,8 @@ class TransportStepResult:
     stats: SyncStats = field(default_factory=SyncStats)
     #: Coordinator wall-clock of the exchange (gather, fold, scatter).
     sync_seconds: float = 0.0
+    computed: int = 0  # a segment's: owned computed count, superstep wall
+    wall_seconds: float = 0.0
 
 
 @functools.cache
@@ -187,8 +190,6 @@ _OPS = {(False, np.dtype(np.float64)): "KERN_ADD_F64",
 #: The ``values`` dtypes ``kern_scatter`` combines, by scatter kind; the
 #: numpy helpers take the rest.
 _ELEMENTS = {"sum": (np.float64,), "min": (np.float64, np.int64)}
-#: ``kern_pagerank_step``'s mask, rank, active, incoming and has_msg.
-_PAGERANK = (np.bool_, np.float64, np.bool_, np.float64, np.bool_)
 
 
 class _Side:
@@ -319,12 +320,13 @@ class ShardGroup:
 
     Where the compiled kernels load (``_kernels.load()``, asked once,
     here — no knob) the per-target combination is one ``kern_scatter``
-    pass over the host's slots (a PageRank host's whole superstep one
-    ``kern_pagerank_step`` call) and the in-process part of the exchange
-    two ``kern_sync_*`` passes over the plan; elsewhere, and for element
-    arrays that are not plain float64 / int64, they are the kernel's own
-    ``step``, numpy helpers and the numpy fold below — the same
-    elements, bit for bit (DESIGN.md §8).  Every index either tier
+    pass over the host's slots (the whole superstep, or a run of them,
+    in C where the kernel's :meth:`~repro.engine.dense.DenseKernel.
+    host_steps` binds its own entries) and the in-process part of the
+    exchange two ``kern_sync_*`` passes over the plan; elsewhere, and for
+    element arrays that are not plain float64 / int64, they are the
+    kernel's own ``step``, numpy helpers and the numpy fold below — the
+    same elements, bit for bit (DESIGN.md §8).  Every index either tier
     follows is checked here, once; the kernel object gains no attribute
     either way.
     """
@@ -393,8 +395,8 @@ class ShardGroup:
         self._own = len(self.plan.slots.get(host, ()))
         #: (dtype, C folds) -> the contribution buffer, made once.
         self._buffers: Dict[Tuple, Tuple] = {}
-        #: Where C steps PageRank: its damping, senders and shares.
-        self._fused: Tuple = ()
+        #: The kernel's host steps, where it binds C entries of its own.
+        self._fused = None
         if self._native is not None:
             none = np.empty(0, dtype=np.int64)
             # Element i of the buffer is own mirror own[i], or -1: remote.
@@ -413,11 +415,7 @@ class ShardGroup:
                     ("masters", self.plan.masters.get(host, none)),
                     ("degrees", kernel.csr.degrees),
                     ("local_degrees", kernel.csr.local_degrees))}
-            from repro.engine.algorithms import pagerank  # not in `import repro`
-            if type(kernel) is pagerank._DensePageRank:
-                n = csr.num_vertices
-                self._fused = (pagerank.DAMPING, np.zeros(n, dtype=bool),
-                               np.zeros(n))
+            self._fused = kernel.host_steps()
 
     # -- checked once, trusted every superstep --------------------------
     def _check_shards(self, shards: List[Shard], csr: ShardCSR,
@@ -568,25 +566,27 @@ class ShardGroup:
                                    synced=bool(self._kind))
 
     def _step(self, superstep: int, mask: np.ndarray) -> Tuple[int, Any]:
-        """The kernel's ``step``, or — PageRank's below ``iterations``,
-        over plain arrays — ``kern_pagerank_step``: the same elements in
-        one C pass, message buffers refilled in place (DESIGN.md §8)."""
-        kernel = self.kernel
-        arrays = (mask, kernel.rank, kernel.active, kernel.incoming,
-                  kernel.has_msg) if self._fused else ()
-        if (not arrays or superstep >= kernel.iterations
-                or not all(map(self._plain, arrays, _PAGERANK))):
-            return kernel.step(superstep, mask)
-        index, lib = self._index, self._native[1]
-        views = tuple(map(self._pointer, arrays + self._fused[1:]))
-        sent = lib.kern_pagerank_step(
-            self._fused[0], superstep > 0, views[0], index["degrees"],
-            index["local_degrees"], len(mask), *views[1:], index["indices"],
-            index["rows"], len(kernel.csr.indices))
-        # Parked as park() would, from the views just checked and bound.
-        self._kind, self._values, self._recv = "sum", arrays[3], arrays[4]
-        self._op, self._parked = lib.KERN_ADD_F64, views[3:5]
+        """The kernel's ``step``, or its host steps' C call where they
+        take the superstep: the same elements (DESIGN.md §8)."""
+        taken = self._fused and self._fused.step(
+            self._native, self._index, self._plain, superstep, mask)
+        if not taken:
+            return self.kernel.step(superstep, mask)
+        sent, parked = taken
+        self.park(*parked)
         return sent, None
+
+    def run(self, first: int, stop: int) -> Optional[np.ndarray]:
+        """``HostSteps.run``'s rows of supersteps ``first`` .. ``stop - 1``
+        where this host is the only one and its host steps take them."""
+        taken = (self._fused and self._own == len(self.plan.targets)
+                 and self._fused.run(self._native, self._index, self._plain,
+                                     first, stop))
+        if not taken:
+            return None
+        rows, (_, values, recv) = taken
+        self._charge(values.itemsize + recv.itemsize)
+        return rows
 
     # -- replica sync ---------------------------------------------------
     def _slices(self, index: Mapping[int, np.ndarray],
@@ -670,10 +670,13 @@ class ShardGroup:
             self._native[1].kern_sync_put(
                 *self._parked, self._index["masters"],
                 self._index["mirrors"], self._own)
-        item_bytes = values.itemsize + recv.itemsize
+        self._charge(values.itemsize + recv.itemsize)
+
+    def _charge(self, item_bytes: int) -> None:
+        """Set ``stats`` to the plan's traffic at ``item_bytes`` each."""
         if item_bytes not in self._tallies:
             self._tallies[item_bytes] = SyncStats.of_rows(
-                plan.rows, self.machine_of, item_bytes)
+                self.plan.rows, self.machine_of, item_bytes)
         self.stats = self._tallies[item_bytes]
 
     # -- results --------------------------------------------------------
@@ -908,6 +911,8 @@ class _Coordinator:
     (``probe`` raises :class:`WorkerDied` for a dead one)."""
 
     backend = ""
+    #: The one in-process host's group (serial backend), for C runs.
+    _local: Optional["ShardGroup"] = None
 
     def __init__(self, machine_of: Mapping[int, int],
                  host_of: Mapping[int, int]) -> None:
@@ -1018,6 +1023,50 @@ class _Coordinator:
         return TransportStepResult(sent, aggregate, compute, synced,
                                    stats, sync_seconds)
 
+    # -- segments (DESIGN.md §8 "Segments") ----------------------------
+    def segment(self, first: int, stop: int,
+                injector: Optional[FaultInjector] = None,
+                ahead: bool = False) -> Iterator[TransportStepResult]:
+        """Supersteps ``first`` .. ``stop - 1`` until a mask is empty: one
+        C call on the in-process host where it has no ``injector`` and may
+        run ``ahead`` of the reads, then one round trip a superstep."""
+        if self._local is not None and injector is None and ahead:
+            self._hosts[0].probe()
+            rows = self._local.run(first, stop)
+            if rows is not None:
+                yield from self._rows(first, rows)
+                first += len(rows)
+        for superstep in range(first, stop):
+            computed = self.compute_owned()
+            if not computed:
+                return
+            start = time.perf_counter()
+            with obs.span("cluster.superstep", backend=self.backend,
+                          superstep=superstep, active=computed):
+                result = self.step(superstep, injector)
+            result.computed = computed
+            result.wall_seconds = time.perf_counter() - start
+            yield result
+
+    def _rows(self, first: int,
+              rows: np.ndarray) -> Iterator[TransportStepResult]:
+        """A C run's rows as results — the one host's tally the traffic —
+        and, with obs on, as the loop's spans, timed by the stamps."""
+        stats = self._local.stats
+        for superstep, (computed, sent, *at) in enumerate(rows.tolist(),
+                                                          first):
+            span = obs.record("cluster.superstep", at[0], at[4],
+                              backend=self.backend, superstep=superstep,
+                              active=computed)
+            if span is not None:
+                obs.record("cluster.compute", at[1], at[2], span,
+                           host=self._local.host, superstep=superstep)
+                obs.record("cluster.sync_gather", at[2], at[3], span)
+                obs.record("cluster.sync_scatter", at[3], at[4], span)
+            yield TransportStepResult(
+                sent, None, (at[2] - at[1]) / 1e9, True, stats,
+                (at[4] - at[2]) / 1e9, computed, (at[4] - at[0]) / 1e9)
+
     def states(self) -> Dict[int, Any]:
         return self._merged("states")
 
@@ -1057,6 +1106,7 @@ class SerialTransport(_Coordinator):
                                  for p in sharded.partitions],
                                 program, machine_of, host_of, host=0)
         self._hosts[0] = _LocalHost(self.group)
+        self._local = self.group
 
 
 class ProcessTransport(_Coordinator):

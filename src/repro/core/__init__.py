@@ -1,11 +1,15 @@
 """ADWISE core: adaptive window-based streaming edge partitioning."""
 
-from repro.core.scoring import AdaptiveBalancer, AdwiseScoring
-from repro.core.window import EdgeWindow
-from repro.core.adaptive import AdaptiveWindowController, WindowDecision
-from repro.core.adwise import AdwisePartitioner
-from repro.core.array_window import ArrayEdgeWindow
-from repro.core.spotlight import spotlight_spreads
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".scoring": ("AdaptiveBalancer", "AdwiseScoring"),
+    ".window": ("EdgeWindow",),
+    ".adaptive": ("AdaptiveWindowController", "WindowDecision"),
+    ".adwise": ("AdwisePartitioner",),
+    ".array_window": ("ArrayEdgeWindow",),
+    ".spotlight": ("spotlight_spreads",),
+})
 
 __all__ = [
     "AdaptiveBalancer",

@@ -5,7 +5,8 @@
  * scanner and its inverse (integer rows -> text), the scanner of the
  * daemon's request line's "edges" member, and the cluster's BSP
  * host step (combine over a host's adjacency slots — PageRank's whole
- * superstep fused with it — and fold over its sync plan).
+ * superstep fused with it, or a run of them on a lone host — and fold
+ * over its sync plan).
  *
  * Built by repro/core/_kernels.py with
  *
@@ -24,7 +25,8 @@
  * grown and rebound in Python (repro/core/_binding.py for the state
  * tables and output lists, repro/core/array_window.py for the window's,
  * repro/partitioning/fast_state.py for its intern table,
- * repro/cluster/transport.py for the host step's) — this file never
+ * repro/cluster/transport.py and repro/engine/algorithms/pagerank.py
+ * for the host step's) — this file never
  * allocates or frees.  When a buffer runs out the kernel returns a
  * KERN_NEED_* status *before* mutating anything the retry would repeat;
  * Python grows the buffer, rebinds the pointer and calls again.
@@ -32,6 +34,7 @@
 
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* cdef-begin */
 #define KERN_DONE 0            /* input consumed, nothing more to pop   */
@@ -164,6 +167,14 @@ int64_t kern_pagerank_step(double damping, int64_t update,
                            uint8_t *has_msg, uint8_t *senders, double *share,
                            const int64_t *indices, const int64_t *rows,
                            int64_t n_slots);
+int64_t kern_pagerank_run(double damping, int64_t first, int64_t stop,
+    const uint8_t *owned, uint8_t *mask, const int64_t *degrees,
+    const int64_t *local_degrees, int64_t n, double *rank, uint8_t *active,
+    double *incoming, uint8_t *has_msg, uint8_t *senders, double *share,
+    const int64_t *indices, const int64_t *rows, int64_t n_slots,
+    const int64_t *targets, const int64_t *own, int64_t n_targets,
+    const int64_t *masters, const int64_t *mirrors, int64_t n_own,
+    int64_t *out);
 /* cdef-end */
 
 /* ------------------------------------------------------------------ */
@@ -1487,4 +1498,52 @@ int64_t kern_pagerank_step(double damping, int64_t update,
     kern_scatter(KERN_ADD_F64, indices, rows, n_slots, senders, share,
                  incoming, has_msg);
     return sent;
+}
+
+static int64_t monotonic_ns(void)  /* time.perf_counter_ns's clock */
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (int64_t)now.tv_sec * 1000000000 + now.tv_nsec;
+}
+
+/* PageRank's supersteps first .. stop - 1 on a host whose sync plan is
+ * all its own (no fold buffer): the mask active | has_msg, ending where
+ * it holds no owned vertex, then the step, the fold and the put.  Row k
+ * of `out` is superstep first + k: owned count, sends and five stamps
+ * (before the mask, the step, the fold, the put, and after).  Returns
+ * the rows written. */
+int64_t kern_pagerank_run(double damping, int64_t first, int64_t stop,
+    const uint8_t *owned, uint8_t *mask, const int64_t *degrees,
+    const int64_t *local_degrees, int64_t n, double *rank, uint8_t *active,
+    double *incoming, uint8_t *has_msg, uint8_t *senders, double *share,
+    const int64_t *indices, const int64_t *rows, int64_t n_slots,
+    const int64_t *targets, const int64_t *own, int64_t n_targets,
+    const int64_t *masters, const int64_t *mirrors, int64_t n_own,
+    int64_t *out)
+{
+    int64_t k, i;
+    for (k = 0; first + k < stop; k++) {
+        int64_t count = 0, *row = out + 7 * k;
+        row[2] = monotonic_ns();
+        for (i = 0; i < n; i++) {
+            mask[i] = active[i] | has_msg[i];
+            count += mask[i] & owned[i];
+        }
+        if (count == 0)
+            break;
+        row[0] = count;
+        row[3] = monotonic_ns();
+        row[1] = kern_pagerank_step(damping, first + k > 0, mask, degrees,
+                                    local_degrees, n, rank, active,
+                                    incoming, has_msg, senders, share,
+                                    indices, rows, n_slots);
+        row[4] = monotonic_ns();
+        kern_sync_fold(KERN_ADD_F64, incoming, has_msg, targets, own,
+                       NULL, NULL, n_targets);
+        row[5] = monotonic_ns();
+        kern_sync_put(incoming, has_msg, masters, mirrors, n_own);
+        row[6] = monotonic_ns();
+    }
+    return k;
 }

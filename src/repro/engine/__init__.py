@@ -9,11 +9,15 @@ plus replica-synchronisation communication, so partitioning quality
 the mechanism the paper describes.
 """
 
-from repro.engine.placement import Placement
-from repro.engine.cost import CostModel, SuperstepCost
-from repro.engine.dense import DenseKernel
-from repro.engine.runtime import Engine, SimulationReport
-from repro.engine.vertex_program import Context, VertexProgram
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".placement": ("Placement",),
+    ".cost": ("CostModel", "SuperstepCost"),
+    ".dense": ("DenseKernel",),
+    ".runtime": ("Engine", "SimulationReport"),
+    ".vertex_program": ("Context", "VertexProgram"),
+})
 
 __all__ = [
     "Placement",

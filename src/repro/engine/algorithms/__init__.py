@@ -1,10 +1,14 @@
 """Vertex-centric graph algorithms (the paper's evaluation workloads)."""
 
-from repro.engine.algorithms.pagerank import PageRank
-from repro.engine.algorithms.coloring import GreedyColoring
-from repro.engine.algorithms.components import ConnectedComponents
-from repro.engine.algorithms.subgraph_iso import CycleSearch
-from repro.engine.algorithms.clique import CliqueSearch
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".pagerank": ("PageRank",),
+    ".coloring": ("GreedyColoring",),
+    ".components": ("ConnectedComponents",),
+    ".subgraph_iso": ("CycleSearch",),
+    ".clique": ("CliqueSearch",),
+})
 
 __all__ = [
     "PageRank",

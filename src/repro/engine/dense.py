@@ -115,6 +115,15 @@ class DenseKernel:
         """Final per-vertex states, keyed by *original* vertex id."""
         raise NotImplementedError
 
+    def host_steps(self) -> Any:
+        """What a cluster host with the compiled kernels runs in place of
+        :meth:`step` (:mod:`repro.cluster`, DESIGN.md §8): ``None``, the
+        default, or an object whose ``step`` takes one superstep and
+        ``run`` a host's segment in C —
+        :class:`~repro.engine.algorithms.pagerank.HostSteps` is PageRank's
+        and documents the protocol.  The host keeps it, not the kernel."""
+        return None
+
     # ------------------------------------------------------------------
     # Scatter helpers (send to all neighbors, combine per target)
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -37,12 +37,19 @@ class EdgeStream:
         raise NotImplementedError
 
 
+def _as_edge(pair) -> Edge:
+    u, v = pair
+    return tuple.__new__(Edge, (u, v))  # without Edge's Python ``__new__``
+
+
 class InMemoryEdgeStream(EdgeStream):
     """Stream over an in-memory edge sequence (tests, generators)."""
 
-    def __init__(self, edges: Sequence[Edge]) -> None:
-        new = tuple.__new__  # an Edge without its Python ``__new__``
-        self._edges = [new(Edge, (u, v)) for u, v in edges]
+    def __init__(self, edges: Iterable) -> None:
+        # The list is copied; an Edge is kept as it is, and only a plain
+        # pair becomes one.
+        self._edges = [edge if type(edge) is Edge else _as_edge(edge)
+                       for edge in edges]
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self._edges)

@@ -53,6 +53,7 @@ from .trace import (
     Span,
     SpanTracer,
     current_context,
+    record_span,
     traced,
     use_context,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "gauge",
     "histogram",
     "span",
+    "record",
     "traced",
     "current_context",
     "use_context",
@@ -175,6 +177,16 @@ def span(name: str, **attrs: Any):
     if not _enabled:
         return NOOP_SPAN
     return Span(_tracer, name, attrs)
+
+
+def record(name: str, start_ns: int, end_ns: int,
+           parent: Optional[Dict[str, str]] = None,
+           **attrs: Any) -> Optional[Dict[str, str]]:
+    """A span timed elsewhere, from ``time.perf_counter_ns`` stamps
+    (:func:`~repro.obs.trace.record_span`); ``None`` while disabled."""
+    if not _enabled:
+        return None
+    return record_span(_tracer, name, start_ns, end_ns, attrs, parent)
 
 
 def snapshot() -> Dict[str, list]:

@@ -39,6 +39,7 @@ __all__ = [
     "SpanTracer",
     "NOOP_SPAN",
     "current_context",
+    "record_span",
     "use_context",
 ]
 
@@ -193,6 +194,32 @@ class Span:
 
     def set_attr(self, key: str, value: Any) -> None:
         self.attrs[key] = value
+
+
+def record_span(tracer: SpanTracer, name: str, start_ns: int, end_ns: int,
+                attrs: Dict[str, Any],
+                parent: Optional[Dict[str, str]] = None) -> Dict[str, str]:
+    """Emit a span that ran without a :class:`Span` open around it —
+    ``start_ns`` / ``end_ns`` read from ``time.perf_counter_ns``'s clock,
+    say by compiled code — as a child of ``parent`` (a
+    :func:`current_context` dict), else of the live span.  Returns its
+    context, to parent its children to."""
+    if parent is None:
+        parent = current_context()
+    record: Dict[str, Any] = {
+        "name": name,
+        "trace_id": parent["trace_id"] if parent else _new_trace_id(),
+        "span_id": _new_span_id(),
+        "parent_id": parent["span_id"] if parent else None,
+        "pid": os.getpid(),
+        "tid": threading.get_ident() & 0xFFFFFFFF,
+        "ts_us": (time.time_ns() - time.perf_counter_ns() + start_ns) // 1000,
+        "dur_us": (end_ns - start_ns) // 1000,
+    }
+    if attrs:
+        record["attrs"] = {k: _jsonable(v) for k, v in attrs.items()}
+    tracer.emit(record)
+    return {"trace_id": record["trace_id"], "span_id": record["span_id"]}
 
 
 def _jsonable(value: Any) -> Any:

@@ -17,22 +17,16 @@ Entry points: ``repro-cli serve`` starts a daemon,
 transparently reconnects + resends across connection drops).
 """
 
-from repro.service.client import (
-    ServiceClient,
-    ServiceConnectionError,
-    ServiceError,
-    ServiceTimeout,
-)
-from repro.service.metrics import TenantMetrics
-from repro.service.server import PartitionService
-from repro.service.wal import (
-    FSYNC_MODES,
-    SERVICE_INJECTION_POINTS,
-    SimulatedCrash,
-    TenantWAL,
-    WALError,
-    read_wal,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".client": ("ServiceClient", "ServiceConnectionError", "ServiceError",
+                "ServiceTimeout"),
+    ".metrics": ("TenantMetrics",),
+    ".server": ("PartitionService",),
+    ".wal": ("FSYNC_MODES", "SERVICE_INJECTION_POINTS", "SimulatedCrash",
+             "TenantWAL", "WALError", "read_wal"),
+})
 
 __all__ = [
     "FSYNC_MODES",

@@ -1,6 +1,9 @@
 """Contract tests for the public API surface."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,29 @@ def test_module_imports_cleanly(module):
 def test_module_has_docstring(module):
     mod = importlib.import_module(module)
     assert mod.__doc__ and len(mod.__doc__.strip()) > 40
+
+
+#: Run in a fresh interpreter: what two leaf imports leave loaded, then
+#: every name of ``repro.__all__`` through ``from repro import *``.
+_IMPORTS = """
+import sys
+import repro.service.wal
+import repro.graph.io
+loaded = sorted(name for name in ("asyncio", "repro.service.server",
+                                  "repro.cluster") if name in sys.modules)
+assert not loaded, loaded
+namespace = {}
+exec("from repro import *", namespace)
+import repro
+missing = [name for name in repro.__all__ if name not in namespace]
+assert not missing, missing
+"""
+
+
+def test_leaf_imports_load_only_what_runs():
+    """The package __init__s export lazily: the WAL does not bring the
+    asyncio server in, nor the edge-file reader the cluster runtime —
+    and ``from repro import *`` still binds every exported name."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run([sys.executable, "-c", _IMPORTS], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -26,6 +26,28 @@ class TestInMemoryStream:
         stream = InMemoryEdgeStream([(4, 5)])
         assert list(stream) == [Edge(4, 5)]
 
+    @pytest.mark.parametrize("make", [
+        lambda pairs: [Edge(u, v) for u, v in pairs],
+        lambda pairs: [(u, v) for u, v in pairs],
+        lambda pairs: ((u, v) for u, v in pairs),
+        lambda pairs: [[u, v] for u, v in pairs],
+    ], ids=["edges", "tuples", "generator", "lists"])
+    def test_items_become_edges_in_order(self, make):
+        pairs = [(3, 1), (0, 2), (2, 2), (3, 1), (7, 0)]
+        items = make(pairs)
+        kept = list(items) if isinstance(items, list) else None
+        stream = InMemoryEdgeStream(items)
+        assert stream.edges == [Edge(u, v) for u, v in pairs]
+        assert all(type(edge) is Edge for edge in stream)
+        if kept is not None:  # the list is copied, not aliased
+            assert stream.edges is not items
+            if type(kept[0]) is Edge:  # an Edge is kept as it is
+                assert all(a is b for a, b in zip(stream.edges, kept))
+
+    def test_refuses_what_is_not_a_pair(self):
+        with pytest.raises(ValueError):
+            InMemoryEdgeStream([(1, 2, 3)])
+
 
 class TestFileStream:
     def test_length_from_line_count(self, tmp_path):
