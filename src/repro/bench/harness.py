@@ -130,8 +130,9 @@ def stacked_latency_experiment(
     message-driven workloads pass ``program_factory``; each block then runs
     the program on the engine and its simulated latency is measured.
 
-    The engine runs dense (vectorized CSR) kernels where the program
-    ships one and falls back to the object path otherwise.
+    The engine runs the object path: the message-driven figure programs
+    (subgraph isomorphism, clique search) ship no dense kernel, and a
+    stationary block is analytic.
 
     With ``measure_wall=True`` each block is *also* executed on the
     sharded cluster runtime (serial backend, same machine count as the
@@ -153,7 +154,7 @@ def stacked_latency_experiment(
         # and the measured cluster's shards come off the same incidence.
         sharded = ShardedGraph.from_result(result, vertices=graph.vertices())
         placement = sharded.placement(num_machines=num_instances)
-        engine = Engine(graph, placement, cost_model, mode="dense")
+        engine = Engine(graph, placement, cost_model, mode="object")
         cluster_engine = None
         if measure_wall:
             from repro.cluster import ClusterEngine

@@ -21,7 +21,7 @@ the three steps every batch takes:
 * :meth:`absorb` — hand the state the scalars the kernel kept while it
   updated the tables in place (:meth:`FastPartitionState.absorb_pump`).
 
-The window binds its per-slot, per-vertex and arena buffers through the
+The window binds its per-slot and per-vertex buffers through the
 same :meth:`bind` / :meth:`resize`, and HDRF its two k-entry rows
 (``lamb``: the cached ``λ · C_bal`` column, ``krow``: one edge's
 scores), so there is one copy of the bind/validate code.  C never
@@ -37,11 +37,12 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 _CTYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
-           np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "uint8_t[]"}
+           np.dtype(np.int32): "int32_t[]", np.dtype(np.uint8): "uint8_t[]",
+           np.dtype(np.bool_): "uint8_t[]"}
 
-#: Fields whose dtype is fixed, not left to the field's C type (which
-#: cffi checks): ``recompute_cs`` sums replica bytes eight to a word, so
-#: they must be 0 or 1 — numpy ``bool``'s guarantee, not ``uint8``'s.
+#: Fields whose dtype is fixed, not left to the field's C type: the
+#: window's neighbour counters add replica bytes as counts, so they must
+#: be 0 or 1 — numpy ``bool``'s guarantee, not ``uint8``'s.
 _REQUIRED_DTYPE = {"replicas": np.dtype(np.bool_)}
 
 #: A capacity group: context field -> (dtype, entries per unit of
@@ -90,14 +91,16 @@ class KernelBinding:
     def bind(self, field: str, array: np.ndarray, size: int) -> None:
         """Point context ``field`` at ``array`` (and keep it alive).  It
         must be a C-contiguous array of at least ``size`` entries whose
-        dtype the field's C type takes (cffi refuses another pointer
-        type with a ``TypeError``); a refused array binds nothing."""
+        dtype is the field's C type; a refused array binds nothing."""
+        item = self.ffi.typeof(getattr(self.ctx, field)).item
         dtype = _REQUIRED_DTYPE.get(field, array.dtype)
         if (array.dtype != dtype or dtype not in _CTYPES
+                or self.ffi.typeof(_CTYPES[dtype]).item != item
                 or not array.flags.c_contiguous or array.size < size):
             raise RuntimeError(
-                f"kernel buffer {field!r} is not a C-contiguous {dtype} "
-                f"array of at least {size} entries")
+                f"kernel buffer {field!r} is not a C-contiguous "
+                f"{_REQUIRED_DTYPE.get(field, item.cname)} array of at "
+                f"least {size} entries")
         setattr(self.ctx, field, self.ffi.from_buffer(_CTYPES[dtype], array))
         self._bound[field] = array
 

@@ -40,7 +40,6 @@
 #define KERN_DONE 0            /* input consumed, nothing more to pop   */
 #define KERN_BLOCK_BOUNDARY 1  /* n_out reached stop_at: adapt w        */
 #define KERN_NEED_SLOTS 2      /* slot free-list empty                  */
-#define KERN_NEED_ARENA 3      /* arena cannot take `need` more entries */
 #define KERN_NEED_OUT 4        /* out_* / chg_* buffers full            */
 #define KERN_NEED_ROWS 5       /* every dense row taken (kern_intern)   */
 #define KERN_NEED_TABLE 6      /* intern table would pass load 1/2      */
@@ -54,25 +53,25 @@ typedef struct {
     int64_t *entry;         /* entry id (stream order, unique)         */
     int64_t *slot_version;  /* window version the cache was scored at  */
     int64_t *rep_key;       /* slot_cap x 5 validity key of rep        */
-    int64_t *nbr_key;       /* slot_cap x 2 validity key of the segment */
-    int64_t *cs_sum;        /* neighbour row-version checksum of cs    */
     int64_t *ui;            /* dense row of endpoint u                 */
     int64_t *vi;            /* dense row of endpoint v                 */
-    int64_t *nbr_start;     /* neighbourhood segment in the arena      */
-    int64_t *nbr_count;
     int64_t *agenda;        /* the num_candidates candidate slots,     */
                             /*   ascending entry id                    */
     int64_t *free_slots;    /* LIFO free-list, num_free entries        */
     int64_t *link_next;     /* 2 x slot_cap incidence nodes: node      */
     int64_t *link_prev;     /*   2s sits in ui[s]'s list, 2s+1 in vi's */
-    int64_t *scratch;       /* 3 x slot_cap                            */
+    int64_t *scratch;       /* 2 x slot_cap                            */
     uint8_t *candidate;
     uint8_t *alive;
     uint8_t *dirty;         /* a key may have moved since the rescore  */
-    /* Per-dense-vertex arrays (vertex_cap entries). */
-    int64_t *iver;          /* incidence version (window membership)   */
+    uint8_t *cs_dirty;      /* so may cs (set with dirty)              */
+    /* Per-dense-vertex arrays (vertex_cap entries unless noted). */
     int64_t *head;          /* first incidence node, -1 if none        */
-    int64_t *stamp;         /* neighbourhood dedupe marks              */
+    int64_t *stamp;         /* dedupe marks of the list walks          */
+    int64_t *nn;            /* |N_w(v)|: distinct window neighbours    */
+    int32_t *cnt;           /* vertex_cap x k: of those, how many are  */
+                            /*   replicated on each partition (a row  */
+                            /*   is read only while its nn > 0)       */
     uint8_t *replicas;      /* vertex_cap x k replica matrix (state)   */
     int64_t *row_version;   /* replica-row versions (state)            */
     int64_t *deg;           /* dense degree table (state)              */
@@ -81,8 +80,7 @@ typedef struct {
     int64_t *lamb_version;  /* window version lamb[p] last moved at    */
     int64_t *sizes;         /* partition sizes (state)                 */
     double  *krow;          /* kern_hdrf: one edge's score row         */
-    /* Neighbourhood arena and transaction outputs. */
-    int64_t *pool;
+    /* Transaction outputs. */
     int64_t *out_u;         /* popped assignments, n_out entries: the  */
     int64_t *out_v;         /*   edge's dense rows, its partition      */
     int64_t *out_col;       /*   column and its score                  */
@@ -90,14 +88,15 @@ typedef struct {
     int64_t *chg_row;       /* newly set replica bits, n_changed       */
     int64_t *chg_col;
     /* Capacities. */
-    int64_t k, slot_cap, vertex_cap, pool_cap, out_cap;
+    int64_t k, slot_cap, vertex_cap, out_cap;
     /* Configuration. */
     int64_t lazy, use_cs, max_candidates, adaptive_lambda, total_edges;
     double  epsilon;
     /* Window scalars. */
     int64_t count, num_candidates, next_id, version, promotions;
-    int64_t num_free, pool_used, stamp_clock;
+    int64_t num_free, stamp_clock;
     int64_t lamb_epoch;     /* window version all of lamb last moved at */
+    int64_t counted;        /* assigned_edges that cnt has seen        */
     double  score_sum;
     /* Vertex-cache scalars (mirrors of the partition state). */
     int64_t max_degree, max_size, min_size, assigned_edges;
@@ -106,13 +105,11 @@ typedef struct {
     int64_t consumed;       /* input edges admitted so far             */
     int64_t n_out, n_changed;
     int64_t charge;         /* score computations to charge the clock  */
-    int64_t need;           /* arena entries wanted on KERN_NEED_ARENA */
-    int64_t rule3_pending;  /* changed rows whose rule 3 is unfinished */
     /* Tallies. */
     int64_t stat_refills, stat_pops, stat_rescored_slots;
     int64_t stat_rep_recomputed, stat_cs_recomputed;
     int64_t stat_agenda_inserts, stat_agenda_removes, stat_agenda_rescores;
-    int64_t stat_agenda_scanned, stat_segments_written, stat_assembled;
+    int64_t stat_agenda_scanned, stat_assembled;
 } KernCtx;
 
 int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
@@ -200,11 +197,6 @@ static int by_entry(const KernCtx *c, int64_t a, int64_t b)
     return c->entry[a] < c->entry[b];
 }
 
-static int by_segment(const KernCtx *c, int64_t a, int64_t b)
-{
-    return c->nbr_start[a] < c->nbr_start[b];
-}
-
 static void sort_slots(const KernCtx *c, int64_t *slots, int64_t m,
                        before_fn before)
 {
@@ -259,84 +251,111 @@ static void link_slot(KernCtx *c, int64_t s)
         link_node(c, 2 * s + 1, c->vi[s]);
 }
 
-/* N(u) ∪ N(v) \ {u, v} over window edges, written at the arena's append
- * cursor as far as it fits; returns the full size either way.  The
- * endpoints are stamped first, which both excludes them and makes an
- * edge's own incidence nodes contribute nothing. */
-static int64_t gather_neighbourhood(KernCtx *c, int64_t du, int64_t dv)
+/* The endpoint across incidence node `node` from the vertex listing it. */
+static inline int64_t other_end(const KernCtx *c, int64_t node)
+{
+    return (node & 1) ? c->ui[node >> 1] : c->vi[node >> 1];
+}
+
+/* Whether a window edge joins x and y (x != y).  Both lists hold it, so
+ * they are walked in step: the shorter one bounds the walk. */
+static int joined(const KernCtx *c, int64_t x, int64_t y)
+{
+    int64_t a = c->head[x];
+    int64_t b = c->head[y];
+    for (; a >= 0 && b >= 0; a = c->link_next[a], b = c->link_next[b])
+        if (other_end(c, a) == y || other_end(c, b) == x)
+            return 1;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Neighbour counters: nn[v] = |N_w(v)|, cnt[v][p] = how many of N_w(v) */
+/* are replicated on p (N_w(v): v's distinct window neighbours, not v) */
+/* ------------------------------------------------------------------ */
+
+/* y became (sign 1) or stopped being (sign -1) a window neighbour of x.
+ * A count row is read only while its vertex has a neighbour: the first
+ * one writes it whole, and the last one to leave leaves it as it is. */
+static void count_one(KernCtx *c, int64_t x, int64_t y, int32_t sign)
+{
+    int32_t *row = c->cnt + x * c->k;
+    const uint8_t *ry = c->replicas + y * c->k;
+    int64_t nn = c->nn[x] += sign;
+    int64_t j;
+    if (nn == 1 && sign > 0) {
+        for (j = 0; j < c->k; j++)
+            row[j] = ry[j];
+    } else if (nn > 0) {
+        for (j = 0; j < c->k; j++)
+            row[j] += sign * ry[j];
+    }
+}
+
+/* u != v became (sign 1) or stopped being (sign -1) window neighbours. */
+static void count_pair(KernCtx *c, int64_t u, int64_t v, int32_t sign)
+{
+    count_one(c, u, v, sign);
+    count_one(c, v, u, sign);
+}
+
+/* Row `row` was just replicated on column j: each of its distinct
+ * window neighbours counts it once. */
+static void count_replica(KernCtx *c, int64_t row, int64_t j)
 {
     int64_t mark = ++c->stamp_clock;
-    int64_t room = c->pool_cap - c->pool_used;
-    int64_t *out = c->pool + c->pool_used;
-    int64_t cnt = 0;
-    int64_t vertex = du;
-    c->stamp[du] = mark;
-    c->stamp[dv] = mark;
-    for (;;) {
-        int64_t node;
-        for (node = c->head[vertex]; node >= 0; node = c->link_next[node]) {
-            int64_t s = node >> 1;
-            int64_t other = (node & 1) ? c->ui[s] : c->vi[s];
-            if (c->stamp[other] != mark) {
-                c->stamp[other] = mark;
-                if (cnt < room)
-                    out[cnt] = other;
-                cnt++;
-            }
+    int64_t node;
+    c->stamp[row] = mark;
+    for (node = c->head[row]; node >= 0; node = c->link_next[node]) {
+        int64_t y = other_end(c, node);
+        if (c->stamp[y] != mark) {
+            c->stamp[y] = mark;
+            c->cnt[y * c->k + j]++;
         }
-        if (vertex == dv)
-            break;
-        vertex = dv;
     }
-    return cnt;
 }
 
-/* Repack live segments to the front of the arena, in place (ascending
- * start order, so a segment never moves past one not yet moved).  Fails
- * — with `need` set — unless the arena ends at most half full counting
- * the `cnt` entries about to be appended: Python then grows it. */
-static int arena_reserve(KernCtx *c, int64_t cnt)
+/* Both counters of every window vertex from its incidence list — each
+ * vertex once, at the slot heading its list — for a restored window or
+ * a state that moved outside the pump.  Replica bits are only ever set,
+ * so a vertex's count row moved iff its sum did, and then its slots get
+ * a CS mark: exact but for a slot whose other endpoint's own row moved,
+ * whose R key moved too (it is recomputed and re-assembled either way). */
+static void recount(KernCtx *c)
 {
-    int64_t *order = c->scratch + 2 * c->slot_cap;
-    int64_t m = 0, used = 0;
-    int64_t s, t;
-    for (s = 0; s < c->slot_cap; s++)
-        if (c->alive[s] && c->nbr_count[s] > 0)
-            order[m++] = s;
-    sort_slots(c, order, m, by_segment);
-    for (t = 0; t < m; t++) {
-        s = order[t];
-        memmove(c->pool + used, c->pool + c->nbr_start[s],
-                (size_t)c->nbr_count[s] * sizeof(int64_t));
-        c->nbr_start[s] = used;
-        used += c->nbr_count[s];
+    int64_t k = c->k;
+    int64_t s, t, j, node;
+    for (s = 0; s < c->slot_cap; s++) {
+        for (t = 0; t < 2 && c->alive[s]; t++) {
+            int64_t x = t ? c->vi[s] : c->ui[s];
+            int32_t *row = c->cnt + x * k;
+            int64_t mark = ++c->stamp_clock;
+            int64_t nn = 0, moved = 0;
+            if (c->head[x] != 2 * s + t)
+                continue;
+            for (j = 0; j < k; j++) {
+                moved -= c->nn[x] ? row[j] : 0;
+                row[j] = 0;
+            }
+            c->stamp[x] = mark;
+            for (node = c->head[x]; node >= 0; node = c->link_next[node]) {
+                int64_t y = other_end(c, node);
+                const uint8_t *ry = c->replicas + y * k;
+                if (c->stamp[y] == mark)
+                    continue;
+                c->stamp[y] = mark;
+                nn++;
+                for (j = 0; j < k; j++) {
+                    row[j] += ry[j];
+                    moved += ry[j];
+                }
+            }
+            c->nn[x] = nn;
+            for (node = c->head[x]; moved && node >= 0;
+                    node = c->link_next[node])
+                c->dirty[node >> 1] = c->cs_dirty[node >> 1] = 1;
+        }
     }
-    c->pool_used = used;
-    c->need = used + cnt;
-    return 2 * c->need <= c->pool_cap;
-}
-
-/* (Re)write slot s's neighbourhood segment and restamp its keys; the CS
- * checksum is forced invalid (the memoized CS was for another set).
- * Returns 0, having changed nothing but garbage, when the arena is full. */
-static int write_segment(KernCtx *c, int64_t s)
-{
-    int64_t du = c->ui[s];
-    int64_t dv = c->vi[s];
-    int64_t cnt = gather_neighbourhood(c, du, dv);
-    if (c->pool_used + cnt > c->pool_cap) {
-        if (!arena_reserve(c, cnt))
-            return 0;
-        cnt = gather_neighbourhood(c, du, dv);
-    }
-    c->nbr_start[s] = cnt ? c->pool_used : 0;
-    c->nbr_count[s] = cnt;
-    c->pool_used += cnt;
-    c->nbr_key[2 * s] = c->iver[du];
-    c->nbr_key[2 * s + 1] = c->iver[dv];
-    c->cs_sum[s] = -1;
-    c->stat_segments_written++;
-    return 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -345,30 +364,43 @@ static int write_segment(KernCtx *c, int64_t s)
 
 /* A clean slot's keys all hold: whatever can move a key marks the slots
  * that hold it, and only rescore_slot clears a mark.  This marks the
- * slots at `vertex`, unless it is already stamped `mark`. */
-static void mark_at(KernCtx *c, int64_t vertex, int64_t mark)
+ * slots at `vertex` (their CS too when `cs`: window membership moved
+ * there), unless it is already stamped `mark`. */
+static void mark_at(KernCtx *c, int64_t vertex, int64_t mark, int cs)
 {
     int64_t node;
     if (c->stamp[vertex] == mark)
         return;
     c->stamp[vertex] = mark;
-    for (node = c->head[vertex]; node >= 0; node = c->link_next[node])
+    for (node = c->head[vertex]; node >= 0; node = c->link_next[node]) {
         c->dirty[node >> 1] = 1;
+        c->cs_dirty[node >> 1] |= cs;
+    }
 }
 
 /* Replica versions moved at `rows`: the R key of every slot there, and
- * the CS checksum of every slot at a window neighbour of one (its
- * segment holds the row). */
+ * the CS of every slot e = (x, z) at a window neighbour x of such a row
+ * r, unless z = r — r is then an endpoint, outside e's set
+ * S = N_w(x) ∪ N_w(z) \ {x, z}, and otherwise in it.  So a CS mark is
+ * set exactly where a row of S moved. */
 static void mark_rows(KernCtx *c, const int64_t *rows, int64_t nrows)
 {
     int64_t mark = ++c->stamp_clock;
-    int64_t r, node;
+    int64_t r, node, other;
+    for (r = 0; r < nrows; r++)
+        mark_at(c, rows[r], mark, 0);
     for (r = 0; r < nrows; r++) {
-        mark_at(c, rows[r], mark);
+        c->stamp[rows[r]] = mark = ++c->stamp_clock;
         for (node = c->head[rows[r]]; c->use_cs && node >= 0;
-                node = c->link_next[node])
-            mark_at(c, (node & 1) ? c->ui[node >> 1] : c->vi[node >> 1],
-                    mark);
+                node = c->link_next[node]) {
+            int64_t x = other_end(c, node);
+            if (c->stamp[x] == mark)
+                continue;
+            c->stamp[x] = mark;
+            for (other = c->head[x]; other >= 0; other = c->link_next[other])
+                if (other_end(c, other) != rows[r])
+                    c->dirty[other >> 1] = c->cs_dirty[other >> 1] = 1;
+        }
     }
 }
 
@@ -382,22 +414,6 @@ static int rep_fresh(const KernCtx *c, int64_t s)
         && key[2] == c->deg[iu]
         && key[3] == c->deg[iv]
         && key[4] == c->max_degree;
-}
-
-static int nbr_fresh(const KernCtx *c, int64_t s)
-{
-    return c->nbr_key[s * 2] == c->iver[c->ui[s]]
-        && c->nbr_key[s * 2 + 1] == c->iver[c->vi[s]];
-}
-
-static int64_t nbr_version_sum(const KernCtx *c, int64_t s)
-{
-    int64_t start = c->nbr_start[s];
-    int64_t total = 0;
-    int64_t i;
-    for (i = 0; i < c->nbr_count[s]; i++)
-        total += c->row_version[c->pool[start + i]];
-    return total;
 }
 
 static void recompute_rep(KernCtx *c, int64_t s)
@@ -426,57 +442,55 @@ static void recompute_rep(KernCtx *c, int64_t s)
     key[4] = c->max_degree;
 }
 
-/* CS(e, p) = |{n in N : p in R(n)}| / |N|.  The reference adds 1.0 per
- * hit; hits are counted in integers instead (exact in a double below
- * 2^53, so the sum and the one division are bit-identical): replica
- * bytes are 0 or 1 (KernelBinding requires numpy bool), so eight columns
- * add as one 64-bit word, a byte lane each, flushed into the row before
- * a lane could pass 255.  Words go 64 columns a pass (the lanes live in
- * eight locals); the k mod 8 tail columns count by the byte. */
+/* CS(e, p) = |{n in S : p in R(n)}| / |S| over the reference's set
+ * S = N_w(u) ∪ N_w(v) \ {u, v} of a linked e = (u, v).  cnt[u] + cnt[v]
+ * counts N_w(u) ∩ N_w(v) twice, and v (in N_w(u)) and u (in N_w(v))
+ * once each; the intersection is walked from the shorter list.  A
+ * self-loop's S is N_w(u).  The hits are exact integers in doubles and
+ * the division is the reference's one, so the quotient is bit-identical;
+ * an empty S scores 0.0, as there. */
 static void recompute_cs(KernCtx *c, int64_t s)
 {
-    const int64_t *nbr = c->pool + c->nbr_start[s];
-    int64_t cnt = c->nbr_count[s];
     int64_t k = c->k;
-    int64_t words = k / 8;
-    int64_t tail[7] = {0};
-    int64_t vsum = 0;
+    int64_t u = c->ui[s];
+    int64_t v = c->vi[s];
+    const int32_t *cu = c->cnt + u * k;
+    const int32_t *cv = c->cnt + v * k;
+    const uint8_t *ru = c->replicas + u * k;
+    const uint8_t *rv = c->replicas + v * k;
     double *row = c->cs + s * k;
-    int64_t base, i, j, w;
-    for (i = 0; i < cnt; i++) {
-        const uint8_t *r = c->replicas + nbr[i] * k;
-        vsum += c->row_version[nbr[i]];
-        for (j = 8 * words; j < k; j++)
-            tail[j - 8 * words] += r[j];
-    }
-    for (j = 0; j < 8 * words; j++)
-        row[j] = 0.0;
-    for (; j < k; j++)
-        row[j] = (double)tail[j - 8 * words];
-    for (base = 0; base < words; base += 8) {
-        int64_t nw = words - base < 8 ? words - base : 8;
-        double *out = row + 8 * base;
-        for (i = 0; i < cnt;) {
-            int64_t stop = cnt - i < 255 ? cnt : i + 255;
-            uint64_t lanes[8] = {0};
-            uint8_t hits[64];
-            for (; i < stop; i++) {
-                const uint8_t *r = c->replicas + nbr[i] * k + 8 * base;
-                for (w = 0; w < nw; w++) {
-                    uint64_t word;  /* memcpy: rows are not 8-aligned */
-                    memcpy(&word, r + 8 * w, 8);
-                    lanes[w] += word;
-                }
-            }
-            memcpy(hits, lanes, sizeof hits);
-            for (j = 0; j < 8 * nw; j++)
-                out[j] += (double)hits[j];
+    int64_t size = u == v ? c->nn[u] : c->nn[u] + c->nn[v] - 2;
+    int64_t a = c->head[u], b = c->head[v], j, node;
+    if (u == v) {
+        for (j = 0; j < k; j++)
+            row[j] = (double)cu[j];
+    } else if (size > 0) {  /* else no window edge but e touches u or v */
+        int64_t mark = ++c->stamp_clock;
+        int64_t near = u, far = v;
+        for (; a >= 0 && b >= 0; a = c->link_next[a], b = c->link_next[b])
+            ;
+        if (a >= 0) {
+            near = v;
+            far = u;
+        }
+        for (j = 0; j < k; j++)
+            row[j] = (double)(cu[j] + cv[j] - ru[j] - rv[j]);
+        c->stamp[u] = c->stamp[v] = mark;
+        for (node = c->head[near]; node >= 0; node = c->link_next[node]) {
+            int64_t y = other_end(c, node);
+            const uint8_t *ry = c->replicas + y * k;
+            if (c->stamp[y] == mark)
+                continue;
+            c->stamp[y] = mark;
+            if (!joined(c, y, far))
+                continue;
+            size--;
+            for (j = 0; j < k; j++)
+                row[j] -= (double)ry[j];
         }
     }
-    if (cnt > 0)
-        for (j = 0; j < k; j++)
-            row[j] = row[j] / (double)cnt;
-    c->cs_sum[s] = vsum;
+    for (j = 0; j < k; j++)
+        row[j] = size > 0 ? row[j] / (double)size : 0.0;
 }
 
 /* Total score over the spread; first maximum wins (spread order). */
@@ -515,24 +529,6 @@ static void refresh_lamb(KernCtx *c)
 /* Rescoring (pop / rule 2 / rule 3 share it)                          */
 /* ------------------------------------------------------------------ */
 
-/* Rebuild slot s's neighbourhood segment if it is stale (only a marked
- * slot's can be); idempotent, so a transaction that runs out of arena
- * half-way simply starts over. */
-static int refresh_segment(KernCtx *c, int64_t s)
-{
-    return !c->use_cs || !c->dirty[s] || nbr_fresh(c, s)
-        || write_segment(c, s);
-}
-
-static int refresh_segments(KernCtx *c, const int64_t *slots, int64_t m)
-{
-    int64_t t;
-    for (t = 0; t < m; t++)
-        if (!refresh_segment(c, slots[t]))
-            return 0;
-    return 1;
-}
-
 /* lamb moved since version v only by one-column steps at columns other
  * than j (see rescore_slot). */
 static inline int lamb_kept(int64_t epoch, const int64_t *lamb_version,
@@ -557,10 +553,9 @@ static inline int lamb_kept(int64_t epoch, const int64_t *lamb_version,
 static void rescore_slot(KernCtx *c, int64_t s)
 {
     int fresh_r = !c->dirty[s] || rep_fresh(c, s);
-    int fresh_c = !c->dirty[s] || !c->use_cs
-        || c->cs_sum[s] == nbr_version_sum(c, s);
+    int fresh_c = !c->use_cs || !c->cs_dirty[s];
     double old = c->score[s];
-    c->dirty[s] = 0;
+    c->dirty[s] = c->cs_dirty[s] = 0;
     if (c->slot_version[s] == c->version && fresh_r && fresh_c)
         return;
     if (!fresh_r) {
@@ -602,7 +597,7 @@ static void promote(KernCtx *c, int64_t s)
 
 /* Rule 2: candidate set empty -> rescore Q, promote above-threshold
  * edges (or, when scores are uniform, the best eighth). */
-static int rule2(KernCtx *c)
+static void rule2(KernCtx *c)
 {
     int64_t *slots = c->scratch;
     int64_t m = 0, above = 0, take;
@@ -612,8 +607,6 @@ static int rule2(KernCtx *c)
         if (c->alive[s] && !c->candidate[s])
             slots[m++] = s;
     sort_slots(c, slots, m, by_entry);
-    if (!refresh_segments(c, slots, m))
-        return 0;
     c->charge += m * c->k;
     for (t = 0; t < m; t++)
         rescore_slot(c, slots[t]);
@@ -629,31 +622,28 @@ static int rule2(KernCtx *c)
     for (t = 0; t < take; t++)
         promote(c, slots[t]);
     c->promotions += take;
-    return 1;
 }
 
 /* Rule 3: reassess secondary edges touching the changed replica rows. */
-static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
+static void rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
 {
     int64_t *slots = c->scratch;
     int64_t m = 0, unique = 0;
     int64_t r, t, node;
     double threshold;
     if (!c->lazy)
-        return 1;
+        return;
     for (r = 0; r < nrows; r++)
         for (node = c->head[rows[r]]; node >= 0; node = c->link_next[node])
             if (!c->candidate[node >> 1])
                 slots[m++] = node >> 1;
     if (m == 0)
-        return 1;
+        return;
     sort_slots(c, slots, m, by_entry);
     for (t = 0; t < m; t++)  /* an edge may touch both changed rows */
         if (t == 0 || slots[t] != slots[t - 1])
             slots[unique++] = slots[t];
     m = unique;
-    if (!refresh_segments(c, slots, m))
-        return 0;
     threshold = c->score_sum / (double)c->count + c->epsilon;
     c->charge += m * c->k;
     for (t = 0; t < m; t++)
@@ -666,15 +656,13 @@ static int rule3(KernCtx *c, const int64_t *rows, int64_t nrows)
             c->promotions++;
         }
     }
-    return 1;
 }
 
 /* One agenda transaction: rescore the version-stale candidates — in
  * agenda order, which is entry order — and return the position of the
- * first strict maximum (the reference's first-max-in-entry-order), or
- * -1 when the arena ran out.  Segments first: the only step that can
- * fail comes before any score moves.  rescore_slot's skip is inline for
- * a clean slot: its version advances, score_sum adds 0.0. */
+ * first strict maximum (the reference's first-max-in-entry-order).
+ * rescore_slot's skip is inline for a clean slot: its version advances,
+ * score_sum adds 0.0. */
 static int64_t agenda_pop(KernCtx *c)
 {
     const int64_t *agenda = c->agenda, *col = c->col;
@@ -684,10 +672,6 @@ static int64_t agenda_pop(KernCtx *c)
     int64_t *slot_version = c->slot_version;
     int64_t n = c->num_candidates, version = c->version;
     int64_t epoch = c->lamb_epoch, rescored = 0, kept = 0, best = 0, i;
-    for (i = 0; i < n; i++)
-        if (slot_version[agenda[i]] != version
-                && !refresh_segment(c, agenda[i]))
-            return -1;
     for (i = 0; i < n; i++) {
         int64_t s = agenda[i], v = slot_version[s];
         if (v != version) {
@@ -711,17 +695,16 @@ static int64_t agenda_pop(KernCtx *c)
 }
 
 /* Pop the best slot of a non-empty window into out_*[n_out] and *slot;
- * it leaves the window (its ui/vi stay readable until the slot is reused). */
+ * it leaves the window (its ui/vi stay readable until the slot is reused).
+ * Only a full output list stops it, before anything moves. */
 static int64_t pop_slot(KernCtx *c, int64_t *slot)
 {
-    int64_t pos, s, vertex;
+    int64_t pos, s, u, v;
     if (c->n_out == c->out_cap)
         return KERN_NEED_OUT;
-    if (c->num_candidates == 0 && !rule2(c))
-        return KERN_NEED_ARENA;
+    if (c->num_candidates == 0)
+        rule2(c);
     pos = agenda_pop(c);
-    if (pos < 0)
-        return KERN_NEED_ARENA;
     s = c->agenda[pos];
     c->out_u[c->n_out] = c->ui[s];
     c->out_v[c->n_out] = c->vi[s];
@@ -735,16 +718,17 @@ static int64_t pop_slot(KernCtx *c, int64_t *slot)
             (size_t)(c->num_candidates - pos) * sizeof(int64_t));
     c->stat_agenda_removes++;
     c->alive[s] = 0;
-    /* Membership moved at both endpoints: so did their slots' keys. */
-    vertex = c->ui[s];
-    unlink_node(c, 2 * s, vertex);
-    c->iver[vertex]++;
-    mark_at(c, vertex, ++c->stamp_clock);
-    if (c->vi[s] != vertex) {
-        vertex = c->vi[s];
-        unlink_node(c, 2 * s + 1, vertex);
-        c->iver[vertex]++;
-        mark_at(c, vertex, c->stamp_clock);
+    /* Membership moved at both endpoints: so did their slots' keys, and
+     * the counters if no other window edge joins them. */
+    u = c->ui[s];
+    v = c->vi[s];
+    unlink_node(c, 2 * s, u);
+    mark_at(c, u, ++c->stamp_clock, 1);
+    if (v != u) {
+        unlink_node(c, 2 * s + 1, v);
+        mark_at(c, v, c->stamp_clock, 1);
+        if (c->use_cs && !joined(c, u, v))
+            count_pair(c, u, v, -1);
     }
     c->count--;
     c->free_slots[c->num_free++] = s;
@@ -772,39 +756,28 @@ static int64_t admit(KernCtx *c, int64_t du, int64_t dv)
     int64_t s, max_degree = c->max_degree;
     if (c->num_free == 0)
         return KERN_NEED_SLOTS;
-    s = c->free_slots[c->num_free - 1];
+    s = c->free_slots[--c->num_free];
     c->ui[s] = du;
     c->vi[s] = dv;
-    c->nbr_start[s] = 0;
-    c->nbr_count[s] = 0;
-    /* The one step that can run out of room comes first, while the slot
-     * is still free: the neighbourhood sees only earlier entries. */
-    if (c->use_cs && !write_segment(c, s))
-        return KERN_NEED_ARENA;
-    c->num_free--;
     observe_degree(c, du);
     observe_degree(c, dv);
     if (c->max_degree > max_degree)  /* every R key holds it */
         memset(c->dirty, 1, (size_t)c->slot_cap);
-    mark_at(c, du, ++c->stamp_clock);  /* degree and iver move there */
-    mark_at(c, dv, c->stamp_clock);
-    c->dirty[s] = 0;  /* linked below, every key set */
+    /* Degree and membership move there (linked below, so this marks
+     * only the other slots). */
+    mark_at(c, du, ++c->stamp_clock, 1);
+    mark_at(c, dv, c->stamp_clock, 1);
+    if (c->use_cs && du != dv && !joined(c, du, dv))
+        count_pair(c, du, dv, 1);
+    link_slot(c, s);
+    c->dirty[s] = c->cs_dirty[s] = 0;  /* every key set below */
     c->entry[s] = c->next_id++;
     c->candidate[s] = 0;
     c->alive[s] = 1;
-    /* Inserting the edge changes its neighbours' neighbourhoods (they
-     * see the bumped counter as a stale key) but not its own (it
-     * excludes itself), so its key is stamped after the bump. */
-    c->iver[du]++;
-    if (dv != du)
-        c->iver[dv]++;
-    c->nbr_key[2 * s] = c->iver[du];
-    c->nbr_key[2 * s + 1] = c->iver[dv];
     recompute_rep(c, s);
     if (c->use_cs)
         recompute_cs(c, s);
     assemble(c, s);
-    link_slot(c, s);
     c->count++;
     c->score_sum += c->score[s];
     c->charge += c->k;
@@ -830,6 +803,8 @@ static void set_replica(KernCtx *c, int64_t row, int64_t j)
     c->chg_row[c->n_changed] = row;
     c->chg_col[c->n_changed] = j;
     c->n_changed++;
+    if (c->use_cs)  /* kern_hdrf has no window: use_cs stays 0 there */
+        count_replica(c, row, j);
 }
 
 static void assign(KernCtx *c, int64_t du, int64_t dv, int64_t j)
@@ -880,37 +855,12 @@ static void adapt_lambda(KernCtx *c)
 /* Entry points                                                        */
 /* ------------------------------------------------------------------ */
 
-/* What follows an assignment: rule 3 over the rows it changed (the last
- * rule3_pending of chg_row), then the block-boundary check. */
-static int64_t finish_assignment(KernCtx *c, int64_t stop_at)
-{
-    if (!rule3(c, c->chg_row + c->n_changed - c->rule3_pending,
-               c->rule3_pending))
-        return KERN_NEED_ARENA;
-    c->rule3_pending = 0;
-    return c->n_out == stop_at ? KERN_BLOCK_BOUNDARY : KERN_DONE;
-}
-
-/* Algorithm 1 over pairs[consumed..n): refill to target_w, pop while
- * the window is full (or, with force, non-empty), assign, adapt lambda,
- * rule 3 — until the input is consumed (KERN_DONE), n_out reaches
- * stop_at (KERN_BLOCK_BOUNDARY: the caller adapts w and calls again) or
- * a buffer must grow (KERN_NEED_*: the caller grows it and calls again
- * with the same arguments). */
-int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
-                  int64_t target_w, int64_t force, int64_t stop_at)
+/* kern_pump's loop: refill, pop, assign, adapt lambda, rule 3. */
+static int64_t pump(KernCtx *c, const int64_t *pairs, int64_t n,
+                    int64_t target_w, int64_t force, int64_t stop_at)
 {
     int64_t status, need, s, changed, j, max_size, min_size;
     double lam, lamb_j;
-    /* What Python did between calls is not trusted: lamb, nor any key. */
-    refresh_lamb(c);
-    c->lamb_epoch = c->version;
-    memset(c->dirty, 1, (size_t)c->slot_cap);
-    if (c->rule3_pending) {  /* re-entered after rule 3 ran out of arena */
-        status = finish_assignment(c, stop_at);
-        if (status != KERN_DONE)
-            return status;
-    }
     for (;;) {
         need = target_w - c->count;
         for (; need > 0 && c->consumed < n; need--, c->consumed++) {
@@ -931,8 +881,7 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
         min_size = c->min_size;
         lamb_j = c->lamb[j];
         assign(c, c->ui[s], c->vi[s], j);
-        c->rule3_pending = c->n_changed - changed;
-        mark_rows(c, c->chg_row + changed, c->rule3_pending);
+        mark_rows(c, c->chg_row + changed, c->n_changed - changed);
         adapt_lambda(c);
         /* A one-column step (see rescore_slot) or a move of all of lamb. */
         if (c->lam == lam && c->max_size == max_size
@@ -940,10 +889,33 @@ int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
             c->lamb_version[j] = c->version;
         else
             c->lamb_epoch = c->version;
-        status = finish_assignment(c, stop_at);
-        if (status != KERN_DONE)
-            return status;
+        rule3(c, c->chg_row + changed, c->n_changed - changed);
+        if (c->n_out == stop_at)
+            return KERN_BLOCK_BOUNDARY;
     }
+}
+
+/* Algorithm 1 over pairs[consumed..n): refill to target_w, pop while
+ * the window is full (or, with force, non-empty), assign, adapt lambda,
+ * rule 3 — until the input is consumed (KERN_DONE), n_out reaches
+ * stop_at (KERN_BLOCK_BOUNDARY: the caller adapts w and calls again) or
+ * a buffer must grow (KERN_NEED_SLOTS / KERN_NEED_OUT, before the admit
+ * or the pop that needs it: the caller grows it and calls again with the
+ * same arguments). */
+int64_t kern_pump(KernCtx *c, const int64_t *pairs, int64_t n,
+                  int64_t target_w, int64_t force, int64_t stop_at)
+{
+    int64_t status;
+    /* What Python did between calls is not trusted: lamb, nor any key,
+     * nor — if an assignment happened out there — a counter. */
+    refresh_lamb(c);
+    c->lamb_epoch = c->version;
+    memset(c->dirty, 1, (size_t)c->slot_cap);
+    if (c->use_cs && c->counted != c->assigned_edges)
+        recount(c);
+    status = pump(c, pairs, n, target_w, force, stop_at);
+    c->counted = c->assigned_edges;
+    return status;
 }
 
 /* HDRF (Petroni et al.) over pairs[consumed..n), one edge at a time as
@@ -1017,8 +989,10 @@ int64_t kern_hdrf(KernCtx *c, const int64_t *pairs, int64_t n, double lam)
 }
 
 /* Load `n` image entries (ascending entry order) into an empty window
- * with freshly initialised arrays: memos start invalid and refill with
- * the values a fresh computation would produce anyway. */
+ * with freshly initialised slot arrays: memos start invalid and refill
+ * with the values a fresh computation would produce anyway; the
+ * counters are rebuilt (compaction leaves the window's vertices' old
+ * ones behind). */
 int64_t kern_restore(KernCtx *c, const int64_t *pairs,
                      const int64_t *entry, const double *score,
                      const int64_t *col, const int64_t *version,
@@ -1037,11 +1011,15 @@ int64_t kern_restore(KernCtx *c, const int64_t *pairs,
         c->slot_version[s] = version[i];
         c->candidate[s] = candidate[i];
         c->alive[s] = 1;
+        c->dirty[s] = c->cs_dirty[s] = 1;
         link_slot(c, s);
         c->count++;
         if (candidate[i])
             agenda_insert(c, s);
     }
+    if (c->use_cs)
+        recount(c);
+    c->counted = c->assigned_edges;
     return KERN_DONE;
 }
 

@@ -9,10 +9,13 @@ and 3, and the vertex-cache update between them — lives in
 that transaction:
 
 * it **owns every window buffer** the kernels touch — per-slot arrays,
-  the intrusive vertex→slot incidence links, the neighbourhood arena,
-  the per-vertex version/stamp arrays — as numpy arrays, and decides
-  when they grow (the kernels return a ``KERN_NEED_*`` status instead
-  and are called again).  Binding them into the kernel context beside
+  the intrusive vertex→slot incidence links, and per vertex the walks'
+  stamp and the neighbour counters CS is read off (``nn``: distinct
+  window neighbours; ``cnt``, ``k`` columns: how many of them are
+  replicated on each partition) — as numpy arrays, and decides when
+  they grow (the kernels return ``KERN_NEED_SLOTS`` instead and are
+  called again; the vertex arrays follow the state's row tables).
+  Binding them into the kernel context beside
   the partition state's tables, validating what crosses the boundary
   and the grow-and-retry loop are
   :class:`~repro.core._binding.KernelBinding`'s, shared with the
@@ -42,10 +45,11 @@ Enforced by
 ``tests/test_pump_boundaries.py`` and ``tests/test_session_machine.py``.
 
 Capacity management: slot arrays double on demand and are compacted
-(the window is re-loaded from its own image into fresh, smaller arrays)
-when occupancy falls below a quarter of capacity after the adaptive
-controller shrinks the window — renumbering slots is safe because every
-ordering contract is defined on entry ids, never slot positions.
+(the window is re-loaded from its own image into fresh, smaller arrays,
+and ``kern_restore`` recounts the neighbour counters) when occupancy
+falls below a quarter of capacity after the adaptive controller shrinks
+the window — renumbering slots is safe because every ordering contract
+is defined on entry ids, never slot positions.
 """
 
 from __future__ import annotations
@@ -64,26 +68,23 @@ from repro.graph.graph import Edge
 #: compaction is attempted.
 _MIN_CAPACITY = 64
 
-#: Smallest neighbourhood arena (entries).
-_MIN_ARENA = 256
-
 # Window-owned buffers by capacity group:
 # context field -> (dtype, entries per unit of capacity, initial fill).
 # ``rep`` and ``cs`` hold ``k`` entries per slot and are added per window.
 _SLOT_FIELDS = {
     "score": (np.float64, 1, 0.0), "col": (np.int64, 1, 0),
     "entry": (np.int64, 1, -1), "slot_version": (np.int64, 1, -1),
-    "rep_key": (np.int64, 5, -1), "nbr_key": (np.int64, 2, -1),
-    "cs_sum": (np.int64, 1, -1), "ui": (np.int64, 1, 0),
-    "vi": (np.int64, 1, 0), "nbr_start": (np.int64, 1, 0),
-    "nbr_count": (np.int64, 1, 0), "agenda": (np.int64, 1, 0),
+    "rep_key": (np.int64, 5, -1), "ui": (np.int64, 1, 0),
+    "vi": (np.int64, 1, 0), "agenda": (np.int64, 1, 0),
     "free_slots": (np.int64, 1, 0),
     "link_next": (np.int64, 2, -1), "link_prev": (np.int64, 2, -1),
-    "scratch": (np.int64, 3, 0), "candidate": (np.uint8, 1, 0),
+    "scratch": (np.int64, 2, 0), "candidate": (np.uint8, 1, 0),
     "alive": (np.uint8, 1, 0), "dirty": (np.uint8, 1, 1),
+    "cs_dirty": (np.uint8, 1, 1),
 }
-_VERTEX_FIELDS = {"iver": (np.int64, 1, 0), "head": (np.int64, 1, -1),
-                  "stamp": (np.int64, 1, 0)}
+# ``cnt`` holds ``k`` entries per vertex and is added per window.
+_VERTEX_FIELDS = {"head": (np.int64, 1, -1), "stamp": (np.int64, 1, 0),
+                  "nn": (np.int64, 1, 0)}
 
 
 def _tally(field: str, doc: str, holder: str = "_ctx") -> property:
@@ -131,7 +132,8 @@ class ArrayEdgeWindow:
         self._pairs = np.zeros(0, dtype=np.int64)
         #: The state's tables, the output lists and this window's own
         #: buffers, bound into one kernel context.
-        self._kern = KernelBinding(kernels, state, _VERTEX_FIELDS)
+        self._kern = KernelBinding(kernels, state, dict(
+            _VERTEX_FIELDS, cnt=(np.int32, state.num_partitions, 0)))
         self._lib = self._kern.lib
         ctx = self._ctx = self._kern.ctx
         k = ctx.k
@@ -143,9 +145,6 @@ class ArrayEdgeWindow:
         self._kern.bind("lamb", np.zeros(k, dtype=np.float64), k)
         self._kern.bind("lamb_version", np.zeros(k, dtype=np.int64), k)
         self._allocate(max(_MIN_CAPACITY, int(initial_capacity)))
-        pool_cap = max(_MIN_ARENA, 4 * ctx.slot_cap)
-        self._kern.bind("pool", np.zeros(pool_cap, dtype=np.int64), pool_cap)
-        ctx.pool_cap = pool_cap
 
     #: Resolved kernel backend (the obs label of the agenda counters).
     kernel_backend = "cc"
@@ -181,9 +180,6 @@ class ArrayEdgeWindow:
         "Pops that found a version-stale candidate to rescore.")
     stat_agenda_scanned = _tally(
         "stat_agenda_scanned", "Agenda entries scanned, summed over pops.")
-    stat_segments_written = _tally(
-        "stat_segments_written",
-        "Neighbourhood segments (re)written into the arena.")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -222,13 +218,13 @@ class ArrayEdgeWindow:
     # Buffer ownership: allocate, grow, compact
     # ------------------------------------------------------------------
     def _allocate(self, capacity: int) -> None:
-        """Fresh, empty slot arrays at ``capacity`` (the arena, vertex
-        arrays and tallies stay)."""
+        """Fresh, empty slot arrays at ``capacity`` (the vertex arrays
+        and tallies stay; ``kern_restore`` recounts the counters)."""
         ctx = self._ctx
         self._kern.resize(self._slot_fields, "slot_cap", capacity, keep=False)
         self._array("free_slots")[:] = np.arange(capacity - 1, -1, -1)
         ctx.num_free = capacity
-        ctx.count = ctx.num_candidates = ctx.pool_used = 0
+        ctx.count = ctx.num_candidates = 0
         if ctx.vertex_cap:  # the per-vertex arrays are bound
             self._array("head")[:] = -1
 
@@ -240,18 +236,6 @@ class ArrayEdgeWindow:
         self._array("free_slots")[free:free + old] = np.arange(
             2 * old - 1, old - 1, -1)
         ctx.num_free = free + old
-
-    def _grow_arena(self) -> None:
-        """The kernel repacked the arena and still wants ``need``
-        entries with the arena at most half full."""
-        ctx = self._ctx
-        capacity = ctx.pool_cap
-        while capacity < 2 * ctx.need:
-            capacity *= 2
-        pool = np.zeros(capacity, dtype=np.int64)
-        pool[:ctx.pool_used] = self._array("pool")[:ctx.pool_used]
-        self._kern.bind("pool", pool, capacity)
-        ctx.pool_cap = capacity
 
     def _compact_if_sparse(self) -> None:
         """Once occupancy is a quarter of capacity or less, re-load the
@@ -284,11 +268,9 @@ class ArrayEdgeWindow:
     def _call(self, function, *args) -> int:
         """Run one kernel entry to a final status, growing whichever
         buffer it asks for in between, then charge the clock."""
-        lib = self._lib
         ctx = self._ctx
         status = self._kern.call(function, *args, grow={
-            lib.KERN_NEED_SLOTS: self._grow_slots,
-            lib.KERN_NEED_ARENA: self._grow_arena})
+            self._lib.KERN_NEED_SLOTS: self._grow_slots})
         clock = self.scoring.clock
         if clock is not None and ctx.charge:
             clock.charge_score(ctx.charge)

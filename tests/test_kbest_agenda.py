@@ -12,9 +12,13 @@ enforces that contract four ways:
   partitioner and the session are its only way in);
 * cases aimed at the two things the kernel does differently from the
   reference's loops — an agenda kept in entry order (eager windows,
-  rule 2's out-of-order promotions, restore) and CS hits counted in
-  byte lanes of 64-bit words (hub neighbourhoods across the 255-hit
-  flush, every k mod 8 and 64-column layout, the 0/1 precondition);
+  rule 2's out-of-order promotions, restore) and CS read off per-vertex
+  neighbour counters instead of a scan of N(u) ∪ N(v) (duplicate window
+  edges, self-loops, shared neighbours, hubs on both endpoints, counter
+  rows rebound as the vertex tables grow, compaction, restore, a state
+  moved between pumps — each also checked against counters recomputed
+  from the window after every step; hub neighbourhoods up to 700; every
+  k up to 130; the 0/1 precondition);
 * agenda invariants — on a live session, after every step of a random
   add / pop (+ rule 3) / snapshot-pickle-restore / compact interleaving
   (single-edge ingests whose target size puts the pump exactly one
@@ -49,6 +53,7 @@ from repro.core.adwise import AdwisePartitioner
 from repro.core.array_window import ArrayEdgeWindow
 from repro.graph.graph import Edge
 from repro.graph.stream import InMemoryEdgeStream
+from repro.partitioning import fast_state
 from repro.partitioning.fast_state import FastPartitionState
 
 pytestmark = pytest.mark.skipif(_kernels.load() is None,
@@ -248,12 +253,11 @@ def midstream(partitioner, emitted):
 def test_hub_neighbourhoods_cross_the_lane_flush(window, spokes, fillers,
                                                  sizes):
     """Every spoke already has replicas on partition 0 (and every other
-    one on 3), so a hub edge's CS numerator on column 0 is |N| itself:
-    a byte lane not flushed by its 255th neighbour wraps to a wrong
-    score.  The window image holds every admit's score, |N| = 0 up to
-    the whole star; the pops at a full window rescore at the top sizes.
-    (Only the smaller window is drained: the reference pays 0.15 s a pop
-    at |N| = 700.)"""
+    one on 3), so a hub edge's CS numerator on column 0 is |N| itself,
+    up to 700.  The window image holds every admit's score, |N| = 0 up
+    to the whole star; the pops at a full window rescore at the top
+    sizes.  (Only the smaller window is drained: the reference pays
+    0.15 s a pop at |N| = 700.)"""
     pairs = hub_stream(spokes, fillers)
     seeds = ([(x, 0) for x in range(1, spokes + 1)]
              + [(x, 3) for x in range(1, spokes + 1, 2)])
@@ -266,11 +270,12 @@ def test_hub_neighbourhoods_cross_the_lane_flush(window, spokes, fillers,
     compiled = seeded(AdwisePartitioner, 9, seeds, fixed_window=window)
     compiled.begin(total_edges=len(pairs))
     emitted, seen = [], set()
-    for u, v in pairs:  # one pump per edge: look at the segments between
+    for u, v in pairs:  # one pump per edge: look at the counts between
         emitted.extend(compiled.ingest([Edge(u, v)]))
         win = compiled.window
-        seen.update(win._array("nbr_count")[
-            win._array("alive").astype(bool)].tolist())
+        alive = win._array("alive").astype(bool)
+        seen.update(win._array("nn")[np.concatenate((
+            win._array("ui")[alive], win._array("vi")[alive]))].tolist())
     assert sizes <= seen
     assert midstream(compiled, emitted) == expected
     if window == 256:
@@ -374,10 +379,10 @@ def test_state_moved_between_pumps():
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 32, 63, 64, 65, 130])
 def test_cs_count_at_every_column_layout(k):
-    """k mod 8 tail columns only (1, 7), whole words (8, 32, 64), words
-    plus a tail (9, 63, 65), more than one 64-column pass (65, 130).
-    Every vertex starts replicated on the last column and on one of its
-    own, so hits land on every lane and the tail decides assignments."""
+    """Counter rows k columns wide, from 1 to 130 (row strides of every
+    residue mod 8, past one and two 64-column spans).  Every vertex
+    starts replicated on the last column and on one of its own, so hits
+    land on every column and the last one decides assignments."""
     pairs = [(i % 23, (i * 7 + 1) % 29 + 23) for i in range(260)]
     seeds = [(x, p) for x in range(52) for p in {k - 1, x * 5 % k}]
     outcomes = []
@@ -389,8 +394,9 @@ def test_cs_count_at_every_column_layout(k):
 
 
 def test_replica_matrix_must_be_bool():
-    """The integer count reads replica bytes as 0/1: a ``uint8`` matrix
-    (which could hold a 2) is refused when it is bound, not miscounted."""
+    """The neighbour counters add replica bytes as 0/1: a ``uint8``
+    matrix (which could hold a 2) is refused when it is bound, not
+    miscounted."""
     state = FastPartitionState(range(8))
     kernel = KernelBinding(_kernels.load(), state)
     matrix = np.zeros((4, 8), dtype=np.uint8)
@@ -481,6 +487,183 @@ def test_agenda_survives_growth_and_compaction():
 
 
 # ---------------------------------------------------------------------------
+# Neighbour counters: nn[v] and cnt[v][p], exact after every step
+# ---------------------------------------------------------------------------
+
+def check_counters(win):
+    """``nn`` and ``cnt`` of every bound vertex row equal what the
+    window's edges and the replica matrix say: ``nn[v]`` is the number
+    of distinct window neighbours of v (v itself not counted) and
+    ``cnt[v][p]`` how many of them are replicated on p — a row the
+    kernel reads only while ``nn[v] > 0``."""
+    k = win._ctx.k
+    alive = win._array("alive").astype(bool)
+    neighbours = {}
+    for u, v in zip(win._array("ui")[alive].tolist(),
+                    win._array("vi")[alive].tolist()):
+        if u != v:
+            neighbours.setdefault(u, set()).add(v)
+            neighbours.setdefault(v, set()).add(u)
+    replicas = win._kern.array("replicas")
+    nn = np.zeros(win._ctx.vertex_cap, dtype=np.int64)
+    cnt = np.zeros((win._ctx.vertex_cap, k), dtype=np.int64)
+    for x, ys in neighbours.items():
+        nn[x] = len(ys)
+        cnt[x] = replicas[sorted(ys)].sum(axis=0)
+    assert np.array_equal(win._array("nn"), nn)
+    assert np.array_equal(win._array("cnt").reshape(-1, k)[nn > 0],
+                          cnt[nn > 0])
+
+
+def counter_sessions(seeds, k=4, **knobs):
+    """:func:`live_sessions`' pair, empty, over a state that already
+    holds the ``(vertex, partition)`` replicas ``seeds``."""
+    sessions = lockstep(open_session, "adwise", partitions=k,
+                        fixed_window=1, **knobs)
+    for session in sessions:
+        for i, (vertex, partition) in enumerate(seeds):
+            session.partitioner.state.assign(Edge(vertex, 10_000 + i),
+                                             partition)
+    return sessions
+
+
+def walk(sessions, edges):
+    """Admit ``edges`` one at a time, then pop the window empty; both
+    tiers compared and the counters checked after every step."""
+    window = sessions[0].partitioner.window
+    for ends in edges:
+        add(sessions, ends)
+        check_counters(window)
+    while len(window):
+        pop(sessions)
+        check_counters(window)
+    drain(sessions)
+
+
+SEEDS = [(x, x % 4) for x in range(12)] + [(x, (x + 1) % 4)
+                                           for x in range(0, 12, 3)]
+
+
+def test_counters_follow_a_duplicated_edge():
+    """Two window copies of (0, 1): 1 stays 0's neighbour — counted
+    once — until the second copy pops (multiplicity 2 -> 1 -> 0)."""
+    sessions = counter_sessions(SEEDS)
+    edges = [(0, 1), (1, 2), (0, 1), (0, 3), (2, 3), (1, 3)]
+    window = sessions[0].partitioner.window
+    for ends in edges:
+        add(sessions, ends)
+        check_counters(window)
+    assert [tuple(edge) for edge in window.edges()].count((0, 1)) == 2
+    assert window._array("nn")[window.scoring.state.dense_rows(
+        np.array([0, 1]), intern=False)].tolist() == [2, 3]
+    walk(sessions, [])
+
+
+def test_counters_skip_self_loops():
+    """A self-loop makes no vertex a neighbour, and its own S is
+    N_w(u)."""
+    walk(counter_sessions(SEEDS), [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2),
+                                   (2, 2), (0, 0), (3, 0), (3, 3)])
+
+
+def test_counters_close_triangles():
+    """(1, 2) closes triangles over 0 and 3, which both endpoints hold
+    as window neighbours: cnt[1] + cnt[2] counts them twice, and the
+    intersection walk takes them out once.  Of S = {0, 3, 4} only 0
+    and 3 are replicated on partition 0, so CS(e, 0) is 2/3, not 4/5;
+    the partitions start equal and 1, 2 unreplicated, so it is e's
+    score."""
+    seeds = [(0, 0), (3, 0), (4, 1), (5, 1), (6, 2), (7, 2), (8, 3), (9, 3)]
+    walk(counter_sessions(seeds), [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4),
+                                   (1, 2), (0, 3), (4, 5), (1, 2)])
+
+
+def test_counters_under_a_hub_on_both_endpoints():
+    """Two hubs sharing most spokes, then the edge between them: both
+    lists are long and the intersection is most of each."""
+    edges = [(hub, x) for x in range(1, 40) for hub in (100, 200)
+             if x % 5 or hub == 100]
+    seeds = SEEDS + [(x, x % 3) for x in range(12, 40)] + [(100, 1),
+                                                          (200, 2)]
+    walk(counter_sessions(seeds), edges + [(100, 200), (1, 2), (100, 1)])
+
+
+def test_counter_rows_follow_the_vertex_tables(monkeypatch):
+    """From a two-row state, the vertex tables double while the window
+    holds edges (every batch brings new vertices), so the k-column
+    counter matrix is regrown and rebound under a live window."""
+    monkeypatch.setattr(fast_state, "_INITIAL_CAPACITY", 2)
+    sessions = lockstep(open_session, "adwise", partitions=5,
+                        fixed_window=24)
+    window = sessions[0].partitioner.window
+    grown = []
+    for start in range(0, 300, 20):
+        batch = [((i * 7) % (8 + i // 2), (i * 11 + 3) % (9 + i // 2))
+                 for i in range(start, start + 20)]
+        before = window._ctx.vertex_cap
+        held = len(window)
+        ingest_both(sessions, batch)
+        check_counters(window)
+        if held and window._ctx.vertex_cap > before:
+            grown.append(window._ctx.vertex_cap)
+    assert len(grown) >= 3, grown
+    drain(sessions)
+
+
+def test_counters_survive_compaction_after_a_shrink():
+    """An adaptive window grows, then shrinks past a quarter of its slot
+    capacity: the end of that batch re-loads it into fresh slot arrays,
+    and kern_restore recounts."""
+    edges = [((i * 7) % (8 + i // 8), (i * 13 + 5) % (9 + i // 8))
+             for i in range(3000)]
+    pair = lockstep(AdwisePartitioner, range(6),
+                    latency_preference_ms=400.0, max_window=256)
+    for partitioner in pair:
+        partitioner.begin(total_edges=len(edges))
+    window = pair[0].window
+    capacities = []
+    for start in range(0, len(edges), 100):
+        ingest_both(pair, edges[start:start + 100])
+        check_counters(window)
+        capacities.append(window._ctx.slot_cap)
+    peak = capacities.index(max(capacities))
+    assert min(capacities[peak:]) < max(capacities), capacities
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
+
+
+def test_counters_after_a_restore_in_mid_window():
+    """A snapshot restores into a fresh window: the counters are rebuilt
+    from the image's edges before the next pop reads them."""
+    pairs = [(i % 15, (i * 3 + 1) % 17 + 15) for i in range(90)]
+    sessions = lockstep(open_session, "adwise", partitions=4,
+                        fixed_window=33)
+    ingest_both(sessions, pairs[:50])
+    sessions = [restore_session(pickle.loads(pickle.dumps(
+        session.snapshot()))) for session in sessions]
+    check_counters(sessions[0].partitioner.window)
+    for ends in pairs[50:]:
+        ingest_both(sessions, [ends])
+        check_counters(sessions[0].partitioner.window)
+    drain(sessions)
+
+
+def test_counters_after_the_state_moved_between_pumps():
+    """``partition_edge`` between two ingests replicates window vertices
+    behind the counters' back: the next pump recounts."""
+    pairs = [((i * 13 + 3) % 59, (i * 7 + 1) % 61 + 59) for i in range(400)]
+    pair = lockstep(AdwisePartitioner, range(6), fixed_window=40)
+    for start in range(0, len(pairs), 25):
+        ingest_both(pair, pairs[start:start + 25])
+        check_counters(pair[0].window)
+        for partitioner in pair:
+            for x in pairs[start + 20]:
+                partitioner.partition_edge(Edge(x, 500 + start))
+    results = [partitioner.finalize() for partitioner in pair]
+    assert outcome(pair[0], results[0]) == outcome(pair[1], results[1])
+
+
+# ---------------------------------------------------------------------------
 # The cases above catch what they are aimed at: C mutants
 # ---------------------------------------------------------------------------
 
@@ -488,17 +671,9 @@ MUTANTS = {
     "argmax takes the last maximum": (
         "if (score[s] > score[agenda[best]])",
         "if (score[s] >= score[agenda[best]])"),
-    "lanes flushed a neighbour late": (
-        "int64_t stop = cnt - i < 255 ? cnt : i + 255;",
-        "int64_t stop = cnt - i < 256 ? cnt : i + 256;"),
     "promote always appends": (
         "for (; pos > 0 && c->entry[c->agenda[pos - 1]] > c->entry[s]; "
         "pos--)", "for (; 0; )"),
-    "every 64-column pass reads the first": (
-        "+ nbr[i] * k + 8 * base;", "+ nbr[i] * k;"),
-    "last tail column dropped": (
-        "for (j = 8 * words; j < k; j++)\n            tail[",
-        "for (j = 8 * words; j < k - 1; j++)\n            tail["),
     "skip ignores the best column": (
         "return v >= epoch && lamb_version[j] <= v;", "return v >= epoch;"),
     "a λ-only step counted as one column": (
@@ -513,8 +688,22 @@ MUTANTS = {
         "    if (c->max_degree > max_degree)  /* every R key holds it */\n"
         "        memset(c->dirty, 1, (size_t)c->slot_cap);\n", ""),
     "no re-mark at pump entry": (
-        "    memset(c->dirty, 1, (size_t)c->slot_cap);\n"
-        "    if (c->rule3_pending) {", "    if (c->rule3_pending) {"),
+        "    c->lamb_epoch = c->version;\n"
+        "    memset(c->dirty, 1, (size_t)c->slot_cap);\n",
+        "    c->lamb_epoch = c->version;\n"),
+    "the ∩ correction dropped": (
+        "if (!joined(c, y, far))", "if (1)"),
+    "duplicate-edge multiplicity ignored": (
+        "if (c->use_cs && du != dv && !joined(c, du, dv))",
+        "if (c->use_cs && du != dv)"),
+    "set_replica's neighbour bump skipped": (
+        "        count_replica(c, row, j);", "        ;"),
+    "no rebuild after an outside change": (
+        "    if (c->use_cs && c->counted != c->assigned_edges)\n"
+        "        recount(c);\n", ""),
+    "a counter row read at another vertex's stride": (
+        "const int32_t *cv = c->cnt + v * k;",
+        "const int32_t *cv = c->cnt + v * (k - (k > 1));"),
 }
 
 
@@ -529,6 +718,9 @@ def test_mutant_is_caught(name, tmp_path, monkeypatch):
         test_uniform_scores_take_rule_twos_best_eighth()
         test_cs_count_at_every_column_layout(9)
         test_cs_count_at_every_column_layout(130)
+        test_counters_follow_a_duplicated_edge()
+        test_counters_close_triangles()
+        test_counters_after_the_state_moved_between_pumps()
         test_hub_neighbourhoods_cross_the_lane_flush(
             1024, 720, 262, {254, 255, 256, 510, 511, 700})
 

@@ -109,30 +109,24 @@ def growths(monkeypatch):
     """Tiny initial capacities everywhere, and a log of every time a
     capacity group grew: ``{capacity field: [new capacity, ...]}``."""
     monkeypatch.setattr(array_window, "_MIN_CAPACITY", 2)
-    monkeypatch.setattr(array_window, "_MIN_ARENA", 4)
     monkeypatch.setattr(_binding, "_MIN_OUT", 2)
     monkeypatch.setattr(fast_state, "_INITIAL_CAPACITY", 2)
-    log = {"slot_cap": [], "vertex_cap": [], "out_cap": [], "pool_cap": []}
-    resize, grow_arena = KernelBinding.resize, ArrayEdgeWindow._grow_arena
+    log = {"slot_cap": [], "vertex_cap": [], "out_cap": []}
+    resize = KernelBinding.resize
 
     def logged_resize(self, fields, cap_field, capacity, keep=True):
         if capacity > getattr(self.ctx, cap_field) > 0:
             log[cap_field].append(capacity)
         resize(self, fields, cap_field, capacity, keep)
 
-    def logged_grow_arena(self):
-        grow_arena(self)
-        log["pool_cap"].append(self._ctx.pool_cap)
-
     monkeypatch.setattr(KernelBinding, "resize", logged_resize)
-    monkeypatch.setattr(ArrayEdgeWindow, "_grow_arena", logged_grow_arena)
     return log
 
 
 def clustered_stream(n=2600, vertices=600):
-    """Dense enough that window-local neighbourhoods are large (arena
-    growth), over a vertex universe that widens steadily so new
-    vertices keep arriving in every batch (row growth)."""
+    """Dense enough that window-local neighbourhoods are large, over a
+    vertex universe that widens steadily so new vertices keep arriving
+    in every batch (row growth)."""
     pairs = []
     for i in range(n):
         universe = 8 + i * vertices // n
@@ -171,10 +165,10 @@ CONFIGS = {
 @pytest.mark.parametrize("batches", [1, 7], ids=["one-batch", "7-batches"])
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_every_buffer_crosses_three_doublings(growths, config, batches):
-    """Slot arrays (with the incidence links, heap and scratch), arena
-    and output lists double through ``KERN_NEED_*`` re-entries inside
-    one pump; with one batch all of them inside a single ingest call.
-    State rows (with the per-vertex version/head/stamp arrays) regrow
+    """Slot arrays (with the incidence links, agenda and scratch) and
+    output lists double through ``KERN_NEED_*`` re-entries inside one
+    pump; with one batch all of them inside a single ingest call.
+    State rows (with the per-vertex head/stamp arrays and counters) regrow
     while the batch is interned, before its pump — so it takes several
     batches to regrow and rebind them under a live window."""
     knobs = CONFIGS[config]
@@ -186,8 +180,6 @@ def test_every_buffer_crosses_three_doublings(growths, config, batches):
                                        True, **knobs)
     assert outcome(partitioner, result) == expected
     assert partitioner.window._ctx.vertex_cap == partitioner.state._capacity
-    if not knobs.get("use_clustering", True):
-        del growths["pool_cap"]  # no neighbourhoods, no arena traffic
     if batches == 1:
         del growths["vertex_cap"]  # bound once, after interning
     for field, capacities in growths.items():
@@ -216,7 +208,7 @@ def test_stream_kernel_buffers_cross_three_doublings(growths, batches):
     assert len(growths["out_cap"]) >= 3, growths
     if batches > 1:
         assert len(growths["vertex_cap"]) >= 3, growths
-    assert not growths["slot_cap"] and not growths["pool_cap"]
+    assert not growths["slot_cap"]
 
 
 def test_grow_then_shrink_really_shrinks(growths):

@@ -43,8 +43,7 @@ pytestmark = pytest.mark.skipif(_kernels.load() is None,
 TALLIES = ("stat_refills", "stat_pops", "stat_rescored_slots",
            "stat_assembled", "stat_rep_recomputed", "stat_cs_recomputed",
            "stat_agenda_inserts", "stat_agenda_removes",
-           "stat_agenda_rescores", "stat_agenda_scanned",
-           "stat_segments_written", "promotions")
+           "stat_agenda_rescores", "stat_agenda_scanned", "promotions")
 FIELDS = TALLIES + ("score_computations", "assignments", "latency_ms",
                     "decisions")
 
@@ -141,46 +140,50 @@ def measure(name):
     return seen
 
 
-#: What each case read with pull validity, in ``FIELDS`` order.
+#: What each case read with pull validity, in ``FIELDS`` order — except
+#: "self-loops"' ``stat_assembled``, 18046 where pull validity read
+#: 18050: that stream once ran out of neighbourhood arena in mid-pop, and
+#: the re-entry's mark-all re-assembled four slots.  The pump has no
+#: such re-entry any more.
 PINNED = {
     "adaptive": (
-        1475, 1475, 3021, 1841, 426, 234, 1475, 1475, 703, 3039, 1709, 421,
+        1475, 1475, 3021, 1841, 426, 234, 1475, 1475, 703, 3039, 421,
         37032, 1475, 39.982000000000006, "858b625410eda483"),
     "bench": (
         24000, 24000, 760657, 146384, 24330, 16919, 24000, 24000, 23815,
-        767295, 40220, 5176, 25112096, 24000, 25160.096, "4a0f793640dcfe34"),
+        767295, 5176, 25112096, 24000, 25160.096, "4a0f793640dcfe34"),
     "eager": (
-        1475, 1475, 90909, 43433, 7592, 3504, 1475, 1475, 1474, 92384, 4540, 0,
+        1475, 1475, 90909, 43433, 7592, 3504, 1475, 1475, 1474, 92384, 0,
         739072, 1475, 742.022, "9a3ef83cd495d0fc"),
     "hub-w2048": (
         5364, 5364, 281722, 96720, 25244, 41368, 5364, 5364, 5348, 262466,
-        40947, 4474, 4593456, 5364, 4604.184, "34e221c65b9189fe"),
+        4474, 4593456, 5364, 4604.184, "34e221c65b9189fe"),
     "hub-w256": (
         5364, 5364, 237818, 92612, 25549, 34856, 5364, 5364, 5343, 233457,
-        37519, 2753, 3891168, 5364, 3901.896, "682a05ad71c05b6e"),
+        2753, 3891168, 5364, 3901.896, "682a05ad71c05b6e"),
     "hub-w8": (
-        5364, 5364, 12529, 9016, 5954, 6477, 5364, 5364, 2465, 9791, 11835,
-        1773, 303824, 5364, 314.552, "5e3dfdd974cbdd1f"),
+        5364, 5364, 12529, 9016, 5954, 6477, 5364, 5364, 2465, 9791, 1773,
+        303824, 5364, 314.552, "5e3dfdd974cbdd1f"),
     "k1": (
-        1475, 1475, 66557, 66557, 5536, 2914, 1475, 1475, 1474, 67925, 4194,
-        107, 68032, 1475, 70.982, "9abce73b1f8c9bd5"),
+        1475, 1475, 66557, 66557, 5536, 2914, 1475, 1475, 1474, 67925, 107,
+        68032, 1475, 70.982, "9abce73b1f8c9bd5"),
     "k65": (
-        1475, 1475, 47432, 32836, 4783, 3011, 1475, 1475, 1445, 47760, 4081,
-        350, 3179930, 1475, 3182.88, "b2e46d580926bf9a"),
+        1475, 1475, 47432, 32836, 4783, 3011, 1475, 1475, 1445, 47760, 350,
+        3179930, 1475, 3182.88, "b2e46d580926bf9a"),
     "k9": (
-        1475, 1475, 40315, 20125, 3707, 2058, 1475, 1475, 1467, 41464, 3294,
-        259, 376110, 1475, 379.06, "9a808afd0f7a6efa"),
+        1475, 1475, 40315, 20125, 3707, 2058, 1475, 1475, 1467, 41464, 259,
+        376110, 1475, 379.06, "9a808afd0f7a6efa"),
     "no-clustering": (
-        1475, 1475, 47798, 22684, 4688, 0, 1475, 1475, 1467, 48975, 0, 206,
+        1475, 1475, 47798, 22684, 4688, 0, 1475, 1475, 1467, 48975, 206,
         394184, 1475, 397.134, "a997ecf0e7037abb"),
     "partition-edge": (
-        1475, 1475, 55660, 31064, 5190, 2995, 1475, 1475, 1464, 56638, 4095,
-        365, 457656, 1547, 460.75, "06a981c0b757d922"),
+        1475, 1475, 55660, 31064, 5190, 2995, 1475, 1475, 1464, 56638, 365,
+        457656, 1547, 460.75, "06a981c0b757d922"),
     "self-loops": (
-        1500, 1500, 21213, 18050, 3135, 3956, 1500, 1500, 1490, 22454, 5168,
-        198, 181752, 1500, 184.752, "241960138b44c0b6"),
+        1500, 1500, 21213, 18046, 3135, 3956, 1500, 1500, 1490, 22454, 198,
+        181752, 1500, 184.752, "241960138b44c0b6"),
     "star": (
-        1800, 1800, 16652, 16247, 11045, 11237, 1800, 1800, 1358, 17127, 13037,
+        1800, 1800, 16652, 16247, 11045, 11237, 1800, 1800, 1358, 17127,
         165, 147688, 1800, 151.288, "f0d83301074fb667"),
 }
 

@@ -15,8 +15,8 @@ its candidate slots in entry order.
 The compiled window has one way in (``ArrayEdgeWindow.pump``), so this
 is where its step-grain coverage lives: any batch size, any restore
 point, through the public API only.  Every buffer starts at its smallest
-— intern table at two slots, row tables at two rows, slot arrays, arena
-and output lists — and every run opens with a batch of one or two
+— intern table at two slots, row tables at two rows, slot arrays and
+output lists — and every run opens with a batch of one or two
 edges, so ingests cross each growth under a live binding and every
 restore re-interns into fresh small tables.  Which growths a random run
 reaches is chance; one planned walk per configuration makes it certain.
@@ -156,14 +156,12 @@ def growths(monkeypatch):
     ``{capacity group: [new capacity, ...]}`` plus the intern table's
     sizes and the adaptive decisions the machine saw."""
     monkeypatch.setattr(array_window, "_MIN_CAPACITY", 2)
-    monkeypatch.setattr(array_window, "_MIN_ARENA", 4)
     monkeypatch.setattr(_binding, "_MIN_OUT", 2)
     monkeypatch.setattr(fast_state, "_INITIAL_CAPACITY", 2)
     monkeypatch.setattr(fast_state, "_INITIAL_TABLE", 2)
-    log = {"slot_cap": [], "vertex_cap": [], "out_cap": [], "pool_cap": [],
+    log = {"slot_cap": [], "vertex_cap": [], "out_cap": [],
            "rows": [], "table": set(), "decisions": set()}
     resize = KernelBinding.resize
-    grow_arena = ArrayEdgeWindow._grow_arena
     grow_rows = FastPartitionState._grow
 
     def logged_resize(self, fields, cap_field, capacity, keep=True):
@@ -171,16 +169,11 @@ def growths(monkeypatch):
             log[cap_field].append(capacity)
         resize(self, fields, cap_field, capacity, keep)
 
-    def logged_grow_arena(self):
-        grow_arena(self)
-        log["pool_cap"].append(self._ctx.pool_cap)
-
     def logged_grow_rows(self):
         grow_rows(self)
         log["rows"].append(self._capacity)
 
     monkeypatch.setattr(KernelBinding, "resize", logged_resize)
-    monkeypatch.setattr(ArrayEdgeWindow, "_grow_arena", logged_grow_arena)
     monkeypatch.setattr(FastPartitionState, "_grow", logged_grow_rows)
     return log
 
@@ -224,9 +217,6 @@ def test_the_machine_crosses_every_growth(config, growths):
     if algorithm == "adwise":  # a fixed window's: compacted to 2 slots
         grown.add("slot_cap")      # after the first edge
     if "latency_preference_ms" in knobs:
-        # A fixed window of 8 never fills the 64-entry arena it starts
-        # with; the adaptive one (from w = 1) outgrows its first of 8.
-        grown.add("pool_cap")
         assert {WindowDecision.GROW,
                 WindowDecision.SHRINK} <= growths["decisions"]
     assert {group for group in grown if growths[group]} == grown

@@ -20,10 +20,10 @@ and print
   separately (one of each on a steady batch);
 * for ADWISE's compiled window, one **pump** row from its tallies —
   rescored slots (and how many of them re-assembled their argmax rather
-  than keep the cached best column) and agenda length per pop, CS
-  recomputations and neighbourhood-segment rewrites per edge: what the
-  kernel's time is spent *on* (a hub streaming through in ``--order
-  adjacency`` shows as segment rewrites per edge in the tens);
+  than keep the cached best column) and agenda length per pop, and CS
+  recomputations per edge: what the kernel's time is spent *on* (a hub
+  streaming through in ``--order adjacency`` re-derives the CS of every
+  slot at it on each of its pops);
 * a second run under cProfile, top functions by internal or cumulative
   time.
 
@@ -268,8 +268,7 @@ def layers(args) -> None:
         print(f"pump: {kernel.stat_rescored_slots / pops:.2f} rescored "
               f"slots per pop ({kernel.stat_assembled / pops:.2f} "
               f"re-assembled), {kernel.stat_cs_recomputed / edges:.2f} CS "
-              f"recomputations and {kernel.stat_segments_written / edges:.2f} "
-              f"segment rewrites per edge, agenda length "
+              f"recomputations per edge, agenda length "
               f"{kernel.stat_agenda_scanned / pops:.2f} per pop")
 
 
